@@ -1,5 +1,4 @@
-//! Implementation of the `vi-noc` CLI (and the back-compat `sweep`
-//! binary, which forwards to the `sweep` subcommand here).
+//! Implementation of the `vi-noc` CLI.
 //!
 //! ```text
 //! vi-noc run      SCENARIO.json [--out FILE] [--frontier-out FILE]
@@ -7,7 +6,7 @@
 //! vi-noc report   REPORT.json
 //! vi-noc sweep    run|merge|info ...
 //! vi-noc fleet    serve|work|run ...
-//! vi-noc dynsweep run|check ...
+//! vi-noc dynsweep run --scenario FILE [--out FILE]
 //! ```
 //!
 //! `run` executes every stage a scenario declares and writes the report
@@ -18,9 +17,8 @@
 //! `fleet` is the elastic alternative to static shards — a coordinator
 //! leases chain ranges to workers that can join, die, and be replaced
 //! mid-sweep, with the frontier folded byte-identically to `sweep run
-//! --frontier`; `dynsweep` runs a scenario's dynamic simulation sweep
-//! (`run`, with `--mode` overriding the declared engine mode) and
-//! cross-checks a clustered table against its exact oracle (`check`).
+//! --frontier`; `dynsweep run` runs a scenario's dynamic simulation sweep,
+//! which simulates every cell, and writes the result table.
 
 use crate::error::Error;
 use crate::fleet::{job_payload, ScenarioJobResolver};
@@ -28,7 +26,7 @@ use crate::report::REPORT_FORMAT;
 use crate::scenario::{benchmark_by_name, PartitionPlan, Scenario};
 use std::time::Instant;
 use vi_noc_core::SynthesisConfig;
-use vi_noc_dynsweep::{parse_table, Mode, Provenance};
+use vi_noc_dynsweep::parse_table;
 use vi_noc_fleet::FleetConfig;
 use vi_noc_soc::{partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
@@ -46,9 +44,9 @@ usage:
   vi-noc report   REPORT.json
   vi-noc sweep    run|merge|info ...   (see `vi-noc sweep` for details)
   vi-noc fleet    serve|work|run ...   (see `vi-noc fleet` for details)
-  vi-noc dynsweep run|check ...        (see `vi-noc dynsweep` for details)";
+  vi-noc dynsweep run ...              (see `vi-noc dynsweep` for details)";
 
-/// Usage text of the `sweep` subcommand / binary.
+/// Usage text of the `sweep` subcommand.
 pub const SWEEP_USAGE: &str = "\
 usage:
   sweep run    --spec <d12|d16|d20|d26|d36> --islands K [--partition logical|comm]
@@ -74,11 +72,22 @@ usage:
               [--lease-chunk N] [--lease-timeout-ms T] [--checkpoint-every C]
               [--verbose]";
 
-/// Usage text of the `dynsweep` subcommand.
+/// Usage text of the `dynsweep` subcommand. `run` simulates every cell
+/// of the scenario's declared dynamic sweep and writes the table.
 pub const DYNSWEEP_USAGE: &str = "\
 usage:
-  dynsweep run   --scenario FILE [--mode exact|clustered] [--out FILE]
-  dynsweep check EXACT.json CLUSTERED.json";
+  dynsweep run --scenario FILE [--out FILE]";
+
+/// The usage text to print after a failed `args`: the subcommand's own
+/// for `sweep`, `fleet` and `dynsweep`, [`USAGE`] otherwise.
+pub fn usage(args: &[String]) -> &'static str {
+    match args.first().map(String::as_str) {
+        Some("sweep") => SWEEP_USAGE,
+        Some("fleet") => FLEET_USAGE,
+        Some("dynsweep") => DYNSWEEP_USAGE,
+        _ => USAGE,
+    }
+}
 
 /// Entry point of the `vi-noc` binary.
 ///
@@ -230,12 +239,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
 // --- sweep ---------------------------------------------------------------
 
-/// Entry point of the `sweep` subcommand (and the standalone `sweep`
-/// binary, which is a thin wrapper over this).
+/// Entry point of the `sweep` subcommand.
 ///
 /// # Errors
 ///
-/// A printable message; the binaries append [`SWEEP_USAGE`].
+/// A printable message; the binary appends [`SWEEP_USAGE`].
 pub fn sweep_cli(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("run") => sweep_run(&args[1..]),
@@ -816,8 +824,7 @@ fn fleet_run(args: &[String]) -> Result<(), String> {
 // --- dynsweep ------------------------------------------------------------
 
 /// Entry point of the `dynsweep` subcommand: runs a scenario's declared
-/// dynamic sweep (optionally overriding the engine mode), or cross-checks
-/// a clustered result table against its exact oracle.
+/// dynamic sweep.
 ///
 /// # Errors
 ///
@@ -825,7 +832,6 @@ fn fleet_run(args: &[String]) -> Result<(), String> {
 pub fn dynsweep_cli(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("run") => dynsweep_run(&args[1..]),
-        Some("check") => dynsweep_check(&args[1..]),
         Some(other) => Err(format!("unknown command '{other}'")),
         None => Err("missing command".to_string()),
     }
@@ -833,7 +839,6 @@ pub fn dynsweep_cli(args: &[String]) -> Result<(), String> {
 
 fn dynsweep_run(args: &[String]) -> Result<(), String> {
     let mut scenario_path: Option<String> = None;
-    let mut mode: Option<Mode> = None;
     let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -842,134 +847,32 @@ fn dynsweep_run(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--scenario" => scenario_path = Some(value("--scenario")?.clone()),
-            "--mode" => mode = Some(value("--mode")?.parse()?),
             "--out" => out = Some(value("--out")?.clone()),
             other => return Err(format!("unknown option '{other}'")),
         }
     }
     let path = scenario_path.ok_or("--scenario FILE is required")?;
-    let mut scenario = Scenario::from_json(&read_file(&path)?)?;
-    let Some(plan) = scenario.dyn_sweep.as_mut() else {
+    let scenario = Scenario::from_json(&read_file(&path)?)?;
+    if scenario.dyn_sweep.is_none() {
         return Err(format!(
             "scenario '{}' declares no dyn_sweep stage",
             scenario.name
         ));
-    };
-    if let Some(m) = mode {
-        plan.mode = m;
     }
-    let mode = plan.mode;
-    eprintln!("dynsweep run: scenario '{}' in {mode} mode", scenario.name);
+    eprintln!("dynsweep run: scenario '{}'", scenario.name);
     let start = Instant::now();
     let report = scenario.run()?;
     let table = report.dyn_sweep.expect("dyn_sweep stage declared");
     let parsed =
         parse_table(&table).map_err(|e| format!("internal: emitted table does not parse: {e}"))?;
-    let count =
-        |p: fn(&Provenance) -> bool| parsed.cells.iter().filter(|c| p(&c.provenance)).count();
     eprintln!(
-        "dynsweep run: {} point(s) x {} sim config(s) = {} cell(s) in {:.2?}: \
-         {} exact, {} reused, {} bounded",
+        "dynsweep run: {} point(s) x {} sim config(s) = {} cell(s) simulated in {:.2?}",
         parsed.points.len(),
         parsed.axes.cells_per_point(),
         parsed.cells.len(),
         start.elapsed(),
-        count(|p| matches!(p, Provenance::Exact)),
-        count(|p| matches!(p, Provenance::Reused(_))),
-        count(|p| matches!(p, Provenance::Bounded(_))),
     );
     write_out(out.as_deref(), &table)
-}
-
-/// Relative deviation between a measured value and its oracle, on the
-/// scale of the larger magnitude (0 when both are 0).
-fn rel_dev(a: f64, b: f64) -> f64 {
-    let m = a.abs().max(b.abs());
-    if m == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / m
-    }
-}
-
-/// Cross-checks a clustered table against the exact table of the same
-/// scenario: reused cells must be stat-identical to their exact oracle,
-/// bounded cells must deviate by at most their reported bound.
-fn dynsweep_check(args: &[String]) -> Result<(), String> {
-    let [epath, cpath] = args else {
-        return Err("check takes exactly EXACT.json CLUSTERED.json".to_string());
-    };
-    let exact = parse_table(&read_file(epath)?).map_err(|e| format!("{epath}: {e}"))?;
-    let clustered = parse_table(&read_file(cpath)?).map_err(|e| format!("{cpath}: {e}"))?;
-    if exact.mode != Mode::Exact {
-        return Err(format!("{epath}: mode is '{}', not 'exact'", exact.mode));
-    }
-    if clustered.mode != Mode::Clustered {
-        return Err(format!(
-            "{cpath}: mode is '{}', not 'clustered'",
-            clustered.mode
-        ));
-    }
-    if exact.spec_name != clustered.spec_name
-        || exact.axes != clustered.axes
-        || exact.points != clustered.points
-    {
-        return Err(
-            "the two tables cover different grids (spec, axes, or points differ)".to_string(),
-        );
-    }
-    let mut reused = 0usize;
-    let mut bounded = 0usize;
-    let mut max_dev = 0.0f64;
-    let mut min_headroom = f64::INFINITY;
-    for (i, (e, c)) in exact.cells.iter().zip(&clustered.cells).enumerate() {
-        match &c.provenance {
-            // Representatives and exact-key reuses must be byte-level
-            // equal to a fresh simulation — i.e. to the exact table.
-            Provenance::Exact => {
-                if c.stats != e.stats {
-                    return Err(format!(
-                        "cells[{i}]: simulated stats differ from the exact table's"
-                    ));
-                }
-            }
-            Provenance::Reused(_) => {
-                reused += 1;
-                if c.stats != e.stats {
-                    return Err(format!(
-                        "cells[{i}]: reused stats differ from the exact table's \
-                         (exact-key reuse must be invisible)"
-                    ));
-                }
-            }
-            Provenance::Bounded(bound) => {
-                bounded += 1;
-                let dev = rel_dev(c.stats.delivered as f64, e.stats.delivered as f64)
-                    .max(rel_dev(c.stats.avg_latency_ps, e.stats.avg_latency_ps))
-                    .max(rel_dev(c.stats.power_mw, e.stats.power_mw));
-                if dev > *bound {
-                    return Err(format!(
-                        "cells[{i}]: observed relative deviation {dev:.4} exceeds the \
-                         reported bound {bound:.4}"
-                    ));
-                }
-                max_dev = max_dev.max(dev);
-                min_headroom = min_headroom.min(bound - dev);
-            }
-        }
-    }
-    println!(
-        "dynsweep check: {} cell(s) consistent — {reused} reused stat-identical, \
-         {bounded} bounded within bounds (max observed deviation {max_dev:.4}, \
-         min headroom {})",
-        clustered.cells.len(),
-        if min_headroom.is_finite() {
-            format!("{min_headroom:.4}")
-        } else {
-            "n/a".to_string()
-        }
-    );
-    Ok(())
 }
 
 // Lets the String-error CLI functions apply `?` directly to API results.

@@ -21,7 +21,7 @@ use crate::scenario::{
     SpecSource,
 };
 use vi_noc_core::{json_number, json_string, SynthesisConfig};
-use vi_noc_dynsweep::Mode;
+use vi_noc_dynsweep::{first_repeat, Mode};
 use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_models::{Area, Bandwidth, Frequency, Power, Technology};
 use vi_noc_sim::TrafficKind;
@@ -792,6 +792,18 @@ fn refine_to_json(plan: &RefinePlan) -> String {
     )
 }
 
+/// Rejects an axis value that repeats an earlier one: it would simulate
+/// the same cells twice.
+fn no_repeats<T: PartialEq>(xs: &[T], ctx: &str, axis: &str) -> Result<(), Error> {
+    match first_repeat(xs) {
+        Some((i, j)) => Err(Error::scenario(
+            format!("{ctx}.{axis}[{i}]"),
+            format!("repeats {axis}[{j}]"),
+        )),
+        None => Ok(()),
+    }
+}
+
 fn dyn_sweep_from_value(v: &Value, ctx: &str) -> Result<DynSweepPlan, Error> {
     let m = as_obj(v, ctx)?;
     check_keys(
@@ -860,6 +872,10 @@ fn dyn_sweep_from_value(v: &Value, ctx: &str) -> Result<DynSweepPlan, Error> {
             })
             .collect::<Result<_, _>>()?;
     }
+    let bits: Vec<u64> = loads.iter().map(|l| l.to_bits()).collect();
+    no_repeats(&bits, ctx, "loads")?;
+    no_repeats(&traffic, ctx, "traffic")?;
+    no_repeats(&schedules, ctx, "schedules")?;
     let hctx = format!("{ctx}.horizon_ns");
     let horizon_ns = u64_of(req(m, "horizon_ns", ctx)?, &hctx)?;
     if horizon_ns == 0 {
@@ -1293,7 +1309,7 @@ mod tests {
                 }),
             ],
             horizon_ns: 8_000,
-            mode: Mode::Clustered,
+            mode: Mode::Exact,
         });
         let json = s.to_json();
         let back = Scenario::from_json(&json).unwrap();
@@ -1332,6 +1348,26 @@ mod tests {
             (
                 r#"{"loads":[0.5],"horizon_ns":4000,"mode":"fuzzy"}"#,
                 "fuzzy",
+            ),
+            (
+                r#"{"loads":[0.5],"horizon_ns":4000,"mode":"clustered"}"#,
+                "dyn_sweep.mode: mode 'clustered' is not 'exact'",
+            ),
+            (
+                r#"{"loads":[0.7,0.7],"horizon_ns":4000}"#,
+                "dyn_sweep.loads[1]: repeats loads[0]",
+            ),
+            (
+                r#"{"loads":[0.5],"horizon_ns":4000,"traffic":["cbr","poisson","cbr"]}"#,
+                "dyn_sweep.traffic[2]: repeats traffic[0]",
+            ),
+            (
+                r#"{"loads":[0.5],"horizon_ns":4000,"schedules":[null,null]}"#,
+                "dyn_sweep.schedules[1]: repeats schedules[0]",
+            ),
+            (
+                r#"{"loads":[0.5],"horizon_ns":4000,"schedules":[{"island":1},null,{"island":1}]}"#,
+                "dyn_sweep.schedules[2]: repeats schedules[0]",
             ),
             (
                 r#"{"loads":[0.5],"horizon_ns":4000,"schedules":[{"stop_ns":5}]}"#,

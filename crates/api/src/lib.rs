@@ -19,8 +19,7 @@
 //!   JSON emission (`Report::to_json`) and a terminal summary.
 //! * [`Error`] — the workspace-wide error type every stage fails through.
 //! * [`cli`] — the implementation of the `vi-noc` binary (`run`,
-//!   `simulate`, `sweep`, `report`, `fleet`) and the back-compat `sweep`
-//!   binary.
+//!   `simulate`, `sweep`, `report`, `fleet`, `dynsweep`).
 //! * [`fleet`] — scenario documents as `vi-noc-fleet` job payloads: a
 //!   scenario's sweep runs on a coordinator + worker fleet
 //!   (`sweep_workers`, or the `fleet` CLI) with byte-identical frontier

@@ -128,9 +128,10 @@ pub struct RefinePlan {
 }
 
 /// The dynamic-sweep stage of a scenario (requires `sweep`): every design
-/// point surviving on the sweep's merged frontier is simulated against the
-/// declarative grid of sim configs `loads × traffic × schedules`, through
-/// the cluster-and-prune engine of [`vi_noc_dynsweep`].
+/// point surviving on the sweep's merged frontier is simulated at every
+/// cell of the declarative grid of sim configs `loads × traffic ×
+/// schedules`, through [`vi_noc_dynsweep::run_dynsweep`]. No axis may
+/// repeat a value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynSweepPlan {
     /// Load-factor axis (each cell overrides the sim stage's load).
@@ -141,9 +142,8 @@ pub struct DynSweepPlan {
     pub schedules: Vec<Option<ShutdownPlan>>,
     /// Simulated horizon of free-running cells, ns.
     pub horizon_ns: u64,
-    /// Execution mode: `exact` (byte-identical to the naive double loop)
-    /// or `clustered` (one representative per cluster, error-bounded
-    /// reuse).
+    /// The scenario's `"mode"` member. Always [`Mode::Exact`], the only
+    /// mode (see [`Mode`] for why the member remains).
     pub mode: Mode,
 }
 
@@ -551,5 +551,41 @@ mod tests {
             ..ShutdownPlan::default()
         };
         assert!(Scenario::resolve_shutdown_island(&plan, &vi).is_err());
+    }
+
+    #[test]
+    fn dyn_sweep_rejects_auto_and_the_island_it_names_as_a_repeat() {
+        // Ingestion sees two different plans; only the resolved schedules
+        // show they gate the same island at the same times.
+        let mut s = Scenario::new(
+            "x",
+            SpecSource::Benchmark("d12".into()),
+            PartitionPlan::Logical { islands: 4 },
+        );
+        let vi = s.resolve_partition(&s.resolve_spec().unwrap()).unwrap();
+        let auto = ShutdownPlan::default();
+        let island = Scenario::resolve_shutdown_island(&auto, &vi).unwrap();
+        s.floorplan.iterations = 2_000;
+        s.sweep = Some(GridConfig {
+            max_boost: 0,
+            freq_scales: vec![1.0],
+            max_intermediate: 0,
+        });
+        s.dyn_sweep = Some(DynSweepPlan {
+            loads: vec![0.5],
+            traffic: vec![TrafficKind::Cbr],
+            schedules: vec![
+                Some(auto.clone()),
+                Some(ShutdownPlan {
+                    island: IslandChoice::Index(island),
+                    ..auto
+                }),
+            ],
+            horizon_ns: 4_000,
+            mode: Mode::Exact,
+        });
+        let back = Scenario::from_json(&s.to_json()).unwrap();
+        let err = back.run().unwrap_err().to_string();
+        assert!(err.contains("schedules[1] repeats schedules[0]"), "{err}");
     }
 }

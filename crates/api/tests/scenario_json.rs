@@ -150,14 +150,8 @@ fn arb_refine() -> impl Strategy<Value = Option<RefinePlan>> {
 }
 
 fn arb_dyn_sweep() -> impl Strategy<Value = Option<DynSweepPlan>> {
-    (
-        0usize..3,
-        0.1f64..1.5,
-        1u64..50_000,
-        proptest::bool::ANY,
-        arb_shutdown(),
-    )
-        .prop_map(|(pick, load, horizon_ns, clustered, sched)| match pick {
+    (0usize..3, 0.1f64..1.5, 1u64..50_000, arb_shutdown()).prop_map(
+        |(pick, load, horizon_ns, sched)| match pick {
             0 => None,
             p => Some(DynSweepPlan {
                 loads: if p == 1 {
@@ -170,19 +164,17 @@ fn arb_dyn_sweep() -> impl Strategy<Value = Option<DynSweepPlan>> {
                 } else {
                     vec![TrafficKind::Cbr, TrafficKind::Poisson]
                 },
+                // Axes never repeat a value, so the second schedule gates.
                 schedules: if p == 1 {
                     vec![None]
                 } else {
-                    vec![None, sched]
+                    vec![None, Some(sched.unwrap_or_default())]
                 },
                 horizon_ns,
-                mode: if clustered {
-                    Mode::Clustered
-                } else {
-                    Mode::Exact
-                },
+                mode: Mode::Exact,
             }),
-        })
+        },
+    )
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {

@@ -1,6 +1,6 @@
-//! Traffic-relevant feature extraction for clustering `(design point,
-//! sim config)` pairs — the structural half of the dynamic-sweep cluster
-//! key (see the `vi-noc-dynsweep` crate).
+//! Traffic-relevant features of design points and specs, recorded on
+//! every point row of a dynamic-sweep table (see the `vi-noc-dynsweep`
+//! crate).
 //!
 //! Two topologies that agree on these features behave near-identically
 //! under the flit-level simulator *for a fixed sim config*: the island
@@ -8,8 +8,7 @@
 //! flow fingerprint fixes the offered traffic matrix. The signatures are
 //! deliberately **insensitive to intermediate-island structure** — design
 //! points that differ only in their intermediate switch count share a
-//! signature, which is exactly the reuse the clustered dynamic sweep
-//! exploits (and bounds).
+//! signature.
 //!
 //! Everything here is a pure function of committed data, hashed with
 //! FNV-1a over a canonical ASCII rendering ([`json_number`] gives the
@@ -25,8 +24,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// 64-bit FNV-1a over `bytes`. Stable across platforms — the dynamic-sweep
-/// cluster ids and schedule hashes are built from this.
+/// 64-bit FNV-1a over `bytes`. Stable across platforms — the signatures
+/// here and the fleet's grid fingerprints are built from it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -43,8 +42,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 ///
 /// Intermediate-island *switch structure* is excluded on purpose: design
 /// points that differ only in how many always-on intermediate switches
-/// they route through are structural neighbours under dynamic traffic,
-/// and the clustered dynamic sweep reuses (and error-bounds) across them.
+/// they route through are structural neighbours under dynamic traffic and
+/// share a signature.
 pub fn island_signature(topo: &Topology) -> u64 {
     let n = topo.island_count();
     let mut per_island = vec![0usize; n];
@@ -71,7 +70,7 @@ pub fn island_signature(topo: &Topology) -> u64 {
 ///
 /// Topology-independent by design (no routes, no switch assignment): every
 /// design point synthesized for the same spec shares the fingerprint, so
-/// it pins *which traffic* a cluster was measured under, not how a
+/// it pins *which traffic* a table row was measured under, not how a
 /// particular point carries it.
 pub fn flow_fingerprint(spec: &SocSpec) -> u64 {
     let mut canon = format!("flows:{}", spec.flow_count());

@@ -6,24 +6,23 @@ use vi_noc_core::json_number;
 use vi_noc_sim::{ShutdownScenario, TrafficKind};
 use vi_noc_soc::ViAssignment;
 
-/// How the engine treats clusters.
+/// The engine mode, written as `"mode"` in scenario JSON and in every
+/// result table.
+///
+/// The engine simulates every cell, so `exact` is the only mode. The type
+/// remains because the benchmark under `perfbench/` passes
+/// `DynSweepPlan::mode` to [`crate::run_dynsweep`]; it can go once the
+/// benchmark stops doing so (the JSON member stays for file
+/// compatibility).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Simulate every distinct exact identity key; clustering only
-    /// schedules and deduplicates *identical* cells. The result table is
-    /// byte-identical to the naive per-cell double loop.
+    /// Simulate every cell of the grid.
     Exact,
-    /// Simulate one representative per cluster; other members reuse its
-    /// stats, with a reported error bound when their exact keys differ.
-    Clustered,
 }
 
 impl fmt::Display for Mode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Mode::Exact => "exact",
-            Mode::Clustered => "clustered",
-        })
+        f.write_str("exact")
     }
 }
 
@@ -33,10 +32,17 @@ impl std::str::FromStr for Mode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "exact" => Ok(Mode::Exact),
-            "clustered" => Ok(Mode::Clustered),
-            other => Err(format!("mode '{other}' is not 'exact' or 'clustered'")),
+            other => Err(format!("mode '{other}' is not 'exact'")),
         }
     }
+}
+
+/// The first value of `xs` that repeats an earlier one, as `(i, j)` with
+/// `j < i` and `xs[j] == xs[i]`. A repeated axis value would simulate the
+/// same cells twice and emit duplicate rows, so every axis must be
+/// repeat-free.
+pub fn first_repeat<T: PartialEq>(xs: &[T]) -> Option<(usize, usize)> {
+    (0..xs.len()).find_map(|i| xs[..i].iter().position(|x| *x == xs[i]).map(|j| (i, j)))
 }
 
 /// The sim-config grid a dynamic sweep crosses every frontier point with:
@@ -56,8 +62,8 @@ pub struct SimAxes {
 
 impl SimAxes {
     /// Checks the axes are simulatable: non-empty, positive finite loads,
-    /// a positive horizon, and every schedule gating a shutdown-capable
-    /// island of `vi`.
+    /// a positive horizon, no axis repeating a value, and every schedule
+    /// gating a shutdown-capable island of `vi`.
     ///
     /// # Errors
     ///
@@ -77,6 +83,7 @@ impl SimAxes {
         if self.horizon_ns == 0 {
             return Err("axes: 'horizon_ns' must be positive".to_string());
         }
+        self.check_distinct()?;
         for (i, sched) in self.schedules.iter().enumerate() {
             if let Some(s) = sched {
                 if s.island >= vi.island_count() {
@@ -92,6 +99,23 @@ impl SimAxes {
                         s.island
                     ));
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks no axis repeats a value (see [`first_repeat`]). Loads are
+    /// compared bitwise; schedules as resolved, so two entries gating the
+    /// same island at the same times repeat however they were declared.
+    pub(crate) fn check_distinct(&self) -> Result<(), String> {
+        let bits: Vec<u64> = self.loads.iter().map(|l| l.to_bits()).collect();
+        for (axis, repeat) in [
+            ("loads", first_repeat(&bits)),
+            ("traffic", first_repeat(&self.traffic)),
+            ("schedules", first_repeat(&self.schedules)),
+        ] {
+            if let Some((i, j)) = repeat {
+                return Err(format!("axes: {axis}[{i}] repeats {axis}[{j}]"));
             }
         }
         Ok(())
@@ -130,14 +154,61 @@ pub fn schedule_json(s: &Option<ShutdownScenario>) -> String {
     }
 }
 
-/// The canonical ASCII form of a schedule-axis entry — the hashing input
-/// of [`crate::schedule_hash`] and a component of every identity key.
-pub fn schedule_canon(s: &Option<ShutdownScenario>) -> String {
-    match s {
-        None => "none".to_string(),
-        Some(s) => format!(
-            "gate:{}:{}:{}:{}",
-            s.island, s.stop_at_ns, s.drain_ns, s.post_gate_ns
-        ),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vi_noc_soc::{benchmarks, partition};
+
+    #[test]
+    fn validate_rejects_a_repeated_value_on_every_axis() {
+        let vi = partition::logical_partition(&benchmarks::d12_auto(), 4).unwrap();
+        let island = (0..vi.island_count())
+            .find(|&i| vi.can_shutdown(i))
+            .unwrap();
+        let gate = ShutdownScenario {
+            island,
+            stop_at_ns: 2_000,
+            drain_ns: 1_500,
+            post_gate_ns: 3_000,
+        };
+        let ok = SimAxes {
+            loads: vec![0.5, 0.9],
+            traffic: vec![TrafficKind::Cbr, TrafficKind::Poisson],
+            schedules: vec![None, Some(gate.clone())],
+            horizon_ns: 4_000,
+        };
+        assert_eq!(ok.validate(&vi), Ok(()));
+        for (axes, want) in [
+            (
+                SimAxes {
+                    loads: vec![0.5, 0.9, 0.5],
+                    ..ok.clone()
+                },
+                "axes: loads[2] repeats loads[0]",
+            ),
+            (
+                SimAxes {
+                    traffic: vec![TrafficKind::Poisson, TrafficKind::Poisson],
+                    ..ok.clone()
+                },
+                "axes: traffic[1] repeats traffic[0]",
+            ),
+            (
+                SimAxes {
+                    schedules: vec![Some(gate.clone()), None, Some(gate.clone())],
+                    ..ok.clone()
+                },
+                "axes: schedules[2] repeats schedules[0]",
+            ),
+            (
+                SimAxes {
+                    schedules: vec![None, None],
+                    ..ok.clone()
+                },
+                "axes: schedules[1] repeats schedules[0]",
+            ),
+        ] {
+            assert_eq!(axes.validate(&vi), Err(want.to_string()));
+        }
     }
 }

@@ -1,15 +1,11 @@
-//! The dynamic-sweep engine: regenerate frontier points, enumerate the
-//! cell grid, cluster, simulate representatives, emit the result table.
+//! The dynamic-sweep engine: regenerate the frontier points, simulate
+//! every cell of the grid, emit the result table.
 
 use crate::axes::{Mode, SimAxes};
-use crate::cluster::{cluster_id, cluster_key, error_bound, exact_key};
-use crate::table::{write_table, CellStats, ClusterRec, Provenance, TableCellRec, TablePoint};
+use crate::table::{write_table, CellStats, TableCellRec, TablePoint};
 use rayon::prelude::*;
-use std::collections::HashMap;
-use vi_noc_core::{
-    design_point_json, flow_fingerprint, island_signature, DesignPoint, SynthesisConfig,
-};
-use vi_noc_sim::{measured_power, run_dynamic_cell, SimConfig};
+use vi_noc_core::{flow_fingerprint, island_signature, DesignPoint, SynthesisConfig};
+use vi_noc_sim::{measured_power, run_dynamic_cell, SimConfig, TrafficKind};
 use vi_noc_soc::{SocSpec, ViAssignment};
 use vi_noc_sweep::json::Value;
 use vi_noc_sweep::{entry_coords, regenerate_point, GridDescriptor, ParsedFrontier, SweepGrid};
@@ -44,24 +40,10 @@ pub struct DynSweepRun {
     pub table: String,
     /// Total cells in the grid.
     pub cells: usize,
-    /// Cells actually simulated (cluster/dedup representatives).
+    /// Cells simulated. Every cell is, so this always equals `cells`; it
+    /// remains because the benchmark under `perfbench/` reports it as
+    /// `dynsweep.simulated` and can go with that metric.
     pub simulated: usize,
-    /// Cells that reused a representative with an identical exact key.
-    pub reused: usize,
-    /// Cells that reused a representative across differing exact keys.
-    pub bounded: usize,
-}
-
-/// One regenerated frontier point with its precomputed cell features.
-struct PointMeta {
-    ordinal: u64,
-    chain_id: u64,
-    power_mw: f64,
-    latency_cycles: f64,
-    island_sig: u64,
-    flow_fp: u64,
-    point_json: String,
-    point: DesignPoint,
 }
 
 /// Checks the frontier's embedded grid descriptor against the scenario's
@@ -92,10 +74,11 @@ fn check_grid(input: &DynSweepInput) -> Result<(), String> {
 }
 
 /// Regenerates every frontier point and cross-checks its metrics bit-wise
-/// against the entry's recorded key fields.
-fn regenerate_points(input: &DynSweepInput) -> Result<Vec<PointMeta>, String> {
+/// against the entry's recorded key fields. Returns each point's table
+/// row with the regenerated design.
+fn regenerate_points(input: &DynSweepInput) -> Result<Vec<(TablePoint, DesignPoint)>, String> {
     let flow_fp = flow_fingerprint(input.spec);
-    let make = |i: usize, value: &Value| -> Result<PointMeta, String> {
+    let make = |i: usize, value: &Value| -> Result<(TablePoint, DesignPoint), String> {
         let coords = entry_coords(value).map_err(|e| format!("frontier[{i}]: {e}"))?;
         let point = regenerate_point(
             input.spec,
@@ -116,16 +99,15 @@ fn regenerate_points(input: &DynSweepInput) -> Result<Vec<PointMeta>, String> {
                  is this frontier from a different scenario?"
             ));
         }
-        Ok(PointMeta {
+        let row = TablePoint {
             ordinal: coords.ordinal,
             chain_id: coords.chain_id,
             power_mw: coords.power_mw,
             latency_cycles: coords.latency_cycles,
             island_sig: island_signature(&point.topology),
             flow_fp,
-            point_json: design_point_json(&point),
-            point,
-        })
+        };
+        Ok((row, point))
     };
     let indexed: Vec<(usize, &Value)> = input
         .frontier
@@ -141,61 +123,29 @@ fn regenerate_points(input: &DynSweepInput) -> Result<Vec<PointMeta>, String> {
     }
 }
 
-/// One cell of the canonical grid, with precomputed identity keys.
-struct CellSpec {
-    point: usize,
-    load_i: usize,
-    traffic_i: usize,
-    sched_i: usize,
-    exact: String,
-    cluster: String,
-}
-
-/// Enumerates cells in canonical order: point-major, then load, traffic,
-/// schedule — the order every table's `cells` array uses.
-fn enumerate_cells(points: &[PointMeta], axes: &SimAxes) -> Vec<CellSpec> {
-    let mut cells = Vec::with_capacity(points.len() * axes.cells_per_point());
-    for (p, meta) in points.iter().enumerate() {
-        for (li, &load) in axes.loads.iter().enumerate() {
-            for (ti, &traffic) in axes.traffic.iter().enumerate() {
-                for (si, sched) in axes.schedules.iter().enumerate() {
-                    cells.push(CellSpec {
-                        point: p,
-                        load_i: li,
-                        traffic_i: ti,
-                        sched_i: si,
-                        exact: exact_key(&meta.point_json, load, traffic, sched),
-                        cluster: cluster_key(meta.island_sig, meta.flow_fp, load, traffic, sched),
-                    });
-                }
-            }
-        }
-    }
-    cells
-}
-
 /// Simulates one cell and measures its stats.
 fn simulate_cell(
     input: &DynSweepInput,
     axes: &SimAxes,
-    points: &[PointMeta],
-    cell: &CellSpec,
+    design: &DesignPoint,
+    load: f64,
+    traffic: TrafficKind,
+    schedule: usize,
 ) -> CellStats {
-    let meta = &points[cell.point];
     let mut sc = input.sim.clone();
-    sc.load_factor = axes.loads[cell.load_i];
-    sc.traffic = axes.traffic[cell.traffic_i];
+    sc.load_factor = load;
+    sc.traffic = traffic;
     let outcome = run_dynamic_cell(
         input.spec,
         input.vi,
-        &meta.point.topology,
+        &design.topology,
         &sc,
         axes.horizon_ns,
-        axes.schedules[cell.sched_i].as_ref(),
+        axes.schedules[schedule].as_ref(),
     );
     let power_mw = measured_power(
         input.spec,
-        &meta.point.topology,
+        &design.topology,
         input.cfg,
         &outcome.stats,
         sc.packet_bytes as f64,
@@ -211,101 +161,11 @@ fn simulate_cell(
     }
 }
 
-/// Simulates the cells at `idxs` (rayon fan-out when the synthesis config
-/// says `parallel`), preserving order.
-fn simulate_many(
-    input: &DynSweepInput,
-    axes: &SimAxes,
-    points: &[PointMeta],
-    cells: &[CellSpec],
-    idxs: &[usize],
-) -> Vec<CellStats> {
-    if input.cfg.parallel {
-        idxs.par_iter()
-            .map(|&i| simulate_cell(input, axes, points, &cells[i]))
-            .collect()
-    } else {
-        idxs.iter()
-            .map(|&i| simulate_cell(input, axes, points, &cells[i]))
-            .collect()
-    }
-}
-
-fn table_points(points: &[PointMeta]) -> Vec<TablePoint> {
-    points
-        .iter()
-        .map(|m| TablePoint {
-            ordinal: m.ordinal,
-            chain_id: m.chain_id,
-            power_mw: m.power_mw,
-            latency_cycles: m.latency_cycles,
-            island_sig: m.island_sig,
-            flow_fp: m.flow_fp,
-        })
-        .collect()
-}
-
-fn prepare(
-    input: &DynSweepInput,
-    axes: &SimAxes,
-) -> Result<(Vec<PointMeta>, Vec<CellSpec>), String> {
-    axes.validate(input.vi)?;
-    check_grid(input)?;
-    let points = regenerate_points(input)?;
-    let cells = enumerate_cells(&points, axes);
-    Ok((points, cells))
-}
-
-/// The reference double loop: simulate **every** cell fresh, no sharing
-/// of any kind, and emit an exact-mode table. This is the oracle
-/// [`Mode::Exact`] is byte-identical to (`tests/exact.rs` pins it); it
-/// exists to be slow and obviously correct.
-///
-/// # Errors
-///
-/// Invalid axes, a frontier/grid mismatch, or a frontier entry that does
-/// not regenerate to its recorded metrics.
-pub fn run_naive(input: &DynSweepInput, axes: &SimAxes) -> Result<String, String> {
-    let (points, cells) = prepare(input, axes)?;
-    let all: Vec<usize> = (0..cells.len()).collect();
-    let stats = simulate_many(input, axes, &points, &cells, &all);
-    let recs: Vec<TableCellRec> = cells
-        .iter()
-        .zip(stats)
-        .map(|(c, s)| TableCellRec {
-            point: c.point,
-            load: axes.loads[c.load_i],
-            traffic: axes.traffic[c.traffic_i],
-            schedule: c.sched_i,
-            cluster: None,
-            provenance: Provenance::Exact,
-            stats: s,
-        })
-        .collect();
-    Ok(write_table(
-        Mode::Exact,
-        input.spec.name(),
-        axes,
-        &table_points(&points),
-        &recs,
-        None,
-    ))
-}
-
-/// Runs the dynamic sweep.
-///
-/// [`Mode::Exact`]: cells are grouped by *exact identity key* (full
-/// serialized design point + precise sim config); one representative per
-/// group is simulated and its stats copied to the group — which is
-/// invisible in the output, because equal exact keys mean bit-identical
-/// simulations. The emitted table is byte-identical to [`run_naive`]'s.
-///
-/// [`Mode::Clustered`]: cells are grouped by [`cluster_key`]
-/// (traffic-relevant features only); one representative per cluster is
-/// simulated. Members whose exact key matches the representative's are
-/// marked `reused` (zero error); the rest are marked `bounded` with a
-/// conservative relative error bound. Stats are only ever copied within a
-/// cluster — reuse across differing cluster keys cannot be expressed.
+/// Runs the dynamic sweep: simulates every frontier point at every
+/// (load, traffic, schedule) cell of `axes` — in one rayon fan-out when
+/// the synthesis config says `parallel`, order-preserving either way — and
+/// writes the table with the cells in canonical order (point-major, then
+/// load, traffic, schedule). `mode` is always [`Mode::Exact`].
 ///
 /// # Errors
 ///
@@ -314,118 +174,52 @@ pub fn run_naive(input: &DynSweepInput, axes: &SimAxes) -> Result<String, String
 pub fn run_dynsweep(
     input: &DynSweepInput,
     axes: &SimAxes,
-    mode: Mode,
+    _mode: Mode,
 ) -> Result<DynSweepRun, String> {
-    let (points, cells) = prepare(input, axes)?;
+    axes.validate(input.vi)?;
+    check_grid(input)?;
+    let (rows, designs): (Vec<TablePoint>, Vec<DesignPoint>) =
+        regenerate_points(input)?.into_iter().unzip();
 
-    // Group cells by identity: the exact key in exact mode, the cluster
-    // key in clustered mode. `rep_of_cell[i]` indexes into `reps`.
-    let mut groups: HashMap<&str, usize> = HashMap::new();
-    let mut reps: Vec<usize> = Vec::new();
-    let mut rep_of_cell: Vec<usize> = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        let key = match mode {
-            Mode::Exact => cell.exact.as_str(),
-            Mode::Clustered => cell.cluster.as_str(),
-        };
-        let g = *groups.entry(key).or_insert_with(|| {
-            reps.push(i);
-            reps.len() - 1
-        });
-        rep_of_cell.push(g);
-    }
-    let rep_stats = simulate_many(input, axes, &points, &cells, &reps);
-
-    let mut reused = 0usize;
-    let mut bounded = 0usize;
-    let recs: Vec<TableCellRec> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, cell)| {
-            let g = rep_of_cell[i];
-            let rep = &cells[reps[g]];
-            let (cluster, provenance) = match mode {
-                Mode::Exact => (None, Provenance::Exact),
-                Mode::Clustered => {
-                    let id = cluster_id(&cell.cluster);
-                    let prov = if reps[g] == i {
-                        Provenance::Exact
-                    } else if cell.exact == rep.exact {
-                        reused += 1;
-                        Provenance::Reused(id.clone())
-                    } else {
-                        bounded += 1;
-                        let pm = &points[cell.point];
-                        let rm = &points[rep.point];
-                        Provenance::Bounded(error_bound(
-                            axes.loads[cell.load_i],
-                            axes.loads[rep.load_i],
-                            pm.power_mw,
-                            rm.power_mw,
-                            pm.latency_cycles,
-                            rm.latency_cycles,
-                        ))
-                    };
-                    (Some(id), prov)
+    let mut cells = Vec::with_capacity(designs.len() * axes.cells_per_point());
+    for point in 0..designs.len() {
+        for &load in &axes.loads {
+            for &traffic in &axes.traffic {
+                for schedule in 0..axes.schedules.len() {
+                    cells.push((point, load, traffic, schedule));
                 }
-            };
-            TableCellRec {
-                point: cell.point,
-                load: axes.loads[cell.load_i],
-                traffic: axes.traffic[cell.traffic_i],
-                schedule: cell.sched_i,
-                cluster,
-                provenance,
-                stats: rep_stats[g].clone(),
             }
-        })
-        .collect();
-
-    let clusters: Option<Vec<ClusterRec>> = match mode {
-        Mode::Exact => None,
-        Mode::Clustered => Some(
-            reps.iter()
-                .map(|&i| ClusterRec {
-                    id: cluster_id(&cells[i].cluster),
-                    key: cells[i].cluster.clone(),
-                    representative: i,
-                })
-                .collect(),
-        ),
+        }
+    }
+    let simulate =
+        |&(point, load, traffic, schedule): &(usize, f64, TrafficKind, usize)| TableCellRec {
+            point,
+            load,
+            traffic,
+            schedule,
+            stats: simulate_cell(input, axes, &designs[point], load, traffic, schedule),
+        };
+    let recs: Vec<TableCellRec> = if input.cfg.parallel {
+        cells.par_iter().map(simulate).collect()
+    } else {
+        cells.iter().map(simulate).collect()
     };
 
-    let table = write_table(
-        mode,
-        input.spec.name(),
-        axes,
-        &table_points(&points),
-        &recs,
-        clusters.as_deref(),
-    );
     Ok(DynSweepRun {
-        table,
-        cells: cells.len(),
-        simulated: reps.len(),
-        reused,
-        bounded,
+        table: write_table(input.spec.name(), axes, &rows, &recs),
+        cells: recs.len(),
+        simulated: recs.len(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::parse_table;
-    use vi_noc_sim::TrafficKind;
     use vi_noc_soc::{benchmarks, partition};
     use vi_noc_sweep::{frontier_json, parse_frontier_file, run_shard, GridConfig, Shard};
 
-    fn setup() -> (
-        vi_noc_soc::SocSpec,
-        ViAssignment,
-        SynthesisConfig,
-        SweepGrid,
-        String,
-    ) {
+    #[test]
+    fn mismatched_frontier_is_refused() {
         let soc = benchmarks::d12_auto();
         let vi = partition::logical_partition(&soc, 4).unwrap();
         let cfg = SynthesisConfig::default();
@@ -437,70 +231,7 @@ mod tests {
         let grid = SweepGrid::build(&soc, &vi, &cfg, &grid_cfg);
         let desc = GridDescriptor::for_grid(&grid, soc.name(), "logical:4", cfg.seed);
         let run = run_shard(&soc, &vi, &grid, Shard::full(), &cfg);
-        let file = frontier_json(&desc, &run);
-        (soc, vi, cfg, grid, file)
-    }
-
-    fn axes() -> SimAxes {
-        SimAxes {
-            loads: vec![0.5, 0.9],
-            traffic: vec![TrafficKind::Cbr],
-            schedules: vec![None],
-            horizon_ns: 4_000,
-        }
-    }
-
-    #[test]
-    fn exact_mode_matches_the_naive_double_loop_and_parses() {
-        let (soc, vi, cfg, grid, file) = setup();
-        let frontier = parse_frontier_file(&file).unwrap();
-        let input = DynSweepInput {
-            spec: &soc,
-            vi: &vi,
-            cfg: &cfg,
-            sim: &SimConfig::default(),
-            grid: &grid,
-            partition: "logical:4",
-            frontier: &frontier,
-        };
-        let axes = axes();
-        let naive = run_naive(&input, &axes).unwrap();
-        let run = run_dynsweep(&input, &axes, Mode::Exact).unwrap();
-        assert_eq!(run.table, naive);
-        let parsed = parse_table(&run.table).unwrap();
-        assert_eq!(parsed.cells.len(), run.cells);
-        assert!(run.simulated <= run.cells);
-        assert_eq!(run.reused + run.bounded, 0);
-    }
-
-    #[test]
-    fn clustered_mode_reuses_within_clusters_only() {
-        let (soc, vi, cfg, grid, file) = setup();
-        let frontier = parse_frontier_file(&file).unwrap();
-        let input = DynSweepInput {
-            spec: &soc,
-            vi: &vi,
-            cfg: &cfg,
-            sim: &SimConfig::default(),
-            grid: &grid,
-            partition: "logical:4",
-            frontier: &frontier,
-        };
-        let axes = axes();
-        let run = run_dynsweep(&input, &axes, Mode::Clustered).unwrap();
-        let parsed = parse_table(&run.table).unwrap();
-        assert_eq!(run.simulated, parsed.clusters.len());
-        assert_eq!(run.cells, parsed.cells.len());
-        // Loads 0.5 and 0.9 share a bucket, so each point's two cells
-        // cluster together: at most one simulation per (point, cluster).
-        assert!(run.simulated < run.cells);
-        assert!(run.bounded > 0, "0.5 vs 0.9 differ in exact key");
-    }
-
-    #[test]
-    fn mismatched_frontier_is_refused() {
-        let (soc, vi, cfg, grid, file) = setup();
-        let frontier = parse_frontier_file(&file).unwrap();
+        let frontier = parse_frontier_file(&frontier_json(&desc, &run)).unwrap();
         let input = DynSweepInput {
             spec: &soc,
             vi: &vi,
@@ -510,7 +241,13 @@ mod tests {
             partition: "logical:6", // wrong tag
             frontier: &frontier,
         };
-        let err = run_naive(&input, &axes()).unwrap_err();
+        let axes = SimAxes {
+            loads: vec![0.5, 0.9],
+            traffic: vec![TrafficKind::Cbr],
+            schedules: vec![None],
+            horizon_ns: 4_000,
+        };
+        let err = run_dynsweep(&input, &axes, Mode::Exact).unwrap_err();
         assert_eq!(err, "frontier grid does not match the scenario's grid");
     }
 }

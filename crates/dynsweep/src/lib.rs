@@ -1,31 +1,20 @@
-//! Dynamic-sweep subsystem: cluster-and-prune simulation sweeps over
-//! frontier design points.
+//! Dynamic-sweep subsystem: simulation sweeps over frontier design points.
 //!
 //! The paper's dynamic results (power and latency under varying load
 //! factors, traffic kinds, and shutdown schedules) need every surviving
 //! frontier design point simulated against a multiplicative grid of sim
-//! configs — a `|frontier| × |loads| × |traffic| × |schedules|` cost wall.
-//! This crate makes that tractable the same way the rest of the workspace
-//! scales: *exactly by construction*, with approximation opt-in and
-//! error-bounded.
+//! configs — `|frontier| × |loads| × |traffic| × |schedules|` cells. This
+//! crate simulates every one of them; nothing is skipped or approximated.
 //!
 //! * [`SimAxes`] — the declarative sim grid: load factors × traffic kinds
-//!   × shutdown schedules (plus the free-run horizon).
-//! * Cluster keys — every `(design point, sim config)` cell is keyed by
-//!   its traffic-relevant features: the island-topology signature and
-//!   flow-matrix fingerprint ([`vi_noc_core::island_signature`] /
-//!   [`vi_noc_core::flow_fingerprint`]), the load-factor bucket, the
-//!   traffic kind, and the shutdown-schedule hash. See [`cluster_key`].
-//! * [`run_dynsweep`] — the engine. In [`Mode::Exact`], clustering is used
-//!   only to schedule and deduplicate cells whose *exact identity keys*
-//!   coincide, so the emitted table is **byte-identical** to the naive
-//!   per-cell double loop ([`run_naive`], pinned by
-//!   `tests/exact.rs`). In [`Mode::Clustered`], one representative per
-//!   cluster is simulated (rayon fan-out) and every other member reuses
-//!   its stats: `reused` when the member's exact key matches the
-//!   representative's (zero error), `bounded(err)` otherwise, with a
-//!   conservative reported bound — and reuse across differing cluster
-//!   keys is refused by construction.
+//!   × shutdown schedules (plus the free-run horizon), with no axis
+//!   repeating a value.
+//! * [`run_dynsweep`] — the engine: the plain double loop over frontier
+//!   points and cells, in one order-preserving rayon fan-out, so the
+//!   emitted table is byte-identical for any thread count. Each point row
+//!   records its island-topology signature and flow-matrix fingerprint
+//!   ([`vi_noc_core::island_signature`] /
+//!   [`vi_noc_core::flow_fingerprint`]).
 //! * [`parse_table`] — the strict parser of the byte-deterministic
 //!   `vi-noc-dynsweep-v1` result table, with pinned, path-contexted
 //!   errors (see `tests/corpus.rs`).
@@ -38,14 +27,11 @@
 #![warn(missing_docs)]
 
 mod axes;
-mod cluster;
 mod engine;
 mod table;
 
-pub use axes::{schedule_canon, schedule_json, Mode, SimAxes};
-pub use cluster::{cluster_id, cluster_key, error_bound, exact_key, load_bucket, schedule_hash};
-pub use engine::{run_dynsweep, run_naive, DynSweepInput, DynSweepRun};
+pub use axes::{first_repeat, schedule_json, Mode, SimAxes};
+pub use engine::{run_dynsweep, DynSweepInput, DynSweepRun};
 pub use table::{
-    parse_table, ParsedCell, ParsedCluster, ParsedPoint, ParsedShutdown, ParsedStats, ParsedTable,
-    Provenance, TABLE_FORMAT,
+    parse_table, ParsedCell, ParsedPoint, ParsedShutdown, ParsedStats, ParsedTable, TABLE_FORMAT,
 };

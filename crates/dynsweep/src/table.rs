@@ -4,8 +4,7 @@
 //! The layout follows the sweep checkpoint convention — top-level members
 //! one per line, array entries one per line, compact entries with fixed
 //! key order and shortest-round-trip numbers — so `cmp` against a golden
-//! file is a meaningful regression oracle and exact-vs-naive byte
-//! identity is well-defined.
+//! file is a meaningful regression oracle.
 
 use crate::axes::{Mode, SimAxes};
 use std::fmt::Write as _;
@@ -15,20 +14,6 @@ use vi_noc_sweep::json::{self, Value};
 
 /// `format` tag of dynamic-sweep result tables.
 pub const TABLE_FORMAT: &str = "vi-noc-dynsweep-v1";
-
-/// Per-cell provenance: how the cell's stats were obtained.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Provenance {
-    /// The cell was simulated (or is byte-equal to a simulated cell by
-    /// exact-key identity in exact mode, where dedup is invisible).
-    Exact,
-    /// Stats copied from the named cluster's representative, whose exact
-    /// identity key matches this cell's — zero error.
-    Reused(String),
-    /// Stats copied from the cluster representative across differing
-    /// exact keys; the payload is the conservative relative error bound.
-    Bounded(f64),
-}
 
 /// One row of the `points` table (a frontier design point).
 #[derive(Debug, Clone, PartialEq)]
@@ -84,30 +69,13 @@ pub struct ParsedCell {
     pub traffic: TrafficKind,
     /// Index into the schedule axis.
     pub schedule: usize,
-    /// The cell's cluster id (clustered-mode tables only).
-    pub cluster: Option<String>,
-    /// How the stats were obtained.
-    pub provenance: Provenance,
     /// The stats themselves.
     pub stats: ParsedStats,
-}
-
-/// One row of the `clusters` table (clustered mode only).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedCluster {
-    /// 16-hex-digit cluster id.
-    pub id: String,
-    /// The full cluster key the id hashes.
-    pub key: String,
-    /// Cell index of the simulated representative.
-    pub representative: usize,
 }
 
 /// A parsed and validated dynamic-sweep result table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedTable {
-    /// The engine mode that produced the table.
-    pub mode: Mode,
     /// Benchmark/spec name.
     pub spec_name: String,
     /// The sim-axis grid.
@@ -117,8 +85,6 @@ pub struct ParsedTable {
     /// Cells in canonical order (point-major, then load, traffic,
     /// schedule).
     pub cells: Vec<ParsedCell>,
-    /// Clusters, in order of first appearance (empty in exact mode).
-    pub clusters: Vec<ParsedCluster>,
 }
 
 // ---------------------------------------------------------------- writer
@@ -151,17 +117,7 @@ pub(crate) struct TableCellRec {
     pub load: f64,
     pub traffic: TrafficKind,
     pub schedule: usize,
-    pub cluster: Option<String>,
-    pub provenance: Provenance,
     pub stats: CellStats,
-}
-
-/// Writer-side cluster row.
-#[derive(Debug, Clone)]
-pub(crate) struct ClusterRec {
-    pub id: String,
-    pub key: String,
-    pub representative: usize,
 }
 
 fn stats_json(s: &CellStats) -> String {
@@ -183,32 +139,16 @@ fn stats_json(s: &CellStats) -> String {
     out
 }
 
-fn provenance_json(p: &Provenance) -> String {
-    match p {
-        Provenance::Exact => "\"exact\"".to_string(),
-        Provenance::Reused(id) => format!("{{\"reused\":{}}}", json_string(id)),
-        Provenance::Bounded(err) => format!("{{\"bounded\":{}}}", json_number(*err)),
-    }
-}
-
 fn cell_json(c: &TableCellRec) -> String {
-    let mut out = format!(
-        "{{\"point\":{},\"load\":{},\"traffic\":\"{}\",\"schedule\":{}",
+    format!(
+        "{{\"point\":{},\"load\":{},\"traffic\":\"{}\",\"schedule\":{},\
+         \"provenance\":\"exact\",\"stats\":{}}}",
         c.point,
         json_number(c.load),
         c.traffic,
-        c.schedule
-    );
-    if let Some(id) = &c.cluster {
-        let _ = write!(out, ",\"cluster\":{}", json_string(id));
-    }
-    let _ = write!(
-        out,
-        ",\"provenance\":{},\"stats\":{}}}",
-        provenance_json(&c.provenance),
+        c.schedule,
         stats_json(&c.stats)
-    );
-    out
+    )
 }
 
 fn point_json(p: &TablePoint) -> String {
@@ -232,38 +172,24 @@ fn write_lines(out: &mut String, entries: impl Iterator<Item = String>) {
     out.push_str("\n]");
 }
 
-/// Serializes one result table, byte-deterministically.
+/// Serializes one result table, byte-deterministically. Every table is
+/// `"mode":"exact"` and every cell `"provenance":"exact"`: both members
+/// stay so tables keep their bytes.
 pub(crate) fn write_table(
-    mode: Mode,
     spec_name: &str,
     axes: &SimAxes,
     points: &[TablePoint],
     cells: &[TableCellRec],
-    clusters: Option<&[ClusterRec]>,
 ) -> String {
     let mut s = String::new();
     let _ = write!(s, "{{\"format\":{},", json_string(TABLE_FORMAT));
-    let _ = write!(s, "\n\"mode\":\"{mode}\",");
+    let _ = write!(s, "\n\"mode\":\"{}\",", Mode::Exact);
     let _ = write!(s, "\n\"spec_name\":{},", json_string(spec_name));
     let _ = write!(s, "\n\"axes\":{},", axes.to_json());
     s.push_str("\n\"points\":[");
     write_lines(&mut s, points.iter().map(point_json));
     s.push_str(",\n\"cells\":[");
     write_lines(&mut s, cells.iter().map(cell_json));
-    if let Some(rows) = clusters {
-        s.push_str(",\n\"clusters\":[");
-        write_lines(
-            &mut s,
-            rows.iter().map(|c| {
-                format!(
-                    "{{\"id\":{},\"key\":{},\"representative\":{}}}",
-                    json_string(&c.id),
-                    json_string(&c.key),
-                    c.representative
-                )
-            }),
-        );
-    }
     s.push_str("}\n");
     s
 }
@@ -385,12 +311,14 @@ fn parse_axes(v: &Value) -> Result<SimAxes, String> {
     if horizon_ns == 0 {
         return Err("axes: 'horizon_ns' must be positive".to_string());
     }
-    Ok(SimAxes {
+    let axes = SimAxes {
         loads,
         traffic,
         schedules,
         horizon_ns,
-    })
+    };
+    axes.check_distinct()?;
+    Ok(axes)
 }
 
 fn parse_point(v: &Value, i: usize) -> Result<ParsedPoint, String> {
@@ -415,35 +343,6 @@ fn parse_point(v: &Value, i: usize) -> Result<ParsedPoint, String> {
         island_signature: hex16_field(v, "island_signature", &ctx)?,
         flow_fingerprint: hex16_field(v, "flow_fingerprint", &ctx)?,
     })
-}
-
-fn parse_provenance(v: &Value, ctx: &str) -> Result<Provenance, String> {
-    match v {
-        Value::Str(s) if s == "exact" => Ok(Provenance::Exact),
-        Value::Obj(members) if members.len() == 1 => {
-            let (k, payload) = &members[0];
-            match k.as_str() {
-                "reused" => payload
-                    .as_str()
-                    .map(|id| Provenance::Reused(id.to_string()))
-                    .ok_or_else(|| format!("{ctx}: reused cluster id is not a string")),
-                "bounded" => payload
-                    .as_f64()
-                    .filter(|e| e.is_finite() && *e >= 0.0)
-                    .map(Provenance::Bounded)
-                    .ok_or_else(|| format!("{ctx}: bounded error is not a non-negative number")),
-                other => Err(format!(
-                    "{ctx}: provenance '{other}' is not 'exact', 'reused', or 'bounded'"
-                )),
-            }
-        }
-        Value::Str(s) => Err(format!(
-            "{ctx}: provenance '{s}' is not 'exact', 'reused', or 'bounded'"
-        )),
-        _ => Err(format!(
-            "{ctx}: provenance is not 'exact', 'reused', or 'bounded'"
-        )),
-    }
 }
 
 fn parse_stats(v: &Value, ctx: &str) -> Result<ParsedStats, String> {
@@ -482,7 +381,7 @@ fn parse_stats(v: &Value, ctx: &str) -> Result<ParsedStats, String> {
     })
 }
 
-fn parse_cell(v: &Value, i: usize, mode: Mode) -> Result<ParsedCell, String> {
+fn parse_cell(v: &Value, i: usize) -> Result<ParsedCell, String> {
     let ctx = format!("cells[{i}]");
     check_keys(
         v,
@@ -491,40 +390,13 @@ fn parse_cell(v: &Value, i: usize, mode: Mode) -> Result<ParsedCell, String> {
             "load",
             "traffic",
             "schedule",
-            "cluster",
             "provenance",
             "stats",
         ],
         &ctx,
     )?;
-    let cluster = match v.get("cluster") {
-        None => None,
-        Some(c) => Some(
-            c.as_str()
-                .ok_or_else(|| format!("{ctx}: 'cluster' is not a string"))?
-                .to_string(),
-        ),
-    };
-    if mode == Mode::Exact && cluster.is_some() {
-        return Err(format!(
-            "{ctx}: 'cluster' is not allowed in an exact-mode table"
-        ));
-    }
-    if mode == Mode::Clustered && cluster.is_none() {
-        return Err(format!(
-            "{ctx}: missing 'cluster' in a clustered-mode table"
-        ));
-    }
-    let provenance = parse_provenance(field(v, "provenance", &ctx)?, &ctx)?;
-    if mode == Mode::Exact && provenance != Provenance::Exact {
-        let label = match &provenance {
-            Provenance::Reused(_) => "reused",
-            Provenance::Bounded(_) => "bounded",
-            Provenance::Exact => unreachable!(),
-        };
-        return Err(format!(
-            "{ctx}: provenance '{label}' is not allowed in an exact-mode table"
-        ));
+    if !matches!(field(v, "provenance", &ctx)?, Value::Str(s) if s == "exact") {
+        return Err(format!("{ctx}: provenance is not 'exact'"));
     }
     let traffic = str_field(v, "traffic", &ctx)?
         .parse::<TrafficKind>()
@@ -534,8 +406,6 @@ fn parse_cell(v: &Value, i: usize, mode: Mode) -> Result<ParsedCell, String> {
         load: f64_field(v, "load", &ctx)?,
         traffic,
         schedule: usize_field(v, "schedule", &ctx)?,
-        cluster,
-        provenance,
         stats: parse_stats(field(v, "stats", &ctx)?, &ctx)?,
     })
 }
@@ -543,13 +413,11 @@ fn parse_cell(v: &Value, i: usize, mode: Mode) -> Result<ParsedCell, String> {
 /// Parses and validates one `vi-noc-dynsweep-v1` result table.
 ///
 /// Structural checks (each failing with one pinned, path-contexted
-/// message): the format and mode tags; axis well-formedness; point rows
-/// with 16-hex feature signatures; cells in canonical point-major order
-/// covering the full grid, each citing in-range axes; shutdown stats
-/// present exactly on gated cells; exact-mode tables free of cluster
-/// annotations; clustered-mode cells all carrying a cluster id that
-/// resolves to a `clusters` row whose representative is an exact cell of
-/// the same cluster; `reused` citing the cell's own cluster.
+/// message): the format and `exact` mode tags; axis well-formedness, with
+/// no axis repeating a value; point rows with 16-hex feature signatures;
+/// cells in canonical point-major order covering the full grid, each
+/// citing in-range axes and `exact` provenance; shutdown stats present
+/// exactly on gated cells.
 ///
 /// # Errors
 ///
@@ -558,23 +426,15 @@ pub fn parse_table(text: &str) -> Result<ParsedTable, String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
     check_keys(
         &doc,
-        &[
-            "format",
-            "mode",
-            "spec_name",
-            "axes",
-            "points",
-            "cells",
-            "clusters",
-        ],
+        &["format", "mode", "spec_name", "axes", "points", "cells"],
         "table",
     )?;
     let format = str_field(&doc, "format", "table")?;
     if format != TABLE_FORMAT {
         return Err(format!("table: format '{format}' is not '{TABLE_FORMAT}'"));
     }
-    let mode: Mode = str_field(&doc, "mode", "table")?
-        .parse()
+    str_field(&doc, "mode", "table")?
+        .parse::<Mode>()
         .map_err(|e| format!("table: {e}"))?;
     let spec_name = str_field(&doc, "spec_name", "table")?.to_string();
     let axes = parse_axes(field(&doc, "axes", "table")?)?;
@@ -592,7 +452,7 @@ pub fn parse_table(text: &str) -> Result<ParsedTable, String> {
         Value::Arr(xs) => xs
             .iter()
             .enumerate()
-            .map(|(i, c)| parse_cell(c, i, mode))
+            .map(|(i, c)| parse_cell(c, i))
             .collect::<Result<_, _>>()?,
         _ => return Err("table: 'cells' is not an array".to_string()),
     };
@@ -632,66 +492,6 @@ pub fn parse_table(text: &str) -> Result<ParsedTable, String> {
         }
     }
 
-    let clusters: Vec<ParsedCluster> = match doc.get("clusters") {
-        None => Vec::new(),
-        Some(_) if mode == Mode::Exact => {
-            return Err("table: 'clusters' is not allowed in an exact-mode table".to_string())
-        }
-        Some(Value::Arr(xs)) => xs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let ctx = format!("clusters[{i}]");
-                check_keys(c, &["id", "key", "representative"], &ctx)?;
-                Ok(ParsedCluster {
-                    id: str_field(c, "id", &ctx)?.to_string(),
-                    key: str_field(c, "key", &ctx)?.to_string(),
-                    representative: usize_field(c, "representative", &ctx)?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
-        Some(_) => return Err("table: 'clusters' is not an array".to_string()),
-    };
-
-    if mode == Mode::Clustered {
-        for (i, row) in clusters.iter().enumerate() {
-            if clusters[..i].iter().any(|r| r.id == row.id) {
-                return Err(format!("clusters[{i}]: duplicate cluster id '{}'", row.id));
-            }
-            if row.representative >= cells.len() {
-                return Err(format!(
-                    "clusters[{i}]: representative {} is outside the {}-cell table",
-                    row.representative,
-                    cells.len()
-                ));
-            }
-            let rep = &cells[row.representative];
-            if rep.cluster.as_deref() != Some(row.id.as_str())
-                || rep.provenance != Provenance::Exact
-            {
-                return Err(format!(
-                    "clusters[{i}]: representative cell {} is not an exact cell of cluster '{}'",
-                    row.representative, row.id
-                ));
-            }
-        }
-        for (i, cell) in cells.iter().enumerate() {
-            let id = cell.cluster.as_deref().expect("checked per-cell above");
-            if !clusters.iter().any(|r| r.id == id) {
-                return Err(format!(
-                    "cells[{i}]: cluster '{id}' is not in the clusters table"
-                ));
-            }
-            if let Provenance::Reused(cited) = &cell.provenance {
-                if cited != id {
-                    return Err(format!(
-                        "cells[{i}]: reused cluster '{cited}' does not match the cell's cluster '{id}'"
-                    ));
-                }
-            }
-        }
-    }
-
     // Points indexed by cells must exist (canonical order already forces
     // `point == i / per_point < points.len()` via the coverage check).
     for (i, cell) in cells.iter().enumerate() {
@@ -705,11 +505,9 @@ pub fn parse_table(text: &str) -> Result<ParsedTable, String> {
     }
 
     Ok(ParsedTable {
-        mode,
         spec_name,
         axes,
         points,
         cells,
-        clusters,
     })
 }

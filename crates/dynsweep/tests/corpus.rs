@@ -2,12 +2,12 @@
 //! every fixture under `tests/corpus/` is a real emitted table (a d12
 //! single-point dynamic sweep, one free-running and one gated cell) with
 //! one deliberate defect, and `parse_table` must reject it with a
-//! path-contexted error naming that defect. The two `valid_*` fixtures
-//! pin that the corpus base itself still parses — if the format evolves,
+//! path-contexted error naming that defect. The `valid_exact` fixture
+//! pins that the corpus base itself still parses — if the format evolves,
 //! regenerate the corpus rather than letting the negative cases rot into
 //! testing yesterday's format.
 
-use vi_noc_dynsweep::{parse_table, Mode, Provenance};
+use vi_noc_dynsweep::parse_table;
 
 /// Table fixtures: (name, contents, substring the error must contain).
 const CASES: &[(&str, &str, &str)] = &[
@@ -19,7 +19,7 @@ const CASES: &[(&str, &str, &str)] = &[
     (
         "bad_mode",
         include_str!("corpus/bad_mode.json"),
-        "table: mode 'fuzzy' is not 'exact' or 'clustered'",
+        "table: mode 'fuzzy' is not 'exact'",
     ),
     (
         "truncated_table",
@@ -30,6 +30,11 @@ const CASES: &[(&str, &str, &str)] = &[
         "bad_load_axis",
         include_str!("corpus/bad_load_axis.json"),
         "axes: 'loads' must be a non-empty array of positive finite numbers",
+    ),
+    (
+        "duplicate_load",
+        include_str!("corpus/duplicate_load.json"),
+        "axes: loads[1] repeats loads[0]",
     ),
     (
         "short_signature",
@@ -49,45 +54,26 @@ const CASES: &[(&str, &str, &str)] = &[
     (
         "clusters_in_exact",
         include_str!("corpus/clusters_in_exact.json"),
-        "table: 'clusters' is not allowed in an exact-mode table",
+        "table: unknown member 'clusters'",
     ),
     (
         "reused_in_exact",
         include_str!("corpus/reused_in_exact.json"),
-        "cells[0]: provenance 'reused' is not allowed in an exact-mode table",
+        "cells[0]: provenance is not 'exact'",
     ),
     (
         "unknown_member",
         include_str!("corpus/unknown_member.json"),
         "table: unknown member 'comment'",
     ),
-    (
-        "missing_cluster_member",
-        include_str!("corpus/missing_cluster_member.json"),
-        "cells[0]: missing 'cluster' in a clustered-mode table",
-    ),
-    (
-        "dangling_representative",
-        include_str!("corpus/dangling_representative.json"),
-        "clusters[1]: representative 9 is outside the 2-cell table",
-    ),
 ];
 
 #[test]
-fn the_corpus_base_tables_parse_cleanly() {
+fn the_corpus_base_table_parses_cleanly() {
     let exact =
         parse_table(include_str!("corpus/valid_exact.json")).expect("valid exact fixture parses");
-    assert_eq!(exact.mode, Mode::Exact);
+    assert_eq!(exact.points.len(), 1);
     assert_eq!(exact.cells.len(), 2);
-    assert!(exact
-        .cells
-        .iter()
-        .all(|c| c.provenance == Provenance::Exact));
-
-    let clustered = parse_table(include_str!("corpus/valid_clustered.json"))
-        .expect("valid clustered fixture parses");
-    assert_eq!(clustered.mode, Mode::Clustered);
-    assert_eq!(clustered.clusters.len(), 2);
 }
 
 #[test]

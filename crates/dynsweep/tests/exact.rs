@@ -1,50 +1,15 @@
-//! Differential suite for the dynsweep engine: `Mode::Exact` must be
-//! byte-identical to the naive per-(point, sim-config) double loop on
-//! real and synthetic SoCs, cluster/identity keys must be deterministic
-//! functions of their features, and every `reused` cell of a clustered
-//! table must cite an in-table representative whose exact identity key is
-//! identical to its own.
+//! Determinism suite for the dynsweep engine: on real and synthetic SoCs,
+//! the table is byte-identical whether the cells run in the rayon fan-out
+//! (`SynthesisConfig::parallel`) or one after another, covers every cell
+//! of the grid, and parses back.
 
-use proptest::prelude::*;
 use vi_noc_core::SynthesisConfig;
-use vi_noc_dynsweep::{
-    cluster_id, cluster_key, exact_key, load_bucket, parse_table, run_dynsweep, run_naive,
-    schedule_canon, DynSweepInput, Mode, Provenance, SimAxes,
-};
+use vi_noc_dynsweep::{parse_table, run_dynsweep, DynSweepInput, DynSweepRun, Mode, SimAxes};
 use vi_noc_sim::{ShutdownScenario, SimConfig, TrafficKind};
 use vi_noc_soc::{benchmarks, generate_synthetic, partition, SocSpec, SyntheticConfig};
 use vi_noc_sweep::{
-    frontier_json, parse_frontier_file, run_shard, GridConfig, GridDescriptor, ParsedFrontier,
-    Shard, SweepGrid,
+    frontier_json, parse_frontier_file, run_shard, GridConfig, GridDescriptor, Shard, SweepGrid,
 };
-
-/// Sweeps `spec` at `islands`, builds the frontier file, and returns
-/// everything `run_dynsweep` needs.
-fn fixture(
-    spec: SocSpec,
-    islands: usize,
-) -> (
-    SocSpec,
-    vi_noc_soc::ViAssignment,
-    SynthesisConfig,
-    SweepGrid,
-    ParsedFrontier,
-    String,
-) {
-    let vi = partition::logical_partition(&spec, islands).unwrap();
-    let cfg = SynthesisConfig::default();
-    let grid_cfg = GridConfig {
-        max_boost: 1,
-        freq_scales: vec![1.0],
-        max_intermediate: 2,
-    };
-    let grid = SweepGrid::build(&spec, &vi, &cfg, &grid_cfg);
-    let tag = format!("logical:{islands}");
-    let desc = GridDescriptor::for_grid(&grid, spec.name(), &tag, cfg.seed);
-    let run = run_shard(&spec, &vi, &grid, Shard::full(), &cfg);
-    let frontier = parse_frontier_file(&frontier_json(&desc, &run)).unwrap();
-    (spec, vi, cfg, grid, frontier, tag)
-}
 
 /// A schedule gating the first shutdown-capable island, if any.
 fn gating_schedule(vi: &vi_noc_soc::ViAssignment) -> Option<ShutdownScenario> {
@@ -58,11 +23,26 @@ fn gating_schedule(vi: &vi_noc_soc::ViAssignment) -> Option<ShutdownScenario> {
         })
 }
 
-/// Exact-mode bytes equal the naive double loop's, for one fixture.
-fn assert_exact_is_naive(spec: SocSpec, islands: usize, axes: &SimAxes) {
-    let (spec, vi, cfg, grid, frontier, tag) = fixture(spec, islands);
+/// Sweeps `spec` at `islands`, then runs the dynamic sweep over the
+/// frontier with the given `parallel` setting.
+fn sweep(spec: &SocSpec, islands: usize, axes: &SimAxes, parallel: bool) -> DynSweepRun {
+    let vi = partition::logical_partition(spec, islands).unwrap();
+    let cfg = SynthesisConfig {
+        parallel,
+        ..SynthesisConfig::default()
+    };
+    let grid_cfg = GridConfig {
+        max_boost: 1,
+        freq_scales: vec![1.0],
+        max_intermediate: 2,
+    };
+    let grid = SweepGrid::build(spec, &vi, &cfg, &grid_cfg);
+    let tag = format!("logical:{islands}");
+    let desc = GridDescriptor::for_grid(&grid, spec.name(), &tag, cfg.seed);
+    let run = run_shard(spec, &vi, &grid, Shard::full(), &cfg);
+    let frontier = parse_frontier_file(&frontier_json(&desc, &run)).unwrap();
     let input = DynSweepInput {
-        spec: &spec,
+        spec,
         vi: &vi,
         cfg: &cfg,
         sim: &SimConfig::default(),
@@ -70,35 +50,39 @@ fn assert_exact_is_naive(spec: SocSpec, islands: usize, axes: &SimAxes) {
         partition: &tag,
         frontier: &frontier,
     };
-    let naive = run_naive(&input, axes).unwrap();
-    let run = run_dynsweep(&input, axes, Mode::Exact).unwrap();
+    run_dynsweep(&input, axes, Mode::Exact).unwrap()
+}
+
+/// The parallel and sequential tables are the same bytes, and cover the
+/// grid.
+fn assert_parallel_is_sequential(spec: SocSpec, islands: usize, axes: &SimAxes) {
+    let par = sweep(&spec, islands, axes, true);
+    let seq = sweep(&spec, islands, axes, false);
     assert_eq!(
-        run.table.as_bytes(),
-        naive.as_bytes(),
-        "exact mode diverged from the naive double loop for {}",
+        par.table.as_bytes(),
+        seq.table.as_bytes(),
+        "parallel and sequential tables differ for {}",
         spec.name()
     );
-    let parsed = parse_table(&run.table).unwrap();
-    assert_eq!(parsed.cells.len(), run.cells);
-    assert!(parsed
-        .cells
-        .iter()
-        .all(|c| c.provenance == Provenance::Exact));
+    let parsed = parse_table(&par.table).unwrap();
+    assert_eq!(parsed.cells.len(), par.cells);
+    assert_eq!(par.cells, parsed.points.len() * axes.cells_per_point());
+    assert_eq!(par.simulated, par.cells);
 }
 
 #[test]
-fn exact_mode_is_the_naive_double_loop_on_d12() {
+fn parallel_is_sequential_on_d12() {
     let axes = SimAxes {
         loads: vec![0.5, 0.9, 1.2],
         traffic: vec![TrafficKind::Cbr, TrafficKind::Poisson],
         schedules: vec![None],
         horizon_ns: 4_000,
     };
-    assert_exact_is_naive(benchmarks::d12_auto(), 4, &axes);
+    assert_parallel_is_sequential(benchmarks::d12_auto(), 4, &axes);
 }
 
 #[test]
-fn exact_mode_is_the_naive_double_loop_under_gating() {
+fn parallel_is_sequential_under_gating() {
     let spec = benchmarks::d12_auto();
     let vi = partition::logical_partition(&spec, 4).unwrap();
     let sched = gating_schedule(&vi).expect("d12 at 4 islands has a gateable island");
@@ -108,11 +92,11 @@ fn exact_mode_is_the_naive_double_loop_under_gating() {
         schedules: vec![None, Some(sched)],
         horizon_ns: 6_000,
     };
-    assert_exact_is_naive(spec, 4, &axes);
+    assert_parallel_is_sequential(spec, 4, &axes);
 }
 
 #[test]
-fn exact_mode_is_the_naive_double_loop_on_synthetic_socs() {
+fn parallel_is_sequential_on_synthetic_socs() {
     for (n_cores, seed, islands) in [(8, 11, 2), (14, 7, 3)] {
         let spec = generate_synthetic(&SyntheticConfig {
             n_cores,
@@ -125,122 +109,6 @@ fn exact_mode_is_the_naive_double_loop_on_synthetic_socs() {
             schedules: vec![None],
             horizon_ns: 4_000,
         };
-        assert_exact_is_naive(spec, islands, &axes);
-    }
-}
-
-#[test]
-fn reused_cells_cite_an_in_table_representative_with_an_identical_exact_key() {
-    // A duplicated load value forces exact-key collisions: the duplicate
-    // cells must come back `reused`, never re-simulated.
-    let (spec, vi, cfg, grid, frontier, tag) = fixture(benchmarks::d12_auto(), 4);
-    let input = DynSweepInput {
-        spec: &spec,
-        vi: &vi,
-        cfg: &cfg,
-        sim: &SimConfig::default(),
-        grid: &grid,
-        partition: &tag,
-        frontier: &frontier,
-    };
-    let axes = SimAxes {
-        loads: vec![0.7, 0.7, 1.2],
-        traffic: vec![TrafficKind::Cbr],
-        schedules: vec![None],
-        horizon_ns: 4_000,
-    };
-    let run = run_dynsweep(&input, &axes, Mode::Clustered).unwrap();
-    assert!(run.reused > 0, "duplicated loads produced no reused cells");
-    let table = parse_table(&run.table).unwrap();
-
-    for (i, cell) in table.cells.iter().enumerate() {
-        let Provenance::Reused(id) = &cell.provenance else {
-            continue;
-        };
-        // The cited cluster exists and the cell belongs to it.
-        let cluster = table
-            .clusters
-            .iter()
-            .find(|c| &c.id == id)
-            .unwrap_or_else(|| panic!("cells[{i}] cites unknown cluster {id}"));
-        assert_eq!(cell.cluster.as_ref(), Some(id), "cells[{i}]");
-        // The representative is an in-table simulated cell...
-        let rep = &table.cells[cluster.representative];
-        assert_eq!(rep.provenance, Provenance::Exact, "cells[{i}]'s rep");
-        // ...with an identical exact identity key: same design point, and
-        // bit-equal sim config on every axis the key hashes.
-        assert_eq!(rep.point, cell.point, "cells[{i}]");
-        assert_eq!(rep.load.to_bits(), cell.load.to_bits(), "cells[{i}]");
-        assert_eq!(rep.traffic, cell.traffic, "cells[{i}]");
-        assert_eq!(
-            schedule_canon(&table.axes.schedules[rep.schedule]),
-            schedule_canon(&table.axes.schedules[cell.schedule]),
-            "cells[{i}]"
-        );
-        // Identical exact keys mean identical simulations: stats match.
-        assert_eq!(rep.stats, cell.stats, "cells[{i}]");
-    }
-
-    // Bounded cells are the complement: their reuse crossed exact keys,
-    // and each carries a strictly positive bound.
-    for (i, cell) in table.cells.iter().enumerate() {
-        if let Provenance::Bounded(bound) = cell.provenance {
-            assert!(bound > 0.0, "cells[{i}]: bound {bound} is not positive");
-        }
-    }
-}
-
-fn arb_schedule() -> impl Strategy<Value = Option<ShutdownScenario>> {
-    (0usize..3, 0usize..4, 1u64..10_000).prop_map(|(pick, island, stop)| {
-        (pick != 0).then_some(ShutdownScenario {
-            island,
-            stop_at_ns: stop,
-            drain_ns: stop / 2 + 1,
-            post_gate_ns: stop + 500,
-        })
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Cluster and exact keys are pure functions of their features:
-    /// rebuilding from the same inputs yields the same strings, loads in
-    /// the same bucket cluster together, and any differing feature splits
-    /// the cluster key.
-    #[test]
-    fn keys_are_deterministic_functions_of_their_features(
-        sig in 0u64..u64::MAX,
-        fp in 0u64..u64::MAX,
-        load_a in 0.05f64..2.0,
-        load_b in 0.05f64..2.0,
-        poisson in proptest::bool::ANY,
-        sched in arb_schedule(),
-        point_tag in 0u64..u64::MAX,
-    ) {
-        let point_json = format!("{{\"chain_id\":{point_tag}}}");
-        let traffic = if poisson { TrafficKind::Poisson } else { TrafficKind::Cbr };
-        let key = cluster_key(sig, fp, load_a, traffic, &sched);
-        prop_assert_eq!(&key, &cluster_key(sig, fp, load_a, traffic, &sched));
-        prop_assert_eq!(cluster_id(&key), cluster_id(&key));
-        prop_assert_eq!(cluster_id(&key).len(), 16);
-        prop_assert!(cluster_id(&key).chars().all(|c| c.is_ascii_hexdigit()));
-
-        // Same-bucket loads share the key; different buckets never do.
-        let other = cluster_key(sig, fp, load_b, traffic, &sched);
-        prop_assert_eq!(
-            key == other,
-            load_bucket(load_a) == load_bucket(load_b),
-            "buckets {} vs {}", load_bucket(load_a), load_bucket(load_b)
-        );
-        // Any differing structural feature splits the key.
-        prop_assert_ne!(&key, &cluster_key(sig ^ 1, fp, load_a, traffic, &sched));
-        prop_assert_ne!(&key, &cluster_key(sig, fp ^ 1, load_a, traffic, &sched));
-
-        // Exact keys are deterministic and sensitive to the point identity.
-        let ek = exact_key(&point_json, load_a, traffic, &sched);
-        prop_assert_eq!(&ek, &exact_key(&point_json, load_a, traffic, &sched));
-        let other_point = format!("{point_json}x");
-        prop_assert_ne!(&ek, &exact_key(&other_point, load_a, traffic, &sched));
+        assert_parallel_is_sequential(spec, islands, &axes);
     }
 }

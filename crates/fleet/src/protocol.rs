@@ -26,8 +26,7 @@
 //! malformed message in the committed corpus must keep failing with its
 //! exact recorded message.
 
-use std::fmt::Write as _;
-use vi_noc_core::json_string;
+use vi_noc_core::{fnv1a64, json_string};
 use vi_noc_sweep::json::{self, Value};
 use vi_noc_sweep::{stats_from_value, stats_json, SweepStats};
 
@@ -313,14 +312,7 @@ pub fn parse_message(line: &str) -> Result<Message, String> {
 /// disagree about what is being swept, and fails fast instead of folding
 /// entries of the wrong grid.
 pub fn grid_fingerprint(desc_json: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in desc_json.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut s = String::with_capacity(16);
-    let _ = write!(s, "{hash:016x}");
-    s
+    format!("{:016x}", fnv1a64(desc_json.as_bytes()))
 }
 
 #[cfg(test)]

@@ -43,15 +43,14 @@
 //!   ([`SweepGrid::build_windowed`]), with the windows recorded in the
 //!   [`GridDescriptor`] so refined and exhaustive checkpoints never merge.
 //!
-//! The `sweep` binary (hosted by the facade package, `src/bin/sweep.rs`
-//! at the workspace root, implemented in `vi-noc-api`) exposes the
+//! The `vi-noc sweep` subcommand (implemented in `vi-noc-api`) exposes the
 //! workflow:
 //!
 //! ```text
-//! sweep run --spec d26 --islands 6 --max-boost 1 --shard 0/3 --out a.json
-//! sweep run --spec d26 --islands 6 --max-boost 1 --shard 1/3 --out b.json
-//! sweep run --spec d26 --islands 6 --max-boost 1 --shard 2/3 --out c.json
-//! sweep merge a.json b.json c.json --out frontier.json
+//! vi-noc sweep run --spec d26 --islands 6 --max-boost 1 --shard 0/3 --out a.json
+//! vi-noc sweep run --spec d26 --islands 6 --max-boost 1 --shard 1/3 --out b.json
+//! vi-noc sweep run --spec d26 --islands 6 --max-boost 1 --shard 2/3 --out c.json
+//! vi-noc sweep merge a.json b.json c.json --out frontier.json
 //! ```
 
 #![warn(missing_docs)]

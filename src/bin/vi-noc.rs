@@ -1,5 +1,6 @@
 //! The `vi-noc` CLI: run complete experiments — SoC spec → synthesis →
-//! floorplan → simulation → shutdown → sweep — from JSON scenario files.
+//! floorplan → simulation → shutdown → sweep → dynamic sweep — from JSON
+//! scenario files.
 //!
 //! ```text
 //! vi-noc run      SCENARIO.json [--out report.json] [--frontier-out FILE]
@@ -7,9 +8,11 @@
 //! vi-noc report   REPORT.json
 //! vi-noc sweep    run|merge|info ...
 //! vi-noc fleet    serve|work|run ...
-//! vi-noc dynsweep run|check ...
+//! vi-noc dynsweep run --scenario SCENARIO.json [--out table.json]
 //! ```
 //!
+//! `dynsweep run` simulates every frontier point at every cell of the
+//! scenario's declared sim grid and writes the `vi-noc-dynsweep-v1` table.
 //! The implementation lives in [`vi_noc_api::cli`]; see `scenarios/` for
 //! committed example experiments.
 
@@ -21,7 +24,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("vi-noc: {e}");
-            eprintln!("{}", vi_noc_api::cli::USAGE);
+            eprintln!("{}", vi_noc_api::cli::usage(&args));
             ExitCode::from(2)
         }
     }

@@ -27,10 +27,10 @@
 //! * [`floorplan`] — slicing floorplanner with switch insertion.
 //! * [`synth`] — the paper's VI-aware topology-synthesis algorithm.
 //! * [`sweep`] — sharded, streaming design-space exploration with a merging
-//!   Pareto fold (driven by the `sweep` CLI binary / `vi-noc sweep`).
-//! * [`dynsweep`] — cluster-and-prune dynamic simulation sweeps over the
-//!   frontier: every surviving design point × a declarative sim grid, with
-//!   byte-exact or error-bounded clustered execution (`vi-noc dynsweep`).
+//!   Pareto fold (driven by `vi-noc sweep`).
+//! * [`dynsweep`] — dynamic simulation sweeps over the frontier: every
+//!   surviving design point simulated at every cell of a declarative sim
+//!   grid, byte-identical for any thread count (`vi-noc dynsweep run`).
 //! * [`fleet`] — sweep-as-a-service: a coordinator leasing chain ranges to
 //!   worker processes over local TCP, folding streamed frontier deltas into
 //!   the exact unsharded frontier (driven by `vi-noc fleet`).
