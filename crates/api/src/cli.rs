@@ -30,10 +30,10 @@ use vi_noc_dynsweep::parse_table;
 use vi_noc_fleet::FleetConfig;
 use vi_noc_soc::{partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
-    frontier_progress_json, frontier_seeds, json, merge_checkpoints, parse_frontier_file,
-    parse_shard_checkpoint, resume_shard, resume_shard_pruned, shard_progress_json,
-    validate_frontier_source, windows_from_frontier, GridConfig, GridDescriptor, RefineParams,
-    Shard, ShardProgress, SweepGrid,
+    frontier_json, frontier_seeds, json, merge_checkpoints, parse_frontier_file,
+    parse_shard_checkpoint, run_deltas, shard_checkpoint_json, validate_frontier_source,
+    windows_from_frontier, GridConfig, GridDescriptor, RangeDelta, RefineParams, Shard,
+    ShardProgress, SweepGrid,
 };
 
 /// Top-level usage text of the `vi-noc` binary.
@@ -566,34 +566,26 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
     }
 
     let start = Instant::now();
-    let resume = if opts.prune {
-        resume_shard_pruned
-    } else {
-        resume_shard
-    };
-    loop {
-        let finished = resume(
-            &opts.spec,
-            &opts.vi,
-            grid,
-            opts.shard,
-            &opts.cfg,
-            &mut progress,
-            opts.checkpoint_every,
-        );
-        if finished {
-            break;
+    let stripe_len = opts.shard.stripe_len(grid.num_chains());
+    let from = progress.chains_done;
+    let mut emit = |delta: RangeDelta| {
+        progress.absorb(delta);
+        if progress.chains_done < stripe_len {
+            // Periodic checkpoint so a killed process loses at most one delta.
+            let path = opts.out.as_deref().expect("validated by parse_sweep_opts");
+            std::fs::write(path, shard_checkpoint_json(&desc, opts.shard, &progress))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!(
+                "sweep run: checkpoint at {}/{stripe_len} chains -> {path}",
+                progress.chains_done
+            );
         }
-        // Periodic checkpoint so a killed process loses at most one batch.
-        let path = opts.out.as_deref().expect("validated by parse_sweep_opts");
-        std::fs::write(path, shard_progress_json(&desc, opts.shard, &progress))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!(
-            "sweep run: checkpoint at {}/{} chains -> {path}",
-            progress.chains_done,
-            opts.shard.stripe_len(grid.num_chains())
-        );
-    }
+        Ok(())
+    };
+    let ids = opts.shard.chain_ids(grid.num_chains());
+    let every = opts.checkpoint_every.unwrap_or(u64::MAX);
+    let (spec, vi, cfg) = (&opts.spec, &opts.vi, &opts.cfg);
+    run_deltas(spec, vi, grid, cfg, ids, from, every, opts.prune, &mut emit)?;
     let elapsed = start.elapsed();
     eprintln!(
         "sweep run: shard {} done in {elapsed:.2?}: {} chains ({} skipped by slack pruning), \
@@ -607,9 +599,9 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
         progress.frontier.len()
     );
     let text = if opts.frontier {
-        frontier_progress_json(&desc, &progress)
+        frontier_json(&desc, &progress)
     } else {
-        shard_progress_json(&desc, opts.shard, &progress)
+        shard_checkpoint_json(&desc, opts.shard, &progress)
     };
     write_out(opts.out.as_deref(), &text)
 }

@@ -10,7 +10,6 @@
 //! sides resolve the payload independently and prove agreement through the
 //! grid fingerprint; see [`vi_noc_fleet`] for the protocol.
 
-use crate::error::Error;
 use crate::scenario::Scenario;
 use std::sync::Arc;
 use vi_noc_fleet::{
@@ -124,19 +123,4 @@ pub(crate) fn run_local_fleet(
         }
     }
     result
-}
-
-/// The `sweep_workers` execution path of [`Scenario::run`]: the coarse
-/// grid when `windows` is `None`, the windowed refinement grid otherwise.
-pub(crate) fn run_sweep_via_fleet(
-    scenario: &Scenario,
-    windows: Option<&[RefineWindow]>,
-    workers: usize,
-) -> Result<String, Error> {
-    run_local_fleet(
-        &job_payload(scenario, windows),
-        workers,
-        FleetConfig::default(),
-    )
-    .map_err(|e| Error::scenario("fleet", e))
 }

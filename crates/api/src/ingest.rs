@@ -941,7 +941,6 @@ pub(crate) fn scenario_from_json(text: &str) -> Result<Scenario, Error> {
             "shutdown",
             "sweep",
             "sweep_prune",
-            "sweep_workers",
             "refine",
             "dyn_sweep",
         ],
@@ -984,15 +983,6 @@ pub(crate) fn scenario_from_json(text: &str) -> Result<Scenario, Error> {
         &mut sweep_prune,
         bool_of,
     )?;
-    let sweep_workers = get(members, "sweep_workers")
-        .map(|v| usize_of(v, "scenario.sweep_workers"))
-        .transpose()?;
-    if sweep_workers == Some(0) {
-        return Err(Error::scenario(
-            "scenario.sweep_workers",
-            "must be at least 1",
-        ));
-    }
     let refine = get(members, "refine")
         .map(|v| refine_from_value(v, "scenario.refine"))
         .transpose()?;
@@ -1021,7 +1011,7 @@ pub(crate) fn scenario_from_json(text: &str) -> Result<Scenario, Error> {
         shutdown,
         sweep,
         sweep_prune,
-        sweep_workers,
+        sweep_workers: None,
         refine,
         dyn_sweep,
     })
@@ -1057,9 +1047,6 @@ pub(crate) fn scenario_to_json(s: &Scenario) -> String {
     // exact bytes.
     if s.sweep_prune {
         out.push_str(",\n\"sweep_prune\":true");
-    }
-    if let Some(workers) = s.sweep_workers {
-        out.push_str(&format!(",\n\"sweep_workers\":{workers}"));
     }
     if let Some(plan) = &s.refine {
         out.push_str(&format!(",\n\"refine\":{}", refine_to_json(plan)));
@@ -1160,6 +1147,13 @@ mod tests {
             msg.contains("scenario.sim") && msg.contains("horizon_nsec"),
             "{msg}"
         );
+        let err = Scenario::from_json(
+            r#"{"name":"x","spec":{"benchmark":"d12"},"partition":{"kind":"logical","islands":4},"sweep_workers":2}"#,
+        )
+        .unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("scenario: unknown member 'sweep_workers'"));
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! * [`cli`] — the implementation of the `vi-noc` binary (`run`,
 //!   `simulate`, `sweep`, `report`, `fleet`, `dynsweep`).
 //! * [`fleet`] — scenario documents as `vi-noc-fleet` job payloads: a
-//!   scenario's sweep runs on a coordinator + worker fleet
-//!   (`sweep_workers`, or the `fleet` CLI) with byte-identical frontier
-//!   emission.
+//!   scenario's sweep runs on a coordinator + worker fleet (the `fleet`
+//!   CLI) with byte-identical frontier emission.
 //!
 //! Everything here composes the existing stage functions
 //! (`vi_noc_core::synthesize`, `realize_on_floorplan`,

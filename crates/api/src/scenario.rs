@@ -178,11 +178,12 @@ pub struct Scenario {
     /// (`vi_noc_sweep::run_shard_pruned`). Exact: the emitted frontier is
     /// byte-identical either way.
     pub sweep_prune: bool,
-    /// Route the sweep stage through an in-process worker fleet of this
-    /// many workers (`vi-noc-fleet`) instead of the single-threaded
-    /// streaming run. Exact: the emitted frontier is byte-identical for
-    /// any worker count. `None` (the default) keeps the classic path.
-    pub sweep_workers: Option<usize>,
+    /// Always `None`: no value of this type exists. The member that routed
+    /// the sweep through a loopback fleet is gone (ingestion rejects it as
+    /// unknown); the field stays only because the benchmark harness
+    /// (`perfbench/`) still reads `sweep_workers.is_some()`, and the next
+    /// benchmark change deletes it.
+    pub sweep_workers: Option<std::convert::Infallible>,
     /// Coarse-to-fine refinement of the sweep, if any (requires `sweep`).
     pub refine: Option<RefinePlan>,
     /// Dynamic simulation sweep over the frontier, if any (requires
@@ -370,9 +371,7 @@ impl Scenario {
     /// declared, follows it with the coarse-to-fine refinement stage. The
     /// returned frontier file is byte-identical to the equivalent `sweep
     /// run`/`sweep refine` CLI workflow over the same grids (same
-    /// descriptors, same writers). When `sweep_workers` is set, both the
-    /// coarse and the refined stage run through an in-process fleet
-    /// ([`crate::fleet`]) — with, again, byte-identical emission.
+    /// descriptors, same writers).
     fn run_sweep(
         &self,
         spec: &SocSpec,
@@ -384,19 +383,13 @@ impl Scenario {
         } else {
             run_shard
         };
-        let coarse_file = if let Some(workers) = self.sweep_workers {
-            crate::fleet::run_sweep_via_fleet(self, None, workers)?
-        } else {
-            let grid = SweepGrid::build(spec, vi, &self.synthesis, grid_cfg);
-            let desc = GridDescriptor::for_grid(
-                &grid,
-                spec.name(),
-                &self.partition.tag(),
-                self.synthesis.seed,
-            );
-            let run = runner(spec, vi, &grid, Shard::full(), &self.synthesis);
+        let sweep = |grid: &SweepGrid| {
+            let tag = self.partition.tag();
+            let desc = GridDescriptor::for_grid(grid, spec.name(), &tag, self.synthesis.seed);
+            let run = runner(spec, vi, grid, Shard::full(), &self.synthesis);
             frontier_json(&desc, &run)
         };
+        let coarse_file = sweep(&SweepGrid::build(spec, vi, &self.synthesis, grid_cfg));
         let Some(plan) = &self.refine else {
             return Ok(coarse_file);
         };
@@ -415,18 +408,8 @@ impl Scenario {
                  or every surviving scale is outside 'scale_window')",
             ));
         }
-        if let Some(workers) = self.sweep_workers {
-            return crate::fleet::run_sweep_via_fleet(self, Some(&windows), workers);
-        }
         let fine = SweepGrid::build_windowed(spec, vi, &self.synthesis, &plan.grid, windows);
-        let fine_desc = GridDescriptor::for_grid(
-            &fine,
-            spec.name(),
-            &self.partition.tag(),
-            self.synthesis.seed,
-        );
-        let fine_run = runner(spec, vi, &fine, Shard::full(), &self.synthesis);
-        Ok(frontier_json(&fine_desc, &fine_run))
+        Ok(sweep(&fine))
     }
 
     /// Runs the scenario's declared dynamic sweep over an emitted frontier

@@ -1,12 +1,16 @@
-//! Scenario sweeps routed through the worker fleet (`sweep_workers`)
-//! must emit the same frontier files, byte for byte, as the classic
-//! single-process path — for the coarse grid and for the windowed
-//! refinement stage.
+//! Scenario sweeps submitted as job payloads to a worker fleet must fold
+//! the same frontier files, byte for byte, as the classic single-process
+//! path — for the coarse grid and for the windowed refinement stage.
 
+use std::sync::Arc;
 use vi_noc_api::fleet::{job_payload, ScenarioJobResolver};
 use vi_noc_api::{PartitionPlan, RefinePlan, Scenario, SpecSource};
-use vi_noc_fleet::JobResolver;
-use vi_noc_sweep::{GridConfig, RefineParams};
+use vi_noc_fleet::{
+    spawn_local_workers, start_coordinator, FleetConfig, FleetHandle, JobResolver, WorkerOpts,
+};
+use vi_noc_sweep::{
+    frontier_seeds, parse_frontier_file, windows_from_frontier, GridConfig, RefineParams,
+};
 
 fn base_scenario() -> Scenario {
     let mut s = Scenario::new(
@@ -42,21 +46,42 @@ fn refined_scenario() -> Scenario {
     s
 }
 
+/// Runs `body` against a loopback coordinator with two local workers.
+fn with_fleet<T>(body: impl FnOnce(&FleetHandle) -> T) -> T {
+    let resolver: Arc<dyn JobResolver> = Arc::new(ScenarioJobResolver);
+    let handle =
+        start_coordinator("127.0.0.1:0", Arc::clone(&resolver), FleetConfig::default()).unwrap();
+    let pool = spawn_local_workers(handle.addr(), resolver, 2, WorkerOpts::default());
+    let out = body(&handle);
+    handle.shutdown();
+    for worker in pool {
+        worker.join().unwrap().unwrap();
+    }
+    out
+}
+
 #[test]
 fn a_fleet_routed_sweep_reproduces_the_direct_frontier_bytes() {
     let direct = base_scenario().run().unwrap().frontier.unwrap();
-    let mut fleet = base_scenario();
-    fleet.sweep_workers = Some(2);
-    let folded = fleet.run().unwrap().frontier.unwrap();
+    let folded = with_fleet(|fleet| fleet.submit(&job_payload(&base_scenario(), None)).unwrap());
     assert_eq!(folded, direct);
 }
 
 #[test]
 fn a_fleet_routed_refinement_reproduces_the_direct_frontier_bytes() {
-    let direct = refined_scenario().run().unwrap().frontier.unwrap();
-    let mut fleet = refined_scenario();
-    fleet.sweep_workers = Some(2);
-    let folded = fleet.run().unwrap().frontier.unwrap();
+    let scenario = refined_scenario();
+    let direct = scenario.run().unwrap().frontier.unwrap();
+    let plan = scenario.refine.clone().unwrap();
+    let folded = with_fleet(|fleet| {
+        // The coarse fleet frontier seeds the refined job's windows, as
+        // `Scenario::run` derives them from its own coarse frontier.
+        let coarse = fleet.submit(&job_payload(&scenario, None)).unwrap();
+        let seeds = frontier_seeds(&parse_frontier_file(&coarse).unwrap()).unwrap();
+        let windows = windows_from_frontier(&seeds, &plan.grid, &plan.params);
+        fleet
+            .submit(&job_payload(&scenario, Some(&windows)))
+            .unwrap()
+    });
     assert_eq!(folded, direct);
 }
 

@@ -181,19 +181,14 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (
         (arb_spec(), arb_partition(), arb_synthesis()),
         (arb_floorplan(), arb_sim(), arb_shutdown(), arb_sweep()),
-        (
-            proptest::bool::ANY,
-            (0usize..4, 1usize..9).prop_map(|(pick, n)| (pick != 0).then_some(n)),
-            arb_refine(),
-            arb_dyn_sweep(),
-        ),
+        (proptest::bool::ANY, arb_refine(), arb_dyn_sweep()),
         0u64..u64::MAX,
     )
         .prop_map(
             |(
                 (spec, partition, synthesis),
                 (floorplan, sim, shutdown, sweep),
-                (sweep_prune, sweep_workers, refine, dyn_sweep),
+                (sweep_prune, refine, dyn_sweep),
                 tag,
             )| Scenario {
                 name: format!("prop scenario {tag}"),
@@ -210,7 +205,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 dyn_sweep: if sweep.is_some() { dyn_sweep } else { None },
                 sweep,
                 sweep_prune,
-                sweep_workers,
+                sweep_workers: None,
             },
         )
 }

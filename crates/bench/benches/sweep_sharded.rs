@@ -101,10 +101,8 @@ fn bench_shards_vs_single(_c: &mut Criterion) {
         .collect();
     let files: Vec<String> = (0..3)
         .map(|i| {
-            shard_checkpoint_json(
-                &desc,
-                &run_shard(&soc, &vi, &grid, Shard::new(i, 3).unwrap(), &cfg),
-            )
+            let shard = Shard::new(i, 3).unwrap();
+            shard_checkpoint_json(&desc, shard, &run_shard(&soc, &vi, &grid, shard, &cfg))
         })
         .collect();
     let merge_s = median_secs(n, || merge_checkpoints(&files).expect("merge"));

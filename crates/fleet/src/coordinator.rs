@@ -59,25 +59,7 @@ impl FleetHandle {
             let mut book = self.shared.book.lock().unwrap();
             book.submit(payload, &resolved.desc)?
         };
-        self.await_job(job_id)
-    }
-
-    fn await_job(&self, job_id: u64) -> Result<String, String> {
-        let mut book = self.shared.book.lock().unwrap();
-        loop {
-            if let Some(result) = book.result(job_id) {
-                return result.clone();
-            }
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return Err("coordinator shut down before the job finished".to_string());
-            }
-            let (guard, _) = self
-                .shared
-                .change
-                .wait_timeout(book, Duration::from_millis(100))
-                .unwrap();
-            book = guard;
-        }
+        await_result(&self.shared, job_id)
     }
 
     /// Stops accepting, tells every polling worker to shut down, and
@@ -89,6 +71,25 @@ impl FleetHandle {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
+    }
+}
+
+/// Parks until job `job_id` finishes (or the coordinator stops) and takes
+/// its result out of the book.
+fn await_result(shared: &Shared, job_id: u64) -> Result<String, String> {
+    let mut book = shared.book.lock().unwrap();
+    loop {
+        if let Some(result) = book.take_result(job_id) {
+            return result;
+        }
+        if shared.stop.load(Ordering::SeqCst) {
+            return Err("coordinator shut down before the job finished".to_string());
+        }
+        let (guard, _) = shared
+            .change
+            .wait_timeout(book, Duration::from_millis(100))
+            .unwrap();
+        book = guard;
     }
 }
 
@@ -374,24 +375,7 @@ fn serve_submitter(
             }
         }
     };
-    // Park until the job finishes (or the coordinator stops).
-    let result = {
-        let mut book = shared.book.lock().unwrap();
-        loop {
-            if let Some(result) = book.result(job_id) {
-                break result.clone();
-            }
-            if shared.stop.load(Ordering::SeqCst) {
-                break Err("coordinator shut down before the job finished".to_string());
-            }
-            let (guard, _) = shared
-                .change
-                .wait_timeout(book, Duration::from_millis(100))
-                .unwrap();
-            book = guard;
-        }
-    };
-    match result {
+    match await_result(shared, job_id) {
         Ok(frontier) => send(writer, &Message::Result { frontier }),
         Err(message) => send(writer, &Message::Reject { message }),
     }

@@ -30,7 +30,8 @@ use vi_noc_core::SynthesisConfig;
 use vi_noc_soc::{SocSpec, ViAssignment};
 use vi_noc_sweep::json::Value;
 use vi_noc_sweep::{
-    frontier_progress_json, validate_entries, ChainRange, GridDescriptor, ShardProgress, SweepGrid,
+    frontier_json, validate_entries, ChainRange, GridDescriptor, RangeDelta, ShardProgress,
+    SweepGrid,
 };
 
 /// Knobs of a coordinator.
@@ -214,7 +215,7 @@ impl LeaseBook {
         };
         // A zero-chain grid has nothing to lease: it completes on arrival.
         if slot.ranges.is_empty() {
-            slot.result = Some(Ok(frontier_progress_json(&slot.desc, &slot.progress)));
+            slot.result = Some(Ok(frontier_json(&slot.desc, &slot.progress)));
         }
         self.jobs.push(slot);
         Ok(job_id)
@@ -310,11 +311,13 @@ impl LeaseBook {
         let entries = validate_entries(d.entries.clone(), &job.grid_value)?;
 
         slot.acked += d.taken;
-        job.progress.chains_done += d.taken;
-        job.progress.stats.add(&d.stats);
-        for (key, entry) in entries {
-            job.progress.frontier.offer(key, entry.to_json());
-        }
+        job.progress.absorb(RangeDelta {
+            from: d.from,
+            taken: d.taken,
+            stats: d.stats,
+            pruned_chains: 0,
+            entries: entries.into_iter().map(|(k, e)| (k, e.to_json())).collect(),
+        });
         let done = slot.acked;
         if done < slot.range.len() {
             let deadline = now + self.cfg.lease_timeout;
@@ -328,7 +331,7 @@ impl LeaseBook {
         }
         slot.state = RangeState::Done;
         let job_finished = if job.ranges.iter().all(|s| s.state == RangeState::Done) {
-            job.result = Some(Ok(frontier_progress_json(&job.desc, &job.progress)));
+            job.result = Some(Ok(frontier_json(&job.desc, &job.progress)));
             Some(job.job_id)
         } else {
             None
@@ -365,15 +368,16 @@ impl LeaseBook {
         Ok(job.job_id)
     }
 
-    /// The finished result of a job: the frontier file text, or the
-    /// failure message. `None` while the job is still running. The result
-    /// stays readable (jobs are never evicted — a coordinator lives for
-    /// one sweep session).
-    pub fn result(&self, job_id: u64) -> Option<&Result<String, String>> {
-        self.jobs
+    /// Hands out a finished job's result (the frontier file, or the failure
+    /// message) exactly once and forgets the job; `None` while it runs.
+    /// Deltas for leases of a forgotten job are rejected as superseded.
+    pub fn take_result(&mut self, job_id: u64) -> Option<Result<String, String>> {
+        let i = self
+            .jobs
             .iter()
-            .find(|j| j.job_id == job_id)
-            .and_then(|j| j.result.as_ref())
+            .position(|j| j.job_id == job_id && j.finished())?;
+        // `remove`, not `swap_remove`: leases go out oldest job first.
+        self.jobs.remove(i).result
     }
 
     /// `true` when no unfinished job remains.
@@ -447,7 +451,7 @@ mod tests {
         });
         let t0 = Instant::now();
         let job = book.submit("payload", &desc(6)).unwrap();
-        assert!(book.result(job).is_none());
+        assert!(book.take_result(job).is_none());
 
         let l1 = book.next_lease(t0).unwrap();
         let l2 = book.next_lease(t0).unwrap();
@@ -474,8 +478,35 @@ mod tests {
             } => assert_eq!(id, job),
             other => panic!("job should finish: {other:?}"),
         }
-        let result = book.result(job).unwrap().as_ref().unwrap();
+        let result = book.take_result(job).unwrap().unwrap();
         assert!(result.contains("\"chains\":6"), "{result}");
+        assert!(book.idle());
+    }
+
+    #[test]
+    fn a_taken_result_is_forgotten_with_its_job() {
+        let mut book = LeaseBook::new(FleetConfig {
+            lease_chunk: 4,
+            checkpoint_every: 4,
+            ..FleetConfig::default()
+        });
+        let t0 = Instant::now();
+        let first = book.submit("first", &desc(4)).unwrap();
+        let second = book.submit("second", &desc(4)).unwrap();
+        let l1 = book.next_lease(t0).unwrap();
+        let l2 = book.next_lease(t0).unwrap();
+        assert_eq!((l1.job.as_str(), l2.job.as_str()), ("first", "second"));
+        book.fold_delta(&delta(&l1, 0, 4), t0).unwrap();
+
+        assert!(book.take_result(first).unwrap().is_ok());
+        assert!(book.take_result(first).is_none(), "a result is taken once");
+        let err = book.fold_delta(&delta(&l1, 0, 4), t0).unwrap_err();
+        assert_eq!(err, format!("delta: lease {} is superseded", l1.lease_id));
+
+        // The other job is untouched by the first one's eviction.
+        assert!(book.take_result(second).is_none());
+        book.fold_delta(&delta(&l2, 0, 4), t0).unwrap();
+        assert!(book.take_result(second).unwrap().is_ok());
         assert!(book.idle());
     }
 
@@ -559,10 +590,10 @@ mod tests {
             .refuse(l2.lease_id, "grid fingerprint mismatch")
             .unwrap();
         assert_eq!(finished, job);
-        let msg = book.result(job).unwrap().as_ref().unwrap_err();
+        let msg = book.take_result(job).unwrap().unwrap_err();
         assert_eq!(
             msg,
-            &format!("lease {} refused: grid fingerprint mismatch", l2.lease_id)
+            format!("lease {} refused: grid fingerprint mismatch", l2.lease_id)
         );
         assert!(book.idle());
         assert!(book.next_lease(t0).is_none(), "failed jobs lease nothing");
@@ -604,7 +635,7 @@ mod tests {
     fn empty_grids_complete_on_submission() {
         let mut book = LeaseBook::new(FleetConfig::default());
         let job = book.submit("payload", &desc(0)).unwrap();
-        assert!(book.result(job).unwrap().is_ok());
+        assert!(book.take_result(job).unwrap().is_ok());
         assert!(book.next_lease(Instant::now()).is_none());
     }
 }

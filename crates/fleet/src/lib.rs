@@ -8,7 +8,7 @@
 //! [`vi_noc_sweep::ChainRange`] leases, and hands them to however many
 //! worker processes happen to connect — over a line-delimited JSON
 //! [`protocol`] on local TCP sockets, std-only. Workers evaluate leases
-//! with the existing sweep machinery ([`vi_noc_sweep::run_range_deltas`])
+//! with the sweep's one chain loop ([`vi_noc_sweep::run_deltas`])
 //! and stream back disjoint checkpoint deltas; the coordinator folds each
 //! delta the moment it arrives through the same
 //! [`vi_noc_core::ParetoFold`] the unsharded run uses.

@@ -6,8 +6,9 @@
 //! files) cross the wire as JSON strings — `vi_noc_core::json_string`
 //! escapes the newlines — so framing stays trivially line-based. Frontier
 //! entries inside [`Message::Delta`] are embedded as raw JSON values: they
-//! are compact single-line objects emitted by
-//! `vi_noc_sweep::frontier_entry_json`, and re-serializing them with the
+//! are the compact single-line objects of [`vi_noc_sweep::RangeDelta`]
+//! entries (the checkpoint format's frontier entries), and re-serializing
+//! them with the
 //! parse→write fixed-point writer ([`vi_noc_sweep::json::Value::to_json`])
 //! preserves their bytes exactly, which is what the coordinator's
 //! byte-identity guarantee rests on.

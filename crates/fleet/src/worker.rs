@@ -18,7 +18,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-use vi_noc_sweep::{run_range_deltas, ChainRange};
+use vi_noc_sweep::{run_deltas, ChainRange};
 
 /// Knobs of a worker process.
 #[derive(Debug, Clone)]
@@ -267,12 +267,12 @@ fn evaluate_lease(
                 }
             }
         };
-        run_range_deltas(
+        run_deltas(
             &job.spec,
             &job.vi,
             &job.grid,
-            range,
             &job.cfg,
+            range.chain_ids(),
             lease.from,
             lease.checkpoint_every,
             job.prune,

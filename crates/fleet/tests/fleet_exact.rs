@@ -15,8 +15,8 @@ use vi_noc_fleet::{
 };
 use vi_noc_soc::{benchmarks, partition};
 use vi_noc_sweep::{
-    frontier_json, run_range_deltas, run_shard, run_shard_pruned, ChainRange, GridConfig,
-    GridDescriptor, Shard, SweepGrid,
+    frontier_json, run_deltas, run_shard, run_shard_pruned, ChainRange, GridConfig, GridDescriptor,
+    Shard, SweepGrid,
 };
 
 /// The test fleet's job language: `d12`, `d12:prune`, or `d12:boost0`.
@@ -213,12 +213,12 @@ fn stream_some_deltas(peer: &mut RawPeer, lease: &vi_noc_fleet::Lease, deltas: u
         sent += 1;
         Ok(())
     };
-    let _ = run_range_deltas(
+    let _ = run_deltas(
         &job.spec,
         &job.vi,
         &job.grid,
-        range,
         &job.cfg,
+        range.chain_ids(),
         lease.from,
         lease.checkpoint_every,
         job.prune,

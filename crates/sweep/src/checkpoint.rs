@@ -11,7 +11,7 @@
 
 use crate::grid::RefineWindow;
 use crate::json::{self, Value};
-use crate::run::{FrontierPoint, ShardProgress, ShardRun, SweepStats};
+use crate::run::{FrontierPoint, ShardProgress, SweepStats};
 use crate::shard::Shard;
 use std::fmt::Write as _;
 use vi_noc_core::{
@@ -147,7 +147,7 @@ pub fn stats_json(s: &SweepStats) -> String {
 /// Serializes one frontier entry: the dominance key fields first (so
 /// `merge` can fold without touching the payload), then the chain
 /// provenance, then the full design point.
-pub fn frontier_entry_json(fp: &FrontierPoint) -> String {
+pub(crate) fn frontier_entry_json(fp: &FrontierPoint) -> String {
     let boosts: Vec<String> = fp.boosts.iter().map(|b| b.to_string()).collect();
     format!(
         "{{\"ordinal\":{},\"power_mw\":{},\"latency_cycles\":{},\"chain_id\":{},\
@@ -163,77 +163,46 @@ pub fn frontier_entry_json(fp: &FrontierPoint) -> String {
 }
 
 /// Shared file layout of shard and frontier files: top-level members one
-/// per line, frontier entries one per line. `chains_done` is the resume
-/// watermark — stripe positions already folded into the file — and is
-/// written for shard files only.
+/// per line, frontier entries one per line. Shard files carry their stripe
+/// and the `chains_done` resume watermark — stripe positions already
+/// folded into the file; frontier files carry neither.
 fn file_json(
     format: &str,
     grid_json: &str,
-    shard: Option<Shard>,
-    chains_done: Option<u64>,
+    stripe: Option<(Shard, u64)>,
     stats: &SweepStats,
-    entries: &[String],
+    entries: impl IntoIterator<Item = String>,
 ) -> String {
     let mut s = String::new();
     let _ = write!(s, "{{\"format\":{},", json_string(format));
     let _ = write!(s, "\n\"grid\":{grid_json},");
-    if let Some(sh) = shard {
+    if let Some((sh, done)) = stripe {
         let _ = write!(
             s,
-            "\n\"shard\":{{\"index\":{},\"count\":{}}},",
+            "\n\"shard\":{{\"index\":{},\"count\":{}}},\n\"chains_done\":{done},",
             sh.index, sh.count
         );
     }
-    if let Some(done) = chains_done {
-        let _ = write!(s, "\n\"chains_done\":{done},");
-    }
     let _ = write!(s, "\n\"stats\":{},", stats_json(stats));
     s.push_str("\n\"frontier\":[");
-    for (i, e) in entries.iter().enumerate() {
+    for (i, e) in entries.into_iter().enumerate() {
         s.push_str(if i == 0 { "\n" } else { ",\n" });
-        s.push_str(e);
+        s.push_str(&e);
     }
     s.push_str("\n]}\n");
     s
 }
 
-/// Entries of a frontier fold, sorted by dominance key and serialized.
-fn sorted_entries(frontier: &ParetoFold<FrontierPoint>) -> Vec<String> {
-    frontier
-        .clone()
-        .into_sorted()
-        .iter()
-        .map(|(_, fp)| frontier_entry_json(fp))
-        .collect()
+/// Entries of a fold, sorted by dominance key (the payloads are already
+/// serialized).
+fn sorted_entries(frontier: &ParetoFold<String>) -> impl Iterator<Item = String> {
+    frontier.clone().into_sorted().into_iter().map(|(_, e)| e)
 }
 
-/// Entries of a [`ShardProgress`] fold, sorted by dominance key (the
-/// payloads are already serialized).
-fn sorted_progress_entries(frontier: &ParetoFold<String>) -> Vec<String> {
-    frontier
-        .clone()
-        .into_sorted()
-        .into_iter()
-        .map(|(_, e)| e)
-        .collect()
-}
-
-/// Serializes one (complete) shard run's checkpoint file.
-pub fn shard_checkpoint_json(desc: &GridDescriptor, run: &ShardRun) -> String {
-    file_json(
-        SHARD_FORMAT,
-        &desc.to_json(),
-        Some(run.shard),
-        Some(run.shard.stripe_len(desc.num_chains)),
-        &run.stats,
-        &sorted_entries(&run.frontier),
-    )
-}
-
-/// Serializes a (possibly partial) resumable run's checkpoint file. For a
-/// run driven to completion, the output is byte-identical to
-/// [`shard_checkpoint_json`] of the equivalent [`crate::run_shard`] run.
-pub fn shard_progress_json(
+/// Serializes a shard run's (possibly partial) checkpoint file: the
+/// stripe, the `chains_done` watermark, the counters and the frontier of
+/// `progress`.
+pub fn shard_checkpoint_json(
     desc: &GridDescriptor,
     shard: Shard,
     progress: &ShardProgress,
@@ -241,36 +210,22 @@ pub fn shard_progress_json(
     file_json(
         SHARD_FORMAT,
         &desc.to_json(),
-        Some(shard),
-        Some(progress.chains_done),
+        Some((shard, progress.chains_done)),
         &progress.stats,
-        &sorted_progress_entries(&progress.frontier),
+        sorted_entries(&progress.frontier),
     )
 }
 
-/// Serializes a frontier file directly from an in-memory unsharded run —
-/// byte-identical to merging that run's (or any complete shard set's)
-/// checkpoint files.
-pub fn frontier_json(desc: &GridDescriptor, run: &ShardRun) -> String {
+/// Serializes a frontier file directly from an unsharded run's fold
+/// record — byte-identical to merging that run's (or any complete shard
+/// set's) checkpoint files.
+pub fn frontier_json(desc: &GridDescriptor, progress: &ShardProgress) -> String {
     file_json(
         FRONTIER_FORMAT,
         &desc.to_json(),
         None,
-        None,
-        &run.stats,
-        &sorted_entries(&run.frontier),
-    )
-}
-
-/// [`frontier_json`] for a resumable unsharded run driven to completion.
-pub fn frontier_progress_json(desc: &GridDescriptor, progress: &ShardProgress) -> String {
-    file_json(
-        FRONTIER_FORMAT,
-        &desc.to_json(),
-        None,
-        None,
         &progress.stats,
-        &sorted_progress_entries(&progress.frontier),
+        sorted_entries(&progress.frontier),
     )
 }
 
@@ -682,18 +637,13 @@ pub fn merge_checkpoints(files: &[String]) -> Result<String, String> {
         return Err(format!("shard {missing}/{count} is missing"));
     }
 
-    let entries: Vec<String> = fold
-        .into_sorted()
-        .iter()
-        .map(|(_, v)| v.to_json())
-        .collect();
+    let entries = fold.into_sorted().into_iter().map(|(_, v)| v.to_json());
     Ok(file_json(
         FRONTIER_FORMAT,
         &grid.to_json(),
         None,
-        None,
         &stats,
-        &entries,
+        entries,
     ))
 }
 
@@ -705,7 +655,7 @@ mod tests {
     use vi_noc_core::SynthesisConfig;
     use vi_noc_soc::{benchmarks, partition};
 
-    fn small_setup() -> (GridDescriptor, Vec<ShardRun>, ShardRun) {
+    fn small_setup() -> (GridDescriptor, Vec<ShardProgress>, ShardProgress) {
         let soc = benchmarks::d12_auto();
         let vi = partition::logical_partition(&soc, 4).unwrap();
         let cfg = SynthesisConfig {
@@ -719,25 +669,29 @@ mod tests {
         };
         let grid = SweepGrid::build(&soc, &vi, &cfg, &grid_cfg);
         let desc = GridDescriptor::for_grid(&grid, soc.name(), "logical:4", cfg.seed);
-        let shards: Vec<ShardRun> = (0..3)
+        let shards: Vec<ShardProgress> = (0..3)
             .map(|i| run_shard(&soc, &vi, &grid, Shard::new(i, 3).unwrap(), &cfg))
             .collect();
         let full = run_shard(&soc, &vi, &grid, Shard::full(), &cfg);
         (desc, shards, full)
     }
 
+    /// The checkpoint files of the three shard runs of `small_setup`.
+    fn checkpoint_files(desc: &GridDescriptor, shards: &[ShardProgress]) -> Vec<String> {
+        (0..3)
+            .map(|i| shard_checkpoint_json(desc, Shard::new(i, 3).unwrap(), &shards[i as usize]))
+            .collect()
+    }
+
     #[test]
     fn merge_reproduces_the_unsharded_frontier_byte_for_byte() {
         let (desc, shards, full) = small_setup();
-        let files: Vec<String> = shards
-            .iter()
-            .map(|r| shard_checkpoint_json(&desc, r))
-            .collect();
+        let files = checkpoint_files(&desc, &shards);
         let merged = merge_checkpoints(&files).unwrap();
         let direct = frontier_json(&desc, &full);
         assert_eq!(merged, direct);
         // And merging the single full checkpoint gives the same bytes too.
-        let full_desc_file = shard_checkpoint_json(&desc, &full);
+        let full_desc_file = shard_checkpoint_json(&desc, Shard::full(), &full);
         let merged_single = merge_checkpoints(&[full_desc_file]).unwrap();
         assert_eq!(merged_single, direct);
     }
@@ -745,7 +699,7 @@ mod tests {
     #[test]
     fn checkpoints_round_trip_through_the_parser() {
         let (desc, shards, _) = small_setup();
-        let text = shard_checkpoint_json(&desc, &shards[1]);
+        let text = shard_checkpoint_json(&desc, Shard::new(1, 3).unwrap(), &shards[1]);
         let parsed = parse_shard_checkpoint(&text).unwrap();
         assert_eq!(parsed.shard, Shard::new(1, 3).unwrap());
         assert_eq!(parsed.stats, shards[1].stats);
@@ -757,10 +711,7 @@ mod tests {
     #[test]
     fn merge_rejects_incomplete_or_mismatched_shard_sets() {
         let (desc, shards, _) = small_setup();
-        let files: Vec<String> = shards
-            .iter()
-            .map(|r| shard_checkpoint_json(&desc, r))
-            .collect();
+        let files = checkpoint_files(&desc, &shards);
         // Missing shard.
         let err = merge_checkpoints(&files[..2]).unwrap_err();
         assert!(err.contains("missing"), "{err}");
@@ -772,7 +723,7 @@ mod tests {
         let mut other_desc = desc.clone();
         other_desc.seed ^= 1;
         let mut mixed = files.clone();
-        mixed[2] = shard_checkpoint_json(&other_desc, &shards[2]);
+        mixed[2] = shard_checkpoint_json(&other_desc, Shard::new(2, 3).unwrap(), &shards[2]);
         let err = merge_checkpoints(&mixed).unwrap_err();
         assert!(err.contains("different grids"), "{err}");
         // Tampered metrics.

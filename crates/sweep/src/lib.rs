@@ -13,30 +13,29 @@
 //! * [`Shard`] — deterministic round-robin striping of the grid's *chains*
 //!   (not candidates), keeping PR 2's warm-start sharing intact inside each
 //!   stripe.
-//! * [`run_shard`] — streams a stripe: evaluates chains through
-//!   `vi_noc_core::evaluate_candidate_chain` and folds outcomes into a
-//!   bounded-memory [`vi_noc_core::ParetoFold`] the moment they complete.
+//! * [`run_deltas`] — the one chain loop: evaluates a sequence of chain
+//!   ids through `vi_noc_core::evaluate_candidate_chain` from a watermark
+//!   on, folds outcomes into a bounded-memory [`vi_noc_core::ParetoFold`]
+//!   the moment they complete, and emits a [`RangeDelta`] (counters +
+//!   serialized frontier entries) every `every` positions. With `prune`
+//!   set, boosted chains whose zero-boost reference certifies slack on
+//!   every boosted island are skipped without evaluation, exactly like the
+//!   closed-form caps check; pruned runs reproduce the exhaustive frontier
+//!   byte for byte.
+//! * [`ShardProgress`] — the one fold record every caller absorbs deltas
+//!   into. [`run_shard`] / [`run_shard_pruned`] fold a stripe as one delta;
+//!   `vi-noc sweep run --checkpoint-every` writes the record after each
+//!   delta, and its `chains_done` watermark lets a killed shard resume
+//!   where it stopped with a byte-identical final checkpoint; the
+//!   `vi-noc-fleet` coordinator folds the deltas workers stream for their
+//!   [`ChainRange`] leases — any worker count, any kill/re-lease schedule —
+//!   into the identical frontier bytes.
 //! * [`checkpoint`] — a serde-free JSON checkpoint per shard plus
 //!   [`merge_checkpoints`], which combines any complete shard set into a
 //!   frontier file **byte-identical** to the unsharded run's emission.
 //!   Exactness rests on dominance being a strict partial order
 //!   (`vi_noc_core::pareto`): survival is pairwise, so folds compose in any
 //!   order and across process boundaries.
-//! * [`resume_shard`] / [`ShardProgress`] — preemptible shard runs: the
-//!   checkpoint's `chains_done` watermark records how much of the stripe a
-//!   file covers, so a killed shard resumes where it stopped and its final
-//!   checkpoint is byte-identical to an uninterrupted run's.
-//! * [`ChainRange`] / [`run_range_deltas`] — the fleet lease shape:
-//!   contiguous chain-id ranges evaluated as a stream of *disjoint*
-//!   checkpoint deltas (counters + serialized frontier entries per
-//!   interval). The `vi-noc-fleet` coordinator folds deltas of any
-//!   covering range set — any worker count, any kill/re-lease schedule —
-//!   into the identical frontier bytes.
-//! * [`run_shard_pruned`] / [`resume_shard_pruned`] — slack-certified
-//!   dominance pruning: boosted chains whose zero-boost reference
-//!   certifies slack on every boosted island are skipped without
-//!   evaluation, exactly like the closed-form caps check. Merged pruned
-//!   runs reproduce the exhaustive frontier byte-for-byte.
 //! * [`refine`] — coarse-to-fine refinement: derive
 //!   [`grid::RefineWindow`]s of a finer grid around a merged coarse
 //!   frontier's surviving points and sweep only those windows
@@ -63,17 +62,17 @@ pub mod run;
 pub mod shard;
 
 pub use checkpoint::{
-    entry_coords, frontier_json, frontier_progress_json, merge_checkpoints, parse_frontier_file,
-    parse_shard_checkpoint, shard_checkpoint_json, shard_progress_json, stats_from_value,
-    stats_json, validate_entries, window_json, windows_from_value, FrontierEntryCoords,
-    GridDescriptor, ParsedFrontier, ParsedShard, FRONTIER_FORMAT, SHARD_FORMAT,
+    entry_coords, frontier_json, merge_checkpoints, parse_frontier_file, parse_shard_checkpoint,
+    shard_checkpoint_json, stats_from_value, stats_json, validate_entries, window_json,
+    windows_from_value, FrontierEntryCoords, GridDescriptor, ParsedFrontier, ParsedShard,
+    FRONTIER_FORMAT, SHARD_FORMAT,
 };
 pub use grid::{ChainSpec, GridConfig, RefineWindow, SweepGrid};
 pub use refine::{
     frontier_seeds, validate_frontier_source, windows_from_frontier, FrontierSeed, RefineParams,
 };
 pub use run::{
-    regenerate_point, resume_shard, resume_shard_pruned, run_range_deltas, run_shard,
-    run_shard_pruned, FrontierPoint, RangeDelta, ShardProgress, ShardRun, SweepStats,
+    regenerate_point, run_deltas, run_shard, run_shard_pruned, RangeDelta, ShardProgress,
+    SweepStats,
 };
 pub use shard::{ChainRange, Shard};

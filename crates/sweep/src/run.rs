@@ -1,8 +1,10 @@
-//! The streaming shard runner: evaluate a shard's chains, fold outcomes
-//! into a Pareto frontier as they complete, never materialize the space.
+//! The sweep's one chain loop ([`run_deltas`]): evaluate a sequence of
+//! chains, fold outcomes into a Pareto frontier as they complete, never
+//! materialize the space, and hand the result out as deltas that every
+//! caller folds into the same [`ShardProgress`] record.
 
 use crate::grid::{ChainSpec, SweepGrid};
-use crate::shard::{ChainRange, Shard};
+use crate::shard::Shard;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use vi_noc_core::{
@@ -19,24 +21,24 @@ const PARALLEL_BLOCK: usize = 64;
 
 /// One surviving design point with its full grid provenance.
 #[derive(Debug, Clone)]
-pub struct FrontierPoint {
+pub(crate) struct FrontierPoint {
     /// Global candidate ordinal (`chain_id * chain_len + k`): the Pareto
     /// tiebreak, stable across any sharding.
-    pub ordinal: u64,
+    pub(crate) ordinal: u64,
     /// The chain that produced the point.
-    pub chain_id: u64,
+    pub(crate) chain_id: u64,
     /// Frequency-plan scale factor of the chain.
-    pub scale: f64,
+    pub(crate) scale: f64,
     /// Per-island switch-count boosts of the chain.
-    pub boosts: Vec<usize>,
+    pub(crate) boosts: Vec<usize>,
     /// The design point itself (provenance fields carry the base sweep
     /// index and the boosted switch counts).
-    pub point: DesignPoint,
+    pub(crate) point: DesignPoint,
 }
 
 impl FrontierPoint {
     /// The point's dominance key.
-    pub fn key(&self) -> ParetoKey {
+    fn key(&self) -> ParetoKey {
         self.point.pareto_key(self.ordinal)
     }
 }
@@ -67,26 +69,6 @@ impl SweepStats {
     }
 }
 
-/// Result of streaming one shard: the shard-local Pareto frontier plus
-/// counters. The frontier of shard `0/1` *is* the full run's frontier.
-#[derive(Debug, Clone)]
-pub struct ShardRun {
-    /// The stripe that was run.
-    pub shard: Shard,
-    /// Evaluation counters.
-    pub stats: SweepStats,
-    /// Active chains skipped by dominance pruning ([`run_shard_pruned`]);
-    /// always 0 for unpruned runs. Pruned chains also count into
-    /// [`SweepStats::inactive_chains`] — this in-memory counter exists so
-    /// callers can report the skip ratio, and is deliberately *not* part of
-    /// the serialized checkpoint stats (checkpoint bytes are
-    /// pruning-invariant only in the frontier section; the stats line
-    /// already differs through `chains`/`inactive_chains`).
-    pub pruned_chains: u64,
-    /// Undominated outcomes of this stripe.
-    pub frontier: ParetoFold<FrontierPoint>,
-}
-
 /// Memoized per-`(scale, base)` slack certificates backing the dominance
 /// pruning of [`run_shard_pruned`].
 ///
@@ -112,22 +94,7 @@ struct SlackOracle<'a> {
     cache: HashMap<(usize, usize), SlackCertificate>,
 }
 
-impl<'a> SlackOracle<'a> {
-    fn new(
-        spec: &'a SocSpec,
-        vi: &'a ViAssignment,
-        grid: &'a SweepGrid,
-        cfg: &'a SynthesisConfig,
-    ) -> Self {
-        SlackOracle {
-            spec,
-            vi,
-            grid,
-            cfg,
-            cache: HashMap::new(),
-        }
-    }
-
+impl SlackOracle<'_> {
     /// `true` when `chain` is provably dominated and may be skipped.
     fn should_skip(&mut self, chain: &ChainSpec) -> bool {
         if chain.boosts.iter().all(|&b| b == 0) {
@@ -265,11 +232,11 @@ pub fn regenerate_point(
 /// Streams shard `shard` of `grid`: evaluates every owned chain (rayon
 /// block-parallel when [`SynthesisConfig::parallel`] is set, strictly
 /// sequential otherwise) and folds outcomes into a bounded-memory Pareto
-/// frontier as they complete.
+/// frontier as they complete: [`run_deltas`] with the stripe as one delta.
 ///
 /// The result is exact and sharding-invariant: because dominance is a
 /// strict partial order (see [`vi_noc_core::pareto`]), merging the
-/// [`ShardRun::frontier`]s of any complete shard set — including this
+/// [`ShardProgress::frontier`]s of any complete shard set — including this
 /// function's own internal block merges — reproduces, bit for bit, the
 /// frontier a single sequential pass over all candidates produces.
 pub fn run_shard(
@@ -278,15 +245,22 @@ pub fn run_shard(
     grid: &SweepGrid,
     shard: Shard,
     cfg: &SynthesisConfig,
-) -> ShardRun {
-    run_shard_impl(spec, vi, grid, shard, cfg, false)
+) -> ShardProgress {
+    let mut progress = ShardProgress::new();
+    let ids = shard.chain_ids(grid.num_chains());
+    // Absorbing cannot fail, so neither can the loop.
+    let _ = run_deltas(spec, vi, grid, cfg, ids, 0, u64::MAX, false, &mut |d| {
+        progress.absorb(d);
+        Ok(())
+    });
+    progress
 }
 
 /// [`run_shard`] with slack-based dominance pruning: chains whose boosts
 /// only raise islands the [`SlackCertificate`] of their boost-free
 /// reference certifies as slack are skipped without evaluation, counting
 /// into [`SweepStats::inactive_chains`] exactly like the caps-exceeded
-/// rule (plus the advisory [`ShardRun::pruned_chains`] counter).
+/// rule (plus the advisory [`ShardProgress::pruned_chains`] counter).
 ///
 /// Exactness contract: for any *complete* shard set, the merged pruned
 /// frontier is byte-identical to the merged unpruned frontier — every
@@ -300,74 +274,20 @@ pub fn run_shard_pruned(
     grid: &SweepGrid,
     shard: Shard,
     cfg: &SynthesisConfig,
-) -> ShardRun {
-    run_shard_impl(spec, vi, grid, shard, cfg, true)
+) -> ShardProgress {
+    let mut progress = ShardProgress::new();
+    let ids = shard.chain_ids(grid.num_chains());
+    // Absorbing cannot fail, so neither can the loop.
+    let _ = run_deltas(spec, vi, grid, cfg, ids, 0, u64::MAX, true, &mut |d| {
+        progress.absorb(d);
+        Ok(())
+    });
+    progress
 }
 
-fn run_shard_impl(
-    spec: &SocSpec,
-    vi: &ViAssignment,
-    grid: &SweepGrid,
-    shard: Shard,
-    cfg: &SynthesisConfig,
-    prune: bool,
-) -> ShardRun {
-    let mut stats = SweepStats::default();
-    let mut pruned_chains = 0u64;
-    let mut frontier: ParetoFold<FrontierPoint> = ParetoFold::new();
-    let mut oracle = prune.then(|| SlackOracle::new(spec, vi, grid, cfg));
-
-    let mut block: Vec<ChainSpec> = Vec::with_capacity(PARALLEL_BLOCK);
-    let flush = |block: &mut Vec<ChainSpec>,
-                 stats: &mut SweepStats,
-                 frontier: &mut ParetoFold<FrontierPoint>| {
-        let results: Vec<(SweepStats, ParetoFold<FrontierPoint>)> = if cfg.parallel {
-            block
-                .par_iter()
-                .map(|chain| evaluate_chain(spec, vi, grid, chain, cfg))
-                .collect()
-        } else {
-            block
-                .iter()
-                .map(|chain| evaluate_chain(spec, vi, grid, chain, cfg))
-                .collect()
-        };
-        for (s, local) in results {
-            stats.add(&s);
-            frontier.absorb(local);
-        }
-        block.clear();
-    };
-
-    for chain_id in shard.chain_ids(grid.num_chains()) {
-        match grid.chain(chain_id) {
-            Some(chain) => {
-                if oracle.as_mut().is_some_and(|o| o.should_skip(&chain)) {
-                    stats.inactive_chains += 1;
-                    pruned_chains += 1;
-                } else {
-                    block.push(chain);
-                }
-            }
-            None => stats.inactive_chains += 1,
-        }
-        if block.len() >= PARALLEL_BLOCK {
-            flush(&mut block, &mut stats, &mut frontier);
-        }
-    }
-    flush(&mut block, &mut stats, &mut frontier);
-
-    ShardRun {
-        shard,
-        stats,
-        pruned_chains,
-        frontier,
-    }
-}
-
-/// Resumable state of one shard run: the stripe watermark, the counters,
-/// and the frontier with every surviving entry kept in its serialized
-/// checkpoint form ([`crate::checkpoint::frontier_entry_json`] bytes).
+/// The one fold record of a sweep — of a shard run, a resumable checkpoint
+/// and a fleet job alike: the chain positions consumed, the counters, and
+/// the frontier, built by [`ShardProgress::absorb`]ing [`RangeDelta`]s.
 ///
 /// Keeping entries as strings is what makes kill-and-resume *byte-exact*:
 /// a checkpoint written mid-run, parsed after a crash and re-serialized
@@ -377,15 +297,16 @@ fn run_shard_impl(
 /// uninterrupted run's bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct ShardProgress {
-    /// Stripe positions consumed so far, counting active *and* inactive
-    /// chain ids from the start of the shard's stripe in ascending order.
-    /// Complete when this reaches [`crate::Shard::stripe_len`].
+    /// Chain positions consumed so far, counting active *and* inactive
+    /// chain ids. For a shard this is the resume watermark, complete when
+    /// it reaches [`crate::Shard::stripe_len`].
     pub chains_done: u64,
     /// Evaluation counters accumulated over the consumed positions.
     pub stats: SweepStats,
-    /// Chains skipped by dominance pruning in *this process* (see
-    /// [`ShardRun::pruned_chains`]); advisory, not serialized, and reset
-    /// to 0 when progress is reparsed from a checkpoint file.
+    /// Active chains skipped by dominance pruning in *this process* (they
+    /// also count into [`SweepStats::inactive_chains`]). Advisory: callers
+    /// report the skip ratio from it, but it is not serialized and is 0
+    /// when progress is reparsed from a checkpoint file.
     pub pruned_chains: u64,
     /// Undominated outcomes, each as its serialized frontier entry.
     pub frontier: ParetoFold<String>,
@@ -396,137 +317,40 @@ impl ShardProgress {
     pub fn new() -> Self {
         ShardProgress::default()
     }
-}
 
-/// Continues (or starts) shard `shard` of `grid` from `progress`, consuming
-/// at most `limit` further stripe positions (`None` = run to the end of the
-/// stripe). Returns `true` once the stripe is exhausted.
-///
-/// The evaluation itself is identical to [`run_shard`] — same chain
-/// decoding, same block-parallel fan-out, same fold semantics — so a run
-/// assembled from any sequence of `resume_shard` calls (across process
-/// restarts via the checkpoint file) produces a final checkpoint
-/// byte-identical to the uninterrupted run's. `crates/sweep/tests/resume.rs`
-/// pins that.
-pub fn resume_shard(
-    spec: &SocSpec,
-    vi: &ViAssignment,
-    grid: &SweepGrid,
-    shard: Shard,
-    cfg: &SynthesisConfig,
-    progress: &mut ShardProgress,
-    limit: Option<u64>,
-) -> bool {
-    resume_shard_impl(spec, vi, grid, shard, cfg, progress, limit, false)
-}
-
-/// [`resume_shard`] with the dominance pruning of [`run_shard_pruned`].
-///
-/// The skip decision is a pure function of `(grid, chain)`, so a run
-/// assembled from any mix of interrupted `resume_shard_pruned` calls skips
-/// the identical chain set and reproduces the one-shot pruned runner's
-/// checkpoint bytes. Mixing pruned and unpruned resumption of the *same*
-/// shard is not meaningful (the serialized stats would disagree about
-/// which chains were inactive).
-#[allow(clippy::too_many_arguments)]
-pub fn resume_shard_pruned(
-    spec: &SocSpec,
-    vi: &ViAssignment,
-    grid: &SweepGrid,
-    shard: Shard,
-    cfg: &SynthesisConfig,
-    progress: &mut ShardProgress,
-    limit: Option<u64>,
-) -> bool {
-    resume_shard_impl(spec, vi, grid, shard, cfg, progress, limit, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resume_shard_impl(
-    spec: &SocSpec,
-    vi: &ViAssignment,
-    grid: &SweepGrid,
-    shard: Shard,
-    cfg: &SynthesisConfig,
-    progress: &mut ShardProgress,
-    limit: Option<u64>,
-    prune: bool,
-) -> bool {
-    let total = shard.stripe_len(grid.num_chains());
-    let mut remaining = limit.unwrap_or(u64::MAX);
-    let mut oracle = prune.then(|| SlackOracle::new(spec, vi, grid, cfg));
-    let mut ids = shard
-        .chain_ids(grid.num_chains())
-        .skip(progress.chains_done as usize);
-
-    while remaining > 0 && progress.chains_done < total {
-        let take = PARALLEL_BLOCK.min(usize::try_from(remaining).unwrap_or(usize::MAX));
-        let block_ids: Vec<u64> = ids.by_ref().take(take).collect();
-        if block_ids.is_empty() {
-            break;
+    /// Folds one delta; disjoint deltas fold to the same record in any
+    /// order.
+    pub fn absorb(&mut self, delta: RangeDelta) {
+        self.chains_done += delta.taken;
+        self.stats.add(&delta.stats);
+        self.pruned_chains += delta.pruned_chains;
+        for (key, entry) in delta.entries {
+            self.frontier.offer(key, entry);
         }
-        let mut block: Vec<ChainSpec> = Vec::with_capacity(block_ids.len());
-        for &chain_id in &block_ids {
-            match grid.chain(chain_id) {
-                Some(chain) => {
-                    if oracle.as_mut().is_some_and(|o| o.should_skip(&chain)) {
-                        progress.stats.inactive_chains += 1;
-                        progress.pruned_chains += 1;
-                    } else {
-                        block.push(chain);
-                    }
-                }
-                None => progress.stats.inactive_chains += 1,
-            }
-        }
-        let results: Vec<(SweepStats, ParetoFold<FrontierPoint>)> = if cfg.parallel {
-            block
-                .par_iter()
-                .map(|chain| evaluate_chain(spec, vi, grid, chain, cfg))
-                .collect()
-        } else {
-            block
-                .iter()
-                .map(|chain| evaluate_chain(spec, vi, grid, chain, cfg))
-                .collect()
-        };
-        for (s, local) in results {
-            progress.stats.add(&s);
-            for (key, fp) in local.into_sorted() {
-                progress
-                    .frontier
-                    .offer(key, crate::checkpoint::frontier_entry_json(&fp));
-            }
-        }
-        // The watermark only advances once the whole block is folded, so a
-        // checkpoint written between calls never claims unfolded work.
-        progress.chains_done += block_ids.len() as u64;
-        remaining -= block_ids.len() as u64;
     }
-    progress.chains_done >= total
 }
 
-/// One streaming checkpoint delta of a leased [`ChainRange`]: the counters
-/// and surviving frontier entries of range positions `[from, from+taken)`.
-///
-/// Deltas are *disjoint by construction* — each covers an interval of range
-/// positions no other delta of the same coverage set touches — so a
-/// coordinator folding every delta of a set of ranges that covers the grid
-/// exactly once reproduces the full run's frontier bit for bit. Entries are
-/// kept in serialized form ([`crate::checkpoint::frontier_entry_json`]
-/// bytes): the writers are parse→write fixed points, so an entry that
-/// crosses a wire as JSON and is re-emitted by the coordinator keeps its
-/// exact bytes.
+/// One streaming checkpoint delta: the counters and surviving frontier
+/// entries of chain positions `[from, from+taken)` of a [`run_deltas`]
+/// stream. Deltas are disjoint, so folding every delta of chain-id
+/// sequences that cover the grid exactly once reproduces the full run's
+/// frontier bit for bit. Entries are serialized: the writers are
+/// parse→write fixed points, so an entry that crosses the fleet wire as
+/// JSON keeps its exact bytes.
 #[derive(Debug, Clone)]
 pub struct RangeDelta {
-    /// First range position the delta covers (offset from the range start,
+    /// First position the delta covers (offset into the chain-id sequence,
     /// counting active *and* inactive chain ids).
     pub from: u64,
-    /// Number of range positions covered; the next delta starts at
+    /// Number of positions covered; the next delta starts at
     /// `from + taken`.
     pub taken: u64,
     /// Evaluation counters of the covered positions.
     pub stats: SweepStats,
+    /// Active chains of the covered positions skipped by dominance
+    /// pruning; see [`ShardProgress::pruned_chains`]. Advisory: neither
+    /// serialized nor sent over the fleet wire.
+    pub pruned_chains: u64,
     /// Undominated outcomes of the covered positions, each as its
     /// dominance key plus its serialized frontier entry. Entries dominated
     /// *within* the interval are already dropped — exact, because every
@@ -534,94 +358,93 @@ pub struct RangeDelta {
     pub entries: Vec<(ParetoKey, String)>,
 }
 
-/// Evaluates range positions `[from, range.len())` of `range`, emitting a
-/// [`RangeDelta`] through `emit` every `every` positions (the last delta
-/// may be shorter). This is the worker half of the fleet protocol: `emit`
-/// typically serializes the delta onto a socket and waits for the
-/// coordinator's ack; an `Err` from `emit` aborts the run and is returned
-/// verbatim.
-///
-/// Chain decoding, block-parallel fan-out (under [`SynthesisConfig::parallel`])
-/// and fold semantics are identical to [`run_shard`]'s, and with `prune`
-/// set the slack-certificate skip decision is the same pure function of
-/// `(grid, chain)` as [`run_shard_pruned`]'s — so folding every delta of a
-/// covering range set reproduces the equivalent shard run's frontier and
-/// stats exactly. `crates/sweep/tests/range_delta.rs` pins that.
+/// The sweep's one chain loop. Evaluates `chain_ids` (ascending: a
+/// shard's [`Shard::chain_ids`] or a lease's
+/// [`ChainRange::chain_ids`](crate::ChainRange::chain_ids)) from position
+/// `from` on, emitting a [`RangeDelta`] through `emit` every `every`
+/// positions (the last delta may be shorter); an `Err` from `emit` aborts
+/// the run and is returned verbatim. Within a delta, active chains run in
+/// rayon blocks of up to `PARALLEL_BLOCK` evaluated chains (under
+/// [`SynthesisConfig::parallel`]). With `prune` set, chains whose slack
+/// certificate proves them dominated are skipped; the decision is a pure
+/// function of `(grid, chain)`, so every split of the ids into shards,
+/// leases, deltas or resumed runs skips the identical set
+/// (`crates/sweep/tests/range_delta.rs` and `resume.rs` pin the bytes).
 ///
 /// # Errors
 ///
 /// Only errors surfaced by `emit` (the evaluation itself cannot fail).
 #[allow(clippy::too_many_arguments)]
-pub fn run_range_deltas(
+pub fn run_deltas(
     spec: &SocSpec,
     vi: &ViAssignment,
     grid: &SweepGrid,
-    range: ChainRange,
     cfg: &SynthesisConfig,
+    chain_ids: impl IntoIterator<Item = u64>,
     from: u64,
     every: u64,
     prune: bool,
     emit: &mut dyn FnMut(RangeDelta) -> Result<(), String>,
 ) -> Result<(), String> {
-    let every = every.max(1);
-    let mut oracle = prune.then(|| SlackOracle::new(spec, vi, grid, cfg));
-    let mut pos = from.min(range.len());
-
-    while pos < range.len() {
-        let taken = every.min(range.len() - pos);
-        let mut stats = SweepStats::default();
-        let mut local: ParetoFold<FrontierPoint> = ParetoFold::new();
-
-        // The interval is consumed in PARALLEL_BLOCK slices, exactly like
-        // the shard runners, so one lease's evaluation order matches the
-        // unsharded run's chain-local behaviour.
-        let mut offset = 0u64;
-        while offset < taken {
-            let block_len = PARALLEL_BLOCK.min((taken - offset) as usize);
-            let mut block: Vec<ChainSpec> = Vec::with_capacity(block_len);
-            for i in 0..block_len as u64 {
-                let chain_id = range.start + pos + offset + i;
-                match grid.chain(chain_id) {
-                    Some(chain) => {
-                        if oracle.as_mut().is_some_and(|o| o.should_skip(&chain)) {
-                            stats.inactive_chains += 1;
-                        } else {
-                            block.push(chain);
-                        }
-                    }
-                    None => stats.inactive_chains += 1,
-                }
-            }
-            let results: Vec<(SweepStats, ParetoFold<FrontierPoint>)> = if cfg.parallel {
-                block
-                    .par_iter()
-                    .map(|chain| evaluate_chain(spec, vi, grid, chain, cfg))
-                    .collect()
-            } else {
-                block
-                    .iter()
-                    .map(|chain| evaluate_chain(spec, vi, grid, chain, cfg))
-                    .collect()
-            };
-            for (s, f) in results {
-                stats.add(&s);
-                local.absorb(f);
-            }
-            offset += block_len as u64;
+    let every = usize::try_from(every.max(1)).unwrap_or(usize::MAX);
+    let skip = usize::try_from(from).unwrap_or(usize::MAX);
+    let mut ids = chain_ids.into_iter().skip(skip).peekable();
+    let mut oracle = prune.then_some(SlackOracle {
+        spec,
+        vi,
+        grid,
+        cfg,
+        cache: HashMap::new(),
+    });
+    let evaluate = |chain: &ChainSpec| evaluate_chain(spec, vi, grid, chain, cfg);
+    let flush = |block: &mut Vec<ChainSpec>,
+                 stats: &mut SweepStats,
+                 frontier: &mut ParetoFold<FrontierPoint>| {
+        let results: Vec<_> = if cfg.parallel {
+            block.par_iter().map(evaluate).collect()
+        } else {
+            block.iter().map(evaluate).collect()
+        };
+        for (s, local) in results {
+            stats.add(&s);
+            frontier.absorb(local);
         }
+        block.clear();
+    };
 
-        let entries = local
+    let mut pos = from;
+    while ids.peek().is_some() {
+        let mut delta = RangeDelta {
+            from: pos,
+            taken: 0,
+            stats: SweepStats::default(),
+            pruned_chains: 0,
+            entries: Vec::new(),
+        };
+        let mut frontier: ParetoFold<FrontierPoint> = ParetoFold::new();
+        let mut block: Vec<ChainSpec> = Vec::with_capacity(PARALLEL_BLOCK);
+        for chain_id in ids.by_ref().take(every) {
+            delta.taken += 1;
+            match grid.chain(chain_id) {
+                Some(chain) if oracle.as_mut().is_some_and(|o| o.should_skip(&chain)) => {
+                    delta.stats.inactive_chains += 1;
+                    delta.pruned_chains += 1;
+                }
+                Some(chain) => block.push(chain),
+                None => delta.stats.inactive_chains += 1,
+            }
+            if block.len() >= PARALLEL_BLOCK {
+                flush(&mut block, &mut delta.stats, &mut frontier);
+            }
+        }
+        flush(&mut block, &mut delta.stats, &mut frontier);
+        delta.entries = frontier
             .into_sorted()
             .into_iter()
             .map(|(key, fp)| (key, crate::checkpoint::frontier_entry_json(&fp)))
             .collect();
-        emit(RangeDelta {
-            from: pos,
-            taken,
-            stats,
-            entries,
-        })?;
-        pos += taken;
+        pos += delta.taken;
+        emit(delta)?;
     }
     Ok(())
 }
@@ -647,19 +470,26 @@ mod tests {
         let want = space.pareto_front();
         let got = run.frontier.clone().into_sorted();
         assert_eq!(got.len(), want.len());
-        for ((_, fp), dp) in got.iter().zip(&want) {
-            assert_eq!(fp.point.sweep_index, dp.sweep_index);
-            assert_eq!(fp.point.requested_intermediate, dp.requested_intermediate);
-            assert_eq!(fp.point.switch_counts, dp.switch_counts);
-            assert_eq!(fp.point.topology, dp.topology);
+        for ((key, entry), dp) in got.iter().zip(&want) {
+            // The entry embeds the eager sweep's point verbatim, and the
+            // point it regenerates to is the same value.
+            let embedded = format!(",\"point\":{}}}", vi_noc_core::design_point_json(dp));
+            assert!(entry.ends_with(&embedded), "{entry}");
+            let coords = crate::entry_coords(&crate::json::parse(entry).unwrap()).unwrap();
+            assert_eq!(coords.ordinal, key.ordinal);
+            let fp =
+                regenerate_point(&soc, &vi, &grid, &cfg, coords.chain_id, key.ordinal).unwrap();
+            assert_eq!(fp.sweep_index, dp.sweep_index);
+            assert_eq!(fp.requested_intermediate, dp.requested_intermediate);
+            assert_eq!(fp.switch_counts, dp.switch_counts);
+            assert_eq!(fp.topology, dp.topology);
             assert_eq!(
-                fp.point.metrics.noc_dynamic_power().mw(),
+                fp.metrics.noc_dynamic_power().mw(),
                 dp.metrics.noc_dynamic_power().mw()
             );
-            assert_eq!(
-                fp.point.metrics.avg_latency_cycles,
-                dp.metrics.avg_latency_cycles
-            );
+            assert_eq!(fp.metrics.avg_latency_cycles, dp.metrics.avg_latency_cycles);
+            assert_eq!(key.power_mw, dp.metrics.noc_dynamic_power().mw());
+            assert_eq!(key.latency_cycles, dp.metrics.avg_latency_cycles);
         }
         assert_eq!(
             run.stats.feasible,
@@ -692,11 +522,11 @@ mod tests {
         let a = seq.frontier.into_sorted();
         let b = par.frontier.into_sorted();
         assert_eq!(a.len(), b.len());
-        for ((ka, fa), (kb, fb)) in a.iter().zip(&b) {
+        for ((ka, ea), (kb, eb)) in a.iter().zip(&b) {
             assert_eq!(ka.ordinal, kb.ordinal);
             assert_eq!(ka.power_mw, kb.power_mw);
             assert_eq!(ka.latency_cycles, kb.latency_cycles);
-            assert_eq!(fa.point.topology, fb.point.topology);
+            assert_eq!(ea, eb, "entry bytes, topology included");
         }
     }
 

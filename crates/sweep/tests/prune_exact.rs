@@ -26,7 +26,7 @@ use vi_noc_core::{
 use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
     frontier_json, merge_checkpoints, run_shard, run_shard_pruned, shard_checkpoint_json,
-    GridConfig, GridDescriptor, Shard, ShardRun, SweepGrid,
+    GridConfig, GridDescriptor, Shard, ShardProgress, SweepGrid,
 };
 
 /// The frontier-entry section of a frontier file (everything from the
@@ -48,7 +48,7 @@ fn check_prune_exactness(
     grid_cfg: &GridConfig,
     cfg: &SynthesisConfig,
     shard_counts: &[u64],
-) -> ShardRun {
+) -> ShardProgress {
     let grid = SweepGrid::build(spec, vi, cfg, grid_cfg);
     let desc = GridDescriptor::for_grid(&grid, spec.name(), label, cfg.seed);
     let full = run_shard(spec, vi, &grid, Shard::full(), cfg);
@@ -77,8 +77,9 @@ fn check_prune_exactness(
     for &n in shard_counts {
         let files: Vec<String> = (0..n)
             .map(|i| {
-                let run = run_shard_pruned(spec, vi, &grid, Shard::new(i, n).unwrap(), cfg);
-                shard_checkpoint_json(&desc, &run)
+                let shard = Shard::new(i, n).unwrap();
+                let run = run_shard_pruned(spec, vi, &grid, shard, cfg);
+                shard_checkpoint_json(&desc, shard, &run)
             })
             .collect();
         let merged = merge_checkpoints(&files).unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
@@ -93,7 +94,7 @@ fn check_prune_exactness(
 /// Recomputes the skip set from first principles (reference certificate per
 /// `(scale, base)` block), force-evaluates every skipped chain, and asserts
 /// each of its feasible points is dominated by the pruned run's frontier.
-/// Also pins the recomputed skip count to [`ShardRun::pruned_chains`].
+/// Also pins the recomputed skip count to [`ShardProgress::pruned_chains`].
 fn check_skipped_chains_dominated(
     label: &str,
     spec: &SocSpec,

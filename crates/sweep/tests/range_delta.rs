@@ -8,8 +8,8 @@
 use vi_noc_core::{ParetoFold, SynthesisConfig};
 use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
-    frontier_json, frontier_progress_json, run_range_deltas, run_shard, run_shard_pruned,
-    ChainRange, GridConfig, GridDescriptor, RangeDelta, Shard, ShardProgress, SweepGrid,
+    frontier_json, run_deltas, run_shard, run_shard_pruned, ChainRange, GridConfig, GridDescriptor,
+    RangeDelta, Shard, ShardProgress, SweepGrid,
 };
 
 fn setup() -> (SocSpec, ViAssignment, SynthesisConfig, SweepGrid) {
@@ -43,14 +43,11 @@ fn fold_coverage(
     for &range in ranges {
         let mut emit = |d: RangeDelta| {
             assert!(d.taken >= 1 && d.taken <= every.max(1), "delta sizing");
-            progress.stats.add(&d.stats);
-            for (key, entry) in d.entries {
-                progress.frontier.offer(key, entry);
-            }
-            progress.chains_done += d.taken;
+            progress.absorb(d);
             Ok(())
         };
-        run_range_deltas(soc, vi, grid, range, cfg, 0, every, prune, &mut emit).unwrap();
+        let ids = range.chain_ids();
+        run_deltas(soc, vi, grid, cfg, ids, 0, every, prune, &mut emit).unwrap();
     }
     progress
 }
@@ -69,7 +66,7 @@ fn any_range_cut_and_delta_granularity_reproduces_the_full_frontier_bytes() {
             assert_eq!(progress.chains_done, grid.num_chains());
             assert_eq!(progress.stats, full.stats, "chunk={chunk} every={every}");
             assert_eq!(
-                frontier_progress_json(&desc, &progress),
+                frontier_json(&desc, &progress),
                 want,
                 "chunk={chunk} every={every}: delta folds must be byte-identical"
             );
@@ -87,15 +84,15 @@ fn pruned_deltas_reproduce_the_pruned_runner_exactly() {
     let ranges = ChainRange::cut(grid.num_chains(), 5);
     let progress = fold_coverage(&soc, &vi, &cfg, &grid, &ranges, 2, true);
     assert_eq!(progress.stats, pruned.stats);
-    assert_eq!(frontier_progress_json(&desc, &progress), want);
+    assert_eq!(frontier_json(&desc, &progress), want);
 
     // And the pruned frontier *entries* equal the unpruned ones (pruning
     // only moves counters) — the cross-check the CI smoke pins end to end.
     let unpruned = fold_coverage(&soc, &vi, &cfg, &grid, &ranges, 2, false);
     let strip = |s: &str| s.split("\n\"frontier\":[").nth(1).unwrap().to_string();
     assert_eq!(
-        strip(&frontier_progress_json(&desc, &progress)),
-        strip(&frontier_progress_json(&desc, &unpruned))
+        strip(&frontier_json(&desc, &progress)),
+        strip(&frontier_json(&desc, &unpruned))
     );
 }
 
@@ -122,17 +119,13 @@ fn a_reissued_range_resumed_from_its_watermark_loses_nothing() {
                 if acked == killed_after {
                     return Err("worker killed".to_string());
                 }
-                progress.stats.add(&d.stats);
-                for (key, entry) in d.entries {
-                    progress.frontier.offer(key, entry);
-                }
-                progress.chains_done += d.taken;
                 watermark = d.from + d.taken;
+                progress.absorb(d);
                 acked += 1;
                 Ok(())
             };
-            let died =
-                run_range_deltas(&soc, &vi, &grid, range, &cfg, 0, 3, false, &mut emit).is_err();
+            let ids = range.chain_ids();
+            let died = run_deltas(&soc, &vi, &grid, &cfg, ids, 0, 3, false, &mut emit).is_err();
             assert_eq!(died, watermark < range.len(), "kill schedule sanity");
             // Re-lease from the acked watermark (the fleet's re-issue).
             let mut emit = |d: RangeDelta| {
@@ -140,22 +133,16 @@ fn a_reissued_range_resumed_from_its_watermark_loses_nothing() {
                     d.from >= watermark,
                     "re-issued lease starts at the watermark"
                 );
-                progress.stats.add(&d.stats);
-                for (key, entry) in d.entries {
-                    progress.frontier.offer(key, entry);
-                }
-                progress.chains_done += d.taken;
+                progress.absorb(d);
                 Ok(())
             };
-            run_range_deltas(
-                &soc, &vi, &grid, range, &cfg, watermark, 3, false, &mut emit,
-            )
-            .unwrap();
+            let ids = range.chain_ids();
+            run_deltas(&soc, &vi, &grid, &cfg, ids, watermark, 3, false, &mut emit).unwrap();
         }
         assert_eq!(progress.chains_done, grid.num_chains());
         assert_eq!(progress.stats, full.stats, "killed_after={killed_after}");
         assert_eq!(
-            frontier_progress_json(&desc, &progress),
+            frontier_json(&desc, &progress),
             want,
             "killed_after={killed_after}: kill + re-lease must be byte-exact"
         );
@@ -174,7 +161,8 @@ fn delta_entries_survive_a_wire_round_trip_byte_for_byte() {
         entries.extend(d.entries);
         Ok(())
     };
-    run_range_deltas(&soc, &vi, &grid, range, &cfg, 0, 7, false, &mut emit).unwrap();
+    let ids = range.chain_ids();
+    run_deltas(&soc, &vi, &grid, &cfg, ids, 0, 7, false, &mut emit).unwrap();
     assert!(!entries.is_empty());
     let mut fold: ParetoFold<String> = ParetoFold::new();
     for (key, entry) in entries {

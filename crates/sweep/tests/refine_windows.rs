@@ -16,7 +16,7 @@ use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
     frontier_json, frontier_seeds, json::Value, merge_checkpoints, parse_frontier_file, run_shard,
     run_shard_pruned, shard_checkpoint_json, validate_frontier_source, windows_from_frontier,
-    GridConfig, GridDescriptor, RefineParams, Shard, ShardRun, SweepGrid,
+    GridConfig, GridDescriptor, RefineParams, Shard, ShardProgress, SweepGrid,
 };
 
 const PARTITION: &str = "logical:6";
@@ -47,7 +47,11 @@ fn frontier_entries(file: &str) -> &str {
 }
 
 /// Runs the coarse (paper) sweep and returns its frontier file + run.
-fn coarse_frontier(spec: &SocSpec, vi: &ViAssignment, cfg: &SynthesisConfig) -> (String, ShardRun) {
+fn coarse_frontier(
+    spec: &SocSpec,
+    vi: &ViAssignment,
+    cfg: &SynthesisConfig,
+) -> (String, ShardProgress) {
     let coarse = SweepGrid::build(spec, vi, cfg, &GridConfig::default());
     let desc = GridDescriptor::for_grid(&coarse, spec.name(), PARTITION, cfg.seed);
     let run = run_shard(spec, vi, &coarse, Shard::full(), cfg);
@@ -133,8 +137,9 @@ fn full_coverage_refinement_reproduces_the_exhaustive_frontier_bytes() {
     // Sharded refined runs still merge to the full refined emission.
     let files: Vec<String> = (0..3)
         .map(|i| {
-            let run = run_shard_pruned(&soc, &vi, &refined, Shard::new(i, 3).unwrap(), &cfg);
-            shard_checkpoint_json(&refined_desc, &run)
+            let shard = Shard::new(i, 3).unwrap();
+            let run = run_shard_pruned(&soc, &vi, &refined, shard, &cfg);
+            shard_checkpoint_json(&refined_desc, shard, &run)
         })
         .collect();
     let merged = merge_checkpoints(&files).expect("refined shards merge");
@@ -232,8 +237,9 @@ fn mismatched_refinement_checkpoints_refuse_to_merge() {
     let desc_b = GridDescriptor::for_grid(&refined_b, soc.name(), PARTITION, cfg.seed);
 
     let shard_file = |grid: &SweepGrid, desc: &GridDescriptor, i: u64, n: u64| {
-        let run = run_shard_pruned(&soc, &vi, grid, Shard::new(i, n).unwrap(), &cfg);
-        shard_checkpoint_json(desc, &run)
+        let shard = Shard::new(i, n).unwrap();
+        let run = run_shard_pruned(&soc, &vi, grid, shard, &cfg);
+        shard_checkpoint_json(desc, shard, &run)
     };
 
     // Coarse and refined shards describe different grids.

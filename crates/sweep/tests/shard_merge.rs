@@ -41,8 +41,9 @@ fn check_shard_exactness(
     for &n in shard_counts {
         let files: Vec<String> = (0..n)
             .map(|i| {
-                let run = run_shard(spec, vi, &grid, Shard::new(i, n).unwrap(), cfg);
-                shard_checkpoint_json(&desc, &run)
+                let shard = Shard::new(i, n).unwrap();
+                let run = run_shard(spec, vi, &grid, shard, cfg);
+                shard_checkpoint_json(&desc, shard, &run)
             })
             .collect();
         let merged = merge_checkpoints(&files).unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
@@ -132,8 +133,10 @@ fn parallel_shard_checkpoints_match_sequential() {
     let desc = descriptor(&soc, "d12-par", &grid, &seq_cfg);
     for i in 0..2 {
         let shard = Shard::new(i, 2).unwrap();
-        let seq = shard_checkpoint_json(&desc, &run_shard(&soc, &vi, &grid, shard, &seq_cfg));
-        let par = shard_checkpoint_json(&desc, &run_shard(&soc, &vi, &grid, shard, &par_cfg));
+        let seq =
+            shard_checkpoint_json(&desc, shard, &run_shard(&soc, &vi, &grid, shard, &seq_cfg));
+        let par =
+            shard_checkpoint_json(&desc, shard, &run_shard(&soc, &vi, &grid, shard, &par_cfg));
         assert_eq!(seq, par, "shard {shard}");
     }
 }
