@@ -117,8 +117,33 @@ fn write_out(out: Option<&str>, text: &str) -> Result<(), String> {
             print!("{text}");
             Ok(())
         }
-        Some(path) => std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}")),
+        Some(path) => write_atomic(path, text),
     }
+}
+
+/// Writes `text` to the file `path` atomically: the bytes go to a sibling
+/// temp file that is then renamed over `path`, so a concurrent reader (or a
+/// `--resume` after a SIGKILL) sees the old file or the new one, never a
+/// torn write. Nothing is fsynced: this guards against the process dying
+/// mid-write, not against power loss. Symlinks and special files such as
+/// `/dev/null` are written in place, since a rename would replace them.
+fn write_atomic(path: &str, text: &str) -> Result<(), String> {
+    let err = |e: std::io::Error| format!("writing {path}: {e}");
+    let target = std::path::Path::new(path);
+    let special = std::fs::symlink_metadata(target).is_ok_and(|m| !m.is_file());
+    let Some(name) = target.file_name().filter(|_| !special) else {
+        return std::fs::write(target, text).map_err(err);
+    };
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = target.with_file_name(tmp_name);
+    std::fs::write(&tmp, text)
+        .and_then(|()| std::fs::rename(&tmp, target))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            err(e)
+        })
 }
 
 // --- run / simulate ------------------------------------------------------
@@ -573,8 +598,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
         if progress.chains_done < stripe_len {
             // Periodic checkpoint so a killed process loses at most one delta.
             let path = opts.out.as_deref().expect("validated by parse_sweep_opts");
-            std::fs::write(path, shard_checkpoint_json(&desc, opts.shard, &progress))
-                .map_err(|e| format!("writing {path}: {e}"))?;
+            write_atomic(path, &shard_checkpoint_json(&desc, opts.shard, &progress))?;
             eprintln!(
                 "sweep run: checkpoint at {}/{stripe_len} chains -> {path}",
                 progress.chains_done
@@ -729,8 +753,7 @@ fn fleet_serve(args: &[String]) -> Result<(), String> {
     );
     // The resolved address lets scripts bind port 0 and still find us.
     if let Some(path) = &addr_file {
-        std::fs::write(path, format!("{}\n", handle.addr()))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_atomic(path, &format!("{}\n", handle.addr()))?;
     }
     let start = Instant::now();
     let result = handle.submit(&job_payload(&scenario, None));

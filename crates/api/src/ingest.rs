@@ -583,6 +583,11 @@ fn synthesis_to_json(c: &SynthesisConfig) -> String {
     )
 }
 
+/// Most annealing restarts a scenario may ask for. The floorplanner holds
+/// every restart index in memory at once, so an unbounded count could
+/// abort the process; every committed scenario uses the default 2.
+const MAX_RESTARTS: usize = 64;
+
 fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> {
     let m = as_obj(v, ctx)?;
     check_keys(
@@ -608,7 +613,19 @@ fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> 
     override_field(m, "lambda_wire", ctx, &mut c.lambda_wire, f64_of)?;
     override_field(m, "lambda_island", ctx, &mut c.lambda_island, f64_of)?;
     override_field(m, "lambda_aspect", ctx, &mut c.lambda_aspect, f64_of)?;
-    override_field(m, "restarts", ctx, &mut c.restarts, usize_of)?;
+    override_field(
+        m,
+        "restarts",
+        ctx,
+        &mut c.restarts,
+        |v, rctx| match usize_of(v, rctx)? {
+            r if r > MAX_RESTARTS => Err(Error::scenario(
+                rctx,
+                format!("must be at most {MAX_RESTARTS}, got {r}"),
+            )),
+            r => Ok(r),
+        },
+    )?;
     override_field(m, "parallel", ctx, &mut c.parallel, bool_of)?;
     Ok(c)
 }
@@ -1213,6 +1230,32 @@ mod tests {
         let ok =
             with_core(r#"{"name":"c","kind":"cpu","area_mm2":1,"dyn_power_w":0,"clock_hz":1e8}"#);
         assert!(Scenario::from_json(&ok).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_restarts_fail_at_ingestion() {
+        // An unbounded restart count would abort the process allocating
+        // the restart indices deep in the floorplanner.
+        let with_restarts = |r: &str| {
+            format!(
+                r#"{{"name":"r","spec":{{"benchmark":"d26"}},
+                "partition":{{"kind":"logical","islands":2}},
+                "floorplan":{{"restarts":{r}}}}}"#
+            )
+        };
+        for r in ["65", "100000000000"] {
+            let err = Scenario::from_json(&with_restarts(r)).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains("scenario.floorplan.restarts") && msg.contains("at most 64"),
+                "{r}: {msg}"
+            );
+        }
+        // Zero clamps to one chain in the floorplanner; the cap is accepted.
+        for (r, want) in [("0", 0), ("64", 64)] {
+            let s = Scenario::from_json(&with_restarts(r)).unwrap();
+            assert_eq!(s.floorplan.restarts, want);
+        }
     }
 
     #[test]

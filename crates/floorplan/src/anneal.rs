@@ -1,7 +1,7 @@
 //! Simulated-annealing floorplan optimization (Wong–Liu moves), with
 //! independently seeded restarts fanned out across threads.
 
-use crate::placement::{evaluate, Placement};
+use crate::placement::{evaluate, Evaluator, Placement, Rect};
 use crate::slicing::{Module, Net, PolishElem, PolishExpr};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,132 +51,168 @@ impl Default for FloorplanConfig {
     }
 }
 
-/// Cost of a placement: die area + weighted wirelength + island spread +
-/// aspect penalty. Lower is better.
-fn cost(placement: &Placement, modules: &[Module], nets: &[Net], cfg: &FloorplanConfig) -> f64 {
-    let (w, h) = placement.die();
-    let area = w * h;
-    let aspect = if w > 0.0 && h > 0.0 {
-        (w / h).ln().abs()
-    } else {
-        10.0
-    };
-
-    // Traffic-weighted half-perimeter wirelength.
-    let mut wl = 0.0;
-    let total_weight: f64 = nets.iter().map(|n| n.weight).sum::<f64>().max(1e-12);
-    for net in nets {
-        let (mut lo_x, mut hi_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut lo_y, mut hi_y) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &p in &net.pins {
-            let (cx, cy) = placement.center(p);
-            lo_x = lo_x.min(cx);
-            hi_x = hi_x.max(cx);
-            lo_y = lo_y.min(cy);
-            hi_y = hi_y.max(cy);
-        }
-        wl += net.weight / total_weight * ((hi_x - lo_x) + (hi_y - lo_y));
-    }
-
-    // Island cohesion: half-perimeter of each island's bounding box, summed.
-    let n_islands = modules.iter().map(|m| m.island).max().unwrap_or(0) + 1;
-    let mut spread = 0.0;
-    for isl in 0..n_islands {
-        let (mut lo_x, mut hi_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut lo_y, mut hi_y) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut any = false;
-        for (i, m) in modules.iter().enumerate() {
-            if m.island == isl {
-                any = true;
-                let (cx, cy) = placement.center(i);
-                lo_x = lo_x.min(cx);
-                hi_x = hi_x.max(cx);
-                lo_y = lo_y.min(cy);
-                hi_y = hi_y.max(cy);
-            }
-        }
-        if any {
-            spread += (hi_x - lo_x) + (hi_y - lo_y);
-        }
-    }
-
-    area + cfg.lambda_aspect * area * aspect.min(2.0) / 2.0
-        + cfg.lambda_wire * area * wl
-        + cfg.lambda_island * spread
+/// The per-chain constants of the cost function (each net's weight share,
+/// each island's members), computed once per chain instead of once per
+/// move.
+struct CostModel<'a> {
+    cfg: &'a FloorplanConfig,
+    /// Each net's pins with its share of the total net weight (the total
+    /// taken as at least `1e-12`).
+    nets: Vec<(f64, &'a [usize])>,
+    /// Module indices of each non-empty island, islands and members both
+    /// in ascending order.
+    islands: Vec<Vec<usize>>,
 }
 
-/// Proposes one random Wong–Liu move; returns `false` if the proposal was
-/// structurally invalid (caller retries).
-fn propose(expr: &mut PolishExpr, n: usize, rng: &mut StdRng) -> bool {
-    match rng.random_range(0..4u8) {
-        // M1: swap two adjacent operands.
-        0 => {
-            let ops = expr.operand_positions();
-            if ops.len() < 2 {
-                return false;
-            }
-            let k = rng.random_range(0..ops.len() - 1);
-            expr.elems.swap(ops[k], ops[k + 1]);
-            true
-        }
-        // M2: complement a chain of operators (flip H<->V).
-        1 => {
-            let chains: Vec<usize> = expr
-                .elems
+impl<'a> CostModel<'a> {
+    fn new(modules: &[Module], nets: &'a [Net], cfg: &'a FloorplanConfig) -> Self {
+        let mut by_island: Vec<usize> = (0..modules.len()).collect();
+        by_island.sort_by_key(|&i| modules[i].island);
+        let total_weight = nets.iter().map(|n| n.weight).sum::<f64>().max(1e-12);
+        CostModel {
+            cfg,
+            nets: nets
                 .iter()
-                .enumerate()
-                .filter(|(_, e)| !matches!(e, PolishElem::Operand(_)))
-                .map(|(i, _)| i)
-                .collect();
-            if chains.is_empty() {
-                return false;
-            }
-            let start = chains[rng.random_range(0..chains.len())];
-            let mut i = start;
-            while i < expr.elems.len() {
-                match expr.elems[i] {
-                    PolishElem::H => expr.elems[i] = PolishElem::V,
-                    PolishElem::V => expr.elems[i] = PolishElem::H,
-                    PolishElem::Operand(_) => break,
+                .map(|n| (n.weight / total_weight, &n.pins[..]))
+                .collect(),
+            islands: by_island
+                .chunk_by(|&a, &b| modules[a].island == modules[b].island)
+                .map(<[usize]>::to_vec)
+                .collect(),
+        }
+    }
+
+    /// Cost of the placement `rects` on a `die`: die area + weighted
+    /// wirelength + island spread + aspect penalty. Lower is better.
+    fn cost(&self, rects: &[Rect], (w, h): (f64, f64)) -> f64 {
+        let area = w * h;
+        let aspect = if w > 0.0 && h > 0.0 {
+            (w / h).ln().abs()
+        } else {
+            10.0
+        };
+
+        // Traffic-weighted half-perimeter wirelength.
+        let mut wl = 0.0;
+        for &(share, pins) in &self.nets {
+            wl += share * half_perimeter(rects, pins);
+        }
+
+        // Island cohesion: half-perimeter of each island's bounding box, summed.
+        let mut spread = 0.0;
+        for members in &self.islands {
+            spread += half_perimeter(rects, members);
+        }
+
+        let cfg = self.cfg;
+        area + cfg.lambda_aspect * area * aspect.min(2.0) / 2.0
+            + cfg.lambda_wire * area * wl
+            + cfg.lambda_island * spread
+    }
+}
+
+/// Half-perimeter of the bounding box of the centers of `rects[i]` for
+/// each `i` in `members`.
+fn half_perimeter(rects: &[Rect], members: &[usize]) -> f64 {
+    let (mut lo_x, mut hi_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut lo_y, mut hi_y) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &i in members {
+        let (cx, cy) = rects[i].center();
+        lo_x = lo_x.min(cx);
+        hi_x = hi_x.max(cx);
+        lo_y = lo_y.min(cy);
+        hi_y = hi_y.max(cy);
+    }
+    (hi_x - lo_x) + (hi_y - lo_y)
+}
+
+/// A move applied in place. Every move is its own inverse, so applying it
+/// again undoes a rejected proposal.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// Swap the elements at two positions (M1, M3).
+    Swap(usize, usize),
+    /// Complement the run of operators starting at a position (M2).
+    Complement(usize),
+    /// Flip a module's rotation flag (M4).
+    Rotate(usize),
+}
+
+impl Move {
+    fn apply(self, expr: &mut PolishExpr) {
+        match self {
+            Move::Swap(a, b) => expr.elems.swap(a, b),
+            Move::Complement(start) => {
+                for e in &mut expr.elems[start..] {
+                    match e {
+                        PolishElem::H => *e = PolishElem::V,
+                        PolishElem::V => *e = PolishElem::H,
+                        PolishElem::Operand(_) => break,
+                    }
                 }
-                i += 1;
             }
-            true
+            Move::Rotate(i) => expr.rotated[i] = !expr.rotated[i],
+        }
+    }
+}
+
+/// Proposes one random Wong–Liu move on the valid expression `expr` over
+/// `n` modules and applies it; returns `None`, with `expr` unchanged, if
+/// the proposal was structurally invalid (caller retries).
+fn propose(expr: &mut PolishExpr, n: usize, rng: &mut StdRng) -> Option<Move> {
+    let is_operand = |e: &PolishElem| matches!(e, PolishElem::Operand(_));
+    let mv = match rng.random_range(0..4u8) {
+        // M1: swap two adjacent operands (a valid expression has `n`).
+        0 => {
+            if n < 2 {
+                return None;
+            }
+            let k = rng.random_range(0..n - 1);
+            let mut operands = (0..expr.elems.len()).filter(|&i| is_operand(&expr.elems[i]));
+            let a = operands.nth(k).expect("k-th operand");
+            Move::Swap(a, operands.next().expect("next operand"))
+        }
+        // M2: complement a chain of operators (flip H<->V) from a random
+        // operator (a valid expression has `n - 1`) to the next operand.
+        1 => {
+            if n < 2 {
+                return None;
+            }
+            let k = rng.random_range(0..n - 1);
+            let start = (0..expr.elems.len())
+                .filter(|&i| !is_operand(&expr.elems[i]))
+                .nth(k)
+                .expect("k-th operator");
+            Move::Complement(start)
         }
         // M3: swap an adjacent operand/operator pair, if validity holds.
         2 => {
             if expr.elems.len() < 2 {
-                return false;
+                return None;
             }
             let k = rng.random_range(0..expr.elems.len() - 1);
-            let pair = (expr.elems[k], expr.elems[k + 1]);
-            let swappable = matches!(
-                pair,
-                (PolishElem::Operand(_), PolishElem::H | PolishElem::V)
-                    | (PolishElem::H | PolishElem::V, PolishElem::Operand(_))
-            );
-            if !swappable {
-                return false;
+            if is_operand(&expr.elems[k]) == is_operand(&expr.elems[k + 1]) {
+                return None;
             }
             expr.elems.swap(k, k + 1);
-            if expr.is_valid(n) {
-                true
-            } else {
+            if !expr.is_valid(n) {
                 expr.elems.swap(k, k + 1);
-                false
+                return None;
             }
+            return Some(Move::Swap(k, k + 1));
         }
         // M4: rotate a random module.
-        _ => {
-            let i = rng.random_range(0..n);
-            expr.rotated[i] = !expr.rotated[i];
-            true
-        }
-    }
+        _ => Move::Rotate(rng.random_range(0..n)),
+    };
+    mv.apply(expr);
+    Some(mv)
 }
 
 /// One annealing chain from `seed`; returns the best cost seen and the
 /// expression achieving it.
+///
+/// Each move is applied to the one working expression in place, evaluated
+/// into reused buffers, and undone if rejected, so a move allocates nothing.
 fn anneal_chain(
     modules: &[Module],
     nets: &[Net],
@@ -184,9 +220,16 @@ fn anneal_chain(
     seed: u64,
 ) -> (f64, PolishExpr) {
     let n = modules.len();
+    let model = CostModel::new(modules, nets, cfg);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut expr = PolishExpr::initial(n);
-    let mut current_cost = cost(&evaluate(&expr, modules), modules, nets, cfg);
+    let mut evaluator = Evaluator::new(expr.elems.len());
+    let mut rects = vec![Rect::default(); n];
+    let mut cost_of = |expr: &PolishExpr| {
+        let die = evaluator.place(expr, modules, &mut rects);
+        model.cost(&rects, die)
+    };
+    let mut current_cost = cost_of(&expr);
     let mut best_expr = expr.clone();
     let mut best_cost = current_cost;
 
@@ -194,21 +237,22 @@ fn anneal_chain(
     let chunk = (cfg.iterations / 50).max(1);
 
     for it in 0..cfg.iterations {
-        let mut candidate = expr.clone();
-        if !propose(&mut candidate, n, &mut rng) {
+        let Some(mv) = propose(&mut expr, n, &mut rng) else {
             continue;
-        }
-        debug_assert!(candidate.is_valid(n));
-        let c = cost(&evaluate(&candidate, modules), modules, nets, cfg);
+        };
+        debug_assert!(expr.is_valid(n));
+        let c = cost_of(&expr);
         let delta = c - current_cost;
         let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temp.max(1e-12)).exp();
         if accept {
-            expr = candidate;
             current_cost = c;
             if c < best_cost {
                 best_cost = c;
-                best_expr = expr.clone();
+                best_expr.elems.copy_from_slice(&expr.elems);
+                best_expr.rotated.copy_from_slice(&expr.rotated);
             }
+        } else {
+            mv.apply(&mut expr);
         }
         if (it + 1) % chunk == 0 {
             temp *= cfg.cooling;
@@ -410,11 +454,13 @@ mod tests {
         let p4 = floorplan(&modules, &nets, &multi);
         // Restart 0 of the multi run *is* the single run, so best-of-4 can
         // only match or beat it.
+        let cost =
+            |p: &Placement, cfg| CostModel::new(&modules, &nets, cfg).cost(p.rects(), p.die());
         assert!(
-            cost(&p4, &modules, &nets, &multi) <= cost(&p1, &modules, &nets, &single) + 1e-12,
+            cost(&p4, &multi) <= cost(&p1, &single) + 1e-12,
             "best-of-4 cost {} worse than single-chain {}",
-            cost(&p4, &modules, &nets, &multi),
-            cost(&p1, &modules, &nets, &single)
+            cost(&p4, &multi),
+            cost(&p1, &single)
         );
     }
 

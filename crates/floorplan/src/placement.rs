@@ -3,7 +3,7 @@
 use crate::slicing::{Module, PolishElem, PolishExpr};
 
 /// An axis-aligned placed rectangle, in mm.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Rect {
     /// Left edge.
     pub x: f64,
@@ -98,89 +98,106 @@ impl Placement {
     }
 }
 
-/// Evaluates a Polish expression into a placement.
+/// Evaluates a Polish expression into a placement (see [`Evaluator`]).
+pub(crate) fn evaluate(expr: &PolishExpr, modules: &[Module]) -> Placement {
+    let mut rects = vec![Rect::default(); modules.len()];
+    let (die_w, die_h) = Evaluator::new(expr.elems.len()).place(expr, modules, &mut rects);
+    Placement {
+        rects,
+        die_w,
+        die_h,
+    }
+}
+
+/// A flat Polish-expression evaluator whose buffers are sized once and
+/// reused, so evaluating an expression allocates nothing and costs O(n).
 ///
 /// Slicing semantics: `a b V` places `b` to the right of `a`; `a b H`
 /// stacks `b` on top of `a`. Subtree bounding boxes are the max/sum of the
 /// child dimensions (no shape curves — modules may rotate via the annealer's
 /// rotation flags instead).
-pub(crate) fn evaluate(expr: &PolishExpr, modules: &[Module]) -> Placement {
-    #[derive(Debug)]
-    enum Node {
-        Leaf(usize),
-        Cut(Box<Node>, Box<Node>, PolishElem),
-    }
+pub(crate) struct Evaluator {
+    /// Bounding box `(w, h)` of the subtree rooted at each element.
+    dims: Vec<(f64, f64)>,
+    /// Position of each operator's left child; its right child is always
+    /// the element just before it.
+    left: Vec<usize>,
+    /// Origin `(x, y)` of the subtree rooted at each element.
+    origin: Vec<(f64, f64)>,
+    /// Subtree roots awaiting their parent operator.
+    stack: Vec<usize>,
+}
 
-    fn dims(node: &Node, expr: &PolishExpr, modules: &[Module]) -> (f64, f64) {
-        match node {
-            Node::Leaf(i) => expr.module_shape(modules, *i),
-            Node::Cut(a, b, op) => {
-                let (aw, ah) = dims(a, expr, modules);
-                let (bw, bh) = dims(b, expr, modules);
-                match op {
-                    PolishElem::V => (aw + bw, ah.max(bh)),
-                    PolishElem::H => (aw.max(bw), ah + bh),
-                    PolishElem::Operand(_) => unreachable!("cut with operand op"),
-                }
-            }
+impl Evaluator {
+    /// Buffers for expressions of `len` elements.
+    pub fn new(len: usize) -> Self {
+        Evaluator {
+            dims: vec![(0.0, 0.0); len],
+            left: vec![0; len],
+            origin: vec![(0.0, 0.0); len],
+            stack: Vec::with_capacity(len),
         }
     }
 
-    fn assign(
-        node: &Node,
-        x: f64,
-        y: f64,
+    /// Places every module of `expr` into `rects` (indexed by module) and
+    /// returns the die `(width, height)`.
+    ///
+    /// The first pass computes subtree boxes bottom-up with an index stack.
+    /// The second walks the postorder backwards, so each operator hands
+    /// origins to its children before they are visited: the left child
+    /// shares its parent's origin, the right one sits past the left child's
+    /// width (`V`) or height (`H`).
+    pub fn place(
+        &mut self,
         expr: &PolishExpr,
         modules: &[Module],
-        out: &mut [Rect],
-    ) {
-        match node {
-            Node::Leaf(i) => {
-                let (w, h) = expr.module_shape(modules, *i);
-                out[*i] = Rect { x, y, w, h };
-            }
-            Node::Cut(a, b, op) => {
-                let (aw, ah) = dims(a, expr, modules);
-                assign(a, x, y, expr, modules, out);
-                match op {
-                    PolishElem::V => assign(b, x + aw, y, expr, modules, out),
-                    PolishElem::H => assign(b, x, y + ah, expr, modules, out),
-                    PolishElem::Operand(_) => unreachable!(),
+        rects: &mut [Rect],
+    ) -> (f64, f64) {
+        self.stack.clear();
+        for (i, &e) in expr.elems.iter().enumerate() {
+            self.dims[i] = match e {
+                PolishElem::Operand(m) => expr.module_shape(modules, m),
+                cut => {
+                    self.stack.pop().expect("valid polish expression");
+                    let a = self.stack.pop().expect("valid polish expression");
+                    self.left[i] = a;
+                    let ((aw, ah), (bw, bh)) = (self.dims[a], self.dims[i - 1]);
+                    if cut == PolishElem::V {
+                        (aw + bw, ah.max(bh))
+                    } else {
+                        (aw.max(bw), ah + bh)
+                    }
+                }
+            };
+            self.stack.push(i);
+        }
+        let root = self.stack.pop().expect("non-empty expression");
+        assert!(
+            self.stack.is_empty(),
+            "expression must reduce to a single tree"
+        );
+
+        self.origin[root] = (0.0, 0.0);
+        for i in (0..=root).rev() {
+            let (x, y) = self.origin[i];
+            match expr.elems[i] {
+                PolishElem::Operand(m) => {
+                    let (w, h) = self.dims[i];
+                    rects[m] = Rect { x, y, w, h };
+                }
+                cut => {
+                    let a = self.left[i];
+                    let (aw, ah) = self.dims[a];
+                    self.origin[a] = (x, y);
+                    self.origin[i - 1] = if cut == PolishElem::V {
+                        (x + aw, y)
+                    } else {
+                        (x, y + ah)
+                    };
                 }
             }
         }
-    }
-
-    // Build the tree with an operand stack.
-    let mut stack: Vec<Node> = Vec::new();
-    for e in &expr.elems {
-        match e {
-            PolishElem::Operand(i) => stack.push(Node::Leaf(*i)),
-            op => {
-                let b = stack.pop().expect("valid polish expression");
-                let a = stack.pop().expect("valid polish expression");
-                stack.push(Node::Cut(Box::new(a), Box::new(b), *op));
-            }
-        }
-    }
-    let root = stack.pop().expect("non-empty expression");
-    assert!(stack.is_empty(), "expression must reduce to a single tree");
-
-    let (die_w, die_h) = dims(&root, expr, modules);
-    let mut rects = vec![
-        Rect {
-            x: 0.0,
-            y: 0.0,
-            w: 0.0,
-            h: 0.0
-        };
-        modules.len()
-    ];
-    assign(&root, 0.0, 0.0, expr, modules, &mut rects);
-    Placement {
-        rects,
-        die_w,
-        die_h,
+        self.dims[root]
     }
 }
 
