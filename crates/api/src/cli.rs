@@ -25,15 +25,14 @@ use crate::fleet::{job_payload, ScenarioJobResolver};
 use crate::report::REPORT_FORMAT;
 use crate::scenario::{benchmark_by_name, PartitionPlan, Scenario};
 use std::time::Instant;
-use vi_noc_core::SynthesisConfig;
+use vi_noc_core::{json, SynthesisConfig};
 use vi_noc_dynsweep::parse_table;
 use vi_noc_fleet::FleetConfig;
 use vi_noc_soc::{partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
-    frontier_json, frontier_seeds, json, merge_checkpoints, parse_frontier_file,
-    parse_shard_checkpoint, run_deltas, shard_checkpoint_json, validate_frontier_source,
-    windows_from_frontier, GridConfig, GridDescriptor, RangeDelta, RefineParams, Shard,
-    ShardProgress, SweepGrid,
+    frontier_json, frontier_seeds, merge_checkpoints, parse_frontier_file, parse_shard_checkpoint,
+    run_deltas, shard_checkpoint_json, validate_frontier_source, windows_from_frontier, GridConfig,
+    GridDescriptor, RangeDelta, RefineParams, Shard, ShardProgress, SweepGrid,
 };
 
 /// Top-level usage text of the `vi-noc` binary.
@@ -201,62 +200,50 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     if format != REPORT_FORMAT {
         return Err(format!("'{format}' is not '{REPORT_FORMAT}'"));
     }
-    let str_field = |k: &str| doc.get(k).and_then(|v| v.as_str()).unwrap_or("?");
-    let num_field = |k: &str| doc.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
+    let ctx = "report";
     println!(
         "report: scenario '{}' — {} @ {} islands, {} design point(s) explored",
-        str_field("scenario"),
-        str_field("spec_name"),
-        num_field("island_count"),
-        num_field("explored_points"),
+        doc.str_member("scenario", ctx)?,
+        doc.str_member("spec_name", ctx)?,
+        doc.u64_member("island_count", ctx)?,
+        doc.u64_member("explored_points", ctx)?,
     );
-    if let Some(metrics) = doc.get("point").and_then(|p| p.get("metrics")) {
-        let mw = metrics
-            .get("power_mw")
-            .and_then(|p| p.get("total"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        let lat = metrics
-            .get("avg_latency_cycles")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        println!("  chosen point: {mw:.1} mW, {lat:.2} cycles avg zero-load latency");
-    }
-    if let Some(realized) = doc.get("realized").and_then(|r| r.get("metrics")) {
-        let mw = realized
-            .get("power_mw")
-            .and_then(|p| p.get("total"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        println!("  floorplan-realized: {mw:.1} mW with Manhattan wires");
-    }
+    let total_mw = |metrics: &json::Value, ctx: &str| {
+        metrics.member("power_mw", ctx)?.f64_member("total", ctx)
+    };
+    let metrics = doc.member("point", ctx)?.member("metrics", "point")?;
+    println!(
+        "  chosen point: {:.1} mW, {:.2} cycles avg zero-load latency",
+        total_mw(metrics, "point.metrics")?,
+        metrics.f64_member("avg_latency_cycles", "point.metrics")?
+    );
+    let realized = doc.member("realized", ctx)?.member("metrics", "realized")?;
+    println!(
+        "  floorplan-realized: {:.1} mW with Manhattan wires",
+        total_mw(realized, "realized.metrics")?
+    );
     if let Some(sim) = doc.get("sim") {
-        let horizon = sim.get("horizon_ns").and_then(|v| v.as_u64()).unwrap_or(0);
-        let delivered = sim
-            .get("stats")
-            .and_then(|s| s.get("total_delivered_packets"))
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        println!("  simulated {horizon} ns: {delivered} packets delivered");
+        println!(
+            "  simulated {} ns: {} packets delivered",
+            sim.u64_member("horizon_ns", "sim")?,
+            sim.member("stats", "sim")?
+                .u64_member("total_delivered_packets", "sim.stats")?
+        );
     }
     if let Some(sd) = doc.get("shutdown") {
         println!(
             "  shutdown: island {} gated, drained cleanly = {}, {} survivor packets after",
-            sd.get("island").and_then(|v| v.as_u64()).unwrap_or(0),
-            sd.get("drained_cleanly")
-                .map(|v| matches!(v, json::Value::Bool(true)))
-                .unwrap_or(false),
-            sd.get("survivors_after")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0),
+            sd.u64_member("island", "shutdown")?,
+            sd.bool_member("drained_cleanly", "shutdown")?,
+            sd.u64_member("survivors_after", "shutdown")?,
         );
     }
     if let Some(frontier) = doc.get("frontier") {
         let n = frontier
-            .get("frontier")
-            .and_then(|v| v.as_arr())
-            .map(|a| a.len())
-            .unwrap_or(0);
+            .member("frontier", "frontier")?
+            .as_arr()
+            .ok_or("frontier: 'frontier' is not an array")?
+            .len();
         println!("  sweep frontier: {n} undominated point(s)");
     }
     Ok(())
@@ -965,5 +952,26 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("/nonexistent/f.json"), "{err}");
+    }
+
+    #[test]
+    fn report_reads_its_members_strictly() {
+        let golden = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/golden/d26_baseline.report.json"
+        );
+        cmd_report(&[golden.to_string()]).unwrap();
+        // A report cut short after its header fails on the first missing
+        // member instead of printing placeholders.
+        let path = std::env::temp_dir().join(format!("vi-noc-report-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            "{\"format\":\"vi-noc-report-v1\",\"scenario\":\"x\",\"spec_name\":\"d12\",\
+             \"island_count\":4,\"explored_points\":1}",
+        )
+        .unwrap();
+        let err = cmd_report(&[path.display().to_string()]).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(err, "report: missing 'point'");
     }
 }

@@ -8,9 +8,9 @@
 //! [`JsonError`]); this type wraps them losslessly via `From`.
 
 use std::fmt;
+use vi_noc_core::json::JsonError;
 use vi_noc_core::SynthesisError;
 use vi_noc_soc::{PartitionError, SpecError};
-use vi_noc_sweep::json::JsonError;
 
 /// Any failure of the scenario pipeline, from JSON ingestion to synthesis.
 #[derive(Debug, Clone, PartialEq)]

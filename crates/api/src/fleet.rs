@@ -12,12 +12,11 @@
 
 use crate::scenario::Scenario;
 use std::sync::Arc;
+use vi_noc_core::json::{self, Obj};
 use vi_noc_fleet::{
     spawn_local_workers, start_coordinator, FleetConfig, JobResolver, ResolvedJob, WorkerOpts,
 };
-use vi_noc_sweep::{
-    json, window_json, windows_from_value, GridDescriptor, RefineWindow, SweepGrid,
-};
+use vi_noc_sweep::{windows_from_value, write_window, GridDescriptor, RefineWindow, SweepGrid};
 
 /// Resolves `{"scenario":..,"windows":[..]?}` job payloads into sweep
 /// grids. Stateless: hand one to [`start_coordinator`] and to every
@@ -27,18 +26,8 @@ pub struct ScenarioJobResolver;
 impl JobResolver for ScenarioJobResolver {
     fn resolve(&self, payload: &str) -> Result<ResolvedJob, String> {
         let doc = json::parse(payload).map_err(|e| format!("job payload: {e}"))?;
-        let json::Value::Obj(members) = &doc else {
-            return Err("job payload: not an object".to_string());
-        };
-        for (key, _) in members {
-            if key != "scenario" && key != "windows" {
-                return Err(format!("job payload: unknown member '{key}'"));
-            }
-        }
-        let scenario_doc = doc
-            .get("scenario")
-            .ok_or("job payload: missing 'scenario'")?;
-        let scenario = Scenario::from_json(&scenario_doc.to_json())
+        doc.check_members(&["scenario", "windows"], "job payload")?;
+        let scenario = Scenario::from_json(&doc.member("scenario", "job payload")?.to_json())
             .map_err(|e| format!("job payload: {e}"))?;
         let windows = doc
             .get("windows")
@@ -82,19 +71,13 @@ impl JobResolver for ScenarioJobResolver {
 /// deterministic ([`Scenario::to_json`] is), so every resolver
 /// fingerprints the same grid.
 pub fn job_payload(scenario: &Scenario, windows: Option<&[RefineWindow]>) -> String {
-    let mut payload = String::from("{\"scenario\":");
-    payload.push_str(scenario.to_json().trim_end());
+    let mut payload = String::new();
+    let mut o = Obj::new(&mut payload);
+    o.raw("scenario", scenario.to_json().trim_end());
     if let Some(ws) = windows {
-        payload.push_str(",\"windows\":[");
-        for (i, w) in ws.iter().enumerate() {
-            if i > 0 {
-                payload.push(',');
-            }
-            payload.push_str(&window_json(w));
-        }
-        payload.push(']');
+        json::array(o.key("windows"), ws, write_window);
     }
-    payload.push('}');
+    o.end();
     payload
 }
 

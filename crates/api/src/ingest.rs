@@ -1,7 +1,7 @@
 //! Scenario JSON ingestion and emission.
 //!
-//! Built on the sweep crate's serde-free document model
-//! ([`vi_noc_sweep::json`]): ingestion is *strict* — unknown members,
+//! Built on the workspace's one JSON module ([`vi_noc_core::json`]):
+//! ingestion is *strict* — unknown members,
 //! duplicate keys (rejected by the parser itself), wrong types and
 //! out-of-range values are all errors with a JSON-path context — and
 //! emission is byte-deterministic (fixed member order, every field written,
@@ -20,13 +20,13 @@ use crate::scenario::{
     DynSweepPlan, IslandChoice, PartitionPlan, RefinePlan, Scenario, ShutdownPlan, SimPlan,
     SpecSource,
 };
-use vi_noc_core::{json_number, json_string, SynthesisConfig};
+use vi_noc_core::json::{self, Obj, Value};
+use vi_noc_core::SynthesisConfig;
 use vi_noc_dynsweep::{first_repeat, Mode};
 use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_models::{Area, Bandwidth, Frequency, Power, Technology};
 use vi_noc_sim::TrafficKind;
 use vi_noc_soc::{CoreId, CoreKind, CoreSpec, SocSpec, TrafficFlow};
-use vi_noc_sweep::json::{self, Value};
 use vi_noc_sweep::{GridConfig, RefineParams};
 
 /// `format` tag of scenario files.
@@ -251,44 +251,35 @@ fn spec_from_value(v: &Value, ctx: &str) -> Result<SpecSource, Error> {
     Ok(SpecSource::Inline(spec))
 }
 
-fn spec_to_json(spec: &SpecSource) -> String {
+fn write_spec(out: &mut String, spec: &SpecSource) {
+    let mut o = Obj::new(out);
     match spec {
-        SpecSource::Benchmark(name) => format!("{{\"benchmark\":{}}}", json_string(name)),
+        SpecSource::Benchmark(name) => {
+            o.str("benchmark", name);
+        }
         SpecSource::Inline(spec) => {
-            let mut s = format!("{{\"name\":{},\"cores\":[", json_string(spec.name()));
-            for (i, c) in spec.cores().iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"name\":{},\"kind\":{},\"area_mm2\":{},\"dyn_power_w\":{},\
-                     \"clock_hz\":{},\"always_on\":{}}}",
-                    json_string(&c.name),
-                    json_string(&c.kind.to_string()),
-                    json_number(c.area.mm2()),
-                    json_number(c.dyn_power.watts()),
-                    json_number(c.clock.hz()),
-                    c.always_on
-                ));
-            }
-            s.push_str("],\"flows\":[");
-            for (i, f) in spec.flows().iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"src\":{},\"dst\":{},\"bandwidth_bytes_per_s\":{},\
-                     \"max_latency_cycles\":{}}}",
-                    f.src.index(),
-                    f.dst.index(),
-                    json_number(f.bandwidth.bytes_per_s()),
-                    f.max_latency_cycles
-                ));
-            }
-            s.push_str("]}");
-            s
+            o.str("name", spec.name());
+            json::array(o.key("cores"), spec.cores(), |out, c| {
+                Obj::new(out)
+                    .str("name", &c.name)
+                    .str("kind", &c.kind.to_string())
+                    .num("area_mm2", c.area.mm2())
+                    .num("dyn_power_w", c.dyn_power.watts())
+                    .num("clock_hz", c.clock.hz())
+                    .bool("always_on", c.always_on)
+                    .end();
+            });
+            json::array(o.key("flows"), spec.flows(), |out, f| {
+                Obj::new(out)
+                    .num("src", f.src.index())
+                    .num("dst", f.dst.index())
+                    .num("bandwidth_bytes_per_s", f.bandwidth.bytes_per_s())
+                    .num("max_latency_cycles", f.max_latency_cycles)
+                    .end();
+            });
         }
     }
+    o.end();
 }
 
 // --- Partition -----------------------------------------------------------
@@ -316,15 +307,16 @@ fn partition_from_value(v: &Value, ctx: &str) -> Result<PartitionPlan, Error> {
     }
 }
 
-fn partition_to_json(p: &PartitionPlan) -> String {
+fn write_partition(out: &mut String, p: &PartitionPlan) {
+    let mut o = Obj::new(out);
     match p {
-        PartitionPlan::Logical { islands } => {
-            format!("{{\"kind\":\"logical\",\"islands\":{islands}}}")
-        }
-        PartitionPlan::Communication { islands, seed } => {
-            format!("{{\"kind\":\"communication\",\"islands\":{islands},\"seed\":{seed}}}")
-        }
-    }
+        PartitionPlan::Logical { islands } => o.str("kind", "logical").num("islands", *islands),
+        PartitionPlan::Communication { islands, seed } => o
+            .str("kind", "communication")
+            .num("islands", *islands)
+            .num("seed", *seed),
+    };
+    o.end();
 }
 
 // --- Technology ----------------------------------------------------------
@@ -427,30 +419,29 @@ fn technology_from_value(v: &Value, ctx: &str) -> Result<Technology, Error> {
     }
 }
 
-fn technology_to_json(t: &Technology) -> String {
+fn write_technology(out: &mut String, t: &Technology) {
     if *t == Technology::cmos_65nm() {
-        return "\"cmos_65nm\"".to_string();
+        json::string(out, "cmos_65nm");
+    } else if *t == Technology::cmos_90nm() {
+        json::string(out, "cmos_90nm");
+    } else {
+        Obj::new(out)
+            .num("node_nm", t.node_nm)
+            .num("vdd_v", t.vdd_v)
+            .num("wire_cap_ff_per_mm", t.wire_cap_ff_per_mm)
+            .num("wire_delay_ps_per_mm", t.wire_delay_ps_per_mm)
+            .num("link_setup_margin_ns", t.link_setup_margin_ns)
+            .num("switch_delay_base_ns", t.switch_delay_base_ns)
+            .num("switch_delay_per_port_ns", t.switch_delay_per_port_ns)
+            .num("activity_factor", t.activity_factor)
+            .num("leak_density_mw_per_mm2", t.leak_density_mw_per_mm2)
+            .num("gating_residual", t.gating_residual)
+            .num(
+                "level_shift_energy_pj_per_bit",
+                t.level_shift_energy_pj_per_bit,
+            )
+            .end();
     }
-    if *t == Technology::cmos_90nm() {
-        return "\"cmos_90nm\"".to_string();
-    }
-    format!(
-        "{{\"node_nm\":{},\"vdd_v\":{},\"wire_cap_ff_per_mm\":{},\"wire_delay_ps_per_mm\":{},\
-         \"link_setup_margin_ns\":{},\"switch_delay_base_ns\":{},\"switch_delay_per_port_ns\":{},\
-         \"activity_factor\":{},\"leak_density_mw_per_mm2\":{},\"gating_residual\":{},\
-         \"level_shift_energy_pj_per_bit\":{}}}",
-        json_number(t.node_nm),
-        json_number(t.vdd_v),
-        json_number(t.wire_cap_ff_per_mm),
-        json_number(t.wire_delay_ps_per_mm),
-        json_number(t.link_setup_margin_ns),
-        json_number(t.switch_delay_base_ns),
-        json_number(t.switch_delay_per_port_ns),
-        json_number(t.activity_factor),
-        json_number(t.leak_density_mw_per_mm2),
-        json_number(t.gating_residual),
-        json_number(t.level_shift_energy_pj_per_bit)
-    )
 }
 
 // --- Stage configs -------------------------------------------------------
@@ -557,30 +548,23 @@ fn synthesis_from_value(v: &Value, ctx: &str) -> Result<SynthesisConfig, Error> 
     Ok(c)
 }
 
-fn synthesis_to_json(c: &SynthesisConfig) -> String {
-    format!(
-        "{{\"alpha\":{},\"link_width_bits\":{},\"allow_intermediate_vi\":{},\
-         \"max_intermediate_switches\":{},\"switch_delay_cycles\":{},\"link_delay_cycles\":{},\
-         \"cost_power_weight\":{},\"cost_latency_weight\":{},\"cost_port_scarcity\":{},\
-         \"est_intra_link_mm\":{},\"est_inter_link_mm\":{},\"est_mid_link_mm\":{},\
-         \"min_frequency_hz\":{},\"technology\":{},\"seed\":{},\"parallel\":{}}}",
-        json_number(c.alpha),
-        c.link_width_bits,
-        c.allow_intermediate_vi,
-        c.max_intermediate_switches,
-        c.switch_delay_cycles,
-        c.link_delay_cycles,
-        json_number(c.cost_power_weight),
-        json_number(c.cost_latency_weight),
-        json_number(c.cost_port_scarcity),
-        json_number(c.est_intra_link_mm),
-        json_number(c.est_inter_link_mm),
-        json_number(c.est_mid_link_mm),
-        json_number(c.min_frequency.hz()),
-        technology_to_json(&c.technology),
-        c.seed,
-        c.parallel
-    )
+fn write_synthesis(out: &mut String, c: &SynthesisConfig) {
+    let mut o = Obj::new(out);
+    o.num("alpha", c.alpha)
+        .num("link_width_bits", c.link_width_bits)
+        .bool("allow_intermediate_vi", c.allow_intermediate_vi)
+        .num("max_intermediate_switches", c.max_intermediate_switches)
+        .num("switch_delay_cycles", c.switch_delay_cycles)
+        .num("link_delay_cycles", c.link_delay_cycles)
+        .num("cost_power_weight", c.cost_power_weight)
+        .num("cost_latency_weight", c.cost_latency_weight)
+        .num("cost_port_scarcity", c.cost_port_scarcity)
+        .num("est_intra_link_mm", c.est_intra_link_mm)
+        .num("est_inter_link_mm", c.est_inter_link_mm)
+        .num("est_mid_link_mm", c.est_mid_link_mm)
+        .num("min_frequency_hz", c.min_frequency.hz());
+    write_technology(o.key("technology"), &c.technology);
+    o.num("seed", c.seed).bool("parallel", c.parallel).end();
 }
 
 /// Most annealing restarts a scenario may ask for. The floorplanner holds
@@ -630,20 +614,18 @@ fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> 
     Ok(c)
 }
 
-fn floorplan_to_json(c: &FloorplanConfig) -> String {
-    format!(
-        "{{\"seed\":{},\"iterations\":{},\"initial_temp\":{},\"cooling\":{},\"lambda_wire\":{},\
-         \"lambda_island\":{},\"lambda_aspect\":{},\"restarts\":{},\"parallel\":{}}}",
-        c.seed,
-        c.iterations,
-        json_number(c.initial_temp),
-        json_number(c.cooling),
-        json_number(c.lambda_wire),
-        json_number(c.lambda_island),
-        json_number(c.lambda_aspect),
-        c.restarts,
-        c.parallel
-    )
+fn write_floorplan(out: &mut String, c: &FloorplanConfig) {
+    Obj::new(out)
+        .num("seed", c.seed)
+        .num("iterations", c.iterations)
+        .num("initial_temp", c.initial_temp)
+        .num("cooling", c.cooling)
+        .num("lambda_wire", c.lambda_wire)
+        .num("lambda_island", c.lambda_island)
+        .num("lambda_aspect", c.lambda_aspect)
+        .num("restarts", c.restarts)
+        .bool("parallel", c.parallel)
+        .end();
 }
 
 fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
@@ -680,20 +662,18 @@ fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
     Ok(plan)
 }
 
-fn sim_to_json(plan: &SimPlan) -> String {
+fn write_sim(out: &mut String, plan: &SimPlan) {
     let c = &plan.config;
-    format!(
-        "{{\"packet_bytes\":{},\"link_width_bits\":{},\"queue_capacity\":{},\"traffic\":{},\
-         \"seed\":{},\"load_factor\":{},\"batching\":{},\"horizon_ns\":{}}}",
-        c.packet_bytes,
-        c.link_width_bits,
-        c.queue_capacity,
-        json_string(&c.traffic.to_string()),
-        c.seed,
-        json_number(c.load_factor),
-        c.batching,
-        plan.horizon_ns
-    )
+    Obj::new(out)
+        .num("packet_bytes", c.packet_bytes)
+        .num("link_width_bits", c.link_width_bits)
+        .num("queue_capacity", c.queue_capacity)
+        .str("traffic", &c.traffic.to_string())
+        .num("seed", c.seed)
+        .num("load_factor", c.load_factor)
+        .bool("batching", c.batching)
+        .num("horizon_ns", plan.horizon_ns)
+        .end();
 }
 
 fn shutdown_from_value(v: &Value, ctx: &str) -> Result<ShutdownPlan, Error> {
@@ -723,15 +703,16 @@ fn shutdown_from_value(v: &Value, ctx: &str) -> Result<ShutdownPlan, Error> {
     Ok(plan)
 }
 
-fn shutdown_to_json(plan: &ShutdownPlan) -> String {
-    let island = match plan.island {
-        IslandChoice::Auto => "\"auto\"".to_string(),
-        IslandChoice::Index(j) => j.to_string(),
+fn write_shutdown(out: &mut String, plan: &ShutdownPlan) {
+    let mut o = Obj::new(out);
+    match plan.island {
+        IslandChoice::Auto => o.str("island", "auto"),
+        IslandChoice::Index(j) => o.num("island", j),
     };
-    format!(
-        "{{\"island\":{island},\"stop_at_ns\":{},\"drain_ns\":{},\"post_gate_ns\":{}}}",
-        plan.stop_at_ns, plan.drain_ns, plan.post_gate_ns
-    )
+    o.num("stop_at_ns", plan.stop_at_ns)
+        .num("drain_ns", plan.drain_ns)
+        .num("post_gate_ns", plan.post_gate_ns)
+        .end();
 }
 
 fn sweep_from_value(v: &Value, ctx: &str) -> Result<GridConfig, Error> {
@@ -769,14 +750,13 @@ fn sweep_from_value(v: &Value, ctx: &str) -> Result<GridConfig, Error> {
     Ok(c)
 }
 
-fn sweep_to_json(c: &GridConfig) -> String {
-    let scales: Vec<String> = c.freq_scales.iter().map(|&s| json_number(s)).collect();
-    format!(
-        "{{\"max_boost\":{},\"freq_scales\":[{}],\"max_intermediate\":{}}}",
-        c.max_boost,
-        scales.join(","),
-        c.max_intermediate
-    )
+fn write_sweep(out: &mut String, c: &GridConfig) {
+    let mut o = Obj::new(out);
+    o.num("max_boost", c.max_boost);
+    json::array(o.key("freq_scales"), &c.freq_scales, |out, &x| {
+        json::num(out, x)
+    });
+    o.num("max_intermediate", c.max_intermediate).end();
 }
 
 fn refine_from_value(v: &Value, ctx: &str) -> Result<RefinePlan, Error> {
@@ -799,14 +779,13 @@ fn refine_from_value(v: &Value, ctx: &str) -> Result<RefinePlan, Error> {
     Ok(RefinePlan { grid, params })
 }
 
-fn refine_to_json(plan: &RefinePlan) -> String {
-    format!(
-        "{{\"grid\":{},\"boost_radius\":{},\"base_radius\":{},\"scale_window\":{}}}",
-        sweep_to_json(&plan.grid),
-        plan.params.boost_radius,
-        plan.params.base_radius,
-        json_number(plan.params.scale_window)
-    )
+fn write_refine(out: &mut String, plan: &RefinePlan) {
+    let mut o = Obj::new(out);
+    write_sweep(o.key("grid"), &plan.grid);
+    o.num("boost_radius", plan.params.boost_radius)
+        .num("base_radius", plan.params.base_radius)
+        .num("scale_window", plan.params.scale_window)
+        .end();
 }
 
 /// Rejects an axis value that repeats an earlier one: it would simulate
@@ -914,29 +893,19 @@ fn dyn_sweep_from_value(v: &Value, ctx: &str) -> Result<DynSweepPlan, Error> {
     })
 }
 
-fn dyn_sweep_to_json(plan: &DynSweepPlan) -> String {
-    let loads: Vec<String> = plan.loads.iter().map(|&l| json_number(l)).collect();
-    let traffic: Vec<String> = plan
-        .traffic
-        .iter()
-        .map(|t| json_string(&t.to_string()))
-        .collect();
-    let schedules: Vec<String> = plan
-        .schedules
-        .iter()
-        .map(|s| match s {
-            None => "null".to_string(),
-            Some(sd) => shutdown_to_json(sd),
-        })
-        .collect();
-    format!(
-        "{{\"loads\":[{}],\"traffic\":[{}],\"schedules\":[{}],\"horizon_ns\":{},\"mode\":\"{}\"}}",
-        loads.join(","),
-        traffic.join(","),
-        schedules.join(","),
-        plan.horizon_ns,
-        plan.mode
-    )
+fn write_dyn_sweep(out: &mut String, plan: &DynSweepPlan) {
+    let mut o = Obj::new(out);
+    json::array(o.key("loads"), &plan.loads, |out, &l| json::num(out, l));
+    json::array(o.key("traffic"), &plan.traffic, |out, t| {
+        json::string(out, &t.to_string())
+    });
+    json::array(o.key("schedules"), &plan.schedules, |out, s| match s {
+        None => out.push_str("null"),
+        Some(sd) => write_shutdown(out, sd),
+    });
+    o.num("horizon_ns", plan.horizon_ns)
+        .str("mode", &plan.mode.to_string())
+        .end();
 }
 
 // --- Scenario ------------------------------------------------------------
@@ -1036,42 +1005,34 @@ pub(crate) fn scenario_from_json(text: &str) -> Result<Scenario, Error> {
 
 pub(crate) fn scenario_to_json(s: &Scenario) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{{\"format\":{},", json_string(SCENARIO_FORMAT)));
-    out.push_str(&format!("\n\"name\":{},", json_string(&s.name)));
-    out.push_str(&format!("\n\"spec\":{},", spec_to_json(&s.spec)));
-    out.push_str(&format!(
-        "\n\"partition\":{},",
-        partition_to_json(&s.partition)
-    ));
-    out.push_str(&format!(
-        "\n\"synthesis\":{},",
-        synthesis_to_json(&s.synthesis)
-    ));
-    out.push_str(&format!(
-        "\n\"floorplan\":{}",
-        floorplan_to_json(&s.floorplan)
-    ));
+    let mut o = Obj::lines(&mut out);
+    o.str("format", SCENARIO_FORMAT).str("name", &s.name);
+    write_spec(o.key("spec"), &s.spec);
+    write_partition(o.key("partition"), &s.partition);
+    write_synthesis(o.key("synthesis"), &s.synthesis);
+    write_floorplan(o.key("floorplan"), &s.floorplan);
     if let Some(sim) = &s.sim {
-        out.push_str(&format!(",\n\"sim\":{}", sim_to_json(sim)));
+        write_sim(o.key("sim"), sim);
     }
     if let Some(sd) = &s.shutdown {
-        out.push_str(&format!(",\n\"shutdown\":{}", shutdown_to_json(sd)));
+        write_shutdown(o.key("shutdown"), sd);
     }
     if let Some(grid) = &s.sweep {
-        out.push_str(&format!(",\n\"sweep\":{}", sweep_to_json(grid)));
+        write_sweep(o.key("sweep"), grid);
     }
     // Emitted only when set, so pre-refinement scenario files keep their
     // exact bytes.
     if s.sweep_prune {
-        out.push_str(",\n\"sweep_prune\":true");
+        o.bool("sweep_prune", true);
     }
     if let Some(plan) = &s.refine {
-        out.push_str(&format!(",\n\"refine\":{}", refine_to_json(plan)));
+        write_refine(o.key("refine"), plan);
     }
     if let Some(plan) = &s.dyn_sweep {
-        out.push_str(&format!(",\n\"dyn_sweep\":{}", dyn_sweep_to_json(plan)));
+        write_dyn_sweep(o.key("dyn_sweep"), plan);
     }
-    out.push_str("\n}\n");
+    o.end_line();
+    out.push('\n');
     out
 }
 

@@ -2,9 +2,8 @@
 //! metrics, simulation statistics, shutdown outcome, sweep frontier — with
 //! a byte-deterministic JSON emission and a human-readable summary.
 
-use vi_noc_core::{
-    design_point_json, json_number, json_string, metrics_json, DesignMetrics, DesignPoint,
-};
+use vi_noc_core::json::{self, Obj};
+use vi_noc_core::{write_design_point, write_metrics, write_power, DesignMetrics, DesignPoint};
 use vi_noc_sim::{MeasuredPower, ShutdownOutcome, SimStats};
 
 /// `format` tag of report files.
@@ -63,107 +62,76 @@ pub struct Report {
     pub dyn_sweep: Option<String>,
 }
 
-fn sim_stats_json(stats: &SimStats) -> String {
-    let mut s = String::from("{");
-    s.push_str(&format!(
-        "\"elapsed_ps\":{},\"flits_in_flight\":{},\"total_injected_packets\":{},\
-         \"total_delivered_packets\":{},\"flows\":[",
-        stats.elapsed_ps,
-        stats.flits_in_flight,
-        stats.total_injected_packets(),
-        stats.total_delivered_packets()
-    ));
-    for (i, f) in stats.flows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"injected\":{},\"delivered\":{},\"total_latency_ps\":{},\"max_latency_ps\":{}}}",
-            f.injected_packets, f.delivered_packets, f.total_latency_ps, f.max_latency_ps
-        ));
-    }
-    s.push_str("],\"switch_flits\":[");
-    for (i, n) in stats.switch_flits.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&n.to_string());
-    }
-    s.push_str("]}");
-    s
-}
-
-fn measured_json(m: &MeasuredPower) -> String {
-    format!(
-        "{{\"switches\":{},\"links\":{},\"synchronizers\":{},\"nis\":{},\"fig2\":{},\
-         \"total\":{}}}",
-        json_number(m.switches.mw()),
-        json_number(m.links.mw()),
-        json_number(m.synchronizers.mw()),
-        json_number(m.nis.mw()),
-        json_number(m.fig2_power().mw()),
-        json_number(m.total().mw())
-    )
+fn write_sim_stats(out: &mut String, stats: &SimStats) {
+    let mut o = Obj::new(out);
+    o.num("elapsed_ps", stats.elapsed_ps)
+        .num("flits_in_flight", stats.flits_in_flight)
+        .num("total_injected_packets", stats.total_injected_packets())
+        .num("total_delivered_packets", stats.total_delivered_packets());
+    json::array(o.key("flows"), &stats.flows, |out, f| {
+        Obj::new(out)
+            .num("injected", f.injected_packets)
+            .num("delivered", f.delivered_packets)
+            .num("total_latency_ps", f.total_latency_ps)
+            .num("max_latency_ps", f.max_latency_ps)
+            .end();
+    });
+    json::array(o.key("switch_flits"), &stats.switch_flits, |out, &n| {
+        json::num(out, n)
+    });
+    o.end();
 }
 
 impl Report {
     /// Serializes the report byte-deterministically: fixed member order,
     /// one top-level member per line, shortest-round-trip numbers — the
-    /// same discipline as [`vi_noc_core::design_point_json`] and the sweep
+    /// same discipline as [`vi_noc_core::write_design_point`] and the sweep
     /// checkpoint format, so two runs of a deterministic scenario emit
     /// bit-identical files (the CI `scenario-smoke` job `cmp`s one against
     /// a committed golden artifact).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str(&format!("{{\"format\":{},", json_string(REPORT_FORMAT)));
-        s.push_str(&format!("\n\"scenario\":{},", json_string(&self.scenario)));
-        s.push_str(&format!(
-            "\n\"spec_name\":{},",
-            json_string(&self.spec_name)
-        ));
-        s.push_str(&format!("\n\"island_count\":{},", self.island_count));
-        s.push_str(&format!("\n\"explored_points\":{},", self.explored_points));
-        s.push_str(&format!("\n\"point\":{},", design_point_json(&self.point)));
-        s.push_str(&format!(
-            "\n\"realized\":{{\"metrics\":{},\"infeasible_links\":{}}}",
-            metrics_json(&self.realized_metrics),
-            self.infeasible_links
-        ));
+        let mut o = Obj::lines(&mut s);
+        o.str("format", REPORT_FORMAT)
+            .str("scenario", &self.scenario)
+            .str("spec_name", &self.spec_name)
+            .num("island_count", self.island_count)
+            .num("explored_points", self.explored_points);
+        write_design_point(o.key("point"), &self.point);
+        let mut realized = Obj::new(o.key("realized"));
+        write_metrics(realized.key("metrics"), &self.realized_metrics);
+        realized
+            .num("infeasible_links", self.infeasible_links)
+            .end();
         if let Some(sim) = &self.sim {
-            s.push_str(&format!(
-                ",\n\"sim\":{{\"horizon_ns\":{},\"stats\":{}",
-                sim.horizon_ns,
-                sim_stats_json(&sim.stats)
-            ));
+            let mut so = Obj::new(o.key("sim"));
+            so.num("horizon_ns", sim.horizon_ns);
+            write_sim_stats(so.key("stats"), &sim.stats);
             if let Some(m) = &sim.measured {
-                s.push_str(&format!(",\"measured_power_mw\":{}", measured_json(m)));
+                write_power(so.key("measured_power_mw"), m);
             }
-            s.push('}');
+            so.end();
         }
         if let Some(sd) = &self.shutdown {
-            s.push_str(&format!(
-                ",\n\"shutdown\":{{\"island\":{},\"survivors_before\":{},\"survivors_after\":{},\
-                 \"total_delivered\":{},\"drained_cleanly\":{}}}",
-                sd.island,
-                sd.outcome.survivors_before,
-                sd.outcome.survivors_after,
-                sd.outcome.total_delivered,
-                sd.outcome.drained_cleanly
-            ));
+            Obj::new(o.key("shutdown"))
+                .num("island", sd.island)
+                .num("survivors_before", sd.outcome.survivors_before)
+                .num("survivors_after", sd.outcome.survivors_after)
+                .num("total_delivered", sd.outcome.total_delivered)
+                .bool("drained_cleanly", sd.outcome.drained_cleanly)
+                .end();
         }
+        // The frontier and the table are embedded verbatim (minus the
+        // file's trailing newline), so their bytes inside a report equal
+        // the standalone files'.
         if let Some(frontier) = &self.frontier {
-            // Embedded verbatim (minus the file's trailing newline), so the
-            // frontier bytes inside a report equal the standalone file's.
-            s.push_str(",\n\"frontier\":");
-            s.push_str(frontier.trim_end_matches('\n'));
+            o.raw("frontier", frontier.trim_end_matches('\n'));
         }
         if let Some(table) = &self.dyn_sweep {
-            // Same discipline as the frontier: the table bytes inside a
-            // report equal the standalone file's.
-            s.push_str(",\n\"dyn_sweep\":");
-            s.push_str(table.trim_end_matches('\n'));
+            o.raw("dyn_sweep", table.trim_end_matches('\n'));
         }
-        s.push_str("\n}\n");
+        o.end_line();
+        s.push('\n');
         s
     }
 
@@ -270,7 +238,7 @@ mod tests {
         let json = report.to_json();
         assert_eq!(json, report.to_json(), "deterministic");
         assert!(json.starts_with("{\"format\":\"vi-noc-report-v1\","));
-        let doc = vi_noc_sweep::json::parse(&json).expect("report JSON parses");
+        let doc = json::parse(&json).expect("report JSON parses");
         assert_eq!(
             doc.get("spec_name").and_then(|v| v.as_str()),
             Some("d12_auto")

@@ -12,13 +12,13 @@ use vi_noc_api::{
     DynSweepPlan, IslandChoice, PartitionPlan, RefinePlan, Scenario, ShutdownPlan, SimPlan,
     SpecSource,
 };
-use vi_noc_core::SynthesisConfig;
+use vi_noc_core::{json, SynthesisConfig};
 use vi_noc_dynsweep::Mode;
 use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_models::Technology;
 use vi_noc_sim::TrafficKind;
 use vi_noc_soc::{generate_synthetic, SyntheticConfig};
-use vi_noc_sweep::{json, GridConfig, RefineParams};
+use vi_noc_sweep::{GridConfig, RefineParams};
 
 fn arb_spec() -> impl Strategy<Value = SpecSource> {
     (0usize..5, 4usize..24, 0u64..1000).prop_map(|(pick, n_cores, seed)| match pick {

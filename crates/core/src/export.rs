@@ -1,10 +1,11 @@
 //! Human-readable, Graphviz and machine-readable JSON exports of
-//! synthesized topologies and design spaces (the DOT export backs the
-//! Figure 4 reproduction; the JSON export backs the sharded-sweep
-//! checkpoint format of the `vi-noc-sweep` crate).
+//! synthesized topologies and design points (the DOT export backs the
+//! Figure 4 reproduction; the JSON writers, built on [`crate::json`], back
+//! the design points embedded in sweep checkpoints and scenario reports).
 
-use crate::design_space::{DesignPoint, DesignSpace};
-use crate::metrics::DesignMetrics;
+use crate::design_space::DesignPoint;
+use crate::json::{self, Obj};
+use crate::metrics::{DesignMetrics, PowerBreakdown};
 use crate::topology::{LinkKind, Topology};
 use std::fmt::Write as _;
 use vi_noc_soc::{SocSpec, ViAssignment};
@@ -164,55 +165,9 @@ pub fn routes_table(spec: &SocSpec, topo: &Topology) -> String {
 
 // --- Machine-readable JSON -----------------------------------------------
 //
-// Serde-free by necessity (no registry access) and by design: the writers
-// below are *byte-deterministic* — fixed key order, compact layout, and
-// numbers in Rust's shortest round-trip `Display` form — so two serializations
-// of bit-identical values are bit-identical strings. The sharded sweep's
-// "merge == unsharded run" guarantee rests on that.
-
-/// Formats a finite `f64` as a JSON number.
-///
-/// Uses Rust's shortest round-trip formatting (no exponents, `1` for `1.0`),
-/// so `s.parse::<f64>()` returns the exact input value and re-formatting the
-/// parsed value reproduces the exact string.
-///
-/// # Panics
-///
-/// Debug builds assert that `x` is finite; synthesized metrics never
-/// produce NaNs or infinities.
-pub fn json_number(x: f64) -> String {
-    debug_assert!(x.is_finite(), "JSON cannot represent {x}");
-    format!("{x}")
-}
-
-/// Quotes and escapes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Serializes a sequence of machine-size integers as a compact JSON array
-/// (`[1,2,3]`) — shared by the topology/metrics emitters here and the sweep
-/// crate's checkpoint descriptors (refinement windows).
-pub fn json_usize_array(values: impl IntoIterator<Item = usize>) -> String {
-    let items: Vec<String> = values.into_iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
+// Written through `crate::json`, so the layout is byte-deterministic: two
+// serializations of bit-identical values are bit-identical strings. The
+// sharded sweep's "merge == unsharded run" guarantee rests on that.
 
 fn link_kind_str(kind: LinkKind) -> &'static str {
     match kind {
@@ -222,118 +177,95 @@ fn link_kind_str(kind: LinkKind) -> &'static str {
     }
 }
 
-/// Renders a topology as one compact JSON object: extended-island clocks,
+/// Writes a topology as one compact JSON object: extended-island clocks,
 /// switches (with attached core indices), links and routes.
-pub fn topology_json(topo: &Topology) -> String {
-    let mut s = String::new();
+fn write_topology(out: &mut String, topo: &Topology) {
     let n = topo.island_count();
-    let freqs: Vec<String> = (0..=n)
-        .map(|i| json_number(topo.island_frequency(i).hz()))
-        .collect();
-    let _ = write!(
-        s,
-        "{{\"island_count\":{n},\"island_freq_hz\":[{}],\"switches\":[",
-        freqs.join(",")
-    );
-    for (i, sw) in topo.switches().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"name\":{},\"island\":{},\"cores\":{}}}",
-            json_string(&sw.name),
-            sw.island_ext,
-            json_usize_array(sw.cores.iter().map(|c| c.index()))
-        );
-    }
-    s.push_str("],\"links\":[");
-    for (i, l) in topo.links().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"from\":{},\"to\":{},\"kind\":{},\"capacity_bytes_per_s\":{},\
-             \"load_bytes_per_s\":{},\"length_mm\":{}}}",
-            l.from.index(),
-            l.to.index(),
-            json_string(link_kind_str(l.kind)),
-            json_number(l.capacity.bytes_per_s()),
-            json_number(l.load.bytes_per_s()),
-            json_number(l.length_mm)
-        );
-    }
-    s.push_str("],\"routes\":[");
-    for (i, r) in topo.routes().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"flow\":{},\"switches\":{},\"latency_cycles\":{},\"crossings\":{}}}",
-            r.flow.index(),
-            json_usize_array(r.switches.iter().map(|sw| sw.index())),
-            r.latency_cycles,
-            r.crossings
-        );
-    }
-    s.push_str("]}");
-    s
+    let mut o = Obj::new(out);
+    o.num("island_count", n);
+    json::array(o.key("island_freq_hz"), 0..=n, |out, i| {
+        json::num(out, topo.island_frequency(i).hz())
+    });
+    json::array(o.key("switches"), topo.switches(), |out, sw| {
+        let mut o = Obj::new(out);
+        o.str("name", &sw.name).num("island", sw.island_ext);
+        json::array(o.key("cores"), &sw.cores, |out, c| {
+            json::num(out, c.index())
+        });
+        o.end();
+    });
+    json::array(o.key("links"), topo.links(), |out, l| {
+        Obj::new(out)
+            .num("from", l.from.index())
+            .num("to", l.to.index())
+            .str("kind", link_kind_str(l.kind))
+            .num("capacity_bytes_per_s", l.capacity.bytes_per_s())
+            .num("load_bytes_per_s", l.load.bytes_per_s())
+            .num("length_mm", l.length_mm)
+            .end();
+    });
+    json::array(o.key("routes"), topo.routes(), |out, r| {
+        let mut o = Obj::new(out);
+        o.num("flow", r.flow.index());
+        json::array(o.key("switches"), &r.switches, |out, sw| {
+            json::num(out, sw.index())
+        });
+        o.num("latency_cycles", r.latency_cycles)
+            .num("crossings", r.crossings)
+            .end();
+    });
+    o.end();
 }
 
-/// Renders design metrics as one compact JSON object (powers in mW, area
-/// in mm²) — the `"metrics"` member of [`design_point_json`], exposed so
-/// the scenario report can serialize floorplan-realized metrics with the
+/// Writes a power breakdown in mW as one compact JSON object, with the
+/// Figure-2 and NI-inclusive totals — the `"power_mw"` member of the
+/// metrics and the report's measured power.
+pub fn write_power(out: &mut String, p: &PowerBreakdown) {
+    Obj::new(out)
+        .num("switches", p.switches.mw())
+        .num("links", p.links.mw())
+        .num("synchronizers", p.synchronizers.mw())
+        .num("nis", p.nis.mw())
+        .num("fig2", p.fig2_power().mw())
+        .num("total", p.total().mw())
+        .end();
+}
+
+/// Writes design metrics as one compact JSON object (powers in mW, area
+/// in mm²) — the `"metrics"` member of a design point, exposed so the
+/// scenario report can serialize floorplan-realized metrics with the
 /// identical layout.
-pub fn metrics_json(m: &DesignMetrics) -> String {
-    format!(
-        "{{\"power_mw\":{{\"switches\":{},\"links\":{},\"synchronizers\":{},\"nis\":{},\
-         \"fig2\":{},\"total\":{}}},\"leakage_mw\":{},\"area_mm2\":{},\
-         \"avg_latency_cycles\":{},\"max_latency_cycles\":{},\"switch_count\":{},\
-         \"link_count\":{},\"crossing_count\":{}}}",
-        json_number(m.power.switches.mw()),
-        json_number(m.power.links.mw()),
-        json_number(m.power.synchronizers.mw()),
-        json_number(m.power.nis.mw()),
-        json_number(m.power.fig2_power().mw()),
-        json_number(m.noc_dynamic_power().mw()),
-        json_number(m.leakage.mw()),
-        json_number(m.area.mm2()),
-        json_number(m.avg_latency_cycles),
-        m.max_latency_cycles,
-        m.switch_count,
-        m.link_count,
-        m.crossing_count
-    )
+pub fn write_metrics(out: &mut String, m: &DesignMetrics) {
+    let mut o = Obj::new(out);
+    write_power(o.key("power_mw"), &m.power);
+    o.num("leakage_mw", m.leakage.mw())
+        .num("area_mm2", m.area.mm2())
+        .num("avg_latency_cycles", m.avg_latency_cycles)
+        .num("max_latency_cycles", m.max_latency_cycles)
+        .num("switch_count", m.switch_count)
+        .num("link_count", m.link_count)
+        .num("crossing_count", m.crossing_count)
+        .end();
 }
 
-/// Renders one design point as a compact JSON object: sweep provenance,
+/// Writes one design point as a compact JSON object: sweep provenance,
 /// metrics (powers in mW, area in mm²) and the full topology.
-pub fn design_point_json(p: &DesignPoint) -> String {
-    format!(
-        "{{\"sweep_index\":{},\"requested_intermediate\":{},\"switch_counts\":{},\
-         \"metrics\":{},\"topology\":{}}}",
-        p.sweep_index,
-        p.requested_intermediate,
-        json_usize_array(p.switch_counts.iter().copied()),
-        metrics_json(&p.metrics),
-        topology_json(&p.topology)
-    )
+pub fn write_design_point(out: &mut String, p: &DesignPoint) {
+    let mut o = Obj::new(out);
+    o.num("sweep_index", p.sweep_index)
+        .num("requested_intermediate", p.requested_intermediate);
+    json::array(o.key("switch_counts"), &p.switch_counts, |out, &n| {
+        json::num(out, n)
+    });
+    write_metrics(o.key("metrics"), &p.metrics);
+    write_topology(o.key("topology"), &p.topology);
+    o.end();
 }
 
-/// Renders a whole design space as JSON, one point per line.
-pub fn design_space_json(space: &DesignSpace) -> String {
-    let mut s = format!(
-        "{{\"spec_name\":{},\"island_count\":{},\"points\":[",
-        json_string(&space.spec_name),
-        space.island_count
-    );
-    for (i, p) in space.points.iter().enumerate() {
-        s.push_str(if i == 0 { "\n" } else { ",\n" });
-        s.push_str(&design_point_json(p));
-    }
-    s.push_str("\n]}\n");
+/// [`write_design_point`] into a fresh string.
+pub fn design_point_json(p: &DesignPoint) -> String {
+    let mut s = String::new();
+    write_design_point(&mut s, p);
     s
 }
 
@@ -384,45 +316,19 @@ mod tests {
     }
 
     #[test]
-    fn json_numbers_round_trip_exactly() {
-        for x in [
-            0.0,
-            -0.0,
-            1.0,
-            0.1,
-            1.0 / 3.0,
-            6.02e4,
-            123456789.123456,
-            f64::MIN_POSITIVE,
-        ] {
-            let s = json_number(x);
-            let back: f64 = s.parse().unwrap();
-            assert_eq!(back.to_bits(), x.to_bits(), "{x} via {s}");
-            assert_eq!(json_number(back), s, "re-serialization of {s}");
-        }
-    }
-
-    #[test]
-    fn json_strings_escape_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn design_space_json_covers_every_point_and_flow() {
+    fn design_point_json_covers_every_point_and_flow() {
         let soc = benchmarks::d12_auto();
         let vi = partition::logical_partition(&soc, 4).unwrap();
         let space = synthesize(&soc, &vi, &SynthesisConfig::default()).unwrap();
-        let json = design_space_json(&space);
-        assert!(json.starts_with("{\"spec_name\":\"d12_auto\""));
-        assert_eq!(json.matches("\"sweep_index\":").count(), space.points.len());
-        // Every point serializes all of its routes.
-        let p = &space.points[0];
-        let pj = design_point_json(p);
-        assert_eq!(pj.matches("\"flow\":").count(), soc.flow_count());
-        assert_eq!(pj.matches("\"name\":").count(), p.topology.switches().len());
-        // Serialization is deterministic.
-        assert_eq!(pj, design_point_json(p));
+        for p in &space.points {
+            let pj = design_point_json(p);
+            assert!(pj.starts_with(&format!("{{\"sweep_index\":{},", p.sweep_index)));
+            assert_eq!(pj.matches("\"sweep_index\":").count(), 1);
+            // Every point serializes all of its routes.
+            assert_eq!(pj.matches("\"flow\":").count(), soc.flow_count());
+            assert_eq!(pj.matches("\"name\":").count(), p.topology.switches().len());
+            // Serialization is deterministic.
+            assert_eq!(pj, design_point_json(p));
+        }
     }
 }

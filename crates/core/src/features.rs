@@ -11,11 +11,10 @@
 //! signature.
 //!
 //! Everything here is a pure function of committed data, hashed with
-//! FNV-1a over a canonical ASCII rendering ([`json_number`] gives the
-//! shortest round-trip form of every float), so the features are
-//! byte-deterministic across platforms and runs.
+//! FNV-1a over a canonical ASCII rendering (floats in Rust's shortest
+//! round-trip `Display` form, as in [`crate::json::num`]), so the
+//! features are byte-deterministic across platforms and runs.
 
-use crate::export::json_number;
 use crate::topology::Topology;
 use vi_noc_soc::SocSpec;
 
@@ -57,10 +56,7 @@ pub fn island_signature(topo: &Topology) -> u64 {
         canon.push_str(&format!("|sw:{count}"));
     }
     for i in 0..=n {
-        canon.push_str(&format!(
-            "|f:{}",
-            json_number(topo.island_frequency(i).hz())
-        ));
+        canon.push_str(&format!("|f:{}", topo.island_frequency(i).hz()));
     }
     fnv1a64(canon.as_bytes())
 }
@@ -79,7 +75,7 @@ pub fn flow_fingerprint(spec: &SocSpec) -> u64 {
             "|{}>{}:{}:{}",
             flow.src.index(),
             flow.dst.index(),
-            json_number(flow.bandwidth.bytes_per_s()),
+            flow.bandwidth.bytes_per_s(),
             flow.max_latency_cycles
         ));
     }

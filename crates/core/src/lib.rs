@@ -57,6 +57,7 @@ mod error;
 mod export;
 mod features;
 mod flows;
+pub mod json;
 mod metrics;
 pub mod pareto;
 mod paths;
@@ -73,8 +74,8 @@ pub use config::SynthesisConfig;
 pub use design_space::{DesignPoint, DesignSpace};
 pub use error::SynthesisError;
 pub use export::{
-    design_point_json, design_space_json, json_number, json_string, json_usize_array, metrics_json,
-    routes_table, to_dot, topology_json, topology_summary,
+    design_point_json, routes_table, to_dot, topology_summary, write_design_point, write_metrics,
+    write_power,
 };
 pub use features::{flow_fingerprint, fnv1a64, island_signature};
 pub use flows::{inter_switch_flows, InterSwitchFlow};

@@ -2,7 +2,7 @@
 //! serializations.
 
 use std::fmt;
-use vi_noc_core::json_number;
+use vi_noc_core::json::{self, Obj};
 use vi_noc_sim::{ShutdownScenario, TrafficKind};
 use vi_noc_soc::ViAssignment;
 
@@ -126,31 +126,30 @@ impl SimAxes {
         self.loads.len() * self.traffic.len() * self.schedules.len()
     }
 
-    /// Serializes the axes as one compact JSON object (fixed key order;
-    /// part of the byte-deterministic table format).
-    pub fn to_json(&self) -> String {
-        let loads: Vec<String> = self.loads.iter().map(|&l| json_number(l)).collect();
-        let traffic: Vec<String> = self.traffic.iter().map(|t| format!("\"{t}\"")).collect();
-        let schedules: Vec<String> = self.schedules.iter().map(schedule_json).collect();
-        format!(
-            "{{\"loads\":[{}],\"traffic\":[{}],\"schedules\":[{}],\"horizon_ns\":{}}}",
-            loads.join(","),
-            traffic.join(","),
-            schedules.join(","),
-            self.horizon_ns
-        )
+    /// Writes the axes as one compact JSON object (fixed key order; part
+    /// of the byte-deterministic table format).
+    pub fn write(&self, out: &mut String) {
+        let mut o = Obj::new(out);
+        json::array(o.key("loads"), &self.loads, |out, &l| json::num(out, l));
+        json::array(o.key("traffic"), &self.traffic, |out, t| {
+            json::string(out, &t.to_string())
+        });
+        json::array(o.key("schedules"), &self.schedules, write_schedule);
+        o.num("horizon_ns", self.horizon_ns).end();
     }
 }
 
-/// Serializes one schedule-axis entry: `null` for a free-running cell,
-/// the schedule object otherwise.
-pub fn schedule_json(s: &Option<ShutdownScenario>) -> String {
+/// Writes one schedule-axis entry: `null` for a free-running cell, the
+/// schedule object otherwise.
+fn write_schedule(out: &mut String, s: &Option<ShutdownScenario>) {
     match s {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{\"island\":{},\"stop_at_ns\":{},\"drain_ns\":{},\"post_gate_ns\":{}}}",
-            s.island, s.stop_at_ns, s.drain_ns, s.post_gate_ns
-        ),
+        None => out.push_str("null"),
+        Some(s) => Obj::new(out)
+            .num("island", s.island)
+            .num("stop_at_ns", s.stop_at_ns)
+            .num("drain_ns", s.drain_ns)
+            .num("post_gate_ns", s.post_gate_ns)
+            .end(),
     }
 }
 

@@ -4,10 +4,10 @@
 use crate::axes::{Mode, SimAxes};
 use crate::table::{write_table, CellStats, TableCellRec, TablePoint};
 use rayon::prelude::*;
+use vi_noc_core::json::Value;
 use vi_noc_core::{flow_fingerprint, island_signature, DesignPoint, SynthesisConfig};
 use vi_noc_sim::{measured_power, run_dynamic_cell, SimConfig, TrafficKind};
 use vi_noc_soc::{SocSpec, ViAssignment};
-use vi_noc_sweep::json::Value;
 use vi_noc_sweep::{entry_coords, regenerate_point, GridDescriptor, ParsedFrontier, SweepGrid};
 
 /// Everything a dynamic sweep runs against. The grid must be the **full**

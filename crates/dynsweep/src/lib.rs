@@ -30,7 +30,7 @@ mod axes;
 mod engine;
 mod table;
 
-pub use axes::{first_repeat, schedule_json, Mode, SimAxes};
+pub use axes::{first_repeat, Mode, SimAxes};
 pub use engine::{run_dynsweep, DynSweepInput, DynSweepRun};
 pub use table::{
     parse_table, ParsedCell, ParsedPoint, ParsedShutdown, ParsedStats, ParsedTable, TABLE_FORMAT,

@@ -7,10 +7,8 @@
 //! file is a meaningful regression oracle.
 
 use crate::axes::{Mode, SimAxes};
-use std::fmt::Write as _;
-use vi_noc_core::{json_number, json_string};
+use vi_noc_core::json::{self, Obj, Value};
 use vi_noc_sim::{CellShutdown, ShutdownScenario, TrafficKind};
-use vi_noc_sweep::json::{self, Value};
 
 /// `format` tag of dynamic-sweep result tables.
 pub const TABLE_FORMAT: &str = "vi-noc-dynsweep-v1";
@@ -120,56 +118,42 @@ pub(crate) struct TableCellRec {
     pub stats: CellStats,
 }
 
-fn stats_json(s: &CellStats) -> String {
-    let mut out = format!(
-        "{{\"injected\":{},\"delivered\":{},\"avg_latency_ps\":{},\"power_mw\":{}",
-        s.injected,
-        s.delivered,
-        json_number(s.avg_latency_ps),
-        json_number(s.power_mw)
-    );
+fn write_stats(out: &mut String, s: &CellStats) {
+    let mut o = Obj::new(out);
+    o.num("injected", s.injected)
+        .num("delivered", s.delivered)
+        .num("avg_latency_ps", s.avg_latency_ps)
+        .num("power_mw", s.power_mw);
     if let Some(shut) = &s.shutdown {
-        let _ = write!(
-            out,
-            ",\"shutdown\":{{\"drained_cleanly\":{},\"survivors_before\":{},\"survivors_after\":{}}}",
-            shut.drained_cleanly, shut.survivors_before, shut.survivors_after
-        );
+        Obj::new(o.key("shutdown"))
+            .bool("drained_cleanly", shut.drained_cleanly)
+            .num("survivors_before", shut.survivors_before)
+            .num("survivors_after", shut.survivors_after)
+            .end();
     }
-    out.push('}');
-    out
+    o.end();
 }
 
-fn cell_json(c: &TableCellRec) -> String {
-    format!(
-        "{{\"point\":{},\"load\":{},\"traffic\":\"{}\",\"schedule\":{},\
-         \"provenance\":\"exact\",\"stats\":{}}}",
-        c.point,
-        json_number(c.load),
-        c.traffic,
-        c.schedule,
-        stats_json(&c.stats)
-    )
+fn write_cell(out: &mut String, c: &TableCellRec) {
+    let mut o = Obj::new(out);
+    o.num("point", c.point)
+        .num("load", c.load)
+        .str("traffic", &c.traffic.to_string())
+        .num("schedule", c.schedule)
+        .str("provenance", "exact");
+    write_stats(o.key("stats"), &c.stats);
+    o.end();
 }
 
-fn point_json(p: &TablePoint) -> String {
-    format!(
-        "{{\"ordinal\":{},\"chain_id\":{},\"power_mw\":{},\"latency_cycles\":{},\
-         \"island_signature\":\"{:016x}\",\"flow_fingerprint\":\"{:016x}\"}}",
-        p.ordinal,
-        p.chain_id,
-        json_number(p.power_mw),
-        json_number(p.latency_cycles),
-        p.island_sig,
-        p.flow_fp
-    )
-}
-
-fn write_lines(out: &mut String, entries: impl Iterator<Item = String>) {
-    for (i, e) in entries.enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&e);
-    }
-    out.push_str("\n]");
+fn write_point(out: &mut String, p: &TablePoint) {
+    Obj::new(out)
+        .num("ordinal", p.ordinal)
+        .num("chain_id", p.chain_id)
+        .num("power_mw", p.power_mw)
+        .num("latency_cycles", p.latency_cycles)
+        .str("island_signature", &format!("{:016x}", p.island_sig))
+        .str("flow_fingerprint", &format!("{:016x}", p.flow_fp))
+        .end();
 }
 
 /// Serializes one result table, byte-deterministically. Every table is
@@ -182,69 +166,22 @@ pub(crate) fn write_table(
     cells: &[TableCellRec],
 ) -> String {
     let mut s = String::new();
-    let _ = write!(s, "{{\"format\":{},", json_string(TABLE_FORMAT));
-    let _ = write!(s, "\n\"mode\":\"{}\",", Mode::Exact);
-    let _ = write!(s, "\n\"spec_name\":{},", json_string(spec_name));
-    let _ = write!(s, "\n\"axes\":{},", axes.to_json());
-    s.push_str("\n\"points\":[");
-    write_lines(&mut s, points.iter().map(point_json));
-    s.push_str(",\n\"cells\":[");
-    write_lines(&mut s, cells.iter().map(cell_json));
-    s.push_str("}\n");
+    let mut o = Obj::lines(&mut s);
+    o.str("format", TABLE_FORMAT)
+        .str("mode", &Mode::Exact.to_string())
+        .str("spec_name", spec_name);
+    axes.write(o.key("axes"));
+    json::lines(o.key("points"), points, write_point);
+    json::lines(o.key("cells"), cells, write_cell);
+    o.end();
+    s.push('\n');
     s
 }
 
 // ---------------------------------------------------------------- parser
 
-fn field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    field(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not an unsigned integer"))
-}
-
-fn usize_field(v: &Value, key: &str, ctx: &str) -> Result<usize, String> {
-    field(v, key, ctx)?
-        .as_usize()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not an unsigned integer"))
-}
-
-fn f64_field(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-    field(v, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a number"))
-}
-
-fn str_field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v str, String> {
-    field(v, key, ctx)?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a string"))
-}
-
-fn bool_field(v: &Value, key: &str, ctx: &str) -> Result<bool, String> {
-    match field(v, key, ctx)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("{ctx}: '{key}' is not a boolean")),
-    }
-}
-
-fn check_keys(v: &Value, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    let Value::Obj(members) = v else {
-        return Err(format!("{ctx}: not an object"));
-    };
-    for (k, _) in members {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("{ctx}: unknown member '{k}'"));
-        }
-    }
-    Ok(())
-}
-
 fn hex16_field(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    let s = str_field(v, key, ctx)?;
+    let s = v.str_member(key, ctx)?;
     if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()) {
         u64::from_str_radix(s, 16)
             .map_err(|_| format!("{ctx}: '{key}' is not a 16-hex-digit string"))
@@ -257,16 +194,12 @@ fn parse_schedule(v: &Value, ctx: &str) -> Result<Option<ShutdownScenario>, Stri
     match v {
         Value::Null => Ok(None),
         Value::Obj(_) => {
-            check_keys(
-                v,
-                &["island", "stop_at_ns", "drain_ns", "post_gate_ns"],
-                ctx,
-            )?;
+            v.check_members(&["island", "stop_at_ns", "drain_ns", "post_gate_ns"], ctx)?;
             Ok(Some(ShutdownScenario {
-                island: usize_field(v, "island", ctx)?,
-                stop_at_ns: u64_field(v, "stop_at_ns", ctx)?,
-                drain_ns: u64_field(v, "drain_ns", ctx)?,
-                post_gate_ns: u64_field(v, "post_gate_ns", ctx)?,
+                island: v.usize_member("island", ctx)?,
+                stop_at_ns: v.u64_member("stop_at_ns", ctx)?,
+                drain_ns: v.u64_member("drain_ns", ctx)?,
+                post_gate_ns: v.u64_member("post_gate_ns", ctx)?,
             }))
         }
         _ => Err(format!("{ctx}: schedule is not null or an object")),
@@ -275,8 +208,8 @@ fn parse_schedule(v: &Value, ctx: &str) -> Result<Option<ShutdownScenario>, Stri
 
 fn parse_axes(v: &Value) -> Result<SimAxes, String> {
     let ctx = "axes";
-    check_keys(v, &["loads", "traffic", "schedules", "horizon_ns"], ctx)?;
-    let loads: Vec<f64> = match field(v, "loads", ctx)? {
+    v.check_members(&["loads", "traffic", "schedules", "horizon_ns"], ctx)?;
+    let loads: Vec<f64> = match v.member("loads", ctx)? {
         Value::Arr(xs) => xs
             .iter()
             .map(|x| x.as_f64().filter(|l| l.is_finite() && *l > 0.0))
@@ -289,7 +222,7 @@ fn parse_axes(v: &Value) -> Result<SimAxes, String> {
             )
         }
     };
-    let traffic: Vec<TrafficKind> = match field(v, "traffic", ctx)? {
+    let traffic: Vec<TrafficKind> = match v.member("traffic", ctx)? {
         Value::Arr(xs) if !xs.is_empty() => xs
             .iter()
             .map(|x| {
@@ -300,14 +233,14 @@ fn parse_axes(v: &Value) -> Result<SimAxes, String> {
             .collect::<Result<_, _>>()?,
         _ => return Err("axes: 'traffic' must be a non-empty array".to_string()),
     };
-    let schedules: Vec<Option<ShutdownScenario>> = match field(v, "schedules", ctx)? {
+    let schedules: Vec<Option<ShutdownScenario>> = match v.member("schedules", ctx)? {
         Value::Arr(xs) if !xs.is_empty() => xs
             .iter()
             .map(|x| parse_schedule(x, "axes"))
             .collect::<Result<_, _>>()?,
         _ => return Err("axes: 'schedules' must be a non-empty array".to_string()),
     };
-    let horizon_ns = u64_field(v, "horizon_ns", ctx)?;
+    let horizon_ns = v.u64_member("horizon_ns", ctx)?;
     if horizon_ns == 0 {
         return Err("axes: 'horizon_ns' must be positive".to_string());
     }
@@ -323,8 +256,7 @@ fn parse_axes(v: &Value) -> Result<SimAxes, String> {
 
 fn parse_point(v: &Value, i: usize) -> Result<ParsedPoint, String> {
     let ctx = format!("points[{i}]");
-    check_keys(
-        v,
+    v.check_members(
         &[
             "ordinal",
             "chain_id",
@@ -336,18 +268,17 @@ fn parse_point(v: &Value, i: usize) -> Result<ParsedPoint, String> {
         &ctx,
     )?;
     Ok(ParsedPoint {
-        ordinal: u64_field(v, "ordinal", &ctx)?,
-        chain_id: u64_field(v, "chain_id", &ctx)?,
-        power_mw: f64_field(v, "power_mw", &ctx)?,
-        latency_cycles: f64_field(v, "latency_cycles", &ctx)?,
+        ordinal: v.u64_member("ordinal", &ctx)?,
+        chain_id: v.u64_member("chain_id", &ctx)?,
+        power_mw: v.f64_member("power_mw", &ctx)?,
+        latency_cycles: v.f64_member("latency_cycles", &ctx)?,
         island_signature: hex16_field(v, "island_signature", &ctx)?,
         flow_fingerprint: hex16_field(v, "flow_fingerprint", &ctx)?,
     })
 }
 
 fn parse_stats(v: &Value, ctx: &str) -> Result<ParsedStats, String> {
-    check_keys(
-        v,
+    v.check_members(
         &[
             "injected",
             "delivered",
@@ -360,31 +291,29 @@ fn parse_stats(v: &Value, ctx: &str) -> Result<ParsedStats, String> {
     let shutdown = match v.get("shutdown") {
         None => None,
         Some(s) => {
-            check_keys(
-                s,
+            s.check_members(
                 &["drained_cleanly", "survivors_before", "survivors_after"],
                 ctx,
             )?;
             Some(ParsedShutdown {
-                drained_cleanly: bool_field(s, "drained_cleanly", ctx)?,
-                survivors_before: u64_field(s, "survivors_before", ctx)?,
-                survivors_after: u64_field(s, "survivors_after", ctx)?,
+                drained_cleanly: s.bool_member("drained_cleanly", ctx)?,
+                survivors_before: s.u64_member("survivors_before", ctx)?,
+                survivors_after: s.u64_member("survivors_after", ctx)?,
             })
         }
     };
     Ok(ParsedStats {
-        injected: u64_field(v, "injected", ctx)?,
-        delivered: u64_field(v, "delivered", ctx)?,
-        avg_latency_ps: f64_field(v, "avg_latency_ps", ctx)?,
-        power_mw: f64_field(v, "power_mw", ctx)?,
+        injected: v.u64_member("injected", ctx)?,
+        delivered: v.u64_member("delivered", ctx)?,
+        avg_latency_ps: v.f64_member("avg_latency_ps", ctx)?,
+        power_mw: v.f64_member("power_mw", ctx)?,
         shutdown,
     })
 }
 
 fn parse_cell(v: &Value, i: usize) -> Result<ParsedCell, String> {
     let ctx = format!("cells[{i}]");
-    check_keys(
-        v,
+    v.check_members(
         &[
             "point",
             "load",
@@ -395,18 +324,19 @@ fn parse_cell(v: &Value, i: usize) -> Result<ParsedCell, String> {
         ],
         &ctx,
     )?;
-    if !matches!(field(v, "provenance", &ctx)?, Value::Str(s) if s == "exact") {
+    if !matches!(v.member("provenance", &ctx)?, Value::Str(s) if s == "exact") {
         return Err(format!("{ctx}: provenance is not 'exact'"));
     }
-    let traffic = str_field(v, "traffic", &ctx)?
+    let traffic = v
+        .str_member("traffic", &ctx)?
         .parse::<TrafficKind>()
         .map_err(|e| format!("{ctx}: {e}"))?;
     Ok(ParsedCell {
-        point: usize_field(v, "point", &ctx)?,
-        load: f64_field(v, "load", &ctx)?,
+        point: v.usize_member("point", &ctx)?,
+        load: v.f64_member("load", &ctx)?,
         traffic,
-        schedule: usize_field(v, "schedule", &ctx)?,
-        stats: parse_stats(field(v, "stats", &ctx)?, &ctx)?,
+        schedule: v.usize_member("schedule", &ctx)?,
+        stats: parse_stats(v.member("stats", &ctx)?, &ctx)?,
     })
 }
 
@@ -424,22 +354,21 @@ fn parse_cell(v: &Value, i: usize) -> Result<ParsedCell, String> {
 /// The first failing check.
 pub fn parse_table(text: &str) -> Result<ParsedTable, String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
-    check_keys(
-        &doc,
+    doc.check_members(
         &["format", "mode", "spec_name", "axes", "points", "cells"],
         "table",
     )?;
-    let format = str_field(&doc, "format", "table")?;
+    let format = doc.str_member("format", "table")?;
     if format != TABLE_FORMAT {
         return Err(format!("table: format '{format}' is not '{TABLE_FORMAT}'"));
     }
-    str_field(&doc, "mode", "table")?
+    doc.str_member("mode", "table")?
         .parse::<Mode>()
         .map_err(|e| format!("table: {e}"))?;
-    let spec_name = str_field(&doc, "spec_name", "table")?.to_string();
-    let axes = parse_axes(field(&doc, "axes", "table")?)?;
+    let spec_name = doc.str_member("spec_name", "table")?.to_string();
+    let axes = parse_axes(doc.member("axes", "table")?)?;
 
-    let points: Vec<ParsedPoint> = match field(&doc, "points", "table")? {
+    let points: Vec<ParsedPoint> = match doc.member("points", "table")? {
         Value::Arr(xs) => xs
             .iter()
             .enumerate()
@@ -448,7 +377,7 @@ pub fn parse_table(text: &str) -> Result<ParsedTable, String> {
         _ => return Err("table: 'points' is not an array".to_string()),
     };
 
-    let cells: Vec<ParsedCell> = match field(&doc, "cells", "table")? {
+    let cells: Vec<ParsedCell> = match doc.member("cells", "table")? {
         Value::Arr(xs) => xs
             .iter()
             .enumerate()

@@ -26,9 +26,9 @@
 
 use crate::protocol::{grid_fingerprint, Delta, Lease};
 use std::time::{Duration, Instant};
+use vi_noc_core::json::Value;
 use vi_noc_core::SynthesisConfig;
 use vi_noc_soc::{SocSpec, ViAssignment};
-use vi_noc_sweep::json::Value;
 use vi_noc_sweep::{
     frontier_json, validate_entries, ChainRange, GridDescriptor, RangeDelta, ShardProgress,
     SweepGrid,
@@ -191,7 +191,7 @@ impl LeaseBook {
     /// produced by [`GridDescriptor::to_json`]; guarded anyway).
     pub fn submit(&mut self, payload: &str, desc: &GridDescriptor) -> Result<u64, String> {
         let desc_json = desc.to_json();
-        let grid_value = vi_noc_sweep::json::parse(&desc_json)
+        let grid_value = vi_noc_core::json::parse(&desc_json)
             .map_err(|e| format!("submit: grid descriptor does not re-parse: {e}"))?;
         let job_id = self.next_job_id;
         self.next_job_id += 1;

@@ -2,16 +2,16 @@
 //! local TCP stream.
 //!
 //! Every message is one compact JSON object on one line, with a `type`
-//! member naming its variant. Multi-line payloads (job documents, frontier
-//! files) cross the wire as JSON strings — `vi_noc_core::json_string`
-//! escapes the newlines — so framing stays trivially line-based. Frontier
-//! entries inside [`Message::Delta`] are embedded as raw JSON values: they
-//! are the compact single-line objects of [`vi_noc_sweep::RangeDelta`]
-//! entries (the checkpoint format's frontier entries), and re-serializing
-//! them with the
-//! parse→write fixed-point writer ([`vi_noc_sweep::json::Value::to_json`])
-//! preserves their bytes exactly, which is what the coordinator's
-//! byte-identity guarantee rests on.
+//! member naming its variant, read and written through
+//! [`vi_noc_core::json`]. Multi-line payloads (job documents, frontier
+//! files) cross the wire as JSON strings — the writer escapes the
+//! newlines — so framing stays trivially line-based. Frontier entries
+//! inside [`Message::Delta`] are embedded as raw JSON values: they are the
+//! compact single-line objects of [`vi_noc_sweep::RangeDelta`] entries (the
+//! checkpoint format's frontier entries), and re-serializing them with the
+//! parse→write fixed-point writer ([`Value::write`]) preserves their bytes
+//! exactly, which is what the coordinator's byte-identity guarantee rests
+//! on.
 //!
 //! Conversation shape (`W` = worker, `S` = submitter, `C` = coordinator):
 //!
@@ -27,9 +27,9 @@
 //! malformed message in the committed corpus must keep failing with its
 //! exact recorded message.
 
-use vi_noc_core::{fnv1a64, json_string};
-use vi_noc_sweep::json::{self, Value};
-use vi_noc_sweep::{stats_from_value, stats_json, SweepStats};
+use vi_noc_core::fnv1a64;
+use vi_noc_core::json::{self, Obj, Value};
+use vi_noc_sweep::{stats_from_value, write_stats, SweepStats};
 
 /// Protocol identifier exchanged in `hello` messages. Bump on any wire
 /// change; a coordinator refuses peers speaking anything else.
@@ -152,83 +152,64 @@ pub enum Message {
 /// Serializes a message as one line (no trailing newline; the transport
 /// appends it).
 pub fn write_message(m: &Message) -> String {
+    let mut s = String::new();
+    let mut o = Obj::new(&mut s);
     match m {
-        Message::Hello(role) => format!(
-            "{{\"type\":\"hello\",\"protocol\":{},\"role\":\"{}\"}}",
-            json_string(PROTOCOL),
-            role.as_str()
-        ),
+        Message::Hello(role) => {
+            o.str("type", "hello")
+                .str("protocol", PROTOCOL)
+                .str("role", role.as_str());
+        }
         Message::Submit { job } => {
-            format!("{{\"type\":\"submit\",\"job\":{}}}", json_string(job))
+            o.str("type", "submit").str("job", job);
         }
-        Message::Result { frontier } => format!(
-            "{{\"type\":\"result\",\"frontier\":{}}}",
-            json_string(frontier)
-        ),
-        Message::Reject { message } => format!(
-            "{{\"type\":\"reject\",\"message\":{}}}",
-            json_string(message)
-        ),
-        Message::Request => "{\"type\":\"request\"}".to_string(),
-        Message::Lease(l) => format!(
-            "{{\"type\":\"lease\",\"lease_id\":{},\"job\":{},\"grid_fp\":{},\"start\":{},\
-             \"end\":{},\"from\":{},\"checkpoint_every\":{}}}",
-            l.lease_id,
-            json_string(&l.job),
-            json_string(&l.grid_fp),
-            l.start,
-            l.end,
-            l.from,
-            l.checkpoint_every
-        ),
+        Message::Result { frontier } => {
+            o.str("type", "result").str("frontier", frontier);
+        }
+        Message::Reject { message } => {
+            o.str("type", "reject").str("message", message);
+        }
+        Message::Request => {
+            o.str("type", "request");
+        }
+        Message::Lease(l) => {
+            o.str("type", "lease")
+                .num("lease_id", l.lease_id)
+                .str("job", &l.job)
+                .str("grid_fp", &l.grid_fp)
+                .num("start", l.start)
+                .num("end", l.end)
+                .num("from", l.from)
+                .num("checkpoint_every", l.checkpoint_every);
+        }
         Message::Wait { poll_ms } => {
-            format!("{{\"type\":\"wait\",\"poll_ms\":{poll_ms}}}")
+            o.str("type", "wait").num("poll_ms", *poll_ms);
         }
-        Message::Shutdown => "{\"type\":\"shutdown\"}".to_string(),
+        Message::Shutdown => {
+            o.str("type", "shutdown");
+        }
         Message::Delta(d) => {
-            let mut s = format!(
-                "{{\"type\":\"delta\",\"lease_id\":{},\"grid_fp\":{},\"from\":{},\"taken\":{},\
-                 \"stats\":{},\"entries\":[",
-                d.lease_id,
-                json_string(&d.grid_fp),
-                d.from,
-                d.taken,
-                stats_json(&d.stats)
-            );
-            for (i, e) in d.entries.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&e.to_json());
-            }
-            s.push_str("]}");
-            s
+            o.str("type", "delta")
+                .num("lease_id", d.lease_id)
+                .str("grid_fp", &d.grid_fp)
+                .num("from", d.from)
+                .num("taken", d.taken);
+            write_stats(o.key("stats"), &d.stats);
+            json::array(o.key("entries"), &d.entries, |out, e| e.write(out));
         }
         Message::Ack { lease_id, done } => {
-            format!("{{\"type\":\"ack\",\"lease_id\":{lease_id},\"done\":{done}}}")
+            o.str("type", "ack")
+                .num("lease_id", *lease_id)
+                .num("done", *done);
         }
-        Message::Refuse { lease_id, message } => format!(
-            "{{\"type\":\"refuse\",\"lease_id\":{},\"message\":{}}}",
-            lease_id,
-            json_string(message)
-        ),
+        Message::Refuse { lease_id, message } => {
+            o.str("type", "refuse")
+                .num("lease_id", *lease_id)
+                .str("message", message);
+        }
     }
-}
-
-fn field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    field(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not an unsigned integer"))
-}
-
-fn str_field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v str, String> {
-    field(v, key, ctx)?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a string"))
+    o.end();
+    s
 }
 
 /// Parses one message line.
@@ -240,49 +221,49 @@ fn str_field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v str, String> 
 /// the protocol corpus records.
 pub fn parse_message(line: &str) -> Result<Message, String> {
     let v = json::parse(line).map_err(|e| e.to_string())?;
-    let ty = str_field(&v, "type", "message")?;
+    let ty = v.str_member("type", "message")?;
     match ty {
         "hello" => {
-            let protocol = str_field(&v, "protocol", "hello")?;
+            let protocol = v.str_member("protocol", "hello")?;
             if protocol != PROTOCOL {
                 return Err(format!("hello: protocol '{protocol}' is not '{PROTOCOL}'"));
             }
-            match str_field(&v, "role", "hello")? {
+            match v.str_member("role", "hello")? {
                 "work" => Ok(Message::Hello(Role::Work)),
                 "submit" => Ok(Message::Hello(Role::Submit)),
                 other => Err(format!("hello: role '{other}' is not 'work' or 'submit'")),
             }
         }
         "submit" => Ok(Message::Submit {
-            job: str_field(&v, "job", "submit")?.to_string(),
+            job: v.str_member("job", "submit")?.to_string(),
         }),
         "result" => Ok(Message::Result {
-            frontier: str_field(&v, "frontier", "result")?.to_string(),
+            frontier: v.str_member("frontier", "result")?.to_string(),
         }),
         "reject" => Ok(Message::Reject {
-            message: str_field(&v, "message", "reject")?.to_string(),
+            message: v.str_member("message", "reject")?.to_string(),
         }),
         "request" => Ok(Message::Request),
         "lease" => Ok(Message::Lease(Lease {
-            lease_id: u64_field(&v, "lease_id", "lease")?,
-            job: str_field(&v, "job", "lease")?.to_string(),
-            grid_fp: str_field(&v, "grid_fp", "lease")?.to_string(),
-            start: u64_field(&v, "start", "lease")?,
-            end: u64_field(&v, "end", "lease")?,
-            from: u64_field(&v, "from", "lease")?,
-            checkpoint_every: u64_field(&v, "checkpoint_every", "lease")?,
+            lease_id: v.u64_member("lease_id", "lease")?,
+            job: v.str_member("job", "lease")?.to_string(),
+            grid_fp: v.str_member("grid_fp", "lease")?.to_string(),
+            start: v.u64_member("start", "lease")?,
+            end: v.u64_member("end", "lease")?,
+            from: v.u64_member("from", "lease")?,
+            checkpoint_every: v.u64_member("checkpoint_every", "lease")?,
         })),
         "wait" => Ok(Message::Wait {
-            poll_ms: u64_field(&v, "poll_ms", "wait")?,
+            poll_ms: v.u64_member("poll_ms", "wait")?,
         }),
         "shutdown" => Ok(Message::Shutdown),
         "delta" => {
-            let lease_id = u64_field(&v, "lease_id", "delta")?;
-            let grid_fp = str_field(&v, "grid_fp", "delta")?.to_string();
-            let from = u64_field(&v, "from", "delta")?;
-            let taken = u64_field(&v, "taken", "delta")?;
-            let stats = stats_from_value(field(&v, "stats", "delta")?)?;
-            let entries = match field(&v, "entries", "delta")? {
+            let lease_id = v.u64_member("lease_id", "delta")?;
+            let grid_fp = v.str_member("grid_fp", "delta")?.to_string();
+            let from = v.u64_member("from", "delta")?;
+            let taken = v.u64_member("taken", "delta")?;
+            let stats = stats_from_value(v.member("stats", "delta")?)?;
+            let entries = match v.member("entries", "delta")? {
                 Value::Arr(es) => es.clone(),
                 _ => return Err("delta: 'entries' is not an array".to_string()),
             };
@@ -296,12 +277,12 @@ pub fn parse_message(line: &str) -> Result<Message, String> {
             }))
         }
         "ack" => Ok(Message::Ack {
-            lease_id: u64_field(&v, "lease_id", "ack")?,
-            done: u64_field(&v, "done", "ack")?,
+            lease_id: v.u64_member("lease_id", "ack")?,
+            done: v.u64_member("done", "ack")?,
         }),
         "refuse" => Ok(Message::Refuse {
-            lease_id: u64_field(&v, "lease_id", "refuse")?,
-            message: str_field(&v, "message", "refuse")?.to_string(),
+            lease_id: v.u64_member("lease_id", "refuse")?,
+            message: v.str_member("message", "refuse")?.to_string(),
         }),
         other => Err(format!("message: unknown type '{other}'")),
     }
@@ -363,7 +344,7 @@ mod tests {
                 duplicates: 2,
                 infeasible: 1,
             },
-            entries: vec![vi_noc_sweep::json::parse("{\"ordinal\":4,\"power_mw\":1.5}").unwrap()],
+            entries: vec![json::parse("{\"ordinal\":4,\"power_mw\":1.5}").unwrap()],
         }));
         round_trip(Message::Ack {
             lease_id: 7,
@@ -385,7 +366,7 @@ mod tests {
             from: 0,
             taken: 4,
             stats: SweepStats::default(),
-            entries: vec![vi_noc_sweep::json::parse(entry).unwrap()],
+            entries: vec![json::parse(entry).unwrap()],
         });
         let line = write_message(&m);
         match parse_message(&line).unwrap() {

@@ -219,7 +219,7 @@ fn evaluate_lease(
                 .entries
                 .iter()
                 .map(|(_, e)| {
-                    vi_noc_sweep::json::parse(e).map_err(|err| format!("entry re-parse: {err}"))
+                    vi_noc_core::json::parse(e).map_err(|err| format!("entry re-parse: {err}"))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             conn.send(&Message::Delta(Delta {

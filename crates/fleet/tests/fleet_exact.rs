@@ -133,6 +133,35 @@ fn concurrent_submissions_share_one_worker_pool() {
     }
 }
 
+#[test]
+fn a_deeply_nested_line_is_rejected_and_the_fleet_still_folds_exactly() {
+    let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), config()).unwrap();
+    let addr = handle.addr();
+    // 20,000 `[` on one line used to overflow the connection thread's
+    // stack and abort the whole coordinator; now it is one more
+    // malformed hello.
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer
+        .write_all(("[".repeat(20_000) + "\n").as_bytes())
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    assert_eq!(
+        parse_message(line.trim_end()).unwrap(),
+        Message::Reject {
+            message: "JSON error at byte 128: nesting deeper than 128 levels".to_string()
+        }
+    );
+
+    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+    assert_eq!(handle.submit("d12").unwrap(), reference("d12"));
+    handle.shutdown();
+    for w in pool {
+        w.join().unwrap().unwrap();
+    }
+}
+
 /// A hand-driven protocol peer for crash-schedule tests.
 struct RawPeer {
     reader: BufReader<TcpStream>,
@@ -193,7 +222,7 @@ fn stream_some_deltas(peer: &mut RawPeer, lease: &vi_noc_fleet::Lease, deltas: u
         let entries = d
             .entries
             .iter()
-            .map(|(_, e)| vi_noc_sweep::json::parse(e).unwrap())
+            .map(|(_, e)| vi_noc_core::json::parse(e).unwrap())
             .collect();
         peer.send(&Message::Delta(Delta {
             lease_id: lease.lease_id,

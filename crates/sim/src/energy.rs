@@ -1,36 +1,18 @@
 //! Measured energy accounting: prices the simulator's observed activity
 //! with the same component models the synthesis flow uses, giving a
-//! dynamic cross-check of the analytic power numbers behind Figure 2.
+//! dynamic cross-check of the analytic power numbers behind Figure 2. The
+//! result has the analytic [`PowerBreakdown`] type, so reports serialize
+//! both with one writer ([`vi_noc_core::write_power`]).
 
 use crate::stats::SimStats;
-use vi_noc_core::{SynthesisConfig, Topology};
+use vi_noc_core::{PowerBreakdown, SynthesisConfig, Topology};
 use vi_noc_models::{Bandwidth, BisyncFifoModel, LinkModel, NiModel, Power, SwitchModel};
 use vi_noc_soc::SocSpec;
 
-/// Dynamic power derived from simulated activity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredPower {
-    /// Switch idle + datapath power (datapath from observed flit counts).
-    pub switches: Power,
-    /// Link wire power from observed per-link traffic.
-    pub links: Power,
-    /// Converter power on observed crossings.
-    pub synchronizers: Power,
-    /// NI power from observed injection/ejection.
-    pub nis: Power,
-}
-
-impl MeasuredPower {
-    /// The Figure-2 composition: switches + links + synchronizers.
-    pub fn fig2_power(&self) -> Power {
-        self.switches + self.links + self.synchronizers
-    }
-
-    /// Everything, NIs included.
-    pub fn total(&self) -> Power {
-        self.fig2_power() + self.nis
-    }
-}
+/// Dynamic power derived from simulated activity: the analytic
+/// [`PowerBreakdown`] split, with switch datapath, link, converter and NI
+/// power priced from observed traffic instead of requested bandwidth.
+pub type MeasuredPower = PowerBreakdown;
 
 /// Prices a finished simulation run.
 ///

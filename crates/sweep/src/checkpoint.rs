@@ -1,22 +1,20 @@
-//! The serde-free JSON checkpoint format: one file per shard, merged into a
-//! frontier file that is byte-identical to the unsharded run's emission.
+//! The JSON checkpoint format: one file per shard, merged into a frontier
+//! file that is byte-identical to the unsharded run's emission.
 //!
 //! Byte-identity is engineered, not hoped for: every writer in the pipeline
-//! (the struct writers here, [`vi_noc_core::design_point_json`] for embedded
-//! points, and the [`crate::json::Value`] re-writer `merge` uses) emits a
-//! fixed key order, compact layout, and shortest-round-trip numbers — so
-//! `write(parse(write(x))) == write(x)` byte for byte, and a frontier
-//! assembled from parsed shard files equals the frontier written directly
-//! from the in-memory run.
+//! (the struct writers here, [`vi_noc_core::write_design_point`] for
+//! embedded points, and the [`Value`] re-writer `merge` uses) goes through
+//! [`vi_noc_core::json`], which emits a fixed key order, a fixed layout and
+//! shortest-round-trip numbers — so `write(parse(write(x))) == write(x)`
+//! byte for byte, and a frontier assembled from parsed shard files equals
+//! the frontier written directly from the in-memory run.
 
 use crate::grid::RefineWindow;
-use crate::json::{self, Value};
 use crate::run::{FrontierPoint, ShardProgress, SweepStats};
 use crate::shard::Shard;
-use std::fmt::Write as _;
-use vi_noc_core::{
-    design_point_json, json_number, json_string, json_usize_array, ParetoFold, ParetoKey,
-};
+use std::collections::BTreeSet;
+use vi_noc_core::json::{self, Obj, Value};
+use vi_noc_core::{write_design_point, ParetoFold, ParetoKey};
 
 /// `format` tag of shard checkpoint files.
 pub const SHARD_FORMAT: &str = "vi-noc-sweep-shard-v1";
@@ -80,49 +78,40 @@ impl GridDescriptor {
     /// member is emitted only when non-empty — descriptors of full grids
     /// keep their pre-refinement bytes exactly.
     pub fn to_json(&self) -> String {
-        let scales: Vec<String> = self.freq_scales.iter().map(|&s| json_number(s)).collect();
-        let mut s = format!(
-            "{{\"spec_name\":{},\"island_count\":{},\"partition\":{},\"seed\":{},\
-             \"max_boost\":{},\"freq_scales\":[{}],\"max_intermediate\":{},\"num_chains\":{}",
-            json_string(&self.spec_name),
-            self.island_count,
-            json_string(&self.partition),
-            self.seed,
-            self.max_boost,
-            scales.join(","),
-            self.max_intermediate,
-            self.num_chains
-        );
+        let mut s = String::new();
+        let mut o = Obj::new(&mut s);
+        o.str("spec_name", &self.spec_name)
+            .num("island_count", self.island_count)
+            .str("partition", &self.partition)
+            .num("seed", self.seed)
+            .num("max_boost", self.max_boost);
+        json::array(o.key("freq_scales"), &self.freq_scales, |out, &x| {
+            json::num(out, x)
+        });
+        o.num("max_intermediate", self.max_intermediate)
+            .num("num_chains", self.num_chains);
         if !self.windows.is_empty() {
-            s.push_str(",\"windows\":[");
-            for (i, w) in self.windows.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&window_json(w));
-            }
-            s.push(']');
+            json::array(o.key("windows"), &self.windows, write_window);
         }
-        s.push('}');
+        o.end();
         s
     }
 }
 
-/// Serializes one refinement window as a compact JSON object — the format
+/// Writes one refinement window as a compact JSON object — the format
 /// used inside grid descriptors and in fleet job payloads.
-pub fn window_json(w: &RefineWindow) -> String {
-    format!(
-        "{{\"scales\":{},\"base_lo\":{},\"base_hi\":{},\"boost_lo\":{},\"boost_hi\":{}}}",
-        json_usize_array(w.scales.iter().copied()),
-        w.base_lo,
-        w.base_hi,
-        w.boost_lo,
-        w.boost_hi
-    )
+pub fn write_window(out: &mut String, w: &RefineWindow) {
+    let mut o = Obj::new(out);
+    json::array(o.key("scales"), &w.scales, |out, &i| json::num(out, i));
+    o.num("base_lo", w.base_lo)
+        .num("base_hi", w.base_hi)
+        .num("boost_lo", w.boost_lo)
+        .num("boost_hi", w.boost_hi)
+        .end();
 }
 
 /// Parses an array of refinement-window objects (the inverse of
-/// [`window_json`] over a `[...]` value), with `ctx`-prefixed errors.
+/// [`write_window`] over a `[...]` value), with `ctx`-prefixed errors.
 ///
 /// # Errors
 ///
@@ -134,62 +123,61 @@ pub fn windows_from_value(v: &Value, ctx: &str) -> Result<Vec<RefineWindow>, Str
     }
 }
 
-/// Serializes the counters object used in checkpoint/frontier files and in
+/// Writes the counters object used in checkpoint/frontier files and in
 /// fleet delta messages.
-pub fn stats_json(s: &SweepStats) -> String {
-    format!(
-        "{{\"chains\":{},\"inactive_chains\":{},\"feasible\":{},\"duplicates\":{},\
-         \"infeasible\":{}}}",
-        s.chains, s.inactive_chains, s.feasible, s.duplicates, s.infeasible
-    )
+pub fn write_stats(out: &mut String, s: &SweepStats) {
+    Obj::new(out)
+        .num("chains", s.chains)
+        .num("inactive_chains", s.inactive_chains)
+        .num("feasible", s.feasible)
+        .num("duplicates", s.duplicates)
+        .num("infeasible", s.infeasible)
+        .end();
 }
 
 /// Serializes one frontier entry: the dominance key fields first (so
 /// `merge` can fold without touching the payload), then the chain
 /// provenance, then the full design point.
 pub(crate) fn frontier_entry_json(fp: &FrontierPoint) -> String {
-    let boosts: Vec<String> = fp.boosts.iter().map(|b| b.to_string()).collect();
-    format!(
-        "{{\"ordinal\":{},\"power_mw\":{},\"latency_cycles\":{},\"chain_id\":{},\
-         \"scale\":{},\"boosts\":[{}],\"point\":{}}}",
-        fp.ordinal,
-        json_number(fp.point.metrics.noc_dynamic_power().mw()),
-        json_number(fp.point.metrics.avg_latency_cycles),
-        fp.chain_id,
-        json_number(fp.scale),
-        boosts.join(","),
-        design_point_json(&fp.point)
-    )
+    let mut s = String::new();
+    let mut o = Obj::new(&mut s);
+    o.num("ordinal", fp.ordinal)
+        .num("power_mw", fp.point.metrics.noc_dynamic_power().mw())
+        .num("latency_cycles", fp.point.metrics.avg_latency_cycles)
+        .num("chain_id", fp.chain_id)
+        .num("scale", fp.scale);
+    json::array(o.key("boosts"), &fp.boosts, |out, &b| json::num(out, b));
+    write_design_point(o.key("point"), &fp.point);
+    o.end();
+    s
 }
 
 /// Shared file layout of shard and frontier files: top-level members one
 /// per line, frontier entries one per line. Shard files carry their stripe
 /// and the `chains_done` resume watermark — stripe positions already
 /// folded into the file; frontier files carry neither.
-fn file_json(
+fn file_json<T>(
     format: &str,
     grid_json: &str,
     stripe: Option<(Shard, u64)>,
     stats: &SweepStats,
-    entries: impl IntoIterator<Item = String>,
+    entries: impl IntoIterator<Item = T>,
+    entry: impl FnMut(&mut String, T),
 ) -> String {
     let mut s = String::new();
-    let _ = write!(s, "{{\"format\":{},", json_string(format));
-    let _ = write!(s, "\n\"grid\":{grid_json},");
+    let mut o = Obj::lines(&mut s);
+    o.str("format", format).raw("grid", grid_json);
     if let Some((sh, done)) = stripe {
-        let _ = write!(
-            s,
-            "\n\"shard\":{{\"index\":{},\"count\":{}}},\n\"chains_done\":{done},",
-            sh.index, sh.count
-        );
+        Obj::new(o.key("shard"))
+            .num("index", sh.index)
+            .num("count", sh.count)
+            .end();
+        o.num("chains_done", done);
     }
-    let _ = write!(s, "\n\"stats\":{},", stats_json(stats));
-    s.push_str("\n\"frontier\":[");
-    for (i, e) in entries.into_iter().enumerate() {
-        s.push_str(if i == 0 { "\n" } else { ",\n" });
-        s.push_str(&e);
-    }
-    s.push_str("\n]}\n");
+    write_stats(o.key("stats"), stats);
+    json::lines(o.key("frontier"), entries, entry);
+    o.end();
+    s.push('\n');
     s
 }
 
@@ -213,6 +201,7 @@ pub fn shard_checkpoint_json(
         Some((shard, progress.chains_done)),
         &progress.stats,
         sorted_entries(&progress.frontier),
+        |out, e| json::raw(out, &e),
     )
 }
 
@@ -226,6 +215,7 @@ pub fn frontier_json(desc: &GridDescriptor, progress: &ShardProgress) -> String 
         None,
         &progress.stats,
         sorted_entries(&progress.frontier),
+        |out, e| json::raw(out, &e),
     )
 }
 
@@ -248,7 +238,7 @@ pub struct ParsedShard {
 impl ParsedShard {
     /// Total chain ids of the grid this checkpoint describes.
     pub fn num_chains(&self) -> Result<u64, String> {
-        u64_field(&self.grid, "num_chains", "grid")
+        self.grid.u64_member("num_chains", "grid")
     }
 
     /// `true` iff the checkpoint covers its whole stripe (files without a
@@ -288,54 +278,25 @@ impl ParsedShard {
     }
 }
 
-fn field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    field(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not an unsigned integer"))
-}
-
-fn f64_field(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-    field(v, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a number"))
-}
-
-/// Removes and returns member `key` of an object (avoids deep-cloning the
-/// payload trees when dismantling a parsed checkpoint).
-fn take_member(v: &mut Value, key: &str, ctx: &str) -> Result<Value, String> {
-    match v {
-        Value::Obj(members) => members
-            .iter()
-            .position(|(k, _)| k == key)
-            .map(|i| members.remove(i).1)
-            .ok_or_else(|| format!("{ctx}: missing '{key}'")),
-        _ => Err(format!("{ctx}: not an object")),
-    }
-}
-
 /// Parses the counters object of a checkpoint, frontier file, or fleet
-/// delta message (the inverse of [`stats_json`]).
+/// delta message (the inverse of [`write_stats`]).
 ///
 /// # Errors
 ///
 /// Missing or non-integer counter members.
 pub fn stats_from_value(stats_v: &Value) -> Result<SweepStats, String> {
     Ok(SweepStats {
-        chains: u64_field(stats_v, "chains", "stats")?,
-        inactive_chains: u64_field(stats_v, "inactive_chains", "stats")?,
-        feasible: u64_field(stats_v, "feasible", "stats")?,
-        duplicates: u64_field(stats_v, "duplicates", "stats")?,
-        infeasible: u64_field(stats_v, "infeasible", "stats")?,
+        chains: stats_v.u64_member("chains", "stats")?,
+        inactive_chains: stats_v.u64_member("inactive_chains", "stats")?,
+        feasible: stats_v.u64_member("feasible", "stats")?,
+        duplicates: stats_v.u64_member("duplicates", "stats")?,
+        infeasible: stats_v.u64_member("infeasible", "stats")?,
     })
 }
 
 /// Parses one refinement-window object of a serialized grid descriptor.
 fn window_from_value(v: &Value, ctx: &str) -> Result<RefineWindow, String> {
-    let scales = match field(v, "scales", ctx)? {
+    let scales = match v.member("scales", ctx)? {
         Value::Arr(xs) => xs
             .iter()
             .map(|x| {
@@ -348,10 +309,10 @@ fn window_from_value(v: &Value, ctx: &str) -> Result<RefineWindow, String> {
     };
     Ok(RefineWindow {
         scales,
-        base_lo: u64_field(v, "base_lo", ctx)? as usize,
-        base_hi: u64_field(v, "base_hi", ctx)? as usize,
-        boost_lo: u64_field(v, "boost_lo", ctx)? as usize,
-        boost_hi: u64_field(v, "boost_hi", ctx)? as usize,
+        base_lo: v.usize_member("base_lo", ctx)?,
+        base_hi: v.usize_member("base_hi", ctx)?,
+        boost_lo: v.usize_member("boost_lo", ctx)?,
+        boost_hi: v.usize_member("boost_hi", ctx)?,
     })
 }
 
@@ -378,10 +339,10 @@ pub fn validate_entries(
     frontier: Vec<Value>,
     grid: &Value,
 ) -> Result<Vec<(ParetoKey, Value)>, String> {
-    let island_count = u64_field(grid, "island_count", "grid")? as usize;
-    let num_chains = u64_field(grid, "num_chains", "grid")?;
-    let chain_len = u64_field(grid, "max_intermediate", "grid")? + 1;
-    let freq_scales: Vec<f64> = match field(grid, "freq_scales", "grid")? {
+    let island_count = grid.usize_member("island_count", "grid")?;
+    let num_chains = grid.u64_member("num_chains", "grid")?;
+    let chain_len = grid.u64_member("max_intermediate", "grid")? + 1;
+    let freq_scales: Vec<f64> = match grid.member("freq_scales", "grid")? {
         Value::Arr(xs) => xs
             .iter()
             .map(|x| x.as_f64().ok_or("grid: freq_scale is not a number"))
@@ -402,22 +363,24 @@ pub fn validate_entries(
     for (i, entry) in frontier.into_iter().enumerate() {
         let ctx = format!("frontier[{i}]");
         let key = ParetoKey {
-            power_mw: f64_field(&entry, "power_mw", &ctx)?,
-            latency_cycles: f64_field(&entry, "latency_cycles", &ctx)?,
-            ordinal: u64_field(&entry, "ordinal", &ctx)?,
+            power_mw: entry.f64_member("power_mw", &ctx)?,
+            latency_cycles: entry.f64_member("latency_cycles", &ctx)?,
+            ordinal: entry.u64_member("ordinal", &ctx)?,
         };
         // Cross-check the fold key against the embedded point's metrics —
         // a mismatch means the file was edited or truncated.
-        let point = field(&entry, "point", &ctx)?;
-        let metrics = field(point, "metrics", &ctx)?;
-        let total = f64_field(field(metrics, "power_mw", &ctx)?, "total", &ctx)?;
-        let lat = f64_field(metrics, "avg_latency_cycles", &ctx)?;
+        let point = entry.member("point", &ctx)?;
+        let metrics = point.member("metrics", &ctx)?;
+        let total = metrics
+            .member("power_mw", &ctx)?
+            .f64_member("total", &ctx)?;
+        let lat = metrics.f64_member("avg_latency_cycles", &ctx)?;
         if total.to_bits() != key.power_mw.to_bits()
             || lat.to_bits() != key.latency_cycles.to_bits()
         {
             return Err(format!("{ctx}: key fields disagree with point metrics"));
         }
-        let boosts: Vec<u64> = match field(&entry, "boosts", &ctx)? {
+        let boosts: Vec<u64> = match entry.member("boosts", &ctx)? {
             Value::Arr(bs) => bs
                 .iter()
                 .map(|b| {
@@ -433,7 +396,7 @@ pub fn validate_entries(
                 boosts.len()
             ));
         }
-        let chain_id = u64_field(&entry, "chain_id", &ctx)?;
+        let chain_id = entry.u64_member("chain_id", &ctx)?;
         if chain_id >= num_chains {
             return Err(format!(
                 "{ctx}: chain_id {chain_id} is outside the grid's {num_chains} chains"
@@ -446,14 +409,12 @@ pub fn validate_entries(
             ));
         }
         if let Some(windows) = &windows {
-            let scale = f64_field(&entry, "scale", &ctx)?;
+            let scale = entry.f64_member("scale", &ctx)?;
             let scale_index = freq_scales
                 .iter()
                 .position(|&s| s.to_bits() == scale.to_bits())
-                .ok_or_else(|| {
-                    format!("{ctx}: scale {} is not a grid scale", json_number(scale))
-                })?;
-            let sweep_index = u64_field(point, "sweep_index", &ctx)? as usize;
+                .ok_or_else(|| format!("{ctx}: scale {scale} is not a grid scale"))?;
+            let sweep_index = point.usize_member("sweep_index", &ctx)?;
             let inside = windows.iter().any(|w| {
                 w.scales.contains(&scale_index)
                     && (w.base_lo..=w.base_hi).contains(&sweep_index)
@@ -475,19 +436,16 @@ pub fn validate_entries(
 /// Parses and validates one shard checkpoint file.
 pub fn parse_shard_checkpoint(text: &str) -> Result<ParsedShard, String> {
     let mut doc = json::parse(text).map_err(|e| e.to_string())?;
-    let format = field(&doc, "format", "checkpoint")?
-        .as_str()
-        .ok_or("checkpoint: 'format' is not a string")?
-        .to_string();
+    let format = doc.str_member("format", "checkpoint")?;
     if format != SHARD_FORMAT {
         return Err(format!(
             "checkpoint: format '{format}' is not '{SHARD_FORMAT}'"
         ));
     }
-    let shard_v = field(&doc, "shard", "checkpoint")?;
+    let shard_v = doc.member("shard", "checkpoint")?;
     let shard = Shard::new(
-        u64_field(shard_v, "index", "shard")?,
-        u64_field(shard_v, "count", "shard")?,
+        shard_v.u64_member("index", "shard")?,
+        shard_v.u64_member("count", "shard")?,
     )?;
     let chains_done = match doc.get("chains_done") {
         None => None,
@@ -496,9 +454,9 @@ pub fn parse_shard_checkpoint(text: &str) -> Result<ParsedShard, String> {
                 .ok_or("checkpoint: 'chains_done' is not an unsigned integer")?,
         ),
     };
-    let stats = stats_from_value(field(&doc, "stats", "checkpoint")?)?;
-    let grid = take_member(&mut doc, "grid", "checkpoint")?;
-    let frontier = match take_member(&mut doc, "frontier", "checkpoint")? {
+    let stats = stats_from_value(doc.member("stats", "checkpoint")?)?;
+    let grid = doc.take_member("grid", "checkpoint")?;
+    let frontier = match doc.take_member("frontier", "checkpoint")? {
         Value::Arr(items) => items,
         _ => return Err("checkpoint: 'frontier' is not an array".to_string()),
     };
@@ -537,10 +495,10 @@ pub struct FrontierEntryCoords {
 pub fn entry_coords(entry: &Value) -> Result<FrontierEntryCoords, String> {
     let ctx = "frontier entry";
     Ok(FrontierEntryCoords {
-        ordinal: u64_field(entry, "ordinal", ctx)?,
-        chain_id: u64_field(entry, "chain_id", ctx)?,
-        power_mw: f64_field(entry, "power_mw", ctx)?,
-        latency_cycles: f64_field(entry, "latency_cycles", ctx)?,
+        ordinal: entry.u64_member("ordinal", ctx)?,
+        chain_id: entry.u64_member("chain_id", ctx)?,
+        power_mw: entry.f64_member("power_mw", ctx)?,
+        latency_cycles: entry.f64_member("latency_cycles", ctx)?,
     })
 }
 
@@ -560,18 +518,15 @@ pub struct ParsedFrontier {
 /// checks as [`parse_shard_checkpoint`].
 pub fn parse_frontier_file(text: &str) -> Result<ParsedFrontier, String> {
     let mut doc = json::parse(text).map_err(|e| e.to_string())?;
-    let format = field(&doc, "format", "frontier")?
-        .as_str()
-        .ok_or("frontier: 'format' is not a string")?
-        .to_string();
+    let format = doc.str_member("format", "frontier")?;
     if format != FRONTIER_FORMAT {
         return Err(format!(
             "frontier: format '{format}' is not '{FRONTIER_FORMAT}'"
         ));
     }
-    let stats = stats_from_value(field(&doc, "stats", "frontier")?)?;
-    let grid = take_member(&mut doc, "grid", "frontier")?;
-    let frontier = match take_member(&mut doc, "frontier", "frontier")? {
+    let stats = stats_from_value(doc.member("stats", "frontier")?)?;
+    let grid = doc.take_member("grid", "frontier")?;
+    let frontier = match doc.take_member("frontier", "frontier")? {
         Value::Arr(items) => items,
         _ => return Err("frontier: 'frontier' is not an array".to_string()),
     };
@@ -602,7 +557,9 @@ pub fn merge_checkpoints(files: &[String]) -> Result<String, String> {
 
     let grid = parsed[0].grid.clone();
     let count = parsed[0].shard.count;
-    let mut seen = vec![false; count as usize];
+    // Sized by the files, not by `count`: a crafted count must not drive
+    // an allocation.
+    let mut seen = BTreeSet::new();
     let mut stats = SweepStats::default();
     let mut fold: ParetoFold<Value> = ParetoFold::new();
     for p in parsed {
@@ -615,8 +572,8 @@ pub fn merge_checkpoints(files: &[String]) -> Result<String, String> {
                 p.shard.count
             ));
         }
-        let idx = p.shard.index as usize;
-        if seen[idx] {
+        let idx = p.shard.index;
+        if seen.contains(&idx) {
             return Err(format!("shard {idx}/{count} appears twice"));
         }
         if !p.is_complete()? {
@@ -627,23 +584,25 @@ pub fn merge_checkpoints(files: &[String]) -> Result<String, String> {
                 p.shard.stripe_len(p.num_chains()?)
             ));
         }
-        seen[idx] = true;
+        seen.insert(idx);
         stats.add(&p.stats);
         for (key, entry) in p.entries {
             fold.offer(key, entry);
         }
     }
-    if let Some(missing) = seen.iter().position(|&s| !s) {
+    // At most `files` indices are seen, so this scan ends within
+    // `files + 1` steps.
+    if let Some(missing) = (0..count).find(|i| !seen.contains(i)) {
         return Err(format!("shard {missing}/{count} is missing"));
     }
 
-    let entries = fold.into_sorted().into_iter().map(|(_, v)| v.to_json());
     Ok(file_json(
         FRONTIER_FORMAT,
         &grid.to_json(),
         None,
         &stats,
-        entries,
+        fold.into_sorted(),
+        |out, (_, v)| v.write(out),
     ))
 }
 

@@ -30,7 +30,8 @@
 //!   `vi-noc-fleet` coordinator folds the deltas workers stream for their
 //!   [`ChainRange`] leases — any worker count, any kill/re-lease schedule —
 //!   into the identical frontier bytes.
-//! * [`checkpoint`] — a serde-free JSON checkpoint per shard plus
+//! * [`checkpoint`] — a JSON checkpoint per shard (read and written
+//!   through [`vi_noc_core::json`]) plus
 //!   [`merge_checkpoints`], which combines any complete shard set into a
 //!   frontier file **byte-identical** to the unsharded run's emission.
 //!   Exactness rests on dominance being a strict partial order
@@ -56,15 +57,14 @@
 
 pub mod checkpoint;
 pub mod grid;
-pub mod json;
 pub mod refine;
 pub mod run;
 pub mod shard;
 
 pub use checkpoint::{
     entry_coords, frontier_json, merge_checkpoints, parse_frontier_file, parse_shard_checkpoint,
-    shard_checkpoint_json, stats_from_value, stats_json, validate_entries, window_json,
-    windows_from_value, FrontierEntryCoords, GridDescriptor, ParsedFrontier, ParsedShard,
+    shard_checkpoint_json, stats_from_value, validate_entries, windows_from_value, write_stats,
+    write_window, FrontierEntryCoords, GridDescriptor, ParsedFrontier, ParsedShard,
     FRONTIER_FORMAT, SHARD_FORMAT,
 };
 pub use grid::{ChainSpec, GridConfig, RefineWindow, SweepGrid};
@@ -76,3 +76,6 @@ pub use run::{
     SweepStats,
 };
 pub use shard::{ChainRange, Shard};
+/// The JSON module, re-exported from `vi-noc-core` for callers that
+/// import it through this crate.
+pub use vi_noc_core::json;

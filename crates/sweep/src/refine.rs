@@ -19,7 +19,7 @@
 
 use crate::checkpoint::ParsedFrontier;
 use crate::grid::{GridConfig, RefineWindow};
-use crate::json::Value;
+use vi_noc_core::json::Value;
 
 /// How far a refinement window extends around a surviving coarse point.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,12 +56,6 @@ pub struct FrontierSeed {
     pub boosts: Vec<usize>,
 }
 
-fn seed_field<'v>(entry: &'v Value, key: &str, i: usize) -> Result<&'v Value, String> {
-    entry
-        .get(key)
-        .ok_or_else(|| format!("frontier[{i}]: missing '{key}'"))
-}
-
 /// Extracts the window-derivation coordinates of every frontier entry.
 pub fn frontier_seeds(frontier: &ParsedFrontier) -> Result<Vec<FrontierSeed>, String> {
     frontier
@@ -69,23 +63,22 @@ pub fn frontier_seeds(frontier: &ParsedFrontier) -> Result<Vec<FrontierSeed>, St
         .iter()
         .enumerate()
         .map(|(i, (_, entry))| {
-            let scale = seed_field(entry, "scale", i)?
-                .as_f64()
-                .ok_or_else(|| format!("frontier[{i}]: 'scale' is not a number"))?;
-            let sweep_index = seed_field(seed_field(entry, "point", i)?, "sweep_index", i)?
-                .as_u64()
-                .ok_or_else(|| format!("frontier[{i}]: 'sweep_index' is not an integer"))?
-                as usize;
-            let boosts = match seed_field(entry, "boosts", i)? {
+            let ctx = format!("frontier[{i}]");
+            let scale = entry.f64_member("scale", &ctx)?;
+            let sweep_index = entry
+                .member("point", &ctx)?
+                .member("sweep_index", &ctx)?
+                .as_usize()
+                .ok_or_else(|| format!("{ctx}: 'sweep_index' is not an integer"))?;
+            let boosts = match entry.member("boosts", &ctx)? {
                 Value::Arr(bs) => bs
                     .iter()
                     .map(|b| {
-                        b.as_u64()
-                            .map(|u| u as usize)
-                            .ok_or_else(|| format!("frontier[{i}]: boost is not an integer"))
+                        b.as_usize()
+                            .ok_or_else(|| format!("{ctx}: boost is not an integer"))
                     })
                     .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err(format!("frontier[{i}]: 'boosts' is not an array")),
+                _ => return Err(format!("{ctx}: 'boosts' is not an array")),
             };
             Ok(FrontierSeed {
                 scale,
@@ -106,31 +99,20 @@ pub fn validate_frontier_source(
     partition: &str,
     seed: u64,
 ) -> Result<(), String> {
-    let got_spec = frontier
-        .grid
-        .get("spec_name")
-        .and_then(Value::as_str)
-        .ok_or("frontier grid: missing 'spec_name'")?;
+    let ctx = "frontier grid";
+    let got_spec = frontier.grid.str_member("spec_name", ctx)?;
     if got_spec != spec_name {
         return Err(format!(
             "frontier was swept over spec '{got_spec}', not '{spec_name}'"
         ));
     }
-    let got_partition = frontier
-        .grid
-        .get("partition")
-        .and_then(Value::as_str)
-        .ok_or("frontier grid: missing 'partition'")?;
+    let got_partition = frontier.grid.str_member("partition", ctx)?;
     if got_partition != partition {
         return Err(format!(
             "frontier used partition '{got_partition}', not '{partition}'"
         ));
     }
-    let got_seed = frontier
-        .grid
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or("frontier grid: missing 'seed'")?;
+    let got_seed = frontier.grid.u64_member("seed", ctx)?;
     if got_seed != seed {
         return Err(format!("frontier used seed {got_seed}, not {seed}"));
     }

@@ -475,7 +475,7 @@ mod tests {
             // point it regenerates to is the same value.
             let embedded = format!(",\"point\":{}}}", vi_noc_core::design_point_json(dp));
             assert!(entry.ends_with(&embedded), "{entry}");
-            let coords = crate::entry_coords(&crate::json::parse(entry).unwrap()).unwrap();
+            let coords = crate::entry_coords(&vi_noc_core::json::parse(entry).unwrap()).unwrap();
             assert_eq!(coords.ordinal, key.ordinal);
             let fp =
                 regenerate_point(&soc, &vi, &grid, &cfg, coords.chain_id, key.ordinal).unwrap();

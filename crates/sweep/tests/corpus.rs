@@ -104,3 +104,13 @@ fn tampered_shard_checkpoints_are_rejected_by_parse_and_merge() {
         "merge: {err}"
     );
 }
+
+#[test]
+fn a_crafted_shard_count_fails_merge_instead_of_allocating() {
+    // `valid_shard` with `"count":9007199254740992` (2^53, the largest
+    // count `Shard::new` admits): merge must report the first missing
+    // shard, not size a table by the untrusted count.
+    let err =
+        merge_checkpoints(&[include_str!("corpus/huge_shard_count.json").to_string()]).unwrap_err();
+    assert_eq!(err, "shard 1/9007199254740992 is missing");
+}

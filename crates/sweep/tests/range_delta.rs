@@ -166,7 +166,7 @@ fn delta_entries_survive_a_wire_round_trip_byte_for_byte() {
     assert!(!entries.is_empty());
     let mut fold: ParetoFold<String> = ParetoFold::new();
     for (key, entry) in entries {
-        let round_tripped = vi_noc_sweep::json::parse(&entry).unwrap().to_json();
+        let round_tripped = vi_noc_core::json::parse(&entry).unwrap().to_json();
         assert_eq!(round_tripped, entry, "entry bytes survive parse→write");
         fold.offer(key, entry);
     }

@@ -11,10 +11,11 @@
 
 use std::collections::HashSet;
 
+use vi_noc_core::json::Value;
 use vi_noc_core::SynthesisConfig;
 use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
-    frontier_json, frontier_seeds, json::Value, merge_checkpoints, parse_frontier_file, run_shard,
+    frontier_json, frontier_seeds, merge_checkpoints, parse_frontier_file, run_shard,
     run_shard_pruned, shard_checkpoint_json, validate_frontier_source, windows_from_frontier,
     GridConfig, GridDescriptor, RefineParams, Shard, ShardProgress, SweepGrid,
 };
