@@ -335,6 +335,29 @@ const TECH_KEYS: [&str; 11] = [
     "level_shift_energy_pj_per_bit",
 ];
 
+/// Largest accepted technology parameter: with every power field at this
+/// bound a report's derived powers stay finite (JSON has no `inf`).
+const TECH_MAX: f64 = 1e6;
+
+/// Range-checks technology parameter `key`: the two fractions lie in
+/// [0, 1], `node_nm` and `vdd_v` in (0, [`TECH_MAX`]], every other field
+/// in [0, [`TECH_MAX`]].
+fn tech_number(key: &str, x: f64, ctx: &str) -> Result<f64, Error> {
+    let (x, max) = match key {
+        "activity_factor" | "gating_residual" => (non_negative(x, ctx)?, 1.0),
+        "node_nm" | "vdd_v" => (positive(x, ctx)?, TECH_MAX),
+        _ => (non_negative(x, ctx)?, TECH_MAX),
+    };
+    if x <= max {
+        Ok(x)
+    } else {
+        Err(Error::scenario(
+            ctx,
+            format!("must be at most {max}, got {x}"),
+        ))
+    }
+}
+
 fn technology_from_value(v: &Value, ctx: &str) -> Result<Technology, Error> {
     match v {
         Value::Str(name) => match name.as_str() {
@@ -349,71 +372,24 @@ fn technology_from_value(v: &Value, ctx: &str) -> Result<Technology, Error> {
             let members = as_obj(v, ctx)?;
             check_keys(members, &TECH_KEYS, ctx)?;
             let mut t = Technology::cmos_65nm();
-            override_field(members, "node_nm", ctx, &mut t.node_nm, f64_of)?;
-            override_field(members, "vdd_v", ctx, &mut t.vdd_v, f64_of)?;
-            override_field(
-                members,
-                "wire_cap_ff_per_mm",
-                ctx,
+            let fields = [
+                &mut t.node_nm,
+                &mut t.vdd_v,
                 &mut t.wire_cap_ff_per_mm,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "wire_delay_ps_per_mm",
-                ctx,
                 &mut t.wire_delay_ps_per_mm,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "link_setup_margin_ns",
-                ctx,
                 &mut t.link_setup_margin_ns,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "switch_delay_base_ns",
-                ctx,
                 &mut t.switch_delay_base_ns,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "switch_delay_per_port_ns",
-                ctx,
                 &mut t.switch_delay_per_port_ns,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "activity_factor",
-                ctx,
                 &mut t.activity_factor,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "leak_density_mw_per_mm2",
-                ctx,
                 &mut t.leak_density_mw_per_mm2,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "gating_residual",
-                ctx,
                 &mut t.gating_residual,
-                f64_of,
-            )?;
-            override_field(
-                members,
-                "level_shift_energy_pj_per_bit",
-                ctx,
                 &mut t.level_shift_energy_pj_per_bit,
-                f64_of,
-            )?;
+            ];
+            for (key, slot) in TECH_KEYS.into_iter().zip(fields) {
+                override_field(members, key, ctx, slot, |v, fctx| {
+                    tech_number(key, f64_of(v, fctx)?, fctx)
+                })?;
+            }
             Ok(t)
         }
     }
@@ -1191,6 +1167,58 @@ mod tests {
         let ok =
             with_core(r#"{"name":"c","kind":"cpu","area_mm2":1,"dyn_power_w":0,"clock_hz":1e8}"#);
         assert!(Scenario::from_json(&ok).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_technology_numbers_fail_at_ingestion() {
+        // Unbounded overrides would make `vi-noc run` write bare `inf`
+        // tokens, which no JSON parser (the report reader included) accepts.
+        let with_tech = |tech: &str| {
+            format!(
+                r#"{{"name":"t","spec":{{"benchmark":"d12"}},
+                "partition":{{"kind":"logical","islands":4}},
+                "synthesis":{{"technology":{tech}}},"sim":{{"horizon_ns":5000}}}}"#
+            )
+        };
+        for (field, value) in [
+            ("activity_factor", "1e308"),
+            ("activity_factor", "-1"),
+            ("vdd_v", "1e200"),
+            ("wire_cap_ff_per_mm", "1e308"),
+            ("level_shift_energy_pj_per_bit", "1e308"),
+        ] {
+            let err = Scenario::from_json(&with_tech(&format!(r#"{{"{field}":{value}}}"#)))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("scenario.synthesis.technology.{field}")),
+                "{field}={value}: {err}"
+            );
+        }
+
+        // Every power field at its upper bound still reports finite
+        // numbers that parse back.
+        let s = Scenario::from_json(&with_tech(
+            r#"{"vdd_v":1e6,"wire_cap_ff_per_mm":1e6,"activity_factor":1,
+            "leak_density_mw_per_mm2":1e6,"gating_residual":1,
+            "level_shift_energy_pj_per_bit":1e6}"#,
+        ))
+        .unwrap();
+        let report = s.run().unwrap().to_json();
+        json::parse(&report).unwrap();
+
+        // Both named nodes and every committed scenario stay in range.
+        for name in ["cmos_65nm", "cmos_90nm"] {
+            Scenario::from_json(&with_tech(&format!("\"{name}\""))).unwrap();
+        }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                Scenario::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            }
+        }
     }
 
     #[test]

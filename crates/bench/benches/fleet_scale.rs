@@ -1,13 +1,12 @@
 //! Fleet scaling bench: the fine d26 grid folded by an in-process
 //! coordinator with 1, 2 and 4 local workers, against the single-threaded
-//! streaming run — wall clock plus the byte-identity guard, with a JSON
-//! datapoint for the perf trajectory (`BENCH_FLEET_JSON`).
+//! streaming run — wall clock plus the byte-identity guard. Run it with
+//! `cargo bench -p vi-noc-bench --bench fleet_scale`.
 //!
 //! Workers force sequential chain evaluation ([`WorkerOpts::seq`]), so any
 //! speed-up here comes from the worker *count* — the thing the fleet adds —
 //! not from the synthesis-level rayon parallelism that already existed.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vi_noc_core::SynthesisConfig;
@@ -17,12 +16,8 @@ use vi_noc_fleet::{
 use vi_noc_soc::{benchmarks, partition};
 use vi_noc_sweep::{frontier_json, run_shard, GridConfig, GridDescriptor, Shard, SweepGrid};
 
-fn fast_mode() -> bool {
-    std::env::var("BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
 /// The benchmark grid: d26 at the paper's island count with the boost and
-/// frequency-plan axes opened — the same grid `sweep_sharded` measures.
+/// frequency-plan axes opened — the grid of the `sweep-smoke` CI job.
 fn fine_grid_cfg() -> GridConfig {
     GridConfig {
         max_boost: 1,
@@ -88,7 +83,10 @@ fn median_secs<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
     times[times.len() / 2].as_secs_f64()
 }
 
-fn bench_fleet_scale(_c: &mut Criterion) {
+/// Timed runs per measurement, after one untimed warm-up.
+const SAMPLES: usize = 7;
+
+fn main() {
     let job = FineD26Resolver.resolve("d26:fine").expect("resolve");
     let direct = frontier_json(
         &job.desc,
@@ -104,19 +102,18 @@ fn bench_fleet_scale(_c: &mut Criterion) {
         );
     }
 
-    let n = if fast_mode() { 3 } else { 7 };
-    let single_s = median_secs(n, || {
+    let single_s = median_secs(SAMPLES, || {
         run_shard(&job.spec, &job.vi, &job.grid, Shard::full(), &job.cfg)
     });
     let fleet_s: Vec<f64> = [1usize, 2, 4]
         .iter()
-        .map(|&w| median_secs(n, || fleet_session(w)))
+        .map(|&w| median_secs(SAMPLES, || fleet_session(w)))
         .collect();
 
     let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let speedup_4 = fleet_s[0] / fleet_s[2].max(1e-12);
     println!(
-        "fleet_scale/single_thread_direct  median {:>12.3?}   ({n} samples, {} chains, {cpus} CPU(s))",
+        "fleet_scale/single_thread_direct  median {:>12.3?}   ({SAMPLES} samples, {} chains, {cpus} CPU(s))",
         Duration::from_secs_f64(single_s),
         job.grid.num_chains()
     );
@@ -138,32 +135,4 @@ fn bench_fleet_scale(_c: &mut Criterion) {
              4-worker speedup measured {speedup_4:.2}x (expect >=1.5x on 4 cores)"
         );
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_scale\",\n  \"soc\": \"d26_mobile\",\n  \"islands\": 6,\n  \
-         \"cpus\": {cpus},\n  \"history\": [\n    {{\n      \"pr\": null,\n      \
-         \"samples\": {n},\n      \"grid\": {{ \"max_boost\": 1, \"freq_scales\": [1, 1.12], \
-         \"max_intermediate\": 4, \"chains\": {} }},\n      \
-         \"single_thread_direct_ms\": {:.3},\n      \
-         \"fleet_ms\": {{ \"1_worker\": {:.3}, \"2_workers\": {:.3}, \"4_workers\": {:.3} }},\n      \
-         \"speedup_4_workers\": {:.2},\n      \"note\": \"fresh measurement of the working \
-         tree; loopback coordinator + seq workers, frontier asserted byte-identical to the \
-         unsharded run at every worker count; on 1 CPU the fleet numbers measure pure \
-         protocol overhead, not scaling\"\n    }}\n  ]\n}}\n",
-        job.grid.num_chains(),
-        single_s * 1e3,
-        fleet_s[0] * 1e3,
-        fleet_s[1] * 1e3,
-        fleet_s[2] * 1e3,
-        speedup_4,
-    );
-    let path =
-        std::env::var("BENCH_FLEET_JSON").unwrap_or_else(|_| "BENCH_fleet_scale.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("fleet_scale: wrote {path}"),
-        Err(e) => eprintln!("fleet_scale: could not write {path}: {e}"),
-    }
 }
-
-criterion_group!(benches, bench_fleet_scale);
-criterion_main!(benches);

@@ -2,9 +2,9 @@
 //!
 //! The measured counterpart — one probe flow active, every other flow
 //! deactivated — is the sparsest workload the simulator runs, and the one
-//! the event-batched engine accelerates the most (the `sim_long_horizon`
-//! benchmark's `zero_load_probe` scenario): with a single packet in
-//! flight, almost every cycle of every island is skippable.
+//! the event-batched engine accelerates the most (`tests/batching.rs`
+//! pins it as `zero_load_probe_d26`): with a single packet in flight,
+//! almost every cycle of every island is skippable.
 
 use crate::network::SimNetwork;
 use vi_noc_core::Topology;

@@ -77,12 +77,21 @@ fn golden_d12_cbr_and_poisson() {
 fn golden_d26_multi_clock_islands() {
     let soc = benchmarks::d26_mobile();
     let topo = design(&soc, 6);
-    for load in [0.25, 1.0] {
+    // CBR from light load through the saturation knee at 1.0 to overload;
+    // the light and dense regimes (0.05, 0.8) also run a 100 us horizon.
+    for (load, segments_ns) in [
+        (0.05, [20_000, 80_000]),
+        (0.25, [20_000, 40_000]),
+        (0.8, [20_000, 80_000]),
+        (0.9, [20_000, 40_000]),
+        (1.0, [20_000, 40_000]),
+        (1.2, [20_000, 40_000]),
+    ] {
         let cfg = SimConfig {
             load_factor: load,
             ..SimConfig::default()
         };
-        assert_equivalent(&soc, &topo, &cfg, &[20_000, 40_000]);
+        assert_equivalent(&soc, &topo, &cfg, &segments_ns);
     }
     let cfg = SimConfig {
         traffic: TrafficKind::Poisson,
@@ -176,8 +185,7 @@ fn saturated_shutdown_of_congested_islands_agree() {
 /// ceiling for this workload, unlike bottleneck backpressure where whole
 /// domains stall (see `wake_edges::saturated_chain_processes_far_fewer_
 /// ticks`, which pins ≥4×). Tick counts are deterministic, so the bound is
-/// exact, not a wall-clock proxy; wall clocks are measured by the
-/// `sim_saturated` bench group.
+/// exact, not a wall-clock proxy.
 #[test]
 fn saturated_d26_batches_ticks() {
     let soc = benchmarks::d26_mobile();
@@ -221,6 +229,36 @@ fn golden_single_flit_packets() {
         ..SimConfig::default()
     };
     assert_equivalent(&soc, &topo, &cfg, &[40_000]);
+}
+
+/// The zero-load latency probe (the measurement pattern behind Figure 3):
+/// one single-flit flow crosses the d26 design while every other flow is
+/// deactivated before the first cycle, so nearly every tick is idle.
+#[test]
+fn zero_load_probe_d26() {
+    let soc = benchmarks::d26_mobile();
+    let topo = design(&soc, 6);
+    let run = |batching: bool| {
+        let mut sim = Simulator::new(
+            &soc,
+            &topo,
+            &SimConfig {
+                packet_bytes: 4,
+                batching,
+                ..SimConfig::default()
+            },
+        );
+        for fid in soc.flow_ids().skip(1) {
+            sim.deactivate_flow(fid);
+        }
+        [20_000, 80_000].map(|ns| sim.run_for_ns(ns))
+    };
+    let batched = run(true);
+    assert!(
+        batched[1].total_delivered_packets() > 0,
+        "the probe flow ran"
+    );
+    assert_eq!(batched, run(false));
 }
 
 /// Deactivating flows mid-run must leave both engines in lock-step: the

@@ -149,9 +149,9 @@ pub fn windows_from_frontier(
         windows.push(RefineWindow {
             scales,
             base_lo: seed.sweep_index.saturating_sub(params.base_radius).max(1),
-            base_hi: seed.sweep_index + params.base_radius,
+            base_hi: seed.sweep_index.saturating_add(params.base_radius),
             boost_lo: lo.saturating_sub(params.boost_radius),
-            boost_hi: (hi + params.boost_radius).min(fine.max_boost),
+            boost_hi: hi.saturating_add(params.boost_radius).min(fine.max_boost),
         });
     }
     windows.sort_by(|a, b| {
@@ -209,6 +209,38 @@ mod tests {
                 boost_hi: 2,
             }]
         );
+    }
+
+    #[test]
+    fn huge_radii_and_indices_saturate_instead_of_wrapping() {
+        let fine = GridConfig {
+            max_boost: 2,
+            freq_scales: vec![1.0],
+            max_intermediate: 3,
+        };
+        let params = RefineParams {
+            boost_radius: usize::MAX,
+            base_radius: usize::MAX,
+            scale_window: 0.0,
+        };
+        // A huge radius, and a crafted seed near `usize::MAX`, each give
+        // the whole axis instead of a wrapped, empty window.
+        for s in [
+            seed(1.0, 3, &[0, 1]),
+            seed(1.0, usize::MAX - 1, &[usize::MAX - 1, 2]),
+        ] {
+            let ws = windows_from_frontier(&[s], &fine, &params);
+            assert_eq!(
+                ws,
+                vec![RefineWindow {
+                    scales: vec![0],
+                    base_lo: 1,
+                    base_hi: usize::MAX,
+                    boost_lo: 0,
+                    boost_hi: fine.max_boost,
+                }]
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! The certificate is deliberately conservative: the d26 fine grid's
 //! frontier lives on boosted chains of its port- and capacity-stressed
 //! islands, so only the unstressed islands' boost codes may ever be
-//! skipped. The headline ≥2× chain reduction of the ISSUE comes from the
-//! pruned *and refined* pipeline (`tests/refine_windows.rs` and
-//! BENCH_sweep.json), where the refinement windows exclude most of the
-//! fine grid outright.
+//! skipped. The headline ≥2× chain reduction comes from the pruned *and
+//! refined* pipeline (`tests/refine_windows.rs`), where the refinement
+//! windows exclude most of the fine grid outright.
 
 use proptest::prelude::*;
 use vi_noc_core::{

@@ -4,10 +4,10 @@
 //! windows.
 //!
 //! Together with the slack-certificate pruning (`tests/prune_exact.rs`)
-//! this pins the ISSUE's headline pipeline — coarse sweep → windows around
-//! the survivors → pruned fine sweep inside the windows — including its
-//! ≥2× chain reduction against the exhaustive d26 fine grid (the
-//! BENCH_sweep.json datapoint).
+//! this pins the headline pipeline — coarse sweep → windows around the
+//! survivors → pruned fine sweep inside the windows — including its ≥2×
+//! chain reduction against the exhaustive d26 fine grid
+//! (`d26_pipeline_reduces_evaluated_chains_at_least_2x`).
 
 use std::collections::HashSet;
 
@@ -271,7 +271,7 @@ fn mismatched_refinement_checkpoints_refuse_to_merge() {
     assert!(err.contains("shard 1/2 is missing"), "partial set: {err}");
 }
 
-/// The BENCH_sweep.json datapoint: on the d26 fine grid, the coarse →
+/// The pipeline's chain reduction: on the d26 fine grid, the coarse →
 /// refine → prune pipeline evaluates at most half the chains of the
 /// exhaustive fine sweep while reproducing its frontier inside the
 /// windows (previous tests).
@@ -299,4 +299,40 @@ fn d26_pipeline_reduces_evaluated_chains_at_least_2x() {
         refined_run.pruned_chains,
         exhaustive.stats.chains
     );
+}
+
+/// A base radius of `usize::MAX` must saturate the window's upper end, not
+/// wrap it below the lower end (an empty window evaluates no chain): the
+/// window then reaches the last base index, like any radius wider than the
+/// grid.
+#[test]
+fn huge_base_radius_refines_like_a_wide_one() {
+    let soc = benchmarks::d12_auto();
+    let vi = partition::logical_partition(&soc, 4).unwrap();
+    let cfg = SynthesisConfig::default();
+    let coarse = SweepGrid::build(&soc, &vi, &cfg, &GridConfig::default());
+    let coarse_desc = GridDescriptor::for_grid(&coarse, soc.name(), "logical:4", cfg.seed);
+    let coarse_file = frontier_json(
+        &coarse_desc,
+        &run_shard(&soc, &vi, &coarse, Shard::full(), &cfg),
+    );
+    let seeds = frontier_seeds(&parse_frontier_file(&coarse_file).unwrap()).unwrap();
+    let fine = fine_grid();
+
+    let refine = |base_radius: usize| {
+        let params = RefineParams {
+            base_radius,
+            ..RefineParams::default()
+        };
+        let windows = windows_from_frontier(&seeds, &fine, &params);
+        let grid = SweepGrid::build_windowed(&soc, &vi, &cfg, &fine, windows);
+        let desc = GridDescriptor::for_grid(&grid, soc.name(), "logical:4", cfg.seed);
+        let run = run_shard(&soc, &vi, &grid, Shard::full(), &cfg);
+        (run.stats, frontier_json(&desc, &run))
+    };
+    let (wide_stats, wide_file) = refine(100);
+    let (huge_stats, huge_file) = refine(usize::MAX);
+    assert_eq!(wide_stats.chains, 42);
+    assert_eq!(huge_stats, wide_stats);
+    assert_eq!(frontier_entries(&huge_file), frontier_entries(&wide_file));
 }
