@@ -150,6 +150,43 @@ fn non_negative(x: f64, ctx: &str) -> Result<f64, Error> {
     }
 }
 
+/// A reader for an unsigned integer in `lo..=hi`.
+fn usize_in(lo: usize, hi: usize) -> impl Fn(&Value, &str) -> Result<usize, Error> {
+    move |v, ctx| match usize_of(v, ctx)? {
+        x if x < lo => Err(Error::scenario(
+            ctx,
+            format!("must be at least {lo}, got {x}"),
+        )),
+        x if x > hi => Err(Error::scenario(
+            ctx,
+            format!("must be at most {hi}, got {x}"),
+        )),
+        x => Ok(x),
+    }
+}
+
+/// Largest sim load factor. The simulator stages every generated packet at
+/// its source NI, so the backlog of an overloaded run grows with the load;
+/// every committed scenario stays at or below 1.2.
+const MAX_LOAD: f64 = 16.0;
+
+/// Largest sim packet, bytes. Bounds the flits per packet, which the
+/// engine counts in 32 bits, even on one-bit links.
+const MAX_PACKET_BYTES: usize = 65_536;
+
+/// A sim load factor: finite and in `(0, MAX_LOAD]`. Zero or negative
+/// loads deliver nothing; huge ones exhaust memory staging packets.
+fn load_factor(x: f64, ctx: &str) -> Result<f64, Error> {
+    if x > 0.0 && x <= MAX_LOAD {
+        Ok(x)
+    } else {
+        Err(Error::scenario(
+            ctx,
+            format!("must lie in (0, {MAX_LOAD}], got {x}"),
+        ))
+    }
+}
+
 // --- Spec ----------------------------------------------------------------
 
 fn spec_from_value(v: &Value, ctx: &str) -> Result<SpecSource, Error> {
@@ -448,7 +485,13 @@ fn synthesis_from_value(v: &Value, ctx: &str) -> Result<SynthesisConfig, Error> 
     )?;
     let mut c = SynthesisConfig::default();
     override_field(m, "alpha", ctx, &mut c.alpha, f64_of)?;
-    override_field(m, "link_width_bits", ctx, &mut c.link_width_bits, usize_of)?;
+    override_field(
+        m,
+        "link_width_bits",
+        ctx,
+        &mut c.link_width_bits,
+        usize_in(1, usize::MAX),
+    )?;
     override_field(
         m,
         "allow_intermediate_vi",
@@ -578,13 +621,7 @@ fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> 
         "restarts",
         ctx,
         &mut c.restarts,
-        |v, rctx| match usize_of(v, rctx)? {
-            r if r > MAX_RESTARTS => Err(Error::scenario(
-                rctx,
-                format!("must be at most {MAX_RESTARTS}, got {r}"),
-            )),
-            r => Ok(r),
-        },
+        usize_in(0, MAX_RESTARTS),
     )?;
     override_field(m, "parallel", ctx, &mut c.parallel, bool_of)?;
     Ok(c)
@@ -622,9 +659,27 @@ fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
     )?;
     let mut plan = SimPlan::default();
     let c = &mut plan.config;
-    override_field(m, "packet_bytes", ctx, &mut c.packet_bytes, usize_of)?;
-    override_field(m, "link_width_bits", ctx, &mut c.link_width_bits, usize_of)?;
-    override_field(m, "queue_capacity", ctx, &mut c.queue_capacity, usize_of)?;
+    override_field(
+        m,
+        "packet_bytes",
+        ctx,
+        &mut c.packet_bytes,
+        usize_in(1, MAX_PACKET_BYTES),
+    )?;
+    override_field(
+        m,
+        "link_width_bits",
+        ctx,
+        &mut c.link_width_bits,
+        usize_in(1, usize::MAX),
+    )?;
+    override_field(
+        m,
+        "queue_capacity",
+        ctx,
+        &mut c.queue_capacity,
+        usize_in(1, usize::MAX),
+    )?;
     if let Some(v) = get(m, "traffic") {
         let tctx = format!("{ctx}.traffic");
         c.traffic = str_of(v, &tctx)?
@@ -632,7 +687,9 @@ fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
             .map_err(|e| Error::scenario(&tctx, e))?;
     }
     override_field(m, "seed", ctx, &mut c.seed, u64_of)?;
-    override_field(m, "load_factor", ctx, &mut c.load_factor, f64_of)?;
+    override_field(m, "load_factor", ctx, &mut c.load_factor, |v, lctx| {
+        load_factor(f64_of(v, lctx)?, lctx)
+    })?;
     override_field(m, "batching", ctx, &mut c.batching, bool_of)?;
     override_field(m, "horizon_ns", ctx, &mut plan.horizon_ns, u64_of)?;
     Ok(plan)
@@ -794,10 +851,10 @@ fn dyn_sweep_from_value(v: &Value, ctx: &str) -> Result<DynSweepPlan, Error> {
         .collect::<Result<_, _>>()?;
     // Validated here so a bad scenario fails with a path instead of a
     // late axes error inside the engine.
-    if loads.is_empty() || loads.iter().any(|&l| !l.is_finite() || l <= 0.0) {
+    if loads.is_empty() || loads.iter().any(|&l| !(l > 0.0 && l <= MAX_LOAD)) {
         return Err(Error::scenario(
             lctx,
-            "must be a non-empty list of positive finite load factors",
+            format!("must be a non-empty list of load factors in (0, {MAX_LOAD}]"),
         ));
     }
     let mut traffic = vec![TrafficKind::Cbr];
@@ -1211,6 +1268,78 @@ mod tests {
         for name in ["cmos_65nm", "cmos_90nm"] {
             Scenario::from_json(&with_tech(&format!("\"{name}\""))).unwrap();
         }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                Scenario::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_sim_and_synthesis_numbers_fail_at_ingestion() {
+        // Each of these used to reach the simulator or the synthesis models
+        // and panic (zero link widths, a wrapped flit count), exhaust memory
+        // (zero-byte packets inject one packet per ps, huge loads stage
+        // without bound) or deliver nothing (non-positive loads, zero-deep
+        // queues).
+        let doc = |members: &str| {
+            format!(
+                r#"{{"name":"n","spec":{{"benchmark":"d12"}},
+                "partition":{{"kind":"logical","islands":4}},
+                "floorplan":{{"iterations":2000}},{members}}}"#
+            )
+        };
+        for (members, path) in [
+            (r#""sim":{"link_width_bits":0}"#, "sim.link_width_bits"),
+            (
+                r#""synthesis":{"link_width_bits":0}"#,
+                "synthesis.link_width_bits",
+            ),
+            (
+                r#""sim":{"packet_bytes":0,"horizon_ns":50000}"#,
+                "sim.packet_bytes",
+            ),
+            (r#""sim":{"packet_bytes":65537}"#, "sim.packet_bytes"),
+            (r#""sim":{"packet_bytes":17179869184}"#, "sim.packet_bytes"),
+            (r#""sim":{"packet_bytes":17179869185}"#, "sim.packet_bytes"),
+            (
+                r#""sim":{"load_factor":1e9,"horizon_ns":5000}"#,
+                "sim.load_factor",
+            ),
+            (r#""sim":{"load_factor":16.5}"#, "sim.load_factor"),
+            (r#""sim":{"load_factor":-1}"#, "sim.load_factor"),
+            (r#""sim":{"load_factor":0}"#, "sim.load_factor"),
+            (r#""sim":{"queue_capacity":0}"#, "sim.queue_capacity"),
+            (
+                r#""sweep":{},"dyn_sweep":{"loads":[1e9],"horizon_ns":4000}"#,
+                "dyn_sweep.loads",
+            ),
+            (
+                r#""sweep":{},"dyn_sweep":{"loads":[0.5,16.5],"horizon_ns":4000}"#,
+                "dyn_sweep.loads",
+            ),
+        ] {
+            let err = Scenario::from_json(&doc(members)).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("scenario.{path}")),
+                "{members}: {err}"
+            );
+        }
+
+        // The bounds themselves are accepted.
+        for members in [
+            r#""sim":{"link_width_bits":1,"packet_bytes":1,"queue_capacity":1,"load_factor":16}"#,
+            r#""sim":{"packet_bytes":65536}"#,
+            r#""synthesis":{"link_width_bits":1}"#,
+            r#""sweep":{},"dyn_sweep":{"loads":[16],"horizon_ns":4000}"#,
+        ] {
+            Scenario::from_json(&doc(members)).unwrap_or_else(|e| panic!("{members}: {e}"));
+        }
+
+        // Every committed scenario stays in range.
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();

@@ -24,9 +24,9 @@
 //!
 //! Every stage calls exactly the public function the hand-chained flow
 //! would (`synthesize`, `realize_on_floorplan`, `Simulator::run_for_ns`,
-//! `run_shutdown_scenario`), so pipeline outputs are bit-identical to
-//! chaining those calls yourself — pinned by
-//! `crates/api/tests/byte_identity.rs`.
+//! `run_dynamic_cell`, the driver under `run_shutdown_scenario`), so
+//! pipeline outputs are bit-identical to chaining those calls yourself —
+//! pinned by `crates/api/tests/byte_identity.rs`.
 
 use crate::error::Error;
 use crate::report::{Report, ShutdownReport, SimReport};
@@ -36,8 +36,8 @@ use vi_noc_core::{
 };
 use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_sim::{
-    measured_power, run_shutdown_scenario, MeasuredPower, ShutdownScenario, SimConfig, SimStats,
-    Simulator,
+    measured_power, run_dynamic_cell, MeasuredPower, ShutdownScenario, SimConfig, SimStats,
+    Simulator, DRAIN_POLLS,
 };
 use vi_noc_soc::{SocSpec, ViAssignment};
 
@@ -173,25 +173,37 @@ macro_rules! realized_accessors {
             /// # Errors
             ///
             /// Unresolvable island choices (out of range, always-on, or no
-            /// gateable island for `Auto`).
+            /// gateable island for `Auto`), and an island that does not
+            /// drain within the drain budget.
             pub fn run_shutdown(
                 &self,
                 sim_cfg: &SimConfig,
                 plan: &ShutdownPlan,
             ) -> Result<ShutdownReport, Error> {
                 let island = Scenario::resolve_shutdown_island(plan, &self.vi)?;
-                let outcome = run_shutdown_scenario(
+                let cell = run_dynamic_cell(
                     &self.spec,
                     &self.vi,
                     &self.stage.design.topology,
                     sim_cfg,
-                    &ShutdownScenario {
+                    0,
+                    Some(&ShutdownScenario {
                         island,
                         stop_at_ns: plan.stop_at_ns,
                         drain_ns: plan.drain_ns,
                         post_gate_ns: plan.post_gate_ns,
-                    },
+                    }),
                 );
+                let outcome = cell.gated_outcome().ok_or_else(|| {
+                    Error::scenario(
+                        "shutdown",
+                        format!(
+                            "island {island} did not drain within {DRAIN_POLLS}x{} ns, \
+                             so it cannot be gated",
+                            plan.drain_ns
+                        ),
+                    )
+                })?;
                 Ok(ShutdownReport { island, outcome })
             }
         }

@@ -571,4 +571,21 @@ mod tests {
         let err = back.run().unwrap_err().to_string();
         assert!(err.contains("schedules[1] repeats schedules[0]"), "{err}");
     }
+
+    #[test]
+    fn an_island_that_cannot_drain_is_an_error_not_a_panic() {
+        // At twice the spec's load the gated island's backlog needs far
+        // more than 20 x 200 ns to flush.
+        let text = r#"{"name":"u","spec":{"benchmark":"d12"},
+            "partition":{"kind":"logical","islands":4},
+            "floorplan":{"iterations":2000},
+            "sim":{"load_factor":2,"horizon_ns":5000},
+            "shutdown":{"stop_at_ns":5000,"drain_ns":200,"post_gate_ns":1000}}"#;
+        let run = std::panic::catch_unwind(|| Scenario::from_json(text).unwrap().run());
+        let err = run.expect("no panic").unwrap_err().to_string();
+        assert!(
+            err.contains("shutdown") && err.contains("island 1") && err.contains("20x200 ns"),
+            "{err}"
+        );
+    }
 }

@@ -1,17 +1,18 @@
 //! One dynamic-sweep cell: a full simulation of a design point under one
 //! sim config, optionally with a mid-run island shutdown.
 //!
-//! This is the measurement primitive of the `vi-noc-dynsweep` crate. It
-//! mirrors [`crate::run_shutdown_scenario`]'s phase structure (run → stop
-//! flows → drain → gate → post-gate run) but is **non-panicking** on drain
-//! failure: a dynamic sweep deliberately pushes load factors past
+//! [`run_dynamic_cell`] is the simulator's one stop/drain/gate driver (run →
+//! stop flows → drain → gate → post-gate run). The `vi-noc-dynsweep` crate
+//! measures every cell with it, the pipeline's shutdown stage runs on it,
+//! and [`crate::run_shutdown_scenario`] wraps it. It is **non-panicking** on
+//! drain failure: a dynamic sweep deliberately pushes load factors past
 //! saturation, where an island's own backlog may not flush within the
 //! drain budget. Such a cell records `drained_cleanly: false` and skips
 //! the gate (the island keeps running), instead of tearing down the whole
 //! sweep — the result is still a deterministic, comparable measurement.
 
 use crate::engine::{SimConfig, Simulator};
-use crate::shutdown::ShutdownScenario;
+use crate::shutdown::{ShutdownOutcome, ShutdownScenario};
 use crate::stats::SimStats;
 use vi_noc_core::Topology;
 use vi_noc_soc::{SocSpec, ViAssignment};
@@ -37,10 +38,33 @@ pub struct CellOutcome {
     pub shutdown: Option<CellShutdown>,
 }
 
+/// Drain polls of `drain_ns` each that [`run_dynamic_cell`] waits for the
+/// island to empty before it gives up on gating it.
+pub const DRAIN_POLLS: u64 = 20;
+
+impl CellOutcome {
+    /// The outcome of a scheduled cell whose island drained and was gated;
+    /// `None` for a free-running cell or an island that did not drain.
+    pub fn gated_outcome(&self) -> Option<ShutdownOutcome> {
+        let s = self.shutdown.as_ref().filter(|s| s.drained_cleanly)?;
+        Some(ShutdownOutcome {
+            survivors_before: s.survivors_before,
+            survivors_after: s.survivors_after,
+            total_delivered: self.stats.total_delivered_packets(),
+            drained_cleanly: true,
+        })
+    }
+}
+
 /// Runs one cell: `horizon_ns` of free-running traffic when `schedule` is
 /// `None`, otherwise the schedule's own timeline (run to `stop_at_ns`,
-/// deactivate flows touching the island, drain adaptively, gate if — and
-/// only if — the island drained, then run `post_gate_ns` more).
+/// deactivate flows touching the island, drain adaptively for up to
+/// [`DRAIN_POLLS`] polls of `drain_ns`, gate if — and only if — the island
+/// drained, then run `post_gate_ns` more).
+///
+/// For a correctly synthesized topology, the gated island's switches hold
+/// no through-traffic from other islands — that is the paper's invariant —
+/// so draining only needs the island's own flows to finish.
 ///
 /// Unlike [`crate::run_shutdown_scenario`] this never panics on a drain
 /// failure; saturated cells simply report `drained_cleanly: false`.
@@ -83,16 +107,23 @@ pub fn run_dynamic_cell(
         .map(|fid| s1.flow(fid).delivered_packets)
         .sum();
 
-    // Phase 2: stop flows terminating in the island, then drain
-    // adaptively — same chunked polling as `run_shutdown_scenario`, but a
-    // saturated island that misses the budget is tolerated, not fatal.
+    // Phase 2: stop flows terminating in the island, then drain.
+    // Draining is adaptive: the island's own traffic (plus any staged
+    // backlog at saturated NIs) takes a workload-dependent time to flush,
+    // so poll in chunks; a saturated island that misses the budget is
+    // tolerated, not fatal. When the island was congested, upstream
+    // domains may sit parked on its full queues — every drain pop runs
+    // through the engine's wake lists, so the stalled senders re-arm at
+    // exactly the right ticks and a parked element can never survive into
+    // the gate: parked implies a non-empty (full) queue, which
+    // `island_drained` reports.
     for fid in spec.flow_ids() {
         if !survivor(fid) {
             sim.deactivate_flow(fid);
         }
     }
     let mut waited = 0;
-    while !sim.island_drained(sched.island) && waited < 20 {
+    while !sim.island_drained(sched.island) && waited < DRAIN_POLLS {
         sim.run_for_ns(sched.drain_ns);
         waited += 1;
     }

@@ -11,8 +11,8 @@
 //!   which the island could possibly act — the earliest `ready_ps` among
 //!   queued flits, the next scheduled packet injection, or an NI backlog of
 //!   staged flits — and the island clock jumps straight to it. Within a
-//!   processed tick, switches with no ready head and cores with nothing to
-//!   inject are skipped in O(1).
+//!   processed tick, switches with no ready head, idle ports and cores with
+//!   nothing to inject are skipped in O(1).
 //!
 //! Batching is an *exact* optimization. A skipped tick is provably
 //! action-free: its only effect in the stepped engine is advancing the
@@ -38,6 +38,37 @@
 //! silent iff the stepped engine would perform no state change on any of
 //! its edges — saturated islands sleep between pops instead of degenerating
 //! to cycle-stepping.
+//!
+//! # Flat state
+//!
+//! Both engines run on the same primitives over flat state:
+//!
+//! * **Queues by global queue id.** The output queues are one
+//!   `Vec<VecDeque<Flit>>` indexed by [`SimNetwork::port_id`], the index the
+//!   wake lists and parked flags also use. A flit carries its position in
+//!   the network's concatenated route table, so a forwarding decision is one
+//!   lookup of the next queue plus one of the popped queue's hop entry (its
+//!   target, landing domain and delay).
+//! * **Staged packets.** A source NI's backlog is kept per flow as the
+//!   injection instants of its whole packets, plus the number of flits left
+//!   in the front packet; each flit is built when it enters the network.
+//! * **Live-port bits.** Bit `g` is set iff queue `g` is non-empty and not
+//!   parked. A switch's ports are a contiguous id range, and the batched
+//!   switch stage walks only the set bits, in round-robin order from the
+//!   closed-form start. Skipping the clear bits is exact: forwarding from an
+//!   empty queue is a no-op, a parked head stays blocked until the pop that
+//!   fires its wake (which sets its bit again), and no switch can push into
+//!   its own queues during its own scan, because self-links do not exist.
+//! * **Busy-core bits.** Cores are numbered domain by domain; a core's bit is
+//!   set iff it has a staged backlog and its NI is not parked. When no core
+//!   of the ticking domain is due to generate (its cached minimum next
+//!   injection instant lies ahead), the core stage visits only the busy
+//!   cores, in ascending order, and the domain is due again at the next
+//!   edge if any core is still busy, else at that minimum.
+//!
+//! Every bitset spans as many 64-bit words as it needs. Debug builds assert,
+//! after every batched tick, that the ticked domain's bits and minimum equal
+//! the state they cache.
 
 use crate::network::{PortTarget, SimNetwork};
 use crate::stats::{FlowStats, SimStats};
@@ -65,11 +96,10 @@ pub struct SimConfig {
     pub load_factor: f64,
     /// Advance island clocks event-to-event instead of cycle-by-cycle.
     ///
-    /// Batching skips only ticks (and, within ticks, switches and NIs) at
-    /// which no flit can move and no packet can arrive, so the resulting
-    /// [`SimStats`] are bit-identical to a cycle-stepped run. Disable it to
-    /// run the reference stepper — the equivalence tests and the
-    /// `simulator` benchmarks do.
+    /// Batching skips only ticks (and, within ticks, switches, ports and
+    /// NIs) at which no flit can move and no packet can arrive, so the
+    /// resulting [`SimStats`] are bit-identical to a cycle-stepped run.
+    /// Disable it to run the reference stepper, as the equivalence tests do.
     pub batching: bool,
 }
 
@@ -90,32 +120,26 @@ impl Default for SimConfig {
 /// A flit traversing the network.
 #[derive(Debug, Clone, Copy)]
 struct Flit {
-    flow: u32,
-    /// Index of the hop this flit currently sits at (into the flow's
-    /// port route).
-    hop: u32,
-    is_tail: bool,
     /// Time the packet entered the source NI, ps.
     injected_ps: u64,
     /// Earliest time the flit may leave its current queue, ps.
     ready_ps: u64,
+    flow: u32,
+    /// Position of the flit's current queue in [`SimNetwork::route`].
+    pos: u32,
+    is_tail: bool,
 }
 
-/// What a [`Simulator::forward_one`] attempt did to queue `(si, p)`.
+/// What a [`Simulator::forward_one`] attempt did to its queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ForwardOutcome {
     /// Empty queue or head not ready yet — nothing to do at this tick.
     Idle,
     /// The head flit moved (ejected or pushed downstream).
     Moved,
-    /// The head is ready but the downstream queue `(to, port)` is full.
-    /// Only this outcome parks a port on a wake list.
-    Blocked {
-        /// Downstream switch holding the full queue.
-        to: usize,
-        /// Full output port of `to`.
-        port: usize,
-    },
+    /// The head is ready but the downstream queue `next` (a global queue
+    /// id) is full. Only this outcome parks a port on a wake list.
+    Blocked { next: usize },
 }
 
 /// A parked upstream element registered on a full queue's wake list,
@@ -129,6 +153,51 @@ enum Waiter {
     /// several queues at once (one per backlogged flow), so its entries are
     /// validated against `parked_ni` when fired rather than kept exact.
     Core(u32),
+}
+
+/// A fixed-size set of small integers, one bit each, over as many 64-bit
+/// words as it needs.
+#[derive(Debug, Clone)]
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn new(n: usize) -> Self {
+        BitSet(vec![0; n.div_ceil(64)])
+    }
+
+    #[cfg(debug_assertions)]
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let (w, m) = (i / 64, 1u64 << (i % 64));
+        if on {
+            self.0[w] |= m;
+        } else {
+            self.0[w] &= !m;
+        }
+    }
+
+    /// The smallest member in `from..end`, if any.
+    fn next_in(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.0[w] & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                return (i < end).then_some(i);
+            }
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            bits = self.0[w];
+        }
+    }
 }
 
 /// Per-domain scheduler state of the event-batched engine.
@@ -221,10 +290,14 @@ pub struct Simulator {
     net: SimNetwork,
     cfg: SimConfig,
     rng: StdRng,
-    /// Per-switch, per-port output queues.
-    queues: Vec<Vec<VecDeque<Flit>>>,
-    /// Per-flow staged flits not yet accepted by the source switch.
-    staging: Vec<VecDeque<Flit>>,
+    /// Output queues by global queue id ([`SimNetwork::port_id`]).
+    queues: Vec<VecDeque<Flit>>,
+    /// Per flow: injection instants (ps) of the packets staged at the
+    /// source NI and not yet fully injected, front first.
+    staged: Vec<VecDeque<u64>>,
+    /// Per flow: flits of the front staged packet still to inject
+    /// (`flits_per_packet` while nothing is staged).
+    front_left: Vec<u32>,
     generators: Vec<FlowGenerator>,
     /// Round-robin pointer per switch (stepped mode only; the batched mode
     /// derives the pointer from the tick index in closed form).
@@ -238,14 +311,21 @@ pub struct Simulator {
     core_of_flow: Vec<u32>,
     /// Switch indices grouped by extended island, ascending.
     switches_by_domain: Vec<Vec<u32>>,
-    /// Core indices grouped by extended island, ascending.
-    cores_by_domain: Vec<Vec<u32>>,
+    /// Core indices grouped by extended island, ascending within each:
+    /// domain `d` owns `domain_cores[core_start[d]..core_start[d + 1]]`.
+    /// Busy bits are numbered by position in this array.
+    domain_cores: Vec<u32>,
+    /// Offset of each domain's cores in [`Self::domain_cores`], plus the
+    /// total.
+    core_start: Vec<usize>,
+    /// Position of each core in [`Self::domain_cores`].
+    core_rank: Vec<u32>,
     /// Lower bound on the earliest `ready_ps` among a switch's *unblocked*
     /// queue heads (`u64::MAX` = believed empty or entirely parked).
     /// Maintained as a stale-low bound: pushes fold their flit in
     /// immediately; pops leave it untouched (the true minimum can only
     /// rise); each batched visit recomputes it exactly while it scans the
-    /// ports anyway. Parked heads are deliberately left out — they are
+    /// live ports anyway. Parked heads are deliberately left out — they are
     /// ready but provably unable to move until the pop that fires their
     /// wake, which folds them back in (`fire_wakes`). The bound never
     /// exceeds the true minimum over actionable heads, so skipping a switch
@@ -255,8 +335,19 @@ pub struct Simulator {
     /// rounded up to integer picoseconds (`u64::MAX` when all are
     /// deactivated). Exact at all times.
     gen_next_ps: Vec<u64>,
+    /// Minimum of `gen_next_ps` over each domain's cores. Exact during a
+    /// batched run: computed at `run_batched` entry and refreshed by every
+    /// core stage that generates, the only code that moves a core's next
+    /// injection mid-run.
+    domain_gen_next: Vec<u64>,
     /// Staged (NI-backlogged) flits per source core. Exact at all times.
-    staged_cnt: Vec<u32>,
+    staged_cnt: Vec<u64>,
+    /// Bit `g` is set iff queue `g` is non-empty and not parked. Exact at
+    /// all times; switch `si`'s bits are the range `net.ports(si)`.
+    live: BitSet,
+    /// Bit `core_rank[ci]` is set iff core `ci` has a staged backlog and
+    /// its NI is not parked. Exact at all times.
+    busy: BitSet,
     /// Next tick per extended island, ps.
     next_tick: Vec<u64>,
     /// `next_tick / period_ps` per extended island, maintained
@@ -277,13 +368,14 @@ pub struct Simulator {
     /// capacity, costing one heap allocation per park/wake cycle).
     wake_scratch: Vec<Waiter>,
     /// Whether the switch output port with this global queue id is parked
-    /// (ready head excluded from `min_head_ready`, one `Waiter::Port`
-    /// registered downstream). Exact: set on park, cleared by the wake.
+    /// (ready head excluded from `min_head_ready` and from the live bits,
+    /// one `Waiter::Port` registered downstream). Exact: set on park,
+    /// cleared by the wake.
     parked_port: Vec<bool>,
-    /// Whether this core's NI is parked (staged backlog excluded from
-    /// `compute_next_event`'s next-tick shortcut). Set when an injection
-    /// scan finds every candidate first-hop queue full; cleared by a wake,
-    /// a successful injection, or re-validated after a generation event.
+    /// Whether this core's NI is parked (staged backlog excluded from the
+    /// busy bits). Set when an injection scan finds every candidate
+    /// first-hop queue full; cleared by a wake, a successful injection, or
+    /// re-validated after a generation event.
     parked_ni: Vec<bool>,
     /// Domain ticks actually processed (either engine). Not part of
     /// [`SimStats`] — the whole point of batching is that this differs
@@ -300,17 +392,12 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the topology does not route every flow of `spec`.
+    /// Panics if the topology does not route every flow of `spec`, or if
+    /// `cfg.link_width_bits` is zero.
     pub fn new(spec: &SocSpec, topo: &Topology, cfg: &SimConfig) -> Self {
         let net = SimNetwork::build(spec, topo);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let flits_per_packet = (cfg.packet_bytes * 8).div_ceil(cfg.link_width_bits).max(1) as u32;
-
-        let queues: Vec<Vec<VecDeque<Flit>>> = net
-            .switches
-            .iter()
-            .map(|s| s.ports.iter().map(|_| VecDeque::new()).collect())
-            .collect();
 
         let mut flows_by_core = vec![Vec::new(); spec.core_count()];
         let mut core_of_flow = Vec::with_capacity(spec.flow_count());
@@ -330,7 +417,7 @@ impl Simulator {
             // The first hop of every route must sit on the source core's own
             // switch — flits are injected there by the core's NI.
             assert_eq!(
-                net.route(fid)[0].0,
+                net.port_owner[net.route(fid)[0] as usize].0 as usize,
                 net.switch_of_core[f.src.index()],
                 "flow {fid}: route does not start at the source core's switch"
             );
@@ -340,26 +427,44 @@ impl Simulator {
         let n_switches = net.switch_count();
         let n_cores = spec.core_count();
         let mut switches_by_domain = vec![Vec::new(); n_domains];
-        for (si, sw) in net.switches.iter().enumerate() {
-            switches_by_domain[sw.island_ext].push(si as u32);
+        for (si, &d) in net.switch_domain.iter().enumerate() {
+            switches_by_domain[d].push(si as u32);
         }
-        let mut cores_by_domain = vec![Vec::new(); n_domains];
-        for (ci, &d) in net.island_of_core.iter().enumerate() {
-            cores_by_domain[d].push(ci as u32);
+        let mut domain_cores = Vec::with_capacity(n_cores);
+        let mut core_start = Vec::with_capacity(n_domains + 1);
+        let mut core_rank = vec![0; n_cores];
+        for d in 0..n_domains {
+            core_start.push(domain_cores.len());
+            for (ci, _) in net
+                .island_of_core
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| i == d)
+            {
+                core_rank[ci] = domain_cores.len() as u32;
+                domain_cores.push(ci as u32);
+            }
         }
+        core_start.push(domain_cores.len());
         let mut sim = Simulator {
             rr: vec![0; n_switches],
             inj_rr: vec![0; n_cores],
             flows_by_core,
             core_of_flow,
             switches_by_domain,
-            cores_by_domain,
+            domain_cores,
+            core_start,
+            core_rank,
             min_head_ready: vec![u64::MAX; n_switches],
             gen_next_ps: vec![u64::MAX; n_cores],
+            domain_gen_next: vec![u64::MAX; n_domains],
             staged_cnt: vec![0; n_cores],
-            staging: vec![VecDeque::new(); spec.flow_count()],
+            live: BitSet::new(net.port_count()),
+            busy: BitSet::new(n_cores),
+            staged: vec![VecDeque::new(); spec.flow_count()],
+            front_left: vec![flits_per_packet; spec.flow_count()],
             generators,
-            queues,
+            queues: vec![VecDeque::new(); net.port_count()],
             next_tick: net.period_ps.clone(),
             tick_idx: vec![1; n_domains],
             island_on: vec![true; n_domains],
@@ -420,34 +525,33 @@ impl Simulator {
     /// Panics if flits are still queued in the island (gate only after
     /// draining — the scenario driver handles this).
     pub fn gate_island(&mut self, island_ext: usize) {
-        for (si, sw) in self.net.switches.iter().enumerate() {
-            if sw.island_ext == island_ext {
-                let queued: usize = self.queues[si].iter().map(VecDeque::len).sum();
-                assert_eq!(
-                    queued, 0,
-                    "island {island_ext} gated with {queued} flits in switch {si}"
-                );
-            }
+        for &si in &self.switches_by_domain[island_ext] {
+            let queued: usize = self
+                .net
+                .ports(si as usize)
+                .map(|g| self.queues[g].len())
+                .sum();
+            assert_eq!(
+                queued, 0,
+                "island {island_ext} gated with {queued} flits in switch {si}"
+            );
         }
         self.island_on[island_ext] = false;
     }
 
     /// Returns `true` if no flits remain queued anywhere (staging included).
     pub fn is_drained(&self) -> bool {
-        self.staging.iter().all(VecDeque::is_empty)
-            && self
-                .queues
-                .iter()
-                .flat_map(|q| q.iter())
-                .all(VecDeque::is_empty)
+        self.staged.iter().all(VecDeque::is_empty) && self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// Returns `true` if no flits remain queued in the switches of extended
     /// island `island_ext` (the pre-condition for gating it).
     pub fn island_drained(&self, island_ext: usize) -> bool {
-        self.switches_by_domain[island_ext]
-            .iter()
-            .all(|&si| self.queues[si as usize].iter().all(VecDeque::is_empty))
+        self.switches_by_domain[island_ext].iter().all(|&si| {
+            self.net
+                .ports(si as usize)
+                .all(|g| self.queues[g].is_empty())
+        })
     }
 
     /// Runs until `deadline_ps`, returning a snapshot of the statistics.
@@ -495,6 +599,7 @@ impl Simulator {
         self.horizon.mark_all();
         for d in 0..n_domains {
             self.tick_idx[d] = self.next_tick[d] / self.net.period_ps[d];
+            self.domain_gen_next[d] = self.min_gen_next(d);
             if self.island_on[d] {
                 self.horizon.next_event[d] = self.compute_next_event(d);
                 self.horizon.dirty[d] = false;
@@ -535,6 +640,8 @@ impl Simulator {
                 self.tick_idx[dom] += (t - self.next_tick[dom]) / p;
             }
             let e_ps = self.tick_domain_batched(dom, t);
+            #[cfg(debug_assertions)]
+            self.assert_cached_sets(dom);
             self.next_tick[dom] = t + p;
             self.tick_idx[dom] += 1;
             // The tick pass already computed the domain's raw next-event
@@ -558,6 +665,48 @@ impl Simulator {
         }
     }
 
+    /// Indices of domain `d`'s cores, ascending.
+    fn domain_core_ids(&self, d: usize) -> impl Iterator<Item = usize> + '_ {
+        self.domain_cores[self.core_start[d]..self.core_start[d + 1]]
+            .iter()
+            .map(|&ci| ci as usize)
+    }
+
+    /// Earliest `gen_next_ps` among domain `d`'s cores.
+    fn min_gen_next(&self, d: usize) -> u64 {
+        self.domain_core_ids(d)
+            .map(|ci| self.gen_next_ps[ci])
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Asserts that domain `d`'s live-port bits, busy-core bits and minimum
+    /// next injection instant equal the state they cache.
+    #[cfg(debug_assertions)]
+    fn assert_cached_sets(&self, d: usize) {
+        for &si in &self.switches_by_domain[d] {
+            for g in self.net.ports(si as usize) {
+                assert_eq!(
+                    self.live.get(g),
+                    !self.queues[g].is_empty() && !self.parked_port[g],
+                    "live bit of queue {g}"
+                );
+            }
+        }
+        for ci in self.domain_core_ids(d) {
+            assert_eq!(
+                self.busy.get(self.core_rank[ci] as usize),
+                self.staged_cnt[ci] > 0 && !self.parked_ni[ci],
+                "busy bit of core {ci}"
+            );
+        }
+        assert_eq!(
+            self.domain_gen_next[d],
+            self.min_gen_next(d),
+            "domain {d} next injection"
+        );
+    }
+
     /// Earliest tick at which domain `d` could act under its current state:
     /// the next tick outright if an NI has an unparked staged backlog, else
     /// the first tick at/after the earliest *unblocked* queued flit's
@@ -570,14 +719,10 @@ impl Simulator {
     /// blocked therefore reports `u64::MAX` and sleeps between pops.
     fn compute_next_event(&self, d: usize) -> u64 {
         let t0 = self.next_tick[d];
-        let mut e_ps = u64::MAX;
-        for &ci in &self.cores_by_domain[d] {
-            let ci = ci as usize;
-            if self.staged_cnt[ci] > 0 && !self.parked_ni[ci] {
-                return t0;
-            }
-            e_ps = e_ps.min(self.gen_next_ps[ci]);
+        if self.any_busy(d) {
+            return t0;
         }
+        let mut e_ps = self.domain_gen_next[d];
         for &si in &self.switches_by_domain[d] {
             e_ps = e_ps.min(self.min_head_ready[si as usize]);
         }
@@ -588,6 +733,13 @@ impl Simulator {
         } else {
             tick_at_or_after(t0, self.net.period_ps[d], e_ps)
         }
+    }
+
+    /// Whether any core of domain `d` has an unparked staged backlog.
+    fn any_busy(&self, d: usize) -> bool {
+        self.busy
+            .next_in(self.core_start[d], self.core_start[d + 1])
+            .is_some()
     }
 
     fn earliest_tick(&self, deadline_ps: u64) -> Option<(u64, Vec<usize>)> {
@@ -607,43 +759,44 @@ impl Simulator {
     }
 
     /// One clock edge of every switch (and source NI) in domain `d` — the
-    /// reference path: visit everything, maintain the round-robin pointers
-    /// eagerly.
+    /// reference path: visit every port and every core, maintain the
+    /// round-robin pointers eagerly.
     fn tick_domain_stepped(&mut self, d: usize) {
         let t = self.now_ps;
         // Switch output stage: each port forwards at most one ready flit.
         for i in 0..self.switches_by_domain[d].len() {
             let si = self.switches_by_domain[d][i] as usize;
-            let n_ports = self.queues[si].len();
+            let n_ports = self.net.ports(si).len();
             let start = self.rr[si];
             self.rr[si] = (start + 1) % n_ports.max(1);
             for off in 0..n_ports {
-                let p = (start + off) % n_ports;
-                self.forward_one(si, p, t);
+                let g = self.net.port_id(si, (start + off) % n_ports);
+                self.forward_one(si, g, t);
             }
         }
         // Injection stage: one flit per source *core* per cycle (each core
         // has its own NI link), taken round-robin over the core's flows.
-        for i in 0..self.cores_by_domain[d].len() {
-            let ci = self.cores_by_domain[d][i] as usize;
+        for r in self.core_start[d]..self.core_start[d + 1] {
+            let ci = self.domain_cores[r] as usize;
             self.generate_arrivals(ci, t);
             self.inject_one(ci, t);
         }
     }
 
     /// One clock edge of domain `d` at tick time `t`, skipping every switch
-    /// with no possibly-ready head and every core with nothing to generate
-    /// or inject. The round-robin arbitration starts are derived from the
-    /// tick index `t / period` in closed form, so skipped elements need no
-    /// pointer bookkeeping — their state is untouched by an idle cycle.
+    /// with no possibly-ready head, every port whose live bit is clear, and
+    /// — when no core of the domain is due to generate — every core whose
+    /// busy bit is clear. The round-robin arbitration starts are derived
+    /// from the tick index `t / period` in closed form, so skipped elements
+    /// need no pointer bookkeeping — their state is untouched by an idle
+    /// cycle.
     ///
     /// Returns the raw earliest instant (ps, not grid-rounded) at which the
     /// domain could act again given the state this tick leaves behind —
     /// the same quantity [`Self::compute_next_event`] derives, folded here
-    /// for free while the tick walks the domain anyway. Core contributions
-    /// fold as each core's stage completes (nothing later in the tick can
-    /// touch core state); switch bounds fold in a final pass because the
-    /// core stage pushes into this domain's own first-hop queues.
+    /// for free while the tick walks the domain anyway. Switch bounds fold
+    /// in a final pass because the core stage pushes into this domain's
+    /// own first-hop queues.
     fn tick_domain_batched(&mut self, d: usize, t: u64) -> u64 {
         let idx = self.tick_idx[d];
         debug_assert_eq!(idx, t / self.net.period_ps[d]);
@@ -652,82 +805,94 @@ impl Simulator {
             if self.min_head_ready[si] > t {
                 continue;
             }
-            let n_ports = self.queues[si].len();
-            let start = if n_ports > 1 {
-                ((idx - 1) % n_ports as u64) as usize
-            } else {
-                0
-            };
-            // Recompute the bound exactly while scanning; same-tick pushes
-            // from other switches fold themselves in through `forward_one`.
-            // A blocked head is parked instead of folded: it cannot move
-            // before the pop that fires its wake, and the wake restores it.
-            self.min_head_ready[si] = u64::MAX;
-            for off in 0..n_ports {
-                let p = (start + off) % n_ports;
-                match self.forward_one(si, p, t) {
-                    ForwardOutcome::Blocked { to, port } => self.park_port(si, p, to, port),
-                    ForwardOutcome::Idle | ForwardOutcome::Moved => {
-                        if let Some(head) = self.queues[si][p].front() {
-                            self.min_head_ready[si] = self.min_head_ready[si].min(head.ready_ps);
-                        }
-                    }
-                }
-            }
-        }
-        let mut e_ps = u64::MAX;
-        for i in 0..self.cores_by_domain[d].len() {
-            let ci = self.cores_by_domain[d][i] as usize;
-            let generated = self.gen_next_ps[ci] <= t;
-            if generated {
-                self.generate_arrivals(ci, t);
-            }
-            // A parked NI retries only after a generation event (freshly
-            // staged flows may target a non-full queue) or its wake (the
-            // pop of a watched queue, fired earlier in this very tick by
-            // this domain's own switch stage — first-hop queues live on the
-            // core's own switch). In between, stepped retries provably
-            // fail: staging only shrinks by injection and the watched
-            // queues stay full until they pop.
-            if self.staged_cnt[ci] > 0 && (generated || !self.parked_ni[ci]) {
-                let n = self.flows_by_core[ci].len();
-                let start = if n > 1 {
-                    ((idx - 1) % n as u64) as usize
+            let ports = self.net.ports(si);
+            let n_ports = ports.len();
+            let pivot = ports.start
+                + if n_ports > 1 {
+                    ((idx - 1) % n_ports as u64) as usize
                 } else {
                     0
                 };
-                self.inject_from(ci, start, t, true);
+            // Recompute the bound exactly while scanning; same-tick pushes
+            // from other switches fold themselves in through `forward_one`.
+            // Live ports in round-robin order: `pivot..end`, then
+            // `start..pivot`. Only the visited port's own bit can change
+            // during the scan, so each word is read fresh.
+            self.min_head_ready[si] = u64::MAX;
+            for (mut from, end) in [(pivot, ports.end), (ports.start, pivot)] {
+                while let Some(g) = self.live.next_in(from, end) {
+                    self.visit_port(si, g, t);
+                    from = g + 1;
+                }
             }
-            if self.staged_cnt[ci] > 0 && !self.parked_ni[ci] {
-                // Unparked backlog: due again at the very next edge.
-                e_ps = 0;
-            }
-            e_ps = e_ps.min(self.gen_next_ps[ci]);
         }
+        let (c0, c1) = (self.core_start[d], self.core_start[d + 1]);
+        if self.domain_gen_next[d] <= t {
+            for r in c0..c1 {
+                let ci = self.domain_cores[r] as usize;
+                let generated = self.gen_next_ps[ci] <= t;
+                if generated {
+                    self.generate_arrivals(ci, t);
+                }
+                // A parked NI retries only after a generation event (freshly
+                // staged flows may target a non-full queue) or its wake (the
+                // pop of a watched queue, fired earlier in this very tick by
+                // this domain's own switch stage — first-hop queues live on
+                // the core's own switch). In between, stepped retries
+                // provably fail: staging only shrinks by injection and the
+                // watched queues stay full until they pop.
+                if self.staged_cnt[ci] > 0 && (generated || !self.parked_ni[ci]) {
+                    self.inject_batched(ci, idx, t);
+                }
+            }
+            self.domain_gen_next[d] = self.min_gen_next(d);
+        } else {
+            // No core is due to generate, so only the busy ones can act.
+            // Injection never pops, so no wake can change another core's
+            // bit during this walk.
+            let mut from = c0;
+            while let Some(r) = self.busy.next_in(from, c1) {
+                self.inject_batched(self.domain_cores[r] as usize, idx, t);
+                from = r + 1;
+            }
+        }
+        // An unparked backlog is due again at the very next edge.
+        let mut e_ps = if self.any_busy(d) {
+            0
+        } else {
+            self.domain_gen_next[d]
+        };
         for &si in &self.switches_by_domain[d] {
             e_ps = e_ps.min(self.min_head_ready[si as usize]);
         }
         e_ps
     }
 
+    /// One batched visit of live queue `g` of switch `si`: forward its
+    /// head, parking the port if the head is blocked, else folding the
+    /// (new) head into the switch's bound. A blocked head is parked instead
+    /// of folded: it cannot move before the pop that fires its wake, and
+    /// the wake restores it.
+    fn visit_port(&mut self, si: usize, g: usize, t: u64) {
+        match self.forward_one(si, g, t) {
+            ForwardOutcome::Blocked { next } => self.park_port(g, next),
+            ForwardOutcome::Idle | ForwardOutcome::Moved => {
+                if let Some(head) = self.queues[g].front() {
+                    self.min_head_ready[si] = self.min_head_ready[si].min(head.ready_ps);
+                }
+            }
+        }
+    }
+
     /// Moves packets whose injection time has come into the staging queue.
     fn generate_arrivals(&mut self, ci: usize, t: u64) {
         let flows = std::mem::take(&mut self.flows_by_core[ci]);
-        let mut staged = 0u32;
+        let mut staged = 0u64;
         for &fi in &flows {
             let g = &mut self.generators[fi as usize];
             while g.active && g.next_ps <= t as f64 {
-                let injected_ps = g.next_ps.max(0.0) as u64;
-                for k in 0..self.flits_per_packet {
-                    self.staging[fi as usize].push_back(Flit {
-                        flow: fi,
-                        hop: 0,
-                        is_tail: k + 1 == self.flits_per_packet,
-                        injected_ps,
-                        ready_ps: 0,
-                    });
-                }
-                staged += self.flits_per_packet;
+                self.staged[fi as usize].push_back(g.next_ps.max(0.0) as u64);
+                staged += u64::from(self.flits_per_packet);
                 self.stats.flows[fi as usize].injected_packets += 1;
                 g.schedule_next(&mut self.rng);
             }
@@ -736,6 +901,7 @@ impl Simulator {
         if staged > 0 {
             self.staged_cnt[ci] += staged;
             self.refresh_gen_next(ci);
+            self.update_busy(ci);
         }
     }
 
@@ -750,6 +916,14 @@ impl Simulator {
         self.gen_next_ps[ci] = ceil_ps(next);
     }
 
+    /// Re-derives core `ci`'s busy bit from its backlog and parked flag.
+    fn update_busy(&mut self, ci: usize) {
+        self.busy.set(
+            self.core_rank[ci] as usize,
+            self.staged_cnt[ci] > 0 && !self.parked_ni[ci],
+        );
+    }
+
     /// Moves one staged flit of core `ci` into its switch's first-hop queue
     /// (stepped path: consume and advance the round-robin pointer).
     fn inject_one(&mut self, ci: usize, t: u64) {
@@ -762,8 +936,23 @@ impl Simulator {
         self.inject_from(ci, start, t, false);
     }
 
+    /// Moves one staged flit of core `ci` into its switch's first-hop queue
+    /// (batched path: the round-robin start in closed form from the tick
+    /// index `idx`, parking the NI if every candidate queue is full).
+    fn inject_batched(&mut self, ci: usize, idx: u64, t: u64) {
+        let n = self.flows_by_core[ci].len();
+        let start = if n > 1 {
+            ((idx - 1) % n as u64) as usize
+        } else {
+            0
+        };
+        self.inject_from(ci, start, t, true);
+    }
+
     /// Moves one staged flit of core `ci` into its switch's first-hop
-    /// queue, trying the core's flows round-robin from `start`.
+    /// queue, trying the core's flows round-robin from `start`. The flit is
+    /// built here, from its packet's injection instant and the number of
+    /// flits the packet has left.
     ///
     /// With `park` set (the batched path), a fully blocked scan — some flow
     /// has staged flits but every such flow's first-hop queue is full —
@@ -771,22 +960,38 @@ impl Simulator {
     /// the core to busy-wait.
     fn inject_from(&mut self, ci: usize, start: usize, t: u64, park: bool) {
         let n = self.flows_by_core[ci].len();
-        for off in 0..n {
-            let fi = self.flows_by_core[ci][(start + off) % n] as usize;
-            if self.staging[fi].is_empty() {
+        let mut k = start;
+        for _ in 0..n {
+            let fi = self.flows_by_core[ci][k] as usize;
+            k = if k + 1 == n { 0 } else { k + 1 };
+            let Some(&injected_ps) = self.staged[fi].front() else {
+                continue;
+            };
+            let pos = self.net.route_start[fi];
+            let g = self.net.route[pos as usize] as usize;
+            if self.queues[g].len() >= self.cfg.queue_capacity {
                 continue;
             }
-            let (si, port) = self.net.route(FlowId::from_index(fi))[0];
-            if self.queues[si][port].len() >= self.cfg.queue_capacity {
-                continue;
+            let is_tail = self.front_left[fi] == 1;
+            if is_tail {
+                self.staged[fi].pop_front();
+                self.front_left[fi] = self.flits_per_packet;
+            } else {
+                self.front_left[fi] -= 1;
             }
-            let mut flit = self.staging[fi].pop_front().expect("non-empty");
-            let d = self.net.switches[si].island_ext;
-            // NI link + switch traversal before the flit may leave.
-            flit.ready_ps = t + 2 * self.net.period_ps[d];
-            self.push_flit(si, port, flit);
+            let si = self.net.switch_of_core[ci];
+            let flit = Flit {
+                injected_ps,
+                // NI link + switch traversal before the flit may leave.
+                ready_ps: t + self.net.inject_delay_ps(si),
+                flow: fi as u32,
+                pos,
+                is_tail,
+            };
+            self.push_flit(si, g, flit);
             self.staged_cnt[ci] -= 1;
             self.parked_ni[ci] = false;
+            self.update_busy(ci);
             return;
         }
         if park && self.staged_cnt[ci] > 0 {
@@ -802,133 +1007,129 @@ impl Simulator {
     /// against entries left from earlier parks of the same core.
     fn park_ni(&mut self, ci: usize) {
         self.parked_ni[ci] = true;
+        self.update_busy(ci);
         for off in 0..self.flows_by_core[ci].len() {
             let fi = self.flows_by_core[ci][off] as usize;
-            if self.staging[fi].is_empty() {
+            if self.staged[fi].is_empty() {
                 continue;
             }
-            let (si, port) = self.net.route(FlowId::from_index(fi))[0];
-            debug_assert!(self.queues[si][port].len() >= self.cfg.queue_capacity);
-            let gid = self.net.port_id(si, port);
+            let g = self.net.route[self.net.route_start[fi] as usize] as usize;
+            debug_assert!(self.queues[g].len() >= self.cfg.queue_capacity);
             let w = Waiter::Core(ci as u32);
-            if !self.waiters[gid].contains(&w) {
-                self.waiters[gid].push(w);
+            if !self.waiters[g].contains(&w) {
+                self.waiters[g].push(w);
             }
         }
     }
 
-    /// Parks switch output port `(si, p)`: its ready head is stalled by the
-    /// full queue `(to, port)`, so it is excluded from `min_head_ready`
-    /// until that queue's pop fires the wake. The `parked_port` flag dedups
-    /// re-parks from later visits of the same blocked head.
-    fn park_port(&mut self, si: usize, p: usize, to: usize, port: usize) {
-        let blocked = self.net.port_id(si, p);
-        if !self.parked_port[blocked] {
-            self.parked_port[blocked] = true;
-            self.waiters[self.net.port_id(to, port)].push(Waiter::Port(blocked as u32));
-        }
+    /// Parks output queue `g`: its ready head is stalled by the full queue
+    /// `next`, so it leaves the live bits and `min_head_ready` until that
+    /// queue's pop fires the wake. Only live (hence unparked) queues are
+    /// visited, so a port is never parked twice.
+    fn park_port(&mut self, g: usize, next: usize) {
+        debug_assert!(!self.parked_port[g]);
+        self.parked_port[g] = true;
+        self.live.set(g, false);
+        self.waiters[next].push(Waiter::Port(g as u32));
     }
 
-    /// Enqueues `flit` at (si, port), folding it into the switch's
-    /// head-readiness bound.
-    fn push_flit(&mut self, si: usize, port: usize, flit: Flit) {
+    /// Enqueues `flit` at queue `g` of switch `si`, folding it into the
+    /// switch's head-readiness bound. A queue that was empty cannot be
+    /// parked, so it turns live.
+    fn push_flit(&mut self, si: usize, g: usize, flit: Flit) {
         self.min_head_ready[si] = self.min_head_ready[si].min(flit.ready_ps);
-        self.queues[si][port].push_back(flit);
+        if self.queues[g].is_empty() {
+            self.live.set(g, true);
+        }
+        self.queues[g].push_back(flit);
     }
 
-    /// Forwards the head flit of queue (si, p), if ready and accepted.
-    /// Every pop fires the queue's wake list — the pop is the one event
-    /// that can unblock a parked watcher.
-    fn forward_one(&mut self, si: usize, p: usize, t: u64) -> ForwardOutcome {
-        let Some(&head) = self.queues[si][p].front() else {
+    /// Forwards the head flit of queue `g` (owned by switch `si`), if ready
+    /// and accepted. Every pop fires the queue's wake list — the pop is the
+    /// one event that can unblock a parked watcher.
+    fn forward_one(&mut self, si: usize, g: usize, t: u64) -> ForwardOutcome {
+        let Some(&head) = self.queues[g].front() else {
             return ForwardOutcome::Idle;
         };
         if head.ready_ps > t {
             return ForwardOutcome::Idle;
         }
-        match self.net.switches[si].ports[p].target {
-            PortTarget::Eject => {
-                let flit = self.queues[si][p].pop_front().expect("head exists");
-                self.fire_wakes(si, p, t);
-                self.stats.switch_flits[si] += 1;
-                if flit.is_tail {
-                    let d = self.net.switches[si].island_ext;
-                    // Final NI link traversal.
-                    let latency = t + self.net.period_ps[d] - flit.injected_ps;
-                    let fs = &mut self.stats.flows[flit.flow as usize];
+        let hop = self.net.hops[g];
+        let downstream = match hop.target {
+            PortTarget::Eject => None,
+            PortTarget::Link { to } => {
+                let next = self.net.route[head.pos as usize + 1] as usize;
+                if self.queues[next].len() >= self.cfg.queue_capacity {
+                    return ForwardOutcome::Blocked { next };
+                }
+                Some((to as usize, next))
+            }
+        };
+        self.queues[g].pop_front();
+        if self.queues[g].is_empty() {
+            self.live.set(g, false);
+        }
+        self.fire_wakes(si, g, t);
+        self.stats.switch_flits[si] += 1;
+        // Ejection: the final NI link. A link: link + downstream switch
+        // traversal + converter dwell.
+        let ready = t + hop.delay_ps;
+        match downstream {
+            None => {
+                if head.is_tail {
+                    let latency = ready - head.injected_ps;
+                    let fs = &mut self.stats.flows[head.flow as usize];
                     fs.delivered_packets += 1;
                     fs.total_latency_ps += latency as u128;
                     fs.max_latency_ps = fs.max_latency_ps.max(latency);
                 }
-                ForwardOutcome::Moved
             }
-            PortTarget::Link { to, crossing } => {
-                let route = &self.net.route_ports[head.flow as usize];
-                let next_hop = head.hop as usize + 1;
-                let (next_sw, next_port) = route[next_hop];
-                debug_assert_eq!(next_sw, to);
-                if self.queues[to][next_port].len() >= self.cfg.queue_capacity {
-                    return ForwardOutcome::Blocked {
-                        to,
-                        port: next_port,
-                    };
-                }
-                let mut flit = self.queues[si][p].pop_front().expect("head exists");
-                self.fire_wakes(si, p, t);
-                self.stats.switch_flits[si] += 1;
-                let dd = self.net.switches[to].island_ext;
-                let dwell = if crossing {
-                    self.net.crossing_cycles * self.net.period_ps[dd]
-                } else {
-                    0
+            Some((to, next)) => {
+                let flit = Flit {
+                    ready_ps: ready,
+                    pos: head.pos + 1,
+                    ..head
                 };
-                // Link + downstream switch traversal + converter dwell.
-                flit.ready_ps = t + 2 * self.net.period_ps[dd] + dwell;
-                flit.hop = next_hop as u32;
-                let ready = flit.ready_ps;
-                self.push_flit(to, next_port, flit);
+                self.push_flit(to, next, flit);
                 // The receiving domain's cached horizon must cover the new
                 // flit; a push only moves the next event earlier, so an
                 // O(1) fold suffices (no dirty mark, no rescan).
-                self.fold_event(dd, ready);
-                ForwardOutcome::Moved
+                self.fold_event(hop.dom as usize, ready);
             }
         }
+        ForwardOutcome::Moved
     }
 
-    /// Re-arms everything parked on queue `(si, p)` after its pop. Port
-    /// watchers fold their (still ready, still present) head back into
-    /// `min_head_ready`; core watchers are validated against `parked_ni`
-    /// (a core watches one queue per backlogged flow, and an earlier wake
-    /// or successful injection leaves the other entries stale). Each woken
-    /// element's domain is then rescheduled by [`Self::wake_domain`].
-    fn fire_wakes(&mut self, si: usize, p: usize, t: u64) {
-        let gid = self.net.port_id(si, p);
-        if self.waiters[gid].is_empty() {
+    /// Re-arms everything parked on queue `g` (owned by switch `si`) after
+    /// its pop. Port watchers turn live again and fold their (still ready,
+    /// still present) head back into `min_head_ready`; core watchers are
+    /// validated against `parked_ni` (a core watches one queue per
+    /// backlogged flow, and an earlier wake or successful injection leaves
+    /// the other entries stale). Each woken element's domain is then
+    /// rescheduled by [`Self::wake_domain`].
+    fn fire_wakes(&mut self, si: usize, g: usize, t: u64) {
+        if self.waiters[g].is_empty() {
             return;
         }
-        let popper = self.net.switches[si].island_ext;
+        let popper = self.net.switch_domain[si];
         // Swap in the recycled buffer so the drained list keeps its backing
         // capacity for the next park (allocation-free in steady state).
-        let list = std::mem::replace(
-            &mut self.waiters[gid],
-            std::mem::take(&mut self.wake_scratch),
-        );
+        let list = std::mem::replace(&mut self.waiters[g], std::mem::take(&mut self.wake_scratch));
         for &w in &list {
             match w {
                 Waiter::Port(blocked) => {
                     let blocked = blocked as usize;
                     debug_assert!(self.parked_port[blocked]);
                     self.parked_port[blocked] = false;
-                    let (usi, up) = self.net.port_owner[blocked];
-                    let (usi, up) = (usi as usize, up as usize);
+                    self.live.set(blocked, true);
+                    let usi = self.net.port_owner[blocked].0 as usize;
                     // A parked head cannot have moved (its only exit is the
                     // pop this wake precedes) and pushes land behind it, so
                     // it is still the head, still ready.
-                    let ready = self.queues[usi][up].front().expect("parked head").ready_ps;
+                    let ready = self.queues[blocked].front().expect("parked head").ready_ps;
                     debug_assert!(ready <= t);
                     self.min_head_ready[usi] = self.min_head_ready[usi].min(ready);
-                    self.wake_domain(self.net.switches[usi].island_ext, popper, t);
+                    self.wake_domain(self.net.switch_domain[usi], popper, t);
                 }
                 Waiter::Core(ci) => {
                     let ci = ci as usize;
@@ -936,6 +1137,7 @@ impl Simulator {
                         continue; // stale entry from an earlier park
                     }
                     self.parked_ni[ci] = false;
+                    self.update_busy(ci);
                     self.wake_domain(self.net.island_of_core[ci], popper, t);
                 }
             }
@@ -985,13 +1187,8 @@ impl Simulator {
     fn snapshot(&self) -> SimStats {
         let mut stats = self.stats.clone();
         stats.elapsed_ps = self.now_ps;
-        stats.flits_in_flight = self.staging.iter().map(|q| q.len() as u64).sum::<u64>()
-            + self
-                .queues
-                .iter()
-                .flat_map(|q| q.iter())
-                .map(|q| q.len() as u64)
-                .sum::<u64>();
+        stats.flits_in_flight = self.staged_cnt.iter().sum::<u64>()
+            + self.queues.iter().map(|q| q.len() as u64).sum::<u64>();
         stats
     }
 }

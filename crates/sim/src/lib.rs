@@ -52,7 +52,7 @@ mod stats;
 mod traffic;
 mod zeroload;
 
-pub use cell::{run_dynamic_cell, CellOutcome, CellShutdown};
+pub use cell::{run_dynamic_cell, CellOutcome, CellShutdown, DRAIN_POLLS};
 pub use energy::{measured_power, MeasuredPower};
 pub use engine::{SimConfig, Simulator};
 pub use network::SimNetwork;

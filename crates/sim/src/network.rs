@@ -1,13 +1,26 @@
 //! Static simulation network derived from a synthesized topology.
 //!
-//! Everything here is resolved once, before time starts: switches with
-//! output-buffered ports, per-extended-island clock periods, per-flow
-//! port-level routes and core→switch attachments. The engine
-//! (`crate::engine`) owns all mutable state — queues, generators and the
-//! per-switch/per-core readiness bounds its event scheduler batches ticks
-//! with — so this structure can be shared read-only by every run mode.
+//! Everything here is resolved once, before time starts, into flat tables
+//! indexed by **global queue id** — the switch-major number
+//! [`SimNetwork::port_id`] gives every output-buffered port:
+//!
+//! * `hops[g]` says where a flit popped from queue `g` goes (an NI, or the
+//!   downstream switch), which clock domain it lands in, and its hop delay:
+//!   `2·period(dd) + dwell` for a link into domain `dd` (link + downstream
+//!   switch traversal, plus the 4-cycle bi-synchronous dwell when the link
+//!   crosses islands), `period(d)` for an ejection port (the final NI link).
+//! * `route` holds every flow's route as global queue ids, concatenated,
+//!   with per-flow offsets in `route_start`; a flit carries its position in
+//!   that array, so the next queue is one lookup away.
+//!
+//! The engine (`crate::engine`) owns all mutable state — queues,
+//! generators and the readiness bounds and bitsets its event scheduler
+//! batches ticks with — so this structure can be shared read-only by every
+//! run mode, and the analytic zero-load latency (`crate::zeroload`) sums the
+//! same hop delays the engine charges.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use vi_noc_core::{SwitchId, Topology};
 use vi_noc_models::BisyncFifoModel;
 use vi_noc_soc::{FlowId, SocSpec};
@@ -18,48 +31,48 @@ pub(crate) enum PortTarget {
     /// Ejection to one attached core's NI (each core has its own NI link,
     /// hence its own ejection port).
     Eject,
-    /// A link to another switch: `(downstream switch, crossing)`.
+    /// A link to another switch.
     Link {
         /// Downstream switch index.
-        to: usize,
-        /// `true` if the link crosses a clock/voltage boundary.
-        crossing: bool,
+        to: u32,
     },
 }
 
-/// One output port (an output-buffered queue feeding a link or an NI).
-#[derive(Debug, Clone)]
-pub(crate) struct Port {
+/// One output queue's forwarding entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PortHop {
     pub target: PortTarget,
+    /// Clock domain the flit lands in: the downstream switch's extended
+    /// island for a link, the port's own for an ejection port.
+    pub dom: u32,
+    /// Picoseconds from the pop until the flit may leave its next queue
+    /// (links) or is delivered (ejection).
+    pub delay_ps: u64,
 }
 
-/// A switch instance in the simulation.
-#[derive(Debug, Clone)]
-pub(crate) struct SimSwitch {
-    /// Extended island index (clock domain).
-    pub island_ext: usize,
-    pub ports: Vec<Port>,
-}
-
-/// The static structure the engine runs on: switches with resolved output
-/// ports, per-island clock periods, and per-flow port-level routes.
+/// The static structure the engine runs on: per-queue forwarding entries,
+/// per-island clock periods, and per-flow routes as global queue ids.
 #[derive(Debug, Clone)]
 pub struct SimNetwork {
-    pub(crate) switches: Vec<SimSwitch>,
+    /// Extended island index (clock domain) of each switch.
+    pub(crate) switch_domain: Vec<usize>,
     /// Clock period per extended island, picoseconds.
     pub(crate) period_ps: Vec<u64>,
-    /// For each flow: `(switch, port)` hops, ending at the destination
-    /// core's ejection port.
-    pub(crate) route_ports: Vec<Vec<(usize, usize)>>,
+    /// Forwarding entry of each global queue id.
+    pub(crate) hops: Vec<PortHop>,
+    /// Every flow's route as global queue ids, ending at the destination
+    /// core's ejection port; flow `f` owns `route[route_start[f]..route_start[f + 1]]`.
+    pub(crate) route: Vec<u32>,
+    /// Offset of each flow's route in [`Self::route`], plus the total.
+    pub(crate) route_start: Vec<u32>,
     /// Switch of each core (NI attachment).
     pub(crate) switch_of_core: Vec<usize>,
     /// Clock domain of each core's NI (its switch's island).
     pub(crate) island_of_core: Vec<usize>,
-    /// Crossing dwell in reader-domain cycles.
-    pub(crate) crossing_cycles: u64,
-    /// First global queue id of each switch: queue `(si, p)` has the
-    /// workspace-wide id `port_base[si] + p`. The engine's wake lists are
-    /// keyed by these ids so a watcher registration is one `Vec` push.
+    /// First global queue id of each switch, plus the total: switch `si`
+    /// owns the ids `port_base[si]..port_base[si + 1]`, and queue `(si, p)`
+    /// has the id `port_base[si] + p`. Wake lists, parked flags and the
+    /// live-port bitset are keyed by these ids.
     pub(crate) port_base: Vec<usize>,
     /// Owning `(switch, port)` of each global queue id (the inverse of
     /// [`Self::port_id`]).
@@ -75,42 +88,7 @@ impl SimNetwork {
     /// topologies always route everything).
     pub fn build(spec: &SocSpec, topo: &Topology) -> Self {
         let n_switch = topo.switches().len();
-        let mut switches: Vec<SimSwitch> = (0..n_switch)
-            .map(|i| SimSwitch {
-                island_ext: topo.switches()[i].island_ext,
-                ports: Vec::new(),
-            })
-            .collect();
-
-        // One ejection port per attached core (each core has its own NI
-        // link of one flit per island cycle).
-        let mut eject_port_of_core = vec![usize::MAX; spec.core_count()];
-        let mut switch_of_core = vec![usize::MAX; spec.core_count()];
-        let mut island_of_core = vec![usize::MAX; spec.core_count()];
-        for (i, sw) in topo.switches().iter().enumerate() {
-            for &core in &sw.cores {
-                eject_port_of_core[core.index()] = switches[i].ports.len();
-                switch_of_core[core.index()] = i;
-                island_of_core[core.index()] = sw.island_ext;
-                switches[i].ports.push(Port {
-                    target: PortTarget::Eject,
-                });
-            }
-        }
-        // Link ports.
-        let mut link_port = HashMap::new();
-        for l in topo.links() {
-            let from = l.from.index();
-            let idx = switches[from].ports.len();
-            switches[from].ports.push(Port {
-                target: PortTarget::Link {
-                    to: l.to.index(),
-                    crossing: l.crosses_domain(),
-                },
-            });
-            link_port.insert((l.from, l.to), idx);
-        }
-
+        let switch_domain: Vec<usize> = topo.switches().iter().map(|s| s.island_ext).collect();
         // Clock periods (extended islands: real + intermediate).
         let n_isl = topo.island_count();
         let period_ps: Vec<u64> = (0..=n_isl)
@@ -120,44 +98,79 @@ impl SimNetwork {
             })
             .collect();
 
-        // Per-flow port routes.
-        let mut route_ports = Vec::with_capacity(spec.flow_count());
-        for fid in spec.flow_ids() {
-            let route = topo
-                .route(fid)
-                .unwrap_or_else(|| panic!("flow {fid} has no route"));
-            let dst = spec.flow(fid).dst;
-            let mut hops = Vec::with_capacity(route.switches.len());
-            for (h, &s) in route.switches.iter().enumerate() {
-                let port = if h + 1 < route.switches.len() {
-                    let next: SwitchId = route.switches[h + 1];
-                    link_port[&(s, next)]
-                } else {
-                    eject_port_of_core[dst.index()]
-                };
-                hops.push((s.index(), port));
+        // Per-switch output ports: one ejection port per attached core
+        // (each core has its own NI link of one flit per island cycle),
+        // then one port per outgoing link.
+        let mut ports: Vec<Vec<PortHop>> = vec![Vec::new(); n_switch];
+        let mut eject_port_of_core = vec![usize::MAX; spec.core_count()];
+        let mut switch_of_core = vec![usize::MAX; spec.core_count()];
+        let mut island_of_core = vec![usize::MAX; spec.core_count()];
+        for (i, sw) in topo.switches().iter().enumerate() {
+            for &core in &sw.cores {
+                eject_port_of_core[core.index()] = ports[i].len();
+                switch_of_core[core.index()] = i;
+                island_of_core[core.index()] = sw.island_ext;
+                ports[i].push(PortHop {
+                    target: PortTarget::Eject,
+                    dom: sw.island_ext as u32,
+                    delay_ps: period_ps[sw.island_ext],
+                });
             }
-            route_ports.push(hops);
+        }
+        let dwell_cycles = BisyncFifoModel::CROSSING_LATENCY_CYCLES as u64;
+        let mut link_port = HashMap::new();
+        for l in topo.links() {
+            let (from, to) = (l.from.index(), l.to.index());
+            let dd = switch_domain[to];
+            let dwell = if l.crosses_domain() { dwell_cycles } else { 0 };
+            link_port.insert((l.from, l.to), ports[from].len());
+            ports[from].push(PortHop {
+                target: PortTarget::Link { to: to as u32 },
+                dom: dd as u32,
+                delay_ps: (2 + dwell) * period_ps[dd],
+            });
         }
 
         // Global queue ids, assigned switch-major so `(si, p)` round-trips
         // through `port_id` / `port_owner`.
-        let mut port_base = Vec::with_capacity(n_switch);
+        let mut port_base = Vec::with_capacity(n_switch + 1);
         let mut port_owner = Vec::new();
-        for (i, sw) in switches.iter().enumerate() {
+        for (i, sw_ports) in ports.iter().enumerate() {
             port_base.push(port_owner.len());
-            for p in 0..sw.ports.len() {
-                port_owner.push((i as u32, p as u32));
+            port_owner.extend((0..sw_ports.len()).map(|p| (i as u32, p as u32)));
+        }
+        port_base.push(port_owner.len());
+        let hops = ports.concat();
+
+        // Per-flow routes as global queue ids.
+        let mut route = Vec::new();
+        let mut route_start = Vec::with_capacity(spec.flow_count() + 1);
+        for fid in spec.flow_ids() {
+            let r = topo
+                .route(fid)
+                .unwrap_or_else(|| panic!("flow {fid} has no route"));
+            let dst = spec.flow(fid).dst;
+            route_start.push(route.len() as u32);
+            for (h, &s) in r.switches.iter().enumerate() {
+                let port = if h + 1 < r.switches.len() {
+                    let next: SwitchId = r.switches[h + 1];
+                    link_port[&(s, next)]
+                } else {
+                    eject_port_of_core[dst.index()]
+                };
+                route.push((port_base[s.index()] + port) as u32);
             }
         }
+        route_start.push(route.len() as u32);
 
         SimNetwork {
-            switches,
+            switch_domain,
             period_ps,
-            route_ports,
+            hops,
+            route,
+            route_start,
             switch_of_core,
             island_of_core,
-            crossing_cycles: BisyncFifoModel::CROSSING_LATENCY_CYCLES as u64,
             port_base,
             port_owner,
         }
@@ -165,7 +178,7 @@ impl SimNetwork {
 
     /// Number of switches.
     pub fn switch_count(&self) -> usize {
-        self.switches.len()
+        self.switch_domain.len()
     }
 
     /// Clock period of extended island `island_ext`, picoseconds.
@@ -173,9 +186,10 @@ impl SimNetwork {
         self.period_ps[island_ext]
     }
 
-    /// The port-level route of `flow` as `(switch, port)` pairs.
-    pub(crate) fn route(&self, flow: FlowId) -> &[(usize, usize)] {
-        &self.route_ports[flow.index()]
+    /// The route of `flow` as global queue ids.
+    pub(crate) fn route(&self, flow: FlowId) -> &[u32] {
+        let f = flow.index();
+        &self.route[self.route_start[f] as usize..self.route_start[f + 1] as usize]
     }
 
     /// Global id of output queue `(si, p)`.
@@ -183,9 +197,34 @@ impl SimNetwork {
         self.port_base[si] + p
     }
 
+    /// Global queue ids of switch `si`'s output ports.
+    pub(crate) fn ports(&self, si: usize) -> Range<usize> {
+        self.port_base[si]..self.port_base[si + 1]
+    }
+
     /// Total output queues across all switches.
     pub(crate) fn port_count(&self) -> usize {
         self.port_owner.len()
+    }
+
+    /// Picoseconds from a flit's injection at switch `si` until it may
+    /// leave its first queue: the NI link plus the switch traversal, two
+    /// cycles of the switch's domain.
+    pub(crate) fn inject_delay_ps(&self, si: usize) -> u64 {
+        2 * self.period_ps[self.switch_domain[si]]
+    }
+
+    /// Zero-load latency of `flow`, ps: the injection delay plus the delay
+    /// of every hop of its route — exactly what the engine charges a flit
+    /// that never waits.
+    pub(crate) fn zero_load_ps(&self, flow: FlowId) -> u64 {
+        let route = self.route(flow);
+        let first = self.port_owner[route[0] as usize].0 as usize;
+        self.inject_delay_ps(first)
+            + route
+                .iter()
+                .map(|&g| self.hops[g as usize].delay_ps)
+                .sum::<u64>()
     }
 }
 
@@ -211,14 +250,11 @@ mod tests {
             let route = net.route(fid);
             assert!(!route.is_empty());
             // Last hop ejects; earlier hops are links.
-            let (last_sw, last_port) = *route.last().unwrap();
-            assert_eq!(
-                net.switches[last_sw].ports[last_port].target,
-                PortTarget::Eject
-            );
-            for &(sw, port) in &route[..route.len() - 1] {
+            let last = *route.last().unwrap() as usize;
+            assert_eq!(net.hops[last].target, PortTarget::Eject);
+            for &g in &route[..route.len() - 1] {
                 assert!(matches!(
-                    net.switches[sw].ports[port].target,
+                    net.hops[g as usize].target,
                     PortTarget::Link { .. }
                 ));
             }
@@ -231,9 +267,8 @@ mod tests {
         for fid in soc.flow_ids() {
             let route = net.route(fid);
             for w in route.windows(2) {
-                let (sw, port) = w[0];
-                match net.switches[sw].ports[port].target {
-                    PortTarget::Link { to, .. } => assert_eq!(to, w[1].0),
+                match net.hops[w[0] as usize].target {
+                    PortTarget::Link { to } => assert_eq!(to, net.port_owner[w[1] as usize].0),
                     PortTarget::Eject => panic!("premature ejection"),
                 }
             }
@@ -251,8 +286,8 @@ mod tests {
                     continue;
                 }
                 let (fa, fb) = (soc.flow(a), soc.flow(b));
-                let (sa, pa) = *net.route(a).last().unwrap();
-                let (sb, pb) = *net.route(b).last().unwrap();
+                let (sa, pa) = net.port_owner[*net.route(a).last().unwrap() as usize];
+                let (sb, pb) = net.port_owner[*net.route(b).last().unwrap() as usize];
                 if sa == sb && fa.dst != fb.dst {
                     assert_ne!(pa, pb, "flows {a},{b} share an eject port");
                 }
@@ -270,16 +305,30 @@ mod tests {
             assert!(*p >= 1_000, "period {p} ps implies > 1 GHz island");
             assert!(*p <= 50_000, "period {p} ps implies < 20 MHz island");
         }
-        assert_eq!(net.crossing_cycles, 4);
+        // Links charge link + switch traversal (2 cycles) plus the 4-cycle
+        // crossing dwell, ejection ports the final NI link (1 cycle), all
+        // in the domain the flit lands in.
+        let mut crossings = 0;
+        for hop in &net.hops {
+            let p = net.period_ps[hop.dom as usize];
+            match hop.target {
+                PortTarget::Eject => assert_eq!(hop.delay_ps, p),
+                PortTarget::Link { .. } => {
+                    assert!(hop.delay_ps == 2 * p || hop.delay_ps == (2 + 4) * p);
+                    crossings += usize::from(hop.delay_ps == (2 + 4) * p);
+                }
+            }
+        }
+        assert!(crossings > 0);
     }
 
     #[test]
     fn port_ids_round_trip() {
         let (_, net) = network();
-        let total: usize = net.switches.iter().map(|s| s.ports.len()).sum();
+        let total: usize = (0..net.switch_count()).map(|si| net.ports(si).len()).sum();
         assert_eq!(net.port_count(), total);
-        for (si, sw) in net.switches.iter().enumerate() {
-            for p in 0..sw.ports.len() {
+        for si in 0..net.switch_count() {
+            for p in 0..net.ports(si).len() {
                 let gid = net.port_id(si, p);
                 assert_eq!(net.port_owner[gid], (si as u32, p as u32));
             }

@@ -8,7 +8,6 @@
 
 use crate::network::SimNetwork;
 use vi_noc_core::Topology;
-use vi_noc_models::BisyncFifoModel;
 use vi_noc_soc::{FlowId, SocSpec};
 
 /// Zero-load latency of `flow` in cycles, as the paper counts it: one cycle
@@ -24,30 +23,14 @@ pub fn zero_load_cycles(topo: &Topology, flow: FlowId) -> Option<u32> {
 /// Zero-load latency of `flow` in picoseconds, accounting for each hop's
 /// own clock domain (slow islands tick slowly, so their "cycles" are long).
 ///
-/// Matches the engine's timing model exactly: injection costs 2 cycles of
+/// Sums the engine's own hop-delay table ([`SimNetwork`]), so it matches
+/// the engine's timing model by construction: injection costs 2 cycles of
 /// the first switch's domain (NI link + switch), each further hop costs 2
 /// cycles of the downstream domain (+4 more if the hop crosses islands),
 /// and ejection costs 1 cycle of the last domain (the final NI link).
 pub fn zero_load_latency_ps(spec: &SocSpec, topo: &Topology, flow: FlowId) -> Option<u64> {
-    let net = SimNetwork::build(spec, topo);
-    let route = topo.route(flow)?;
-    let mut ps: u64 = 0;
-    let first = topo.switch(route.switches[0]).island_ext;
-    ps += 2 * net.period_ps(first);
-    for w in route.switches.windows(2) {
-        let to = topo.switch(w[1]).island_ext;
-        let from = topo.switch(w[0]).island_ext;
-        let crossing = to != from;
-        let dwell = if crossing {
-            BisyncFifoModel::CROSSING_LATENCY_CYCLES as u64 * net.period_ps(to)
-        } else {
-            0
-        };
-        ps += 2 * net.period_ps(to) + dwell;
-    }
-    let last = topo.switch(*route.switches.last().unwrap()).island_ext;
-    ps += net.period_ps(last);
-    Some(ps)
+    topo.route(flow)?;
+    Some(SimNetwork::build(spec, topo).zero_load_ps(flow))
 }
 
 #[cfg(test)]
