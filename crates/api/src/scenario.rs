@@ -573,6 +573,24 @@ mod tests {
     }
 
     #[test]
+    fn a_refine_radius_of_2_pow_53_runs_and_its_report_reparses() {
+        // The largest radius ingestion accepts saturates every window past
+        // the fine axes; the frontier must still record integers its own
+        // reader takes back, or the dynamic sweep cannot re-read it.
+        let text = r#"{"format":"vi-noc-scenario-v1","name":"huge radius",
+            "spec":{"benchmark":"d26"},
+            "partition":{"kind":"logical","islands":6},
+            "sweep":{"max_boost":1,"freq_scales":[1,1.1],"max_intermediate":2},
+            "refine":{"grid":{"max_boost":1,"freq_scales":[1,1.05,1.1],"max_intermediate":3},
+                "boost_radius":1,"base_radius":9007199254740992,"scale_window":0.05},
+            "dyn_sweep":{"loads":[0.5],"traffic":["cbr"],"schedules":[null],
+                "horizon_ns":2000,"mode":"exact"}}"#;
+        let report = Scenario::from_json(text).unwrap().run().unwrap();
+        vi_noc_core::json::parse(&report.to_json()).unwrap();
+        parse_frontier_file(report.frontier.as_deref().unwrap()).unwrap();
+    }
+
+    #[test]
     fn an_island_that_cannot_drain_is_an_error_not_a_panic() {
         // At twice the spec's load the gated island's backlog needs far
         // more than 20 x 200 ns to flush.

@@ -3,9 +3,9 @@
 //! streaming run — wall clock plus the byte-identity guard. Run it with
 //! `cargo bench -p vi-noc-bench --bench fleet_scale`.
 //!
-//! Workers force sequential chain evaluation ([`WorkerOpts::seq`]), so any
-//! speed-up here comes from the worker *count* — the thing the fleet adds —
-//! not from the synthesis-level rayon parallelism that already existed.
+//! Workers always evaluate their chains sequentially, so any speed-up here
+//! comes from the worker *count* — the thing the fleet adds — not from the
+//! synthesis-level rayon parallelism that already existed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

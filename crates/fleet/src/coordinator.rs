@@ -1,11 +1,11 @@
 //! The coordinator: one listening socket, one lease book, any number of
 //! workers and submitters.
 //!
-//! Std-only threading model: a non-blocking accept loop spawns one thread
-//! per connection; every connection thread drives the shared
-//! [`LeaseBook`] under a mutex and parks on a condvar when it waits for a
-//! job to finish. Reads use short timeouts so every thread notices the
-//! stop flag promptly — shutdown never hangs on a silent peer.
+//! Std-only, event-driven threading model: a blocking accept loop spawns
+//! one thread per connection, which blocks on its reads. A `request` with
+//! nothing to lease and a submission awaiting its frontier park on the
+//! [`LeaseBook`]'s condvar; a parked `request` also wakes at the earliest
+//! lease deadline, so a hung lease is re-issued on time. Nothing polls.
 //!
 //! Crash safety is the lease book's job (watermark re-issue, superseded
 //! ids); the coordinator's part is mechanical: when a worker connection
@@ -14,20 +14,25 @@
 //! next requesting worker picks them up. Lease deadlines cover the rarer
 //! case of a worker that hangs without dying.
 
-use crate::lease::{FleetConfig, JobResolver, LeaseBook};
-use crate::protocol::{parse_message, write_message, Message, Role};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::lease::{FleetConfig, FoldOutcome, JobResolver, LeaseBook};
+use crate::protocol::{parse_message, write_message, Delta, Lease, Message, Role};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Shared {
     book: Mutex<LeaseBook>,
     change: Condvar,
     resolver: Arc<dyn JobResolver>,
+    /// Raised under the book lock, so no thread misses it between its
+    /// check and its (untimed) wait.
     stop: AtomicBool,
+    /// A clone of each open connection, by number, for shutdown to close.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running coordinator. Dropping the handle without calling
@@ -36,7 +41,7 @@ struct Shared {
 pub struct FleetHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<thread::JoinHandle<()>>,
+    accept: thread::JoinHandle<()>,
 }
 
 impl FleetHandle {
@@ -54,30 +59,44 @@ impl FleetHandle {
     /// Payload resolution failures, job failures (a worker refused a
     /// lease), and shutdown before completion.
     pub fn submit(&self, payload: &str) -> Result<String, String> {
-        let resolved = self.shared.resolver.resolve(payload)?;
-        let job_id = {
-            let mut book = self.shared.book.lock().unwrap();
-            book.submit(payload, &resolved.desc)?
-        };
-        await_result(&self.shared, job_id)
+        run_job(&self.shared, payload)
     }
 
-    /// Stops accepting, tells every polling worker to shut down, and
-    /// joins the accept thread. Connection threads exit on their next
-    /// read-timeout tick.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.change.notify_all();
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
+    /// Stops the coordinator: parked requests answer `shutdown`, parked
+    /// submissions fail, the accept loop ends, and every open connection
+    /// is closed for reading, so its thread ends once it has answered.
+    pub fn shutdown(self) {
+        {
+            let _book = self.shared.book.lock().unwrap();
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.change.notify_all();
+        }
+        // Wake the blocking accept with a connection of our own. Should it
+        // fail, the accept thread is not joined, so shutdown never hangs.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect(wake).is_ok() {
+            let _ = self.accept.join();
+        }
+        // The read side only: a woken `request` still writes `shutdown`.
+        for stream in self.shared.conns.lock().unwrap().values() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
     }
 }
 
-/// Parks until job `job_id` finishes (or the coordinator stops) and takes
-/// its result out of the book.
-fn await_result(shared: &Shared, job_id: u64) -> Result<String, String> {
+/// Resolves and queues a job (waking parked requests), then parks for its
+/// result — the one path of [`FleetHandle::submit`] and the `submit` role.
+fn run_job(shared: &Shared, payload: &str) -> Result<String, String> {
+    let resolved = shared.resolver.resolve(payload)?;
     let mut book = shared.book.lock().unwrap();
+    let job_id = book.submit(payload, &resolved.desc)?;
+    shared.change.notify_all();
     loop {
         if let Some(result) = book.take_result(job_id) {
             return result;
@@ -85,11 +104,29 @@ fn await_result(shared: &Shared, job_id: u64) -> Result<String, String> {
         if shared.stop.load(Ordering::SeqCst) {
             return Err("coordinator shut down before the job finished".to_string());
         }
-        let (guard, _) = shared
-            .change
-            .wait_timeout(book, Duration::from_millis(100))
-            .unwrap();
-        book = guard;
+        book = shared.change.wait(book).unwrap();
+    }
+}
+
+/// Parks a worker's `request` until a lease is free (`None` once the
+/// coordinator stops), waking by the earliest deadline to re-issue it.
+fn await_lease(shared: &Shared) -> Option<Lease> {
+    let mut book = shared.book.lock().unwrap();
+    loop {
+        if shared.stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        let now = Instant::now();
+        if let Some(lease) = book.next_lease(now) {
+            if book.config().verbose {
+                log_metrics(&book, now);
+            }
+            return Some(lease);
+        }
+        book = match book.next_deadline() {
+            Some(deadline) => shared.change.wait_timeout(book, deadline - now).unwrap().0,
+            None => shared.change.wait(book).unwrap(),
+        };
     }
 }
 
@@ -105,9 +142,6 @@ pub fn start_coordinator(
 ) -> Result<FleetHandle, String> {
     let listener =
         TcpListener::bind(bind).map_err(|e| format!("fleet: cannot bind {bind}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("fleet: cannot set nonblocking: {e}"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("fleet: no local addr: {e}"))?;
@@ -116,49 +150,45 @@ pub fn start_coordinator(
         change: Condvar::new(),
         resolver,
         stop: AtomicBool::new(false),
+        conns: Mutex::new(HashMap::new()),
     });
     let accept_shared = Arc::clone(&shared);
     let accept = thread::spawn(move || {
-        while !accept_shared.stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let conn_shared = Arc::clone(&accept_shared);
-                    thread::spawn(move || handle_connection(stream, conn_shared));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => break,
+        for (id, stream) in (0u64..).zip(listener.incoming()) {
+            let Ok(stream) = stream else { break };
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            // Checked under the connection lock: a connection accepted
+            // after shutdown's sweep closes instead of registering.
+            let mut conns = accept_shared.conns.lock().unwrap();
+            if accept_shared.stop.load(Ordering::SeqCst) {
+                break;
             }
+            conns.insert(id, clone);
+            drop(conns);
+            let conn_shared = Arc::clone(&accept_shared);
+            thread::spawn(move || {
+                handle_connection(stream, &conn_shared);
+                conn_shared.conns.lock().unwrap().remove(&id);
+            });
         }
     });
     Ok(FleetHandle {
         addr,
         shared,
-        accept: Some(accept),
+        accept,
     })
 }
 
-/// Reads one protocol line, looping over read timeouts until the stop
-/// flag is raised. `Ok(None)` means the peer is gone (EOF or stop).
-fn read_line(reader: &mut BufReader<TcpStream>, shared: &Shared) -> Result<Option<String>, String> {
+/// Reads one protocol line. `Ok(None)` means the peer is gone (EOF, also
+/// mid-line if it died while writing, or a read side closed by shutdown).
+fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, String> {
     let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                if line.ends_with('\n') {
-                    return Ok(Some(line.trim_end().to_string()));
-                }
-                return Ok(None); // EOF mid-line: peer died while writing.
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(format!("read: {e}")),
-        }
+    match reader.read_line(&mut line) {
+        Ok(_) if line.ends_with('\n') => Ok(Some(line.trim_end().to_string())),
+        Ok(_) => Ok(None),
+        Err(e) => Err(format!("read: {e}")),
     }
 }
 
@@ -181,15 +211,13 @@ fn send(stream: &mut TcpStream, m: &Message) -> Result<(), String> {
         .map_err(|e| format!("write: {e}"))
 }
 
-fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
-    let hello = match read_line(&mut reader, &shared) {
+    let hello = match read_line(&mut reader) {
         Ok(Some(line)) => parse_message(&line),
         _ => return,
     };
@@ -210,8 +238,8 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         }
     };
     let outcome = match role {
-        Role::Work => serve_worker(&mut reader, &mut writer, &shared),
-        Role::Submit => serve_submitter(&mut reader, &mut writer, &shared),
+        Role::Work => serve_worker(&mut reader, &mut writer, shared),
+        Role::Submit => serve_submitter(&mut reader, &mut writer, shared),
     };
     if let Err(e) = outcome {
         // Transport failure: nothing to tell the peer; the book has
@@ -240,7 +268,7 @@ fn serve_worker(
         }
     };
     loop {
-        let line = match read_line(reader, shared) {
+        let line = match read_line(reader) {
             Ok(Some(line)) => line,
             Ok(None) => {
                 release(&mut held, shared);
@@ -261,27 +289,20 @@ fn serve_worker(
             }
         };
         match msg {
-            Message::Request => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return send(writer, &Message::Shutdown);
+            Message::Request => match await_lease(shared) {
+                Some(lease) => {
+                    held.push(lease.lease_id);
+                    send(writer, &Message::Lease(lease))?;
                 }
-                let mut book = shared.book.lock().unwrap();
-                let now = Instant::now();
-                match book.next_lease(now) {
-                    Some(lease) => {
-                        held.push(lease.lease_id);
-                        if book.config().verbose {
-                            log_metrics(&book, now);
-                        }
-                        drop(book);
-                        send(writer, &Message::Lease(lease))?;
-                    }
-                    None => {
-                        let poll_ms = book.config().poll_ms;
-                        drop(book);
-                        send(writer, &Message::Wait { poll_ms })?;
-                    }
-                }
+                None => return send(writer, &Message::Shutdown),
+            },
+            // Another worker's lease is not this connection's to advance
+            // or fail: reject, touch nothing, keep the connection.
+            Message::Delta(Delta { lease_id, .. }) | Message::Refuse { lease_id, .. }
+                if !held.contains(&lease_id) =>
+            {
+                let message = format!("lease {lease_id} is not held by this connection");
+                send(writer, &Message::Reject { message })?;
             }
             Message::Delta(d) => {
                 let folded = {
@@ -295,7 +316,7 @@ fn serve_worker(
                 };
                 match folded {
                     Ok(outcome) => {
-                        if let crate::lease::FoldOutcome::LeaseDone { job_finished, .. } = outcome {
+                        if let FoldOutcome::LeaseDone { job_finished, .. } = outcome {
                             held.retain(|&id| id != d.lease_id);
                             if job_finished.is_some() {
                                 shared.change.notify_all();
@@ -345,40 +366,20 @@ fn serve_submitter(
     writer: &mut TcpStream,
     shared: &Shared,
 ) -> Result<(), String> {
-    let line = match read_line(reader, shared)? {
-        Some(line) => line,
-        None => return Ok(()),
+    let Some(line) = read_line(reader)? else {
+        return Ok(());
     };
-    let job = match parse_message(&line) {
-        Ok(Message::Submit { job }) => job,
-        Ok(_) => {
-            return send(
-                writer,
-                &Message::Reject {
-                    message: "expected a submit".to_string(),
-                },
-            )
-        }
-        Err(message) => return send(writer, &Message::Reject { message }),
+    let reply = match parse_message(&line) {
+        Ok(Message::Submit { job }) => match run_job(shared, &job) {
+            Ok(frontier) => Message::Result { frontier },
+            Err(message) => Message::Reject { message },
+        },
+        Ok(_) => Message::Reject {
+            message: "expected a submit".to_string(),
+        },
+        Err(message) => Message::Reject { message },
     };
-    let job_id = {
-        let resolved = match shared.resolver.resolve(&job) {
-            Ok(r) => r,
-            Err(message) => return send(writer, &Message::Reject { message }),
-        };
-        let mut book = shared.book.lock().unwrap();
-        match book.submit(&job, &resolved.desc) {
-            Ok(id) => id,
-            Err(message) => {
-                drop(book);
-                return send(writer, &Message::Reject { message });
-            }
-        }
-    };
-    match await_result(shared, job_id) {
-        Ok(frontier) => send(writer, &Message::Result { frontier }),
-        Err(message) => send(writer, &Message::Reject { message }),
-    }
+    send(writer, &reply)
 }
 
 /// Submits a job to a remote coordinator over TCP and blocks for the

@@ -45,8 +45,6 @@ pub struct FleetConfig {
     pub lease_timeout: Duration,
     /// Range positions per streamed delta.
     pub checkpoint_every: u64,
-    /// Poll interval suggested to idle workers.
-    pub poll_ms: u64,
     /// Emit `fleet: metrics ...` lines on the coordinator's stderr after
     /// every lease grant and folded delta (the CLI's `--verbose`).
     pub verbose: bool,
@@ -58,7 +56,6 @@ impl Default for FleetConfig {
             lease_chunk: 16,
             lease_timeout: Duration::from_secs(10),
             checkpoint_every: 8,
-            poll_ms: 25,
             verbose: false,
         }
     }
@@ -183,7 +180,7 @@ impl LeaseBook {
     }
 
     /// Registers a job whose payload resolved to `desc`, cutting its grid
-    /// into lease ranges. Returns the job id submitters poll with.
+    /// into lease ranges. Returns the job id its result is taken by.
     ///
     /// # Errors
     ///
@@ -253,6 +250,20 @@ impl LeaseBook {
         }
         self.next_lease_id = lease_id;
         offer
+    }
+
+    /// The earliest deadline of an active lease (only unfinished jobs have
+    /// one): when [`LeaseBook::next_lease`] can next re-issue an expired
+    /// lease. `None` when no lease is out.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.jobs
+            .iter()
+            .flat_map(|j| &j.ranges)
+            .filter_map(|s| match s.state {
+                RangeState::Active { deadline, .. } => Some(deadline),
+                _ => None,
+            })
+            .min()
     }
 
     fn slot_of_lease(&mut self, lease_id: u64) -> Result<(usize, usize), String> {
@@ -629,6 +640,30 @@ mod tests {
 
         book.release_leases(&[l2.lease_id]);
         assert_eq!(book.leases_outstanding(), 0);
+    }
+
+    #[test]
+    fn next_deadline_is_the_earliest_active_lease_deadline() {
+        let ms = Duration::from_millis;
+        let mut book = LeaseBook::new(FleetConfig {
+            lease_chunk: 4,
+            lease_timeout: ms(100),
+            ..FleetConfig::default()
+        });
+        let t0 = Instant::now();
+        let job = book.submit("payload", &desc(8)).unwrap();
+        assert_eq!(book.next_deadline(), None, "pending ranges have none");
+        let l1 = book.next_lease(t0).unwrap();
+        let l2 = book.next_lease(t0 + ms(30)).unwrap();
+        assert_eq!(book.next_deadline(), Some(t0 + ms(100)));
+        // A fold extends its lease's deadline: the other one is now first.
+        book.fold_delta(&delta(&l1, 0, 1), t0 + ms(50)).unwrap();
+        assert_eq!(book.next_deadline(), Some(t0 + ms(130)));
+        // A finished job leaves none behind.
+        book.fold_delta(&delta(&l1, 1, 3), t0).unwrap();
+        book.fold_delta(&delta(&l2, 0, 4), t0).unwrap();
+        assert!(book.take_result(job).unwrap().is_ok());
+        assert_eq!(book.next_deadline(), None);
     }
 
     #[test]

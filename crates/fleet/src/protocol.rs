@@ -1,4 +1,4 @@
-//! The `vi-noc-fleet-v1` wire protocol: line-delimited JSON messages over a
+//! The `vi-noc-fleet-v2` wire protocol: line-delimited JSON messages over a
 //! local TCP stream.
 //!
 //! Every message is one compact JSON object on one line, with a `type`
@@ -18,10 +18,13 @@
 //! ```text
 //! W→C  hello{role:"work"}              S→C  hello{role:"submit"}
 //! W→C  request                         S→C  submit{job}
-//! C→W  lease{..} | wait{..} | shutdown C→S  result{frontier} | reject{msg}
+//! C→W  lease{..} | shutdown            C→S  result{frontier} | reject{msg}
 //! W→C  delta{..} | refuse{..}
 //! C→W  ack{lease_id, done} | reject{msg}
 //! ```
+//!
+//! The coordinator holds a `request` until it can answer with a lease, or
+//! with `shutdown` once it stops: an idle worker never polls.
 //!
 //! Parse errors are pinned by `crates/fleet/tests/corpus.rs`: every
 //! malformed message in the committed corpus must keep failing with its
@@ -33,7 +36,7 @@ use vi_noc_sweep::{stats_from_value, write_stats, SweepStats};
 
 /// Protocol identifier exchanged in `hello` messages. Bump on any wire
 /// change; a coordinator refuses peers speaking anything else.
-pub const PROTOCOL: &str = "vi-noc-fleet-v1";
+pub const PROTOCOL: &str = "vi-noc-fleet-v2";
 
 /// Role a connecting peer declares in its `hello`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,15 +121,10 @@ pub enum Message {
         /// Human-readable reason.
         message: String,
     },
-    /// Worker: give me a lease.
+    /// Worker: give me a lease (held until one is free, or shutdown).
     Request,
     /// Coordinator → worker: a lease offer.
     Lease(Lease),
-    /// Coordinator → worker: nothing to lease right now; poll again.
-    Wait {
-        /// Suggested sleep before the next `request`, in milliseconds.
-        poll_ms: u64,
-    },
     /// Coordinator → worker: no more work will ever arrive; disconnect.
     Shutdown,
     /// Worker: a checkpoint delta of its active lease.
@@ -181,9 +179,6 @@ pub fn write_message(m: &Message) -> String {
                 .num("end", l.end)
                 .num("from", l.from)
                 .num("checkpoint_every", l.checkpoint_every);
-        }
-        Message::Wait { poll_ms } => {
-            o.str("type", "wait").num("poll_ms", *poll_ms);
         }
         Message::Shutdown => {
             o.str("type", "shutdown");
@@ -253,9 +248,6 @@ pub fn parse_message(line: &str) -> Result<Message, String> {
             from: v.u64_member("from", "lease")?,
             checkpoint_every: v.u64_member("checkpoint_every", "lease")?,
         })),
-        "wait" => Ok(Message::Wait {
-            poll_ms: v.u64_member("poll_ms", "wait")?,
-        }),
         "shutdown" => Ok(Message::Shutdown),
         "delta" => {
             let lease_id = v.u64_member("lease_id", "delta")?;
@@ -330,7 +322,6 @@ mod tests {
             from: 3,
             checkpoint_every: 8,
         }));
-        round_trip(Message::Wait { poll_ms: 50 });
         round_trip(Message::Shutdown);
         round_trip(Message::Delta(Delta {
             lease_id: 7,
@@ -392,20 +383,20 @@ mod tests {
         for (line, want) in [
             ("{", "JSON error at byte"),
             (
-                "{\"protocol\":\"vi-noc-fleet-v1\"}",
+                "{\"protocol\":\"vi-noc-fleet-v2\"}",
                 "message: missing 'type'",
             ),
             ("{\"type\":7}", "message: 'type' is not a string"),
             ("{\"type\":\"gossip\"}", "message: unknown type 'gossip'"),
             (
                 "{\"type\":\"hello\",\"protocol\":\"v0\",\"role\":\"work\"}",
-                "hello: protocol 'v0' is not 'vi-noc-fleet-v1'",
+                "hello: protocol 'v0' is not 'vi-noc-fleet-v2'",
             ),
             (
-                "{\"type\":\"hello\",\"protocol\":\"vi-noc-fleet-v1\",\"role\":\"lurk\"}",
+                "{\"type\":\"hello\",\"protocol\":\"vi-noc-fleet-v2\",\"role\":\"lurk\"}",
                 "hello: role 'lurk' is not 'work' or 'submit'",
             ),
-            ("{\"type\":\"wait\"}", "wait: missing 'poll_ms'"),
+            ("{\"type\":\"wait\"}", "message: unknown type 'wait'"),
             (
                 "{\"type\":\"ack\",\"lease_id\":1,\"done\":-2}",
                 "ack: 'done' is not an unsigned integer",

@@ -1,6 +1,7 @@
 //! The worker loop: request a lease, evaluate it as a stream of disjoint
 //! deltas, wait for each ack before producing the next, repeat until the
-//! coordinator says shutdown.
+//! coordinator says shutdown. An idle worker blocks in its `request`: the
+//! coordinator answers it only once a lease is free (or it stops).
 //!
 //! The ack-per-delta lockstep is what makes SIGKILL safe: the worker
 //! never runs ahead of what the coordinator has folded, so the
@@ -21,30 +22,13 @@ use std::time::Duration;
 use vi_noc_sweep::{run_deltas, ChainRange};
 
 /// Knobs of a worker process.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerOpts {
-    /// Force sequential chain evaluation inside the worker, so that
-    /// speed-up comes from the worker *count* (the fleet bench measures
-    /// exactly that). The frontier is byte-identical either way.
-    pub seq: bool,
     /// Sleep between a lease's acked deltas (but not after its final one,
     /// which would leave the worker sleeping lease-less) — a test knob
     /// that stretches leases out so kill-mid-lease tests have a wide
     /// window to aim at.
     pub throttle: Duration,
-    /// Connection attempts before giving up (50 ms apart), letting
-    /// workers start before the coordinator finishes binding.
-    pub connect_attempts: u32,
-}
-
-impl Default for WorkerOpts {
-    fn default() -> Self {
-        WorkerOpts {
-            seq: true,
-            throttle: Duration::ZERO,
-            connect_attempts: 100,
-        }
-    }
 }
 
 /// What a worker did before shutting down, for CLI reporting.
@@ -65,9 +49,11 @@ struct Connection {
 }
 
 impl Connection {
-    fn open(addr: SocketAddr, attempts: u32) -> Result<Connection, String> {
+    /// Connects to `addr`, retrying 100 times 50 ms apart so that a worker
+    /// may start before its coordinator has finished binding.
+    fn open(addr: SocketAddr) -> Result<Connection, String> {
         let mut last = String::new();
-        for _ in 0..attempts.max(1) {
+        for _ in 0..100 {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
                     let _ = stream.set_nodelay(true);
@@ -131,7 +117,7 @@ pub fn run_worker(
     resolver: &dyn JobResolver,
     opts: &WorkerOpts,
 ) -> Result<WorkerStats, String> {
-    let mut conn = Connection::open(addr, opts.connect_attempts)?;
+    let mut conn = Connection::open(addr)?;
     conn.send(&Message::Hello(Role::Work))?;
     let mut jobs: HashMap<String, ResolvedJob> = HashMap::new();
     let mut stats = WorkerStats::default();
@@ -141,7 +127,6 @@ pub fn run_worker(
             Ok(Message::Lease(lease)) => {
                 evaluate_lease(&mut conn, lease, resolver, opts, &mut jobs, &mut stats)?
             }
-            Ok(Message::Wait { poll_ms }) => thread::sleep(Duration::from_millis(poll_ms)),
             Ok(Message::Shutdown) => return Ok(stats),
             Ok(Message::Reject { message }) => return Err(format!("worker rejected: {message}")),
             Ok(other) => return Err(format!("worker: unexpected message: {other:?}")),
@@ -168,9 +153,10 @@ fn evaluate_lease(
     if !jobs.contains_key(&lease.grid_fp) {
         match resolver.resolve(&lease.job) {
             Ok(mut resolved) => {
-                if opts.seq {
-                    resolved.cfg.parallel = false;
-                }
+                // Chains run one after another inside a worker, because a
+                // fleet's parallelism is its worker count. The frontier is
+                // byte-identical either way.
+                resolved.cfg.parallel = false;
                 let fp = grid_fingerprint(&resolved.desc.to_json());
                 if fp != lease.grid_fp {
                     conn.send(&Message::Refuse {

@@ -31,7 +31,7 @@ const PARSE_CASES: &[(&str, &str, &str)] = &[
     (
         "wrong_protocol",
         include_str!("corpus/wrong_protocol.json"),
-        "hello: protocol 'vi-noc-fleet-v0' is not 'vi-noc-fleet-v1'",
+        "hello: protocol 'vi-noc-fleet-v0' is not 'vi-noc-fleet-v2'",
     ),
     (
         "bad_role",

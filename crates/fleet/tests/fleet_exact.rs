@@ -3,11 +3,11 @@
 //! connection-drop or lease-timeout schedule — is byte-identical to the
 //! unsharded `run_shard` emission of the same grid.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vi_noc_core::SynthesisConfig;
 use vi_noc_fleet::{
     grid_fingerprint, parse_message, spawn_local_workers, start_coordinator, submit_remote,
@@ -79,7 +79,6 @@ fn config() -> FleetConfig {
     FleetConfig {
         lease_chunk: 16,
         checkpoint_every: 4,
-        poll_ms: 10,
         ..FleetConfig::default()
     }
 }
@@ -168,8 +167,13 @@ struct RawPeer {
     writer: TcpStream,
 }
 
+/// How long a peer waits for a reply: a lost wake-up fails the test
+/// instead of hanging the suite.
+const PATIENCE: Duration = Duration::from_secs(10);
+
 impl RawPeer {
-    fn connect(addr: std::net::SocketAddr) -> RawPeer {
+    /// Connects without saying anything.
+    fn open(addr: std::net::SocketAddr) -> RawPeer {
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
         let writer = stream.try_clone().unwrap();
@@ -177,8 +181,19 @@ impl RawPeer {
             reader: BufReader::new(stream),
             writer,
         };
+        peer.read_timeout(PATIENCE);
+        peer
+    }
+
+    /// Connects and says hello as a worker.
+    fn connect(addr: std::net::SocketAddr) -> RawPeer {
+        let mut peer = RawPeer::open(addr);
         peer.send(&Message::Hello(Role::Work));
         peer
+    }
+
+    fn read_timeout(&mut self, timeout: Duration) {
+        self.writer.set_read_timeout(Some(timeout)).unwrap();
     }
 
     fn send(&mut self, m: &Message) {
@@ -193,18 +208,24 @@ impl RawPeer {
         parse_message(line.trim_end()).unwrap()
     }
 
-    /// Requests until a lease arrives (the submission may still be
-    /// resolving on the coordinator when we first ask).
+    /// Asserts that nothing arrives for `quiet`.
+    fn expect_silence(&mut self, quiet: Duration) {
+        self.read_timeout(quiet);
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("expected silence for {quiet:?}, got {other:?}: {line}"),
+        }
+        self.read_timeout(PATIENCE);
+    }
+
+    /// Sends one `request`; the coordinator holds it until a lease is
+    /// free (the submission may still be resolving when we ask).
     fn take_lease(&mut self) -> vi_noc_fleet::Lease {
-        loop {
-            self.send(&Message::Request);
-            match self.recv() {
-                Message::Lease(l) => return l,
-                Message::Wait { poll_ms } => {
-                    thread::sleep(Duration::from_millis(poll_ms));
-                }
-                other => panic!("expected a lease, got {other:?}"),
-            }
+        self.send(&Message::Request);
+        match self.recv() {
+            Message::Lease(l) => l,
+            other => panic!("expected a lease, got {other:?}"),
         }
     }
 }
@@ -327,6 +348,125 @@ fn a_hung_lease_expires_and_its_zombie_deltas_are_rejected() {
         }
         other => panic!("expected a reject, got {other:?}"),
     }
+    handle.shutdown();
+    for w in pool {
+        w.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn an_idle_request_parks_until_a_job_arrives() {
+    let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), config()).unwrap();
+    let addr = handle.addr();
+    let mut early = RawPeer::connect(addr);
+    early.send(&Message::Request);
+    early.expect_silence(Duration::from_millis(200));
+
+    // The one reply to the held request is the new job's first lease.
+    let submit = thread::spawn(move || submit_remote(addr, "d12"));
+    match early.recv() {
+        Message::Lease(l) => assert_eq!((l.start, l.from), (0, 0)),
+        other => panic!("expected a lease, got {other:?}"),
+    }
+    drop(early);
+    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+    assert_eq!(submit.join().unwrap().unwrap(), reference("d12"));
+    handle.shutdown();
+    for w in pool {
+        w.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn a_parked_request_gets_the_expired_lease_at_its_deadline() {
+    let want = reference("d12");
+    let cfg = FleetConfig {
+        // One lease covers the whole grid, so the second request can only
+        // be answered by re-issuing it.
+        lease_chunk: BenchResolver.resolve("d12").unwrap().desc.num_chains,
+        lease_timeout: Duration::from_millis(150),
+        ..config()
+    };
+    let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), cfg).unwrap();
+    let addr = handle.addr();
+    let submit = thread::spawn(move || submit_remote(addr, "d12"));
+
+    // The zombie stays connected and silent: only the deadline, 150 ms
+    // after its one folded delta, frees its lease.
+    let mut zombie = RawPeer::connect(addr);
+    let lease = zombie.take_lease();
+    let before_fold = Instant::now();
+    stream_some_deltas(&mut zombie, &lease, 1);
+    let mut second = RawPeer::connect(addr);
+    let reissued = second.take_lease();
+    assert!(before_fold.elapsed() >= Duration::from_millis(150));
+    assert_eq!((reissued.start, reissued.end), (lease.start, lease.end));
+    assert_eq!(reissued.from, lease.from + lease.checkpoint_every);
+    assert_ne!(reissued.lease_id, lease.lease_id);
+
+    stream_some_deltas(&mut second, &reissued, usize::MAX);
+    assert_eq!(submit.join().unwrap().unwrap(), want);
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_answers_parked_requests_and_closes_silent_peers() {
+    let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), config()).unwrap();
+    let addr = handle.addr();
+    let mut parked = RawPeer::connect(addr);
+    parked.send(&Message::Request);
+    let mut silent = RawPeer::open(addr);
+    // Connections are accepted in order: one full round trip proves that
+    // both peers above are registered.
+    assert_eq!(
+        submit_remote(addr, "d99").unwrap_err(),
+        "unknown test job 'd99'"
+    );
+    parked.expect_silence(Duration::from_millis(200));
+
+    handle.shutdown();
+    assert_eq!(parked.recv(), Message::Shutdown);
+    let mut rest = String::new();
+    assert_eq!(silent.reader.read_line(&mut rest).unwrap(), 0, "EOF");
+}
+
+#[test]
+fn a_foreign_refuse_or_delta_is_rejected_and_changes_nothing() {
+    let want = reference("d12");
+    let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), config()).unwrap();
+    let addr = handle.addr();
+    let submit = thread::spawn(move || submit_remote(addr, "d12"));
+    let mut owner = RawPeer::connect(addr);
+    let lease = owner.take_lease();
+
+    // A peer that holds nothing names the owner's lease: once to fail its
+    // job, once with a delta at the watermark that would fold into it.
+    let mut foreign = RawPeer::connect(addr);
+    let not_held = Message::Reject {
+        message: format!("lease {} is not held by this connection", lease.lease_id),
+    };
+    foreign.send(&Message::Refuse {
+        lease_id: lease.lease_id,
+        message: "not mine".to_string(),
+    });
+    assert_eq!(foreign.recv(), not_held);
+    foreign.send(&Message::Delta(Delta {
+        lease_id: lease.lease_id,
+        grid_fp: lease.grid_fp.clone(),
+        from: lease.from,
+        taken: 1,
+        stats: Default::default(),
+        entries: Vec::new(),
+    }));
+    assert_eq!(foreign.recv(), not_held);
+    // Its connection stays usable...
+    assert_ne!(foreign.take_lease().lease_id, lease.lease_id);
+    drop(foreign);
+
+    // ...and the owner's lease is untouched: its deltas fold from 0.
+    stream_some_deltas(&mut owner, &lease, usize::MAX);
+    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+    assert_eq!(submit.join().unwrap().unwrap(), want);
     handle.shutdown();
     for w in pool {
         w.join().unwrap().unwrap();

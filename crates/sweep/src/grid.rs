@@ -221,10 +221,13 @@ impl SweepGrid {
     /// chain ids and ordinals as [`SweepGrid::build`] of the same axes, but
     /// every chain outside all windows decodes to `None`.
     ///
-    /// Windows are canonicalized (sorted, deduplicated) so that any process
-    /// deriving them from the same coarse frontier builds a byte-identical
+    /// Windows are canonicalized (upper ends clamped to the grid's axes,
+    /// then sorted and deduplicated) so that any process deriving them from
+    /// the same coarse frontier builds a byte-identical
     /// [`crate::GridDescriptor`] — the merge-compatibility requirement for
-    /// refined shard checkpoints.
+    /// refined shard checkpoints. Clamping moves no chain in or out of a
+    /// window, and keeps a saturated radius from recording an integer
+    /// above 2^53, which the JSON reader rejects.
     pub fn build_windowed(
         spec: &SocSpec,
         vi: &ViAssignment,
@@ -232,12 +235,17 @@ impl SweepGrid {
         grid: &GridConfig,
         mut windows: Vec<RefineWindow>,
     ) -> Self {
+        let mut built = SweepGrid::build(spec, vi, cfg, grid);
+        let max_base = built.scales.iter().map(|a| a.base.len()).max().unwrap_or(0);
+        for w in &mut windows {
+            w.base_hi = w.base_hi.min(max_base);
+            w.boost_hi = w.boost_hi.min(grid.max_boost);
+        }
         windows.sort_by(|a, b| {
             (&a.scales, a.base_lo, a.base_hi, a.boost_lo, a.boost_hi)
                 .cmp(&(&b.scales, b.base_lo, b.base_hi, b.boost_lo, b.boost_hi))
         });
         windows.dedup();
-        let mut built = SweepGrid::build(spec, vi, cfg, grid);
         built.windows = windows;
         built
     }

@@ -15,9 +15,10 @@ use vi_noc_core::json::Value;
 use vi_noc_core::SynthesisConfig;
 use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
-    frontier_json, frontier_seeds, merge_checkpoints, parse_frontier_file, run_shard,
-    run_shard_pruned, shard_checkpoint_json, validate_frontier_source, windows_from_frontier,
-    GridConfig, GridDescriptor, RefineParams, Shard, ShardProgress, SweepGrid,
+    frontier_json, frontier_seeds, merge_checkpoints, parse_frontier_file, parse_shard_checkpoint,
+    run_shard, run_shard_pruned, shard_checkpoint_json, validate_frontier_source,
+    windows_from_frontier, GridConfig, GridDescriptor, RefineParams, Shard, ShardProgress,
+    SweepGrid,
 };
 
 const PARTITION: &str = "logical:6";
@@ -335,4 +336,50 @@ fn huge_base_radius_refines_like_a_wide_one() {
     assert_eq!(wide_stats.chains, 42);
     assert_eq!(huge_stats, wide_stats);
     assert_eq!(frontier_entries(&huge_file), frontier_entries(&wide_file));
+}
+
+/// A saturated window records the grid's last base index, not
+/// `usize::MAX` (above 2^53, which the JSON reader rejects): its shard
+/// checkpoints re-parse and merge to the unsharded file of any radius
+/// wider than the grid, descriptor included.
+#[test]
+fn saturated_window_shards_parse_and_merge_like_a_wide_refinement() {
+    let soc = benchmarks::d12_auto();
+    let vi = partition::logical_partition(&soc, 4).unwrap();
+    let cfg = SynthesisConfig::default();
+    let coarse = SweepGrid::build(&soc, &vi, &cfg, &GridConfig::default());
+    let coarse_desc = GridDescriptor::for_grid(&coarse, soc.name(), "logical:4", cfg.seed);
+    let coarse_file = frontier_json(
+        &coarse_desc,
+        &run_shard(&soc, &vi, &coarse, Shard::full(), &cfg),
+    );
+    let seeds = frontier_seeds(&parse_frontier_file(&coarse_file).unwrap()).unwrap();
+    let fine = fine_grid();
+    let refine = |base_radius: usize| {
+        let params = RefineParams {
+            base_radius,
+            ..RefineParams::default()
+        };
+        let windows = windows_from_frontier(&seeds, &fine, &params);
+        let grid = SweepGrid::build_windowed(&soc, &vi, &cfg, &fine, windows);
+        let desc = GridDescriptor::for_grid(&grid, soc.name(), "logical:4", cfg.seed);
+        (grid, desc)
+    };
+
+    let (wide, wide_desc) = refine(100);
+    let want = frontier_json(
+        &wide_desc,
+        &run_shard(&soc, &vi, &wide, Shard::full(), &cfg),
+    );
+    let (huge, huge_desc) = refine(usize::MAX);
+    let files: Vec<String> = (0..2)
+        .map(|i| {
+            let shard = Shard::new(i, 2).unwrap();
+            let run = run_shard(&soc, &vi, &huge, shard, &cfg);
+            let file = shard_checkpoint_json(&huge_desc, shard, &run);
+            parse_shard_checkpoint(&file).expect("a saturated window's checkpoint re-parses");
+            file
+        })
+        .collect();
+    assert_eq!(merge_checkpoints(&files).expect("the shards merge"), want);
 }
