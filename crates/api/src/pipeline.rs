@@ -27,12 +27,20 @@
 //! `run_dynamic_cell`, the driver under `run_shutdown_scenario`), so
 //! pipeline outputs are bit-identical to chaining those calls yourself —
 //! pinned by `crates/api/tests/byte_identity.rs`.
+//!
+//! The sim and shutdown stage bodies ([`run_sim`], [`shutdown_stage`])
+//! take the topology to simulate as an argument. The typestate methods
+//! pass the floorplan-realized one; [`Scenario::run`] passes the chosen
+//! point's, so it can run them while the floorplan anneals. Both give the
+//! same results because the engine never reads link lengths, the only
+//! thing realization changes (`crates/api/tests/stage_overlap.rs`).
 
 use crate::error::Error;
 use crate::report::{Report, ShutdownReport, SimReport};
 use crate::scenario::{Scenario, ShutdownPlan};
 use vi_noc_core::{
     realize_on_floorplan, synthesize, DesignPoint, DesignSpace, RealizedDesign, SynthesisConfig,
+    Topology,
 };
 use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_sim::{
@@ -124,15 +132,25 @@ impl Pipeline<Synthesized> {
     }
 
     /// Realizes the minimum-power design point on a floorplan and advances
-    /// to [`Realized`]. (The space is non-empty by construction —
-    /// `synthesize` fails rather than return an empty space.)
+    /// to [`Realized`].
     pub fn floorplan(self, fp_cfg: &FloorplanConfig) -> Pipeline<Realized> {
-        let point = self
-            .stage
-            .space
-            .min_power_point()
-            .expect("synthesize never returns an empty space");
-        let design = realize_on_floorplan(&self.spec, &self.vi, point, fp_cfg, &self.cfg);
+        let design = self.realize(fp_cfg);
+        self.with_design(design)
+    }
+
+    /// The chosen (minimum-power) design point.
+    pub(crate) fn chosen_point(&self) -> &DesignPoint {
+        min_power_point(&self.stage.space)
+    }
+
+    /// The floorplan stage's body: realizes the chosen point without
+    /// consuming the stage, so the point can be simulated meanwhile.
+    pub(crate) fn realize(&self, fp_cfg: &FloorplanConfig) -> RealizedDesign {
+        realize_on_floorplan(&self.spec, &self.vi, self.chosen_point(), fp_cfg, &self.cfg)
+    }
+
+    /// Advances to [`Realized`] with a design [`Pipeline::realize`] made.
+    pub(crate) fn with_design(self, design: RealizedDesign) -> Pipeline<Realized> {
         Pipeline {
             spec: self.spec,
             vi: self.vi,
@@ -156,10 +174,7 @@ macro_rules! realized_accessors {
 
             /// The chosen (minimum-power) design point.
             pub fn chosen_point(&self) -> &DesignPoint {
-                self.stage
-                    .space
-                    .min_power_point()
-                    .expect("synthesize never returns an empty space")
+                min_power_point(&self.stage.space)
             }
 
             /// The floorplan-realized design.
@@ -181,30 +196,14 @@ macro_rules! realized_accessors {
                 plan: &ShutdownPlan,
             ) -> Result<ShutdownReport, Error> {
                 let island = Scenario::resolve_shutdown_island(plan, &self.vi)?;
-                let cell = run_dynamic_cell(
+                shutdown_stage(
                     &self.spec,
                     &self.vi,
                     &self.stage.design.topology,
                     sim_cfg,
-                    0,
-                    Some(&ShutdownScenario {
-                        island,
-                        stop_at_ns: plan.stop_at_ns,
-                        drain_ns: plan.drain_ns,
-                        post_gate_ns: plan.post_gate_ns,
-                    }),
-                );
-                let outcome = cell.gated_outcome().ok_or_else(|| {
-                    Error::scenario(
-                        "shutdown",
-                        format!(
-                            "island {island} did not drain within {DRAIN_POLLS}x{} ns, \
-                             so it cannot be gated",
-                            plan.drain_ns
-                        ),
-                    )
-                })?;
-                Ok(ShutdownReport { island, outcome })
+                    island,
+                    plan,
+                )
             }
         }
     };
@@ -218,8 +217,18 @@ impl Pipeline<Realized> {
     /// advances to [`Simulated`]. Observed activity is priced with the
     /// synthesis power models when the horizon is non-empty.
     pub fn simulate(self, sim_cfg: &SimConfig, horizon_ns: u64) -> Pipeline<Simulated> {
-        let mut sim = Simulator::new(&self.spec, &self.stage.design.topology, sim_cfg);
-        let stats = sim.run_for_ns(horizon_ns);
+        let stats = run_sim(&self.spec, &self.stage.design.topology, sim_cfg, horizon_ns);
+        self.with_sim_stats(sim_cfg, horizon_ns, stats)
+    }
+
+    /// Advances to [`Simulated`] with `stats` from [`run_sim`], priced on
+    /// the realized topology (the only step that reads link lengths).
+    pub(crate) fn with_sim_stats(
+        self,
+        sim_cfg: &SimConfig,
+        horizon_ns: u64,
+        stats: SimStats,
+    ) -> Pipeline<Simulated> {
         let measured = (stats.elapsed_ps > 0).then(|| {
             measured_power(
                 &self.spec,
@@ -286,22 +295,78 @@ impl Pipeline<Simulated> {
     }
 }
 
+/// The sim stage's body: `horizon_ns` of traffic on `topology`, either the
+/// chosen point's or its realized copy (the engine never reads link
+/// lengths).
+pub(crate) fn run_sim(
+    spec: &SocSpec,
+    topology: &Topology,
+    sim_cfg: &SimConfig,
+    horizon_ns: u64,
+) -> SimStats {
+    Simulator::new(spec, topology, sim_cfg).run_for_ns(horizon_ns)
+}
+
+/// The shutdown stage's body: gates the resolved `island` on `topology`
+/// (the chosen point's or its realized copy) as `plan` schedules.
+///
+/// # Errors
+///
+/// The island does not drain within [`DRAIN_POLLS`] × `plan.drain_ns`.
+pub(crate) fn shutdown_stage(
+    spec: &SocSpec,
+    vi: &ViAssignment,
+    topology: &Topology,
+    sim_cfg: &SimConfig,
+    island: usize,
+    plan: &ShutdownPlan,
+) -> Result<ShutdownReport, Error> {
+    let cell = run_dynamic_cell(
+        spec,
+        vi,
+        topology,
+        sim_cfg,
+        0,
+        Some(&ShutdownScenario {
+            island,
+            stop_at_ns: plan.stop_at_ns,
+            drain_ns: plan.drain_ns,
+            post_gate_ns: plan.post_gate_ns,
+        }),
+    );
+    let outcome = cell.gated_outcome().ok_or_else(|| {
+        Error::scenario(
+            "shutdown",
+            format!(
+                "island {island} did not drain within {DRAIN_POLLS}x{} ns, \
+                 so it cannot be gated",
+                plan.drain_ns
+            ),
+        )
+    })?;
+    Ok(ShutdownReport { island, outcome })
+}
+
+/// The space's minimum-power point. (The space is non-empty by
+/// construction — `synthesize` fails rather than return an empty space.)
+fn min_power_point(space: &DesignSpace) -> &DesignPoint {
+    space
+        .min_power_point()
+        .expect("synthesize never returns an empty space")
+}
+
 fn report_base(
     scenario_name: &str,
     vi: &ViAssignment,
     space: &DesignSpace,
     design: RealizedDesign,
 ) -> Report {
-    let point = space
-        .min_power_point()
-        .expect("synthesize never returns an empty space")
-        .clone();
     Report {
         scenario: scenario_name.to_string(),
         spec_name: space.spec_name.clone(),
         island_count: vi.island_count(),
         explored_points: space.points.len(),
-        point,
+        point: min_power_point(space).clone(),
         realized_metrics: design.metrics.clone(),
         infeasible_links: design.infeasible_links.len(),
         sim: None,

@@ -9,7 +9,7 @@
 //! [`Scenario::for_spec`].
 
 use crate::error::Error;
-use crate::pipeline::{Pipeline, Specified};
+use crate::pipeline::{run_sim, shutdown_stage, Pipeline, Specified};
 use crate::report::Report;
 use vi_noc_core::SynthesisConfig;
 use vi_noc_dynsweep::{run_dynsweep, DynSweepInput, Mode, SimAxes};
@@ -151,10 +151,13 @@ pub struct DynSweepPlan {
 ///
 /// Build one programmatically, or parse it from JSON
 /// ([`Scenario::from_json`]); [`Scenario::run`] executes every declared
-/// stage and returns the [`Report`]. The executed pipeline is exactly the
-/// hand-chained flow `synthesize` → `realize_on_floorplan` → `Simulator`
-/// → `run_shutdown_scenario` → sharded sweep, so its outputs (frontier
-/// bytes, `SimStats`) are bit-identical to calling those stages directly.
+/// stage and returns the [`Report`]. It calls the hand-chained flow's
+/// stages — `synthesize` → `realize_on_floorplan` → `Simulator` →
+/// `run_shutdown_scenario` → sharded sweep — except that the `Simulator`
+/// runs on the chosen point's topology beside the floorplan and the
+/// shutdown. The engine never reads the link lengths the floorplan sets,
+/// so the outputs (frontier bytes, `SimStats`) are bit-identical to
+/// calling those stages directly, one after another.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Free-form experiment name (report provenance).
@@ -295,6 +298,11 @@ impl Scenario {
     /// then — as declared — simulation, the shutdown experiment, and the
     /// design-space sweep. Returns the complete [`Report`].
     ///
+    /// With more than one thread (`rayon::current_num_threads`), the
+    /// simulation runs on a second thread while this one realizes the
+    /// floorplan and then runs the shutdown experiment; with one, they run
+    /// in that order on this thread. The report is the same either way.
+    ///
     /// # Errors
     ///
     /// Any stage failure, through the unified [`Error`].
@@ -312,9 +320,8 @@ impl Scenario {
         let spec = self.resolve_spec()?;
         let vi = self.resolve_partition(&spec)?;
 
-        let realized = Scenario::for_spec(spec.clone(), vi.clone())
-            .synthesize(&self.synthesis)?
-            .floorplan(&self.floorplan);
+        let synthesized =
+            Scenario::for_spec(spec.clone(), vi.clone()).synthesize(&self.synthesis)?;
 
         // The shutdown experiment drives its own simulator; it reuses the
         // scenario's engine parameters when a sim stage is declared.
@@ -323,26 +330,41 @@ impl Scenario {
             .as_ref()
             .map(|p| p.config.clone())
             .unwrap_or_default();
-        let mut report = if let Some(plan) = &self.sim {
-            let simulated = realized.simulate(&plan.config, plan.horizon_ns);
-            let shutdown = self
-                .shutdown
-                .as_ref()
-                .map(|sd| simulated.run_shutdown(&sim_cfg, sd))
-                .transpose()?;
-            let mut report = simulated.into_report(&self.name);
-            report.shutdown = shutdown;
-            report
-        } else {
-            let shutdown = self
-                .shutdown
-                .as_ref()
-                .map(|sd| realized.run_shutdown(&sim_cfg, sd))
-                .transpose()?;
-            let mut report = realized.into_report(&self.name);
-            report.shutdown = shutdown;
-            report
+        let shutdown = self
+            .shutdown
+            .as_ref()
+            .map(|plan| Scenario::resolve_shutdown_island(plan, &vi).map(|island| (island, plan)))
+            .transpose()?;
+
+        // Neither simulator reads link lengths, the only thing the
+        // floorplan changes, so both run on the chosen point's topology:
+        // the sim on a second thread while this one realizes the floorplan
+        // and then gates the island. Measured power is priced on the
+        // realized topology once both are done.
+        let point = &synthesized.chosen_point().topology;
+        let ((design, shutdown), stats) = rayon::join(
+            || {
+                let design = synthesized.realize(&self.floorplan);
+                let shutdown = shutdown.map(|(island, plan)| {
+                    shutdown_stage(&spec, &vi, point, &sim_cfg, island, plan)
+                });
+                (design, shutdown)
+            },
+            || {
+                self.sim
+                    .as_ref()
+                    .map(|plan| run_sim(&spec, point, &plan.config, plan.horizon_ns))
+            },
+        );
+        let shutdown = shutdown.transpose()?;
+        let realized = synthesized.with_design(design);
+        let mut report = match self.sim.as_ref().zip(stats) {
+            Some((plan, stats)) => realized
+                .with_sim_stats(&plan.config, plan.horizon_ns, stats)
+                .into_report(&self.name),
+            None => realized.into_report(&self.name),
         };
+        report.shutdown = shutdown;
 
         if with_sweep {
             if let Some(grid_cfg) = &self.sweep {

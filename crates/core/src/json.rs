@@ -481,13 +481,27 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII slice");
-        match text.parse::<f64>() {
+        let x = match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => x,
             // Over-range literals like 1e999 parse to infinity; reject them
             // here so they cannot reach the writer, whose finite-number
             // contract (`num`) they would violate on re-emission.
-            Ok(x) if x.is_finite() => Ok(Value::Num(x)),
-            _ => Err(self.err(&format!("invalid or non-finite number '{text}'"))),
+            _ => return Err(self.err(&format!("invalid or non-finite number '{text}'"))),
+        };
+        // An integer literal must be exactly what the writer emits for the
+        // double it parses to, or the value read is not the one written:
+        // 9007199254740993 would silently become 2^53. (The writer spells
+        // large doubles as digit strings, 1e308 as 309 digits, and those
+        // are accepted.) Up to 15 digits without a leading zero always
+        // are, so only longer literals pay for writing the double back.
+        let digits = text.strip_prefix('-').unwrap_or(text);
+        let short = digits.len() <= 15 && (digits == "0" || !digits.starts_with('0'));
+        if !short && !text.contains(['.', 'e', 'E']) && x.to_string() != text {
+            return Err(self.err(&format!(
+                "integer '{text}' does not round-trip (reads as {x})"
+            )));
         }
+        Ok(Value::Num(x))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -717,6 +731,33 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-7").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integer_literals_a_double_cannot_hold_exactly_are_errors() {
+        for (text, at, reads_as) in [
+            ("[9007199254740993]", 17, "9007199254740992"),
+            ("18446744073709551615", 20, "18446744073709552000"),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.at, at, "{text}");
+            assert!(
+                err.msg.contains("does not round-trip") && err.msg.contains(reads_as),
+                "{text}: {}",
+                err.msg
+            );
+        }
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        // The writer's 309-digit spelling of 1e308 is not that double's
+        // exact value, but it is what the writer emits, so it reads back.
+        assert_eq!(parse(&number(1e308)).unwrap().as_f64(), Some(1e308));
+        // 2^53 + 2 is a double, but not an integer `as_u64` vouches for.
+        let v = parse("{\"n\":9007199254740994}").unwrap();
+        assert_eq!(v.f64_member("n", "ctx"), Ok(9007199254740994.0));
+        assert_eq!(
+            v.u64_member("n", "ctx"),
+            Err("ctx: 'n' is not an unsigned integer".to_string())
+        );
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! order-preserving. Parallel and sequential execution therefore produce
 //! identical outputs for pure per-item functions.
 //!
-//! Unlike upstream rayon, adaptors evaluate eagerly: each `map` /
-//! `filter_map` is one parallel pass. Chains of adaptors insert a barrier
-//! per stage, which is fine for the coarse-grained fan-outs this workspace
-//! runs.
+//! Unlike upstream rayon, adaptors evaluate eagerly: each `map` is one
+//! parallel pass. Chains of adaptors insert a barrier per stage, which is
+//! fine for the coarse-grained fan-outs this workspace runs. [`join`] forks
+//! two closures the same way, on one extra scoped thread.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Number of worker threads a parallel pass will use.
@@ -78,7 +79,7 @@ where
         }
     });
     if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
+        resume_unwind(payload);
     }
     let mut indexed = match results.into_inner() {
         Ok(v) => v,
@@ -86,6 +87,46 @@ where
     };
     indexed.sort_unstable_by_key(|&(index, _)| index);
     indexed.into_iter().map(|(_, out)| out).collect()
+}
+
+/// Runs `oper_a` and `oper_b`, potentially in parallel, and returns both
+/// results (upstream rayon's signature).
+///
+/// `oper_b` runs on one extra scoped thread while `oper_a` runs on the
+/// caller; with one thread (`RAYON_NUM_THREADS=1`) both run on the caller,
+/// `oper_a` first, and no thread is spawned. A panic in either closure is
+/// re-raised with its original payload once both have finished; when both
+/// panic, `oper_a`'s payload wins, as upstream.
+pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    join_with_threads(oper_a, oper_b, current_num_threads())
+}
+
+fn join_with_threads<A, B, RA, RB>(oper_a: A, oper_b: B, threads: usize) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if threads <= 1 {
+        return (oper_a(), oper_b());
+    }
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(oper_b);
+        let ra = catch_unwind(AssertUnwindSafe(oper_a));
+        // Joined explicitly so `oper_b`'s own payload survives (the scope
+        // would rethrow a generic "a scoped thread panicked").
+        match (ra, handle.join()) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
+        }
+    })
 }
 
 /// An order-preserving parallel iterator over an owned buffer of items.
@@ -101,81 +142,13 @@ impl<T: Send> ParIter<T> {
         }
     }
 
-    /// Parallel `filter_map`; surviving items keep their relative order.
-    pub fn filter_map<U: Send, F: Fn(T) -> Option<U> + Sync>(self, f: F) -> ParIter<U> {
-        ParIter {
-            items: parallel_map(self.items, f).into_iter().flatten().collect(),
-        }
-    }
-
-    /// Parallel `flat_map`; per-item outputs are concatenated in input
-    /// order.
-    pub fn flat_map<U: Send, I, F>(self, f: F) -> ParIter<U>
-    where
-        I: IntoIterator<Item = U>,
-        I::IntoIter: Send,
-        F: Fn(T) -> I + Sync,
-    {
-        ParIter {
-            items: parallel_map(self.items, |item| f(item).into_iter().collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect(),
-        }
-    }
-
-    /// Parallel `filter`.
-    pub fn filter<F: Fn(&T) -> bool + Sync>(self, f: F) -> ParIter<T> {
-        self.filter_map(|item| if f(&item) { Some(item) } else { None })
-    }
-
     /// Gathers the items into any `FromIterator` collection, in order.
     pub fn collect<C: FromIterator<T>>(self) -> C {
         self.items.into_iter().collect()
     }
-
-    /// Applies `f` to every item in parallel, for side effects.
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        parallel_map(self.items, f);
-    }
-
-    /// Number of items remaining in the pipeline.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the pipeline is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
-/// Conversion of owned collections into a parallel iterator.
-pub trait IntoParallelIterator {
-    /// Item type of the parallel iterator.
-    type Item: Send;
-
-    /// Consumes `self` into a [`ParIter`].
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-impl<T: Send> IntoParallelIterator for ParIter<T> {
-    type Item = T;
-
-    fn into_par_iter(self) -> ParIter<T> {
-        self
-    }
-}
-
-/// Borrowing counterpart of [`IntoParallelIterator`].
+/// Conversion of borrowed collections into a parallel iterator.
 pub trait IntoParallelRefIterator<'a> {
     /// Item type (a shared reference).
     type Item: Send;
@@ -194,51 +167,38 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
 pub mod prelude {
     //! Glob-import surface mirroring `rayon::prelude`.
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
+    pub use crate::{IntoParallelRefIterator, ParIter};
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::any::Any;
+    use std::thread;
+
+    fn panic_message(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default()
+    }
 
     #[test]
     fn map_preserves_order() {
-        let out: Vec<usize> = (0..1000)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|x| x * 2)
-            .collect();
+        let items: Vec<usize> = (0..1000).collect();
+        let out: Vec<usize> = items.par_iter().map(|&x| x * 2).collect();
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn filter_map_preserves_relative_order() {
-        let out: Vec<usize> = (0..100)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .filter_map(|x| (x % 3 == 0).then_some(x))
-            .collect();
-        assert_eq!(out, (0..100).filter(|x| x % 3 == 0).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn uneven_work_still_completes() {
-        let out: Vec<u64> = (0u64..64)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|x| (0..(x % 7) * 1000).fold(x, |a, b| a.wrapping_add(b)))
+        let items: Vec<u64> = (0..64).collect();
+        let out: Vec<u64> = items
+            .par_iter()
+            .map(|&x| (0..(x % 7) * 1000).fold(x, |a, b| a.wrapping_add(b)))
             .collect();
         assert_eq!(out.len(), 64);
     }
@@ -258,11 +218,7 @@ mod tests {
             )
         });
         let payload = result.expect_err("map must panic");
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or_default();
+        let message = panic_message(&*payload);
         assert!(
             message.contains("original message"),
             "payload lost: {message:?}"
@@ -271,8 +227,66 @@ mod tests {
 
     #[test]
     fn par_iter_borrows() {
-        let v = vec![1, 2, 3];
+        // A `Vec` reaches `par_iter` through the `[T]` impl.
+        let v: Vec<i32> = (1..=3).collect();
         let s: i32 = v.par_iter().map(|&x| x).collect::<Vec<_>>().iter().sum();
         assert_eq!(s, 6);
+        assert_eq!(v.len(), 3);
+    }
+
+    #[test]
+    fn join_returns_both_results() {
+        // Pinned to two threads so the forked path runs on any machine.
+        let caller = thread::current().id();
+        let (a, (b, b_thread)) = crate::join_with_threads(
+            || (0..100u64).sum::<u64>(),
+            || ("right".to_string(), thread::current().id()),
+            2,
+        );
+        assert_eq!((a, b.as_str()), (4950, "right"));
+        assert_ne!(b_thread, caller, "oper_b must run on the forked thread");
+        assert_eq!(crate::join(|| 1, || 2), (1, 2));
+    }
+
+    #[test]
+    fn join_reraises_either_closures_panic_with_its_message() {
+        for threads in [1, 2] {
+            let a = std::panic::catch_unwind(|| {
+                crate::join_with_threads(|| panic!("left failed"), || 2, threads)
+            });
+            assert_eq!(panic_message(&*a.unwrap_err()), "left failed");
+            let b = std::panic::catch_unwind(|| {
+                crate::join_with_threads(|| 1, || panic!("right failed"), threads)
+            });
+            assert_eq!(panic_message(&*b.unwrap_err()), "right failed");
+        }
+        // Both panic: the first closure's payload wins, as upstream.
+        let both = std::panic::catch_unwind(|| {
+            crate::join_with_threads(
+                || -> u8 { panic!("left failed") },
+                || -> u8 { panic!("right failed") },
+                2,
+            )
+        });
+        assert_eq!(panic_message(&*both.unwrap_err()), "left failed");
+    }
+
+    #[test]
+    fn join_at_one_thread_runs_both_closures_on_the_caller_in_order() {
+        let caller = thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let (a, b) = crate::join_with_threads(
+            || {
+                order.lock().unwrap().push('a');
+                thread::current().id()
+            },
+            || {
+                order.lock().unwrap().push('b');
+                thread::current().id()
+            },
+            1,
+        );
+        assert_eq!((a, b), (caller, caller));
+        assert_eq!(*order.lock().unwrap(), ['a', 'b']);
     }
 }
