@@ -776,8 +776,8 @@ fn fleet_work(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("{connect} resolves to no address"))?;
     let stats = vi_noc_fleet::run_worker(addr, &ScenarioJobResolver, &opts)?;
     eprintln!(
-        "fleet work: {} lease(s) done, {} delta(s) acked, {} abandoned",
-        stats.leases, stats.deltas, stats.abandoned
+        "fleet work: {} lease(s) done, {} delta(s) acked carrying {} entries, {} abandoned",
+        stats.leases, stats.deltas, stats.entries, stats.abandoned
     );
     Ok(())
 }

@@ -1,15 +1,18 @@
 //! Scenario sweeps submitted as job payloads to a worker fleet must fold
 //! the same frontier files, byte for byte, as the classic single-process
-//! path — for the coarse grid and for the windowed refinement stage.
+//! path — for the coarse grid, for the windowed refinement stage, and for
+//! every job a long-lived fleet serves.
 
 use std::sync::Arc;
 use vi_noc_api::fleet::{job_payload, ScenarioJobResolver};
 use vi_noc_api::{PartitionPlan, RefinePlan, Scenario, SpecSource};
 use vi_noc_fleet::{
     spawn_local_workers, start_coordinator, FleetConfig, FleetHandle, JobResolver, WorkerOpts,
+    WorkerStats,
 };
 use vi_noc_sweep::{
-    frontier_seeds, parse_frontier_file, windows_from_frontier, GridConfig, RefineParams,
+    frontier_json, frontier_seeds, parse_frontier_file, run_deltas, run_shard,
+    windows_from_frontier, ChainRange, GridConfig, RangeDelta, RefineParams, Shard,
 };
 
 fn base_scenario() -> Scenario {
@@ -46,18 +49,63 @@ fn refined_scenario() -> Scenario {
     s
 }
 
-/// Runs `body` against a loopback coordinator with two local workers.
-fn with_fleet<T>(body: impl FnOnce(&FleetHandle) -> T) -> T {
+/// Runs `body` against a loopback coordinator with `workers` local
+/// workers; returns its result and the workers' summed stats.
+fn with_workers<T>(workers: usize, body: impl FnOnce(&FleetHandle) -> T) -> (T, WorkerStats) {
     let resolver: Arc<dyn JobResolver> = Arc::new(ScenarioJobResolver);
     let handle =
         start_coordinator("127.0.0.1:0", Arc::clone(&resolver), FleetConfig::default()).unwrap();
-    let pool = spawn_local_workers(handle.addr(), resolver, 2, WorkerOpts::default());
+    let pool = spawn_local_workers(handle.addr(), resolver, workers, WorkerOpts::default());
     let out = body(&handle);
     handle.shutdown();
+    let mut total = WorkerStats::default();
     for worker in pool {
-        worker.join().unwrap().unwrap();
+        let stats = worker.join().unwrap().unwrap();
+        total.leases += stats.leases;
+        total.deltas += stats.deltas;
+        total.entries += stats.entries;
+        total.abandoned += stats.abandoned;
     }
-    out
+    (out, total)
+}
+
+/// Runs `body` against a loopback coordinator with two local workers.
+fn with_fleet<T>(body: impl FnOnce(&FleetHandle) -> T) -> T {
+    with_workers(2, body).0
+}
+
+/// The entries a worker would send without the skip: the local front of
+/// every delta of every lease of a default-configured fleet.
+fn local_front_entries(payload: &str) -> usize {
+    let job = ScenarioJobResolver.resolve(payload).unwrap();
+    let cfg = FleetConfig::default();
+    let mut entries = 0;
+    for range in ChainRange::cut(job.desc.num_chains, cfg.lease_chunk) {
+        let mut emit = |d: RangeDelta| {
+            entries += d.entries.len();
+            Ok(())
+        };
+        run_deltas(
+            &job.spec,
+            &job.vi,
+            &job.grid,
+            &job.cfg,
+            range.chain_ids(),
+            0,
+            cfg.checkpoint_every,
+            job.prune,
+            &mut emit,
+        )
+        .unwrap();
+    }
+    entries
+}
+
+/// The unsharded frontier bytes of a payload's grid, swept in-process.
+fn direct_frontier(payload: &str) -> String {
+    let job = ScenarioJobResolver.resolve(payload).unwrap();
+    let run = run_shard(&job.spec, &job.vi, &job.grid, Shard::full(), &job.cfg);
+    frontier_json(&job.desc, &run)
 }
 
 #[test]
@@ -83,6 +131,62 @@ fn a_fleet_routed_refinement_reproduces_the_direct_frontier_bytes() {
             .unwrap()
     });
     assert_eq!(folded, direct);
+}
+
+#[test]
+fn a_long_lived_fleet_folds_each_job_from_its_own_payload() {
+    // Two jobs whose grid descriptors (and so fingerprints) are equal: the
+    // descriptor records no synthesis parameter. A worker that cached its
+    // resolution by fingerprint folded the first job's entries again.
+    let base = base_scenario();
+    let mut slower = base_scenario();
+    slower.synthesis.switch_delay_cycles = 2;
+    let payloads = [job_payload(&base, None), job_payload(&slower, None)];
+    let descs = payloads
+        .each_ref()
+        .map(|p| ScenarioJobResolver.resolve(p).unwrap().desc.to_json());
+    assert_eq!(descs[0], descs[1], "the premise: one grid fingerprint");
+    let want = [base, slower].map(|s| s.run().unwrap().frontier.unwrap());
+    assert_ne!(want[0], want[1]);
+    assert_eq!(want[0], direct_frontier(&payloads[0]));
+
+    let got = with_fleet(|fleet| payloads.each_ref().map(|p| fleet.submit(p).unwrap()));
+    assert_eq!(got, want);
+}
+
+#[test]
+fn the_same_payload_folds_the_reference_bytes_every_time() {
+    // The acked-key fold a worker keeps per payload outlives the job: later
+    // jobs skip entries by keys acked in earlier ones, and must still fold
+    // every frontier entry.
+    let payload = job_payload(&base_scenario(), None);
+    let want = direct_frontier(&payload);
+    let got = with_fleet(|fleet| [(); 3].map(|()| fleet.submit(&payload).unwrap()));
+    assert_eq!(got, [want.clone(), want.clone(), want]);
+}
+
+#[test]
+fn one_worker_sends_only_the_entries_no_acked_entry_dominates() {
+    // With one worker the leases and deltas arrive in order, so the count
+    // is exact. Every delta still goes out, with its counters; only
+    // entries an acked entry dominates stay home.
+    let scenario =
+        Scenario::from_json(include_str!("../../../scenarios/d26_overclocked_fine.json")).unwrap();
+    let payload = job_payload(&scenario, None);
+    let want = direct_frontier(&payload);
+    assert_eq!(local_front_entries(&payload), 64, "sent without the skip");
+    let (got, stats) = with_workers(1, |fleet| fleet.submit(&payload).unwrap());
+    assert_eq!(got, want);
+    assert_eq!(
+        stats,
+        WorkerStats {
+            leases: 64,
+            deltas: 128,
+            entries: 3,
+            abandoned: 0,
+        }
+    );
+    assert_eq!(parse_frontier_file(&want).unwrap().entries.len(), 3);
 }
 
 #[test]

@@ -186,7 +186,10 @@ pub fn start_coordinator(
 fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, String> {
     let mut line = String::new();
     match reader.read_line(&mut line) {
-        Ok(_) if line.ends_with('\n') => Ok(Some(line.trim_end().to_string())),
+        Ok(_) if line.ends_with('\n') => {
+            line.truncate(line.trim_end().len());
+            Ok(Some(line))
+        }
         Ok(_) => Ok(None),
         Err(e) => Err(format!("read: {e}")),
     }

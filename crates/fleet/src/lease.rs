@@ -82,7 +82,9 @@ pub struct ResolvedJob {
 
 /// Turns a job payload into a [`ResolvedJob`]. The fleet crate is
 /// deliberately ignorant of what payloads mean — the CLI layer resolves
-/// scenario documents; tests resolve tiny benchmark grids.
+/// scenario documents; tests resolve tiny benchmark grids. Resolution must
+/// be a pure function of the payload text: a worker resolves each payload
+/// once and reuses the result for every later lease with that payload.
 pub trait JobResolver: Send + Sync {
     /// Resolves `payload`, or explains why it cannot be run.
     fn resolve(&self, payload: &str) -> Result<ResolvedJob, String>;
@@ -319,7 +321,7 @@ impl LeaseBook {
                 slot.range.len()
             ));
         }
-        let entries = validate_entries(d.entries.clone(), &job.grid_value)?;
+        let entries = validate_entries(&d.entries, &job.grid_value)?;
 
         slot.acked += d.taken;
         job.progress.absorb(RangeDelta {

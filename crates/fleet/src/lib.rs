@@ -16,7 +16,7 @@
 //! **The headline invariant:** the fleet-produced frontier file — for any
 //! worker count and any kill/re-lease schedule — is byte-identical to the
 //! single-process `sweep run --frontier` emission. The argument stacks
-//! three exactness properties:
+//! four exactness properties:
 //!
 //! 1. Pareto survival is pairwise under a strict partial order, so folds
 //!    compose in any order ([`vi_noc_core::pareto`]).
@@ -28,6 +28,10 @@
 //!    `crates/fleet/tests/fleet_exact.rs` pin this).
 //! 3. Every writer on the path is a parse→write fixed point, so entry
 //!    bytes survive the wire unchanged.
+//! 4. A worker leaves out only entries that an entry it already had acked
+//!    for the same job payload dominates. No entry of the final frontier
+//!    is dominated by anything in the grid, so none is ever left out
+//!    ([`worker`] has the argument).
 //!
 //! Worker crashes are handled twice over: a dropped connection —
 //! including SIGKILL, which closes the socket — releases its leases
@@ -48,5 +52,7 @@ pub mod worker;
 
 pub use coordinator::{start_coordinator, submit_remote, FleetHandle};
 pub use lease::{FleetConfig, FoldOutcome, JobResolver, LeaseBook, ResolvedJob};
-pub use protocol::{grid_fingerprint, parse_message, write_message, Delta, Lease, Message, Role};
+pub use protocol::{
+    grid_fingerprint, parse_message, write_delta, write_message, Delta, Lease, Message, Role,
+};
 pub use worker::{run_worker, spawn_local_workers, WorkerOpts, WorkerStats};

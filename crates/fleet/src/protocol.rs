@@ -5,13 +5,23 @@
 //! member naming its variant, read and written through
 //! [`vi_noc_core::json`]. Multi-line payloads (job documents, frontier
 //! files) cross the wire as JSON strings — the writer escapes the
-//! newlines — so framing stays trivially line-based. Frontier entries
-//! inside [`Message::Delta`] are embedded as raw JSON values: they are the
+//! newlines — so framing stays trivially line-based.
+//!
+//! Frontier entries inside a `delta` are embedded as raw JSON values: the
 //! compact single-line objects of [`vi_noc_sweep::RangeDelta`] entries (the
-//! checkpoint format's frontier entries), and re-serializing them with the
-//! parse→write fixed-point writer ([`Value::write`]) preserves their bytes
-//! exactly, which is what the coordinator's byte-identity guarantee rests
-//! on.
+//! checkpoint format's frontier entries). A worker writes them as the text
+//! [`vi_noc_sweep::run_deltas`] produced, without parsing them
+//! ([`write_delta`] on a `Delta<&str>`); the coordinator parses them into
+//! [`Value`]s ([`parse_message`]) and re-serializes each with the
+//! parse→write fixed-point writer ([`Value::write`]). Both ends therefore
+//! agree on every entry's bytes, which is what the coordinator's
+//! byte-identity guarantee rests on. The `delta` members have one writer,
+//! shared by both entry forms, so the text path cannot drift from
+//! [`write_message`].
+//!
+//! A worker sends only the entries of a delta that no entry the
+//! coordinator has already acked from it for the same job payload
+//! dominates (see [`crate::worker`]); the message shape is the same.
 //!
 //! Conversation shape (`W` = worker, `S` = submitter, `C` = coordinator):
 //!
@@ -58,10 +68,15 @@ impl Role {
 
 /// One streamed checkpoint delta: the evaluation of range positions
 /// `[from, from + taken)` of a lease — counters plus the *local* Pareto
-/// survivors of exactly that interval. Deltas of one lease are disjoint by
+/// survivors of exactly that interval that can still reach the frontier
+/// (see [`crate::worker`]). Deltas of one lease are disjoint by
 /// construction, so the coordinator folds each exactly once.
+///
+/// `E` is how the entries are held: parsed [`Value`]s (what
+/// [`parse_message`] returns), or their compact JSON text (what a worker
+/// sends through [`write_delta`]). Both serialize to the same bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Delta {
+pub struct Delta<E = Value> {
     /// The lease this delta belongs to.
     pub lease_id: u64,
     /// Fingerprint of the grid the worker evaluated against
@@ -73,8 +88,21 @@ pub struct Delta {
     pub taken: u64,
     /// Evaluation counters of exactly this interval.
     pub stats: SweepStats,
-    /// Serialized frontier entries surviving within this interval.
-    pub entries: Vec<Value>,
+    /// Frontier entries surviving within this interval.
+    pub entries: Vec<E>,
+}
+
+impl<E> Delta<E> {
+    /// The one writer of a `delta`'s members: `entry` appends one entry.
+    fn write_members(&self, o: &mut Obj, entry: impl FnMut(&mut String, &E)) {
+        o.str("type", "delta")
+            .num("lease_id", self.lease_id)
+            .str("grid_fp", &self.grid_fp)
+            .num("from", self.from)
+            .num("taken", self.taken);
+        write_stats(o.key("stats"), &self.stats);
+        json::array(o.key("entries"), &self.entries, entry);
+    }
 }
 
 /// A lease offer: evaluate chain ids `[start, end)` of the job's grid,
@@ -183,15 +211,7 @@ pub fn write_message(m: &Message) -> String {
         Message::Shutdown => {
             o.str("type", "shutdown");
         }
-        Message::Delta(d) => {
-            o.str("type", "delta")
-                .num("lease_id", d.lease_id)
-                .str("grid_fp", &d.grid_fp)
-                .num("from", d.from)
-                .num("taken", d.taken);
-            write_stats(o.key("stats"), &d.stats);
-            json::array(o.key("entries"), &d.entries, |out, e| e.write(out));
-        }
+        Message::Delta(d) => d.write_members(&mut o, |out, e| e.write(out)),
         Message::Ack { lease_id, done } => {
             o.str("type", "ack")
                 .num("lease_id", *lease_id)
@@ -207,6 +227,19 @@ pub fn write_message(m: &Message) -> String {
     s
 }
 
+/// Serializes a `delta` whose entries are already compact JSON text — how
+/// a worker sends the entries [`vi_noc_sweep::run_deltas`] wrote without
+/// parsing them. The line is byte-identical to [`write_message`] of the
+/// same delta with its entries parsed, because the entry writers are
+/// parse→write fixed points.
+pub fn write_delta(d: &Delta<&str>) -> String {
+    let mut s = String::new();
+    let mut o = Obj::new(&mut s);
+    d.write_members(&mut o, |out, e| json::raw(out, e));
+    o.end();
+    s
+}
+
 /// Parses one message line.
 ///
 /// # Errors
@@ -215,7 +248,7 @@ pub fn write_message(m: &Message) -> String {
 /// `type`, and per-variant shape violations — each with the pinned message
 /// the protocol corpus records.
 pub fn parse_message(line: &str) -> Result<Message, String> {
-    let v = json::parse(line).map_err(|e| e.to_string())?;
+    let mut v = json::parse(line).map_err(|e| e.to_string())?;
     let ty = v.str_member("type", "message")?;
     match ty {
         "hello" => {
@@ -255,8 +288,9 @@ pub fn parse_message(line: &str) -> Result<Message, String> {
             let from = v.u64_member("from", "delta")?;
             let taken = v.u64_member("taken", "delta")?;
             let stats = stats_from_value(v.member("stats", "delta")?)?;
-            let entries = match v.member("entries", "delta")? {
-                Value::Arr(es) => es.clone(),
+            // Moved out, not cloned: the entries are most of the line.
+            let entries = match v.take_member("entries", "delta")? {
+                Value::Arr(es) => es,
                 _ => return Err("delta: 'entries' is not an array".to_string()),
             };
             Ok(Message::Delta(Delta {
@@ -292,6 +326,9 @@ pub fn grid_fingerprint(desc_json: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vi_noc_core::SynthesisConfig;
+    use vi_noc_soc::{benchmarks, partition};
+    use vi_noc_sweep::{run_deltas, ChainRange, GridConfig, RangeDelta, SweepGrid};
 
     fn round_trip(m: Message) {
         let line = write_message(&m);
@@ -363,6 +400,79 @@ mod tests {
         match parse_message(&line).unwrap() {
             Message::Delta(d) => assert_eq!(d.entries[0].to_json(), entry),
             other => panic!("not a delta: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_worker_line_is_the_message_writer_line_for_every_real_delta() {
+        // Every delta of a real d12 sweep, and one delta carrying all of
+        // their entries: the line a worker writes from the entries' text
+        // must be the bytes `write_message` writes for the parsed entries,
+        // and must parse back to that message.
+        let spec = benchmarks::d12_auto();
+        let vi = partition::logical_partition(&spec, 4).unwrap();
+        let cfg = SynthesisConfig {
+            parallel: false,
+            ..SynthesisConfig::default()
+        };
+        let grid_cfg = GridConfig {
+            max_boost: 1,
+            freq_scales: vec![1.0, 1.1],
+            max_intermediate: 2,
+        };
+        let grid = SweepGrid::build(&spec, &vi, &cfg, &grid_cfg);
+        let range = ChainRange::new(0, grid.num_chains()).unwrap();
+        let mut deltas = Vec::new();
+        let mut keep = |d: RangeDelta| {
+            deltas.push(d);
+            Ok(())
+        };
+        run_deltas(
+            &spec,
+            &vi,
+            &grid,
+            &cfg,
+            range.chain_ids(),
+            0,
+            4,
+            false,
+            &mut keep,
+        )
+        .unwrap();
+        let all = RangeDelta {
+            from: 0,
+            taken: range.len(),
+            stats: SweepStats::default(),
+            pruned_chains: 0,
+            entries: deltas.iter().flat_map(|d| d.entries.clone()).collect(),
+        };
+        assert_eq!((deltas.len(), all.entries.len()), (40, 16));
+        assert!(deltas.iter().any(|d| d.entries.is_empty()));
+
+        for d in deltas.iter().chain([&all]) {
+            let text = Delta {
+                lease_id: 7,
+                grid_fp: "00ff00ff00ff00ff".to_string(),
+                from: d.from,
+                taken: d.taken,
+                stats: d.stats,
+                entries: d.entries.iter().map(|(_, e)| e.as_str()).collect(),
+            };
+            let parsed = Message::Delta(Delta {
+                lease_id: text.lease_id,
+                grid_fp: text.grid_fp.clone(),
+                from: text.from,
+                taken: text.taken,
+                stats: text.stats,
+                entries: text
+                    .entries
+                    .iter()
+                    .map(|e| json::parse(e).unwrap())
+                    .collect(),
+            });
+            let line = write_delta(&text);
+            assert_eq!(line, write_message(&parsed));
+            assert_eq!(parse_message(&line).unwrap(), parsed);
         }
     }
 

@@ -8,10 +8,24 @@
 //! coordinator's acked watermark is always an exact resume point — a
 //! killed worker's successor re-evaluates at most one unacked delta,
 //! never re-folds an acked one.
+//!
+//! **What a delta carries.** A worker resolves each job payload once and
+//! caches it, together with a [`ParetoFold`] of the keys of every entry
+//! the coordinator has acked from this worker for that payload. A delta's
+//! entries go out as the text [`run_deltas`] wrote
+//! ([`crate::protocol::write_delta`]), minus every entry whose key an
+//! acked key dominates. The skip is exact: an entry of the final frontier
+//! is dominated by no entry of the grid, so no worker ever skips one, and
+//! every skipped entry is dominated (dominance is transitive, see
+//! [`ParetoFold::is_dominated`]) by an entry of the final frontier, which
+//! some worker does send. The coordinator's fold therefore ends on the
+//! same frontier, and the counters of a delta are sent whole. Because the
+//! argument is about the whole grid, not one job, the fold lives as long
+//! as the cached payload and serves every job submitted with it.
 
 use crate::lease::{JobResolver, ResolvedJob};
 use crate::protocol::{
-    grid_fingerprint, parse_message, write_message, Delta, Lease, Message, Role,
+    grid_fingerprint, parse_message, write_delta, write_message, Delta, Lease, Message, Role,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -19,7 +33,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-use vi_noc_sweep::{run_deltas, ChainRange};
+use vi_noc_core::ParetoFold;
+use vi_noc_sweep::{run_deltas, ChainRange, RangeDelta};
 
 /// Knobs of a worker process.
 #[derive(Debug, Clone, Default)]
@@ -38,6 +53,9 @@ pub struct WorkerStats {
     pub leases: u64,
     /// Deltas acked by the coordinator.
     pub deltas: u64,
+    /// Frontier entries carried by the acked deltas (entries an acked
+    /// entry of the same payload dominates are not sent).
+    pub entries: u64,
     /// Leases abandoned because the coordinator rejected a delta (e.g.
     /// the lease was re-issued to someone else after a timeout).
     pub abandoned: u64,
@@ -71,7 +89,10 @@ impl Connection {
     }
 
     fn send(&mut self, m: &Message) -> Result<(), String> {
-        let mut line = write_message(m);
+        self.send_line(write_message(m))
+    }
+
+    fn send_line(&mut self, mut line: String) -> Result<(), String> {
         line.push('\n');
         self.writer
             .write_all(line.as_bytes())
@@ -119,7 +140,7 @@ pub fn run_worker(
 ) -> Result<WorkerStats, String> {
     let mut conn = Connection::open(addr)?;
     conn.send(&Message::Hello(Role::Work))?;
-    let mut jobs: HashMap<String, ResolvedJob> = HashMap::new();
+    let mut jobs: HashMap<String, CachedJob> = HashMap::new();
     let mut stats = WorkerStats::default();
     loop {
         let request = conn.send(&Message::Request).and_then(|()| conn.recv());
@@ -139,25 +160,36 @@ pub fn run_worker(
     }
 }
 
+/// A job payload resolved once, kept for every later lease of the same
+/// payload.
+struct CachedJob {
+    job: ResolvedJob,
+    /// Keys of the entries the coordinator has acked from this worker for
+    /// this payload: an entry one of them dominates is not sent.
+    acked: ParetoFold<()>,
+}
+
 fn evaluate_lease(
     conn: &mut Connection,
     lease: Lease,
     resolver: &dyn JobResolver,
     opts: &WorkerOpts,
-    jobs: &mut HashMap<String, ResolvedJob>,
+    jobs: &mut HashMap<String, CachedJob>,
     stats: &mut WorkerStats,
 ) -> Result<(), String> {
-    // Resolve (and cache) the job, then prove we agree with the
+    // Resolve (and cache) the payload, then prove we agree with the
     // coordinator about what grid this is. A mismatch is descriptor skew —
-    // refusing fails the job fast instead of folding foreign entries.
-    if !jobs.contains_key(&lease.grid_fp) {
+    // refusing fails the job fast instead of folding foreign entries. The
+    // cache is keyed by the payload itself: the grid fingerprint does not
+    // cover every input of a sweep (synthesis parameters, an inline spec).
+    if !jobs.contains_key(&lease.job) {
         match resolver.resolve(&lease.job) {
-            Ok(mut resolved) => {
+            Ok(mut job) => {
                 // Chains run one after another inside a worker, because a
                 // fleet's parallelism is its worker count. The frontier is
                 // byte-identical either way.
-                resolved.cfg.parallel = false;
-                let fp = grid_fingerprint(&resolved.desc.to_json());
+                job.cfg.parallel = false;
+                let fp = grid_fingerprint(&job.desc.to_json());
                 if fp != lease.grid_fp {
                     conn.send(&Message::Refuse {
                         lease_id: lease.lease_id,
@@ -168,7 +200,8 @@ fn evaluate_lease(
                     })?;
                     return Ok(());
                 }
-                jobs.insert(lease.grid_fp.clone(), resolved);
+                let acked = ParetoFold::new();
+                jobs.insert(lease.job.clone(), CachedJob { job, acked });
             }
             Err(e) => {
                 conn.send(&Message::Refuse {
@@ -179,7 +212,7 @@ fn evaluate_lease(
             }
         }
     }
-    let job = &jobs[&lease.grid_fp];
+    let CachedJob { job, acked } = jobs.get_mut(&lease.job).expect("resolved above");
     let range = match ChainRange::new(lease.start, lease.end) {
         Ok(r) => r,
         Err(e) => {
@@ -195,26 +228,23 @@ fn evaluate_lease(
     // transport failures (abort the worker) from coordinator rejections
     // (abandon the lease, keep working).
     let mut fatal: Option<String> = None;
-    let mut acked_deltas = 0u64;
+    let (mut acked_deltas, mut acked_entries) = (0u64, 0u64);
     let range_len = range.len();
     let outcome = {
         let fatal = &mut fatal;
-        let acked_deltas = &mut acked_deltas;
-        let mut emit = |d: vi_noc_sweep::RangeDelta| -> Result<(), String> {
-            let entries = d
+        let mut emit = |d: RangeDelta| -> Result<(), String> {
+            let sent: Vec<_> = d
                 .entries
                 .iter()
-                .map(|(_, e)| {
-                    vi_noc_core::json::parse(e).map_err(|err| format!("entry re-parse: {err}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            conn.send(&Message::Delta(Delta {
+                .filter(|(key, _)| !acked.is_dominated(key))
+                .collect();
+            conn.send_line(write_delta(&Delta {
                 lease_id: lease.lease_id,
                 grid_fp: lease.grid_fp.clone(),
                 from: d.from,
                 taken: d.taken,
                 stats: d.stats,
-                entries,
+                entries: sent.iter().map(|(_, entry)| entry.as_str()).collect(),
             }))
             .inspect_err(|e| *fatal = Some(e.clone()))?;
             match conn.recv() {
@@ -229,7 +259,11 @@ fn evaluate_lease(
                         *fatal = Some(e.clone());
                         return Err(e);
                     }
-                    *acked_deltas += 1;
+                    acked_deltas += 1;
+                    acked_entries += sent.len() as u64;
+                    for (key, _) in sent {
+                        acked.offer(*key, ());
+                    }
                     // Throttle only *between* a lease's deltas, never after
                     // its final ack: once the last delta is acked the lease
                     // is done and the worker holds nothing, so sleeping here
@@ -266,6 +300,7 @@ fn evaluate_lease(
         )
     };
     stats.deltas += acked_deltas;
+    stats.entries += acked_entries;
     match outcome {
         Ok(()) => {
             stats.leases += 1;

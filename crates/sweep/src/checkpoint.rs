@@ -12,6 +12,7 @@
 use crate::grid::RefineWindow;
 use crate::run::{FrontierPoint, ShardProgress, SweepStats};
 use crate::shard::Shard;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use vi_noc_core::json::{self, Obj, Value};
 use vi_noc_core::{write_design_point, ParetoFold, ParetoKey};
@@ -328,17 +329,17 @@ fn window_from_value(v: &Value, ctx: &str) -> Result<RefineWindow, String> {
 /// * on windowed grids, the entry's `(scale, sweep_index, boosts)`
 ///   coordinate lies inside at least one refinement window.
 ///
-/// Shared by the checkpoint/frontier parsers here and the fleet
-/// coordinator, which runs the same checks on every streamed delta before
-/// folding it.
+/// Shared by the checkpoint/frontier parsers here, which pass the parsed
+/// entries by value, and the fleet coordinator, which runs the same checks
+/// on every streamed delta by reference before folding it.
 ///
 /// # Errors
 ///
 /// The first failing check, as a path-contexted message.
-pub fn validate_entries(
-    frontier: Vec<Value>,
+pub fn validate_entries<V: Borrow<Value>>(
+    frontier: impl IntoIterator<Item = V>,
     grid: &Value,
-) -> Result<Vec<(ParetoKey, Value)>, String> {
+) -> Result<Vec<(ParetoKey, V)>, String> {
     let island_count = grid.usize_member("island_count", "grid")?;
     let num_chains = grid.u64_member("num_chains", "grid")?;
     let chain_len = grid.u64_member("max_intermediate", "grid")? + 1;
@@ -359,8 +360,9 @@ pub fn validate_entries(
         Some(_) => return Err("grid: 'windows' is not an array".to_string()),
     };
 
-    let mut entries = Vec::with_capacity(frontier.len());
-    for (i, entry) in frontier.into_iter().enumerate() {
+    let mut entries = Vec::new();
+    for (i, item) in frontier.into_iter().enumerate() {
+        let entry = item.borrow();
         let ctx = format!("frontier[{i}]");
         let key = ParetoKey {
             power_mw: entry.f64_member("power_mw", &ctx)?,
@@ -428,7 +430,7 @@ pub fn validate_entries(
                 ));
             }
         }
-        entries.push((key, entry));
+        entries.push((key, item));
     }
     Ok(entries)
 }
