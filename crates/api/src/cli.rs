@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! vi-noc run      SCENARIO.json [--out FILE] [--frontier-out FILE]
-//! vi-noc simulate SCENARIO.json [--out FILE]
 //! vi-noc report   REPORT.json
 //! vi-noc sweep    run|merge|info ...
 //! vi-noc fleet    serve|work|run ...
@@ -10,15 +9,16 @@
 //! ```
 //!
 //! `run` executes every stage a scenario declares and writes the report
-//! JSON; `simulate` skips the sweep stage; `report` pretty-prints a report
-//! file; `sweep` is the sharded design-space workflow (one shard per
-//! process), extended with `--scenario` (grid + configs from a scenario
-//! file), `--resume` and `--checkpoint-every` (preemptible shards);
-//! `fleet` is the elastic alternative to static shards — a coordinator
-//! leases chain ranges to workers that can join, die, and be replaced
-//! mid-sweep, with the frontier folded byte-identically to `sweep run
-//! --frontier`; `dynsweep run` runs a scenario's dynamic simulation sweep,
-//! which simulates every cell, and writes the result table.
+//! JSON (a scenario without a `sweep` member has no sweep stage); `report`
+//! pretty-prints a report file; `sweep` is the sharded design-space
+//! workflow (one shard per process), extended with `--scenario` (grid +
+//! configs from a scenario file), `--resume` and `--checkpoint-every`
+//! (preemptible shards); `fleet` is the elastic alternative to static
+//! shards — a coordinator leases chain ranges to workers that can join,
+//! die, and be replaced mid-sweep, with the frontier folded
+//! byte-identically to `sweep run --frontier`; `dynsweep run` runs a
+//! scenario's dynamic simulation sweep, which simulates every cell, and
+//! writes the result table.
 
 use crate::error::Error;
 use crate::fleet::{job_payload, ScenarioJobResolver};
@@ -39,7 +39,6 @@ use vi_noc_sweep::{
 pub const USAGE: &str = "\
 usage:
   vi-noc run      SCENARIO.json [--out FILE] [--frontier-out FILE]
-  vi-noc simulate SCENARIO.json [--out FILE]
   vi-noc report   REPORT.json
   vi-noc sweep    run|merge|info ...   (see `vi-noc sweep` for details)
   vi-noc fleet    serve|work|run ...   (see `vi-noc fleet` for details)
@@ -95,8 +94,7 @@ pub fn usage(args: &[String]) -> &'static str {
 /// A printable message; the binary appends the usage text.
 pub fn vi_noc_cli(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], true),
-        Some("simulate") => cmd_run(&args[1..], false),
+        Some("run") => cmd_run(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("sweep") => sweep_cli(&args[1..]),
         Some("fleet") => fleet_cli(&args[1..]),
@@ -145,9 +143,9 @@ fn write_atomic(path: &str, text: &str) -> Result<(), String> {
         })
 }
 
-// --- run / simulate ------------------------------------------------------
+// --- run -----------------------------------------------------------------
 
-fn cmd_run(args: &[String], with_sweep: bool) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut scenario_path: Option<String> = None;
     let mut out: Option<String> = None;
     let mut frontier_out: Option<String> = None;
@@ -155,7 +153,7 @@ fn cmd_run(args: &[String], with_sweep: bool) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
-            "--frontier-out" if with_sweep => {
+            "--frontier-out" => {
                 frontier_out = Some(it.next().ok_or("--frontier-out needs a value")?.clone())
             }
             path if !path.starts_with('-') && scenario_path.is_none() => {
@@ -168,11 +166,7 @@ fn cmd_run(args: &[String], with_sweep: bool) -> Result<(), String> {
     let scenario = Scenario::from_json(&read_file(&path)?)?;
     eprintln!("vi-noc: running scenario '{}' from {path}", scenario.name);
     let start = Instant::now();
-    let report = if with_sweep {
-        scenario.run()
-    } else {
-        scenario.run_without_sweep()
-    }?;
+    let report = scenario.run()?;
     eprintln!("vi-noc: done in {:.2?}", start.elapsed());
     eprint!("{}", report.summary());
     if let Some(fpath) = frontier_out {

@@ -12,14 +12,13 @@
 //!   Parsed from JSON ([`Scenario::from_json`]), executed end to end
 //!   ([`Scenario::run`]), re-emitted byte-deterministically
 //!   ([`Scenario::to_json`]) — so new workloads need no Rust edits.
-//! * [`Pipeline`] — the typestate builder behind it:
-//!   `Scenario::for_spec(..).synthesize(..)?.floorplan(..).simulate(..)`.
-//!   Stages are types; the compiler rejects out-of-order flows.
+//!   `Scenario::run` is the one runner; a caller that wants one stage at a
+//!   time chains the stage functions it calls, as the examples do.
 //! * [`Report`] — everything a run produced, with a byte-deterministic
 //!   JSON emission (`Report::to_json`) and a terminal summary.
 //! * [`Error`] — the workspace-wide error type every stage fails through.
 //! * [`cli`] — the implementation of the `vi-noc` binary (`run`,
-//!   `simulate`, `sweep`, `report`, `fleet`, `dynsweep`).
+//!   `report`, `sweep`, `fleet`, `dynsweep`).
 //! * [`fleet`] — scenario documents as `vi-noc-fleet` job payloads: a
 //!   scenario's sweep runs on a coordinator + worker fleet (the `fleet`
 //!   CLI) with byte-identical frontier emission.
@@ -27,7 +26,7 @@
 //! Everything here composes the existing stage functions
 //! (`vi_noc_core::synthesize`, `realize_on_floorplan`,
 //! `vi_noc_sim::Simulator`, the `vi-noc-sweep` shard runner) without
-//! reimplementing them, so pipeline outputs — design spaces, `SimStats`,
+//! reimplementing them, so a run's outputs — design spaces, `SimStats`,
 //! frontier bytes — are bit-identical to hand-chained calls
 //! (`crates/api/tests/byte_identity.rs` pins this on D26).
 
@@ -37,13 +36,11 @@ pub mod cli;
 mod error;
 pub mod fleet;
 mod ingest;
-mod pipeline;
 mod report;
 mod scenario;
 
 pub use error::Error;
 pub use ingest::SCENARIO_FORMAT;
-pub use pipeline::{Pipeline, Realized, Simulated, Specified, Synthesized};
 pub use report::{Report, ShutdownReport, SimReport, REPORT_FORMAT};
 pub use scenario::{
     benchmark_by_name, DynSweepPlan, IslandChoice, PartitionPlan, RefinePlan, Scenario,

@@ -4,17 +4,21 @@
 //!
 //! A [`Scenario`] is the unit of work of the `vi-noc` CLI: parsed from
 //! JSON ([`Scenario::from_json`]), executed end to end ([`Scenario::run`]),
-//! and re-emitted byte-deterministically ([`Scenario::to_json`]). The same
-//! type is the programmatic entry point into the typestate pipeline via
-//! [`Scenario::for_spec`].
+//! and re-emitted byte-deterministically ([`Scenario::to_json`]).
+//! Programmatic callers that want one stage at a time chain the stage
+//! functions `Scenario::run` calls (`synthesize`, `realize_on_floorplan`,
+//! `Simulator::run_for_ns`, `run_shutdown_scenario`) themselves, as the
+//! examples do.
 
 use crate::error::Error;
-use crate::pipeline::{run_sim, shutdown_stage, Pipeline, Specified};
-use crate::report::Report;
-use vi_noc_core::SynthesisConfig;
+use crate::report::{Report, ShutdownReport, SimReport};
+use vi_noc_core::{realize_on_floorplan, synthesize, SynthesisConfig, Topology};
 use vi_noc_dynsweep::{run_dynsweep, DynSweepInput, Mode, SimAxes};
 use vi_noc_floorplan::FloorplanConfig;
-use vi_noc_sim::{ShutdownScenario, SimConfig, TrafficKind};
+use vi_noc_sim::{
+    measured_power, run_dynamic_cell, ShutdownScenario, SimConfig, Simulator, TrafficKind,
+    DRAIN_POLLS,
+};
 use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
     frontier_json, frontier_seeds, parse_frontier_file, run_shard, run_shard_pruned,
@@ -150,8 +154,9 @@ pub struct DynSweepPlan {
 /// A complete experiment, declared as data.
 ///
 /// Build one programmatically, or parse it from JSON
-/// ([`Scenario::from_json`]); [`Scenario::run`] executes every declared
-/// stage and returns the [`Report`]. It calls the hand-chained flow's
+/// ([`Scenario::from_json`]); [`Scenario::run`], the one runner, executes
+/// every declared stage and returns the [`Report`] (a scenario without a
+/// `sweep` grid has no sweep stage). It calls the hand-chained flow's
 /// stages — `synthesize` → `realize_on_floorplan` → `Simulator` →
 /// `run_shutdown_scenario` → sharded sweep — except that the `Simulator`
 /// runs on the chosen point's topology beside the floorplan and the
@@ -224,13 +229,6 @@ impl Scenario {
             refine: None,
             dyn_sweep: None,
         }
-    }
-
-    /// Enters the typestate pipeline directly from an already-built spec
-    /// and island assignment:
-    /// `Scenario::for_spec(..).synthesize(..)?.floorplan(..).simulate(..)`.
-    pub fn for_spec(spec: SocSpec, vi: ViAssignment) -> Pipeline<Specified> {
-        Pipeline::new(spec, vi)
     }
 
     /// Resolves the spec source into a validated [`SocSpec`].
@@ -307,21 +305,12 @@ impl Scenario {
     ///
     /// Any stage failure, through the unified [`Error`].
     pub fn run(&self) -> Result<Report, Error> {
-        self.run_stages(true)
-    }
-
-    /// [`Scenario::run`] without the sweep stage (the CLI's `simulate`
-    /// subcommand).
-    pub fn run_without_sweep(&self) -> Result<Report, Error> {
-        self.run_stages(false)
-    }
-
-    fn run_stages(&self, with_sweep: bool) -> Result<Report, Error> {
         let spec = self.resolve_spec()?;
         let vi = self.resolve_partition(&spec)?;
-
-        let synthesized =
-            Scenario::for_spec(spec.clone(), vi.clone()).synthesize(&self.synthesis)?;
+        let space = synthesize(&spec, &vi, &self.synthesis)?;
+        let point = space
+            .min_power_point()
+            .expect("synthesize never returns an empty space");
 
         // The shutdown experiment drives its own simulator; it reuses the
         // scenario's engine parameters when a sim stage is declared.
@@ -341,49 +330,71 @@ impl Scenario {
         // the sim on a second thread while this one realizes the floorplan
         // and then gates the island. Measured power is priced on the
         // realized topology once both are done.
-        let point = &synthesized.chosen_point().topology;
         let ((design, shutdown), stats) = rayon::join(
             || {
-                let design = synthesized.realize(&self.floorplan);
+                let design =
+                    realize_on_floorplan(&spec, &vi, point, &self.floorplan, &self.synthesis);
                 let shutdown = shutdown.map(|(island, plan)| {
-                    shutdown_stage(&spec, &vi, point, &sim_cfg, island, plan)
+                    shutdown_stage(&spec, &vi, &point.topology, &sim_cfg, island, plan)
                 });
                 (design, shutdown)
             },
             || {
-                self.sim
-                    .as_ref()
-                    .map(|plan| run_sim(&spec, point, &plan.config, plan.horizon_ns))
+                self.sim.as_ref().map(|plan| {
+                    Simulator::new(&spec, &point.topology, &plan.config).run_for_ns(plan.horizon_ns)
+                })
             },
         );
         let shutdown = shutdown.transpose()?;
-        let realized = synthesized.with_design(design);
-        let mut report = match self.sim.as_ref().zip(stats) {
-            Some((plan, stats)) => realized
-                .with_sim_stats(&plan.config, plan.horizon_ns, stats)
-                .into_report(&self.name),
-            None => realized.into_report(&self.name),
-        };
-        report.shutdown = shutdown;
-
-        if with_sweep {
-            if let Some(grid_cfg) = &self.sweep {
-                report.frontier = Some(self.run_sweep(&spec, &vi, grid_cfg)?);
-                if self.dyn_sweep.is_some() {
-                    let frontier = report.frontier.as_deref().expect("just set");
-                    report.dyn_sweep = Some(self.run_dyn_sweep(&spec, &vi, frontier)?.table);
-                }
-            } else if self.refine.is_some() {
-                return Err(Error::scenario(
-                    "refine",
-                    "refinement needs a coarse 'sweep' grid to start from",
-                ));
-            } else if self.dyn_sweep.is_some() {
-                return Err(Error::scenario(
-                    "dyn_sweep",
-                    "a dynamic sweep needs a 'sweep' grid whose frontier it sweeps",
-                ));
+        let sim = self.sim.as_ref().zip(stats).map(|(plan, stats)| {
+            let measured = (stats.elapsed_ps > 0).then(|| {
+                measured_power(
+                    &spec,
+                    &design.topology,
+                    &self.synthesis,
+                    &stats,
+                    plan.config.packet_bytes as f64,
+                )
+            });
+            SimReport {
+                horizon_ns: plan.horizon_ns,
+                stats,
+                measured,
             }
+        });
+        let mut report = Report {
+            scenario: self.name.clone(),
+            spec_name: space.spec_name.clone(),
+            island_count: vi.island_count(),
+            explored_points: space.points.len(),
+            point: point.clone(),
+            realized_metrics: design.metrics,
+            infeasible_links: design.infeasible_links.len(),
+            sim,
+            shutdown,
+            frontier: None,
+            dyn_sweep: None,
+        };
+
+        if let Some(coarse) = &self.sweep {
+            let frontier = self.run_sweep(&spec, &vi, coarse)?;
+            if let Some(plan) = &self.dyn_sweep {
+                // Points are regenerated against the full grid the frontier
+                // was swept on: windowing never renumbers chains.
+                let grid_cfg = self.refine.as_ref().map_or(coarse, |r| &r.grid);
+                report.dyn_sweep = Some(self.run_dyn_sweep(&spec, &vi, grid_cfg, plan, &frontier)?);
+            }
+            report.frontier = Some(frontier);
+        } else if self.refine.is_some() {
+            return Err(Error::scenario(
+                "refine",
+                "refinement needs a coarse 'sweep' grid to start from",
+            ));
+        } else if self.dyn_sweep.is_some() {
+            return Err(Error::scenario(
+                "dyn_sweep",
+                "a dynamic sweep needs a 'sweep' grid whose frontier it sweeps",
+            ));
         }
         Ok(report)
     }
@@ -434,27 +445,17 @@ impl Scenario {
         Ok(sweep(&fine))
     }
 
-    /// Runs the scenario's declared dynamic sweep over an emitted frontier
-    /// file. Points are regenerated against the **full** grid the frontier
-    /// was swept on — the fine grid when a [`RefinePlan`] is declared
-    /// (windowing never renumbers chains), the coarse grid otherwise.
+    /// Runs `plan` over an emitted frontier file, whose points are
+    /// regenerated against `grid_cfg`, the full grid the frontier was swept
+    /// on. Returns the result table.
     fn run_dyn_sweep(
         &self,
         spec: &SocSpec,
         vi: &ViAssignment,
+        grid_cfg: &GridConfig,
+        plan: &DynSweepPlan,
         frontier_text: &str,
-    ) -> Result<vi_noc_dynsweep::DynSweepRun, Error> {
-        let plan = self.dyn_sweep.as_ref().expect("checked by the caller");
-        let grid_cfg = match (&self.refine, &self.sweep) {
-            (Some(refine), _) => &refine.grid,
-            (None, Some(coarse)) => coarse,
-            (None, None) => {
-                return Err(Error::scenario(
-                    "dyn_sweep",
-                    "a dynamic sweep needs a 'sweep' grid whose frontier it sweeps",
-                ));
-            }
-        };
+    ) -> Result<String, Error> {
         let parsed = parse_frontier_file(frontier_text)
             .map_err(|e| Error::scenario("dyn_sweep", format!("frontier: {e}")))?;
         let grid = SweepGrid::build(spec, vi, &self.synthesis, grid_cfg);
@@ -492,8 +493,50 @@ impl Scenario {
             partition: &tag,
             frontier: &parsed,
         };
-        run_dynsweep(&input, &axes, plan.mode).map_err(|e| Error::scenario("dyn_sweep", e))
+        run_dynsweep(&input, &axes, plan.mode)
+            .map(|run| run.table)
+            .map_err(|e| Error::scenario("dyn_sweep", e))
     }
+}
+
+/// The shutdown stage's body: gates the resolved `island` on `topology`
+/// as `plan` schedules.
+///
+/// # Errors
+///
+/// The island does not drain within [`DRAIN_POLLS`] × `plan.drain_ns`.
+fn shutdown_stage(
+    spec: &SocSpec,
+    vi: &ViAssignment,
+    topology: &Topology,
+    sim_cfg: &SimConfig,
+    island: usize,
+    plan: &ShutdownPlan,
+) -> Result<ShutdownReport, Error> {
+    let cell = run_dynamic_cell(
+        spec,
+        vi,
+        topology,
+        sim_cfg,
+        0,
+        Some(&ShutdownScenario {
+            island,
+            stop_at_ns: plan.stop_at_ns,
+            drain_ns: plan.drain_ns,
+            post_gate_ns: plan.post_gate_ns,
+        }),
+    );
+    let outcome = cell.gated_outcome().ok_or_else(|| {
+        Error::scenario(
+            "shutdown",
+            format!(
+                "island {island} did not drain within {DRAIN_POLLS}x{} ns, \
+                 so it cannot be gated",
+                plan.drain_ns
+            ),
+        )
+    })?;
+    Ok(ShutdownReport { island, outcome })
 }
 
 #[cfg(test)]

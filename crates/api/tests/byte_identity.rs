@@ -80,32 +80,3 @@ fn scenario_run_matches_the_hand_chained_pipeline_on_d26() {
         "scenario frontier bytes differ from the sweep CLI's"
     );
 }
-
-#[test]
-fn typestate_pipeline_matches_the_hand_chained_stages() {
-    // The programmatic surface must be exactly as exact as the data-driven
-    // one — same stages, same outputs, on a smaller benchmark.
-    let soc = benchmarks::d12_auto();
-    let vi = partition::logical_partition(&soc, 4).unwrap();
-    let cfg = SynthesisConfig::default();
-    let fp_cfg = FloorplanConfig {
-        iterations: 4_000,
-        ..FloorplanConfig::default()
-    };
-    let sim_cfg = SimConfig::default();
-
-    let simulated = Scenario::for_spec(soc.clone(), vi.clone())
-        .synthesize(&cfg)
-        .unwrap()
-        .floorplan(&fp_cfg)
-        .simulate(&sim_cfg, 50_000);
-
-    let space = synthesize(&soc, &vi, &cfg).unwrap();
-    assert_eq!(*simulated.space(), space);
-    let point = space.min_power_point().unwrap();
-    let realized = realize_on_floorplan(&soc, &vi, point, &fp_cfg, &cfg);
-    assert_eq!(simulated.design().metrics, realized.metrics);
-    assert_eq!(simulated.design().topology, realized.topology);
-    let mut sim = Simulator::new(&soc, &realized.topology, &sim_cfg);
-    assert_eq!(*simulated.stats(), sim.run_for_ns(50_000));
-}

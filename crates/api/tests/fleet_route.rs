@@ -3,12 +3,13 @@
 //! path — for the coarse grid, for the windowed refinement stage, and for
 //! every job a long-lived fleet serves.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vi_noc_api::fleet::{job_payload, ScenarioJobResolver};
 use vi_noc_api::{PartitionPlan, RefinePlan, Scenario, SpecSource};
 use vi_noc_fleet::{
-    spawn_local_workers, start_coordinator, FleetConfig, FleetHandle, JobResolver, WorkerOpts,
-    WorkerStats,
+    spawn_local_workers, start_coordinator, FleetConfig, FleetHandle, JobResolver, ResolvedJob,
+    WorkerOpts, WorkerStats,
 };
 use vi_noc_sweep::{
     frontier_json, frontier_seeds, parse_frontier_file, run_deltas, run_shard,
@@ -163,6 +164,53 @@ fn the_same_payload_folds_the_reference_bytes_every_time() {
     let want = direct_frontier(&payload);
     let got = with_fleet(|fleet| [(); 3].map(|()| fleet.submit(&payload).unwrap()));
     assert_eq!(got, [want.clone(), want.clone(), want]);
+}
+
+/// Resolves payloads as scenarios, counting the calls.
+#[derive(Default)]
+struct CountingResolver(AtomicUsize);
+
+impl JobResolver for CountingResolver {
+    fn resolve(&self, payload: &str) -> Result<ResolvedJob, String> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        ScenarioJobResolver.resolve(payload)
+    }
+}
+
+#[test]
+fn a_worker_keeps_only_the_four_most_recently_leased_payloads() {
+    // Five distinct payloads push the first out of a worker's cache, so
+    // serving it again resolves it again. Each job still folds its own
+    // bytes: eviction only drops the acked keys the skip would have used.
+    let payloads: Vec<String> = (0..5)
+        .map(|max_intermediate| {
+            let mut s = base_scenario();
+            s.sweep = Some(GridConfig {
+                max_boost: 0,
+                freq_scales: vec![1.0],
+                max_intermediate,
+            });
+            job_payload(&s, None)
+        })
+        .collect();
+    let counter = Arc::new(CountingResolver::default());
+    let resolver: Arc<dyn JobResolver> = Arc::clone(&counter) as _;
+    let handle = start_coordinator(
+        "127.0.0.1:0",
+        Arc::new(ScenarioJobResolver),
+        FleetConfig::default(),
+    )
+    .unwrap();
+    let pool = spawn_local_workers(handle.addr(), resolver, 1, WorkerOpts::default());
+    for i in [0, 1, 2, 3, 4, 0] {
+        let got = handle.submit(&payloads[i]).unwrap();
+        assert_eq!(got, direct_frontier(&payloads[i]), "payload {i}");
+    }
+    handle.shutdown();
+    for worker in pool {
+        worker.join().unwrap().unwrap();
+    }
+    assert_eq!(counter.0.load(Ordering::Relaxed), 6);
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! The core property: `Scenario::from_json(s.to_json()) == s` exactly, for
 //! random synthetic SoCs and stage configurations — emission writes every
 //! field in storage units with shortest-round-trip numbers, so nothing is
-//! lost. Plus error-path coverage for the serde-free JSON parser the
-//! ingestion is built on (truncated input, duplicate keys, non-finite
-//! numbers).
+//! lost. A second property runs what ingestion accepts: `Scenario::run`
+//! returns a report or an error, never a panic. Plus error-path coverage
+//! for the serde-free JSON parser the ingestion is built on (truncated
+//! input, duplicate keys, non-finite numbers).
 
 use proptest::prelude::*;
 use vi_noc_api::{
@@ -234,6 +235,46 @@ proptest! {
         if cut < json.len() - 2 {
             prop_assert!(Scenario::from_json(&json[..cut]).is_err(), "cut at {cut}");
         }
+    }
+}
+
+/// `s` with the annealing and every simulated horizon cut short (sim
+/// ≤ 4 µs, shutdown and dynamic-sweep schedules ≤ 2 µs), so a generated
+/// case runs in milliseconds even in a debug build.
+fn cut_short(mut s: Scenario) -> Scenario {
+    s.floorplan.iterations = s.floorplan.iterations.min(2_000);
+    if let Some(plan) = &mut s.sim {
+        plan.horizon_ns = plan.horizon_ns.min(4_000);
+    }
+    let clamp = |p: &mut ShutdownPlan| {
+        p.stop_at_ns = p.stop_at_ns.min(2_000);
+        p.drain_ns = p.drain_ns.min(2_000);
+        p.post_gate_ns = p.post_gate_ns.min(2_000);
+    };
+    if let Some(plan) = &mut s.shutdown {
+        clamp(plan);
+    }
+    if let Some(plan) = &mut s.dyn_sweep {
+        plan.horizon_ns = plan.horizon_ns.min(2_000);
+        plan.schedules.iter_mut().flatten().for_each(clamp);
+    }
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A scenario that passes ingestion never panics further down: every
+    /// stage either produces its part of the report or fails with an
+    /// `Err` (an unresolvable island, an undrained island, an empty
+    /// refinement window, ...).
+    #[test]
+    fn an_ingested_scenario_runs_to_a_report_or_an_error(scenario in arb_scenario()) {
+        let json = cut_short(scenario).to_json();
+        let ingested = Scenario::from_json(&json)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{json}")))?;
+        let run = std::panic::catch_unwind(|| ingested.run().map(|_| ()));
+        prop_assert!(run.is_ok(), "Scenario::run panicked on\n{json}");
     }
 }
 

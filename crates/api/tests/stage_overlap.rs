@@ -95,11 +95,19 @@ fn an_out_of_range_shutdown_island_fails_with_the_same_message() {
 }
 
 #[test]
-fn run_without_sweep_is_run_without_the_frontier() {
-    let scenario =
-        Scenario::from_json(include_str!("../../../scenarios/d26_baseline.json")).unwrap();
-    let mut expected = scenario.run().unwrap();
-    assert!(expected.frontier.is_some(), "the baseline declares a sweep");
-    expected.frontier = None;
-    assert_eq!(scenario.run_without_sweep().unwrap(), expected);
+fn a_zero_horizon_sim_stage_prices_no_measured_power() {
+    // An empty horizon delivers nothing, so there is no activity to price:
+    // the report carries no measured power, and its JSON no member for it.
+    let text = r#"{"name":"empty","spec":{"benchmark":"d12"},
+        "partition":{"kind":"logical","islands":2},
+        "floorplan":{"iterations":2000},
+        "sim":{"horizon_ns":0}}"#;
+    let report = Scenario::from_json(text).unwrap().run().unwrap();
+    let sim = report
+        .sim
+        .as_ref()
+        .expect("the scenario declares a sim stage");
+    assert_eq!(sim.stats.total_delivered_packets(), 0);
+    assert!(sim.measured.is_none());
+    assert!(!report.to_json().contains("measured_power_mw"));
 }

@@ -22,12 +22,18 @@
 //! same frontier, and the counters of a delta are sent whole. Because the
 //! argument is about the whole grid, not one job, the fold lives as long
 //! as the cached payload and serves every job submitted with it.
+//!
+//! A worker caches the `CACHED_JOBS` (4) most recently leased payloads and
+//! evicts the least recently leased one, so a long-lived worker that
+//! serves many scenarios stays bounded. Eviction is exact: resolution is a
+//! pure function of the payload (the [`JobResolver`] contract), and an
+//! evicted fold only makes later deltas of that payload skip fewer
+//! entries.
 
 use crate::lease::{JobResolver, ResolvedJob};
 use crate::protocol::{
     grid_fingerprint, parse_message, write_delta, write_message, Delta, Lease, Message, Role,
 };
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -35,6 +41,10 @@ use std::thread;
 use std::time::Duration;
 use vi_noc_core::ParetoFold;
 use vi_noc_sweep::{run_deltas, ChainRange, RangeDelta};
+
+/// How many resolved payloads a worker keeps. A lease of another payload
+/// evicts the least recently leased one.
+const CACHED_JOBS: usize = 4;
 
 /// Knobs of a worker process.
 #[derive(Debug, Clone, Default)]
@@ -140,7 +150,7 @@ pub fn run_worker(
 ) -> Result<WorkerStats, String> {
     let mut conn = Connection::open(addr)?;
     conn.send(&Message::Hello(Role::Work))?;
-    let mut jobs: HashMap<String, CachedJob> = HashMap::new();
+    let mut jobs: Vec<CachedJob> = Vec::with_capacity(CACHED_JOBS);
     let mut stats = WorkerStats::default();
     loop {
         let request = conn.send(&Message::Request).and_then(|()| conn.recv());
@@ -160,9 +170,10 @@ pub fn run_worker(
     }
 }
 
-/// A job payload resolved once, kept for every later lease of the same
-/// payload.
+/// A job payload resolved once, kept for later leases of the same
+/// payload while it is among the [`CACHED_JOBS`] most recently leased.
 struct CachedJob {
+    payload: String,
     job: ResolvedJob,
     /// Keys of the entries the coordinator has acked from this worker for
     /// this payload: an entry one of them dominates is not sent.
@@ -174,7 +185,7 @@ fn evaluate_lease(
     lease: Lease,
     resolver: &dyn JobResolver,
     opts: &WorkerOpts,
-    jobs: &mut HashMap<String, CachedJob>,
+    jobs: &mut Vec<CachedJob>,
     stats: &mut WorkerStats,
 ) -> Result<(), String> {
     // Resolve (and cache) the payload, then prove we agree with the
@@ -182,7 +193,10 @@ fn evaluate_lease(
     // refusing fails the job fast instead of folding foreign entries. The
     // cache is keyed by the payload itself: the grid fingerprint does not
     // cover every input of a sweep (synthesis parameters, an inline spec).
-    if !jobs.contains_key(&lease.job) {
+    // It is ordered from least to most recently leased.
+    if let Some(i) = jobs.iter().position(|c| c.payload == lease.job) {
+        jobs[i..].rotate_left(1);
+    } else {
         match resolver.resolve(&lease.job) {
             Ok(mut job) => {
                 // Chains run one after another inside a worker, because a
@@ -200,8 +214,14 @@ fn evaluate_lease(
                     })?;
                     return Ok(());
                 }
-                let acked = ParetoFold::new();
-                jobs.insert(lease.job.clone(), CachedJob { job, acked });
+                if jobs.len() == CACHED_JOBS {
+                    jobs.remove(0);
+                }
+                jobs.push(CachedJob {
+                    payload: lease.job.clone(),
+                    job,
+                    acked: ParetoFold::new(),
+                });
             }
             Err(e) => {
                 conn.send(&Message::Refuse {
@@ -212,7 +232,7 @@ fn evaluate_lease(
             }
         }
     }
-    let CachedJob { job, acked } = jobs.get_mut(&lease.job).expect("resolved above");
+    let CachedJob { job, acked, .. } = jobs.last_mut().expect("cached above");
     let range = match ChainRange::new(lease.start, lease.end) {
         Ok(r) => r,
         Err(e) => {

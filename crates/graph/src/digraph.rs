@@ -111,15 +111,6 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[node.index()].payload
     }
 
-    /// Mutably borrows the payload of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node_mut(&mut self, node: NodeId) -> &mut N {
-        &mut self.nodes[node.index()].payload
-    }
-
     /// Borrows the payload of `edge`.
     ///
     /// # Panics
@@ -127,15 +118,6 @@ impl<N, E> DiGraph<N, E> {
     /// Panics if `edge` is out of range.
     pub fn edge(&self, edge: EdgeId) -> &E {
         &self.edges[edge.index()].payload
-    }
-
-    /// Mutably borrows the payload of `edge`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is out of range.
-    pub fn edge_mut(&mut self, edge: EdgeId) -> &mut E {
-        &mut self.edges[edge.index()].payload
     }
 
     /// Returns the `(source, destination)` pair of `edge`.
@@ -156,11 +138,6 @@ impl<N, E> DiGraph<N, E> {
     /// Returns the destination node of `edge`.
     pub fn target(&self, edge: EdgeId) -> NodeId {
         self.edges[edge.index()].dst
-    }
-
-    /// Iterates over all node ids in insertion order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::from_index)
     }
 
     /// Iterates over all edge ids in insertion order.
@@ -194,16 +171,6 @@ impl<N, E> DiGraph<N, E> {
     /// Iterates over predecessor nodes of `node` (one entry per in-edge).
     pub fn predecessors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.in_edges(node).map(move |e| self.source(e))
-    }
-
-    /// Out-degree of `node`.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].out.len()
-    }
-
-    /// In-degree of `node`.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].inc.len()
     }
 
     /// Returns the first edge `src -> dst` if one exists.
@@ -249,20 +216,15 @@ mod tests {
 
     #[test]
     fn payloads_are_addressable_and_mutable() {
-        let (mut g, [a, _, _]) = triangle();
+        let (g, [a, _, _]) = triangle();
         assert_eq!(*g.node(a), 0);
-        *g.node_mut(a) = 99;
-        assert_eq!(*g.node(a), 99);
         let e = g.find_edge(a, NodeId::from_index(1)).unwrap();
-        *g.edge_mut(e) += 0.5;
-        assert_eq!(*g.edge(e), 1.5);
+        assert_eq!(*g.edge(e), 1.0);
     }
 
     #[test]
     fn adjacency_is_consistent() {
         let (g, [a, b, c]) = triangle();
-        assert_eq!(g.out_degree(a), 1);
-        assert_eq!(g.in_degree(a), 1);
         assert_eq!(g.successors(a).collect::<Vec<_>>(), vec![b]);
         assert_eq!(g.predecessors(a).collect::<Vec<_>>(), vec![c]);
         let e = g.find_edge(b, c).unwrap();
@@ -285,7 +247,6 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, 1);
         g.add_edge(a, b, 2);
-        assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.edge_count(), 2);
     }
 
@@ -300,7 +261,6 @@ mod tests {
     #[test]
     fn iterators_cover_all_ids() {
         let (g, _) = triangle();
-        assert_eq!(g.node_ids().count(), 3);
         assert_eq!(g.edge_ids().count(), 3);
     }
 }

@@ -47,20 +47,14 @@ mod kway;
 mod mincut;
 mod partition;
 mod sym;
-mod traversal;
-mod unionfind;
 
 pub use bellman_ford::bellman_ford;
-pub use bisect::{bisect, BisectConfig};
-pub use coarsen::{coarsen, CoarseGraph};
 pub use digraph::DiGraph;
 pub use dijkstra::{
     dijkstra, dijkstra_filtered, dijkstra_filtered_scratch, SearchScratch, ShortestPathTree,
 };
 pub use ids::{EdgeId, NodeId};
-pub use kway::{greedy_agglomerative, partition_kway, PartitionConfig};
+pub use kway::{partition_kway, PartitionConfig};
 pub use mincut::stoer_wagner;
 pub use partition::Partition;
 pub use sym::SymGraph;
-pub use traversal::{bfs_order, connected_components, dfs_order, is_connected, reachable_from};
-pub use unionfind::UnionFind;

@@ -127,16 +127,6 @@ impl SymGraph {
         self.vwt[u]
     }
 
-    /// Replaces the vertex weight of `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not strictly positive.
-    pub fn set_vertex_weight(&mut self, u: usize, w: f64) {
-        assert!(w > 0.0, "vertex weight must be positive");
-        self.vwt[u] = w;
-    }
-
     /// Sum of all vertex weights.
     pub fn total_vertex_weight(&self) -> f64 {
         self.vwt.iter().sum()
@@ -197,10 +187,8 @@ mod tests {
 
     #[test]
     fn custom_vertex_weights() {
-        let mut g = SymGraph::with_vertex_weights(vec![1.0, 2.0, 3.0]);
+        let g = SymGraph::with_vertex_weights(vec![1.0, 2.0, 3.0]);
         assert_eq!(g.total_vertex_weight(), 6.0);
-        g.set_vertex_weight(0, 5.0);
-        assert_eq!(g.total_vertex_weight(), 10.0);
     }
 
     #[test]

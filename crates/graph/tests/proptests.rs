@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use vi_noc_graph::{
-    bellman_ford, connected_components, dijkstra, partition_kway, stoer_wagner, DiGraph, NodeId,
-    PartitionConfig, SymGraph,
+    bellman_ford, dijkstra, partition_kway, stoer_wagner, DiGraph, NodeId, PartitionConfig,
+    SymGraph,
 };
 
 /// Strategy: a random directed graph as (n, edges) with n in 2..=12 and
@@ -131,18 +131,5 @@ proptest! {
             "reported {cut} vs recomputed {recomputed}");
         prop_assert!(side.iter().any(|&s| s));
         prop_assert!(side.iter().any(|&s| !s));
-    }
-
-    /// Components partition the vertex set and are closed under adjacency.
-    #[test]
-    fn components_are_closed((n, edges) in arb_digraph()) {
-        let g = build_digraph(n, &edges);
-        let (comp, count) = connected_components(&g);
-        prop_assert!(count >= 1);
-        prop_assert!(comp.iter().all(|&c| c < count));
-        for e in g.edge_ids() {
-            let (u, v) = g.endpoints(e);
-            prop_assert_eq!(comp[u.index()], comp[v.index()]);
-        }
     }
 }

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! vi-noc run      SCENARIO.json [--out report.json] [--frontier-out FILE]
-//! vi-noc simulate SCENARIO.json [--out report.json]
 //! vi-noc report   REPORT.json
 //! vi-noc sweep    run|merge|info ...
 //! vi-noc fleet    serve|work|run ...

@@ -13,10 +13,12 @@
 //! complete experiment — spec, partition, synthesis, floorplan,
 //! simulation, shutdown schedule, sweep grid — as one data value (or one
 //! JSON file), [`Scenario::run`] executes it, and [`Report`] carries the
-//! results. [`Scenario::for_spec`] opens the equivalent typestate builder
-//! (`.synthesize(..)?.floorplan(..).simulate(..)`), and every stage fails
-//! through the one workspace-wide [`Error`]. The `vi-noc` binary
-//! (`src/bin/vi-noc.rs`) drives the same API from the command line.
+//! results; every stage fails through the one workspace-wide [`Error`].
+//! A caller that wants one stage at a time chains the stage functions
+//! `Scenario::run` calls ([`synth::synthesize`],
+//! [`synth::realize_on_floorplan`], [`sim::Simulator`]) itself, as the
+//! examples do. The `vi-noc` binary (`src/bin/vi-noc.rs`) drives the same
+//! API from the command line.
 //!
 //! The sub-crates remain re-exported under short module names:
 //!
@@ -57,6 +59,6 @@ pub use vi_noc_soc as soc;
 pub use vi_noc_sweep as sweep;
 
 pub use vi_noc_api::{
-    benchmark_by_name, Error, IslandChoice, PartitionPlan, Pipeline, Report, Scenario,
-    ShutdownPlan, ShutdownReport, SimPlan, SimReport, SpecSource,
+    benchmark_by_name, Error, IslandChoice, PartitionPlan, Report, Scenario, ShutdownPlan,
+    ShutdownReport, SimPlan, SimReport, SpecSource,
 };
