@@ -3,36 +3,31 @@
 //! ```text
 //! vi-noc run      SCENARIO.json [--out FILE] [--frontier-out FILE]
 //! vi-noc report   REPORT.json
-//! vi-noc sweep    run|merge|info ...
+//! vi-noc sweep    run|refine|merge|info ...
 //! vi-noc fleet    serve|work|run ...
-//! vi-noc dynsweep run --scenario FILE [--out FILE]
 //! ```
 //!
 //! `run` executes every stage a scenario declares and writes the report
 //! JSON (a scenario without a `sweep` member has no sweep stage); `report`
-//! pretty-prints a report file; `sweep` is the sharded design-space
-//! workflow (one shard per process), extended with `--scenario` (grid +
-//! configs from a scenario file), `--resume` and `--checkpoint-every`
-//! (preemptible shards); `fleet` is the elastic alternative to static
-//! shards — a coordinator leases chain ranges to workers that can join,
-//! die, and be replaced mid-sweep, with the frontier folded
-//! byte-identically to `sweep run --frontier`; `dynsweep run` runs a
-//! scenario's dynamic simulation sweep, which simulates every cell, and
-//! writes the result table.
+//! pretty-prints a report file; `sweep` is the sharded workflow over a
+//! scenario's sweep grid (one shard per process, `--resume` and
+//! `--checkpoint-every` for preemptible shards), whose `refine` windows the
+//! scenario's refinement grid exactly as `run` does; `fleet` is the elastic
+//! alternative to static shards — a coordinator leases chain ranges to
+//! workers that can join, die, and be replaced mid-sweep, with the frontier
+//! folded byte-identically to `sweep run --frontier`.
 
 use crate::error::Error;
 use crate::fleet::{job_payload, ScenarioJobResolver};
 use crate::report::REPORT_FORMAT;
-use crate::scenario::{benchmark_by_name, PartitionPlan, Scenario};
+use crate::scenario::Scenario;
 use std::time::Instant;
-use vi_noc_core::{json, SynthesisConfig};
-use vi_noc_dynsweep::parse_table;
+use vi_noc_core::json;
 use vi_noc_fleet::FleetConfig;
-use vi_noc_soc::{partition, SocSpec, ViAssignment};
+use vi_noc_soc::{SocSpec, ViAssignment};
 use vi_noc_sweep::{
-    frontier_json, frontier_seeds, merge_checkpoints, parse_frontier_file, parse_shard_checkpoint,
-    run_deltas, shard_checkpoint_json, validate_frontier_source, windows_from_frontier, GridConfig,
-    GridDescriptor, RangeDelta, RefineParams, Shard, ShardProgress, SweepGrid,
+    frontier_json, merge_checkpoints, parse_shard_checkpoint, run_deltas, shard_checkpoint_json,
+    GridDescriptor, RangeDelta, Shard, ShardProgress, SweepGrid,
 };
 
 /// Top-level usage text of the `vi-noc` binary.
@@ -40,24 +35,20 @@ pub const USAGE: &str = "\
 usage:
   vi-noc run      SCENARIO.json [--out FILE] [--frontier-out FILE]
   vi-noc report   REPORT.json
-  vi-noc sweep    run|merge|info ...   (see `vi-noc sweep` for details)
-  vi-noc fleet    serve|work|run ...   (see `vi-noc fleet` for details)
-  vi-noc dynsweep run ...              (see `vi-noc dynsweep` for details)";
+  vi-noc sweep    run|refine|merge|info ...   (see `vi-noc sweep` for details)
+  vi-noc fleet    serve|work|run ...          (see `vi-noc fleet` for details)";
 
-/// Usage text of the `sweep` subcommand.
+/// Usage text of the `sweep` subcommand. The scenario names the grid:
+/// `run` sweeps its `sweep` member (pruned when it sets `sweep_prune`),
+/// `refine` its `refine` member around a coarse frontier.
 pub const SWEEP_USAGE: &str = "\
 usage:
-  sweep run    --spec <d12|d16|d20|d26|d36> --islands K [--partition logical|comm]
-               [--comm-seed S] [--max-boost B] [--scales 1.0,1.15] [--max-mid M]
-               | --scenario FILE
-               [--prune] [--shard I/N] [--seq] [--frontier] [--resume]
+  sweep run    --scenario FILE [--shard I/N] [--frontier] [--resume]
                [--checkpoint-every C] --out FILE
-  sweep refine --frontier-in COARSE.json (--spec ... --islands K | --scenario FILE)
-               [fine grid flags as in run] [--boost-radius B] [--base-radius R]
-               [--scale-window W] [--prune] [--shard I/N] [--seq] [--frontier]
+  sweep refine --scenario FILE --frontier-in COARSE.json [--shard I/N] [--frontier]
                [--resume] [--checkpoint-every C] --out FILE
   sweep merge  SHARD.json... --out FILE
-  sweep info   (--spec ... --islands K [grid flags] | --scenario FILE)";
+  sweep info   --scenario FILE";
 
 /// Usage text of the `fleet` subcommand.
 pub const FLEET_USAGE: &str = "\
@@ -70,19 +61,12 @@ usage:
               [--lease-chunk N] [--lease-timeout-ms T] [--checkpoint-every C]
               [--verbose]";
 
-/// Usage text of the `dynsweep` subcommand. `run` simulates every cell
-/// of the scenario's declared dynamic sweep and writes the table.
-pub const DYNSWEEP_USAGE: &str = "\
-usage:
-  dynsweep run --scenario FILE [--out FILE]";
-
 /// The usage text to print after a failed `args`: the subcommand's own
-/// for `sweep`, `fleet` and `dynsweep`, [`USAGE`] otherwise.
+/// for `sweep` and `fleet`, [`USAGE`] otherwise.
 pub fn usage(args: &[String]) -> &'static str {
     match args.first().map(String::as_str) {
         Some("sweep") => SWEEP_USAGE,
         Some("fleet") => FLEET_USAGE,
-        Some("dynsweep") => DYNSWEEP_USAGE,
         _ => USAGE,
     }
 }
@@ -98,7 +82,6 @@ pub fn vi_noc_cli(args: &[String]) -> Result<(), String> {
         Some("report") => cmd_report(&args[1..]),
         Some("sweep") => sweep_cli(&args[1..]),
         Some("fleet") => fleet_cli(&args[1..]),
-        Some("dynsweep") => dynsweep_cli(&args[1..]),
         Some(other) => Err(format!("unknown command '{other}'")),
         None => Err("missing command".to_string()),
     }
@@ -164,17 +147,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let path = scenario_path.ok_or("a scenario file is required")?;
     let scenario = Scenario::from_json(&read_file(&path)?)?;
+    if frontier_out.is_some() && scenario.sweep.is_none() {
+        return Err("--frontier-out requires the scenario to declare a sweep grid".to_string());
+    }
     eprintln!("vi-noc: running scenario '{}' from {path}", scenario.name);
     let start = Instant::now();
     let report = scenario.run()?;
     eprintln!("vi-noc: done in {:.2?}", start.elapsed());
     eprint!("{}", report.summary());
-    if let Some(fpath) = frontier_out {
-        let frontier = report
-            .frontier
-            .as_ref()
-            .ok_or("--frontier-out requires the scenario to declare a sweep grid")?;
-        write_out(Some(&fpath), frontier)?;
+    if let (Some(fpath), Some(frontier)) = (&frontier_out, &report.frontier) {
+        write_out(Some(fpath), frontier)?;
     }
     write_out(out.as_deref(), &report.to_json())
 }
@@ -246,11 +228,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 // --- sweep ---------------------------------------------------------------
 
 /// Entry point of the `sweep` subcommand.
-///
-/// # Errors
-///
-/// A printable message; the binary appends [`SWEEP_USAGE`].
-pub fn sweep_cli(args: &[String]) -> Result<(), String> {
+fn sweep_cli(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("run") => sweep_run(&args[1..]),
         Some("refine") => sweep_refine(&args[1..]),
@@ -261,32 +239,27 @@ pub fn sweep_cli(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Options shared by `sweep run` and `sweep info`.
+/// Options shared by `sweep run`, `sweep refine` and `sweep info`: the
+/// scenario names the grid, the flags say how to run it.
 #[derive(Debug)]
 struct SweepOpts {
+    scenario: Scenario,
     spec: SocSpec,
     vi: ViAssignment,
-    partition_tag: String,
-    grid_cfg: GridConfig,
-    cfg: SynthesisConfig,
+    frontier_in: Option<String>,
     shard: Shard,
-    prune: bool,
     frontier: bool,
     resume: bool,
     checkpoint_every: Option<u64>,
     out: Option<String>,
 }
 
-fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
+/// Parses the `sweep` flags; `refine` also takes (and requires)
+/// `--frontier-in`.
+fn parse_sweep_opts(args: &[String], refine: bool) -> Result<SweepOpts, String> {
     let mut scenario_path: Option<String> = None;
-    let mut spec_name: Option<String> = None;
-    let mut islands: Option<usize> = None;
-    let mut partition_kind: Option<String> = None;
-    let mut comm_seed: Option<u64> = None;
-    let mut grid_flags: Vec<(String, String)> = Vec::new();
-    let mut seq = false;
+    let mut frontier_in: Option<String> = None;
     let mut shard = Shard::full();
-    let mut prune = false;
     let mut frontier = false;
     let mut resume = false;
     let mut checkpoint_every: Option<u64> = None;
@@ -299,28 +272,8 @@ fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
         };
         match arg.as_str() {
             "--scenario" => scenario_path = Some(value("--scenario")?.clone()),
-            "--spec" => spec_name = Some(value("--spec")?.clone()),
-            "--islands" => {
-                islands = Some(
-                    value("--islands")?
-                        .parse()
-                        .map_err(|_| "bad --islands value")?,
-                )
-            }
-            "--partition" => partition_kind = Some(value("--partition")?.clone()),
-            "--comm-seed" => {
-                comm_seed = Some(
-                    value("--comm-seed")?
-                        .parse()
-                        .map_err(|_| "bad --comm-seed value")?,
-                )
-            }
-            "--max-boost" | "--scales" | "--max-mid" => {
-                grid_flags.push((arg.clone(), value(arg)?.clone()))
-            }
+            "--frontier-in" if refine => frontier_in = Some(value("--frontier-in")?.clone()),
             "--shard" => shard = Shard::parse(value("--shard")?)?,
-            "--prune" => prune = true,
-            "--seq" => seq = true,
             "--frontier" => frontier = true,
             "--resume" => resume = true,
             "--checkpoint-every" => {
@@ -335,93 +288,8 @@ fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
         }
     }
 
-    let (spec, vi, partition_tag, mut grid_cfg, mut cfg) = if let Some(path) = scenario_path {
-        // The scenario owns spec and partition; silently ignoring these
-        // flags would run a different grid than the user asked for.
-        if spec_name.is_some()
-            || islands.is_some()
-            || partition_kind.is_some()
-            || comm_seed.is_some()
-        {
-            return Err(
-                "--scenario and --spec/--islands/--partition/--comm-seed are mutually exclusive"
-                    .to_string(),
-            );
-        }
-        let scenario = Scenario::from_json(&read_file(&path)?)?;
-        let spec = scenario.resolve_spec()?;
-        let vi = scenario.resolve_partition(&spec)?;
-        let grid = scenario
-            .sweep
-            .clone()
-            .ok_or_else(|| format!("scenario '{}' declares no sweep grid", scenario.name))?;
-        // The scenario may opt into pruning for every process of the sweep.
-        prune |= scenario.sweep_prune;
-        (
-            spec,
-            vi,
-            scenario.partition.tag(),
-            grid,
-            scenario.synthesis.clone(),
-        )
-    } else {
-        let spec_name = spec_name.ok_or("--spec (or --scenario) is required")?;
-        let spec =
-            benchmark_by_name(&spec_name).ok_or_else(|| format!("unknown spec '{spec_name}'"))?;
-        let k = islands.ok_or("--islands is required")?;
-        let seed = comm_seed.unwrap_or(1);
-        let (vi, tag) = match partition_kind.as_deref().unwrap_or("logical") {
-            "logical" => (
-                partition::logical_partition(&spec, k).map_err(|e| e.to_string())?,
-                PartitionPlan::Logical { islands: k }.tag(),
-            ),
-            "comm" => (
-                partition::communication_partition(&spec, k, seed).map_err(|e| e.to_string())?,
-                PartitionPlan::Communication { islands: k, seed }.tag(),
-            ),
-            other => return Err(format!("unknown partition '{other}'")),
-        };
-        (
-            spec,
-            vi,
-            tag,
-            GridConfig::default(),
-            SynthesisConfig::default(),
-        )
-    };
-
-    // Grid flags refine the base grid (scenario-provided or default).
-    for (flag, value) in grid_flags {
-        match flag.as_str() {
-            "--max-boost" => {
-                grid_cfg.max_boost = value.parse().map_err(|_| "bad --max-boost value")?
-            }
-            "--scales" => {
-                grid_cfg.freq_scales = value
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad scale '{s}'"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--max-mid" => {
-                grid_cfg.max_intermediate = value.parse().map_err(|_| "bad --max-mid value")?
-            }
-            _ => unreachable!("only grid flags collected"),
-        }
-    }
-    if seq {
-        cfg.parallel = false;
-    }
-    if grid_cfg.freq_scales.is_empty()
-        || grid_cfg
-            .freq_scales
-            .iter()
-            .any(|&s| !s.is_finite() || s < 1.0)
-    {
-        return Err("--scales must be a non-empty list of factors >= 1.0".to_string());
+    if refine && frontier_in.is_none() {
+        return Err("--frontier-in COARSE.json is required".to_string());
     }
     if frontier && shard != Shard::full() {
         return Err("--frontier requires the unsharded run (--shard 0/1)".to_string());
@@ -435,14 +303,15 @@ fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
     if checkpoint_every.is_some() && out.as_deref().is_none_or(|o| o == "-") {
         return Err("--checkpoint-every needs --out FILE".to_string());
     }
+    let scenario = sweep_scenario(scenario_path)?;
+    let spec = scenario.resolve_spec()?;
+    let vi = scenario.resolve_partition(&spec)?;
     Ok(SweepOpts {
+        scenario,
         spec,
         vi,
-        partition_tag,
-        grid_cfg,
-        cfg,
+        frontier_in,
         shard,
-        prune,
         frontier,
         resume,
         checkpoint_every,
@@ -450,83 +319,65 @@ fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
     })
 }
 
-fn sweep_run(args: &[String]) -> Result<(), String> {
-    let opts = parse_sweep_opts(args)?;
-    let grid = SweepGrid::build(&opts.spec, &opts.vi, &opts.cfg, &opts.grid_cfg);
-    drive_sweep(&opts, &grid)
-}
-
-/// Builds the refinement windows of the requested fine grid around a
-/// merged coarse frontier, then sweeps the windowed grid exactly like
-/// `sweep run` (same sharding, pruning, resume and emission flags).
-fn sweep_refine(args: &[String]) -> Result<(), String> {
-    // The refine-specific flags are peeled off here; everything else is the
-    // `sweep run` surface, fine-grid flags included.
-    let mut frontier_in: Option<String> = None;
-    let mut params = RefineParams::default();
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--frontier-in" => frontier_in = Some(value("--frontier-in")?.clone()),
-            "--boost-radius" => {
-                params.boost_radius = value("--boost-radius")?
-                    .parse()
-                    .map_err(|_| "bad --boost-radius value")?
-            }
-            "--base-radius" => {
-                params.base_radius = value("--base-radius")?
-                    .parse()
-                    .map_err(|_| "bad --base-radius value")?
-            }
-            "--scale-window" => {
-                let w: f64 = value("--scale-window")?
-                    .parse()
-                    .map_err(|_| "bad --scale-window value")?;
-                if !w.is_finite() || w < 0.0 {
-                    return Err("--scale-window must be a finite factor >= 0".to_string());
-                }
-                params.scale_window = w;
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    let opts = parse_sweep_opts(&rest)?;
-    let path = frontier_in.ok_or("--frontier-in COARSE.json is required")?;
-    let parsed = parse_frontier_file(&read_file(&path)?).map_err(|e| format!("{path}: {e}"))?;
-    // Refining a frontier of a different spec, partition or seed would
-    // window the fine grid around points of a different design space.
-    validate_frontier_source(
-        &parsed,
-        opts.spec.name(),
-        &opts.partition_tag,
-        opts.cfg.seed,
-    )
-    .map_err(|e| format!("{path}: {e}"))?;
-    let seeds = frontier_seeds(&parsed).map_err(|e| format!("{path}: {e}"))?;
-    let windows = windows_from_frontier(&seeds, &opts.grid_cfg, &params);
-    if windows.is_empty() {
+/// Loads the scenario behind `--scenario` and checks it declares a sweep
+/// grid, the one thing `sweep` and `fleet` run.
+fn sweep_scenario(path: Option<String>) -> Result<Scenario, String> {
+    let path = path.ok_or("--scenario FILE is required")?;
+    let scenario = Scenario::from_json(&read_file(&path)?)?;
+    if scenario.sweep.is_none() {
         return Err(format!(
-            "{path}: no refinement window covers the fine grid (empty frontier, or every \
-             surviving scale is outside --scale-window)"
+            "scenario '{}' declares no sweep grid",
+            scenario.name
         ));
     }
+    Ok(scenario)
+}
+
+/// The scenario's coarse grid.
+fn coarse_grid(opts: &SweepOpts) -> SweepGrid {
+    let grid_cfg = opts
+        .scenario
+        .sweep
+        .as_ref()
+        .expect("checked by sweep_scenario");
+    SweepGrid::build(&opts.spec, &opts.vi, &opts.scenario.synthesis, grid_cfg)
+}
+
+fn sweep_run(args: &[String]) -> Result<(), String> {
+    let opts = parse_sweep_opts(args, false)?;
+    drive_sweep(&opts, &coarse_grid(&opts))
+}
+
+/// Sweeps the scenario's refinement grid, windowed around the survivors of
+/// the `--frontier-in` coarse frontier exactly as [`Scenario::run`] windows
+/// it, with the same sharding, resume and emission flags as `sweep run`.
+fn sweep_refine(args: &[String]) -> Result<(), String> {
+    let opts = parse_sweep_opts(args, true)?;
+    let scenario = &opts.scenario;
+    let Some(plan) = &scenario.refine else {
+        return Err(format!(
+            "scenario '{}' declares no refine stage",
+            scenario.name
+        ));
+    };
+    let path = opts.frontier_in.as_deref().expect("required by refine");
+    let grid = scenario
+        .refine_grid(&opts.spec, &opts.vi, plan, &read_file(path)?)
+        .map_err(|e| format!("{path}: {e}"))?;
     eprintln!(
-        "sweep refine: {} window(s) around {} surviving point(s) of {path}",
-        windows.len(),
-        seeds.len()
+        "sweep refine: {} window(s) around the survivors of {path}",
+        grid.windows().len()
     );
-    let grid = SweepGrid::build_windowed(&opts.spec, &opts.vi, &opts.cfg, &opts.grid_cfg, windows);
     drive_sweep(&opts, &grid)
 }
 
 /// The shared shard driver of `sweep run` and `sweep refine`: resume,
 /// periodic checkpoints, optional pruning, final emission.
 fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
-    let desc = GridDescriptor::for_grid(grid, opts.spec.name(), &opts.partition_tag, opts.cfg.seed);
+    let (spec, vi, cfg) = (&opts.spec, &opts.vi, &opts.scenario.synthesis);
+    let prune = opts.scenario.sweep_prune;
+    let desc =
+        GridDescriptor::for_grid(grid, spec.name(), &opts.scenario.partition.tag(), cfg.seed);
     eprintln!(
         "sweep run: {} ({}), grid {} chains / {} candidates, shard {}{}",
         desc.spec_name,
@@ -534,7 +385,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
         grid.num_active_chains(),
         grid.num_candidates(),
         opts.shard,
-        if opts.prune { ", slack pruning on" } else { "" }
+        if prune { ", slack pruning on" } else { "" }
     );
 
     // Restore a previous (possibly partial) checkpoint when resuming.
@@ -589,8 +440,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
     };
     let ids = opts.shard.chain_ids(grid.num_chains());
     let every = opts.checkpoint_every.unwrap_or(u64::MAX);
-    let (spec, vi, cfg) = (&opts.spec, &opts.vi, &opts.cfg);
-    run_deltas(spec, vi, grid, cfg, ids, from, every, opts.prune, &mut emit)?;
+    run_deltas(spec, vi, grid, cfg, ids, from, every, prune, &mut emit)?;
     let elapsed = start.elapsed();
     eprintln!(
         "sweep run: shard {} done in {elapsed:.2?}: {} chains ({} skipped by slack pruning), \
@@ -638,13 +488,14 @@ fn sweep_merge(args: &[String]) -> Result<(), String> {
 }
 
 fn sweep_info(args: &[String]) -> Result<(), String> {
-    let opts = parse_sweep_opts(args)?;
-    let grid = SweepGrid::build(&opts.spec, &opts.vi, &opts.cfg, &opts.grid_cfg);
+    let opts = parse_sweep_opts(args, false)?;
+    let grid = coarse_grid(&opts);
+    let grid_cfg = grid.config();
     println!("spec:            {}", opts.spec.name());
-    println!("partition:       {}", opts.partition_tag);
-    println!("max boost:       {}", opts.grid_cfg.max_boost);
-    println!("freq scales:     {:?}", opts.grid_cfg.freq_scales);
-    println!("max mid:         {}", opts.grid_cfg.max_intermediate);
+    println!("partition:       {}", opts.scenario.partition.tag());
+    println!("max boost:       {}", grid_cfg.max_boost);
+    println!("freq scales:     {:?}", grid_cfg.freq_scales);
+    println!("max mid:         {}", grid_cfg.max_intermediate);
     println!("chain ids:       {}", grid.num_chains());
     println!("active chains:   {}", grid.num_active_chains());
     println!("candidates:      {}", grid.num_candidates());
@@ -657,11 +508,7 @@ fn sweep_info(args: &[String]) -> Result<(), String> {
 /// Entry point of the `fleet` subcommand: a scenario's sweep grid run by a
 /// coordinator + worker fleet over TCP, folding the frontier byte-identically
 /// to `sweep run --scenario FILE --frontier`.
-///
-/// # Errors
-///
-/// A printable message; the binary appends [`FLEET_USAGE`].
-pub fn fleet_cli(args: &[String]) -> Result<(), String> {
+fn fleet_cli(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("serve") => fleet_serve(&args[1..]),
         Some("work") => fleet_work(&args[1..]),
@@ -683,20 +530,6 @@ fn apply_fleet_flag(cfg: &mut FleetConfig, flag: &str, value: &str) -> Result<()
         _ => unreachable!("only fleet flags dispatched"),
     }
     Ok(())
-}
-
-/// Loads the scenario behind `--scenario` and checks it declares a sweep
-/// grid — the one thing a fleet can run.
-fn fleet_scenario(path: Option<String>) -> Result<Scenario, String> {
-    let path = path.ok_or("--scenario FILE is required")?;
-    let scenario = Scenario::from_json(&read_file(&path)?)?;
-    if scenario.sweep.is_none() {
-        return Err(format!(
-            "scenario '{}' declares no sweep grid",
-            scenario.name
-        ));
-    }
-    Ok(scenario)
 }
 
 fn fleet_serve(args: &[String]) -> Result<(), String> {
@@ -722,7 +555,7 @@ fn fleet_serve(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    let scenario = fleet_scenario(scenario_path)?;
+    let scenario = sweep_scenario(scenario_path)?;
     let resolver: std::sync::Arc<dyn vi_noc_fleet::JobResolver> =
         std::sync::Arc::new(ScenarioJobResolver);
     let handle = vi_noc_fleet::start_coordinator(&listen, resolver, cfg)?;
@@ -803,7 +636,7 @@ fn fleet_run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    let scenario = fleet_scenario(scenario_path)?;
+    let scenario = sweep_scenario(scenario_path)?;
     let workers = workers.ok_or("--workers N is required")?;
     if workers == 0 {
         return Err("--workers must be at least 1".to_string());
@@ -815,60 +648,6 @@ fn fleet_run(args: &[String]) -> Result<(), String> {
         start.elapsed()
     );
     write_out(out.as_deref(), &frontier)
-}
-
-// --- dynsweep ------------------------------------------------------------
-
-/// Entry point of the `dynsweep` subcommand: runs a scenario's declared
-/// dynamic sweep.
-///
-/// # Errors
-///
-/// A printable message; the binary appends [`DYNSWEEP_USAGE`].
-pub fn dynsweep_cli(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("run") => dynsweep_run(&args[1..]),
-        Some(other) => Err(format!("unknown command '{other}'")),
-        None => Err("missing command".to_string()),
-    }
-}
-
-fn dynsweep_run(args: &[String]) -> Result<(), String> {
-    let mut scenario_path: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--scenario" => scenario_path = Some(value("--scenario")?.clone()),
-            "--out" => out = Some(value("--out")?.clone()),
-            other => return Err(format!("unknown option '{other}'")),
-        }
-    }
-    let path = scenario_path.ok_or("--scenario FILE is required")?;
-    let scenario = Scenario::from_json(&read_file(&path)?)?;
-    if scenario.dyn_sweep.is_none() {
-        return Err(format!(
-            "scenario '{}' declares no dyn_sweep stage",
-            scenario.name
-        ));
-    }
-    eprintln!("dynsweep run: scenario '{}'", scenario.name);
-    let start = Instant::now();
-    let report = scenario.run()?;
-    let table = report.dyn_sweep.expect("dyn_sweep stage declared");
-    let parsed =
-        parse_table(&table).map_err(|e| format!("internal: emitted table does not parse: {e}"))?;
-    eprintln!(
-        "dynsweep run: {} point(s) x {} sim config(s) = {} cell(s) simulated in {:.2?}",
-        parsed.points.len(),
-        parsed.axes.cells_per_point(),
-        parsed.cells.len(),
-        start.elapsed(),
-    );
-    write_out(out.as_deref(), &table)
 }
 
 // Lets the String-error CLI functions apply `?` directly to API results.
@@ -889,63 +668,98 @@ mod tests {
         assert!(sweep_cli(&[]).is_err());
     }
 
+    /// The committed scenario `scenarios/{name}.json`.
+    fn scenario(name: &str) -> String {
+        format!("{}/../../scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
     #[test]
     fn sweep_opts_validate_flag_combinations() {
-        let args = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        let fine = scenario("d26_overclocked_fine");
+        let parse = |extra: &[&str]| {
+            parse_sweep_opts(&args(&[&["--scenario", &fine], extra].concat()), false)
+        };
         // --frontier with a real shard is rejected.
-        let err =
-            parse_sweep_opts(&args("--spec d12 --islands 4 --shard 1/3 --frontier")).unwrap_err();
-        assert!(err.contains("--frontier"));
-        // --resume without --out is rejected.
-        let err = parse_sweep_opts(&args("--spec d12 --islands 4 --resume")).unwrap_err();
-        assert!(err.contains("--resume"));
-        // --scenario owns spec AND partition: every overridden flag is
-        // rejected rather than silently ignored.
-        for conflicting in [
-            "--scenario x.json --spec d12 --islands 4",
-            "--scenario x.json --partition comm",
-            "--scenario x.json --comm-seed 7",
+        let err = parse(&["--shard", "1/3", "--frontier"]).unwrap_err();
+        assert!(err.contains("--frontier"), "{err}");
+        // --resume and --checkpoint-every need the --out file.
+        let err = parse(&["--resume"]).unwrap_err();
+        assert!(err.contains("--resume"), "{err}");
+        let err = parse(&["--checkpoint-every", "2"]).unwrap_err();
+        assert!(err.contains("--checkpoint-every needs --out"), "{err}");
+        // The scenario is mandatory, must declare a sweep grid, and is the
+        // only way to name one: the grid flags are gone, and `--frontier-in`
+        // belongs to `refine`.
+        let err = parse_sweep_opts(&args(&["--shard", "0/2"]), false).unwrap_err();
+        assert!(err.contains("--scenario FILE is required"), "{err}");
+        let err = parse_sweep_opts(&args(&["--scenario", &scenario("d26_saturated")]), false)
+            .unwrap_err();
+        assert_eq!(err, "scenario 'd26 saturated' declares no sweep grid");
+        for deleted in [
+            "--spec",
+            "--islands",
+            "--max-boost",
+            "--seq",
+            "--prune",
+            "--frontier-in",
         ] {
-            let err = parse_sweep_opts(&args(conflicting)).unwrap_err();
-            assert!(err.contains("mutually exclusive"), "{conflicting}: {err}");
+            let err = parse(&[deleted, "1"]).unwrap_err();
+            assert_eq!(err, format!("unknown option '{deleted}'"));
         }
-        // The classic flag surface still parses.
-        let opts = parse_sweep_opts(&args(
-            "--spec d12 --islands 4 --max-boost 1 --shard 0/2 --seq",
-        ))
-        .unwrap();
-        assert_eq!(opts.grid_cfg.max_boost, 1);
-        assert!(!opts.cfg.parallel);
+        let opts = parse(&["--shard", "0/2"]).unwrap();
         assert_eq!(opts.shard, Shard::new(0, 2).unwrap());
-        // Slack pruning is off unless asked for.
-        assert!(!opts.prune);
-        let opts = parse_sweep_opts(&args("--spec d12 --islands 4 --prune")).unwrap();
-        assert!(opts.prune);
+        assert_eq!(opts.scenario.name, "d26 overclocked fine grid");
     }
 
     #[test]
     fn sweep_refine_validates_its_flags() {
-        let args = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        let dynamic = scenario("d26_dynamic_grid");
         // The coarse frontier is mandatory.
-        let err = sweep_refine(&args("--spec d12 --islands 4")).unwrap_err();
+        let err = sweep_refine(&args(&["--scenario", &dynamic])).unwrap_err();
         assert!(err.contains("--frontier-in"), "{err}");
-        // Radii must be numbers; the window must be a finite non-negative float.
-        let err = sweep_refine(&args(
-            "--frontier-in f.json --spec d12 --islands 4 --boost-radius x",
-        ))
-        .unwrap_err();
-        assert!(err.contains("--boost-radius"), "{err}");
-        let err = sweep_refine(&args(
-            "--frontier-in f.json --spec d12 --islands 4 --scale-window -1",
-        ))
-        .unwrap_err();
-        assert!(err.contains("--scale-window"), "{err}");
+        // The radii are the scenario's `refine` member's.
+        for deleted in ["--boost-radius", "--base-radius", "--scale-window"] {
+            let err = sweep_refine(&args(&["--frontier-in", "f.json", deleted, "1"])).unwrap_err();
+            assert_eq!(err, format!("unknown option '{deleted}'"));
+        }
+        // A scenario without a `refine` member has no fine grid.
+        let fine = scenario("d26_overclocked_fine");
+        let err =
+            sweep_refine(&args(&["--frontier-in", "f.json", "--scenario", &fine])).unwrap_err();
+        assert_eq!(
+            err,
+            "scenario 'd26 overclocked fine grid' declares no refine stage"
+        );
         // A missing frontier file fails with the path in the message.
-        let err = sweep_refine(&args(
-            "--frontier-in /nonexistent/f.json --spec d12 --islands 4",
-        ))
-        .unwrap_err();
-        assert!(err.contains("/nonexistent/f.json"), "{err}");
+        let missing = "/nonexistent/f.json";
+        let err =
+            sweep_refine(&args(&["--frontier-in", missing, "--scenario", &dynamic])).unwrap_err();
+        assert!(err.contains(missing), "{err}");
+    }
+
+    #[test]
+    fn frontier_out_is_rejected_before_the_run() {
+        // Resolving island 6 of six would fail the run: the flag must fail
+        // first, with its own message.
+        let path =
+            std::env::temp_dir().join(format!("vi-noc-no-sweep-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            r#"{"name":"no sweep","spec":{"benchmark":"d26"},
+            "partition":{"kind":"logical","islands":6},"shutdown":{"island":6}}"#,
+        )
+        .unwrap();
+        let path = path.display().to_string();
+        let err = cmd_run(&args(&[&path, "--frontier-out", "/nonexistent/f.json"])).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            err,
+            "--frontier-out requires the scenario to declare a sweep grid"
+        );
     }
 
     #[test]

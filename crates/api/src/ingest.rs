@@ -1097,7 +1097,6 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::benchmark_by_name;
 
     #[test]
     fn minimal_scenario_parses_with_defaults() {
@@ -1115,7 +1114,7 @@ mod tests {
     fn default_round_trip_is_exact() {
         let mut s = Scenario::new(
             "rt",
-            SpecSource::Inline(benchmark_by_name("d12").unwrap()),
+            SpecSource::Inline(vi_noc_soc::benchmarks::d12_auto()),
             PartitionPlan::Communication {
                 islands: 3,
                 seed: 9,

@@ -18,7 +18,7 @@
 //!   JSON emission (`Report::to_json`) and a terminal summary.
 //! * [`Error`] — the workspace-wide error type every stage fails through.
 //! * [`cli`] — the implementation of the `vi-noc` binary (`run`,
-//!   `report`, `sweep`, `fleet`, `dynsweep`).
+//!   `report`, `sweep`, `fleet`).
 //! * [`fleet`] — scenario documents as `vi-noc-fleet` job payloads: a
 //!   scenario's sweep runs on a coordinator + worker fleet (the `fleet`
 //!   CLI) with byte-identical frontier emission.
@@ -43,6 +43,6 @@ pub use error::Error;
 pub use ingest::SCENARIO_FORMAT;
 pub use report::{Report, ShutdownReport, SimReport, REPORT_FORMAT};
 pub use scenario::{
-    benchmark_by_name, DynSweepPlan, IslandChoice, PartitionPlan, RefinePlan, Scenario,
-    ShutdownPlan, SimPlan, SpecSource,
+    DynSweepPlan, IslandChoice, PartitionPlan, RefinePlan, Scenario, ShutdownPlan, SimPlan,
+    SpecSource,
 };

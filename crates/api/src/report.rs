@@ -57,8 +57,7 @@ pub struct Report {
     pub frontier: Option<String>,
     /// The dynamic-sweep result table as the exact table-file text
     /// (`vi-noc-dynsweep-v1`), if the scenario declared a `dyn_sweep`
-    /// stage — byte-identical to the standalone `vi-noc dynsweep run`
-    /// emission over the same scenario.
+    /// stage; this member is the table's only emission.
     pub dyn_sweep: Option<String>,
 }
 

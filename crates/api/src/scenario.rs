@@ -22,7 +22,8 @@ use vi_noc_sim::{
 use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
     frontier_json, frontier_seeds, parse_frontier_file, run_shard, run_shard_pruned,
-    windows_from_frontier, GridConfig, GridDescriptor, RefineParams, Shard, SweepGrid,
+    validate_frontier_source, windows_from_frontier, GridConfig, GridDescriptor, RefineParams,
+    Shard, SweepGrid,
 };
 
 /// Where the SoC spec comes from.
@@ -53,10 +54,9 @@ pub enum PartitionPlan {
 }
 
 impl PartitionPlan {
-    /// The provenance tag recorded in sweep checkpoints and reports —
-    /// the same format the `sweep` CLI has always used (`logical:6`,
-    /// `comm:6:1`), so scenario-driven and flag-driven runs produce
-    /// byte-identical grid descriptors.
+    /// The provenance tag recorded in sweep checkpoints, frontier files and
+    /// dynsweep tables (`logical:6`, `comm:6:1`); `sweep refine` checks it
+    /// against the coarse frontier it refines.
     pub fn tag(&self) -> String {
         match self {
             PartitionPlan::Logical { islands } => format!("logical:{islands}"),
@@ -122,7 +122,8 @@ impl Default for ShutdownPlan {
 /// coarse grid's frontier is folded, windows are placed around its
 /// surviving points ([`vi_noc_sweep::windows_from_frontier`]) and the fine
 /// grid is swept only inside them. The report's frontier becomes the
-/// refined emission, whose descriptor records the windows.
+/// refined emission, whose descriptor records the windows; `vi-noc sweep
+/// refine --scenario FILE` sweeps the same windows, shard by shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefinePlan {
     /// The fine grid to restrict to windows around the coarse survivors.
@@ -179,8 +180,8 @@ pub struct Scenario {
     pub sim: Option<SimPlan>,
     /// Island-shutdown experiment, if any.
     pub shutdown: Option<ShutdownPlan>,
-    /// Design-space sweep grid, if any (runs unsharded; use the CLI's
-    /// `sweep` subcommand to shard the same grid across processes).
+    /// Design-space sweep grid, if any (runs unsharded; `vi-noc sweep run
+    /// --scenario FILE --shard I/N` shards the same grid across processes).
     pub sweep: Option<GridConfig>,
     /// Skip boost chains whose slack certificate proves them dominated
     /// (`vi_noc_sweep::run_shard_pruned`). Exact: the emitted frontier is
@@ -199,8 +200,8 @@ pub struct Scenario {
     pub dyn_sweep: Option<DynSweepPlan>,
 }
 
-/// Looks up a bundled benchmark spec by its CLI name.
-pub fn benchmark_by_name(name: &str) -> Option<SocSpec> {
+/// Looks up a bundled benchmark spec by its scenario name.
+fn benchmark_by_name(name: &str) -> Option<SocSpec> {
     match name {
         "d12" => Some(benchmarks::d12_auto()),
         "d16" => Some(benchmarks::d16_settop()),
@@ -401,10 +402,10 @@ impl Scenario {
 
     /// Runs the scenario's sweep grid unsharded — with slack-certificate
     /// pruning when `sweep_prune` is set — and, when a [`RefinePlan`] is
-    /// declared, follows it with the coarse-to-fine refinement stage. The
-    /// returned frontier file is byte-identical to the equivalent `sweep
-    /// run`/`sweep refine` CLI workflow over the same grids (same
-    /// descriptors, same writers).
+    /// declared, sweeps the fine grid [`Scenario::refine_grid`] derives
+    /// from the coarse frontier. The returned frontier file is
+    /// byte-identical to the `vi-noc sweep run` → `sweep refine` → `sweep
+    /// merge` workflow over the same scenario, sharded or not.
     fn run_sweep(
         &self,
         spec: &SocSpec,
@@ -426,13 +427,33 @@ impl Scenario {
         let Some(plan) = &self.refine else {
             return Ok(coarse_file);
         };
+        Ok(sweep(&self.refine_grid(spec, vi, plan, &coarse_file)?))
+    }
 
-        // Derive the fine grid's windows from the coarse survivors, just
-        // like `sweep refine --frontier-in` would from the emitted file.
-        let parsed = parse_frontier_file(&coarse_file)
-            .map_err(|e| Error::scenario("refine", format!("coarse frontier: {e}")))?;
-        let seeds = frontier_seeds(&parsed)
-            .map_err(|e| Error::scenario("refine", format!("coarse frontier: {e}")))?;
+    /// The refinement stage's grid: `plan`'s fine grid (the scenario's
+    /// `refine` member), restricted to windows around the survivors of
+    /// `coarse`, a frontier file swept over this scenario's spec, partition
+    /// and seed. The one window derivation, shared by [`Scenario::run`] and
+    /// `vi-noc sweep refine`, so both sweep the same windows.
+    ///
+    /// # Errors
+    ///
+    /// `coarse` does not parse or comes from another spec, partition or
+    /// seed; no window covers the fine grid.
+    pub(crate) fn refine_grid(
+        &self,
+        spec: &SocSpec,
+        vi: &ViAssignment,
+        plan: &RefinePlan,
+        coarse: &str,
+    ) -> Result<SweepGrid, Error> {
+        let err = |e: String| Error::scenario("refine", format!("coarse frontier: {e}"));
+        let parsed = parse_frontier_file(coarse).map_err(err)?;
+        // Refining a frontier of a different spec, partition or seed would
+        // window the fine grid around points of a different design space.
+        let tag = self.partition.tag();
+        validate_frontier_source(&parsed, spec.name(), &tag, self.synthesis.seed).map_err(err)?;
+        let seeds = frontier_seeds(&parsed).map_err(err)?;
         let windows = windows_from_frontier(&seeds, &plan.grid, &plan.params);
         if windows.is_empty() {
             return Err(Error::scenario(
@@ -442,7 +463,7 @@ impl Scenario {
             ));
         }
         let fine = SweepGrid::build_windowed(spec, vi, &self.synthesis, &plan.grid, windows);
-        Ok(sweep(&fine))
+        Ok(fine)
     }
 
     /// Runs `plan` over an emitted frontier file, whose points are

@@ -113,6 +113,32 @@ fn arb_shutdown() -> impl Strategy<Value = Option<ShutdownPlan>> {
     })
 }
 
+/// Points every explicit shutdown island of `s` (its `shutdown` member and
+/// its dynamic sweep's schedules) at an island its partition can gate, so
+/// that a run reaches the shutdown cell: index `j` becomes the `j`-th
+/// gateable island, cyclically. Without a gateable island (or a partition)
+/// the index stays as drawn and the run fails when it resolves it.
+fn aim_at_gateable_islands(s: &mut Scenario) {
+    let gateable: Vec<usize> = s
+        .resolve_spec()
+        .and_then(|spec| s.resolve_partition(&spec))
+        .map(|vi| {
+            (0..vi.island_count())
+                .filter(|&j| vi.can_shutdown(j))
+                .collect()
+        })
+        .unwrap_or_default();
+    if gateable.is_empty() {
+        return;
+    }
+    let schedules = s.dyn_sweep.iter_mut().flat_map(|p| &mut p.schedules);
+    for plan in s.shutdown.iter_mut().chain(schedules.flatten()) {
+        if let IslandChoice::Index(j) = plan.island {
+            plan.island = IslandChoice::Index(gateable[j % gateable.len()]);
+        }
+    }
+}
+
 fn arb_sweep() -> impl Strategy<Value = Option<GridConfig>> {
     (0usize..3, 0usize..3, 0usize..5, 1.0f64..1.5).prop_map(
         |(pick, max_boost, max_intermediate, scale)| match pick {
@@ -191,22 +217,26 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 (floorplan, sim, shutdown, sweep),
                 (sweep_prune, refine, dyn_sweep),
                 tag,
-            )| Scenario {
-                name: format!("prop scenario {tag}"),
-                spec,
-                partition,
-                synthesis,
-                floorplan,
-                sim,
-                shutdown,
-                // Refinement or a dynamic sweep without a coarse grid is
-                // rejected at ingestion, so it never round-trips; keep the
-                // members consistent.
-                refine: if sweep.is_some() { refine } else { None },
-                dyn_sweep: if sweep.is_some() { dyn_sweep } else { None },
-                sweep,
-                sweep_prune,
-                sweep_workers: None,
+            )| {
+                let mut s = Scenario {
+                    name: format!("prop scenario {tag}"),
+                    spec,
+                    partition,
+                    synthesis,
+                    floorplan,
+                    sim,
+                    shutdown,
+                    // Refinement or a dynamic sweep without a coarse grid is
+                    // rejected at ingestion, so it never round-trips; keep the
+                    // members consistent.
+                    refine: if sweep.is_some() { refine } else { None },
+                    dyn_sweep: if sweep.is_some() { dyn_sweep } else { None },
+                    sweep,
+                    sweep_prune,
+                    sweep_workers: None,
+                };
+                aim_at_gateable_islands(&mut s);
+                s
             },
         )
 }

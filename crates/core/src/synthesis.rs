@@ -163,11 +163,6 @@ impl SweepPlan {
     pub fn is_empty(&self) -> bool {
         self.candidates.is_empty()
     }
-
-    /// The per-island frequency plan (step 1 of Algorithm 1).
-    pub fn frequency_plan(&self) -> &FrequencyPlan {
-        &self.plan
-    }
 }
 
 /// Outcome of evaluating one [`SweepCandidate`].

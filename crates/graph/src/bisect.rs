@@ -16,12 +16,6 @@ pub struct BisectConfig {
     pub epsilon: f64,
     /// RNG seed (initial-solution tie-breaking, coarsening order).
     pub seed: u64,
-    /// FM refinement passes per level.
-    pub passes: usize,
-    /// Below this vertex count the graph is partitioned directly.
-    pub coarsen_below: usize,
-    /// Number of random initial solutions tried at the coarsest level.
-    pub restarts: usize,
 }
 
 impl Default for BisectConfig {
@@ -30,12 +24,16 @@ impl Default for BisectConfig {
             target0: 0.0, // resolved to half the total weight when 0
             epsilon: 0.15,
             seed: 0xB15EC7,
-            passes: 6,
-            coarsen_below: 24,
-            restarts: 4,
         }
     }
 }
+
+/// FM refinement passes per level, here and in k-way refinement.
+pub(crate) const PASSES: usize = 8;
+/// Below this vertex count the graph is partitioned directly.
+const COARSEN_BELOW: usize = 24;
+/// Number of random initial solutions tried at the coarsest level.
+const RESTARTS: usize = 4;
 
 fn cut_of(g: &SymGraph, side: &[usize]) -> f64 {
     let mut cut = 0.0;
@@ -117,25 +115,24 @@ pub fn bisect(g: &SymGraph, cfg: &BisectConfig) -> Vec<usize> {
     let max_w = [target0 + slack, target1 + slack];
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    bisect_recursive(g, target0, max_w, cfg, &mut rng, 0)
+    bisect_recursive(g, target0, max_w, &mut rng, 0)
 }
 
 fn bisect_recursive(
     g: &SymGraph,
     target0: f64,
     max_w: [f64; 2],
-    cfg: &BisectConfig,
     rng: &mut StdRng,
     depth: usize,
 ) -> Vec<usize> {
     let n = g.len();
     // Coarsen while the graph is large and still shrinking.
-    if n > cfg.coarsen_below && depth < 24 {
+    if n > COARSEN_BELOW && depth < 24 {
         let coarse = coarsen(g, rng);
         if coarse.graph.len() < n {
-            let coarse_side = bisect_recursive(&coarse.graph, target0, max_w, cfg, rng, depth + 1);
+            let coarse_side = bisect_recursive(&coarse.graph, target0, max_w, rng, depth + 1);
             let mut side = coarse.project(&coarse_side);
-            refine_bisection(g, &mut side, max_w, cfg.passes);
+            refine_bisection(g, &mut side, max_w, PASSES);
             return side;
         }
     }
@@ -143,7 +140,7 @@ fn bisect_recursive(
     // Coarsest level: several greedy-growth starts + FM, keep the best.
     let mut best_side: Option<Vec<usize>> = None;
     let mut best_cut = f64::INFINITY;
-    for r in 0..cfg.restarts.max(1) {
+    for r in 0..RESTARTS {
         let seed_vertex = if r == 0 {
             // Deterministic first try: highest-degree vertex.
             (0..n)
@@ -160,14 +157,14 @@ fn bisect_recursive(
         if side.iter().all(|&s| s == 1) {
             side[0] = 0;
         }
-        refine_bisection(g, &mut side, max_w, cfg.passes);
+        refine_bisection(g, &mut side, max_w, PASSES);
         let cut = cut_of(g, &side);
         if cut < best_cut {
             best_cut = cut;
             best_side = Some(side);
         }
     }
-    best_side.expect("restarts >= 1")
+    best_side.expect("RESTARTS >= 1")
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!
 //! Both are deterministic for a fixed [`PartitionConfig::seed`].
 
-use crate::bisect::{bisect, BisectConfig};
+use crate::bisect::{bisect, BisectConfig, PASSES};
 use crate::fm::refine_kway;
 use crate::partition::Partition;
 use crate::sym::SymGraph;
@@ -29,18 +29,11 @@ pub struct PartitionConfig {
     pub epsilon: f64,
     /// RNG seed for all randomized sub-steps.
     pub seed: u64,
-    /// Refinement passes.
-    pub passes: usize,
-    /// Random restarts at the coarsest bisection level.
-    pub restarts: usize,
     /// Optional hard-ish cap on part weight (e.g. the maximum switch size of
     /// the island). Best-effort: the cap is relaxed if it would make the
     /// requested part count infeasible — the synthesis flow re-checks switch
     /// size constraints downstream (paper §4).
     pub max_part_weight: Option<f64>,
-    /// Graphs with at most this many vertices use agglomerative clustering
-    /// instead of recursive bisection.
-    pub agglomerative_below: usize,
 }
 
 impl Default for PartitionConfig {
@@ -48,13 +41,14 @@ impl Default for PartitionConfig {
         PartitionConfig {
             epsilon: 0.2,
             seed: 0x5EED,
-            passes: 8,
-            restarts: 4,
             max_part_weight: None,
-            agglomerative_below: 20,
         }
     }
 }
+
+/// Graphs with at most this many vertices use agglomerative clustering
+/// instead of recursive bisection.
+const AGGLOMERATIVE_BELOW: usize = 20;
 
 impl PartitionConfig {
     /// Effective per-part weight cap for a `k`-way partition of `g`.
@@ -107,7 +101,7 @@ pub fn partition_kway(g: &SymGraph, k: usize, cfg: &PartitionConfig) -> Partitio
     }
 
     let cap = cfg.cap(g, k);
-    let mut assignment = if n <= cfg.agglomerative_below {
+    let mut assignment = if n <= AGGLOMERATIVE_BELOW {
         greedy_agglomerative(g, k, cfg).assignment().to_vec()
     } else {
         let mut assignment = vec![0usize; n];
@@ -116,9 +110,9 @@ pub fn partition_kway(g: &SymGraph, k: usize, cfg: &PartitionConfig) -> Partitio
         assignment
     };
 
-    refine_kway(g, &mut assignment, k, &vec![cap; k], cfg.passes);
+    refine_kway(g, &mut assignment, k, &vec![cap; k], PASSES);
     enforce_cap(g, &mut assignment, k, cap);
-    refine_kway(g, &mut assignment, k, &vec![cap; k], cfg.passes);
+    refine_kway(g, &mut assignment, k, &vec![cap; k], PASSES);
     fix_empty_parts(g, &mut assignment, k);
     Partition::new(k, assignment)
 }
@@ -209,9 +203,6 @@ fn recursive_bisect(
             .seed
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add(depth as u64 * 7919 + vertices.len() as u64),
-        passes: cfg.passes,
-        coarsen_below: 24,
-        restarts: cfg.restarts,
     };
     let mut side = bisect(&sub, &bcfg);
 

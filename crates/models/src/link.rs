@@ -64,15 +64,6 @@ impl LinkModel {
         let e_bit_pj = self.tech.activity_factor * self.tech.switching_energy_pj(c_ff_per_bit);
         Power::from_watts(bandwidth.bits_per_s() * e_bit_pj * 1e-12)
     }
-
-    /// Energy per transported bit over `length_mm`, in picojoules
-    /// (exposed for the simulator's energy accounting).
-    pub fn energy_per_bit_pj(&self, length_mm: f64) -> f64 {
-        self.tech.activity_factor
-            * self
-                .tech
-                .switching_energy_pj(self.tech.wire_cap_ff_per_mm * length_mm)
-    }
 }
 
 #[cfg(test)]

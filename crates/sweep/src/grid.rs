@@ -488,21 +488,6 @@ impl SweepGrid {
         unreachable!("base_sweep_index itself always fits with zero boosts")
     }
 
-    /// Number of scale slices.
-    pub fn num_scales(&self) -> usize {
-        self.scales.len()
-    }
-
-    /// The scale factor of slice `scale_index`.
-    pub fn scale_value(&self, scale_index: usize) -> f64 {
-        self.scales[scale_index].scale
-    }
-
-    /// Number of base sweep indices of scale slice `scale_index`.
-    pub fn num_bases(&self, scale_index: usize) -> usize {
-        self.scales[scale_index].base.len()
-    }
-
     /// The boost-free switch counts of `(scale_index, base_sweep_index)`.
     ///
     /// # Panics

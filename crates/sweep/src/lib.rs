@@ -44,12 +44,12 @@
 //!   [`GridDescriptor`] so refined and exhaustive checkpoints never merge.
 //!
 //! The `vi-noc sweep` subcommand (implemented in `vi-noc-api`) exposes the
-//! workflow:
+//! workflow over the grid a scenario file declares:
 //!
 //! ```text
-//! vi-noc sweep run --spec d26 --islands 6 --max-boost 1 --shard 0/3 --out a.json
-//! vi-noc sweep run --spec d26 --islands 6 --max-boost 1 --shard 1/3 --out b.json
-//! vi-noc sweep run --spec d26 --islands 6 --max-boost 1 --shard 2/3 --out c.json
+//! vi-noc sweep run --scenario scenarios/d26_overclocked_fine.json --shard 0/3 --out a.json
+//! vi-noc sweep run --scenario scenarios/d26_overclocked_fine.json --shard 1/3 --out b.json
+//! vi-noc sweep run --scenario scenarios/d26_overclocked_fine.json --shard 2/3 --out c.json
 //! vi-noc sweep merge a.json b.json c.json --out frontier.json
 //! ```
 

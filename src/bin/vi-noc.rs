@@ -5,15 +5,14 @@
 //! ```text
 //! vi-noc run      SCENARIO.json [--out report.json] [--frontier-out FILE]
 //! vi-noc report   REPORT.json
-//! vi-noc sweep    run|merge|info ...
+//! vi-noc sweep    run|refine|merge|info ...
 //! vi-noc fleet    serve|work|run ...
-//! vi-noc dynsweep run --scenario SCENARIO.json [--out table.json]
 //! ```
 //!
-//! `dynsweep run` simulates every frontier point at every cell of the
-//! scenario's declared sim grid and writes the `vi-noc-dynsweep-v1` table.
-//! The implementation lives in [`vi_noc_api::cli`]; see `scenarios/` for
-//! committed example experiments.
+//! A scenario's `dyn_sweep` member simulates every frontier point at every
+//! cell of its declared sim grid; `run` embeds the `vi-noc-dynsweep-v1`
+//! table in the report. The implementation lives in [`vi_noc_api::cli`];
+//! see `scenarios/` for committed example experiments.
 
 use std::process::ExitCode;
 

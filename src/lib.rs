@@ -29,10 +29,11 @@
 //! * [`floorplan`] — slicing floorplanner with switch insertion.
 //! * [`synth`] — the paper's VI-aware topology-synthesis algorithm.
 //! * [`sweep`] — sharded, streaming design-space exploration with a merging
-//!   Pareto fold (driven by `vi-noc sweep`).
+//!   Pareto fold (driven by `vi-noc sweep` over a scenario's grids).
 //! * [`dynsweep`] — dynamic simulation sweeps over the frontier: every
 //!   surviving design point simulated at every cell of a declarative sim
-//!   grid, byte-identical for any thread count (`vi-noc dynsweep run`).
+//!   grid, byte-identical for any thread count (a scenario's `dyn_sweep`
+//!   member, run by `vi-noc run`).
 //! * [`fleet`] — sweep-as-a-service: a coordinator leasing chain ranges to
 //!   worker processes over local TCP, folding streamed frontier deltas into
 //!   the exact unsharded frontier (driven by `vi-noc fleet`).
@@ -59,6 +60,6 @@ pub use vi_noc_soc as soc;
 pub use vi_noc_sweep as sweep;
 
 pub use vi_noc_api::{
-    benchmark_by_name, Error, IslandChoice, PartitionPlan, Report, Scenario, ShutdownPlan,
-    ShutdownReport, SimPlan, SimReport, SpecSource,
+    Error, IslandChoice, PartitionPlan, Report, Scenario, ShutdownPlan, ShutdownReport, SimPlan,
+    SimReport, SpecSource,
 };

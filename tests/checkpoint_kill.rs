@@ -17,17 +17,12 @@ use vi_noc_sweep::parse_shard_checkpoint;
 const VI_NOC: &str = env!("CARGO_BIN_EXE_vi-noc");
 
 /// The CI sweep grid: 1024 chain ids, 341 positions in shard 1/3.
-const GRID: [&str; 10] = [
-    "--spec",
-    "d26",
-    "--islands",
-    "6",
-    "--max-boost",
-    "1",
-    "--scales",
-    "1.0,1.12",
-    "--max-mid",
-    "4",
+const GRID: [&str; 2] = [
+    "--scenario",
+    concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/d26_overclocked_fine.json"
+    ),
 ];
 
 fn scratch(name: &str) -> PathBuf {
@@ -72,7 +67,10 @@ fn a_polled_checkpoint_is_never_torn_and_a_killed_shard_resumes_to_the_clean_byt
     let ckpt = scratch("ckpt.json");
     let _ = std::fs::remove_file(&ckpt);
 
-    let status = sweep(&clean, &["--seq"]).status().unwrap();
+    let status = sweep(&clean, &[])
+        .env("RAYON_NUM_THREADS", "1")
+        .status()
+        .unwrap();
     assert!(status.success(), "clean shard run failed");
     let clean_bytes = std::fs::read_to_string(&clean).unwrap();
     let stripe = chains_done(&clean_bytes).unwrap();
@@ -80,7 +78,8 @@ fn a_polled_checkpoint_is_never_torn_and_a_killed_shard_resumes_to_the_clean_byt
 
     // The poller reads the checkpoint as fast as it can and SIGKILLs the
     // writer once a read shows half the stripe done.
-    let child = sweep(&ckpt, &["--checkpoint-every", "1", "--seq"])
+    let child = sweep(&ckpt, &["--checkpoint-every", "1"])
+        .env("RAYON_NUM_THREADS", "1")
         .spawn()
         .unwrap();
     let poll_path = ckpt.clone();
