@@ -479,7 +479,6 @@ fn synthesis_from_value(v: &Value, ctx: &str) -> Result<SynthesisConfig, Error> 
             "min_frequency_hz",
             "technology",
             "seed",
-            "parallel",
         ],
         ctx,
     )?;
@@ -504,7 +503,7 @@ fn synthesis_from_value(v: &Value, ctx: &str) -> Result<SynthesisConfig, Error> 
         "max_intermediate_switches",
         ctx,
         &mut c.max_intermediate_switches,
-        usize_of,
+        usize_in(0, MAX_INTERMEDIATE),
     )?;
     override_field(
         m,
@@ -563,7 +562,6 @@ fn synthesis_from_value(v: &Value, ctx: &str) -> Result<SynthesisConfig, Error> 
         c.technology = technology_from_value(v, &format!("{ctx}.technology"))?;
     }
     override_field(m, "seed", ctx, &mut c.seed, u64_of)?;
-    override_field(m, "parallel", ctx, &mut c.parallel, bool_of)?;
     Ok(c)
 }
 
@@ -583,13 +581,20 @@ fn write_synthesis(out: &mut String, c: &SynthesisConfig) {
         .num("est_mid_link_mm", c.est_mid_link_mm)
         .num("min_frequency_hz", c.min_frequency.hz());
     write_technology(o.key("technology"), &c.technology);
-    o.num("seed", c.seed).bool("parallel", c.parallel).end();
+    o.num("seed", c.seed).end();
 }
 
 /// Most annealing restarts a scenario may ask for. The floorplanner holds
 /// every restart index in memory at once, so an unbounded count could
 /// abort the process; every committed scenario uses the default 2.
 const MAX_RESTARTS: usize = 64;
+
+/// Largest intermediate-island switch count a scenario may explore
+/// (`synthesis.max_intermediate_switches`, `sweep.max_intermediate` and
+/// `refine.grid.max_intermediate`). The sweeps enumerate every count up
+/// front, so an unbounded one could abort the process; every committed
+/// scenario uses 4 or less.
+const MAX_INTERMEDIATE: usize = 64;
 
 fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> {
     let m = as_obj(v, ctx)?;
@@ -604,7 +609,6 @@ fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> 
             "lambda_island",
             "lambda_aspect",
             "restarts",
-            "parallel",
         ],
         ctx,
     )?;
@@ -623,7 +627,6 @@ fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> 
         &mut c.restarts,
         usize_in(0, MAX_RESTARTS),
     )?;
-    override_field(m, "parallel", ctx, &mut c.parallel, bool_of)?;
     Ok(c)
 }
 
@@ -637,7 +640,6 @@ fn write_floorplan(out: &mut String, c: &FloorplanConfig) {
         .num("lambda_island", c.lambda_island)
         .num("lambda_aspect", c.lambda_aspect)
         .num("restarts", c.restarts)
-        .bool("parallel", c.parallel)
         .end();
 }
 
@@ -778,7 +780,7 @@ fn sweep_from_value(v: &Value, ctx: &str) -> Result<GridConfig, Error> {
         "max_intermediate",
         ctx,
         &mut c.max_intermediate,
-        usize_of,
+        usize_in(0, MAX_INTERMEDIATE),
     )?;
     Ok(c)
 }

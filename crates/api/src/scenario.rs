@@ -12,7 +12,7 @@
 
 use crate::error::Error;
 use crate::report::{Report, ShutdownReport, SimReport};
-use vi_noc_core::{realize_on_floorplan, synthesize, SynthesisConfig, Topology};
+use vi_noc_core::{json, realize_on_floorplan, synthesize, SynthesisConfig, Topology};
 use vi_noc_dynsweep::{run_dynsweep, DynSweepInput, Mode, SimAxes};
 use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_sim::{
@@ -251,18 +251,29 @@ impl Scenario {
         Ok(spec)
     }
 
-    /// Resolves the partition plan against `spec`.
+    /// Resolves the partition plan against `spec`, and checks that under
+    /// it the `sweep` and `refine` grids number their candidates within
+    /// 2^53, the largest ordinal a frontier file or checkpoint records.
+    /// Every entry point that sweeps resolves the partition first.
     ///
     /// # Errors
     ///
-    /// Unrealizable island counts ([`vi_noc_soc::PartitionError`]).
+    /// Unrealizable island counts ([`vi_noc_soc::PartitionError`]), and
+    /// grids too large to number.
     pub fn resolve_partition(&self, spec: &SocSpec) -> Result<ViAssignment, Error> {
-        Ok(match self.partition {
+        let vi = match self.partition {
             PartitionPlan::Logical { islands } => partition::logical_partition(spec, islands)?,
             PartitionPlan::Communication { islands, seed } => {
                 partition::communication_partition(spec, islands, seed)?
             }
-        })
+        };
+        if let Some(grid) = &self.sweep {
+            check_ordinals(grid, &vi, "sweep")?;
+        }
+        if let Some(plan) = &self.refine {
+            check_ordinals(&plan.grid, &vi, "refine.grid")?;
+        }
+        Ok(vi)
     }
 
     /// Resolves a shutdown plan's island choice against `vi`.
@@ -517,6 +528,32 @@ impl Scenario {
         run_dynsweep(&input, &axes, plan.mode)
             .map(|run| run.table)
             .map_err(|e| Error::scenario("dyn_sweep", e))
+    }
+}
+
+/// Rejects a grid whose candidate ordinals could pass 2^53 under `vi`.
+/// Every ordinal is below `|freq_scales| × (largest island's core count) ×
+/// (max_boost + 1)^islands × (max_intermediate + 1)`: a chain per scale,
+/// base sweep index and boost code, a candidate per intermediate count.
+fn check_ordinals(grid: &GridConfig, vi: &ViAssignment, ctx: &str) -> Result<(), Error> {
+    let largest = (0..vi.island_count()).map(|j| vi.island_size(j)).max();
+    let bound = u32::try_from(vi.island_count())
+        .ok()
+        .and_then(|n| (grid.max_boost as u64).checked_add(1)?.checked_pow(n))
+        .and_then(|codes| codes.checked_mul(grid.freq_scales.len() as u64))
+        .and_then(|x| x.checked_mul(largest.unwrap_or(1) as u64))
+        .and_then(|x| x.checked_mul((grid.max_intermediate as u64).checked_add(1)?));
+    match bound {
+        Some(n) if n <= json::MAX_EXACT_INT => Ok(()),
+        _ => Err(Error::scenario(
+            ctx,
+            format!(
+                "a max_boost of {} over {} islands numbers candidates past 2^53, the most \
+                 a frontier file can record",
+                grid.max_boost,
+                vi.island_count()
+            ),
+        )),
     }
 }
 

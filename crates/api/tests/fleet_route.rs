@@ -22,7 +22,6 @@ fn base_scenario() -> Scenario {
         SpecSource::Benchmark("d12".into()),
         PartitionPlan::Logical { islands: 4 },
     );
-    s.synthesis.parallel = false;
     s.floorplan.iterations = 200;
     s.floorplan.restarts = 1;
     s.sweep = Some(GridConfig {

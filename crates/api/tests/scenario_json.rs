@@ -6,15 +6,18 @@
 //! lost. A second property runs what ingestion accepts: `Scenario::run`
 //! returns a report or an error, never a panic. Plus error-path coverage
 //! for the serde-free JSON parser the ingestion is built on (truncated
-//! input, duplicate keys, non-finite numbers).
+//! input, duplicate keys, non-finite numbers) and for the sizes ingestion
+//! and partition resolution refuse.
 
 use proptest::prelude::*;
+use vi_noc_api::fleet::{job_payload, ScenarioJobResolver};
 use vi_noc_api::{
     DynSweepPlan, IslandChoice, PartitionPlan, RefinePlan, Scenario, ShutdownPlan, SimPlan,
     SpecSource,
 };
 use vi_noc_core::{json, SynthesisConfig};
 use vi_noc_dynsweep::Mode;
+use vi_noc_fleet::JobResolver;
 use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_models::Technology;
 use vi_noc_sim::TrafficKind;
@@ -41,30 +44,23 @@ fn arb_partition() -> impl Strategy<Value = PartitionPlan> {
 }
 
 fn arb_synthesis() -> impl Strategy<Value = SynthesisConfig> {
-    (
-        0.05f64..0.95,
-        0u64..1_000_000,
-        proptest::bool::ANY,
-        0usize..3,
-    )
-        .prop_map(|(alpha, seed, parallel, tech)| SynthesisConfig {
-            alpha,
-            seed,
-            parallel,
-            technology: match tech {
-                0 => Technology::cmos_65nm(),
-                1 => Technology::cmos_90nm(),
-                _ => {
-                    // A custom node exercises the inline-object emission.
-                    Technology {
-                        vdd_v: 0.8 + alpha / 10.0,
-                        node_nm: 45.0,
-                        ..Technology::cmos_65nm()
-                    }
+    (0.05f64..0.95, 0u64..1_000_000, 0usize..3).prop_map(|(alpha, seed, tech)| SynthesisConfig {
+        alpha,
+        seed,
+        technology: match tech {
+            0 => Technology::cmos_65nm(),
+            1 => Technology::cmos_90nm(),
+            _ => {
+                // A custom node exercises the inline-object emission.
+                Technology {
+                    vdd_v: 0.8 + alpha / 10.0,
+                    node_nm: 45.0,
+                    ..Technology::cmos_65nm()
                 }
-            },
-            ..SynthesisConfig::default()
-        })
+            }
+        },
+        ..SynthesisConfig::default()
+    })
 }
 
 fn arb_floorplan() -> impl Strategy<Value = FloorplanConfig> {
@@ -355,6 +351,81 @@ fn parser_rejects_non_finite_numbers() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("non-finite"), "{err}");
+}
+
+#[test]
+fn out_of_range_intermediate_counts_fail_at_ingestion() {
+    // The sweeps enumerate every intermediate count up front, so an
+    // unbounded one would abort the process allocating them.
+    let with = |member: &str, n: &str| {
+        format!(
+            r#"{{"name":"m","spec":{{"benchmark":"d26"}},
+            "partition":{{"kind":"logical","islands":2}},{}}}"#,
+            member.replace('N', n)
+        )
+    };
+    for (member, path) in [
+        (
+            r#""synthesis":{"max_intermediate_switches":N}"#,
+            "scenario.synthesis.max_intermediate_switches",
+        ),
+        (
+            r#""sweep":{"max_intermediate":N}"#,
+            "scenario.sweep.max_intermediate",
+        ),
+        (
+            r#""sweep":{},"refine":{"grid":{"max_intermediate":N}}"#,
+            "scenario.refine.grid.max_intermediate",
+        ),
+    ] {
+        for n in ["65", "100000000000"] {
+            let msg = Scenario::from_json(&with(member, n))
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains(path) && msg.contains("at most 64"), "{msg}");
+        }
+        assert!(Scenario::from_json(&with(member, "64")).is_ok(), "{path}");
+    }
+}
+
+#[test]
+fn the_parallel_members_are_unknown() {
+    // Fan-out width is the thread count, not a scenario member.
+    for (member, path) in [
+        (r#""synthesis":{"parallel":false}"#, "scenario.synthesis"),
+        (r#""floorplan":{"parallel":true}"#, "scenario.floorplan"),
+    ] {
+        let text = format!(
+            r#"{{"name":"p","spec":{{"benchmark":"d12"}},
+            "partition":{{"kind":"logical","islands":4}},{member}}}"#
+        );
+        let msg = Scenario::from_json(&text).unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!("{path}: unknown member 'parallel'")),
+            "{msg}"
+        );
+    }
+}
+
+#[test]
+fn a_grid_too_large_to_number_fails_before_any_stage() {
+    // 2001^6 boost codes: building the grid would overflow a u64 and
+    // panic, after synthesis and the floorplan had run.
+    let coarse = r#""sweep":{"max_boost":2000,"freq_scales":[1],"max_intermediate":1}"#;
+    let fine = r#""sweep":{},"refine":{"grid":{"max_boost":400}}"#;
+    for (grid, context) in [(coarse, "scenario sweep:"), (fine, "scenario refine.grid:")] {
+        let text = format!(
+            r#"{{"name":"huge","spec":{{"benchmark":"d26"}},
+            "partition":{{"kind":"logical","islands":6}},{grid}}}"#
+        );
+        let s = Scenario::from_json(&text).unwrap();
+        let run = std::panic::catch_unwind(|| s.run());
+        let err = run.expect("no panic").unwrap_err().to_string();
+        assert!(err.starts_with(context) && err.contains("2^53"), "{err}");
+        let payload = job_payload(&s, None);
+        let resolved = std::panic::catch_unwind(|| ScenarioJobResolver.resolve(&payload));
+        assert!(resolved.expect("no panic").is_err());
+    }
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! streaming run — wall clock plus the byte-identity guard. Run it with
 //! `cargo bench -p vi-noc-bench --bench fleet_scale`.
 //!
-//! Workers always evaluate their chains sequentially, so any speed-up here
-//! comes from the worker *count* — the thing the fleet adds — not from the
-//! synthesis-level rayon parallelism that already existed.
+//! Workers always evaluate their chains on one thread each, and the
+//! single-threaded reference runs in a one-thread rayon pool, so any
+//! speed-up here comes from the worker *count* — the thing the fleet adds —
+//! not from the synthesis-level rayon parallelism that already existed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,10 +38,7 @@ impl JobResolver for FineD26Resolver {
         }
         let spec = benchmarks::d26_mobile();
         let vi = partition::logical_partition(&spec, 6).map_err(|e| e.to_string())?;
-        let cfg = SynthesisConfig {
-            parallel: false,
-            ..SynthesisConfig::default()
-        };
+        let cfg = SynthesisConfig::default();
         let grid = SweepGrid::build(&spec, &vi, &cfg, &fine_grid_cfg());
         let desc = GridDescriptor::for_grid(&grid, spec.name(), "logical:6", cfg.seed);
         Ok(ResolvedJob {
@@ -102,8 +100,11 @@ fn main() {
         );
     }
 
-    let single_s = median_secs(SAMPLES, || {
-        run_shard(&job.spec, &job.vi, &job.grid, Shard::full(), &job.cfg)
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+    let single_s = one_thread.expect("a rayon pool builds").install(|| {
+        median_secs(SAMPLES, || {
+            run_shard(&job.spec, &job.vi, &job.grid, Shard::full(), &job.cfg)
+        })
     });
     let fleet_s: Vec<f64> = [1usize, 2, 4]
         .iter()

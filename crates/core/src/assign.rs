@@ -19,11 +19,6 @@ impl SwitchAssignment {
         self.groups[island].len()
     }
 
-    /// Total switch count over all islands (intermediate excluded).
-    pub fn total_switches(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-
     /// Per-island switch counts.
     pub fn counts(&self) -> Vec<usize> {
         self.groups.iter().map(Vec::len).collect()
@@ -146,7 +141,6 @@ mod tests {
         let counts = switch_counts_for_sweep(&vcgs, &plan, 1);
         let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
         assert_eq!(asg.counts(), counts);
-        assert_eq!(asg.total_switches(), counts.iter().sum::<usize>());
     }
 
     #[test]

@@ -3,9 +3,7 @@
 use crate::config::SynthesisConfig;
 use crate::design_space::DesignSpace;
 use crate::error::SynthesisError;
-use crate::metrics::{compute_metrics, DesignMetrics};
 use crate::synthesis::synthesize;
-use vi_noc_models::{Bandwidth, BisyncFifoModel};
 use vi_noc_soc::{SocSpec, ViAssignment};
 
 /// Result of the shutdown-oblivious baseline synthesis.
@@ -34,48 +32,6 @@ pub fn synthesize_oblivious(
     let single = ViAssignment::new(spec, 1, vec![0; spec.core_count()]);
     let space = synthesize(spec, &single, cfg)?;
     Ok(ObliviousDesign { space })
-}
-
-/// The infeasible strawman of the paper's introduction: keep the whole NoC
-/// powered by **clustering every switch in one dedicated always-on island**.
-/// Every core then reaches the NoC through a domain crossing (bi-synchronous
-/// FIFO) and long cross-chip wires.
-///
-/// Returns the metrics of the oblivious topology re-priced under those
-/// assumptions — used by the motivation experiment to show why the paper
-/// rejects this option (§1: "long wires are needed to connect all the cores
-/// to the NoC island … the routing congestion would be enormous").
-pub fn central_island_baseline(
-    spec: &SocSpec,
-    cfg: &SynthesisConfig,
-) -> Result<DesignMetrics, SynthesisError> {
-    let oblivious = synthesize_oblivious(spec, cfg)?;
-    let point = oblivious
-        .space
-        .min_power_point()
-        .expect("non-empty design space");
-    // Long NI wires: every core must reach the central NoC cluster. Use
-    // half the die half-perimeter as the typical wire length.
-    let die_side = spec.total_core_area().mm2().sqrt() * 1.1;
-    let ni_len = vec![die_side * 0.5; spec.core_count()];
-    let mut metrics = compute_metrics(spec, &point.topology, cfg, Some(&ni_len));
-
-    // Every NI link is now also a clock/voltage crossing.
-    let fifo = BisyncFifoModel::new(&cfg.technology, cfg.link_width_bits);
-    let noc_freq = point.topology.island_frequency(0);
-    for id in spec.core_ids() {
-        let (inb, outb) = spec.core_io_bandwidth(id);
-        let bw = Bandwidth::from_bytes_per_s(inb.bytes_per_s() + outb.bytes_per_s());
-        metrics.power.synchronizers += fifo.power(spec.core(id).clock, noc_freq, bw);
-        metrics.area += fifo.area();
-        metrics.leakage += fifo.leakage_power();
-    }
-    metrics.crossing_count += spec.core_count();
-    // Every flow pays the crossing penalty twice (in and out of the island).
-    let extra = 2 * BisyncFifoModel::CROSSING_LATENCY_CYCLES;
-    metrics.avg_latency_cycles += extra as f64;
-    metrics.max_latency_cycles += extra;
-    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -115,22 +71,5 @@ mod tests {
             "VI overhead {:.1}% of system power is too large",
             overhead * 100.0
         );
-    }
-
-    #[test]
-    fn central_island_is_strictly_worse() {
-        let soc = benchmarks::d26_mobile();
-        let cfg = SynthesisConfig::default();
-        let obl = synthesize_oblivious(&soc, &cfg).unwrap();
-        let ref_metrics = &obl.space.min_power_point().unwrap().metrics;
-        let central = central_island_baseline(&soc, &cfg).unwrap();
-        assert!(
-            central.noc_dynamic_power().mw() > ref_metrics.noc_dynamic_power().mw() * 1.3,
-            "central island should pay heavily: {} vs {}",
-            central.noc_dynamic_power().mw(),
-            ref_metrics.noc_dynamic_power().mw()
-        );
-        assert!(central.avg_latency_cycles > ref_metrics.avg_latency_cycles + 7.0);
-        assert_eq!(central.crossing_count, soc.core_count());
     }
 }

@@ -48,11 +48,6 @@ pub struct SynthesisConfig {
     pub technology: Technology,
     /// Seed for all randomized sub-steps (partitioning).
     pub seed: u64,
-    /// Evaluate sweep candidates concurrently. Both modes produce
-    /// identical design spaces ([`crate::evaluate_candidate`] is pure and
-    /// the parallel fan-out preserves candidate order); sequential mode
-    /// exists for determinism checks and single-threaded profiling.
-    pub parallel: bool,
 }
 
 impl Default for SynthesisConfig {
@@ -73,7 +68,6 @@ impl Default for SynthesisConfig {
             min_frequency: Frequency::from_mhz(50.0),
             technology: Technology::cmos_65nm(),
             seed: 0xD0C5,
-            parallel: true,
         }
     }
 }
@@ -187,21 +181,6 @@ impl FrequencyPlan {
         self.intermediate_freq
     }
 
-    /// Maximum switch size in the intermediate island.
-    pub fn intermediate_max_size(&self) -> usize {
-        self.intermediate_max_size
-    }
-
-    /// Frequency of an *extended* island index, where index
-    /// `island_count()` denotes the intermediate island.
-    pub fn frequency_ext(&self, island_ext: usize) -> Frequency {
-        if island_ext == self.island_freq.len() {
-            self.intermediate_freq
-        } else {
-            self.island_freq[island_ext]
-        }
-    }
-
     /// Maximum switch size for an extended island index.
     pub fn max_switch_size_ext(&self, island_ext: usize) -> usize {
         if island_ext == self.island_freq.len() {
@@ -274,10 +253,6 @@ mod tests {
             .map(|i| plan.frequency(i))
             .fold(Frequency::ZERO, |a, b| if b > a { b } else { a });
         assert_eq!(plan.intermediate_frequency(), fastest);
-        assert_eq!(
-            plan.frequency_ext(plan.island_count()),
-            plan.intermediate_frequency()
-        );
     }
 
     #[test]

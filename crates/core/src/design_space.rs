@@ -61,11 +61,6 @@ impl DesignSpace {
             .map(|i| &self.points[i])
     }
 
-    /// The design point with the lowest average zero-load latency.
-    pub fn min_latency_point(&self) -> Option<&DesignPoint> {
-        pareto::argmin(&self.points, |p| p.metrics.avg_latency_cycles).map(|i| &self.points[i])
-    }
-
     /// The power/latency Pareto front (lower is better on both axes),
     /// ordered by increasing power.
     ///
@@ -112,10 +107,8 @@ mod tests {
     fn extrema_are_consistent() {
         let s = space();
         let min_p = s.min_power_point().unwrap();
-        let min_l = s.min_latency_point().unwrap();
         for p in &s.points {
             assert!(min_p.metrics.noc_dynamic_power() <= p.metrics.noc_dynamic_power());
-            assert!(min_l.metrics.avg_latency_cycles <= p.metrics.avg_latency_cycles + 1e-12);
         }
     }
 

@@ -20,6 +20,11 @@ use std::fmt::{self, Write as _};
 /// stack; the deepest committed document nests 9 levels.
 pub const MAX_DEPTH: usize = 128;
 
+/// Largest integer [`Value::as_u64`] vouches for: 2^53, above which not
+/// every integer is a double. An integer a writer emits for some reader to
+/// take back must not exceed it.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// One JSON value. Objects preserve insertion/parse order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -57,7 +62,7 @@ impl Value {
     /// The number behind this value, if it is an exact unsigned integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(x) if x.fract() == 0.0 && *x >= 0.0 && *x <= 2f64.powi(53) => {
+            Value::Num(x) if x.fract() == 0.0 && *x >= 0.0 && *x <= MAX_EXACT_INT as f64 => {
                 Some(*x as u64)
             }
             _ => None,

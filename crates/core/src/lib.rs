@@ -29,9 +29,9 @@
 //! The driver is staged: [`SweepPlan`] enumerates every candidate design
 //! (switch-count vector × intermediate-switch count) up front,
 //! [`evaluate_candidate`] evaluates one candidate as a pure function, and
-//! [`synthesize`] fans the candidates out over rayon when
-//! [`SynthesisConfig::parallel`] is set. Parallel and sequential execution
-//! return identical design spaces.
+//! [`synthesize`] fans the candidates out over rayon, as wide as
+//! `rayon::current_num_threads()`. Every thread count returns the
+//! identical design space.
 //!
 //! # Example
 //!
@@ -69,7 +69,7 @@ mod vcg;
 mod verify;
 
 pub use assign::{island_switch_assignment, switch_counts_for_sweep, SwitchAssignment};
-pub use baseline::{central_island_baseline, synthesize_oblivious, ObliviousDesign};
+pub use baseline::{synthesize_oblivious, ObliviousDesign};
 pub use config::SynthesisConfig;
 pub use design_space::{DesignPoint, DesignSpace};
 pub use error::SynthesisError;

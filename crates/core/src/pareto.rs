@@ -59,8 +59,7 @@ impl ParetoKey {
 
 /// Index of the minimum of `key` over `items` (first of equal minima,
 /// matching `Iterator::min_by` with a `partial_cmp` fallback), or `None` for
-/// an empty slice. Backs [`crate::DesignSpace::min_power_point`] and
-/// [`crate::DesignSpace::min_latency_point`].
+/// an empty slice. Backs [`crate::DesignSpace::min_power_point`].
 pub fn argmin<T>(items: &[T], key: impl Fn(&T) -> f64) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, item) in items.iter().enumerate() {

@@ -10,9 +10,9 @@
 //! 2. [`evaluate_candidate`] — a *pure* per-candidate stage: VCG min-cut
 //!    partitioning into switches, bandwidth-ordered path allocation, and
 //!    metric evaluation;
-//! 3. [`synthesize`] — a fan-out over per-sweep-index candidate *chains*
-//!    (rayon `par_iter` when [`SynthesisConfig::parallel`] is set, a plain
-//!    iterator otherwise) folded into the [`DesignSpace`].
+//! 3. [`synthesize`] — a rayon `par_iter` over per-sweep-index candidate
+//!    *chains*, as wide as `rayon::current_num_threads()`, folded into the
+//!    [`DesignSpace`].
 //!
 //! The fan-out unit is a chain, not a single candidate, because all
 //! intermediate-count candidates of one sweep index share their expensive
@@ -22,10 +22,9 @@
 //! recorded allocation. Warm-starting is an exact optimization — it only
 //! skips work whose result is provably unchanged — so every candidate's
 //! outcome is bit-identical to the pure cold evaluation of
-//! [`evaluate_candidate`], and both execution modes visit candidates in
-//! the same order (the parallel map is order-preserving), producing
-//! byte-identical design spaces. The sequential mode exists for
-//! determinism checks and single-threaded profiling.
+//! [`evaluate_candidate`], and the fan-out visits candidates in the same
+//! order at any width (the parallel map is order-preserving), producing
+//! byte-identical design spaces on one thread or many.
 
 use crate::assign::{island_switch_assignment, switch_counts_for_sweep, SwitchAssignment};
 use crate::config::{FrequencyPlan, SynthesisConfig};
@@ -38,23 +37,6 @@ use crate::vcg::{build_vcg, Vcg};
 use rayon::prelude::*;
 use vi_noc_graph::SearchScratch;
 use vi_noc_soc::{SocSpec, ViAssignment};
-
-/// The pipeline's single fan-out primitive: an order-preserving map over
-/// `items`, parallel or sequential by `parallel`. Both branches visit
-/// items in order, which is what makes the two execution modes
-/// interchangeable.
-fn maybe_parallel_map<'a, T, U, F>(parallel: bool, items: &'a [T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&'a T) -> U + Sync,
-{
-    if parallel {
-        items.par_iter().map(f).collect()
-    } else {
-        items.iter().map(f).collect()
-    }
-}
 
 /// One candidate design of the sweep: a per-island switch-count vector plus
 /// a requested intermediate-island switch count.
@@ -123,11 +105,12 @@ impl SweepPlan {
 
         // The min-cut partition of each sweep index is shared by all of
         // its intermediate-count candidates, so it is computed here once
-        // per index (in parallel when configured — each assignment is a
-        // pure function of its count vector).
-        let assignments = maybe_parallel_map(cfg.parallel, &count_vectors, |counts| {
-            island_switch_assignment(&vcgs, &plan, counts, cfg)
-        });
+        // per index, in parallel (each assignment is a pure function of
+        // its count vector).
+        let assignments = count_vectors
+            .par_iter()
+            .map(|counts| island_switch_assignment(&vcgs, &plan, counts, cfg))
+            .collect();
 
         SweepPlan {
             plan,
@@ -482,8 +465,9 @@ pub fn evaluate_candidate_chain_with_certificate(
 /// 5. save every design point whose flows all meet their latency
 ///    constraints.
 ///
-/// Candidates are evaluated concurrently when [`SynthesisConfig::parallel`]
-/// is set; both modes return identical design spaces.
+/// Candidate chains are evaluated concurrently, as many at once as
+/// `rayon::current_num_threads()`; every width returns the identical
+/// design space.
 ///
 /// # Errors
 ///
@@ -512,13 +496,16 @@ pub fn synthesize(
             start = i;
         }
     }
-    let outcomes: Vec<CandidateOutcome> = maybe_parallel_map(cfg.parallel, &chains, |chain| {
-        let assignment = sweep.assignment(chain[0].sweep_index);
-        evaluate_candidate_chain(spec, vi, &sweep.plan, assignment, chain, cfg)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let outcomes: Vec<CandidateOutcome> = chains
+        .par_iter()
+        .map(|chain| {
+            let assignment = sweep.assignment(chain[0].sweep_index);
+            evaluate_candidate_chain(spec, vi, &sweep.plan, assignment, chain, cfg)
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .flatten()
+        .collect();
 
     let explored = outcomes.len();
     let mut points = Vec::new();
@@ -656,18 +643,16 @@ mod tests {
     #[test]
     fn parallel_and_sequential_modes_agree_exactly() {
         let soc = benchmarks::d26_mobile();
+        let cfg = SynthesisConfig::default();
         for k in [2usize, 6, 26] {
             let vi = partition::logical_partition(&soc, k).unwrap();
-            let seq_cfg = SynthesisConfig {
-                parallel: false,
-                ..SynthesisConfig::default()
+            let at = |width| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+                pool.unwrap()
+                    .install(|| synthesize(&soc, &vi, &cfg))
+                    .unwrap()
             };
-            let par_cfg = SynthesisConfig {
-                parallel: true,
-                ..SynthesisConfig::default()
-            };
-            let seq = synthesize(&soc, &vi, &seq_cfg).unwrap();
-            let par = synthesize(&soc, &vi, &par_cfg).unwrap();
+            let (seq, par) = (at(1), at(2));
             assert_eq!(seq.points.len(), par.points.len(), "k={k}");
             for (a, b) in seq.points.iter().zip(&par.points) {
                 assert_eq!(a.sweep_index, b.sweep_index);

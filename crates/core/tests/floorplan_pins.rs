@@ -11,7 +11,7 @@
 //! feeds it (logical partitions of 1, 3, 4 and 6 islands, four seeds,
 //! one to three restarts, default iterations), and generated module sets
 //! with non-square modules, multi-pin nets (repeated pins included),
-//! restarts 0–3, both execution modes and short iteration counts.
+//! restarts 0–3, one thread and two, and short iteration counts.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -138,8 +138,9 @@ fn d26_six_island_placements_are_pinned() {
 const GEN_ITERATIONS: [usize; 6] = [0, 1, 7, 49, 400, 1_500];
 
 /// Generated case `i`: 1–18 non-square modules over 1–4 islands, 0–8 nets
-/// of 1–4 pins drawn with replacement, restarts `i % 4`, parallel on
-/// even `i / 4`, and an iteration count from [`GEN_ITERATIONS`].
+/// of 1–4 pins drawn with replacement, restarts `i % 4`, and an iteration
+/// count from [`GEN_ITERATIONS`]. It runs on two threads for even `i / 4`,
+/// on one otherwise.
 fn generated_case(i: u64) -> (Vec<Module>, Vec<Net>, FloorplanConfig) {
     let mut rng = StdRng::seed_from_u64(0x9E0_0000 + i);
     let n = rng.random_range(1..=18usize);
@@ -166,7 +167,6 @@ fn generated_case(i: u64) -> (Vec<Module>, Vec<Net>, FloorplanConfig) {
         seed: rng.random::<u64>(),
         iterations: GEN_ITERATIONS[(i % 6) as usize],
         restarts: (i % 4) as usize,
-        parallel: (i / 4) % 2 == 0,
         lambda_wire: if i % 5 == 0 { 1.0 } else { 0.02 },
         ..FloorplanConfig::default()
     };
@@ -241,7 +241,9 @@ const GEN_PINS: [u64; 60] = [
 fn generated_placements_are_pinned() {
     for (i, &pin) in GEN_PINS.iter().enumerate() {
         let (modules, nets, cfg) = generated_case(i as u64);
-        let got = digest(&floorplan(&modules, &nets, &cfg));
+        let width = if (i / 4) % 2 == 0 { 2 } else { 1 };
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+        let got = digest(&pool.unwrap().install(|| floorplan(&modules, &nets, &cfg)));
         assert_eq!(got, pin, "generated case {i} ({cfg:?}): digest {got:#x}");
     }
 }

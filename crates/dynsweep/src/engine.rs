@@ -19,8 +19,7 @@ pub struct DynSweepInput<'a> {
     pub spec: &'a SocSpec,
     /// Its voltage-island partition.
     pub vi: &'a ViAssignment,
-    /// The synthesis config the sweep ran under (seed, α, technology,
-    /// `parallel` — which also gates the rayon fan-out here).
+    /// The synthesis config the sweep ran under (seed, α, technology).
     pub cfg: &'a SynthesisConfig,
     /// Base sim config; each cell overrides `load_factor` and `traffic`.
     pub sim: &'a SimConfig,
@@ -116,11 +115,7 @@ fn regenerate_points(input: &DynSweepInput) -> Result<Vec<(TablePoint, DesignPoi
         .enumerate()
         .map(|(i, (_, v))| (i, v))
         .collect();
-    if input.cfg.parallel {
-        indexed.par_iter().map(|&(i, v)| make(i, v)).collect()
-    } else {
-        indexed.iter().map(|&(i, v)| make(i, v)).collect()
-    }
+    indexed.par_iter().map(|&(i, v)| make(i, v)).collect()
 }
 
 /// Simulates one cell and measures its stats.
@@ -162,8 +157,8 @@ fn simulate_cell(
 }
 
 /// Runs the dynamic sweep: simulates every frontier point at every
-/// (load, traffic, schedule) cell of `axes` — in one rayon fan-out when
-/// the synthesis config says `parallel`, order-preserving either way — and
+/// (load, traffic, schedule) cell of `axes` — in one order-preserving
+/// rayon fan-out, as wide as `rayon::current_num_threads()` — and
 /// writes the table with the cells in canonical order (point-major, then
 /// load, traffic, schedule). `mode` is always [`Mode::Exact`].
 ///
@@ -199,11 +194,7 @@ pub fn run_dynsweep(
             schedule,
             stats: simulate_cell(input, axes, &designs[point], load, traffic, schedule),
         };
-    let recs: Vec<TableCellRec> = if input.cfg.parallel {
-        cells.par_iter().map(simulate).collect()
-    } else {
-        cells.iter().map(simulate).collect()
-    };
+    let recs: Vec<TableCellRec> = cells.par_iter().map(simulate).collect();
 
     Ok(DynSweepRun {
         table: write_table(input.spec.name(), axes, &rows, &recs),

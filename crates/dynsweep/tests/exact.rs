@@ -1,7 +1,6 @@
 //! Determinism suite for the dynsweep engine: on real and synthetic SoCs,
-//! the table is byte-identical whether the cells run in the rayon fan-out
-//! (`SynthesisConfig::parallel`) or one after another, covers every cell
-//! of the grid, and parses back.
+//! the table is byte-identical whether the cells run on two threads or one
+//! after another, covers every cell of the grid, and parses back.
 
 use vi_noc_core::SynthesisConfig;
 use vi_noc_dynsweep::{parse_table, run_dynsweep, DynSweepInput, DynSweepRun, Mode, SimAxes};
@@ -24,13 +23,10 @@ fn gating_schedule(vi: &vi_noc_soc::ViAssignment) -> Option<ShutdownScenario> {
 }
 
 /// Sweeps `spec` at `islands`, then runs the dynamic sweep over the
-/// frontier with the given `parallel` setting.
-fn sweep(spec: &SocSpec, islands: usize, axes: &SimAxes, parallel: bool) -> DynSweepRun {
+/// frontier.
+fn sweep(spec: &SocSpec, islands: usize, axes: &SimAxes) -> DynSweepRun {
     let vi = partition::logical_partition(spec, islands).unwrap();
-    let cfg = SynthesisConfig {
-        parallel,
-        ..SynthesisConfig::default()
-    };
+    let cfg = SynthesisConfig::default();
     let grid_cfg = GridConfig {
         max_boost: 1,
         freq_scales: vec![1.0],
@@ -53,11 +49,14 @@ fn sweep(spec: &SocSpec, islands: usize, axes: &SimAxes, parallel: bool) -> DynS
     run_dynsweep(&input, axes, Mode::Exact).unwrap()
 }
 
-/// The parallel and sequential tables are the same bytes, and cover the
-/// grid.
+/// The tables of every fan-out two threads wide and one wide are the same
+/// bytes, and cover the grid.
 fn assert_parallel_is_sequential(spec: SocSpec, islands: usize, axes: &SimAxes) {
-    let par = sweep(&spec, islands, axes, true);
-    let seq = sweep(&spec, islands, axes, false);
+    let at = |width| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+        pool.unwrap().install(|| sweep(&spec, islands, axes))
+    };
+    let (par, seq) = (at(2), at(1));
     assert_eq!(
         par.table.as_bytes(),
         seq.table.as_bytes(),

@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
+use vi_noc_core::json;
 
 struct Shared {
     book: Mutex<LeaseBook>,
@@ -134,12 +135,20 @@ fn await_lease(shared: &Shared) -> Option<Lease> {
 ///
 /// # Errors
 ///
-/// Bind failures.
+/// A `checkpoint_every` above [`json::MAX_EXACT_INT`], which every lease
+/// message carries and no worker could read back, and bind failures.
 pub fn start_coordinator(
     bind: &str,
     resolver: Arc<dyn JobResolver>,
     cfg: FleetConfig,
 ) -> Result<FleetHandle, String> {
+    if cfg.checkpoint_every > json::MAX_EXACT_INT {
+        return Err(format!(
+            "fleet: checkpoint_every {} is above 2^53, the largest integer a lease message \
+             can carry",
+            cfg.checkpoint_every
+        ));
+    }
     let listener =
         TcpListener::bind(bind).map_err(|e| format!("fleet: cannot bind {bind}: {e}"))?;
     let addr = listener

@@ -70,7 +70,7 @@ pub struct ResolvedJob {
     pub spec: SocSpec,
     /// Its voltage-island assignment.
     pub vi: ViAssignment,
-    /// Synthesis configuration (seed, weights, parallelism).
+    /// Synthesis configuration (seed, weights, technology).
     pub cfg: SynthesisConfig,
     /// The candidate grid.
     pub grid: SweepGrid,

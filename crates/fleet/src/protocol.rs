@@ -411,10 +411,7 @@ mod tests {
         // and must parse back to that message.
         let spec = benchmarks::d12_auto();
         let vi = partition::logical_partition(&spec, 4).unwrap();
-        let cfg = SynthesisConfig {
-            parallel: false,
-            ..SynthesisConfig::default()
-        };
+        let cfg = SynthesisConfig::default();
         let grid_cfg = GridConfig {
             max_boost: 1,
             freq_scales: vec![1.0, 1.1],

@@ -3,6 +3,10 @@
 //! coordinator says shutdown. An idle worker blocks in its `request`: the
 //! coordinator answers it only once a lease is free (or it stops).
 //!
+//! A worker evaluates its chains one after another: [`run_worker`] runs
+//! its loop in a one-thread rayon pool, because a fleet's parallelism is
+//! its worker count. The frontier is byte-identical at any width.
+//!
 //! The ack-per-delta lockstep is what makes SIGKILL safe: the worker
 //! never runs ahead of what the coordinator has folded, so the
 //! coordinator's acked watermark is always an exact resume point — a
@@ -130,11 +134,11 @@ fn is_disconnect(e: &str) -> bool {
         || e.starts_with("worker write:")
 }
 
-/// Runs the worker loop against the coordinator at `addr` until it sends
-/// `shutdown` — or until the coordinator disappears while the worker is
-/// idle, which is also a clean end: between leases the worker holds
-/// nothing, and a finished coordinator tearing its sockets down is
-/// indistinguishable from (and as harmless as) one politely saying
+/// Runs the worker loop against the coordinator at `addr`, on one thread,
+/// until it sends `shutdown` — or until the coordinator disappears while
+/// the worker is idle, which is also a clean end: between leases the
+/// worker holds nothing, and a finished coordinator tearing its sockets
+/// down is indistinguishable from (and as harmless as) one politely saying
 /// goodbye.
 ///
 /// # Errors
@@ -144,6 +148,16 @@ fn is_disconnect(e: &str) -> bool {
 /// error — the lease is abandoned (counted in [`WorkerStats::abandoned`])
 /// and the loop continues.
 pub fn run_worker(
+    addr: SocketAddr,
+    resolver: &dyn JobResolver,
+    opts: &WorkerOpts,
+) -> Result<WorkerStats, String> {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+    pool.expect("a rayon pool builds")
+        .install(|| worker_loop(addr, resolver, opts))
+}
+
+fn worker_loop(
     addr: SocketAddr,
     resolver: &dyn JobResolver,
     opts: &WorkerOpts,
@@ -198,11 +212,7 @@ fn evaluate_lease(
         jobs[i..].rotate_left(1);
     } else {
         match resolver.resolve(&lease.job) {
-            Ok(mut job) => {
-                // Chains run one after another inside a worker, because a
-                // fleet's parallelism is its worker count. The frontier is
-                // byte-identical either way.
-                job.cfg.parallel = false;
+            Ok(job) => {
                 let fp = grid_fingerprint(&job.desc.to_json());
                 if fp != lease.grid_fp {
                     conn.send(&Message::Refuse {

@@ -47,10 +47,7 @@ impl JobResolver for BenchResolver {
         };
         let spec = benchmarks::d12_auto();
         let vi = partition::logical_partition(&spec, 4).unwrap();
-        let cfg = SynthesisConfig {
-            parallel: false,
-            ..SynthesisConfig::default()
-        };
+        let cfg = SynthesisConfig::default();
         let grid = SweepGrid::build(&spec, &vi, &cfg, &grid_cfg);
         let desc = GridDescriptor::for_grid(&grid, spec.name(), "logical:4", cfg.seed);
         Ok(ResolvedJob {
@@ -101,6 +98,31 @@ fn any_worker_count_reproduces_the_unsharded_frontier_bytes() {
             let stats = w.join().unwrap().unwrap();
             assert_eq!(stats.abandoned, 0, "no lease churn in a healthy fleet");
         }
+    }
+}
+
+/// Every lease message carries `checkpoint_every`, so the coordinator
+/// refuses one above 2^53 that no worker could read back; 2^53 itself
+/// folds exactly.
+#[test]
+fn a_checkpoint_interval_no_lease_can_carry_is_refused() {
+    let every = |n: u64| FleetConfig {
+        checkpoint_every: n,
+        ..config()
+    };
+    let refused = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), every((1 << 53) + 1));
+    assert!(refused.err().is_some_and(|e| e.contains("above 2^53")));
+    let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), every(1 << 53)).unwrap();
+    let pool = spawn_local_workers(
+        handle.addr(),
+        Arc::new(BenchResolver),
+        1,
+        WorkerOpts::default(),
+    );
+    assert_eq!(handle.submit("d12").unwrap(), reference("d12"));
+    handle.shutdown();
+    for w in pool {
+        w.join().unwrap().unwrap();
     }
 }
 

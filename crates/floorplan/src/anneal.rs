@@ -28,11 +28,10 @@ pub struct FloorplanConfig {
     /// Number of independent annealing chains; the best result wins.
     /// Restart `r` is seeded with `seed + r`, so restart 0 reproduces the
     /// single-chain result and adding restarts can only improve the cost.
+    /// The restarts run across `rayon::current_num_threads()` threads (the
+    /// same order-preserving fan-out the synthesis sweep uses); every
+    /// thread count selects the identical placement.
     pub restarts: usize,
-    /// Run the restarts across threads (the same order-preserving rayon
-    /// fan-out the synthesis sweep uses). Parallel and sequential execution
-    /// select the identical placement.
-    pub parallel: bool,
 }
 
 impl Default for FloorplanConfig {
@@ -46,7 +45,6 @@ impl Default for FloorplanConfig {
             lambda_island: 0.3,
             lambda_aspect: 2.0,
             restarts: 2,
-            parallel: true,
         }
     }
 }
@@ -266,10 +264,9 @@ fn anneal_chain(
 /// traffic-weighted wirelength, island spread and aspect-ratio penalty.
 ///
 /// Runs [`FloorplanConfig::restarts`] independent chains (seeded
-/// `seed + r`, fanned out across threads when
-/// [`FloorplanConfig::parallel`] is set) and returns the best placement
+/// `seed + r`, fanned out across threads) and returns the best placement
 /// encountered; cost ties go to the lowest restart index, so the result is
-/// deterministic for a fixed [`FloorplanConfig`] in both execution modes.
+/// deterministic for a fixed [`FloorplanConfig`] at any thread count.
 ///
 /// # Panics
 ///
@@ -282,17 +279,10 @@ pub fn floorplan(modules: &[Module], nets: &[Net], cfg: &FloorplanConfig) -> Pla
         }
     }
     let restarts: Vec<u64> = (0..cfg.restarts.max(1) as u64).collect();
-    let chains: Vec<(f64, PolishExpr)> = if cfg.parallel && restarts.len() > 1 {
-        restarts
-            .par_iter()
-            .map(|&r| anneal_chain(modules, nets, cfg, cfg.seed.wrapping_add(r)))
-            .collect()
-    } else {
-        restarts
-            .iter()
-            .map(|&r| anneal_chain(modules, nets, cfg, cfg.seed.wrapping_add(r)))
-            .collect()
-    };
+    let chains: Vec<(f64, PolishExpr)> = restarts
+        .par_iter()
+        .map(|&r| anneal_chain(modules, nets, cfg, cfg.seed.wrapping_add(r)))
+        .collect();
     let best = chains
         .into_iter()
         .reduce(|best, next| if next.0 < best.0 { next } else { best })
@@ -419,23 +409,11 @@ mod tests {
             restarts: 4,
             ..quick_cfg()
         };
-        let seq = floorplan(
-            &modules,
-            &nets,
-            &FloorplanConfig {
-                parallel: false,
-                ..base.clone()
-            },
-        );
-        let par = floorplan(
-            &modules,
-            &nets,
-            &FloorplanConfig {
-                parallel: true,
-                ..base
-            },
-        );
-        assert_eq!(seq, par);
+        let at = |width| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+            pool.unwrap().install(|| floorplan(&modules, &nets, &base))
+        };
+        assert_eq!(at(1), at(2));
     }
 
     #[test]

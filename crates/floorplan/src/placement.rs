@@ -51,11 +51,6 @@ impl Placement {
         self.rects.len()
     }
 
-    /// Placed rectangle of module `idx`.
-    pub fn rect(&self, idx: usize) -> Rect {
-        self.rects[idx]
-    }
-
     /// All rectangles, indexed by module.
     pub fn rects(&self) -> &[Rect] {
         &self.rects
@@ -225,7 +220,7 @@ mod tests {
         };
         let p = evaluate(&expr, &modules);
         assert_eq!(p.die(), (2.0, 1.0));
-        assert_eq!(p.rect(1).x, 1.0);
+        assert_eq!(p.rects()[1].x, 1.0);
         assert!(p.is_overlap_free());
         assert!((p.utilization() - 1.0).abs() < 1e-9);
     }
@@ -243,7 +238,7 @@ mod tests {
         };
         let p = evaluate(&expr, &modules);
         assert_eq!(p.die(), (1.0, 2.0));
-        assert_eq!(p.rect(1).y, 1.0);
+        assert_eq!(p.rects()[1].y, 1.0);
     }
 
     #[test]

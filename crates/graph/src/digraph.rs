@@ -6,7 +6,6 @@ use crate::ids::{EdgeId, NodeId};
 struct NodeEntry<N> {
     payload: N,
     out: Vec<EdgeId>,
-    inc: Vec<EdgeId>,
 }
 
 #[derive(Debug, Clone)]
@@ -64,7 +63,6 @@ impl<N, E> DiGraph<N, E> {
         self.nodes.push(NodeEntry {
             payload,
             out: Vec::new(),
-            inc: Vec::new(),
         });
         id
     }
@@ -83,7 +81,6 @@ impl<N, E> DiGraph<N, E> {
         let id = EdgeId::from_index(self.edges.len());
         self.edges.push(EdgeEntry { src, dst, payload });
         self.nodes[src.index()].out.push(id);
-        self.nodes[dst.index()].inc.push(id);
         id
     }
 
@@ -154,25 +151,6 @@ impl<N, E> DiGraph<N, E> {
         self.nodes[node.index()].out.iter().copied()
     }
 
-    /// Iterates over the ids of edges entering `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.nodes[node.index()].inc.iter().copied()
-    }
-
-    /// Iterates over successor nodes of `node` (one entry per out-edge).
-    pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_edges(node).map(move |e| self.target(e))
-    }
-
-    /// Iterates over predecessor nodes of `node` (one entry per in-edge).
-    pub fn predecessors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(node).map(move |e| self.source(e))
-    }
-
     /// Returns the first edge `src -> dst` if one exists.
     pub fn find_edge(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
         self.out_edges(src).find(|&e| self.target(e) == dst)
@@ -225,8 +203,8 @@ mod tests {
     #[test]
     fn adjacency_is_consistent() {
         let (g, [a, b, c]) = triangle();
-        assert_eq!(g.successors(a).collect::<Vec<_>>(), vec![b]);
-        assert_eq!(g.predecessors(a).collect::<Vec<_>>(), vec![c]);
+        let heads: Vec<NodeId> = g.out_edges(a).map(|e| g.target(e)).collect();
+        assert_eq!(heads, vec![b]);
         let e = g.find_edge(b, c).unwrap();
         assert_eq!(g.endpoints(e), (b, c));
         assert_eq!(g.source(e), b);

@@ -39,11 +39,6 @@ impl LinkModel {
         Bandwidth::from_bytes_per_s(self.width_bits as f64 / 8.0 * freq.hz())
     }
 
-    /// Wire propagation delay over `length_mm`, in nanoseconds.
-    pub fn delay_ns(&self, length_mm: f64) -> f64 {
-        length_mm * self.tech.wire_delay_ps_per_mm / 1e3
-    }
-
     /// Longest unpipelined link that still meets timing at `freq`.
     pub fn max_length_mm(&self, freq: Frequency) -> f64 {
         let budget_ns = freq.period_ns() - self.tech.link_setup_margin_ns;
@@ -83,9 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn longer_wires_are_slower_and_hungrier() {
+    fn longer_wires_are_hungrier() {
         let l = model();
-        assert!(l.delay_ns(4.0) > l.delay_ns(1.0));
         let bw = Bandwidth::from_mbps(400.0);
         assert!(l.traffic_power(4.0, bw).mw() > l.traffic_power(1.0, bw).mw());
     }
@@ -126,9 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_link_is_free_and_instant() {
+    fn zero_length_link_is_free() {
         let l = model();
-        assert_eq!(l.delay_ns(0.0), 0.0);
         assert_eq!(l.traffic_power(0.0, Bandwidth::from_mbps(100.0)).mw(), 0.0);
     }
 }

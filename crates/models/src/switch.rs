@@ -139,11 +139,6 @@ impl SwitchModel {
     pub fn leakage_power(&self) -> Power {
         Power::from_mw(self.area().mm2() * self.tech.leak_density_mw_per_mm2)
     }
-
-    /// Total power: idle + traffic + leakage.
-    pub fn total_power(&self, freq: Frequency, bandwidth: Bandwidth) -> Power {
-        self.idle_power(freq) + self.traffic_power(bandwidth) + self.leakage_power()
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +215,9 @@ mod tests {
         // mW — the order of magnitude behind the paper's 20-100 mW NoC total.
         let t = tech();
         let sw = SwitchModel::new(&t, 6, 6, 32);
-        let p = sw.total_power(Frequency::from_mhz(400.0), Bandwidth::from_mbps(800.0));
+        let p = sw.idle_power(Frequency::from_mhz(400.0))
+            + sw.traffic_power(Bandwidth::from_mbps(800.0))
+            + sw.leakage_power();
         assert!(
             p.mw() > 1.0 && p.mw() < 15.0,
             "6x6@400MHz switch power {} mW outside plausible band",

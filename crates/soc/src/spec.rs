@@ -141,20 +141,9 @@ impl SocSpec {
         &self.cores[id.0]
     }
 
-    /// Borrows a core by id, `None` if the id is out of range (the
-    /// panic-free lookup for externally supplied ids).
-    pub fn get_core(&self, id: CoreId) -> Option<&CoreSpec> {
-        self.cores.get(id.0)
-    }
-
     /// Borrows a flow by id.
     pub fn flow(&self, id: FlowId) -> &TrafficFlow {
         &self.flows[id.0]
-    }
-
-    /// Borrows a flow by id, `None` if the id is out of range.
-    pub fn get_flow(&self, id: FlowId) -> Option<&TrafficFlow> {
-        self.flows.get(id.0)
     }
 
     /// All cores, indexable by `CoreId::index`.
@@ -374,15 +363,6 @@ mod tests {
             Ok(FlowId::from_index(2))
         );
         assert_eq!(s.validate(), Ok(()));
-    }
-
-    #[test]
-    fn get_core_and_get_flow_are_panic_free() {
-        let s = tiny();
-        assert!(s.get_core(CoreId::from_index(0)).is_some());
-        assert!(s.get_core(CoreId::from_index(99)).is_none());
-        assert!(s.get_flow(FlowId::from_index(1)).is_some());
-        assert!(s.get_flow(FlowId::from_index(99)).is_none());
     }
 
     #[test]

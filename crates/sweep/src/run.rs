@@ -13,10 +13,10 @@ use vi_noc_core::{
 };
 use vi_noc_soc::{SocSpec, ViAssignment};
 
-/// Chains evaluated per fold step when [`SynthesisConfig::parallel`] is set:
-/// a block is fanned out over rayon, its chain-local frontiers are merged
-/// into the running fold, and everything else is dropped — so peak memory is
-/// `O(block × chain frontier)`, independent of the grid size.
+/// Chains evaluated per fold step: a block is fanned out over rayon (as
+/// wide as `rayon::current_num_threads()`), its chain-local frontiers are
+/// merged into the running fold, and everything else is dropped — so peak
+/// memory is `O(block × chain frontier)`, independent of the grid size.
 const PARALLEL_BLOCK: usize = 64;
 
 /// One surviving design point with its full grid provenance.
@@ -230,9 +230,9 @@ pub fn regenerate_point(
 }
 
 /// Streams shard `shard` of `grid`: evaluates every owned chain (rayon
-/// block-parallel when [`SynthesisConfig::parallel`] is set, strictly
-/// sequential otherwise) and folds outcomes into a bounded-memory Pareto
-/// frontier as they complete: [`run_deltas`] with the stripe as one delta.
+/// block-parallel, one chain after another at one thread) and folds
+/// outcomes into a bounded-memory Pareto frontier as they complete:
+/// [`run_deltas`] with the stripe as one delta.
 ///
 /// The result is exact and sharding-invariant: because dominance is a
 /// strict partial order (see [`vi_noc_core::pareto`]), merging the
@@ -364,8 +364,8 @@ pub struct RangeDelta {
 /// `from` on, emitting a [`RangeDelta`] through `emit` every `every`
 /// positions (the last delta may be shorter); an `Err` from `emit` aborts
 /// the run and is returned verbatim. Within a delta, active chains run in
-/// rayon blocks of up to `PARALLEL_BLOCK` evaluated chains (under
-/// [`SynthesisConfig::parallel`]). With `prune` set, chains whose slack
+/// rayon blocks of up to `PARALLEL_BLOCK` evaluated chains, as wide as
+/// `rayon::current_num_threads()`. With `prune` set, chains whose slack
 /// certificate proves them dominated are skipped; the decision is a pure
 /// function of `(grid, chain)`, so every split of the ids into shards,
 /// leases, deltas or resumed runs skips the identical set
@@ -400,11 +400,7 @@ pub fn run_deltas(
     let flush = |block: &mut Vec<ChainSpec>,
                  stats: &mut SweepStats,
                  frontier: &mut ParetoFold<FrontierPoint>| {
-        let results: Vec<_> = if cfg.parallel {
-            block.par_iter().map(evaluate).collect()
-        } else {
-            block.iter().map(evaluate).collect()
-        };
+        let results: Vec<_> = block.par_iter().map(evaluate).collect();
         for (s, local) in results {
             stats.add(&s);
             frontier.absorb(local);
@@ -507,17 +503,14 @@ mod tests {
             freq_scales: vec![1.0, 1.2],
             max_intermediate: 2,
         };
-        let seq_cfg = SynthesisConfig {
-            parallel: false,
-            ..SynthesisConfig::default()
+        let cfg = SynthesisConfig::default();
+        let grid = SweepGrid::build(&soc, &vi, &cfg, &grid_cfg);
+        let at = |width| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+            pool.unwrap()
+                .install(|| run_shard(&soc, &vi, &grid, Shard::full(), &cfg))
         };
-        let par_cfg = SynthesisConfig {
-            parallel: true,
-            ..SynthesisConfig::default()
-        };
-        let grid = SweepGrid::build(&soc, &vi, &seq_cfg, &grid_cfg);
-        let seq = run_shard(&soc, &vi, &grid, Shard::full(), &seq_cfg);
-        let par = run_shard(&soc, &vi, &grid, Shard::full(), &par_cfg);
+        let (seq, par) = (at(1), at(2));
         assert_eq!(seq.stats, par.stats);
         let a = seq.frontier.into_sorted();
         let b = par.frontier.into_sorted();

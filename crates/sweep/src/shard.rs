@@ -2,6 +2,7 @@
 //! contiguous [`ChainRange`] shape the fleet coordinator leases out.
 
 use std::fmt;
+use vi_noc_core::json;
 
 /// One stripe of a sharded sweep: shard `index` of `count` owns every chain
 /// id congruent to `index` modulo `count`.
@@ -27,10 +28,16 @@ impl Shard {
         Shard { index: 0, count: 1 }
     }
 
-    /// Creates a shard, validating `index < count`.
+    /// Creates a shard, validating `index < count` and that a checkpoint
+    /// can record `count` (at most [`json::MAX_EXACT_INT`]).
     pub fn new(index: u64, count: u64) -> Result<Self, String> {
         if count == 0 {
             return Err("shard count must be at least 1".to_string());
+        }
+        if count > json::MAX_EXACT_INT {
+            return Err(format!(
+                "shard count {count} is above 2^53, the largest a checkpoint can record"
+            ));
         }
         if index >= count {
             return Err(format!("shard index {index} out of range 0..{count}"));
@@ -46,11 +53,6 @@ impl Shard {
         let index: u64 = i.parse().map_err(|_| format!("bad shard index '{i}'"))?;
         let count: u64 = n.parse().map_err(|_| format!("bad shard count '{n}'"))?;
         Shard::new(index, count)
-    }
-
-    /// `true` iff this shard owns `chain_id`.
-    pub fn owns(&self, chain_id: u64) -> bool {
-        chain_id % self.count == self.index
     }
 
     /// The chain ids this shard owns, in ascending order.
@@ -162,7 +164,6 @@ mod tests {
                 let shard = Shard::new(i, n).unwrap();
                 for c in shard.chain_ids(23) {
                     seen[c as usize] += 1;
-                    assert!(shard.owns(c));
                 }
             }
             assert!(seen.iter().all(|&s| s == 1), "n={n}: each chain once");
@@ -227,5 +228,12 @@ mod tests {
             assert!(Shard::parse(bad).is_err(), "{bad:?}");
         }
         assert_eq!(Shard::parse("2/5").unwrap().to_string(), "2/5");
+    }
+
+    #[test]
+    fn shard_counts_stay_within_what_a_checkpoint_records() {
+        assert!(Shard::parse("1/9007199254740993").is_err());
+        assert!(Shard::new(0, u64::MAX).is_err());
+        assert_eq!(Shard::parse("1/9007199254740992").unwrap().count, 1 << 53);
     }
 }

@@ -13,10 +13,7 @@ use vi_noc_sweep::{
 fn setup() -> (SocSpec, ViAssignment, SynthesisConfig, GridConfig) {
     let soc = benchmarks::d12_auto();
     let vi = partition::logical_partition(&soc, 4).unwrap();
-    let cfg = SynthesisConfig {
-        parallel: false,
-        ..SynthesisConfig::default()
-    };
+    let cfg = SynthesisConfig::default();
     let grid_cfg = GridConfig {
         max_boost: 1,
         freq_scales: vec![1.0],

@@ -110,8 +110,8 @@ fn communication_partition_shards_exactly() {
     check_shard_exactness("d16-comm", &soc, &vi, &grid_cfg, &cfg, &[2, 7]);
 }
 
-/// Sequential and parallel shard runs emit identical checkpoint bytes (the
-/// block-parallel fold is exact too).
+/// Shard runs on one thread and on two emit identical checkpoint bytes
+/// (the block-parallel fold is exact too).
 #[test]
 fn parallel_shard_checkpoints_match_sequential() {
     let soc = benchmarks::d12_auto();
@@ -121,23 +121,19 @@ fn parallel_shard_checkpoints_match_sequential() {
         freq_scales: vec![1.0, 1.2],
         max_intermediate: 2,
     };
-    let seq_cfg = SynthesisConfig {
-        parallel: false,
-        ..SynthesisConfig::default()
-    };
-    let par_cfg = SynthesisConfig {
-        parallel: true,
-        ..SynthesisConfig::default()
-    };
-    let grid = SweepGrid::build(&soc, &vi, &seq_cfg, &grid_cfg);
-    let desc = descriptor(&soc, "d12-par", &grid, &seq_cfg);
+    let cfg = SynthesisConfig::default();
+    let grid = SweepGrid::build(&soc, &vi, &cfg, &grid_cfg);
+    let desc = descriptor(&soc, "d12-par", &grid, &cfg);
     for i in 0..2 {
         let shard = Shard::new(i, 2).unwrap();
-        let seq =
-            shard_checkpoint_json(&desc, shard, &run_shard(&soc, &vi, &grid, shard, &seq_cfg));
-        let par =
-            shard_checkpoint_json(&desc, shard, &run_shard(&soc, &vi, &grid, shard, &par_cfg));
-        assert_eq!(seq, par, "shard {shard}");
+        let at = |width| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+            let run = pool
+                .unwrap()
+                .install(|| run_shard(&soc, &vi, &grid, shard, &cfg));
+            shard_checkpoint_json(&desc, shard, &run)
+        };
+        assert_eq!(at(1), at(2), "shard {shard}");
     }
 }
 

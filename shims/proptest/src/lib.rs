@@ -459,7 +459,7 @@ macro_rules! impl_range_strategy {
         }
     )*};
 }
-impl_range_strategy!(u8, u16, u32, u64, usize);
+impl_range_strategy!(u8, u64, usize);
 
 /// The shrink tree of a float drawn from a range starting at `lo`: the
 /// range start itself, then the midpoint. The sequence converges without
@@ -648,9 +648,7 @@ pub mod bool {
 pub mod prelude {
     //! Glob-import surface mirroring `proptest::prelude`.
     pub use crate::test_runner::{TestCaseError, TestCaseResult};
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just, ProptestConfig, Strategy,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, proptest, Just, ProptestConfig, Strategy};
 }
 
 /// Defines property tests: each `fn name(pat in strategy, ...) { body }`
@@ -729,15 +727,6 @@ macro_rules! prop_assert_eq {
     ($left:expr, $right:expr, $($fmt:tt)+) => {{
         let (l, r) = (&$left, &$right);
         $crate::prop_assert!(*l == *r, $($fmt)+);
-    }};
-}
-
-/// `assert_ne!` counterpart of [`prop_assert!`].
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(*l != *r, "assertion failed: {:?} == {:?}", l, r);
     }};
 }
 

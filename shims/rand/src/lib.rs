@@ -38,28 +38,17 @@ impl Standard for f64 {
     }
 }
 
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_f64() as f32
-    }
-}
-
 impl Standard for bool {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
     }
 }
 
-macro_rules! impl_standard_int {
-    ($($t:ty),*) => {$(
-        impl Standard for $t {
-            fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
+impl Standard for u64 {
+    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64()
+    }
 }
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Ranges that can be sampled uniformly.
 pub trait SampleRange<T> {
@@ -90,7 +79,7 @@ macro_rules! impl_sample_range_int {
         }
     )*};
 }
-impl_sample_range_int!(u8, u16, u32, u64, usize);
+impl_sample_range_int!(u8, u64, usize);
 
 impl SampleRange<f64> for Range<f64> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
@@ -162,31 +151,15 @@ pub mod seq {
 
     /// In-place random reordering of slices.
     pub trait SliceRandom {
-        /// The element type.
-        type Item;
-
         /// Fisher–Yates shuffle driven by `rng`.
         fn shuffle<R: RngCore>(&mut self, rng: &mut R);
-
-        /// A uniformly chosen element, or `None` if empty.
-        fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&Self::Item>;
     }
 
     impl<T> SliceRandom for [T] {
-        type Item = T;
-
         fn shuffle<R: RngCore>(&mut self, rng: &mut R) {
             for i in (1..self.len()).rev() {
                 let j = rng.random_range(0..=i);
                 self.swap(i, j);
-            }
-        }
-
-        fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                Some(&self[rng.random_range(0..self.len())])
             }
         }
     }

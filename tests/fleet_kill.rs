@@ -24,7 +24,6 @@ const SCENARIO: &str = r#"{"format":"vi-noc-scenario-v1",
 "name":"fleet kill",
 "spec":{"benchmark":"d12"},
 "partition":{"kind":"logical","islands":4},
-"synthesis":{"parallel":false},
 "sweep":{"max_boost":1,"freq_scales":[1,1.1],"max_intermediate":2}
 }
 "#;

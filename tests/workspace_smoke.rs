@@ -1,6 +1,6 @@
 //! Workspace-level smoke test: the whole pipeline through the facade
-//! crate, plus the parallel/sequential equivalence guarantee of the staged
-//! synthesis driver.
+//! crate, plus the one-thread/two-thread equivalence guarantee of the
+//! staged synthesis driver.
 
 use vi_noc::soc::{benchmarks, partition};
 use vi_noc::synth::{synthesize, SynthesisConfig};
@@ -24,24 +24,12 @@ fn quickstart_pipeline_produces_a_pareto_front() {
 fn parallel_and_sequential_design_spaces_are_identical() {
     let soc = benchmarks::d12_auto();
     let vi = partition::logical_partition(&soc, 4).expect("4 logical islands");
-    let sequential = synthesize(
-        &soc,
-        &vi,
-        &SynthesisConfig {
-            parallel: false,
-            ..SynthesisConfig::default()
-        },
-    )
-    .expect("sequential mode feasible");
-    let parallel = synthesize(
-        &soc,
-        &vi,
-        &SynthesisConfig {
-            parallel: true,
-            ..SynthesisConfig::default()
-        },
-    )
-    .expect("parallel mode feasible");
+    let at = |width| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+        let run = || synthesize(&soc, &vi, &SynthesisConfig::default());
+        pool.unwrap().install(run).expect("feasible design space")
+    };
+    let (sequential, parallel) = (at(1), at(2));
 
     assert_eq!(sequential.spec_name, parallel.spec_name);
     assert_eq!(sequential.island_count, parallel.island_count);
