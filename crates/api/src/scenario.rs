@@ -315,9 +315,11 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Any stage failure, through the unified [`Error`].
+    /// A simulated stage that would generate more than 2^24 packets, and any
+    /// stage failure, through the unified [`Error`].
     pub fn run(&self) -> Result<Report, Error> {
         let spec = self.resolve_spec()?;
+        self.check_stage_budgets(&spec)?;
         let vi = self.resolve_partition(&spec)?;
         let space = synthesize(&spec, &vi, &self.synthesis)?;
         let point = space
@@ -409,6 +411,61 @@ impl Scenario {
             ));
         }
         Ok(report)
+    }
+
+    /// Rejects each simulated stage that would generate more than
+    /// [`MAX_STAGE_PACKETS`] packets of `spec`'s traffic, or whose span in
+    /// picoseconds does not fit a `u64`: the `sim` stage over its horizon,
+    /// the `shutdown` stage over its longest timeline at the sim's load,
+    /// and the worst `dyn_sweep` cell. An overloaded NI stages every packet
+    /// it cannot inject, so such a stage would exhaust memory, or run for
+    /// as long as it has packets to generate.
+    fn check_stage_budgets(&self, spec: &SocSpec) -> Result<(), Error> {
+        let sim = self
+            .sim
+            .as_ref()
+            .map(|p| p.config.clone())
+            .unwrap_or_default();
+        let bytes_per_s: f64 = spec
+            .flow_ids()
+            .map(|f| spec.flow(f).bandwidth.bytes_per_s())
+            .sum();
+        let check = |stage: &str, span_ns: Option<u64>, load: f64| {
+            let span_ps = span_ns
+                .and_then(|ns| ns.checked_mul(1_000))
+                .ok_or_else(|| {
+                    Error::scenario(
+                        stage,
+                        "the simulated span does not fit a u64 of picoseconds",
+                    )
+                })?;
+            let packets = bytes_per_s * load * (span_ps as f64 * 1e-12) / sim.packet_bytes as f64;
+            if packets > MAX_STAGE_PACKETS as f64 {
+                return Err(Error::scenario(
+                    stage,
+                    format!(
+                        "would generate about {packets:.3e} packets, more than the \
+                         {MAX_STAGE_PACKETS} one stage may: shorten it, or lower its load, \
+                         or raise sim.packet_bytes"
+                    ),
+                ));
+            }
+            Ok(())
+        };
+        if let Some(plan) = &self.sim {
+            check("sim", Some(plan.horizon_ns), sim.load_factor)?;
+        }
+        if let Some(plan) = &self.shutdown {
+            check("shutdown", shutdown_span_ns(plan), sim.load_factor)?;
+        }
+        if let Some(plan) = &self.dyn_sweep {
+            let span = plan.schedules.iter().try_fold(0, |max: u64, s| {
+                Some(max.max(s.as_ref().map_or(Some(plan.horizon_ns), shutdown_span_ns)?))
+            });
+            let load = plan.loads.iter().copied().fold(0.0, f64::max);
+            check("dyn_sweep", span, load)?;
+        }
+        Ok(())
     }
 
     /// Runs the scenario's sweep grid unsharded — with slack-certificate
@@ -529,6 +586,21 @@ impl Scenario {
             .map(|run| run.table)
             .map_err(|e| Error::scenario("dyn_sweep", e))
     }
+}
+
+/// The most packets one simulated stage may generate. Each packet an
+/// overloaded NI cannot inject stays staged (8 bytes), so this bounds a
+/// stage's backlog to 128 MiB; the largest committed stage
+/// (`d26_saturated`'s shutdown) generates about 137k.
+const MAX_STAGE_PACKETS: u64 = 1 << 24;
+
+/// The longest a shutdown timeline runs, ns: to `stop_at_ns`, then
+/// [`DRAIN_POLLS`] drain polls, then `post_gate_ns`. `None` past `u64`.
+fn shutdown_span_ns(plan: &ShutdownPlan) -> Option<u64> {
+    plan.drain_ns
+        .checked_mul(DRAIN_POLLS)?
+        .checked_add(plan.stop_at_ns)?
+        .checked_add(plan.post_gate_ns)
 }
 
 /// Rejects a grid whose candidate ordinals could pass 2^53 under `vi`.
@@ -711,6 +783,51 @@ mod tests {
         let report = Scenario::from_json(text).unwrap().run().unwrap();
         vi_noc_core::json::parse(&report.to_json()).unwrap();
         parse_frontier_file(report.frontier.as_deref().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_stage_past_the_packet_budget_is_an_error() {
+        // d26's flows sum to 1.403e10 B/s, so 200 us at load 16 in 1-byte
+        // packets is ~44.9M packets; a drain of 2^53 ns (20 polls of it
+        // overflow a u64 of ns) or of 10^15 ns (a u64 of ps) or a horizon
+        // of 2^53 ns would keep the survivors injecting for that long.
+        let stages = [
+            (
+                "sim",
+                r#""sim":{"traffic":"cbr","load_factor":16,"packet_bytes":1,"horizon_ns":200000}"#,
+                "would generate",
+            ),
+            (
+                "shutdown",
+                r#""shutdown":{"drain_ns":9007199254740992}"#,
+                "fit a u64",
+            ),
+            (
+                "shutdown",
+                r#""shutdown":{"drain_ns":1000000000000000}"#,
+                "fit a u64",
+            ),
+            (
+                "dyn_sweep",
+                r#""sweep":{"max_boost":0,"freq_scales":[1],"max_intermediate":0},
+                "dyn_sweep":{"loads":[0.5],"traffic":["cbr"],"schedules":[null],
+                    "horizon_ns":9007199254740992,"mode":"exact"}"#,
+                "would generate",
+            ),
+        ];
+        for (stage, member, why) in stages {
+            let text = format!(
+                r#"{{"name":"x","spec":{{"benchmark":"d26"}},
+                "partition":{{"kind":"logical","islands":6}},{member}}}"#
+            );
+            let scenario = Scenario::from_json(&text).unwrap();
+            let run = std::panic::catch_unwind(|| scenario.run());
+            let err = run.expect("no panic").unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("scenario {stage}: ")) && err.contains(why),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   nothing to inject are skipped in O(1).
 //!
 //! Batching is an *exact* optimization. A skipped tick is provably
-//! action-free: its only effect in the stepped engine is advancing the
-//! round-robin arbitration pointers, and because those pointers advance
-//! unconditionally once per local cycle they are pure functions of the tick
-//! index (`(t/period − 1) mod n`), which the batched engine evaluates in
-//! closed form instead. Both strategies therefore produce **bit-identical**
+//! action-free: its only effect in the stepped engine is advancing each
+//! NI's round-robin pointer over its flows, and because that pointer
+//! advances unconditionally once per local cycle it is a pure function of
+//! the tick index (`(t/period − 1) mod n`), which the batched engine
+//! evaluates in closed form instead. A switch's output ports need no such
+//! order: within one tick, visiting them in any order leaves the same state
+//! (see *Flat state*). Both strategies therefore produce **bit-identical**
 //! [`SimStats`] — pinned by golden and property tests in
 //! `crates/sim/tests/batching.rs`.
 //!
@@ -44,21 +46,34 @@
 //! Both engines run on the same primitives over flat state:
 //!
 //! * **Queues by global queue id.** The output queues are one
-//!   `Vec<VecDeque<Flit>>` indexed by [`SimNetwork::port_id`], the index the
-//!   wake lists and parked flags also use. A flit carries its position in
-//!   the network's concatenated route table, so a forwarding decision is one
-//!   lookup of the next queue plus one of the popped queue's hop entry (its
-//!   target, landing domain and delay).
+//!   `Vec<VecDeque<Flit>>` indexed by global queue id (switch-major, see
+//!   [`SimNetwork`]), the index the wake lists and parked flags also use. A
+//!   flit carries its position in the network's concatenated route table,
+//!   so a forwarding decision is one lookup of the next queue plus one of
+//!   the popped queue's hop entry (its target, landing domain and delay).
+//! * **Port order is free.** Within one tick, a switch's ports may forward
+//!   in any order. A port's forward reads only its own head and the length
+//!   of its next queue, which sits on the port's link target: never the
+//!   switch itself (self-links do not exist), and a different target for
+//!   every port that carries flits (`SimNetwork::build` routes each
+//!   `(from, to)` pair over one port, and checks both in debug builds). What
+//!   a forward writes is private to the port (its pop, its push) or a
+//!   commutative fold (bounds, counters, wakes of other switches' ports and
+//!   of NIs), so both engines visit a switch's ports in ascending order.
 //! * **Staged packets.** A source NI's backlog is kept per flow as the
 //!   injection instants of its whole packets, plus the number of flits left
 //!   in the front packet; each flit is built when it enters the network.
+//!   A core's flows are numbered as contiguous slots, and a slot's
+//!   **staged** bit is set iff its flow has staged packets, so an NI's
+//!   round-robin scan visits only the flows it can inject from.
 //! * **Live-port bits.** Bit `g` is set iff queue `g` is non-empty and not
 //!   parked. A switch's ports are a contiguous id range, and the batched
-//!   switch stage walks only the set bits, in round-robin order from the
-//!   closed-form start. Skipping the clear bits is exact: forwarding from an
-//!   empty queue is a no-op, a parked head stays blocked until the pop that
-//!   fires its wake (which sets its bit again), and no switch can push into
-//!   its own queues during its own scan, because self-links do not exist.
+//!   switch stage walks only the set bits, ascending, reading each 64-bit
+//!   word once. Skipping the clear bits is exact: forwarding from an empty
+//!   queue is a no-op, and a parked head stays blocked until the pop that
+//!   fires its wake (which sets its bit again). Reading a word once is
+//!   exact because only the visited port's own bit can change during the
+//!   scan: no switch pushes into or wakes its own queues.
 //! * **Busy-core bits.** Cores are numbered domain by domain; a core's bit is
 //!   set iff it has a staged backlog and its NI is not parked. When no core
 //!   of the ticking domain is due to generate (its cached minimum next
@@ -76,6 +91,7 @@ use crate::traffic::{FlowGenerator, TrafficKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::ops::Range;
 use vi_noc_core::Topology;
 use vi_noc_soc::{FlowId, SocSpec};
 
@@ -146,8 +162,7 @@ enum ForwardOutcome {
 /// woken by the pop that makes its stalled retry able to succeed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Waiter {
-    /// A blocked switch output port, by global queue id
-    /// ([`SimNetwork::port_id`]).
+    /// A blocked switch output port, by global queue id.
     Port(u32),
     /// A source core whose NI is parked, by core index. A core can watch
     /// several queues at once (one per backlogged flow), so its entries are
@@ -178,25 +193,56 @@ impl BitSet {
             self.0[w] &= !m;
         }
     }
+}
 
-    /// The smallest member in `from..end`, if any.
-    fn next_in(&self, from: usize, end: usize) -> Option<usize> {
-        if from >= end {
-            return None;
+/// An ascending walk over the members of a [`BitSet`] within a range,
+/// reading each 64-bit word once, when the walk reaches it. The set is
+/// passed to every step, so the caller may mutate it between steps. The
+/// walk misses a change to any bit of a word it has read; every caller
+/// changes only the member it was just given, which the walk has passed.
+struct Members {
+    /// Word the walk is in.
+    w: usize,
+    /// Members of word `w` not yet visited, masked to the range.
+    bits: u64,
+    end: usize,
+}
+
+impl Members {
+    fn new(set: &BitSet, r: Range<usize>) -> Self {
+        let w = r.start / 64;
+        let bits = if r.is_empty() {
+            0
+        } else {
+            set.0[w] & (u64::MAX << (r.start % 64)) & below(r.end - w * 64)
+        };
+        Members {
+            w,
+            bits,
+            end: r.end,
         }
-        let mut w = from / 64;
-        let mut bits = self.0[w] & (u64::MAX << (from % 64));
-        loop {
-            if bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                return (i < end).then_some(i);
-            }
-            w += 1;
-            if w * 64 >= end {
+    }
+
+    fn next(&mut self, set: &BitSet) -> Option<usize> {
+        while self.bits == 0 {
+            self.w += 1;
+            if self.w * 64 >= self.end {
                 return None;
             }
-            bits = self.0[w];
+            self.bits = set.0[self.w] & below(self.end - self.w * 64);
         }
+        let i = self.w * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(i)
+    }
+}
+
+/// The mask of a word's bits below `n` (all of them from 64 on).
+fn below(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
     }
 }
 
@@ -290,7 +336,7 @@ pub struct Simulator {
     net: SimNetwork,
     cfg: SimConfig,
     rng: StdRng,
-    /// Output queues by global queue id ([`SimNetwork::port_id`]).
+    /// Output queues by global queue id.
     queues: Vec<VecDeque<Flit>>,
     /// Per flow: injection instants (ps) of the packets staged at the
     /// source NI and not yet fully injected, front first.
@@ -299,14 +345,20 @@ pub struct Simulator {
     /// (`flits_per_packet` while nothing is staged).
     front_left: Vec<u32>,
     generators: Vec<FlowGenerator>,
-    /// Round-robin pointer per switch (stepped mode only; the batched mode
-    /// derives the pointer from the tick index in closed form).
-    rr: Vec<usize>,
-    /// Round-robin pointer over flows per source core (stepped mode only).
+    /// Round-robin pointer over flows per source core (stepped mode only;
+    /// the batched mode derives it from the tick index in closed form).
     inj_rr: Vec<usize>,
-    /// Flows grouped by source core (each core's NI injects one flit per
-    /// island cycle across its flows).
-    flows_by_core: Vec<Vec<u32>>,
+    /// Flows grouped by source core, ascending, one *slot* each: core `ci`
+    /// owns the slots `flow_start[ci]..flow_start[ci + 1]` (each core's NI
+    /// injects one flit per island cycle across its flows).
+    core_flows: Vec<u32>,
+    /// Offset of each core's slots in [`Self::core_flows`], plus the total.
+    flow_start: Vec<usize>,
+    /// Global id of the first-hop queue of each slot's flow.
+    first_hop: Vec<u32>,
+    /// Bit `s` is set iff slot `s`'s flow has staged packets. Exact at all
+    /// times.
+    staged_flows: BitSet,
     /// Source core of each flow.
     core_of_flow: Vec<u32>,
     /// Switch indices grouped by extended island, ascending.
@@ -351,10 +403,10 @@ pub struct Simulator {
     /// Next tick per extended island, ps.
     next_tick: Vec<u64>,
     /// `next_tick / period_ps` per extended island, maintained
-    /// incrementally by the batched engine so the closed-form round-robin
-    /// starts need no per-tick division. Recomputed from `next_tick` at
-    /// every `run_batched` entry (the stepped engine advances `next_tick`
-    /// without touching this).
+    /// incrementally by the batched engine so the closed-form NI
+    /// round-robin starts need no per-tick division. Recomputed from
+    /// `next_tick` at every `run_batched` entry (the stepped engine advances
+    /// `next_tick` without touching this).
     tick_idx: Vec<u64>,
     island_on: Vec<bool>,
     horizon: EventHorizon,
@@ -446,10 +498,23 @@ impl Simulator {
             }
         }
         core_start.push(domain_cores.len());
+        let mut flow_start = Vec::with_capacity(n_cores + 1);
+        let mut core_flows = Vec::with_capacity(spec.flow_count());
+        for flows in &flows_by_core {
+            flow_start.push(core_flows.len());
+            core_flows.extend(flows);
+        }
+        flow_start.push(core_flows.len());
+        let first_hop = core_flows
+            .iter()
+            .map(|&fi| net.route[net.route_start[fi as usize] as usize])
+            .collect();
         let mut sim = Simulator {
-            rr: vec![0; n_switches],
             inj_rr: vec![0; n_cores],
-            flows_by_core,
+            core_flows,
+            flow_start,
+            first_hop,
+            staged_flows: BitSet::new(spec.flow_count()),
             core_of_flow,
             switches_by_domain,
             domain_cores,
@@ -549,8 +614,17 @@ impl Simulator {
         })
     }
 
-    /// Runs until `deadline_ps`, returning a snapshot of the statistics.
-    pub fn run_until_ps(&mut self, deadline_ps: u64) -> SimStats {
+    /// Runs for `ns` nanoseconds from the current time, returning a
+    /// snapshot of the statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new time does not fit a `u64` of picoseconds.
+    pub fn run_for_ns(&mut self, ns: u64) -> SimStats {
+        let deadline_ps = ns
+            .checked_mul(1_000)
+            .and_then(|ps| ps.checked_add(self.now_ps))
+            .expect("simulated time fits a u64 of picoseconds");
         if self.cfg.batching {
             self.run_batched(deadline_ps);
         } else {
@@ -558,12 +632,6 @@ impl Simulator {
         }
         self.now_ps = deadline_ps;
         self.snapshot()
-    }
-
-    /// Runs for `ns` nanoseconds from the current time.
-    pub fn run_for_ns(&mut self, ns: u64) -> SimStats {
-        let deadline = self.now_ps + ns * 1_000;
-        self.run_until_ps(deadline)
     }
 
     /// The reference stepper: every live domain ticks at every clock edge.
@@ -650,7 +718,7 @@ impl Simulator {
             self.ticks_processed += 1;
         }
         // The stepped engine keeps ticking (idly) up to the deadline; only
-        // the clock positions survive of that — the arbitration pointers
+        // the clock positions survive of that — the NI round-robin pointers
         // are functions of the tick index, not state.
         for d in 0..n_domains {
             if self.island_on[d] && self.next_tick[d] < deadline_ps {
@@ -675,8 +743,8 @@ impl Simulator {
             .unwrap_or(u64::MAX)
     }
 
-    /// Asserts that domain `d`'s live-port bits, busy-core bits and minimum
-    /// next injection instant equal the state they cache.
+    /// Asserts that domain `d`'s live-port bits, busy-core bits, staged-flow
+    /// bits and minimum next injection instant equal the state they cache.
     #[cfg(debug_assertions)]
     fn assert_cached_sets(&self, d: usize) {
         for &si in &self.switches_by_domain[d] {
@@ -694,6 +762,14 @@ impl Simulator {
                 self.staged_cnt[ci] > 0 && !self.parked_ni[ci],
                 "busy bit of core {ci}"
             );
+            for s in self.core_slots(ci) {
+                let fi = self.core_flows[s] as usize;
+                assert_eq!(
+                    self.staged_flows.get(s),
+                    !self.staged[fi].is_empty(),
+                    "staged bit of flow {fi}"
+                );
+            }
         }
         assert_eq!(
             self.domain_gen_next[d],
@@ -732,9 +808,13 @@ impl Simulator {
 
     /// Whether any core of domain `d` has an unparked staged backlog.
     fn any_busy(&self, d: usize) -> bool {
-        self.busy
-            .next_in(self.core_start[d], self.core_start[d + 1])
-            .is_some()
+        let r = self.core_start[d]..self.core_start[d + 1];
+        Members::new(&self.busy, r).next(&self.busy).is_some()
+    }
+
+    /// Core `ci`'s flow slots (see [`Self::core_flows`]).
+    fn core_slots(&self, ci: usize) -> Range<usize> {
+        self.flow_start[ci]..self.flow_start[ci + 1]
     }
 
     fn earliest_tick(&self, deadline_ps: u64) -> Option<(u64, Vec<usize>)> {
@@ -754,18 +834,14 @@ impl Simulator {
     }
 
     /// One clock edge of every switch (and source NI) in domain `d` — the
-    /// reference path: visit every port and every core, maintain the
+    /// reference path: visit every port and every core, and advance the NI
     /// round-robin pointers eagerly.
     fn tick_domain_stepped(&mut self, d: usize) {
         let t = self.now_ps;
         // Switch output stage: each port forwards at most one ready flit.
         for i in 0..self.switches_by_domain[d].len() {
             let si = self.switches_by_domain[d][i] as usize;
-            let n_ports = self.net.ports(si).len();
-            let start = self.rr[si];
-            self.rr[si] = (start + 1) % n_ports.max(1);
-            for off in 0..n_ports {
-                let g = self.net.port_id(si, (start + off) % n_ports);
+            for g in self.net.ports(si) {
                 self.forward_one(si, g, t);
             }
         }
@@ -781,10 +857,9 @@ impl Simulator {
     /// One clock edge of domain `d` at tick time `t`, skipping every switch
     /// with no possibly-ready head, every port whose live bit is clear, and
     /// — when no core of the domain is due to generate — every core whose
-    /// busy bit is clear. The round-robin arbitration starts are derived
-    /// from the tick index `t / period` in closed form, so skipped elements
-    /// need no pointer bookkeeping — their state is untouched by an idle
-    /// cycle.
+    /// busy bit is clear. The NI round-robin starts are derived from the
+    /// tick index `t / period` in closed form, so skipped cores need no
+    /// pointer bookkeeping — their state is untouched by an idle cycle.
     ///
     /// Returns the raw earliest instant (ps, not grid-rounded) at which the
     /// domain could act again given the state this tick leaves behind —
@@ -800,25 +875,14 @@ impl Simulator {
             if self.min_head_ready[si] > t {
                 continue;
             }
-            let ports = self.net.ports(si);
-            let n_ports = ports.len();
-            let pivot = ports.start
-                + if n_ports > 1 {
-                    ((idx - 1) % n_ports as u64) as usize
-                } else {
-                    0
-                };
             // Recompute the bound exactly while scanning; same-tick pushes
             // from other switches fold themselves in through `forward_one`.
-            // Live ports in round-robin order: `pivot..end`, then
-            // `start..pivot`. Only the visited port's own bit can change
-            // during the scan, so each word is read fresh.
+            // Only the visited port's own bit can change during the scan,
+            // so each word of live bits is read once.
             self.min_head_ready[si] = u64::MAX;
-            for (mut from, end) in [(pivot, ports.end), (ports.start, pivot)] {
-                while let Some(g) = self.live.next_in(from, end) {
-                    self.visit_port(si, g, t);
-                    from = g + 1;
-                }
+            let mut live = Members::new(&self.live, self.net.ports(si));
+            while let Some(g) = live.next(&self.live) {
+                self.visit_port(si, g, t);
             }
         }
         let (c0, c1) = (self.core_start[d], self.core_start[d + 1]);
@@ -845,10 +909,9 @@ impl Simulator {
             // No core is due to generate, so only the busy ones can act.
             // Injection never pops, so no wake can change another core's
             // bit during this walk.
-            let mut from = c0;
-            while let Some(r) = self.busy.next_in(from, c1) {
+            let mut busy = Members::new(&self.busy, c0..c1);
+            while let Some(r) = busy.next(&self.busy) {
                 self.inject_batched(self.domain_cores[r] as usize, idx, t);
-                from = r + 1;
             }
         }
         // An unparked backlog is due again at the very next edge.
@@ -881,18 +944,18 @@ impl Simulator {
 
     /// Moves packets whose injection time has come into the staging queue.
     fn generate_arrivals(&mut self, ci: usize, t: u64) {
-        let flows = std::mem::take(&mut self.flows_by_core[ci]);
         let mut staged = 0u64;
-        for &fi in &flows {
-            let g = &mut self.generators[fi as usize];
+        for s in self.core_slots(ci) {
+            let fi = self.core_flows[s] as usize;
+            let g = &mut self.generators[fi];
             while g.active && g.next_ps <= t as f64 {
-                self.staged[fi as usize].push_back(g.next_ps.max(0.0) as u64);
+                self.staged[fi].push_back(g.next_ps.max(0.0) as u64);
+                self.staged_flows.set(s, true);
                 staged += u64::from(self.flits_per_packet);
-                self.stats.flows[fi as usize].injected_packets += 1;
+                self.stats.flows[fi].injected_packets += 1;
                 g.schedule_next(&mut self.rng);
             }
         }
-        self.flows_by_core[ci] = flows;
         if staged > 0 {
             self.staged_cnt[ci] += staged;
             self.refresh_gen_next(ci);
@@ -903,7 +966,7 @@ impl Simulator {
     /// Recomputes the cached earliest injection instant of core `ci`.
     fn refresh_gen_next(&mut self, ci: usize) {
         let mut next = f64::INFINITY;
-        for &fi in &self.flows_by_core[ci] {
+        for &fi in &self.core_flows[self.core_slots(ci)] {
             if let Some(ps) = self.generators[fi as usize].next_injection_ps() {
                 next = next.min(ps);
             }
@@ -922,7 +985,7 @@ impl Simulator {
     /// Moves one staged flit of core `ci` into its switch's first-hop queue
     /// (stepped path: consume and advance the round-robin pointer).
     fn inject_one(&mut self, ci: usize, t: u64) {
-        let n = self.flows_by_core[ci].len();
+        let n = self.core_slots(ci).len();
         if n == 0 {
             return;
         }
@@ -935,7 +998,7 @@ impl Simulator {
     /// (batched path: the round-robin start in closed form from the tick
     /// index `idx`, parking the NI if every candidate queue is full).
     fn inject_batched(&mut self, ci: usize, idx: u64, t: u64) {
-        let n = self.flows_by_core[ci].len();
+        let n = self.core_slots(ci).len();
         let start = if n > 1 {
             ((idx - 1) % n as u64) as usize
         } else {
@@ -945,53 +1008,60 @@ impl Simulator {
     }
 
     /// Moves one staged flit of core `ci` into its switch's first-hop
-    /// queue, trying the core's flows round-robin from `start`. The flit is
-    /// built here, from its packet's injection instant and the number of
-    /// flits the packet has left.
+    /// queue, trying the core's flows with staged packets round-robin from
+    /// its `start`-th flow. The flit is built here, from its packet's
+    /// injection instant and the number of flits the packet has left.
     ///
     /// With `park` set (the batched path), a fully blocked scan — some flow
     /// has staged flits but every such flow's first-hop queue is full —
     /// parks the NI on the wake lists of those queues instead of leaving
     /// the core to busy-wait.
     fn inject_from(&mut self, ci: usize, start: usize, t: u64, park: bool) {
-        let n = self.flows_by_core[ci].len();
-        let mut k = start;
-        for _ in 0..n {
-            let fi = self.flows_by_core[ci][k] as usize;
-            k = if k + 1 == n { 0 } else { k + 1 };
-            let Some(&injected_ps) = self.staged[fi].front() else {
-                continue;
-            };
-            let pos = self.net.route_start[fi];
-            let g = self.net.route[pos as usize] as usize;
-            if self.queues[g].len() >= self.cfg.queue_capacity {
-                continue;
+        let slots = self.core_slots(ci);
+        let pivot = slots.start + start;
+        for r in [pivot..slots.end, slots.start..pivot] {
+            let mut staged = Members::new(&self.staged_flows, r);
+            while let Some(s) = staged.next(&self.staged_flows) {
+                let g = self.first_hop[s] as usize;
+                if self.queues[g].len() < self.cfg.queue_capacity {
+                    self.inject_flit(ci, s, g, t);
+                    return;
+                }
             }
-            let is_tail = self.front_left[fi] == 1;
-            if is_tail {
-                self.staged[fi].pop_front();
-                self.front_left[fi] = self.flits_per_packet;
-            } else {
-                self.front_left[fi] -= 1;
-            }
-            let si = self.net.switch_of_core[ci];
-            let flit = Flit {
-                injected_ps,
-                // NI link + switch traversal before the flit may leave.
-                ready_ps: t + self.net.inject_delay_ps(si),
-                flow: fi as u32,
-                pos,
-                is_tail,
-            };
-            self.push_flit(si, g, flit);
-            self.staged_cnt[ci] -= 1;
-            self.parked_ni[ci] = false;
-            self.update_busy(ci);
-            return;
         }
         if park && self.staged_cnt[ci] > 0 {
             self.park_ni(ci);
         }
+    }
+
+    /// Moves the next staged flit of slot `s` (a flow of core `ci`) into
+    /// its first-hop queue `g`, which has room.
+    fn inject_flit(&mut self, ci: usize, s: usize, g: usize, t: u64) {
+        let fi = self.core_flows[s] as usize;
+        let injected_ps = self.staged[fi][0];
+        let is_tail = self.front_left[fi] == 1;
+        if is_tail {
+            self.staged[fi].pop_front();
+            self.front_left[fi] = self.flits_per_packet;
+            if self.staged[fi].is_empty() {
+                self.staged_flows.set(s, false);
+            }
+        } else {
+            self.front_left[fi] -= 1;
+        }
+        let si = self.net.switch_of_core[ci];
+        let flit = Flit {
+            injected_ps,
+            // NI link + switch traversal before the flit may leave.
+            ready_ps: t + self.net.inject_delay_ps(si),
+            flow: fi as u32,
+            pos: self.net.route_start[fi],
+            is_tail,
+        };
+        self.push_flit(si, g, flit);
+        self.staged_cnt[ci] -= 1;
+        self.parked_ni[ci] = false;
+        self.update_busy(ci);
     }
 
     /// Parks core `ci`'s NI: every flow with staged flits found its
@@ -1003,12 +1073,9 @@ impl Simulator {
     fn park_ni(&mut self, ci: usize) {
         self.parked_ni[ci] = true;
         self.update_busy(ci);
-        for off in 0..self.flows_by_core[ci].len() {
-            let fi = self.flows_by_core[ci][off] as usize;
-            if self.staged[fi].is_empty() {
-                continue;
-            }
-            let g = self.net.route[self.net.route_start[fi] as usize] as usize;
+        let mut staged = Members::new(&self.staged_flows, self.core_slots(ci));
+        while let Some(s) = staged.next(&self.staged_flows) {
+            let g = self.first_hop[s] as usize;
             debug_assert!(self.queues[g].len() >= self.cfg.queue_capacity);
             let w = Waiter::Core(ci as u32);
             if !self.waiters[g].contains(&w) {
@@ -1031,6 +1098,7 @@ impl Simulator {
     /// Enqueues `flit` at queue `g` of switch `si`, folding it into the
     /// switch's head-readiness bound. A queue that was empty cannot be
     /// parked, so it turns live.
+    #[inline(always)]
     fn push_flit(&mut self, si: usize, g: usize, flit: Flit) {
         self.min_head_ready[si] = self.min_head_ready[si].min(flit.ready_ps);
         if self.queues[g].is_empty() {
@@ -1042,6 +1110,7 @@ impl Simulator {
     /// Forwards the head flit of queue `g` (owned by switch `si`), if ready
     /// and accepted. Every pop fires the queue's wake list — the pop is the
     /// one event that can unblock a parked watcher.
+    #[inline(always)]
     fn forward_one(&mut self, si: usize, g: usize, t: u64) -> ForwardOutcome {
         let Some(&head) = self.queues[g].front() else {
             return ForwardOutcome::Idle;

@@ -2,7 +2,8 @@
 //!
 //! Everything here is resolved once, before time starts, into flat tables
 //! indexed by **global queue id** — the switch-major number
-//! [`SimNetwork::port_id`] gives every output-buffered port:
+//! `port_base[si] + p` of port `p` of switch `si`, one per output-buffered
+//! port:
 //!
 //! * `hops[g]` says where a flit popped from queue `g` goes (an NI, or the
 //!   downstream switch), which clock domain it lands in, and its hop delay:
@@ -75,7 +76,7 @@ pub struct SimNetwork {
     /// live-port bitset are keyed by these ids.
     pub(crate) port_base: Vec<usize>,
     /// Owning `(switch, port)` of each global queue id (the inverse of
-    /// [`Self::port_id`]).
+    /// [`Self::port_base`]).
     pub(crate) port_owner: Vec<(u32, u32)>,
 }
 
@@ -132,7 +133,7 @@ impl SimNetwork {
         }
 
         // Global queue ids, assigned switch-major so `(si, p)` round-trips
-        // through `port_id` / `port_owner`.
+        // through `port_base` / `port_owner`.
         let mut port_base = Vec::with_capacity(n_switch + 1);
         let mut port_owner = Vec::new();
         for (i, sw_ports) in ports.iter().enumerate() {
@@ -163,7 +164,7 @@ impl SimNetwork {
         }
         route_start.push(route.len() as u32);
 
-        SimNetwork {
+        let net = SimNetwork {
             switch_domain,
             period_ps,
             hops,
@@ -173,7 +174,29 @@ impl SimNetwork {
             island_of_core,
             port_base,
             port_owner,
+        };
+        debug_assert_eq!(net.shared_next_queue(), None);
+        net
+    }
+
+    /// The first route step that breaks what lets the engine visit a
+    /// switch's ports in any order within one tick, as `(port, next
+    /// queue)`, or `None`. A step from port `g` of switch `s` to queue
+    /// `next` breaks it when `next` sits on `s` itself, or when another
+    /// port of `s` also leads to `next`.
+    pub(crate) fn shared_next_queue(&self) -> Option<(usize, usize)> {
+        // The one port of each `(switch, next queue)` pair seen so far.
+        let mut feeder = HashMap::new();
+        for r in self.route_start.windows(2) {
+            for step in self.route[r[0] as usize..r[1] as usize].windows(2) {
+                let (g, next) = (step[0] as usize, step[1] as usize);
+                let s = self.port_owner[g].0;
+                if s == self.port_owner[next].0 || *feeder.entry((s, next)).or_insert(g) != g {
+                    return Some((g, next));
+                }
+            }
         }
+        None
     }
 
     /// Number of switches.
@@ -190,11 +213,6 @@ impl SimNetwork {
     pub(crate) fn route(&self, flow: FlowId) -> &[u32] {
         let f = flow.index();
         &self.route[self.route_start[f] as usize..self.route_start[f + 1] as usize]
-    }
-
-    /// Global id of output queue `(si, p)`.
-    pub(crate) fn port_id(&self, si: usize, p: usize) -> usize {
-        self.port_base[si] + p
     }
 
     /// Global queue ids of switch `si`'s output ports.
@@ -231,16 +249,88 @@ impl SimNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use vi_noc_core::{synthesize, SynthesisConfig};
     use vi_noc_soc::{benchmarks, partition};
 
+    /// The network of `soc`'s min-power design at `k` logical islands.
+    fn min_power_network(soc: &SocSpec, k: usize) -> SimNetwork {
+        let vi = partition::logical_partition(soc, k).unwrap();
+        let space = synthesize(soc, &vi, &SynthesisConfig::default()).unwrap();
+        SimNetwork::build(soc, &space.min_power_point().unwrap().topology)
+    }
+
     fn network() -> (SocSpec, SimNetwork) {
         let soc = benchmarks::d12_auto();
-        let vi = partition::logical_partition(&soc, 4).unwrap();
-        let space = synthesize(&soc, &vi, &SynthesisConfig::default()).unwrap();
-        let topo = &space.min_power_point().unwrap().topology;
-        let net = SimNetwork::build(&soc, topo);
+        let net = min_power_network(&soc, 4);
         (soc, net)
+    }
+
+    /// Every route position that has a next step, as `(queue, next queue)`.
+    fn steps(net: &SimNetwork) -> Vec<(usize, usize)> {
+        net.route_start
+            .windows(2)
+            .flat_map(|r| net.route[r[0] as usize..r[1] as usize].windows(2))
+            .map(|w| (w[0] as usize, w[1] as usize))
+            .collect()
+    }
+
+    /// The engine visits a switch's ports in ascending order, which is
+    /// exact only if no port's forward can see another port's: no port
+    /// leads back into its own switch, and no two ports of one switch
+    /// lead to one queue.
+    #[test]
+    fn a_switch_port_shares_its_next_queues_with_no_other_port() {
+        for (soc, k) in [(benchmarks::d12_auto(), 4), (benchmarks::d26_mobile(), 6)] {
+            let net = min_power_network(&soc, k);
+            let mut next = vec![BTreeSet::new(); net.port_count()];
+            for (g, q) in steps(&net) {
+                next[g].insert(q);
+            }
+            for si in 0..net.switch_count() {
+                for g in net.ports(si) {
+                    for &q in &next[g] {
+                        assert_ne!(net.port_owner[q].0 as usize, si, "{}: port {g}", soc.name());
+                    }
+                    for h in g + 1..net.ports(si).end {
+                        assert!(
+                            next[g].is_disjoint(&next[h]),
+                            "{}: ports {g}, {h}",
+                            soc.name()
+                        );
+                    }
+                }
+            }
+            assert_eq!(net.shared_next_queue(), None, "{}", soc.name());
+        }
+    }
+
+    #[test]
+    fn shared_next_queue_finds_either_break() {
+        let (_, net) = network();
+        let steps = steps(&net);
+        let pos = |g: usize, q: usize| {
+            (0..net.route.len() - 1)
+                .find(|&i| (net.route[i], net.route[i + 1]) == (g as u32, q as u32))
+                .unwrap()
+        };
+        // A step back into the port's own switch.
+        let (g, q) = steps[0];
+        let mut own = net.clone();
+        own.route[pos(g, q) + 1] = g as u32;
+        assert_eq!(own.shared_next_queue(), Some((g, g)));
+        // Two ports of one switch stepping into one queue.
+        let owner = |g: usize| net.port_owner[g].0;
+        let (&(g, q), &(h, r)) = steps
+            .iter()
+            .flat_map(|a| steps.iter().map(move |b| (a, b)))
+            .find(|(a, b)| a.0 != b.0 && owner(a.0) == owner(b.0))
+            .expect("some switch forwards from two ports");
+        let mut shared = net.clone();
+        shared.route[pos(h, r) + 1] = q as u32;
+        assert!(
+            matches!(shared.shared_next_queue(), Some((p, n)) if n == q && [g, h].contains(&p))
+        );
     }
 
     #[test]
@@ -329,7 +419,7 @@ mod tests {
         assert_eq!(net.port_count(), total);
         for si in 0..net.switch_count() {
             for p in 0..net.ports(si).len() {
-                let gid = net.port_id(si, p);
+                let gid = net.port_base[si] + p;
                 assert_eq!(net.port_owner[gid], (si as u32, p as u32));
             }
         }

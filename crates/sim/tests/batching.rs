@@ -263,7 +263,7 @@ fn zero_load_probe_d26() {
 
 /// Deactivating flows mid-run must leave both engines in lock-step: the
 /// drain that follows is the sparse regime batching exists for, and the
-/// arbitration pointers must come out of the idle span aligned.
+/// NIs' round-robin pointers must come out of the idle span aligned.
 #[test]
 fn deactivation_and_drain_stay_in_lock_step() {
     let soc = benchmarks::d26_mobile();
