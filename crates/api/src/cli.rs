@@ -609,6 +609,11 @@ fn fleet_work(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The most in-process workers `fleet run` starts. Each is one OS thread
+/// that evaluates one lease at a time; an unbounded count could exhaust
+/// the host's threads, and `thread::spawn` panics when the OS refuses one.
+const MAX_LOCAL_WORKERS: usize = 256;
+
 fn fleet_run(args: &[String]) -> Result<(), String> {
     let mut scenario_path: Option<String> = None;
     let mut workers: Option<usize> = None;
@@ -640,6 +645,9 @@ fn fleet_run(args: &[String]) -> Result<(), String> {
     let workers = workers.ok_or("--workers N is required")?;
     if workers == 0 {
         return Err("--workers must be at least 1".to_string());
+    }
+    if workers > MAX_LOCAL_WORKERS {
+        return Err(format!("--workers must be at most {MAX_LOCAL_WORKERS}"));
     }
     let start = Instant::now();
     let frontier = crate::fleet::run_local_fleet(&job_payload(&scenario, None), workers, cfg)?;
@@ -739,6 +747,16 @@ mod tests {
         let err =
             sweep_refine(&args(&["--frontier-in", missing, "--scenario", &dynamic])).unwrap_err();
         assert!(err.contains(missing), "{err}");
+    }
+
+    #[test]
+    fn fleet_run_bounds_its_worker_threads() {
+        // Rejected before the coordinator binds: no thread starts.
+        let fine = scenario("d26_overclocked_fine");
+        let err = fleet_run(&args(&["--scenario", &fine, "--workers", "257"])).unwrap_err();
+        assert_eq!(err, "--workers must be at most 256");
+        let err = fleet_run(&args(&["--scenario", &fine, "--workers", "0"])).unwrap_err();
+        assert_eq!(err, "--workers must be at least 1");
     }
 
     #[test]

@@ -3,56 +3,36 @@
 //! machine with the `vi-noc` binary can join a sweep with `vi-noc fleet
 //! work --connect HOST:PORT` — no shard arithmetic, no files to ship.
 //!
-//! A payload is `{"scenario":<scenario doc>}` for the coarse grid, or
-//! `{"scenario":<doc>,"windows":[..]}` for the refinement stage (the
-//! windows were derived from the coarse frontier on the coordinator and
-//! travel with the job, so workers never re-run the coarse sweep). Both
-//! sides resolve the payload independently and prove agreement through the
-//! grid fingerprint; see [`vi_noc_fleet`] for the protocol.
+//! A payload is the scenario document itself ([`Scenario::to_json`]), and
+//! a job sweeps the scenario's `sweep` grid. Both sides resolve the
+//! payload independently and prove agreement through the grid
+//! fingerprint; see [`vi_noc_fleet`] for the protocol.
 
 use crate::scenario::Scenario;
 use std::sync::Arc;
-use vi_noc_core::json::{self, Obj};
 use vi_noc_fleet::{
     spawn_local_workers, start_coordinator, FleetConfig, JobResolver, ResolvedJob, WorkerOpts,
 };
-use vi_noc_sweep::{windows_from_value, write_window, GridDescriptor, RefineWindow, SweepGrid};
+use vi_noc_sweep::{GridDescriptor, SweepGrid};
 
-/// Resolves `{"scenario":..,"windows":[..]?}` job payloads into sweep
-/// grids. Stateless: hand one to [`start_coordinator`] and to every
+/// Resolves job payloads — scenario documents — into their sweep grids.
+/// Stateless: hand one to [`start_coordinator`] and to every
 /// [`vi_noc_fleet::run_worker`].
 pub struct ScenarioJobResolver;
 
 impl JobResolver for ScenarioJobResolver {
     fn resolve(&self, payload: &str) -> Result<ResolvedJob, String> {
-        let doc = json::parse(payload).map_err(|e| format!("job payload: {e}"))?;
-        doc.check_members(&["scenario", "windows"], "job payload")?;
-        let scenario = Scenario::from_json(&doc.member("scenario", "job payload")?.to_json())
-            .map_err(|e| format!("job payload: {e}"))?;
-        let windows = doc
-            .get("windows")
-            .map(|v| windows_from_value(v, "job payload"))
-            .transpose()?;
-
+        let scenario = Scenario::from_json(payload).map_err(|e| format!("job payload: {e}"))?;
         let spec = scenario.resolve_spec().map_err(|e| e.to_string())?;
         let vi = scenario
             .resolve_partition(&spec)
             .map_err(|e| e.to_string())?;
         let cfg = scenario.synthesis.clone();
-        let grid = match windows {
-            Some(ws) => {
-                let plan = scenario.refine.as_ref().ok_or(
-                    "job payload: 'windows' given but the scenario declares no 'refine' stage",
-                )?;
-                SweepGrid::build_windowed(&spec, &vi, &cfg, &plan.grid, ws)
-            }
-            None => {
-                let grid_cfg = scenario.sweep.as_ref().ok_or_else(|| {
-                    format!("scenario '{}' declares no sweep grid", scenario.name)
-                })?;
-                SweepGrid::build(&spec, &vi, &cfg, grid_cfg)
-            }
-        };
+        let grid_cfg = scenario
+            .sweep
+            .as_ref()
+            .ok_or_else(|| format!("scenario '{}' declares no sweep grid", scenario.name))?;
+        let grid = SweepGrid::build(&spec, &vi, &cfg, grid_cfg);
         let desc =
             GridDescriptor::for_grid(&grid, spec.name(), &scenario.partition.tag(), cfg.seed);
         Ok(ResolvedJob {
@@ -66,19 +46,16 @@ impl JobResolver for ScenarioJobResolver {
     }
 }
 
-/// Builds the wire payload for a scenario's sweep: the coarse grid when
-/// `windows` is `None`, the windowed refinement grid otherwise. Byte
-/// deterministic ([`Scenario::to_json`] is), so every resolver
+/// Builds the wire payload for a scenario's sweep: the scenario document.
+/// Byte deterministic ([`Scenario::to_json`] is), so every resolver
 /// fingerprints the same grid.
-pub fn job_payload(scenario: &Scenario, windows: Option<&[RefineWindow]>) -> String {
-    let mut payload = String::new();
-    let mut o = Obj::new(&mut payload);
-    o.raw("scenario", scenario.to_json().trim_end());
-    if let Some(ws) = windows {
-        json::array(o.key("windows"), ws, write_window);
-    }
-    o.end();
-    payload
+///
+/// The second parameter is always `None`: no value of its type exists.
+/// Windowed (refinement) payloads are gone; the parameter stays only
+/// because the benchmark harness (`perfbench/`) still passes `None`, and
+/// the next benchmark change deletes it.
+pub fn job_payload(scenario: &Scenario, _windows: Option<std::convert::Infallible>) -> String {
+    scenario.to_json()
 }
 
 /// Runs one job payload through an ephemeral in-process fleet — loopback

@@ -1,19 +1,19 @@
 //! Scenario sweeps submitted as job payloads to a worker fleet must fold
 //! the same frontier files, byte for byte, as the classic single-process
-//! path — for the coarse grid, for the windowed refinement stage, and for
-//! every job a long-lived fleet serves.
+//! path — for a scenario's sweep grid, and for every job a long-lived
+//! fleet serves.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vi_noc_api::fleet::{job_payload, ScenarioJobResolver};
-use vi_noc_api::{PartitionPlan, RefinePlan, Scenario, SpecSource};
+use vi_noc_api::{PartitionPlan, Scenario, SpecSource};
 use vi_noc_fleet::{
     spawn_local_workers, start_coordinator, FleetConfig, FleetHandle, JobResolver, ResolvedJob,
     WorkerOpts, WorkerStats,
 };
 use vi_noc_sweep::{
-    frontier_json, frontier_seeds, parse_frontier_file, run_deltas, run_shard,
-    windows_from_frontier, ChainRange, GridConfig, RangeDelta, RefineParams, Shard,
+    frontier_json, parse_frontier_file, run_deltas, run_shard, ChainRange, GridConfig, RangeDelta,
+    Shard,
 };
 
 fn base_scenario() -> Scenario {
@@ -28,23 +28,6 @@ fn base_scenario() -> Scenario {
         max_boost: 1,
         freq_scales: vec![1.0, 1.1],
         max_intermediate: 2,
-    });
-    s
-}
-
-fn refined_scenario() -> Scenario {
-    let mut s = base_scenario();
-    s.refine = Some(RefinePlan {
-        grid: GridConfig {
-            max_boost: 1,
-            freq_scales: vec![1.0, 1.05, 1.1],
-            max_intermediate: 2,
-        },
-        params: RefineParams {
-            boost_radius: 1,
-            base_radius: 2,
-            scale_window: 1.0,
-        },
     });
     s
 }
@@ -112,24 +95,6 @@ fn direct_frontier(payload: &str) -> String {
 fn a_fleet_routed_sweep_reproduces_the_direct_frontier_bytes() {
     let direct = base_scenario().run().unwrap().frontier.unwrap();
     let folded = with_fleet(|fleet| fleet.submit(&job_payload(&base_scenario(), None)).unwrap());
-    assert_eq!(folded, direct);
-}
-
-#[test]
-fn a_fleet_routed_refinement_reproduces_the_direct_frontier_bytes() {
-    let scenario = refined_scenario();
-    let direct = scenario.run().unwrap().frontier.unwrap();
-    let plan = scenario.refine.clone().unwrap();
-    let folded = with_fleet(|fleet| {
-        // The coarse fleet frontier seeds the refined job's windows, as
-        // `Scenario::run` derives them from its own coarse frontier.
-        let coarse = fleet.submit(&job_payload(&scenario, None)).unwrap();
-        let seeds = frontier_seeds(&parse_frontier_file(&coarse).unwrap()).unwrap();
-        let windows = windows_from_frontier(&seeds, &plan.grid, &plan.params);
-        fleet
-            .submit(&job_payload(&scenario, Some(&windows)))
-            .unwrap()
-    });
     assert_eq!(folded, direct);
 }
 
@@ -238,9 +203,10 @@ fn one_worker_sends_only_the_entries_no_acked_entry_dominates() {
 
 #[test]
 fn job_payloads_resolve_and_malformed_ones_are_rejected() {
-    let job = ScenarioJobResolver
-        .resolve(&job_payload(&base_scenario(), None))
-        .unwrap();
+    // A payload is the scenario document itself.
+    let payload = job_payload(&base_scenario(), None);
+    assert_eq!(payload, base_scenario().to_json());
+    let job = ScenarioJobResolver.resolve(&payload).unwrap();
     assert_eq!(job.desc.spec_name, "d12_auto");
     assert_eq!(job.desc.partition, "logical:4");
     assert!(!job.prune);
@@ -249,7 +215,10 @@ fn job_payloads_resolve_and_malformed_ones_are_rejected() {
         .resolve("{\"bogus\":1}")
         .map(|_| ())
         .unwrap_err();
-    assert_eq!(err, "job payload: unknown member 'bogus'");
+    assert!(
+        err.starts_with("job payload: scenario scenario: unknown member 'bogus' (allowed:"),
+        "{err}"
+    );
 
     let mut bare = base_scenario();
     bare.sweep = None;
@@ -259,17 +228,14 @@ fn job_payloads_resolve_and_malformed_ones_are_rejected() {
         .unwrap_err();
     assert_eq!(err, "scenario 'fleet-route' declares no sweep grid");
 
-    // Windows only make sense against a scenario with a refine stage.
-    let with_windows = format!(
-        "{{\"scenario\":{},\"windows\":[]}}",
-        base_scenario().to_json().trim_end()
-    );
+    // The wrapped payloads of earlier versions are no scenario documents.
+    let wrapped = format!("{{\"scenario\":{}}}", base_scenario().to_json().trim_end());
     let err = ScenarioJobResolver
-        .resolve(&with_windows)
+        .resolve(&wrapped)
         .map(|_| ())
         .unwrap_err();
-    assert_eq!(
-        err,
-        "job payload: 'windows' given but the scenario declares no 'refine' stage"
+    assert!(
+        err.starts_with("job payload: scenario scenario: unknown member 'scenario' (allowed:"),
+        "{err}"
     );
 }

@@ -5,19 +5,19 @@
 //!   control and multibyte characters; nesting up to depth 8) satisfy
 //!   `parse(v.to_json()) == v`, and `to_json` is a fixed point.
 //! * Mutation: a committed valid document — one of the five scenarios,
-//!   the five golden reports and the sweep, fleet and dynsweep corpus
-//!   bases — is damaged by one to three byte flips, truncations, range
-//!   deletions, range duplications or digit runs replaced by edge-case
-//!   numbers. Every parser must return `Ok` or `Err` on the result, never
-//!   panic, and whatever `json::parse` accepts must re-emit as a fixed
-//!   point. Deeply nested inputs are checked the same way.
+//!   the five golden reports (the `d26_dynamic_grid` one embeds a dynsweep
+//!   table) and the sweep and fleet corpus bases — is damaged by one to
+//!   three byte flips, truncations, range deletions, range duplications or
+//!   digit runs replaced by edge-case numbers. Every parser must return
+//!   `Ok` or `Err` on the result, never panic, and whatever `json::parse`
+//!   accepts must re-emit as a fixed point. Deeply nested inputs are
+//!   checked the same way.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vi_noc_api::Scenario;
 use vi_noc_core::json::{self, Value};
-use vi_noc_dynsweep::parse_table;
 use vi_noc_fleet::parse_message;
 use vi_noc_sweep::{merge_checkpoints, parse_frontier_file, parse_shard_checkpoint};
 
@@ -136,7 +136,6 @@ const DOCUMENTS: &[&str] = &[
     include_str!("../../sweep/tests/corpus/valid_shard.json"),
     include_str!("../../sweep/tests/corpus/valid_frontier.json"),
     include_str!("../../fleet/tests/corpus/valid_delta.json"),
-    include_str!("../../dynsweep/tests/corpus/valid_exact.json"),
 ];
 
 /// Replacements for a digit run: zero, negative, just past 2^53, near
@@ -241,7 +240,6 @@ fn check_every_parser(text: &str) -> Result<(), TestCaseError> {
         parse_frontier_file(text).is_ok()
     })?;
     no_panic("parse_message", text, || parse_message(text).is_ok())?;
-    no_panic("parse_table", text, || parse_table(text).is_ok())?;
     Ok(())
 }
 
@@ -258,7 +256,6 @@ fn every_parser_accepts_its_committed_documents() {
     parse_shard_checkpoint(DOCUMENTS[10]).expect("valid_shard parses");
     parse_frontier_file(DOCUMENTS[11]).expect("valid_frontier parses");
     parse_message(DOCUMENTS[12].trim_end()).expect("valid_delta parses");
-    parse_table(DOCUMENTS[13]).expect("valid_exact parses");
 }
 
 #[test]

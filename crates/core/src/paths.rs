@@ -42,7 +42,7 @@ use crate::assign::SwitchAssignment;
 use crate::config::{FrequencyPlan, SynthesisConfig};
 use crate::flows::{inter_switch_flows, InterSwitchFlow};
 use crate::topology::{LinkKind, Route, Switch, SwitchId, TopoLink, Topology};
-use vi_noc_graph::{dijkstra_filtered_scratch, DiGraph, EdgeId, NodeId, SearchScratch};
+use vi_noc_graph::{dijkstra, DiGraph, EdgeId, NodeId, SearchScratch};
 use vi_noc_models::{Bandwidth, BisyncFifoModel, Frequency, LinkModel, Power, SwitchModel};
 use vi_noc_soc::{SocSpec, ViAssignment};
 
@@ -720,7 +720,7 @@ fn find_path(
     };
 
     // Pass 1: paper cost = linear combination of power increase and latency.
-    dijkstra_filtered_scratch(
+    dijkstra(
         &ctx.cand_graph,
         src,
         Some(dst),
@@ -743,7 +743,7 @@ fn find_path(
     }
 
     // Pass 2: pure latency (the cost-optimal path was too slow or absent).
-    dijkstra_filtered_scratch(
+    dijkstra(
         &ctx.cand_graph,
         src,
         Some(dst),

@@ -14,10 +14,8 @@
 //!   emitted table is byte-identical for any thread count. Each point row
 //!   records its island-topology signature and flow-matrix fingerprint
 //!   ([`vi_noc_core::island_signature`] /
-//!   [`vi_noc_core::flow_fingerprint`]).
-//! * [`parse_table`] — the strict parser of the byte-deterministic
-//!   `vi-noc-dynsweep-v1` result table, with pinned, path-contexted
-//!   errors (see `tests/corpus.rs`).
+//!   [`vi_noc_core::flow_fingerprint`]), and the result is the
+//!   byte-deterministic `vi-noc-dynsweep-v1` table.
 //!
 //! Frontier ingestion reuses the sweep crate's parsed frontier files;
 //! design points are regenerated bit-exactly from their chain coordinates
@@ -32,6 +30,3 @@ mod table;
 
 pub use axes::{first_repeat, Mode, SimAxes};
 pub use engine::{run_dynsweep, DynSweepInput, DynSweepRun};
-pub use table::{
-    parse_table, ParsedCell, ParsedPoint, ParsedShutdown, ParsedStats, ParsedTable, TABLE_FORMAT,
-};

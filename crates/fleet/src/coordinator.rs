@@ -1,5 +1,6 @@
 //! The coordinator: one listening socket, one lease book, any number of
-//! workers and submitters.
+//! workers. Jobs are submitted in-process, through [`FleetHandle::submit`];
+//! no peer can submit one.
 //!
 //! Std-only, event-driven threading model: a blocking accept loop spawns
 //! one thread per connection, which blocks on its reads. A `request` with
@@ -15,7 +16,7 @@
 //! case of a worker that hangs without dying.
 
 use crate::lease::{FleetConfig, FoldOutcome, JobResolver, LeaseBook};
-use crate::protocol::{parse_message, write_message, Delta, Lease, Message, Role};
+use crate::protocol::{parse_message, write_message, Delta, Lease, Message};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -53,14 +54,29 @@ impl FleetHandle {
     }
 
     /// Submits a job from inside the coordinator process and blocks until
-    /// its frontier is folded (or the job fails).
+    /// its frontier is folded (or the job fails): resolves and queues the
+    /// job, waking parked requests, then parks for its result. Any number
+    /// of threads may submit at once; their jobs share the worker pool.
     ///
     /// # Errors
     ///
     /// Payload resolution failures, job failures (a worker refused a
     /// lease), and shutdown before completion.
     pub fn submit(&self, payload: &str) -> Result<String, String> {
-        run_job(&self.shared, payload)
+        let shared = &self.shared;
+        let resolved = shared.resolver.resolve(payload)?;
+        let mut book = shared.book.lock().unwrap();
+        let job_id = book.submit(payload, &resolved.desc)?;
+        shared.change.notify_all();
+        loop {
+            if let Some(result) = book.take_result(job_id) {
+                return result;
+            }
+            if shared.stop.load(Ordering::SeqCst) {
+                return Err("coordinator shut down before the job finished".to_string());
+            }
+            book = shared.change.wait(book).unwrap();
+        }
     }
 
     /// Stops the coordinator: parked requests answer `shutdown`, parked
@@ -88,24 +104,6 @@ impl FleetHandle {
         for stream in self.shared.conns.lock().unwrap().values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
-    }
-}
-
-/// Resolves and queues a job (waking parked requests), then parks for its
-/// result — the one path of [`FleetHandle::submit`] and the `submit` role.
-fn run_job(shared: &Shared, payload: &str) -> Result<String, String> {
-    let resolved = shared.resolver.resolve(payload)?;
-    let mut book = shared.book.lock().unwrap();
-    let job_id = book.submit(payload, &resolved.desc)?;
-    shared.change.notify_all();
-    loop {
-        if let Some(result) = book.take_result(job_id) {
-            return result;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            return Err("coordinator shut down before the job finished".to_string());
-        }
-        book = shared.change.wait(book).unwrap();
     }
 }
 
@@ -233,8 +231,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Ok(Some(line)) => parse_message(&line),
         _ => return,
     };
-    let role = match hello {
-        Ok(Message::Hello(role)) => role,
+    match hello {
+        Ok(Message::Hello) => {}
         Ok(_) => {
             let _ = send(
                 &mut writer,
@@ -248,12 +246,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             let _ = send(&mut writer, &Message::Reject { message });
             return;
         }
-    };
-    let outcome = match role {
-        Role::Work => serve_worker(&mut reader, &mut writer, shared),
-        Role::Submit => serve_submitter(&mut reader, &mut writer, shared),
-    };
-    if let Err(e) = outcome {
+    }
+    if let Err(e) = serve_worker(&mut reader, &mut writer, shared) {
         // Transport failure: nothing to tell the peer; the book has
         // already been cleaned up by the serving loop.
         eprintln!("fleet: connection error: {e}");
@@ -365,60 +359,10 @@ fn serve_worker(
                 return send(
                     writer,
                     &Message::Reject {
-                        message: format!("unexpected message in the work role: {other:?}"),
+                        message: format!("unexpected message from a worker: {other:?}"),
                     },
                 );
             }
         }
-    }
-}
-
-fn serve_submitter(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    shared: &Shared,
-) -> Result<(), String> {
-    let Some(line) = read_line(reader)? else {
-        return Ok(());
-    };
-    let reply = match parse_message(&line) {
-        Ok(Message::Submit { job }) => match run_job(shared, &job) {
-            Ok(frontier) => Message::Result { frontier },
-            Err(message) => Message::Reject { message },
-        },
-        Ok(_) => Message::Reject {
-            message: "expected a submit".to_string(),
-        },
-        Err(message) => Message::Reject { message },
-    };
-    send(writer, &reply)
-}
-
-/// Submits a job to a remote coordinator over TCP and blocks for the
-/// frontier — the client side of the `submit` role.
-///
-/// # Errors
-///
-/// Connection failures, protocol violations, and job rejections.
-pub fn submit_remote(addr: SocketAddr, payload: &str) -> Result<String, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("fleet: cannot connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    send(&mut stream, &Message::Hello(Role::Submit))?;
-    send(
-        &mut stream,
-        &Message::Submit {
-            job: payload.to_string(),
-        },
-    )?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read: {e}"))?;
-    match parse_message(line.trim_end())? {
-        Message::Result { frontier } => Ok(frontier),
-        Message::Reject { message } => Err(message),
-        other => Err(format!("fleet: unexpected reply: {other:?}")),
     }
 }

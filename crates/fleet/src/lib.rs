@@ -36,8 +36,8 @@
 //! Worker crashes are handled twice over: a dropped connection —
 //! including SIGKILL, which closes the socket — releases its leases
 //! immediately, and a lease deadline catches workers that hang without
-//! dying. Multiple scenario submissions share one coordinator and one
-//! worker pool concurrently.
+//! dying. Concurrent in-process submissions ([`FleetHandle::submit`])
+//! share one coordinator and one worker pool.
 //!
 //! The fleet is driven from the CLI (`vi-noc fleet serve|work|run`, see
 //! `vi-noc-api`); this crate stays ignorant of what a job payload means
@@ -50,9 +50,9 @@ pub mod lease;
 pub mod protocol;
 pub mod worker;
 
-pub use coordinator::{start_coordinator, submit_remote, FleetHandle};
+pub use coordinator::{start_coordinator, FleetHandle};
 pub use lease::{FleetConfig, FoldOutcome, JobResolver, LeaseBook, ResolvedJob};
 pub use protocol::{
-    grid_fingerprint, parse_message, write_delta, write_message, Delta, Lease, Message, Role,
+    grid_fingerprint, parse_message, write_delta, write_message, Delta, Lease, Message,
 };
 pub use worker::{run_worker, spawn_local_workers, WorkerOpts, WorkerStats};

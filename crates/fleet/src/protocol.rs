@@ -1,11 +1,11 @@
-//! The `vi-noc-fleet-v2` wire protocol: line-delimited JSON messages over a
+//! The `vi-noc-fleet-v3` wire protocol: line-delimited JSON messages over a
 //! local TCP stream.
 //!
 //! Every message is one compact JSON object on one line, with a `type`
 //! member naming its variant, read and written through
-//! [`vi_noc_core::json`]. Multi-line payloads (job documents, frontier
-//! files) cross the wire as JSON strings — the writer escapes the
-//! newlines — so framing stays trivially line-based.
+//! [`vi_noc_core::json`]. Multi-line job payloads (scenario documents)
+//! cross the wire as JSON strings — the writer escapes the newlines — so
+//! framing stays trivially line-based.
 //!
 //! Frontier entries inside a `delta` are embedded as raw JSON values: the
 //! compact single-line objects of [`vi_noc_sweep::RangeDelta`] entries (the
@@ -23,12 +23,14 @@
 //! coordinator has already acked from it for the same job payload
 //! dominates (see [`crate::worker`]); the message shape is the same.
 //!
-//! Conversation shape (`W` = worker, `S` = submitter, `C` = coordinator):
+//! Every peer is a worker (`W`); jobs are submitted inside the coordinator
+//! (`C`) process, through [`crate::FleetHandle::submit`]. Conversation
+//! shape:
 //!
 //! ```text
-//! W→C  hello{role:"work"}              S→C  hello{role:"submit"}
-//! W→C  request                         S→C  submit{job}
-//! C→W  lease{..} | shutdown            C→S  result{frontier} | reject{msg}
+//! W→C  hello{protocol}
+//! W→C  request
+//! C→W  lease{..} | shutdown
 //! W→C  delta{..} | refuse{..}
 //! C→W  ack{lease_id, done} | reject{msg}
 //! ```
@@ -46,25 +48,7 @@ use vi_noc_sweep::{stats_from_value, write_stats, SweepStats};
 
 /// Protocol identifier exchanged in `hello` messages. Bump on any wire
 /// change; a coordinator refuses peers speaking anything else.
-pub const PROTOCOL: &str = "vi-noc-fleet-v2";
-
-/// Role a connecting peer declares in its `hello`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// The peer requests leases and streams deltas.
-    Work,
-    /// The peer submits one job and waits for its frontier.
-    Submit,
-}
-
-impl Role {
-    fn as_str(self) -> &'static str {
-        match self {
-            Role::Work => "work",
-            Role::Submit => "submit",
-        }
-    }
-}
+pub const PROTOCOL: &str = "vi-noc-fleet-v3";
 
 /// One streamed checkpoint delta: the evaluation of range positions
 /// `[from, from + taken)` of a lease — counters plus the *local* Pareto
@@ -132,18 +116,8 @@ pub struct Lease {
 /// shape.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Connection opener: protocol version + declared role.
-    Hello(Role),
-    /// Submitter: run this job, send me the frontier.
-    Submit {
-        /// The job payload.
-        job: String,
-    },
-    /// Coordinator → submitter: the job's final frontier file.
-    Result {
-        /// Complete frontier file text.
-        frontier: String,
-    },
+    /// Worker: connection opener, carrying the protocol version.
+    Hello,
     /// Coordinator → peer: the request failed; the connection is done.
     Reject {
         /// Human-readable reason.
@@ -181,16 +155,8 @@ pub fn write_message(m: &Message) -> String {
     let mut s = String::new();
     let mut o = Obj::new(&mut s);
     match m {
-        Message::Hello(role) => {
-            o.str("type", "hello")
-                .str("protocol", PROTOCOL)
-                .str("role", role.as_str());
-        }
-        Message::Submit { job } => {
-            o.str("type", "submit").str("job", job);
-        }
-        Message::Result { frontier } => {
-            o.str("type", "result").str("frontier", frontier);
+        Message::Hello => {
+            o.str("type", "hello").str("protocol", PROTOCOL);
         }
         Message::Reject { message } => {
             o.str("type", "reject").str("message", message);
@@ -256,18 +222,8 @@ pub fn parse_message(line: &str) -> Result<Message, String> {
             if protocol != PROTOCOL {
                 return Err(format!("hello: protocol '{protocol}' is not '{PROTOCOL}'"));
             }
-            match v.str_member("role", "hello")? {
-                "work" => Ok(Message::Hello(Role::Work)),
-                "submit" => Ok(Message::Hello(Role::Submit)),
-                other => Err(format!("hello: role '{other}' is not 'work' or 'submit'")),
-            }
+            Ok(Message::Hello)
         }
-        "submit" => Ok(Message::Submit {
-            job: v.str_member("job", "submit")?.to_string(),
-        }),
-        "result" => Ok(Message::Result {
-            frontier: v.str_member("frontier", "result")?.to_string(),
-        }),
         "reject" => Ok(Message::Reject {
             message: v.str_member("message", "reject")?.to_string(),
         }),
@@ -338,21 +294,14 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips_through_the_wire() {
-        round_trip(Message::Hello(Role::Work));
-        round_trip(Message::Hello(Role::Submit));
-        round_trip(Message::Submit {
-            job: "{\"scenario\":{\n \"name\":\"x\"}}".to_string(),
-        });
-        round_trip(Message::Result {
-            frontier: "{\"format\":\"f\",\n\"frontier\":[\n]}\n".to_string(),
-        });
+        round_trip(Message::Hello);
         round_trip(Message::Reject {
             message: "no \"such\" job".to_string(),
         });
         round_trip(Message::Request);
         round_trip(Message::Lease(Lease {
             lease_id: 7,
-            job: "{}".to_string(),
+            job: "{\"name\":\"x\",\n\"spec\":{}}\n".to_string(),
             grid_fp: "00ff00ff00ff00ff".to_string(),
             start: 32,
             end: 48,
@@ -490,18 +439,26 @@ mod tests {
         for (line, want) in [
             ("{", "JSON error at byte"),
             (
-                "{\"protocol\":\"vi-noc-fleet-v2\"}",
+                "{\"protocol\":\"vi-noc-fleet-v3\"}",
                 "message: missing 'type'",
             ),
             ("{\"type\":7}", "message: 'type' is not a string"),
             ("{\"type\":\"gossip\"}", "message: unknown type 'gossip'"),
             (
-                "{\"type\":\"hello\",\"protocol\":\"v0\",\"role\":\"work\"}",
-                "hello: protocol 'v0' is not 'vi-noc-fleet-v2'",
+                "{\"type\":\"hello\",\"protocol\":\"v0\"}",
+                "hello: protocol 'v0' is not 'vi-noc-fleet-v3'",
             ),
             (
-                "{\"type\":\"hello\",\"protocol\":\"vi-noc-fleet-v2\",\"role\":\"lurk\"}",
-                "hello: role 'lurk' is not 'work' or 'submit'",
+                "{\"type\":\"hello\",\"protocol\":\"vi-noc-fleet-v2\",\"role\":\"submit\"}",
+                "hello: protocol 'vi-noc-fleet-v2' is not 'vi-noc-fleet-v3'",
+            ),
+            (
+                "{\"type\":\"submit\",\"job\":\"d12\"}",
+                "message: unknown type 'submit'",
+            ),
+            (
+                "{\"type\":\"result\",\"frontier\":\"\"}",
+                "message: unknown type 'result'",
             ),
             ("{\"type\":\"wait\"}", "message: unknown type 'wait'"),
             (

@@ -36,7 +36,7 @@
 
 use crate::lease::{JobResolver, ResolvedJob};
 use crate::protocol::{
-    grid_fingerprint, parse_message, write_delta, write_message, Delta, Lease, Message, Role,
+    grid_fingerprint, parse_message, write_delta, write_message, Delta, Lease, Message,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -163,7 +163,7 @@ fn worker_loop(
     opts: &WorkerOpts,
 ) -> Result<WorkerStats, String> {
     let mut conn = Connection::open(addr)?;
-    conn.send(&Message::Hello(Role::Work))?;
+    conn.send(&Message::Hello)?;
     let mut jobs: Vec<CachedJob> = Vec::with_capacity(CACHED_JOBS);
     let mut stats = WorkerStats::default();
     loop {

@@ -31,12 +31,7 @@ const PARSE_CASES: &[(&str, &str, &str)] = &[
     (
         "wrong_protocol",
         include_str!("corpus/wrong_protocol.json"),
-        "hello: protocol 'vi-noc-fleet-v0' is not 'vi-noc-fleet-v2'",
-    ),
-    (
-        "bad_role",
-        include_str!("corpus/bad_role.json"),
-        "hello: role 'lurk' is not 'work' or 'submit'",
+        "hello: protocol 'vi-noc-fleet-v0' is not 'vi-noc-fleet-v3'",
     ),
     (
         "bad_lease_id",
@@ -61,7 +56,7 @@ const PARSE_CASES: &[(&str, &str, &str)] = &[
     (
         "submit_missing_job",
         include_str!("corpus/submit_missing_job.json"),
-        "submit: missing 'job'",
+        "message: unknown type 'submit'",
     ),
     (
         "lease_bad_grid_fp",

@@ -10,8 +10,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 use vi_noc_core::SynthesisConfig;
 use vi_noc_fleet::{
-    grid_fingerprint, parse_message, spawn_local_workers, start_coordinator, submit_remote,
-    write_message, Delta, FleetConfig, JobResolver, Message, ResolvedJob, Role, WorkerOpts,
+    grid_fingerprint, parse_message, spawn_local_workers, start_coordinator, write_message, Delta,
+    FleetConfig, JobResolver, Message, ResolvedJob, WorkerOpts,
 };
 use vi_noc_soc::{benchmarks, partition};
 use vi_noc_sweep::{
@@ -135,18 +135,22 @@ fn concurrent_submissions_share_one_worker_pool() {
         2,
         WorkerOpts::default(),
     );
-    // Two different jobs, submitted over TCP from two threads at once.
-    let addr = handle.addr();
-    let submits: Vec<_> = ["d12:prune", "d12:boost0"]
-        .into_iter()
-        .map(|payload| thread::spawn(move || (payload, submit_remote(addr, payload).unwrap())))
-        .collect();
-    for s in submits {
-        let (payload, got) = s.join().unwrap();
-        assert_eq!(got, reference(payload), "job '{payload}' must be exact");
-    }
+    // Two different jobs, submitted from two threads at once.
+    thread::scope(|scope| {
+        let submits: Vec<_> = ["d12:prune", "d12:boost0"]
+            .into_iter()
+            .map(|payload| {
+                let handle = &handle;
+                scope.spawn(move || (payload, handle.submit(payload).unwrap()))
+            })
+            .collect();
+        for s in submits {
+            let (payload, got) = s.join().unwrap();
+            assert_eq!(got, reference(payload), "job '{payload}' must be exact");
+        }
+    });
     // A bad payload is rejected without disturbing the fleet.
-    let err = submit_remote(addr, "d99").unwrap_err();
+    let err = handle.submit("d99").unwrap_err();
     assert_eq!(err, "unknown test job 'd99'");
     handle.shutdown();
     for w in pool {
@@ -210,7 +214,7 @@ impl RawPeer {
     /// Connects and says hello as a worker.
     fn connect(addr: std::net::SocketAddr) -> RawPeer {
         let mut peer = RawPeer::open(addr);
-        peer.send(&Message::Hello(Role::Work));
+        peer.send(&Message::Hello);
         peer
     }
 
@@ -219,9 +223,13 @@ impl RawPeer {
     }
 
     fn send(&mut self, m: &Message) {
-        let mut line = write_message(m);
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
+        self.send_lines(&[&write_message(m)]);
+    }
+
+    /// Sends `lines` in one write, each terminated by a newline.
+    fn send_lines(&mut self, lines: &[&str]) {
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        self.writer.write_all(text.as_bytes()).unwrap();
     }
 
     fn recv(&mut self) -> Message {
@@ -239,6 +247,17 @@ impl RawPeer {
             other => panic!("expected silence for {quiet:?}, got {other:?}: {line}"),
         }
         self.read_timeout(PATIENCE);
+    }
+
+    /// Asserts that the coordinator has closed the connection: end of
+    /// stream, or a reset if it hung up with a line of ours unread.
+    fn expect_closed(&mut self) {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(0) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            other => panic!("expected a closed connection, got {other:?}: {line}"),
+        }
     }
 
     /// Sends one `request`; the coordinator holds it until a lease is
@@ -304,24 +323,27 @@ fn a_dropped_connection_mid_lease_is_reissued_from_the_watermark() {
     let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), config()).unwrap();
     let addr = handle.addr();
 
-    // Submit from a side thread so leases exist before any worker runs.
-    let submit = thread::spawn(move || submit_remote(addr, "d12").unwrap());
+    let pool = thread::scope(|scope| {
+        // Submit from a side thread so leases exist before any worker runs.
+        let submit = scope.spawn(|| handle.submit("d12").unwrap());
 
-    // A doomed peer takes the first lease, streams two honest deltas, and
-    // drops dead (socket close = SIGKILL's signature).
-    let mut doomed = RawPeer::connect(addr);
-    let lease = doomed.take_lease();
-    assert_eq!(
-        grid_fingerprint(&BenchResolver.resolve("d12").unwrap().desc.to_json()),
-        lease.grid_fp
-    );
-    stream_some_deltas(&mut doomed, &lease, 2);
-    drop(doomed);
+        // A doomed peer takes the first lease, streams two honest deltas,
+        // and drops dead (socket close = SIGKILL's signature).
+        let mut doomed = RawPeer::connect(addr);
+        let lease = doomed.take_lease();
+        assert_eq!(
+            grid_fingerprint(&BenchResolver.resolve("d12").unwrap().desc.to_json()),
+            lease.grid_fp
+        );
+        stream_some_deltas(&mut doomed, &lease, 2);
+        drop(doomed);
 
-    // A healthy pool finishes the job; the folded bytes must be exact.
-    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
-    let got = submit.join().unwrap();
-    assert_eq!(got, want, "kill + re-lease must be byte-exact");
+        // A healthy pool finishes the job; the folded bytes must be exact.
+        let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+        let got = submit.join().unwrap();
+        assert_eq!(got, want, "kill + re-lease must be byte-exact");
+        pool
+    });
     handle.shutdown();
     for w in pool {
         w.join().unwrap().unwrap();
@@ -337,19 +359,22 @@ fn a_hung_lease_expires_and_its_zombie_deltas_are_rejected() {
     };
     let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), cfg).unwrap();
     let addr = handle.addr();
-    let submit = thread::spawn(move || submit_remote(addr, "d12").unwrap());
+    let (pool, mut zombie, lease) = thread::scope(|scope| {
+        let submit = scope.spawn(|| handle.submit("d12").unwrap());
 
-    // A zombie takes a lease, streams one delta, then hangs — connection
-    // open, no progress — until the deadline passes.
-    let mut zombie = RawPeer::connect(addr);
-    let lease = zombie.take_lease();
-    stream_some_deltas(&mut zombie, &lease, 1);
-    thread::sleep(Duration::from_millis(300));
+        // A zombie takes a lease, streams one delta, then hangs —
+        // connection open, no progress — until the deadline passes.
+        let mut zombie = RawPeer::connect(addr);
+        let lease = zombie.take_lease();
+        stream_some_deltas(&mut zombie, &lease, 1);
+        thread::sleep(Duration::from_millis(300));
 
-    // The pool picks the expired lease up from the acked watermark.
-    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
-    let got = submit.join().unwrap();
-    assert_eq!(got, want, "timeout + re-lease must be byte-exact");
+        // The pool picks the expired lease up from the acked watermark.
+        let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+        let got = submit.join().unwrap();
+        assert_eq!(got, want, "timeout + re-lease must be byte-exact");
+        (pool, zombie, lease)
+    });
 
     // The zombie wakes up and streams its next delta: rejected, folded
     // nowhere.
@@ -385,14 +410,17 @@ fn an_idle_request_parks_until_a_job_arrives() {
     early.expect_silence(Duration::from_millis(200));
 
     // The one reply to the held request is the new job's first lease.
-    let submit = thread::spawn(move || submit_remote(addr, "d12"));
-    match early.recv() {
-        Message::Lease(l) => assert_eq!((l.start, l.from), (0, 0)),
-        other => panic!("expected a lease, got {other:?}"),
-    }
-    drop(early);
-    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
-    assert_eq!(submit.join().unwrap().unwrap(), reference("d12"));
+    let pool = thread::scope(|scope| {
+        let submit = scope.spawn(|| handle.submit("d12"));
+        match early.recv() {
+            Message::Lease(l) => assert_eq!((l.start, l.from), (0, 0)),
+            other => panic!("expected a lease, got {other:?}"),
+        }
+        drop(early);
+        let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+        assert_eq!(submit.join().unwrap().unwrap(), reference("d12"));
+        pool
+    });
     handle.shutdown();
     for w in pool {
         w.join().unwrap().unwrap();
@@ -411,23 +439,25 @@ fn a_parked_request_gets_the_expired_lease_at_its_deadline() {
     };
     let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), cfg).unwrap();
     let addr = handle.addr();
-    let submit = thread::spawn(move || submit_remote(addr, "d12"));
+    thread::scope(|scope| {
+        let submit = scope.spawn(|| handle.submit("d12"));
 
-    // The zombie stays connected and silent: only the deadline, 150 ms
-    // after its one folded delta, frees its lease.
-    let mut zombie = RawPeer::connect(addr);
-    let lease = zombie.take_lease();
-    let before_fold = Instant::now();
-    stream_some_deltas(&mut zombie, &lease, 1);
-    let mut second = RawPeer::connect(addr);
-    let reissued = second.take_lease();
-    assert!(before_fold.elapsed() >= Duration::from_millis(150));
-    assert_eq!((reissued.start, reissued.end), (lease.start, lease.end));
-    assert_eq!(reissued.from, lease.from + lease.checkpoint_every);
-    assert_ne!(reissued.lease_id, lease.lease_id);
+        // The zombie stays connected and silent: only the deadline, 150 ms
+        // after its one folded delta, frees its lease.
+        let mut zombie = RawPeer::connect(addr);
+        let lease = zombie.take_lease();
+        let before_fold = Instant::now();
+        stream_some_deltas(&mut zombie, &lease, 1);
+        let mut second = RawPeer::connect(addr);
+        let reissued = second.take_lease();
+        assert!(before_fold.elapsed() >= Duration::from_millis(150));
+        assert_eq!((reissued.start, reissued.end), (lease.start, lease.end));
+        assert_eq!(reissued.from, lease.from + lease.checkpoint_every);
+        assert_ne!(reissued.lease_id, lease.lease_id);
 
-    stream_some_deltas(&mut second, &reissued, usize::MAX);
-    assert_eq!(submit.join().unwrap().unwrap(), want);
+        stream_some_deltas(&mut second, &reissued, usize::MAX);
+        assert_eq!(submit.join().unwrap().unwrap(), want);
+    });
     handle.shutdown();
 }
 
@@ -439,10 +469,18 @@ fn shutdown_answers_parked_requests_and_closes_silent_peers() {
     parked.send(&Message::Request);
     let mut silent = RawPeer::open(addr);
     // Connections are accepted in order: one full round trip proves that
-    // both peers above are registered.
+    // both peers above are registered. Here it is a foreign `refuse`,
+    // which the coordinator rejects.
+    let mut probe = RawPeer::connect(addr);
+    probe.send(&Message::Refuse {
+        lease_id: 1,
+        message: "not mine".to_string(),
+    });
     assert_eq!(
-        submit_remote(addr, "d99").unwrap_err(),
-        "unknown test job 'd99'"
+        probe.recv(),
+        Message::Reject {
+            message: "lease 1 is not held by this connection".to_string()
+        }
     );
     parked.expect_silence(Duration::from_millis(200));
 
@@ -457,40 +495,82 @@ fn a_foreign_refuse_or_delta_is_rejected_and_changes_nothing() {
     let want = reference("d12");
     let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), config()).unwrap();
     let addr = handle.addr();
-    let submit = thread::spawn(move || submit_remote(addr, "d12"));
-    let mut owner = RawPeer::connect(addr);
-    let lease = owner.take_lease();
+    let pool = thread::scope(|scope| {
+        let submit = scope.spawn(|| handle.submit("d12"));
+        let mut owner = RawPeer::connect(addr);
+        let lease = owner.take_lease();
 
-    // A peer that holds nothing names the owner's lease: once to fail its
-    // job, once with a delta at the watermark that would fold into it.
-    let mut foreign = RawPeer::connect(addr);
-    let not_held = Message::Reject {
-        message: format!("lease {} is not held by this connection", lease.lease_id),
-    };
-    foreign.send(&Message::Refuse {
-        lease_id: lease.lease_id,
-        message: "not mine".to_string(),
+        // A peer that holds nothing names the owner's lease: once to fail
+        // its job, once with a delta at the watermark that would fold into
+        // it.
+        let mut foreign = RawPeer::connect(addr);
+        let not_held = Message::Reject {
+            message: format!("lease {} is not held by this connection", lease.lease_id),
+        };
+        foreign.send(&Message::Refuse {
+            lease_id: lease.lease_id,
+            message: "not mine".to_string(),
+        });
+        assert_eq!(foreign.recv(), not_held);
+        foreign.send(&Message::Delta(Delta {
+            lease_id: lease.lease_id,
+            grid_fp: lease.grid_fp.clone(),
+            from: lease.from,
+            taken: 1,
+            stats: Default::default(),
+            entries: Vec::new(),
+        }));
+        assert_eq!(foreign.recv(), not_held);
+        // Its connection stays usable...
+        assert_ne!(foreign.take_lease().lease_id, lease.lease_id);
+        drop(foreign);
+
+        // ...and the owner's lease is untouched: its deltas fold from 0.
+        stream_some_deltas(&mut owner, &lease, usize::MAX);
+        let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+        assert_eq!(submit.join().unwrap().unwrap(), want);
+        pool
     });
-    assert_eq!(foreign.recv(), not_held);
-    foreign.send(&Message::Delta(Delta {
-        lease_id: lease.lease_id,
-        grid_fp: lease.grid_fp.clone(),
-        from: lease.from,
-        taken: 1,
-        stats: Default::default(),
-        entries: Vec::new(),
-    }));
-    assert_eq!(foreign.recv(), not_held);
-    // Its connection stays usable...
-    assert_ne!(foreign.take_lease().lease_id, lease.lease_id);
-    drop(foreign);
-
-    // ...and the owner's lease is untouched: its deltas fold from 0.
-    stream_some_deltas(&mut owner, &lease, usize::MAX);
-    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
-    assert_eq!(submit.join().unwrap().unwrap(), want);
     handle.shutdown();
     for w in pool {
         w.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn a_v3_coordinator_refuses_the_deleted_submit_role() {
+    let handle = start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), config()).unwrap();
+    let addr = handle.addr();
+    // A v2 submitter: its hello names the old protocol, and the job it
+    // sends with it must never be queued.
+    let mut v2 = RawPeer::open(addr);
+    v2.send_lines(&[
+        r#"{"type":"hello","protocol":"vi-noc-fleet-v2","role":"submit"}"#,
+        r#"{"type":"submit","job":"d12"}"#,
+    ]);
+    assert_eq!(
+        v2.recv(),
+        Message::Reject {
+            message: "hello: protocol 'vi-noc-fleet-v2' is not 'vi-noc-fleet-v3'".to_string()
+        }
+    );
+    v2.expect_closed();
+    // A v3 peer cannot submit either: `submit` is no message type.
+    let mut v3 = RawPeer::connect(addr);
+    v3.send_lines(&[r#"{"type":"submit","job":"d12"}"#]);
+    assert_eq!(
+        v3.recv(),
+        Message::Reject {
+            message: "message: unknown type 'submit'".to_string()
+        }
+    );
+    v3.expect_closed();
+
+    let pool = spawn_local_workers(addr, Arc::new(BenchResolver), 2, WorkerOpts::default());
+    assert_eq!(handle.submit("d12").unwrap(), reference("d12"));
+    handle.shutdown();
+    for w in pool {
+        let stats = w.join().unwrap().unwrap();
+        assert_eq!(stats.abandoned, 0, "no lease churn in a healthy fleet");
     }
 }

@@ -1,7 +1,7 @@
 //! Bellman–Ford shortest paths (reference implementation).
 //!
-//! Used as a cross-check oracle for [`crate::dijkstra`] in property tests and
-//! anywhere a simple O(V·E) single-source computation is acceptable.
+//! Used as a cross-check oracle for [`crate::dijkstra`] in the unit and
+//! property tests: a simple O(V·E) single-source computation.
 
 use crate::digraph::DiGraph;
 use crate::ids::{EdgeId, NodeId};
@@ -57,7 +57,7 @@ pub fn bellman_ford<N, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::dijkstra;
+    use crate::dijkstra::{dijkstra, SearchScratch};
 
     #[test]
     fn matches_dijkstra_on_simple_graph() {
@@ -76,7 +76,8 @@ mod tests {
             g.add_edge(n[u], n[v], w);
         }
         let bf = bellman_ford(&g, n[0], |_, w| *w).unwrap();
-        let dj = dijkstra(&g, n[0], None, |_, w| *w);
+        let mut dj = SearchScratch::new();
+        dijkstra(&g, n[0], None, |_, w| *w, |_, _| true, &mut dj);
         for i in 0..5 {
             let d = dj.distance(n[i]).unwrap_or(f64::INFINITY);
             assert!((bf[i] - d).abs() < 1e-9, "node {i}: bf={} dj={}", bf[i], d);

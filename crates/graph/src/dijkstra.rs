@@ -36,7 +36,7 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Reusable arenas for [`dijkstra_filtered_scratch`].
+/// Reusable arenas for [`dijkstra`].
 ///
 /// A single Dijkstra run needs distance/predecessor/settled arrays plus a
 /// binary heap. Callers that run many searches over graphs of similar size
@@ -73,7 +73,7 @@ impl SearchScratch {
 
     /// Clears the arenas and sizes them for an `n`-node graph.
     ///
-    /// Called by [`dijkstra_filtered_scratch`]; only needed directly when
+    /// Called by [`dijkstra`]; only needed directly when
     /// inspecting a scratch before any search has run.
     pub fn reset(&mut self, n: usize) {
         self.dist.clear();
@@ -120,129 +120,43 @@ impl SearchScratch {
         out.reverse();
         true
     }
-
-    /// Converts the scratch into an owned [`ShortestPathTree`], leaving the
-    /// arenas empty.
-    fn into_tree(self) -> ShortestPathTree {
-        ShortestPathTree {
-            source: self.source,
-            dist: self.dist,
-            prev: self.prev,
-        }
-    }
 }
 
-/// Result of a single-source shortest-path computation.
+/// Computes shortest paths from `source` with per-edge costs given by
+/// `cost`, relaxing only the edges for which `admit` returns `true`.
 ///
-/// Produced by [`dijkstra`] / [`dijkstra_filtered`].
-#[derive(Debug, Clone)]
-pub struct ShortestPathTree {
-    source: NodeId,
-    dist: Vec<f64>,
-    prev: Vec<Option<(NodeId, EdgeId)>>,
-}
-
-impl ShortestPathTree {
-    /// The source node of the computation.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// Shortest distance to `node`, or `None` if unreachable.
-    pub fn distance(&self, node: NodeId) -> Option<f64> {
-        let d = self.dist[node.index()];
-        if d.is_finite() {
-            Some(d)
-        } else {
-            None
-        }
-    }
-
-    /// Node sequence of the shortest path `source -> node` (inclusive),
-    /// or `None` if unreachable.
-    pub fn path_nodes(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        self.distance(node)?;
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some((p, _)) = self.prev[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(cur, self.source);
-        path.reverse();
-        Some(path)
-    }
-
-    /// Edge sequence of the shortest path `source -> node`,
-    /// or `None` if unreachable. Empty when `node == source`.
-    pub fn path_edges(&self, node: NodeId) -> Option<Vec<EdgeId>> {
-        self.distance(node)?;
-        let mut edges = Vec::new();
-        let mut cur = node;
-        while let Some((p, e)) = self.prev[cur.index()] {
-            edges.push(e);
-            cur = p;
-        }
-        edges.reverse();
-        Some(edges)
-    }
-}
-
-/// Computes shortest paths from `source` with per-edge costs given by `cost`.
+/// The filter is how the synthesis flow enforces the shutdown-legality rule:
+/// candidate links that would route a flow through a third voltage island are
+/// simply not admitted into the search. Costs must be non-negative; this is
+/// checked with a debug assertion. Stops early once `goal` (if provided) is
+/// settled.
 ///
-/// Costs must be non-negative; this is checked with a debug assertion.
-/// Stops early once `goal` (if provided) is settled.
+/// The search runs inside caller-owned [`SearchScratch`] arenas: the scratch
+/// is [`reset`](SearchScratch::reset) at entry and holds the result
+/// afterwards (query it via [`SearchScratch::distance`] /
+/// [`SearchScratch::path_edges_into`]). Repeated searches reuse the same
+/// memory, which is what the per-flow path allocation hot loop needs.
 ///
 /// # Example
 ///
 /// ```
-/// use vi_noc_graph::{DiGraph, dijkstra};
+/// use vi_noc_graph::{dijkstra, DiGraph, SearchScratch};
 ///
 /// let mut g: DiGraph<(), f64> = DiGraph::new();
 /// let a = g.add_node(());
 /// let b = g.add_node(());
 /// let c = g.add_node(());
-/// g.add_edge(a, b, 1.0);
-/// g.add_edge(b, c, 1.0);
+/// let ab = g.add_edge(a, b, 1.0);
+/// let bc = g.add_edge(b, c, 1.0);
 /// g.add_edge(a, c, 5.0);
-/// let tree = dijkstra(&g, a, Some(c), |_, w| *w);
-/// assert_eq!(tree.distance(c), Some(2.0));
-/// assert_eq!(tree.path_nodes(c).unwrap(), vec![a, b, c]);
+/// let mut scratch = SearchScratch::new();
+/// dijkstra(&g, a, Some(c), |_, w| *w, |_, _| true, &mut scratch);
+/// assert_eq!(scratch.distance(c), Some(2.0));
+/// let mut path = Vec::new();
+/// assert!(scratch.path_edges_into(c, &mut path));
+/// assert_eq!(path, vec![ab, bc]);
 /// ```
 pub fn dijkstra<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    goal: Option<NodeId>,
-    cost: impl Fn(EdgeId, &E) -> f64,
-) -> ShortestPathTree {
-    dijkstra_filtered(g, source, goal, cost, |_, _| true)
-}
-
-/// Like [`dijkstra`], but only relaxes edges for which `admit` returns `true`.
-///
-/// The filter is how the synthesis flow enforces the shutdown-legality rule:
-/// candidate links that would route a flow through a third voltage island are
-/// simply not admitted into the search.
-pub fn dijkstra_filtered<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    goal: Option<NodeId>,
-    cost: impl Fn(EdgeId, &E) -> f64,
-    admit: impl Fn(EdgeId, &E) -> bool,
-) -> ShortestPathTree {
-    let mut scratch = SearchScratch::new();
-    dijkstra_filtered_scratch(g, source, goal, cost, admit, &mut scratch);
-    scratch.into_tree()
-}
-
-/// Like [`dijkstra_filtered`], but runs inside caller-owned
-/// [`SearchScratch`] arenas instead of allocating per call.
-///
-/// The scratch is [`reset`](SearchScratch::reset) at entry and holds the
-/// search result afterwards (query it via [`SearchScratch::distance`] /
-/// [`SearchScratch::path_edges_into`]). Repeated searches reuse the same
-/// memory, which is what the per-flow path allocation hot loop needs.
-pub fn dijkstra_filtered_scratch<N, E>(
     g: &DiGraph<N, E>,
     source: NodeId,
     goal: Option<NodeId>,
@@ -302,22 +216,50 @@ mod tests {
         (g, [a, b, c, d])
     }
 
+    /// An unfiltered search with the edge weights as costs, in a fresh
+    /// scratch.
+    fn search(g: &DiGraph<(), f64>, source: NodeId, goal: Option<NodeId>) -> SearchScratch {
+        let mut scratch = SearchScratch::new();
+        dijkstra(g, source, goal, |_, w| *w, |_, _| true, &mut scratch);
+        scratch
+    }
+
+    /// Node sequence of the last search's path `source -> node`
+    /// (inclusive), or `None` if unreachable.
+    fn path_nodes(
+        g: &DiGraph<(), f64>,
+        scratch: &SearchScratch,
+        node: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        let mut edges = Vec::new();
+        if !scratch.path_edges_into(node, &mut edges) {
+            return None;
+        }
+        let mut nodes = vec![scratch.source()];
+        nodes.extend(edges.iter().map(|&e| g.target(e)));
+        Some(nodes)
+    }
+
     #[test]
     fn picks_cheapest_route() {
         let (g, [a, b, _, d]) = diamond();
-        let t = dijkstra(&g, a, None, |_, w| *w);
+        let t = search(&g, a, None);
         assert_eq!(t.distance(d), Some(2.0));
-        assert_eq!(t.path_nodes(d).unwrap(), vec![a, b, d]);
-        assert_eq!(t.path_edges(d).unwrap().len(), 2);
+        assert_eq!(path_nodes(&g, &t, d).unwrap(), vec![a, b, d]);
+        let mut edges = Vec::new();
+        assert!(t.path_edges_into(d, &mut edges));
+        assert_eq!(edges.len(), 2);
     }
 
     #[test]
     fn source_has_zero_distance_and_empty_path() {
         let (g, [a, ..]) = diamond();
-        let t = dijkstra(&g, a, None, |_, w| *w);
+        let t = search(&g, a, None);
         assert_eq!(t.distance(a), Some(0.0));
-        assert_eq!(t.path_nodes(a).unwrap(), vec![a]);
-        assert!(t.path_edges(a).unwrap().is_empty());
+        assert_eq!(path_nodes(&g, &t, a).unwrap(), vec![a]);
+        let mut edges = vec![EdgeId::from_index(0)];
+        assert!(t.path_edges_into(a, &mut edges));
+        assert!(edges.is_empty());
         assert_eq!(t.source(), a);
     }
 
@@ -326,25 +268,25 @@ mod tests {
         let (g, [a, ..]) = diamond();
         // d has no outgoing edges, so nothing is reachable from it but itself.
         let d = NodeId::from_index(3);
-        let t = dijkstra(&g, d, None, |_, w| *w);
+        let t = search(&g, d, None);
         assert_eq!(t.distance(a), None);
-        assert!(t.path_nodes(a).is_none());
-        assert!(t.path_edges(a).is_none());
+        assert!(path_nodes(&g, &t, a).is_none());
     }
 
     #[test]
     fn filter_blocks_edges() {
         let (g, [a, _, c, d]) = diamond();
         // Forbid the cheap b-route; the path must go through c.
-        let t = dijkstra_filtered(&g, a, Some(d), |_, w| *w, |_, w| *w >= 3.0);
+        let mut t = SearchScratch::new();
+        dijkstra(&g, a, Some(d), |_, w| *w, |_, w| *w >= 3.0, &mut t);
         assert_eq!(t.distance(d), Some(6.0));
-        assert_eq!(t.path_nodes(d).unwrap(), vec![a, c, d]);
+        assert_eq!(path_nodes(&g, &t, d).unwrap(), vec![a, c, d]);
     }
 
     #[test]
     fn early_exit_still_settles_goal() {
         let (g, [a, _, _, d]) = diamond();
-        let t = dijkstra(&g, a, Some(d), |_, w| *w);
+        let t = search(&g, a, Some(d));
         assert_eq!(t.distance(d), Some(2.0));
     }
 
@@ -352,7 +294,9 @@ mod tests {
     fn dynamic_cost_closure_is_respected() {
         let (g, [a, _, _, d]) = diamond();
         // Invert preference: make the nominally cheap edges expensive.
-        let t = dijkstra(&g, a, None, |_, w| if *w < 2.0 { 10.0 } else { *w });
+        let mut t = SearchScratch::new();
+        let cost = |_, w: &f64| if *w < 2.0 { 10.0 } else { *w };
+        dijkstra(&g, a, None, cost, |_, _| true, &mut t);
         assert_eq!(t.distance(d), Some(6.0));
     }
 
@@ -360,13 +304,14 @@ mod tests {
     fn scratch_reuse_matches_fresh_runs() {
         let (g, [a, b, c, d]) = diamond();
         let mut scratch = SearchScratch::new();
-        let mut edges = Vec::new();
+        let (mut edges, mut fresh_edges) = (Vec::new(), Vec::new());
         for goal in [b, c, d] {
-            dijkstra_filtered_scratch(&g, a, Some(goal), |_, w| *w, |_, _| true, &mut scratch);
-            let fresh = dijkstra(&g, a, Some(goal), |_, w| *w);
+            dijkstra(&g, a, Some(goal), |_, w| *w, |_, _| true, &mut scratch);
+            let fresh = search(&g, a, Some(goal));
             assert_eq!(scratch.distance(goal), fresh.distance(goal));
             assert!(scratch.path_edges_into(goal, &mut edges));
-            assert_eq!(edges, fresh.path_edges(goal).unwrap());
+            assert!(fresh.path_edges_into(goal, &mut fresh_edges));
+            assert_eq!(edges, fresh_edges);
         }
         assert_eq!(scratch.source(), a);
     }
@@ -378,8 +323,8 @@ mod tests {
         let mut scratch = SearchScratch::new();
         // First a search where everything is reachable, then one where
         // nothing is: stale state must not leak through the reset.
-        dijkstra_filtered_scratch(&g, a, None, |_, w| *w, |_, _| true, &mut scratch);
-        dijkstra_filtered_scratch(&g, d, None, |_, w| *w, |_, _| true, &mut scratch);
+        dijkstra(&g, a, None, |_, w| *w, |_, _| true, &mut scratch);
+        dijkstra(&g, d, None, |_, w| *w, |_, _| true, &mut scratch);
         assert_eq!(scratch.distance(a), None);
         let mut edges = vec![EdgeId::from_index(0)];
         assert!(!scratch.path_edges_into(a, &mut edges));
@@ -396,22 +341,9 @@ mod tests {
         let mut edges = Vec::new();
         assert!(!scratch.path_edges_into(NodeId::from_index(5), &mut edges));
         let (g, [a, ..]) = diamond();
-        let mut scratch = SearchScratch::new();
-        dijkstra_filtered_scratch(&g, a, None, |_, w| *w, |_, _| true, &mut scratch);
+        let scratch = search(&g, a, None);
         assert_eq!(scratch.distance(NodeId::from_index(99)), None);
         assert!(!scratch.path_edges_into(NodeId::from_index(99), &mut edges));
-    }
-
-    #[test]
-    fn wrapper_and_scratch_agree_with_filters() {
-        let (g, [a, _, _, d]) = diamond();
-        let mut scratch = SearchScratch::new();
-        dijkstra_filtered_scratch(&g, a, Some(d), |_, w| *w, |_, w| *w >= 3.0, &mut scratch);
-        let tree = dijkstra_filtered(&g, a, Some(d), |_, w| *w, |_, w| *w >= 3.0);
-        assert_eq!(scratch.distance(d), tree.distance(d));
-        let mut edges = Vec::new();
-        scratch.path_edges_into(d, &mut edges);
-        assert_eq!(edges, tree.path_edges(d).unwrap());
     }
 
     #[test]
@@ -425,8 +357,8 @@ mod tests {
         g.add_edge(a, c, 1.0);
         g.add_edge(b, d, 1.0);
         g.add_edge(c, d, 1.0);
-        let p1 = dijkstra(&g, a, None, |_, w| *w).path_nodes(d).unwrap();
-        let p2 = dijkstra(&g, a, None, |_, w| *w).path_nodes(d).unwrap();
+        let p1 = path_nodes(&g, &search(&g, a, None), d).unwrap();
+        let p2 = path_nodes(&g, &search(&g, a, None), d).unwrap();
         assert_eq!(p1, p2);
     }
 }

@@ -7,8 +7,9 @@
 //!   for core communication graphs and switch-level connectivity graphs.
 //! * [`SymGraph`] — an undirected weighted graph with vertex weights, the
 //!   input representation for min-cut partitioning.
-//! * [`dijkstra`] / [`bellman_ford`] — shortest paths with caller-supplied
-//!   edge costs and edge filters (used by the min-cost path-allocation step).
+//! * [`dijkstra`] — shortest paths with caller-supplied edge costs and edge
+//!   filters in reusable [`SearchScratch`] arenas (used by the min-cost
+//!   path-allocation step); [`bellman_ford`] is its test oracle.
 //! * [`partition_kway`] — k-way min-cut partitioning (multilevel recursive
 //!   bisection with Fiduccia–Mattheyses-style refinement, plus a greedy
 //!   agglomerative scheme for small graphs), the workhorse behind step 11 of
@@ -50,9 +51,7 @@ mod sym;
 
 pub use bellman_ford::bellman_ford;
 pub use digraph::DiGraph;
-pub use dijkstra::{
-    dijkstra, dijkstra_filtered, dijkstra_filtered_scratch, SearchScratch, ShortestPathTree,
-};
+pub use dijkstra::{dijkstra, SearchScratch};
 pub use ids::{EdgeId, NodeId};
 pub use kway::{partition_kway, PartitionConfig};
 pub use mincut::stoer_wagner;

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use vi_noc_graph::{
     bellman_ford, dijkstra, partition_kway, stoer_wagner, DiGraph, NodeId, PartitionConfig,
-    SymGraph,
+    SearchScratch, SymGraph,
 };
 
 /// Strategy: a random directed graph as (n, edges) with n in 2..=12 and
@@ -45,7 +45,8 @@ proptest! {
         let g = build_digraph(n, &edges);
         let src = NodeId::from_index(0);
         let bf = bellman_ford(&g, src, |_, w| *w).expect("non-negative weights");
-        let dj = dijkstra(&g, src, None, |_, w| *w);
+        let mut dj = SearchScratch::new();
+        dijkstra(&g, src, None, |_, w| *w, |_, _| true, &mut dj);
         for (i, &bfi) in bf.iter().enumerate() {
             let node = NodeId::from_index(i);
             let d = dj.distance(node).unwrap_or(f64::INFINITY);
@@ -60,11 +61,20 @@ proptest! {
     fn dijkstra_paths_are_walks((n, edges) in arb_digraph()) {
         let g = build_digraph(n, &edges);
         let src = NodeId::from_index(0);
-        let tree = dijkstra(&g, src, None, |_, w| *w);
+        let mut tree = SearchScratch::new();
+        dijkstra(&g, src, None, |_, w| *w, |_, _| true, &mut tree);
+        let mut edges = Vec::new();
         for i in 0..n {
             let node = NodeId::from_index(i);
-            if let Some(path) = tree.path_nodes(node) {
-                prop_assert_eq!(*path.first().unwrap(), src);
+            if tree.path_edges_into(node, &mut edges) {
+                // The node sequence: the source, then each edge's target.
+                let mut path = vec![src];
+                for &e in &edges {
+                    let (from, to) = g.endpoints(e);
+                    prop_assert_eq!(from, *path.last().unwrap(),
+                        "path edge {} does not continue the walk", e.index());
+                    path.push(to);
+                }
                 prop_assert_eq!(*path.last().unwrap(), node);
                 for pair in path.windows(2) {
                     prop_assert!(g.contains_edge(pair[0], pair[1]),

@@ -99,9 +99,9 @@ impl GridDescriptor {
     }
 }
 
-/// Writes one refinement window as a compact JSON object — the format
-/// used inside grid descriptors and in fleet job payloads.
-pub fn write_window(out: &mut String, w: &RefineWindow) {
+/// Writes one refinement window of a grid descriptor as a compact JSON
+/// object.
+fn write_window(out: &mut String, w: &RefineWindow) {
     let mut o = Obj::new(out);
     json::array(o.key("scales"), &w.scales, |out, &i| json::num(out, i));
     o.num("base_lo", w.base_lo)
@@ -109,19 +109,6 @@ pub fn write_window(out: &mut String, w: &RefineWindow) {
         .num("boost_lo", w.boost_lo)
         .num("boost_hi", w.boost_hi)
         .end();
-}
-
-/// Parses an array of refinement-window objects (the inverse of
-/// [`write_window`] over a `[...]` value), with `ctx`-prefixed errors.
-///
-/// # Errors
-///
-/// Non-array values and malformed window members.
-pub fn windows_from_value(v: &Value, ctx: &str) -> Result<Vec<RefineWindow>, String> {
-    match v {
-        Value::Arr(ws) => ws.iter().map(|w| window_from_value(w, ctx)).collect(),
-        _ => Err(format!("{ctx}: 'windows' is not an array")),
-    }
 }
 
 /// Writes the counters object used in checkpoint/frontier files and in
@@ -227,9 +214,9 @@ pub struct ParsedShard {
     pub grid: Value,
     /// Which stripe this file covers.
     pub shard: Shard,
-    /// Resume watermark: stripe positions folded into the file. `None` for
-    /// files written before the watermark existed (treated as complete).
-    pub chains_done: Option<u64>,
+    /// Resume watermark: stripe positions folded into the file, at most
+    /// the stripe's length.
+    pub chains_done: u64,
     /// The shard's counters.
     pub stats: SweepStats,
     /// Frontier entries: dominance key + the full entry value.
@@ -242,14 +229,9 @@ impl ParsedShard {
         self.grid.u64_member("num_chains", "grid")
     }
 
-    /// `true` iff the checkpoint covers its whole stripe (files without a
-    /// watermark predate partial checkpoints and are complete by
-    /// construction).
+    /// `true` iff the checkpoint covers its whole stripe.
     pub fn is_complete(&self) -> Result<bool, String> {
-        match self.chains_done {
-            None => Ok(true),
-            Some(done) => Ok(done >= self.shard.stripe_len(self.num_chains()?)),
-        }
+        Ok(self.chains_done == self.shard.stripe_len(self.num_chains()?))
     }
 
     /// Reconstructs the resumable run state this checkpoint froze, with
@@ -261,15 +243,8 @@ impl ParsedShard {
         for (key, entry) in &self.entries {
             frontier.offer(*key, entry.to_json());
         }
-        // Legacy files without a watermark are complete by construction —
-        // resume them at the end of the stripe, not the beginning.
-        let chains_done = self.chains_done.unwrap_or_else(|| {
-            self.num_chains()
-                .map(|n| self.shard.stripe_len(n))
-                .unwrap_or(0)
-        });
         ShardProgress {
-            chains_done,
+            chains_done: self.chains_done,
             stats: self.stats,
             // The advisory pruned-chain counter is per-process and not
             // serialized; a resumed run restarts it at zero.
@@ -435,7 +410,9 @@ pub fn validate_entries<V: Borrow<Value>>(
     Ok(entries)
 }
 
-/// Parses and validates one shard checkpoint file.
+/// Parses and validates one shard checkpoint file: besides the per-entry
+/// checks of [`validate_entries`], the `chains_done` watermark must be
+/// present and at most the stripe's length.
 pub fn parse_shard_checkpoint(text: &str) -> Result<ParsedShard, String> {
     let mut doc = json::parse(text).map_err(|e| e.to_string())?;
     let format = doc.str_member("format", "checkpoint")?;
@@ -449,15 +426,16 @@ pub fn parse_shard_checkpoint(text: &str) -> Result<ParsedShard, String> {
         shard_v.u64_member("index", "shard")?,
         shard_v.u64_member("count", "shard")?,
     )?;
-    let chains_done = match doc.get("chains_done") {
-        None => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or("checkpoint: 'chains_done' is not an unsigned integer")?,
-        ),
-    };
+    let chains_done = doc.u64_member("chains_done", "checkpoint")?;
     let stats = stats_from_value(doc.member("stats", "checkpoint")?)?;
     let grid = doc.take_member("grid", "checkpoint")?;
+    let stripe_len = shard.stripe_len(grid.u64_member("num_chains", "grid")?);
+    if chains_done > stripe_len {
+        return Err(format!(
+            "checkpoint: chains_done {chains_done} is above the {stripe_len} chains of shard \
+             {shard}"
+        ));
+    }
     let frontier = match doc.take_member("frontier", "checkpoint")? {
         Value::Arr(items) => items,
         _ => return Err("checkpoint: 'frontier' is not an array".to_string()),
@@ -582,7 +560,7 @@ pub fn merge_checkpoints(files: &[String]) -> Result<String, String> {
             return Err(format!(
                 "shard {idx}/{count} is a partial checkpoint ({} of {} chains) — resume it \
                  to completion before merging",
-                p.chains_done.unwrap_or(0),
+                p.chains_done,
                 p.shard.stripe_len(p.num_chains()?)
             ));
         }

@@ -63,9 +63,8 @@ pub mod shard;
 
 pub use checkpoint::{
     entry_coords, frontier_json, merge_checkpoints, parse_frontier_file, parse_shard_checkpoint,
-    shard_checkpoint_json, stats_from_value, validate_entries, windows_from_value, write_stats,
-    write_window, FrontierEntryCoords, GridDescriptor, ParsedFrontier, ParsedShard,
-    FRONTIER_FORMAT, SHARD_FORMAT,
+    shard_checkpoint_json, stats_from_value, validate_entries, write_stats, FrontierEntryCoords,
+    GridDescriptor, ParsedFrontier, ParsedShard, FRONTIER_FORMAT, SHARD_FORMAT,
 };
 pub use grid::{ChainSpec, GridConfig, RefineWindow, SweepGrid};
 pub use refine::{

@@ -105,11 +105,38 @@ fn tampered_shard_checkpoints_are_rejected_by_parse_and_merge() {
     );
 }
 
+/// Shard-checkpoint fixtures with a bad `chains_done` watermark: (name,
+/// contents, exact parse error). Both derive from `valid_shard`, shard
+/// 0/2 of a 96-chain grid, whose stripe is 48 chains.
+const WATERMARK_CASES: &[(&str, &str, &str)] = &[
+    (
+        "missing_chains_done",
+        include_str!("corpus/missing_chains_done.json"),
+        "checkpoint: missing 'chains_done'",
+    ),
+    (
+        "chains_done_above_stripe",
+        include_str!("corpus/chains_done_above_stripe.json"),
+        "checkpoint: chains_done 999999 is above the 48 chains of shard 0/2",
+    ),
+];
+
+#[test]
+fn a_missing_or_overlong_watermark_is_rejected_by_parse_and_merge() {
+    for (name, text, want) in WATERMARK_CASES {
+        assert_eq!(parse_shard_checkpoint(text).unwrap_err(), *want, "{name}");
+        // Neither passes as a complete shard: merge names the file.
+        let err = merge_checkpoints(&[text.to_string()]).unwrap_err();
+        assert_eq!(err, format!("checkpoint #0: {want}"), "{name}");
+    }
+}
+
 #[test]
 fn a_crafted_shard_count_fails_merge_instead_of_allocating() {
     // `valid_shard` with `"count":9007199254740992` (2^53, the largest
-    // count `Shard::new` admits): merge must report the first missing
-    // shard, not size a table by the untrusted count.
+    // count `Shard::new` admits) and the one-chain stripe that count
+    // leaves shard 0: merge must report the first missing shard, not size
+    // a table by the untrusted count.
     let err =
         merge_checkpoints(&[include_str!("corpus/huge_shard_count.json").to_string()]).unwrap_err();
     assert_eq!(err, "shard 1/9007199254740992 is missing");

@@ -87,7 +87,7 @@ fn kill_and_resume_reproduces_uninterrupted_bytes() {
             let file = shard_checkpoint_json(&desc, shard, &progress);
             let parsed = parse_shard_checkpoint(&file).unwrap();
             assert_eq!(parsed.shard, shard);
-            assert_eq!(parsed.chains_done, Some(progress.chains_done));
+            assert_eq!(parsed.chains_done, progress.chains_done);
             progress = parsed.to_progress();
             rounds += 1;
             if finished {
@@ -164,10 +164,7 @@ fn complete_checkpoints_record_the_full_watermark() {
         let shard = Shard::new(i, 2).unwrap();
         let run = run_shard(&soc, &vi, &grid, shard, &cfg);
         let parsed = parse_shard_checkpoint(&shard_checkpoint_json(&desc, shard, &run)).unwrap();
-        assert_eq!(
-            parsed.chains_done,
-            Some(shard.stripe_len(grid.num_chains()))
-        );
+        assert_eq!(parsed.chains_done, shard.stripe_len(grid.num_chains()));
         assert!(parsed.is_complete().unwrap());
     }
 }
@@ -201,7 +198,7 @@ fn pruned_kill_and_resume_reproduces_the_one_shot_pruned_bytes() {
                 resume_process(&soc, &vi, &grid, shard, &cfg, &mut progress, Some(50), true);
             let file = shard_checkpoint_json(&desc, shard, &progress);
             let parsed = parse_shard_checkpoint(&file).unwrap();
-            assert_eq!(parsed.chains_done, Some(progress.chains_done));
+            assert_eq!(parsed.chains_done, progress.chains_done);
             progress = parsed.to_progress();
             rounds += 1;
             if finished {
