@@ -4,25 +4,31 @@
 //! vi-noc run      SCENARIO.json [--out FILE] [--frontier-out FILE]
 //! vi-noc report   REPORT.json
 //! vi-noc sweep    run|refine|merge|info ...
-//! vi-noc fleet    serve|work|run ...
+//! vi-noc fleet    serve|work ...
 //! ```
 //!
-//! `run` executes every stage a scenario declares and writes the report
-//! JSON (a scenario without a `sweep` member has no sweep stage); `report`
-//! pretty-prints a report file; `sweep` is the sharded workflow over a
-//! scenario's sweep grid (one shard per process, `--resume` and
-//! `--checkpoint-every` for preemptible shards), whose `refine` windows the
-//! scenario's refinement grid exactly as `run` does; `fleet` is the elastic
-//! alternative to static shards — a coordinator leases chain ranges to
-//! workers that can join, die, and be replaced mid-sweep, with the frontier
-//! folded byte-identically to `sweep run --frontier`.
+//! `run` executes every stage a scenario declares, writes the report JSON
+//! (a scenario without a `sweep` member has no sweep stage) and prints its
+//! summary; `report` prints the same summary of a report file; `sweep` is
+//! the sharded workflow over a scenario's sweep grid (one shard per
+//! process, `--resume` and `--checkpoint-every` for preemptible shards),
+//! whose `refine` windows the scenario's refinement grid exactly as `run`
+//! does; `fleet` is the elastic alternative to static shards — `serve`
+//! runs a coordinator that leases chain ranges to `work` processes, which
+//! can join, die, and be replaced mid-sweep, with the frontier folded
+//! byte-identically to `sweep run --frontier`. On one machine, `sweep run`
+//! is the direct way: a loopback fleet only adds protocol overhead.
+//!
+//! Artifacts written to stdout fail the command (exit 2) when the write
+//! fails, a closed pipe included; progress lines on stderr are best effort
+//! and never change the exit code.
 
 use crate::error::Error;
 use crate::fleet::{job_payload, ScenarioJobResolver};
-use crate::report::REPORT_FORMAT;
+use crate::report::report_summary;
 use crate::scenario::Scenario;
+use std::io::Write as _;
 use std::time::Instant;
-use vi_noc_core::json;
 use vi_noc_fleet::FleetConfig;
 use vi_noc_soc::{SocSpec, ViAssignment};
 use vi_noc_sweep::{
@@ -36,7 +42,7 @@ usage:
   vi-noc run      SCENARIO.json [--out FILE] [--frontier-out FILE]
   vi-noc report   REPORT.json
   vi-noc sweep    run|refine|merge|info ...   (see `vi-noc sweep` for details)
-  vi-noc fleet    serve|work|run ...          (see `vi-noc fleet` for details)";
+  vi-noc fleet    serve|work ...              (see `vi-noc fleet` for details)";
 
 /// Usage text of the `sweep` subcommand. The scenario names the grid:
 /// `run` sweeps its `sweep` member (pruned when it sets `sweep_prune`),
@@ -56,10 +62,7 @@ usage:
   fleet serve --scenario FILE [--listen ADDR] [--addr-file FILE] [--out FILE]
               [--lease-chunk N] [--lease-timeout-ms T] [--checkpoint-every C]
               [--verbose]
-  fleet work  --connect HOST:PORT [--throttle-ms T]
-  fleet run   --scenario FILE --workers N [--out FILE]
-              [--lease-chunk N] [--lease-timeout-ms T] [--checkpoint-every C]
-              [--verbose]";
+  fleet work  --connect HOST:PORT [--throttle-ms T]";
 
 /// The usage text to print after a failed `args`: the subcommand's own
 /// for `sweep` and `fleet`, [`USAGE`] otherwise.
@@ -87,15 +90,28 @@ pub fn vi_noc_cli(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Writes one diagnostic line to stderr, best effort: a closed or full
+/// stderr must not change what the command does or its exit code.
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
+/// Writes an artifact to the file `out`, or to stdout for `None` and
+/// `"-"`. A failed stdout write (a closed pipe included) is an error.
 fn write_out(out: Option<&str>, text: &str) -> Result<(), String> {
     match out {
         None | Some("-") => {
-            print!("{text}");
-            Ok(())
+            let mut stdout = std::io::stdout().lock();
+            stdout
+                .write_all(text.as_bytes())
+                .and_then(|()| stdout.flush())
+                .map_err(|e| format!("writing stdout: {e}"))
         }
         Some(path) => write_atomic(path, text),
     }
@@ -150,15 +166,21 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if frontier_out.is_some() && scenario.sweep.is_none() {
         return Err("--frontier-out requires the scenario to declare a sweep grid".to_string());
     }
-    eprintln!("vi-noc: running scenario '{}' from {path}", scenario.name);
+    note!("vi-noc: running scenario '{}' from {path}", scenario.name);
     let start = Instant::now();
     let report = scenario.run()?;
-    eprintln!("vi-noc: done in {:.2?}", start.elapsed());
-    eprint!("{}", report.summary());
+    note!("vi-noc: done in {:.2?}", start.elapsed());
+    let text = report.to_json();
     if let (Some(fpath), Some(frontier)) = (&frontier_out, &report.frontier) {
         write_out(Some(fpath), frontier)?;
     }
-    write_out(out.as_deref(), &report.to_json())
+    write_out(out.as_deref(), &text)?;
+    // The summary is a diagnostic too: the report is written either way.
+    match report_summary(&text) {
+        Ok(summary) => note!("{}", summary.trim_end()),
+        Err(e) => note!("vi-noc: the report does not read back: {e}"),
+    }
+    Ok(())
 }
 
 // --- report --------------------------------------------------------------
@@ -168,61 +190,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         [path] => path,
         _ => return Err("report takes exactly one REPORT.json argument".to_string()),
     };
-    let doc = json::parse(&read_file(path)?).map_err(|e| e.to_string())?;
-    let format = doc
-        .get("format")
-        .and_then(|v| v.as_str())
-        .ok_or("not a vi-noc report file (no 'format' member)")?;
-    if format != REPORT_FORMAT {
-        return Err(format!("'{format}' is not '{REPORT_FORMAT}'"));
-    }
-    let ctx = "report";
-    println!(
-        "report: scenario '{}' — {} @ {} islands, {} design point(s) explored",
-        doc.str_member("scenario", ctx)?,
-        doc.str_member("spec_name", ctx)?,
-        doc.u64_member("island_count", ctx)?,
-        doc.u64_member("explored_points", ctx)?,
-    );
-    let total_mw = |metrics: &json::Value, ctx: &str| {
-        metrics.member("power_mw", ctx)?.f64_member("total", ctx)
-    };
-    let metrics = doc.member("point", ctx)?.member("metrics", "point")?;
-    println!(
-        "  chosen point: {:.1} mW, {:.2} cycles avg zero-load latency",
-        total_mw(metrics, "point.metrics")?,
-        metrics.f64_member("avg_latency_cycles", "point.metrics")?
-    );
-    let realized = doc.member("realized", ctx)?.member("metrics", "realized")?;
-    println!(
-        "  floorplan-realized: {:.1} mW with Manhattan wires",
-        total_mw(realized, "realized.metrics")?
-    );
-    if let Some(sim) = doc.get("sim") {
-        println!(
-            "  simulated {} ns: {} packets delivered",
-            sim.u64_member("horizon_ns", "sim")?,
-            sim.member("stats", "sim")?
-                .u64_member("total_delivered_packets", "sim.stats")?
-        );
-    }
-    if let Some(sd) = doc.get("shutdown") {
-        println!(
-            "  shutdown: island {} gated, drained cleanly = {}, {} survivor packets after",
-            sd.u64_member("island", "shutdown")?,
-            sd.bool_member("drained_cleanly", "shutdown")?,
-            sd.u64_member("survivors_after", "shutdown")?,
-        );
-    }
-    if let Some(frontier) = doc.get("frontier") {
-        let n = frontier
-            .member("frontier", "frontier")?
-            .as_arr()
-            .ok_or("frontier: 'frontier' is not an array")?
-            .len();
-        println!("  sweep frontier: {n} undominated point(s)");
-    }
-    Ok(())
+    write_out(None, &report_summary(&read_file(path)?)?)
 }
 
 // --- sweep ---------------------------------------------------------------
@@ -364,7 +332,7 @@ fn sweep_refine(args: &[String]) -> Result<(), String> {
     let grid = scenario
         .refine_grid(&opts.spec, &opts.vi, plan, &read_file(path)?)
         .map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
+    note!(
         "sweep refine: {} window(s) around the survivors of {path}",
         grid.windows().len()
     );
@@ -378,7 +346,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
     let prune = opts.scenario.sweep_prune;
     let desc =
         GridDescriptor::for_grid(grid, spec.name(), &opts.scenario.partition.tag(), cfg.seed);
-    eprintln!(
+    note!(
         "sweep run: {} ({}), grid {} chains / {} candidates, shard {}{}",
         desc.spec_name,
         desc.partition,
@@ -408,7 +376,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
                     ));
                 }
                 progress = parsed.to_progress();
-                eprintln!(
+                note!(
                     "sweep run: resuming shard {} from {path} at {}/{} chains",
                     opts.shard,
                     progress.chains_done,
@@ -416,7 +384,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
                 );
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!("sweep run: no checkpoint at {path}, starting fresh");
+                note!("sweep run: no checkpoint at {path}, starting fresh");
             }
             Err(e) => return Err(format!("reading {path}: {e}")),
         }
@@ -431,7 +399,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
             // Periodic checkpoint so a killed process loses at most one delta.
             let path = opts.out.as_deref().expect("validated by parse_sweep_opts");
             write_atomic(path, &shard_checkpoint_json(&desc, opts.shard, &progress))?;
-            eprintln!(
+            note!(
                 "sweep run: checkpoint at {}/{stripe_len} chains -> {path}",
                 progress.chains_done
             );
@@ -442,7 +410,7 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
     let every = opts.checkpoint_every.unwrap_or(u64::MAX);
     run_deltas(spec, vi, grid, cfg, ids, from, every, prune, &mut emit)?;
     let elapsed = start.elapsed();
-    eprintln!(
+    note!(
         "sweep run: shard {} done in {elapsed:.2?}: {} chains ({} skipped by slack pruning), \
          {} feasible / {} duplicate / {} infeasible candidates, {} frontier points",
         opts.shard,
@@ -479,7 +447,7 @@ fn sweep_merge(args: &[String]) -> Result<(), String> {
         .map(|p| read_file(p))
         .collect::<Result<_, _>>()?;
     let merged = merge_checkpoints(&contents)?;
-    eprintln!(
+    note!(
         "sweep merge: {} shard file(s) -> {} frontier bytes",
         files.len(),
         merged.len()
@@ -491,45 +459,33 @@ fn sweep_info(args: &[String]) -> Result<(), String> {
     let opts = parse_sweep_opts(args, false)?;
     let grid = coarse_grid(&opts);
     let grid_cfg = grid.config();
-    println!("spec:            {}", opts.spec.name());
-    println!("partition:       {}", opts.scenario.partition.tag());
-    println!("max boost:       {}", grid_cfg.max_boost);
-    println!("freq scales:     {:?}", grid_cfg.freq_scales);
-    println!("max mid:         {}", grid_cfg.max_intermediate);
-    println!("chain ids:       {}", grid.num_chains());
-    println!("active chains:   {}", grid.num_active_chains());
-    println!("candidates:      {}", grid.num_candidates());
-    println!("chain length:    {}", grid.chain_len());
-    Ok(())
+    let rows = [
+        ("spec:", opts.spec.name().to_string()),
+        ("partition:", opts.scenario.partition.tag()),
+        ("max boost:", grid_cfg.max_boost.to_string()),
+        ("freq scales:", format!("{:?}", grid_cfg.freq_scales)),
+        ("max mid:", grid_cfg.max_intermediate.to_string()),
+        ("chain ids:", grid.num_chains().to_string()),
+        ("active chains:", grid.num_active_chains().to_string()),
+        ("candidates:", grid.num_candidates().to_string()),
+        ("chain length:", grid.chain_len().to_string()),
+    ];
+    let info: String = rows.iter().map(|(k, v)| format!("{k:<17}{v}\n")).collect();
+    write_out(None, &info)
 }
 
 // --- fleet ---------------------------------------------------------------
 
 /// Entry point of the `fleet` subcommand: a scenario's sweep grid run by a
-/// coordinator + worker fleet over TCP, folding the frontier byte-identically
-/// to `sweep run --scenario FILE --frontier`.
+/// coordinator (`serve`) and worker processes (`work`) over TCP, folding the
+/// frontier byte-identically to `sweep run --scenario FILE --frontier`.
 fn fleet_cli(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("serve") => fleet_serve(&args[1..]),
         Some("work") => fleet_work(&args[1..]),
-        Some("run") => fleet_run(&args[1..]),
         Some(other) => Err(format!("unknown command '{other}'")),
         None => Err("missing command".to_string()),
     }
-}
-
-/// Applies one of the shared coordinator knobs (`--lease-chunk`,
-/// `--lease-timeout-ms`, `--checkpoint-every`) to `cfg`.
-fn apply_fleet_flag(cfg: &mut FleetConfig, flag: &str, value: &str) -> Result<(), String> {
-    let parsed: u64 = value.parse().map_err(|_| format!("bad {flag} value"))?;
-    match flag {
-        "--lease-timeout-ms" => cfg.lease_timeout = std::time::Duration::from_millis(parsed),
-        _ if parsed == 0 => return Err(format!("{flag} must be at least 1")),
-        "--lease-chunk" => cfg.lease_chunk = parsed,
-        "--checkpoint-every" => cfg.checkpoint_every = parsed,
-        _ => unreachable!("only fleet flags dispatched"),
-    }
-    Ok(())
 }
 
 fn fleet_serve(args: &[String]) -> Result<(), String> {
@@ -550,7 +506,15 @@ fn fleet_serve(args: &[String]) -> Result<(), String> {
             "--out" => out = Some(value("--out")?.clone()),
             "--verbose" => cfg.verbose = true,
             "--lease-chunk" | "--lease-timeout-ms" | "--checkpoint-every" => {
-                apply_fleet_flag(&mut cfg, arg, value(arg)?)?
+                let n: u64 = value(arg)?
+                    .parse()
+                    .map_err(|_| format!("bad {arg} value"))?;
+                match arg.as_str() {
+                    "--lease-timeout-ms" => cfg.lease_timeout = std::time::Duration::from_millis(n),
+                    _ if n == 0 => return Err(format!("{arg} must be at least 1")),
+                    "--lease-chunk" => cfg.lease_chunk = n,
+                    _ => cfg.checkpoint_every = n,
+                }
             }
             other => return Err(format!("unknown option '{other}'")),
         }
@@ -559,7 +523,7 @@ fn fleet_serve(args: &[String]) -> Result<(), String> {
     let resolver: std::sync::Arc<dyn vi_noc_fleet::JobResolver> =
         std::sync::Arc::new(ScenarioJobResolver);
     let handle = vi_noc_fleet::start_coordinator(&listen, resolver, cfg)?;
-    eprintln!(
+    note!(
         "fleet serve: scenario '{}' on {} — join with `vi-noc fleet work --connect {}`",
         scenario.name,
         handle.addr(),
@@ -573,7 +537,7 @@ fn fleet_serve(args: &[String]) -> Result<(), String> {
     let result = handle.submit(&job_payload(&scenario, None));
     handle.shutdown();
     let frontier = result?;
-    eprintln!("fleet serve: frontier folded in {:.2?}", start.elapsed());
+    note!("fleet serve: frontier folded in {:.2?}", start.elapsed());
     write_out(out.as_deref(), &frontier)
 }
 
@@ -602,60 +566,14 @@ fn fleet_work(args: &[String]) -> Result<(), String> {
         .next()
         .ok_or_else(|| format!("{connect} resolves to no address"))?;
     let stats = vi_noc_fleet::run_worker(addr, &ScenarioJobResolver, &opts)?;
-    eprintln!(
+    note!(
         "fleet work: {} lease(s) done, {} delta(s) acked carrying {} entries, {} abandoned",
-        stats.leases, stats.deltas, stats.entries, stats.abandoned
+        stats.leases,
+        stats.deltas,
+        stats.entries,
+        stats.abandoned
     );
     Ok(())
-}
-
-/// The most in-process workers `fleet run` starts. Each is one OS thread
-/// that evaluates one lease at a time; an unbounded count could exhaust
-/// the host's threads, and `thread::spawn` panics when the OS refuses one.
-const MAX_LOCAL_WORKERS: usize = 256;
-
-fn fleet_run(args: &[String]) -> Result<(), String> {
-    let mut scenario_path: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut cfg = FleetConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--scenario" => scenario_path = Some(value("--scenario")?.clone()),
-            "--workers" => {
-                workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "bad --workers value")?,
-                )
-            }
-            "--out" => out = Some(value("--out")?.clone()),
-            "--verbose" => cfg.verbose = true,
-            "--lease-chunk" | "--lease-timeout-ms" | "--checkpoint-every" => {
-                apply_fleet_flag(&mut cfg, arg, value(arg)?)?
-            }
-            other => return Err(format!("unknown option '{other}'")),
-        }
-    }
-    let scenario = sweep_scenario(scenario_path)?;
-    let workers = workers.ok_or("--workers N is required")?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    if workers > MAX_LOCAL_WORKERS {
-        return Err(format!("--workers must be at most {MAX_LOCAL_WORKERS}"));
-    }
-    let start = Instant::now();
-    let frontier = crate::fleet::run_local_fleet(&job_payload(&scenario, None), workers, cfg)?;
-    eprintln!(
-        "fleet run: frontier folded by {workers} worker(s) in {:.2?}",
-        start.elapsed()
-    );
-    write_out(out.as_deref(), &frontier)
 }
 
 // Lets the String-error CLI functions apply `?` directly to API results.
@@ -674,6 +592,10 @@ mod tests {
         let err = vi_noc_cli(&["explode".to_string()]).unwrap_err();
         assert!(err.contains("explode"));
         assert!(sweep_cli(&[]).is_err());
+        // A loopback fleet is `sweep run` with protocol overhead: a fleet
+        // is `serve` plus `work` processes.
+        let err = vi_noc_cli(&args(&["fleet", "run", "--workers", "2"])).unwrap_err();
+        assert_eq!(err, "unknown command 'run'");
     }
 
     /// The committed scenario `scenarios/{name}.json`.
@@ -750,16 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_run_bounds_its_worker_threads() {
-        // Rejected before the coordinator binds: no thread starts.
-        let fine = scenario("d26_overclocked_fine");
-        let err = fleet_run(&args(&["--scenario", &fine, "--workers", "257"])).unwrap_err();
-        assert_eq!(err, "--workers must be at most 256");
-        let err = fleet_run(&args(&["--scenario", &fine, "--workers", "0"])).unwrap_err();
-        assert_eq!(err, "--workers must be at least 1");
-    }
-
-    #[test]
     fn frontier_out_is_rejected_before_the_run() {
         // Resolving island 6 of six would fail the run: the flag must fail
         // first, with its own message.
@@ -786,7 +698,7 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../scenarios/golden/d26_baseline.report.json"
         );
-        cmd_report(&[golden.to_string()]).unwrap();
+        report_summary(&read_file(golden).unwrap()).unwrap();
         // A report cut short after its header fails on the first missing
         // member instead of printing placeholders.
         let path = std::env::temp_dir().join(format!("vi-noc-report-{}.json", std::process::id()));

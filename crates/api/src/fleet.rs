@@ -9,15 +9,13 @@
 //! fingerprint; see [`vi_noc_fleet`] for the protocol.
 
 use crate::scenario::Scenario;
-use std::sync::Arc;
-use vi_noc_fleet::{
-    spawn_local_workers, start_coordinator, FleetConfig, JobResolver, ResolvedJob, WorkerOpts,
-};
+use vi_noc_fleet::{JobResolver, ResolvedJob};
 use vi_noc_sweep::{GridDescriptor, SweepGrid};
 
 /// Resolves job payloads — scenario documents — into their sweep grids.
-/// Stateless: hand one to [`start_coordinator`] and to every
-/// [`vi_noc_fleet::run_worker`].
+/// Stateless: hand one to [`vi_noc_fleet::start_coordinator`] and to every
+/// [`vi_noc_fleet::run_worker`] (or to `spawn_local_workers`, for an
+/// in-process fleet).
 pub struct ScenarioJobResolver;
 
 impl JobResolver for ScenarioJobResolver {
@@ -56,31 +54,4 @@ impl JobResolver for ScenarioJobResolver {
 /// the next benchmark change deletes it.
 pub fn job_payload(scenario: &Scenario, _windows: Option<std::convert::Infallible>) -> String {
     scenario.to_json()
-}
-
-/// Runs one job payload through an ephemeral in-process fleet — loopback
-/// coordinator plus `workers` local worker threads — and returns the
-/// folded frontier file. The emission is byte-identical to the unsharded
-/// sweep of the same grid.
-pub(crate) fn run_local_fleet(
-    payload: &str,
-    workers: usize,
-    cfg: FleetConfig,
-) -> Result<String, String> {
-    let resolver: Arc<dyn JobResolver> = Arc::new(ScenarioJobResolver);
-    let handle = start_coordinator("127.0.0.1:0", Arc::clone(&resolver), cfg)?;
-    let pool = spawn_local_workers(handle.addr(), resolver, workers, WorkerOpts::default());
-    let result = handle.submit(payload);
-    handle.shutdown();
-    for worker in pool {
-        match worker.join() {
-            Ok(Ok(_)) => {}
-            // A worker failure only matters when the job failed with it —
-            // a finished fold is already proven complete by the lease book.
-            Ok(Err(e)) if result.is_err() => return Err(format!("worker failed: {e}")),
-            Ok(Err(_)) => {}
-            Err(_) => return Err("worker thread panicked".to_string()),
-        }
-    }
-    result
 }

@@ -10,10 +10,9 @@
 //! `crates/api/tests/scenario_json.rs` pins it over random synthetic SoCs
 //! and configurations.
 //!
-//! Quantities are emitted in their storage units (`clock_hz`,
-//! `bandwidth_bytes_per_s`, `dyn_power_w`) so values round-trip bit-exactly;
-//! hand-written files may use the scaled alternates (`clock_mhz`,
-//! `bandwidth_mbps`, `dyn_power_mw`) instead.
+//! Quantities have one spelling each, in their storage units (`clock_hz`,
+//! `bandwidth_bytes_per_s`, `dyn_power_w`), so values round-trip
+//! bit-exactly.
 
 use crate::error::Error;
 use crate::scenario::{
@@ -109,28 +108,6 @@ fn override_field<T>(
     Ok(())
 }
 
-/// Exactly one of two unit-variant members, the second scaled by `scale`.
-fn unit_pair(
-    members: &Members,
-    raw_key: &str,
-    scaled_key: &str,
-    scale: f64,
-    ctx: &str,
-) -> Result<f64, Error> {
-    match (get(members, raw_key), get(members, scaled_key)) {
-        (Some(v), None) => f64_of(v, &format!("{ctx}.{raw_key}")),
-        (None, Some(v)) => Ok(f64_of(v, &format!("{ctx}.{scaled_key}"))? * scale),
-        (Some(_), Some(_)) => Err(Error::scenario(
-            ctx,
-            format!("'{raw_key}' and '{scaled_key}' are mutually exclusive"),
-        )),
-        (None, None) => Err(Error::scenario(
-            ctx,
-            format!("missing member '{raw_key}' (or '{scaled_key}')"),
-        )),
-    }
-}
-
 /// A strictly positive number (core areas and clocks — zero or negative
 /// values would panic deep in the floorplanner instead of erroring here).
 fn positive(x: f64, ctx: &str) -> Result<f64, Error> {
@@ -214,9 +191,7 @@ fn spec_from_value(v: &Value, ctx: &str) -> Result<SpecSource, Error> {
                 "kind",
                 "area_mm2",
                 "dyn_power_w",
-                "dyn_power_mw",
                 "clock_hz",
-                "clock_mhz",
                 "always_on",
             ],
             &cctx,
@@ -227,22 +202,16 @@ fn spec_from_value(v: &Value, ctx: &str) -> Result<SpecSource, Error> {
             .map_err(|e: String| Error::scenario(&kind_ctx, e))?;
         let mut always_on = false;
         override_field(m, "always_on", &cctx, &mut always_on, bool_of)?;
-        let area_ctx = format!("{cctx}.area_mm2");
+        let number = |key: &str, check: fn(f64, &str) -> Result<f64, Error>| {
+            let kctx = format!("{cctx}.{key}");
+            check(f64_of(req(m, key, &cctx)?, &kctx)?, &kctx)
+        };
         spec.add_core(CoreSpec {
             name: str_of(req(m, "name", &cctx)?, &format!("{cctx}.name"))?.to_string(),
             kind,
-            area: Area::from_mm2(positive(
-                f64_of(req(m, "area_mm2", &cctx)?, &area_ctx)?,
-                &area_ctx,
-            )?),
-            dyn_power: Power::from_watts(non_negative(
-                unit_pair(m, "dyn_power_w", "dyn_power_mw", 1e-3, &cctx)?,
-                &format!("{cctx}.dyn_power_w"),
-            )?),
-            clock: Frequency::from_hz(positive(
-                unit_pair(m, "clock_hz", "clock_mhz", 1e6, &cctx)?,
-                &format!("{cctx}.clock_hz"),
-            )?),
+            area: Area::from_mm2(number("area_mm2", positive)?),
+            dyn_power: Power::from_watts(number("dyn_power_w", non_negative)?),
+            clock: Frequency::from_hz(number("clock_hz", positive)?),
             always_on,
         });
     }
@@ -256,24 +225,15 @@ fn spec_from_value(v: &Value, ctx: &str) -> Result<SpecSource, Error> {
         let m = as_obj(flow, &fctx)?;
         check_keys(
             m,
-            &[
-                "src",
-                "dst",
-                "bandwidth_bytes_per_s",
-                "bandwidth_mbps",
-                "max_latency_cycles",
-            ],
+            &["src", "dst", "bandwidth_bytes_per_s", "max_latency_cycles"],
             &fctx,
         )?;
         let flow = TrafficFlow {
             src: CoreId::from_index(usize_of(req(m, "src", &fctx)?, &format!("{fctx}.src"))?),
             dst: CoreId::from_index(usize_of(req(m, "dst", &fctx)?, &format!("{fctx}.dst"))?),
-            bandwidth: Bandwidth::from_bytes_per_s(unit_pair(
-                m,
-                "bandwidth_bytes_per_s",
-                "bandwidth_mbps",
-                1e6,
-                &fctx,
+            bandwidth: Bandwidth::from_bytes_per_s(f64_of(
+                req(m, "bandwidth_bytes_per_s", &fctx)?,
+                &format!("{fctx}.bandwidth_bytes_per_s"),
             )?),
             max_latency_cycles: u32_of(
                 req(m, "max_latency_cycles", &fctx)?,
@@ -649,12 +609,10 @@ fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
         m,
         &[
             "packet_bytes",
-            "link_width_bits",
             "queue_capacity",
             "traffic",
             "seed",
             "load_factor",
-            "batching",
             "horizon_ns",
         ],
         ctx,
@@ -667,13 +625,6 @@ fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
         ctx,
         &mut c.packet_bytes,
         usize_in(1, MAX_PACKET_BYTES),
-    )?;
-    override_field(
-        m,
-        "link_width_bits",
-        ctx,
-        &mut c.link_width_bits,
-        usize_in(1, usize::MAX),
     )?;
     override_field(
         m,
@@ -692,7 +643,6 @@ fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
     override_field(m, "load_factor", ctx, &mut c.load_factor, |v, lctx| {
         load_factor(f64_of(v, lctx)?, lctx)
     })?;
-    override_field(m, "batching", ctx, &mut c.batching, bool_of)?;
     override_field(m, "horizon_ns", ctx, &mut plan.horizon_ns, u64_of)?;
     Ok(plan)
 }
@@ -701,12 +651,10 @@ fn write_sim(out: &mut String, plan: &SimPlan) {
     let c = &plan.config;
     Obj::new(out)
         .num("packet_bytes", c.packet_bytes)
-        .num("link_width_bits", c.link_width_bits)
         .num("queue_capacity", c.queue_capacity)
         .str("traffic", &c.traffic.to_string())
         .num("seed", c.seed)
         .num("load_factor", c.load_factor)
-        .bool("batching", c.batching)
         .num("horizon_ns", plan.horizon_ns)
         .end();
 }
@@ -1169,23 +1117,63 @@ mod tests {
     }
 
     #[test]
-    fn scaled_unit_alternates_are_accepted_but_exclusive() {
-        let core = r#"{"name":"c0","kind":"cpu","area_mm2":1,"dyn_power_mw":10,"clock_mhz":100}"#;
-        let core2 = r#"{"name":"c1","kind":"memory","area_mm2":1,"dyn_power_w":0.01,"clock_hz":1e8,"always_on":true}"#;
-        let text = format!(
-            r#"{{"name":"u","spec":{{"name":"tiny","cores":[{core},{core2}],"flows":[
-                {{"src":0,"dst":1,"bandwidth_mbps":100,"max_latency_cycles":10}},
-                {{"src":1,"dst":0,"bandwidth_bytes_per_s":1e8,"max_latency_cycles":10}}
-            ]}},"partition":{{"kind":"logical","islands":1}}}}"#
-        );
-        let s = Scenario::from_json(&text).unwrap();
-        let spec = s.resolve_spec().unwrap();
-        assert_eq!(spec.core_count(), 2);
-        assert_eq!(spec.flows()[0].bandwidth.mbps(), 100.0);
-
-        let both = r#"{"name":"u","spec":{"name":"t","cores":[{"name":"c","kind":"cpu","area_mm2":1,"dyn_power_w":1,"dyn_power_mw":2,"clock_hz":1e8}],"flows":[]},"partition":{"kind":"logical","islands":1}}"#;
-        let err = Scenario::from_json(both).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
+    fn restated_facts_fail_as_unknown_members_at_their_path() {
+        // The simulator's link width is the synthesized topology's, the
+        // engine is chosen only in Rust, and each quantity has one unit:
+        // none of these members exists.
+        let cores = r#"{"name":"c0","kind":"cpu","area_mm2":1,"dyn_power_w":0.01,"clock_hz":1e8},
+            {"name":"c1","kind":"memory","area_mm2":1,"dyn_power_w":0.01,"clock_hz":1e8,"always_on":true}"#;
+        let flow = r#""src":0,"dst":1,"bandwidth_bytes_per_s":1e8,"max_latency_cycles":10"#;
+        let doc = |cores: &str, flow: &str, sim: &str| {
+            format!(
+                r#"{{"name":"u","spec":{{"name":"tiny","cores":[{cores}],"flows":[{{{flow}}}]}},
+                "partition":{{"kind":"logical","islands":1}},"sim":{{{sim}}}}}"#
+            )
+        };
+        Scenario::from_json(&doc(cores, flow, "")).unwrap();
+        for (text, path, key) in [
+            (
+                doc(cores, flow, r#""link_width_bits":64"#),
+                "scenario.sim",
+                "link_width_bits",
+            ),
+            (
+                doc(cores, flow, r#""batching":false"#),
+                "scenario.sim",
+                "batching",
+            ),
+            (
+                doc(
+                    &cores.replacen("clock_hz\":1e8", "clock_mhz\":100", 1),
+                    flow,
+                    "",
+                ),
+                "scenario.spec.cores[0]",
+                "clock_mhz",
+            ),
+            (
+                doc(
+                    &cores.replacen("dyn_power_w\":0.01", "dyn_power_mw\":10", 1),
+                    flow,
+                    "",
+                ),
+                "scenario.spec.cores[0]",
+                "dyn_power_mw",
+            ),
+            (
+                doc(cores, &flow.replace("bytes_per_s\":1e8", "mbps\":100"), ""),
+                "scenario.spec.flows[0]",
+                "bandwidth_mbps",
+            ),
+        ] {
+            let err = Scenario::from_json(&text).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!(
+                    "scenario {path}: unknown member '{key}' (allowed: "
+                )),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1196,7 +1184,7 @@ mod tests {
             format!(
                 r#"{{"name":"r","spec":{{"name":"t","cores":[{core},
                 {{"name":"m","kind":"memory","area_mm2":1,"dyn_power_w":1,"clock_hz":1e8,"always_on":true}}],
-                "flows":[{{"src":0,"dst":1,"bandwidth_mbps":10,"max_latency_cycles":5}}]}},
+                "flows":[{{"src":0,"dst":1,"bandwidth_bytes_per_s":1e7,"max_latency_cycles":5}}]}},
                 "partition":{{"kind":"logical","islands":1}}}}"#
             )
         };
@@ -1210,11 +1198,11 @@ mod tests {
                 "area_mm2",
             ),
             (
-                r#"{"name":"c","kind":"cpu","area_mm2":1,"dyn_power_mw":-3,"clock_hz":1e8}"#,
+                r#"{"name":"c","kind":"cpu","area_mm2":1,"dyn_power_w":-0.003,"clock_hz":1e8}"#,
                 "dyn_power",
             ),
             (
-                r#"{"name":"c","kind":"cpu","area_mm2":1,"dyn_power_w":1,"clock_mhz":0}"#,
+                r#"{"name":"c","kind":"cpu","area_mm2":1,"dyn_power_w":1,"clock_hz":0}"#,
                 "clock",
             ),
         ] {
@@ -1294,7 +1282,6 @@ mod tests {
             )
         };
         for (members, path) in [
-            (r#""sim":{"link_width_bits":0}"#, "sim.link_width_bits"),
             (
                 r#""synthesis":{"link_width_bits":0}"#,
                 "synthesis.link_width_bits",
@@ -1332,7 +1319,7 @@ mod tests {
 
         // The bounds themselves are accepted.
         for members in [
-            r#""sim":{"link_width_bits":1,"packet_bytes":1,"queue_capacity":1,"load_factor":16}"#,
+            r#""sim":{"packet_bytes":1,"queue_capacity":1,"load_factor":16}"#,
             r#""sim":{"packet_bytes":65536}"#,
             r#""synthesis":{"link_width_bits":1}"#,
             r#""sweep":{},"dyn_sweep":{"loads":[16],"horizon_ns":4000}"#,
@@ -1382,7 +1369,7 @@ mod tests {
         let text = r#"{"name":"bad","spec":{"name":"t","cores":[
             {"name":"a","kind":"cpu","area_mm2":1,"dyn_power_w":1,"clock_hz":1e8},
             {"name":"b","kind":"memory","area_mm2":1,"dyn_power_w":1,"clock_hz":1e8}
-        ],"flows":[{"src":0,"dst":0,"bandwidth_mbps":10,"max_latency_cycles":5}]},
+        ],"flows":[{"src":0,"dst":0,"bandwidth_bytes_per_s":1e7,"max_latency_cycles":5}]},
         "partition":{"kind":"logical","islands":1}}"#;
         let err = Scenario::from_json(text).unwrap_err();
         let msg = err.to_string();

@@ -15,13 +15,14 @@
 //!   `Scenario::run` is the one runner; a caller that wants one stage at a
 //!   time chains the stage functions it calls, as the examples do.
 //! * [`Report`] — everything a run produced, with a byte-deterministic
-//!   JSON emission (`Report::to_json`) and a terminal summary.
+//!   JSON emission (`Report::to_json`); [`report_summary`] is the one
+//!   terminal summary of that emission.
 //! * [`Error`] — the workspace-wide error type every stage fails through.
 //! * [`cli`] — the implementation of the `vi-noc` binary (`run`,
 //!   `report`, `sweep`, `fleet`).
 //! * [`fleet`] — scenario documents as `vi-noc-fleet` job payloads: a
-//!   scenario's sweep runs on a coordinator + worker fleet (the `fleet`
-//!   CLI) with byte-identical frontier emission.
+//!   scenario's sweep runs on a coordinator + worker fleet (`vi-noc fleet
+//!   serve` and `vi-noc fleet work`) with byte-identical frontier emission.
 //!
 //! Everything here composes the existing stage functions
 //! (`vi_noc_core::synthesize`, `realize_on_floorplan`,
@@ -41,7 +42,7 @@ mod scenario;
 
 pub use error::Error;
 pub use ingest::SCENARIO_FORMAT;
-pub use report::{Report, ShutdownReport, SimReport, REPORT_FORMAT};
+pub use report::{report_summary, Report, ShutdownReport, SimReport, REPORT_FORMAT};
 pub use scenario::{
     DynSweepPlan, IslandChoice, PartitionPlan, RefinePlan, Scenario, ShutdownPlan, SimPlan,
     SpecSource,

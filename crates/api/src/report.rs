@@ -1,8 +1,9 @@
 //! The result of running a [`crate::Scenario`]: chosen design, realized
 //! metrics, simulation statistics, shutdown outcome, sweep frontier — with
-//! a byte-deterministic JSON emission and a human-readable summary.
+//! a byte-deterministic JSON emission, and the one human-readable summary
+//! of that emission ([`report_summary`]).
 
-use vi_noc_core::json::{self, Obj};
+use vi_noc_core::json::{self, Obj, Value};
 use vi_noc_core::{write_design_point, write_metrics, write_power, DesignMetrics, DesignPoint};
 use vi_noc_sim::{MeasuredPower, ShutdownOutcome, SimStats};
 
@@ -133,73 +134,92 @@ impl Report {
         s.push('\n');
         s
     }
+}
 
-    /// A terminal-friendly multi-line summary of the run.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "scenario '{}': {} @ {} islands",
-            self.scenario, self.spec_name, self.island_count
-        );
-        let _ = writeln!(
-            s,
-            "  synthesis: {} feasible points; chosen: {} switches, {:.1} mW, \
-             {:.2} cycles avg latency",
-            self.explored_points,
-            self.point.metrics.switch_count,
-            self.point.metrics.noc_dynamic_power().mw(),
-            self.point.metrics.avg_latency_cycles
-        );
-        let _ = writeln!(
-            s,
-            "  floorplan: {:.1} mW with Manhattan wires ({} link(s) need pipelining)",
-            self.realized_metrics.noc_dynamic_power().mw(),
-            self.infeasible_links
-        );
-        if let Some(sim) = &self.sim {
-            let _ = writeln!(
-                s,
-                "  simulated {} ns: {} packets delivered, avg latency {:.1} ns",
-                sim.horizon_ns,
-                sim.stats.total_delivered_packets(),
-                sim.stats.avg_latency_ps().unwrap_or(0.0) / 1e3
-            );
-            if let Some(m) = &sim.measured {
-                let _ = writeln!(
-                    s,
-                    "  measured NoC power: {:.1} mW (analytic full-load: {:.1} mW)",
-                    m.fig2_power().mw(),
-                    self.realized_metrics.noc_dynamic_power().mw()
-                );
-            }
-        }
-        if let Some(sd) = &self.shutdown {
-            let _ = writeln!(
-                s,
-                "  island {} gated: drained cleanly = {}, survivors delivered {} before / \
-                 {} after the gate",
-                sd.island,
-                sd.outcome.drained_cleanly,
-                sd.outcome.survivors_before,
-                sd.outcome.survivors_after
-            );
-        }
-        if let Some(frontier) = &self.frontier {
-            let entries = frontier.matches("\"ordinal\":").count();
-            let _ = writeln!(
-                s,
-                "  sweep frontier: {entries} undominated point(s) ({} bytes)",
-                frontier.len()
-            );
-        }
-        if let Some(table) = &self.dyn_sweep {
-            let cells = table.matches("\"provenance\":").count();
-            let _ = writeln!(s, "  dynamic sweep: {cells} cell(s) simulated");
-        }
-        s
+/// The terminal summary of a report file's text (a [`Report::to_json`]
+/// emission): one line per section the file carries. Members are read
+/// strictly, so a truncated or mistyped report fails on its first missing
+/// member instead of printing placeholders. `vi-noc run` prints it for the
+/// report it writes, `vi-noc report` for a report file.
+///
+/// # Errors
+///
+/// The text is not JSON, not a `vi-noc-report-v1` document, or lacks a
+/// member of a section it carries; the message names the member's path.
+pub fn report_summary(text: &str) -> Result<String, String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    match doc.get("format").and_then(Value::as_str) {
+        Some(REPORT_FORMAT) => {}
+        Some(other) => return Err(format!("'{other}' is not '{REPORT_FORMAT}'")),
+        None => return Err("not a vi-noc report file (no 'format' member)".to_string()),
     }
+    let total_mw = |v: &Value, ctx: &str| v.member("power_mw", ctx)?.f64_member("total", ctx);
+    let metrics = doc.member("point", "report")?.member("metrics", "point")?;
+    let realized = doc.member("realized", "report")?;
+    let realized_mw = total_mw(realized.member("metrics", "realized")?, "realized.metrics")?;
+    let mut s = format!(
+        "scenario '{}': {} @ {} islands\n  \
+         synthesis: {} feasible point(s); chosen: {} switches, {:.1} mW, \
+         {:.2} cycles avg zero-load latency\n  \
+         floorplan: {realized_mw:.1} mW with Manhattan wires ({} link(s) need pipelining)\n",
+        doc.str_member("scenario", "report")?,
+        doc.str_member("spec_name", "report")?,
+        doc.u64_member("island_count", "report")?,
+        doc.u64_member("explored_points", "report")?,
+        metrics.u64_member("switch_count", "point.metrics")?,
+        total_mw(metrics, "point.metrics")?,
+        metrics.f64_member("avg_latency_cycles", "point.metrics")?,
+        realized.u64_member("infeasible_links", "realized")?
+    );
+    if let Some(sim) = doc.get("sim") {
+        let stats = sim.member("stats", "sim")?;
+        let delivered = stats.u64_member("total_delivered_packets", "sim.stats")?;
+        let latency_ps = array(stats, "flows", "sim.stats")?
+            .iter()
+            .try_fold(0.0, |sum, f| {
+                Ok::<_, String>(sum + f.f64_member("total_latency_ps", "sim.stats.flows")?)
+            })?;
+        s += &format!(
+            "  simulated {} ns: {delivered} packets delivered, avg latency {:.1} ns\n",
+            sim.u64_member("horizon_ns", "sim")?,
+            latency_ps / delivered.max(1) as f64 / 1e3
+        );
+        if let Some(m) = sim.get("measured_power_mw") {
+            s += &format!(
+                "  measured NoC power: {:.1} mW (analytic full-load: {realized_mw:.1} mW)\n",
+                m.f64_member("total", "sim.measured_power_mw")?
+            );
+        }
+    }
+    if let Some(sd) = doc.get("shutdown") {
+        s += &format!(
+            "  island {} gated: drained cleanly = {}, survivors delivered {} before / {} after \
+             the gate\n",
+            sd.u64_member("island", "shutdown")?,
+            sd.bool_member("drained_cleanly", "shutdown")?,
+            sd.u64_member("survivors_before", "shutdown")?,
+            sd.u64_member("survivors_after", "shutdown")?
+        );
+    }
+    if let Some(frontier) = doc.get("frontier") {
+        let n = array(frontier, "frontier", "frontier")?.len();
+        s += &format!("  sweep frontier: {n} undominated point(s)\n");
+    }
+    if let Some(table) = doc.get("dyn_sweep") {
+        s += &format!(
+            "  dynamic sweep: {} cell(s) simulated over {} frontier point(s)\n",
+            array(table, "cells", "dyn_sweep")?.len(),
+            array(table, "points", "dyn_sweep")?.len()
+        );
+    }
+    Ok(s)
+}
+
+/// The array member `key` of `v`.
+fn array<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a [Value], String> {
+    v.member(key, ctx)?
+        .as_arr()
+        .ok_or_else(|| format!("{ctx}: '{key}' is not an array"))
 }
 
 #[cfg(test)]
@@ -250,10 +270,11 @@ mod tests {
     #[test]
     fn summary_mentions_every_section() {
         let report = small_report();
-        let text = report.summary();
+        let text = report_summary(&report.to_json()).unwrap();
         assert!(text.contains("d12_auto"));
         assert!(text.contains("floorplan"));
         assert!(text.contains("simulated"));
+        assert!(text.contains("measured NoC power"));
         assert!(text.contains("gated"));
     }
 }

@@ -118,6 +118,19 @@ impl Default for ShutdownPlan {
     }
 }
 
+impl ShutdownPlan {
+    /// The simulator's schedule for this plan under `vi`, its island choice
+    /// resolved by [`Scenario::resolve_shutdown_island`].
+    fn schedule(&self, vi: &ViAssignment) -> Result<ShutdownScenario, Error> {
+        Ok(ShutdownScenario {
+            island: Scenario::resolve_shutdown_island(self, vi)?,
+            stop_at_ns: self.stop_at_ns,
+            drain_ns: self.drain_ns,
+            post_gate_ns: self.post_gate_ns,
+        })
+    }
+}
+
 /// The coarse-to-fine refinement stage of a scenario's sweep: after the
 /// coarse grid's frontier is folded, windows are placed around its
 /// surviving points ([`vi_noc_sweep::windows_from_frontier`]) and the fine
@@ -326,17 +339,11 @@ impl Scenario {
             .min_power_point()
             .expect("synthesize never returns an empty space");
 
-        // The shutdown experiment drives its own simulator; it reuses the
-        // scenario's engine parameters when a sim stage is declared.
-        let sim_cfg = self
-            .sim
-            .as_ref()
-            .map(|p| p.config.clone())
-            .unwrap_or_default();
+        let sim_cfg = self.sim_config();
         let shutdown = self
             .shutdown
             .as_ref()
-            .map(|plan| Scenario::resolve_shutdown_island(plan, &vi).map(|island| (island, plan)))
+            .map(|p| p.schedule(&vi))
             .transpose()?;
 
         // Neither simulator reads link lengths, the only thing the
@@ -348,9 +355,8 @@ impl Scenario {
             || {
                 let design =
                     realize_on_floorplan(&spec, &vi, point, &self.floorplan, &self.synthesis);
-                let shutdown = shutdown.map(|(island, plan)| {
-                    shutdown_stage(&spec, &vi, &point.topology, &sim_cfg, island, plan)
-                });
+                let shutdown =
+                    shutdown.map(|run| shutdown_stage(&spec, &vi, &point.topology, &sim_cfg, &run));
                 (design, shutdown)
             },
             || {
@@ -421,11 +427,7 @@ impl Scenario {
     /// it cannot inject, so such a stage would exhaust memory, or run for
     /// as long as it has packets to generate.
     fn check_stage_budgets(&self, spec: &SocSpec) -> Result<(), Error> {
-        let sim = self
-            .sim
-            .as_ref()
-            .map(|p| p.config.clone())
-            .unwrap_or_default();
+        let sim = self.sim_config();
         let bytes_per_s: f64 = spec
             .flow_ids()
             .map(|f| spec.flow(f).bandwidth.bytes_per_s())
@@ -551,15 +553,7 @@ impl Scenario {
         let schedules: Vec<Option<ShutdownScenario>> = plan
             .schedules
             .iter()
-            .map(|s| match s {
-                None => Ok(None),
-                Some(p) => Ok(Some(ShutdownScenario {
-                    island: Scenario::resolve_shutdown_island(p, vi)?,
-                    stop_at_ns: p.stop_at_ns,
-                    drain_ns: p.drain_ns,
-                    post_gate_ns: p.post_gate_ns,
-                })),
-            })
+            .map(|s| s.as_ref().map(|p| p.schedule(vi)).transpose())
             .collect::<Result<_, Error>>()?;
         let axes = SimAxes {
             loads: plan.loads.clone(),
@@ -567,11 +561,7 @@ impl Scenario {
             schedules,
             horizon_ns: plan.horizon_ns,
         };
-        let sim = self
-            .sim
-            .as_ref()
-            .map(|p| p.config.clone())
-            .unwrap_or_default();
+        let sim = self.sim_config();
         let tag = self.partition.tag();
         let input = DynSweepInput {
             spec,
@@ -585,6 +575,16 @@ impl Scenario {
         run_dynsweep(&input, &axes, plan.mode)
             .map(|run| run.table)
             .map_err(|e| Error::scenario("dyn_sweep", e))
+    }
+
+    /// The engine parameters of every simulated stage: the `sim` stage's,
+    /// or the defaults when none is declared (the shutdown experiment and
+    /// the dynamic sweep drive their own simulators either way).
+    fn sim_config(&self) -> SimConfig {
+        self.sim
+            .as_ref()
+            .map(|p| p.config.clone())
+            .unwrap_or_default()
     }
 }
 
@@ -629,44 +629,33 @@ fn check_ordinals(grid: &GridConfig, vi: &ViAssignment, ctx: &str) -> Result<(),
     }
 }
 
-/// The shutdown stage's body: gates the resolved `island` on `topology`
-/// as `plan` schedules.
+/// The shutdown stage's body: gates `run.island` on `topology` as `run`
+/// schedules.
 ///
 /// # Errors
 ///
-/// The island does not drain within [`DRAIN_POLLS`] × `plan.drain_ns`.
+/// The island does not drain within [`DRAIN_POLLS`] × `run.drain_ns`.
 fn shutdown_stage(
     spec: &SocSpec,
     vi: &ViAssignment,
     topology: &Topology,
     sim_cfg: &SimConfig,
-    island: usize,
-    plan: &ShutdownPlan,
+    run: &ShutdownScenario,
 ) -> Result<ShutdownReport, Error> {
-    let cell = run_dynamic_cell(
-        spec,
-        vi,
-        topology,
-        sim_cfg,
-        0,
-        Some(&ShutdownScenario {
-            island,
-            stop_at_ns: plan.stop_at_ns,
-            drain_ns: plan.drain_ns,
-            post_gate_ns: plan.post_gate_ns,
-        }),
-    );
+    let cell = run_dynamic_cell(spec, vi, topology, sim_cfg, 0, Some(run));
     let outcome = cell.gated_outcome().ok_or_else(|| {
         Error::scenario(
             "shutdown",
             format!(
-                "island {island} did not drain within {DRAIN_POLLS}x{} ns, \
-                 so it cannot be gated",
-                plan.drain_ns
+                "island {} did not drain within {DRAIN_POLLS}x{} ns, so it cannot be gated",
+                run.island, run.drain_ns
             ),
         )
     })?;
-    Ok(ShutdownReport { island, outcome })
+    Ok(ShutdownReport {
+        island: run.island,
+        outcome,
+    })
 }
 
 #[cfg(test)]

@@ -80,3 +80,38 @@ fn scenario_run_matches_the_hand_chained_pipeline_on_d26() {
         "scenario frontier bytes differ from the sweep CLI's"
     );
 }
+
+#[test]
+fn the_simulator_takes_its_link_width_from_the_synthesized_topology() {
+    // A 64-bit NoC carries a 64-byte packet in 8 flits. The width is a
+    // synthesis fact only: a simulator that kept its own (32-bit) copy ran
+    // 16-flit packets on islands clocked for 8, and saturated them.
+    let scenario = Scenario::from_json(
+        r#"{"name":"wide links","spec":{"benchmark":"d26"},
+        "partition":{"kind":"logical","islands":6},
+        "synthesis":{"link_width_bits":64},
+        "floorplan":{"iterations":2000},
+        "sim":{"traffic":"cbr","load_factor":0.8,"horizon_ns":50000}}"#,
+    )
+    .unwrap();
+    let report = scenario.run().unwrap();
+
+    let soc = benchmarks::d26_mobile();
+    let vi = partition::logical_partition(&soc, 6).unwrap();
+    let cfg = SynthesisConfig {
+        link_width_bits: 64,
+        ..SynthesisConfig::default()
+    };
+    let space = synthesize(&soc, &vi, &cfg).unwrap();
+    let topology = &space.min_power_point().unwrap().topology;
+    assert_eq!(topology.link_width_bits(), 64);
+    let sim_cfg = SimConfig {
+        traffic: TrafficKind::Cbr,
+        load_factor: 0.8,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&soc, topology, &sim_cfg);
+    assert_eq!(sim.flits_per_packet(), 8);
+    let stats = sim.run_for_ns(50_000);
+    assert_eq!(report.sim.expect("a sim stage").stats, stats);
+}

@@ -99,6 +99,23 @@ fn a_fleet_routed_sweep_reproduces_the_direct_frontier_bytes() {
 }
 
 #[test]
+fn one_two_and_three_local_workers_fold_the_committed_grid_to_its_direct_frontier() {
+    // A fleet is a coordinator plus any number of workers; the fold must
+    // not depend on how many there are.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/d26_overclocked_fine.json"
+    );
+    let scenario = Scenario::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let payload = job_payload(&scenario, None);
+    let want = direct_frontier(&payload);
+    for workers in 1..=3 {
+        let (got, _) = with_workers(workers, |fleet| fleet.submit(&payload).unwrap());
+        assert!(got == want, "{workers} worker(s) folded other bytes");
+    }
+}
+
+#[test]
 fn a_long_lived_fleet_folds_each_job_from_its_own_payload() {
     // Two jobs whose grid descriptors (and so fingerprints) are equal: the
     // descriptor records no synthesis parameter. A worker that cached its

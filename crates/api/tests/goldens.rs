@@ -8,7 +8,8 @@
 //! profile.
 
 use std::path::{Path, PathBuf};
-use vi_noc_api::Scenario;
+use vi_noc_api::{report_summary, Scenario};
+use vi_noc_core::json;
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -58,4 +59,65 @@ fn every_golden_report_is_reproduced_byte_for_byte() {
             golden.display()
         );
     }
+}
+
+#[test]
+fn the_stepped_engine_reproduces_every_simulated_golden() {
+    // Batching is exact: the reference engine, which ticks every island at
+    // every clock edge, must write the same reports. Only Rust selects it.
+    let cases = golden_cases();
+    for stem in ["d26_baseline", "d26_saturated", "d26_shutdown_stress"] {
+        let (_, scenario, golden) = cases.iter().find(|c| c.0 == stem).unwrap();
+        let mut scenario = Scenario::from_json(&std::fs::read_to_string(scenario).unwrap())
+            .unwrap_or_else(|e| panic!("{stem}: {e}"));
+        let sim = scenario.sim.as_mut().expect("a simulated scenario");
+        assert!(sim.config.batching, "{stem}: batched by default");
+        sim.config.batching = false;
+        let report = scenario.run().unwrap_or_else(|e| panic!("{stem}: {e}"));
+        let want = std::fs::read_to_string(golden).unwrap();
+        assert!(
+            report.to_json() == want,
+            "{stem}: the stepped report differs from {}",
+            golden.display()
+        );
+    }
+}
+
+#[test]
+fn the_summary_names_every_section_each_golden_carries() {
+    for (stem, _, golden) in golden_cases() {
+        let text = std::fs::read_to_string(golden).unwrap();
+        let doc = json::parse(&text).unwrap();
+        let summary = report_summary(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
+        let mut want = vec!["scenario '", "  synthesis: ", "  floorplan: "];
+        for (member, line) in [
+            ("sim", "  simulated "),
+            ("shutdown", " gated: drained cleanly = "),
+            ("frontier", "  sweep frontier: "),
+            ("dyn_sweep", "  dynamic sweep: "),
+        ] {
+            if doc.get(member).is_some() {
+                want.push(line);
+            }
+        }
+        if doc
+            .get("sim")
+            .and_then(|s| s.get("measured_power_mw"))
+            .is_some()
+        {
+            want.push("  measured NoC power: ");
+        }
+        assert_eq!(summary.lines().count(), want.len(), "{stem}:\n{summary}");
+        for line in want {
+            assert!(summary.contains(line), "{stem} lacks {line:?}:\n{summary}");
+        }
+    }
+    let dynamic =
+        std::fs::read_to_string(scenarios_dir().join("golden/d26_dynamic_grid.report.json"))
+            .unwrap();
+    let summary = report_summary(&dynamic).unwrap();
+    assert!(
+        summary.ends_with("  dynamic sweep: 36 cell(s) simulated over 3 frontier point(s)\n"),
+        "{summary}"
+    );
 }

@@ -75,8 +75,8 @@ fn arb_floorplan() -> impl Strategy<Value = FloorplanConfig> {
 }
 
 fn arb_sim() -> impl Strategy<Value = Option<SimPlan>> {
-    (0usize..3, 0.05f64..1.5, 1u64..500_000, proptest::bool::ANY).prop_map(
-        |(pick, load_factor, horizon_ns, batching)| match pick {
+    (0usize..3, 0.05f64..1.5, 1u64..500_000).prop_map(
+        |(pick, load_factor, horizon_ns)| match pick {
             0 => None,
             p => {
                 let mut plan = SimPlan::default();
@@ -86,7 +86,6 @@ fn arb_sim() -> impl Strategy<Value = Option<SimPlan>> {
                     TrafficKind::Poisson
                 };
                 plan.config.load_factor = load_factor;
-                plan.config.batching = batching;
                 plan.horizon_ns = horizon_ns;
                 Some(plan)
             }

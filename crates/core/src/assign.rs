@@ -37,13 +37,10 @@ pub(crate) fn min_switches(vcg_len: usize, max_sw_size: usize) -> usize {
 /// island saturates at one switch per core (steps 4–10; the paper's index
 /// arithmetic is off by one from its prose, we follow the prose).
 ///
-/// Public so sweep-grid builders (the `vi-noc-sweep` crate) can enumerate
-/// the base count schedule without a full [`crate::SweepPlan`].
-///
 /// # Panics
 ///
 /// If `i` is 0 (sweep indices are 1-based).
-pub fn switch_counts_for_sweep(vcgs: &[Vcg], plan: &FrequencyPlan, i: usize) -> Vec<usize> {
+pub(crate) fn switch_counts_for_sweep(vcgs: &[Vcg], plan: &FrequencyPlan, i: usize) -> Vec<usize> {
     assert!(i >= 1, "sweep index is 1-based");
     vcgs.iter()
         .map(|vcg| {
@@ -51,6 +48,23 @@ pub fn switch_counts_for_sweep(vcgs: &[Vcg], plan: &FrequencyPlan, i: usize) -> 
             (min_sw + i - 1).min(vcg.len())
         })
         .collect()
+}
+
+/// The base switch-count schedule under `plan`, shared by
+/// [`crate::SweepPlan::build`] and the `vi-noc-sweep` grids: the count
+/// vectors of sweep indices 1, 2, … up to the first that repeats its
+/// predecessor (counts grow monotonically, so every later one would too).
+pub fn base_schedule(vcgs: &[Vcg], plan: &FrequencyPlan) -> Vec<Vec<usize>> {
+    let max_sweep = vcgs.iter().map(Vcg::len).max().unwrap_or(1);
+    let mut base: Vec<Vec<usize>> = Vec::new();
+    for i in 1..=max_sweep {
+        let counts = switch_counts_for_sweep(vcgs, plan, i);
+        if base.last() == Some(&counts) {
+            break;
+        }
+        base.push(counts);
+    }
+    base
 }
 
 /// Performs the `k_j` min-cut partitions of each island's VCG, yielding the
@@ -116,6 +130,23 @@ mod tests {
             assert!(c2[j] >= c1[j]);
             assert_eq!(huge[j], vcgs[j].len(), "saturates at one switch per core");
         }
+    }
+
+    #[test]
+    fn the_base_schedule_ends_before_its_first_repeat() {
+        let (vcgs, plan, _) = setup();
+        let base = base_schedule(&vcgs, &plan);
+        for (i, counts) in base.iter().enumerate() {
+            assert_eq!(*counts, switch_counts_for_sweep(&vcgs, &plan, i + 1));
+        }
+        let next = switch_counts_for_sweep(&vcgs, &plan, base.len() + 1);
+        assert_eq!(
+            base.last(),
+            Some(&next),
+            "sweep index {} repeats",
+            base.len() + 1
+        );
+        assert!(base.windows(2).all(|w| w[0] != w[1]));
     }
 
     #[test]

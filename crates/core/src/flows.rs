@@ -71,7 +71,7 @@ mod tests {
         s.add_flow(TrafficFlow::new(b, c, 400.0, 20));
         s.add_flow(TrafficFlow::new(a, c, 400.0, 20));
 
-        let mut t = Topology::new(&s, 2, vec![Frequency::from_mhz(100.0); 3]);
+        let mut t = Topology::new(&s, 2, vec![Frequency::from_mhz(100.0); 3], 32);
         t.add_switch(Switch {
             name: "sw0".into(),
             island_ext: 0,

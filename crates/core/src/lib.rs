@@ -68,7 +68,7 @@ mod topology;
 mod vcg;
 mod verify;
 
-pub use assign::{island_switch_assignment, switch_counts_for_sweep, SwitchAssignment};
+pub use assign::{base_schedule, island_switch_assignment, SwitchAssignment};
 pub use baseline::{synthesize_oblivious, ObliviousDesign};
 pub use config::SynthesisConfig;
 pub use design_space::{DesignPoint, DesignSpace};

@@ -113,7 +113,8 @@ impl AllocContext {
         let mut island_freq: Vec<Frequency> = (0..n_islands).map(|j| plan.frequency(j)).collect();
         island_freq.push(plan.intermediate_frequency());
 
-        let mut base_topo = Topology::new(spec, n_islands, island_freq.clone());
+        let mut base_topo =
+            Topology::new(spec, n_islands, island_freq.clone(), cfg.link_width_bits);
         for (j, groups) in assignment.groups.iter().enumerate() {
             for (g, cores) in groups.iter().enumerate() {
                 base_topo.add_switch(Switch {

@@ -26,7 +26,7 @@
 //! order at any width (the parallel map is order-preserving), producing
 //! byte-identical design spaces on one thread or many.
 
-use crate::assign::{island_switch_assignment, switch_counts_for_sweep, SwitchAssignment};
+use crate::assign::{base_schedule, island_switch_assignment, SwitchAssignment};
 use crate::config::{FrequencyPlan, SynthesisConfig};
 use crate::design_space::{DesignPoint, DesignSpace};
 use crate::error::SynthesisError;
@@ -77,30 +77,22 @@ impl SweepPlan {
             .map(|j| build_vcg(spec, vi, j, cfg))
             .collect();
 
-        let max_sweep = vcgs.iter().map(Vcg::len).max().unwrap_or(1);
         let mid_range: Vec<usize> = if cfg.allow_intermediate_vi {
             (0..=cfg.max_intermediate_switches).collect()
         } else {
             vec![0]
         };
 
-        let mut count_vectors = Vec::new();
+        let count_vectors = base_schedule(&vcgs, &plan);
         let mut candidates = Vec::new();
-        let mut prev_counts: Option<Vec<usize>> = None;
-        for i in 1..=max_sweep {
-            let counts = switch_counts_for_sweep(&vcgs, &plan, i);
-            if prev_counts.as_ref() == Some(&counts) {
-                break;
-            }
-            prev_counts = Some(counts.clone());
+        for (i, counts) in count_vectors.iter().enumerate() {
             for &k_mid in &mid_range {
                 candidates.push(SweepCandidate {
-                    sweep_index: i,
+                    sweep_index: i + 1,
                     switch_counts: counts.clone(),
                     requested_intermediate: k_mid,
                 });
             }
-            count_vectors.push(counts);
         }
 
         // The min-cut partition of each sweep index is shared by all of

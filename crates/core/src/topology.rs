@@ -131,10 +131,15 @@ impl TopologyBuilder {
     /// # Panics
     ///
     /// Panics if `island_freq.len() != n_islands + 1`.
-    pub fn new(spec: &SocSpec, n_islands: usize, island_freq: Vec<Frequency>) -> Self {
+    pub fn new(
+        spec: &SocSpec,
+        n_islands: usize,
+        island_freq: Vec<Frequency>,
+        link_width_bits: usize,
+    ) -> Self {
         TopologyBuilder {
             flows: spec.flows().iter().map(|f| (f.src, f.dst)).collect(),
-            topo: Topology::new(spec, n_islands, island_freq),
+            topo: Topology::new(spec, n_islands, island_freq, link_width_bits),
         }
     }
 
@@ -278,6 +283,7 @@ pub struct Topology {
     switch_of_core: Vec<SwitchId>,
     routes: Vec<Option<Route>>,
     island_freq: Vec<Frequency>,
+    link_width_bits: usize,
 }
 
 impl Topology {
@@ -285,7 +291,12 @@ impl Topology {
     ///
     /// `island_freq` must hold `n_islands + 1` entries — the last one is the
     /// intermediate island's frequency.
-    pub(crate) fn new(spec: &SocSpec, n_islands: usize, island_freq: Vec<Frequency>) -> Self {
+    pub(crate) fn new(
+        spec: &SocSpec,
+        n_islands: usize,
+        island_freq: Vec<Frequency>,
+        link_width_bits: usize,
+    ) -> Self {
         assert_eq!(island_freq.len(), n_islands + 1);
         Topology {
             n_islands,
@@ -295,6 +306,7 @@ impl Topology {
             switch_of_core: vec![SwitchId(usize::MAX); spec.core_count()],
             routes: vec![None; spec.flow_count()],
             island_freq,
+            link_width_bits,
         }
     }
 
@@ -340,6 +352,12 @@ impl Topology {
     /// NoC clock frequency of extended island `island_ext`.
     pub fn island_frequency(&self, island_ext: usize) -> Frequency {
         self.island_freq[island_ext]
+    }
+
+    /// Data width of every link, bits: the width the topology was
+    /// synthesized (or built) for, and the one a flit carries.
+    pub fn link_width_bits(&self) -> usize {
+        self.link_width_bits
     }
 
     /// All switches.
@@ -498,7 +516,7 @@ mod tests {
     #[test]
     fn switches_attach_cores() {
         let spec = tiny_spec();
-        let mut t = Topology::new(&spec, 2, freqs(2));
+        let mut t = Topology::new(&spec, 2, freqs(2), 32);
         let s0 = t.add_switch(Switch {
             name: "sw0.0".into(),
             island_ext: 0,
@@ -517,7 +535,7 @@ mod tests {
     #[test]
     fn links_and_ports_account() {
         let spec = tiny_spec();
-        let mut t = Topology::new(&spec, 2, freqs(2));
+        let mut t = Topology::new(&spec, 2, freqs(2), 32);
         let s0 = t.add_switch(Switch {
             name: "a".into(),
             island_ext: 0,
@@ -548,7 +566,7 @@ mod tests {
     #[test]
     fn routes_drive_switch_loads() {
         let spec = tiny_spec();
-        let mut t = Topology::new(&spec, 1, freqs(1));
+        let mut t = Topology::new(&spec, 1, freqs(1), 32);
         let s0 = t.add_switch(Switch {
             name: "a".into(),
             island_ext: 0,
@@ -567,7 +585,7 @@ mod tests {
     #[test]
     fn pruning_removes_linkless_intermediate_switches() {
         let spec = tiny_spec();
-        let mut t = Topology::new(&spec, 1, freqs(1));
+        let mut t = Topology::new(&spec, 1, freqs(1), 32);
         let s0 = t.add_switch(Switch {
             name: "sw".into(),
             island_ext: 0,

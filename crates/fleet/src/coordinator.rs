@@ -205,7 +205,8 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, String
 /// One `--verbose` metrics line: how many leases are in flight, how many
 /// deltas the coordinator has folded, and how long ago the last fold was.
 fn log_metrics(book: &LeaseBook, now: Instant) {
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "fleet: metrics leases_outstanding={} deltas_folded={} fold_lag_ms={}",
         book.leases_outstanding(),
         book.deltas_folded(),
@@ -250,7 +251,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     if let Err(e) = serve_worker(&mut reader, &mut writer, shared) {
         // Transport failure: nothing to tell the peer; the book has
         // already been cleaned up by the serving loop.
-        eprintln!("fleet: connection error: {e}");
+        let _ = writeln!(std::io::stderr(), "fleet: connection error: {e}");
     }
 }
 
@@ -265,7 +266,8 @@ fn serve_worker(
         if !held.is_empty() {
             let mut book = shared.book.lock().unwrap();
             book.release_leases(held);
-            eprintln!(
+            let _ = writeln!(
+                std::io::stderr(),
                 "fleet: worker connection lost, re-issued {} lease(s) from their watermarks",
                 held.len()
             );

@@ -322,6 +322,20 @@ impl LeaseBook {
             ));
         }
         let entries = validate_entries(&d.entries, &job.grid_value)?;
+        d.stats
+            .check_positions(d.taken, "the delta's taken")
+            .map_err(|e| format!("delta: {e}"))?;
+        let chains = slot.range.start + d.from..slot.range.start + d.from + d.taken;
+        for (i, (_, entry)) in entries.iter().enumerate() {
+            let chain_id = entry.u64_member("chain_id", &format!("frontier[{i}]"))?;
+            if !chains.contains(&chain_id) {
+                return Err(format!(
+                    "delta: frontier[{i}]: chain {chain_id} is outside the interval's chains \
+                     {}..{}",
+                    chains.start, chains.end
+                ));
+            }
+        }
 
         slot.acked += d.taken;
         job.progress.absorb(RangeDelta {
@@ -425,6 +439,7 @@ impl LeaseBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vi_noc_core::json;
     use vi_noc_sweep::SweepStats;
 
     fn desc(num_chains: u64) -> GridDescriptor {
@@ -581,6 +596,56 @@ mod tests {
         book.fold_delta(&delta(&l, 0, 2), t0).unwrap();
         let err = book.fold_delta(&delta(&l, 0, 2), t0).unwrap_err();
         assert_eq!(err, "delta: duplicate ack at 0 (the watermark is 2)");
+    }
+
+    #[test]
+    fn fold_rejects_deltas_whose_counters_or_entries_are_not_their_own() {
+        let mut book = LeaseBook::new(FleetConfig {
+            lease_chunk: 4,
+            ..FleetConfig::default()
+        });
+        let t0 = Instant::now();
+        book.submit("payload", &desc(8)).unwrap();
+        let l1 = book.next_lease(t0).unwrap();
+        let l2 = book.next_lease(t0).unwrap();
+        assert_eq!((l2.start, l2.end), (4, 8));
+
+        // Counters that do not cover exactly the interval's positions.
+        let mut short = delta(&l2, 0, 2);
+        short.stats.chains = 1;
+        let err = book.fold_delta(&short, t0).unwrap_err();
+        assert_eq!(
+            err,
+            "delta: stats count 1 chains + 0 inactive_chains, not the delta's taken 2"
+        );
+        // An entry of a chain outside the interval (chain 6 is position 2
+        // of `l2`, past `0+2`), then of a chain of another lease.
+        let entry = |chain: u64| {
+            json::parse(&format!(
+                r#"{{"ordinal":{},"power_mw":1,"latency_cycles":2,"chain_id":{chain},
+                "scale":1,"boosts":[0,0],
+                "point":{{"metrics":{{"power_mw":{{"total":1}},"avg_latency_cycles":2}}}}}}"#,
+                2 * chain
+            ))
+            .unwrap()
+        };
+        for chain in [6, 1] {
+            let mut foreign = delta(&l2, 0, 2);
+            foreign.entries = vec![entry(5), entry(chain)];
+            let err = book.fold_delta(&foreign, t0).unwrap_err();
+            assert_eq!(
+                err,
+                format!("delta: frontier[1]: chain {chain} is outside the interval's chains 4..6")
+            );
+        }
+        // Nothing was folded: the interval's own entry still folds at 0.
+        let mut own = delta(&l2, 0, 2);
+        own.entries = vec![entry(5)];
+        assert_eq!(
+            book.fold_delta(&own, t0).unwrap(),
+            FoldOutcome::Advanced { done: 2 }
+        );
+        book.fold_delta(&delta(&l1, 0, 4), t0).unwrap();
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! dying. Concurrent in-process submissions ([`FleetHandle::submit`])
 //! share one coordinator and one worker pool.
 //!
-//! The fleet is driven from the CLI (`vi-noc fleet serve|work|run`, see
+//! The fleet is driven from the CLI (`vi-noc fleet serve|work`, see
 //! `vi-noc-api`); this crate stays ignorant of what a job payload means
 //! via the [`lease::JobResolver`] trait.
 

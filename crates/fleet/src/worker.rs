@@ -176,7 +176,10 @@ fn worker_loop(
             Ok(Message::Reject { message }) => return Err(format!("worker rejected: {message}")),
             Ok(other) => return Err(format!("worker: unexpected message: {other:?}")),
             Err(e) if is_disconnect(&e) => {
-                eprintln!("fleet work: coordinator gone while idle, shutting down");
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "fleet work: coordinator gone while idle, shutting down"
+                );
                 return Ok(stats);
             }
             Err(e) => return Err(e),
@@ -347,7 +350,7 @@ fn evaluate_lease(
 }
 
 /// Spawns `n` in-process worker threads against `addr` — the local fleet
-/// used by `vi-noc fleet run --workers N` and the benches.
+/// of the tests, the `fleet_scale` bench and the benchmark harness.
 pub fn spawn_local_workers(
     addr: SocketAddr,
     resolver: Arc<dyn JobResolver>,

@@ -6,8 +6,8 @@
 //!   island ticks at every edge of its own clock, and every tick scans every
 //!   switch port and every source NI of the island — the reference
 //!   implementation.
-//! * **Event-batched** (`SimConfig::batching = true`, the default): an
-//!   [`EventHorizon`] tracks, per extended island, the earliest tick at
+//! * **Event-batched** (`SimConfig::batching = true`, the default): the
+//!   simulator keeps, per extended island, the earliest tick at
 //!   which the island could possibly act — the earliest `ready_ps` among
 //!   queued flits, the next scheduled packet injection, or an NI backlog of
 //!   staged flits — and the island clock jumps straight to it. Within a
@@ -95,13 +95,14 @@ use std::ops::Range;
 use vi_noc_core::Topology;
 use vi_noc_soc::{FlowId, SocSpec};
 
-/// Simulator parameters.
+/// Simulator parameters. The link width is not one of them: it is the
+/// simulated topology's ([`Topology::link_width_bits`]), the width it was
+/// synthesized for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Packet payload size in bytes (flit count = size / link width).
+    /// Packet payload size in bytes (flit count = size / the topology's
+    /// link width).
     pub packet_bytes: usize,
-    /// Link data width in bits (must match the synthesized topology).
-    pub link_width_bits: usize,
     /// Output-queue capacity per port, flits.
     pub queue_capacity: usize,
     /// Injection process.
@@ -115,7 +116,9 @@ pub struct SimConfig {
     /// Batching skips only ticks (and, within ticks, switches, ports and
     /// NIs) at which no flit can move and no packet can arrive, so the
     /// resulting [`SimStats`] are bit-identical to a cycle-stepped run.
-    /// Disable it to run the reference stepper, as the equivalence tests do.
+    /// Disable it to run the reference stepper, as the equivalence tests
+    /// do; this field is the only way to select it (no scenario member or
+    /// CLI flag does, since no output can tell the two apart).
     pub batching: bool,
 }
 
@@ -123,7 +126,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             packet_bytes: 64,
-            link_width_bits: 32,
             queue_capacity: 8,
             traffic: TrafficKind::Cbr,
             seed: 0x51A1,
@@ -246,56 +248,27 @@ fn below(n: usize) -> u64 {
     }
 }
 
-/// Per-domain scheduler state of the event-batched engine.
-///
-/// For each extended island it caches the earliest tick (an absolute time
-/// on the island's clock grid) at which the island could act. A cache entry
-/// stays valid until the island's own state changes — which can only happen
-/// during one of its own ticks, or when another domain pushes a flit into
-/// one of its queues — at which point the entry is marked dirty and
-/// recomputed before the next scheduling decision.
-#[derive(Debug)]
-struct EventHorizon {
-    /// Cached next interaction tick per domain, ps (`u64::MAX` = idle
-    /// forever under current state).
-    next_event: Vec<u64>,
-    /// Entries that must be recomputed before being trusted again.
-    dirty: Vec<bool>,
-}
-
-impl EventHorizon {
-    fn new(n_domains: usize) -> Self {
-        EventHorizon {
-            next_event: vec![0; n_domains],
-            dirty: vec![true; n_domains],
-        }
-    }
-
-    fn mark_all(&mut self) {
-        self.dirty.iter_mut().for_each(|x| *x = true);
-    }
-}
-
 impl Simulator {
     /// Folds a newly materialized future event of domain `dd` — a pushed
     /// flit becoming ready, a wake re-arming a parked element — into the
-    /// domain's cached horizon entry in O(1). Pushes and wakes only ever
-    /// move a domain's next event *earlier*, so a monotone `min` against
-    /// the first grid tick covering `at_ps` keeps a clean entry exact
-    /// without the full [`Self::compute_next_event`] rescan a dirty mark
-    /// would cost. Dirty entries (the domain currently mid-tick, or any
-    /// domain in a stepped-mode run) are left alone: their scheduled
-    /// recompute reads the updated queue state anyway.
+    /// domain's [`Self::next_event`] entry in O(1). Pushes and wakes only
+    /// ever move a domain's next event *earlier*, so a monotone `min`
+    /// against the first grid tick covering `at_ps` keeps the entry exact
+    /// without a [`Self::compute_next_event`] rescan. A gated domain stays
+    /// pinned at `u64::MAX`: a stray push into it (an in-flight flit of a
+    /// deactivated flow, frozen as under the stepped engine) must not
+    /// re-arm it. A stepped run never reads the entries; they start at 0,
+    /// so its folds return at the precheck.
     fn fold_event(&mut self, dd: usize, at_ps: u64) {
         // The rounded-up tick can only improve the entry if the raw instant
         // already undercuts it, so the precheck skips the division on the
         // common path (the domain already has something earlier to do).
-        if self.horizon.dirty[dd] || at_ps >= self.horizon.next_event[dd] {
+        if at_ps >= self.next_event[dd] || !self.island_on[dd] {
             return;
         }
         let e = tick_at_or_after(self.next_tick[dd], self.net.period_ps[dd], at_ps);
-        if e < self.horizon.next_event[dd] {
-            self.horizon.next_event[dd] = e;
+        if e < self.next_event[dd] {
+            self.next_event[dd] = e;
         }
     }
 }
@@ -409,7 +382,13 @@ pub struct Simulator {
     /// `next_tick` without touching this).
     tick_idx: Vec<u64>,
     island_on: Vec<bool>,
-    horizon: EventHorizon,
+    /// The batched engine's scheduler: per extended island, the earliest
+    /// tick (an absolute time on the island's clock grid) at which it could
+    /// act, `u64::MAX` when it is idle under its current state or gated.
+    /// Set for every domain at `run_batched` entry, refreshed in place by
+    /// each of the domain's own ticks, and lowered by [`Self::fold_event`]
+    /// when another domain pushes into its queues or wakes it.
+    next_event: Vec<u64>,
     /// Wake list per global queue id: parked upstream elements to re-arm
     /// when the (full) queue pops. Non-empty only in batched mode, and only
     /// while the queue is full — the first pop drains the whole list.
@@ -445,11 +424,13 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if the topology does not route every flow of `spec`, or if
-    /// `cfg.link_width_bits` is zero.
+    /// its link width is zero.
     pub fn new(spec: &SocSpec, topo: &Topology, cfg: &SimConfig) -> Self {
         let net = SimNetwork::build(spec, topo);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let flits_per_packet = (cfg.packet_bytes * 8).div_ceil(cfg.link_width_bits).max(1) as u32;
+        let flits_per_packet = (cfg.packet_bytes * 8)
+            .div_ceil(topo.link_width_bits())
+            .max(1) as u32;
 
         let mut flows_by_core = vec![Vec::new(); spec.core_count()];
         let mut core_of_flow = Vec::with_capacity(spec.flow_count());
@@ -533,7 +514,7 @@ impl Simulator {
             next_tick: net.period_ps.clone(),
             tick_idx: vec![1; n_domains],
             island_on: vec![true; n_domains],
-            horizon: EventHorizon::new(n_domains),
+            next_event: vec![0; n_domains],
             waiters: vec![Vec::new(); net.port_count()],
             wake_scratch: Vec::new(),
             parked_port: vec![false; net.port_count()],
@@ -651,24 +632,19 @@ impl Simulator {
     fn run_batched(&mut self, deadline_ps: u64) {
         let n_domains = self.next_tick.len();
         // Public state may have changed between runs (deactivated flows,
-        // gated islands), so trust nothing from the previous call: refresh
-        // every live domain's horizon entry up front. Gated domains are
-        // pinned at `u64::MAX` and deliberately *kept dirty* — a stray push
-        // into a gated island (an in-flight flit of a deactivated flow, as
-        // frozen under the stepped engine) must not re-arm it, and
-        // `fold_event` skips dirty entries. Nothing else dirties an entry
-        // mid-run: ticks refresh their own entry in place and pushes/wakes
-        // fold monotonically.
-        self.horizon.mark_all();
+        // gated islands), so trust nothing from the previous call: recompute
+        // every live domain's next event up front. Gated domains are pinned
+        // at `u64::MAX`, and `fold_event` leaves them there. Mid-run, ticks
+        // refresh their own entry in place and pushes/wakes fold
+        // monotonically.
         for d in 0..n_domains {
             self.tick_idx[d] = self.next_tick[d] / self.net.period_ps[d];
             self.domain_gen_next[d] = self.min_gen_next(d);
-            if self.island_on[d] {
-                self.horizon.next_event[d] = self.compute_next_event(d);
-                self.horizon.dirty[d] = false;
+            self.next_event[d] = if self.island_on[d] {
+                self.compute_next_event(d)
             } else {
-                self.horizon.next_event[d] = u64::MAX;
-            }
+                u64::MAX
+            };
         }
         loop {
             // Pick the single lexicographically earliest `(time, domain)`
@@ -684,7 +660,7 @@ impl Simulator {
             // target `t + 1`.
             let mut t = u64::MAX;
             let mut dom = usize::MAX;
-            for (d, &e) in self.horizon.next_event.iter().enumerate() {
+            for (d, &e) in self.next_event.iter().enumerate() {
                 if e < t {
                     t = e;
                     dom = d;
@@ -702,19 +678,12 @@ impl Simulator {
             if t > self.next_tick[dom] {
                 self.tick_idx[dom] += (t - self.next_tick[dom]) / p;
             }
-            let e_ps = self.tick_domain_batched(dom, t);
+            self.tick_domain_batched(dom, t);
             #[cfg(debug_assertions)]
             self.assert_cached_sets(dom);
             self.next_tick[dom] = t + p;
             self.tick_idx[dom] += 1;
-            // The tick pass already computed the domain's raw next-event
-            // instant from the state it left behind; one grid conversion
-            // refreshes the horizon entry without a dirty-mark rescan.
-            self.horizon.next_event[dom] = if e_ps == u64::MAX {
-                u64::MAX
-            } else {
-                tick_at_or_after(t + p, p, e_ps)
-            };
+            self.next_event[dom] = self.compute_next_event(dom);
             self.ticks_processed += 1;
         }
         // The stepped engine keeps ticking (idly) up to the deadline; only
@@ -787,7 +756,9 @@ impl Simulator {
     /// stepped-engine retries provably fail until the unblocking pop, and
     /// the pop's wake (`fire_wakes`) re-arms this domain at exactly the
     /// first tick a retry can succeed at. A domain whose only ready work is
-    /// blocked therefore reports `u64::MAX` and sleeps between pops.
+    /// blocked therefore reports `u64::MAX` and sleeps between pops. The
+    /// batched engine evaluates it for every live domain when a run starts
+    /// and for a domain after each of its ticks.
     fn compute_next_event(&self, d: usize) -> u64 {
         let t0 = self.next_tick[d];
         if self.any_busy(d) {
@@ -860,14 +831,7 @@ impl Simulator {
     /// busy bit is clear. The NI round-robin starts are derived from the
     /// tick index `t / period` in closed form, so skipped cores need no
     /// pointer bookkeeping — their state is untouched by an idle cycle.
-    ///
-    /// Returns the raw earliest instant (ps, not grid-rounded) at which the
-    /// domain could act again given the state this tick leaves behind —
-    /// the same quantity [`Self::compute_next_event`] derives, folded here
-    /// for free while the tick walks the domain anyway. Switch bounds fold
-    /// in a final pass because the core stage pushes into this domain's
-    /// own first-hop queues.
-    fn tick_domain_batched(&mut self, d: usize, t: u64) -> u64 {
+    fn tick_domain_batched(&mut self, d: usize, t: u64) {
         let idx = self.tick_idx[d];
         debug_assert_eq!(idx, t / self.net.period_ps[d]);
         for i in 0..self.switches_by_domain[d].len() {
@@ -914,16 +878,6 @@ impl Simulator {
                 self.inject_batched(self.domain_cores[r] as usize, idx, t);
             }
         }
-        // An unparked backlog is due again at the very next edge.
-        let mut e_ps = if self.any_busy(d) {
-            0
-        } else {
-            self.domain_gen_next[d]
-        };
-        for &si in &self.switches_by_domain[d] {
-            e_ps = e_ps.min(self.min_head_ready[si as usize]);
-        }
-        e_ps
     }
 
     /// One batched visit of live queue `g` of switch `si`: forward its
@@ -1155,9 +1109,9 @@ impl Simulator {
                     ..head
                 };
                 self.push_flit(to, next, flit);
-                // The receiving domain's cached horizon must cover the new
-                // flit; a push only moves the next event earlier, so an
-                // O(1) fold suffices (no dirty mark, no rescan).
+                // The receiving domain's next event must cover the new
+                // flit; a push only moves it earlier, so an O(1) fold
+                // suffices (no rescan).
                 self.fold_event(hop.dom as usize, ready);
             }
         }
@@ -1219,16 +1173,16 @@ impl Simulator {
     ///   (a later switch, or the NI stage), this very tick re-reads the
     ///   live queue state when it gets there, exactly like the stepped
     ///   engine; if it was already visited, the restored bound/flag
-    ///   reschedules it for the next edge when this tick's horizon entry is
-    ///   recomputed.
+    ///   reschedules it for the next edge when this tick's next-event entry
+    ///   is refreshed.
     /// * `dw > popper`: the stepped engine processes `dw` after `popper` at
     ///   equal timestamps, so a retry at `t` itself already sees the pop.
     /// * `dw < popper`: `dw`'s edge at `t` (if any) was processed before
     ///   the pop, so the first retry that can see it is `dw`'s next edge
     ///   strictly after `t`.
     ///
-    /// `next_tick[dw]` is fast-forwarded to that tick so the horizon
-    /// recomputation anchors at it: the skipped grid edges are exactly the
+    /// `next_tick[dw]` is fast-forwarded to that tick so the next-event
+    /// fold anchors at it: the skipped grid edges are exactly the
     /// ones the scheduler had already proven action-free when it picked
     /// `(t, popper)` as the earliest event (the restored head was parked —
     /// excluded — for all of them).
@@ -1244,7 +1198,7 @@ impl Simulator {
             self.tick_idx[dw] += steps;
         }
         // A wake only moves the woken domain's next event earlier: fold it
-        // in O(1) instead of dirtying the whole domain for a rescan.
+        // in O(1) instead of rescanning the domain.
         self.fold_event(dw, self.next_tick[dw]);
     }
 

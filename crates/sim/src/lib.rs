@@ -9,7 +9,8 @@
 //! * [`SimNetwork`] — a flit-level, output-queued network instantiated from
 //!   a synthesized [`vi_noc_core::Topology`]. Every voltage island ticks in
 //!   its own clock domain (periods from the synthesis frequency plan);
-//!   island-crossing links pay the 4-cycle bi-synchronous FIFO dwell.
+//!   island-crossing links pay the 4-cycle bi-synchronous FIFO dwell, and
+//!   a packet is as many flits as the topology's link width needs.
 //! * [`Simulator`] — the multi-domain engine: CBR or Poisson traffic per
 //!   flow, credit-style backpressure, per-flow latency/throughput stats and
 //!   flit conservation accounting. By default it advances each island's

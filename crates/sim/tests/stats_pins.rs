@@ -338,7 +338,7 @@ fn seventy_core_switch() -> (SocSpec, Topology) {
         .iter()
         .map(|&m| Frequency::from_mhz(m))
         .collect();
-    let mut b = TopologyBuilder::new(&spec, 2, freqs);
+    let mut b = TopologyBuilder::new(&spec, 2, freqs, 32);
     let sw0 = b.add_switch("sw0", 0, big);
     let sw1 = b.add_switch("sw1", 1, far);
     let cap = Bandwidth::from_mbps(4000.0);

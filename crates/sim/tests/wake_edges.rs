@@ -39,7 +39,7 @@ fn fan_in(mhz: [f64; 3], mbps: [f64; 2]) -> (SocSpec, Topology) {
         .iter()
         .map(|&m| Frequency::from_mhz(m))
         .collect();
-    let mut b = TopologyBuilder::new(&spec, 3, freqs);
+    let mut b = TopologyBuilder::new(&spec, 3, freqs, 32);
     let sw0 = b.add_switch("sw0", 0, vec![c0]);
     let sw1 = b.add_switch("sw1", 1, vec![c1]);
     let sw2 = b.add_switch("sw2", 2, vec![c2]);
@@ -65,7 +65,7 @@ fn chain(mhz: [f64; 3], mbps: f64) -> (SocSpec, Topology) {
         .iter()
         .map(|&m| Frequency::from_mhz(m))
         .collect();
-    let mut b = TopologyBuilder::new(&spec, 3, freqs);
+    let mut b = TopologyBuilder::new(&spec, 3, freqs, 32);
     let sw0 = b.add_switch("sw0", 0, vec![c0]);
     let sw1 = b.add_switch("sw1", 1, vec![]);
     let sw2 = b.add_switch("sw2", 2, vec![c1]);

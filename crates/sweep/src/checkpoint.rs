@@ -412,7 +412,9 @@ pub fn validate_entries<V: Borrow<Value>>(
 
 /// Parses and validates one shard checkpoint file: besides the per-entry
 /// checks of [`validate_entries`], the `chains_done` watermark must be
-/// present and at most the stripe's length.
+/// present and at most the stripe's length, every entry must come from a
+/// chain of the file's stripe below that watermark, and the counters must
+/// cover exactly `chains_done` positions.
 pub fn parse_shard_checkpoint(text: &str) -> Result<ParsedShard, String> {
     let mut doc = json::parse(text).map_err(|e| e.to_string())?;
     let format = doc.str_member("format", "checkpoint")?;
@@ -441,6 +443,25 @@ pub fn parse_shard_checkpoint(text: &str) -> Result<ParsedShard, String> {
         _ => return Err("checkpoint: 'frontier' is not an array".to_string()),
     };
     let entries = validate_entries(frontier, &grid)?;
+    for (i, (_, entry)) in entries.iter().enumerate() {
+        let ctx = format!("frontier[{i}]");
+        let chain_id = entry.u64_member("chain_id", &ctx)?;
+        if chain_id % shard.count != shard.index {
+            return Err(format!(
+                "{ctx}: chain {chain_id} is not in the stripe of shard {shard}"
+            ));
+        }
+        let position = (chain_id - shard.index) / shard.count;
+        if position >= chains_done {
+            return Err(format!(
+                "{ctx}: chain {chain_id} is at stripe position {position}, not below \
+                 chains_done {chains_done}"
+            ));
+        }
+    }
+    stats
+        .check_positions(chains_done, "chains_done")
+        .map_err(|e| format!("checkpoint: {e}"))?;
     Ok(ParsedShard {
         grid,
         shard,
@@ -495,7 +516,8 @@ pub struct ParsedFrontier {
 
 /// Parses and validates one frontier file (the output of
 /// [`merge_checkpoints`] or [`frontier_json`]), with the same per-entry
-/// checks as [`parse_shard_checkpoint`].
+/// checks as [`parse_shard_checkpoint`]. A frontier covers its whole grid,
+/// so its counters must cover exactly `num_chains` positions.
 pub fn parse_frontier_file(text: &str) -> Result<ParsedFrontier, String> {
     let mut doc = json::parse(text).map_err(|e| e.to_string())?;
     let format = doc.str_member("format", "frontier")?;
@@ -511,6 +533,12 @@ pub fn parse_frontier_file(text: &str) -> Result<ParsedFrontier, String> {
         _ => return Err("frontier: 'frontier' is not an array".to_string()),
     };
     let entries = validate_entries(frontier, &grid)?;
+    stats
+        .check_positions(
+            grid.u64_member("num_chains", "grid")?,
+            "the grid's num_chains",
+        )
+        .map_err(|e| format!("frontier: {e}"))?;
     Ok(ParsedFrontier {
         grid,
         stats,

@@ -6,8 +6,8 @@
 //! 1. **frequency scale** — an alternative [`FrequencyPlan`], every island
 //!    clock scaled up by a factor `>= 1.0` (see [`FrequencyPlan::scaled`]);
 //! 2. **base sweep index** — Algorithm 1's switch-count schedule at that
-//!    plan (`switch_counts_for_sweep`, deduplicated exactly like
-//!    `SweepPlan::build`);
+//!    plan ([`vi_noc_core::base_schedule`], the enumeration
+//!    `SweepPlan::build` uses);
 //! 3. **per-island boost** — extra switches added to *individual* islands on
 //!    top of the base schedule, `0..=max_boost` each, capped at one switch
 //!    per core (the paper only ever grows all islands in lock step; the
@@ -26,9 +26,7 @@
 //! (`chain_id * (max_intermediate + 1) + k`) used as the Pareto tiebreak, so
 //! any sharding of the chains folds to the identical frontier.
 
-use vi_noc_core::{
-    build_vcg, switch_counts_for_sweep, FrequencyPlan, SweepCandidate, SynthesisConfig, Vcg,
-};
+use vi_noc_core::{base_schedule, build_vcg, FrequencyPlan, SweepCandidate, SynthesisConfig, Vcg};
 use vi_noc_soc::{SocSpec, ViAssignment};
 
 /// The grid's axis configuration.
@@ -172,18 +170,7 @@ impl SweepGrid {
             .iter()
             .map(|&scale| {
                 let plan = base_plan.scaled(scale, cfg);
-                // Same enumeration rule as `SweepPlan::build`: counts grow
-                // monotonically per island, so the schedule is exhausted at
-                // the first repeated vector.
-                let max_sweep = caps.iter().copied().max().unwrap_or(1);
-                let mut base: Vec<Vec<usize>> = Vec::new();
-                for i in 1..=max_sweep {
-                    let counts = switch_counts_for_sweep(&vcgs, &plan, i);
-                    if base.last() == Some(&counts) {
-                        break;
-                    }
-                    base.push(counts);
-                }
+                let base = base_schedule(&vcgs, &plan);
                 ScaleAxis { scale, plan, base }
             })
             .collect();

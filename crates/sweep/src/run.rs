@@ -67,6 +67,19 @@ impl SweepStats {
         self.duplicates += other.duplicates;
         self.infeasible += other.infeasible;
     }
+
+    /// Checks that these counters cover exactly `positions` chain
+    /// positions, as every run's do ([`run_deltas`] counts each consumed
+    /// position once, evaluated or inactive); `what` names `positions`.
+    pub fn check_positions(&self, positions: u64, what: &str) -> Result<(), String> {
+        if self.chains.checked_add(self.inactive_chains) == Some(positions) {
+            return Ok(());
+        }
+        Err(format!(
+            "stats count {} chains + {} inactive_chains, not {what} {positions}",
+            self.chains, self.inactive_chains
+        ))
+    }
 }
 
 /// Memoized per-`(scale, base)` slack certificates backing the dominance

@@ -66,6 +66,11 @@ const FRONTIER_CASES: &[(&str, &str, &str)] = &[
         include_str!("corpus/missing_stats.json"),
         "frontier: missing 'stats'",
     ),
+    (
+        "stats_off_grid",
+        include_str!("corpus/stats_off_grid.json"),
+        "frontier: stats count 23 chains + 74 inactive_chains, not the grid's num_chains 96",
+    ),
 ];
 
 #[test]
@@ -131,12 +136,43 @@ fn a_missing_or_overlong_watermark_is_rejected_by_parse_and_merge() {
     }
 }
 
+/// Shard-checkpoint fixtures whose entries or counters do not belong to
+/// their stripe: (name, contents, exact parse error). All derive from
+/// `valid_shard` (shard 0/2 of a 96-chain grid, 48 stripe positions, one
+/// entry of chain 4, at stripe position 2).
+const STRIPE_CASES: &[(&str, &str, &str)] = &[
+    (
+        "entry_of_another_stripe",
+        include_str!("corpus/entry_of_another_stripe.json"),
+        "frontier[0]: chain 4 is not in the stripe of shard 1/2",
+    ),
+    (
+        "entry_past_watermark",
+        include_str!("corpus/entry_past_watermark.json"),
+        "frontier[0]: chain 4 is at stripe position 2, not below chains_done 2",
+    ),
+    (
+        "stats_off_stripe",
+        include_str!("corpus/stats_off_stripe.json"),
+        "checkpoint: stats count 11 chains + 38 inactive_chains, not chains_done 48",
+    ),
+];
+
+#[test]
+fn entries_and_counters_off_their_stripe_are_rejected() {
+    for (name, text, want) in STRIPE_CASES {
+        assert_eq!(parse_shard_checkpoint(text).unwrap_err(), *want, "{name}");
+        let err = merge_checkpoints(&[text.to_string()]).unwrap_err();
+        assert_eq!(err, format!("checkpoint #0: {want}"), "{name}");
+    }
+}
+
 #[test]
 fn a_crafted_shard_count_fails_merge_instead_of_allocating() {
-    // `valid_shard` with `"count":9007199254740992` (2^53, the largest
-    // count `Shard::new` admits) and the one-chain stripe that count
-    // leaves shard 0: merge must report the first missing shard, not size
-    // a table by the untrusted count.
+    // Shard 0 of `"count":9007199254740992` (2^53, the largest count
+    // `Shard::new` admits), a consistent record of the one-chain stripe
+    // that count leaves it: merge must report the first missing shard, not
+    // size a table by the untrusted count.
     let err =
         merge_checkpoints(&[include_str!("corpus/huge_shard_count.json").to_string()]).unwrap_err();
     assert_eq!(err, "shard 1/9007199254740992 is missing");

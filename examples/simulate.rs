@@ -15,12 +15,19 @@
 //! cargo run --release --bin vi-noc -- run scenarios/d26_baseline.json
 //! ```
 
+use vi_noc::api::report_summary;
 use vi_noc::Scenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = Scenario::from_json(include_str!("../scenarios/d26_baseline.json"))?;
     let report = scenario.run()?;
-    print!("{}", report.summary());
+    // The report (chosen design point, realized metrics, SimStats, sweep
+    // frontier) serializes byte-deterministically — this is what
+    // `vi-noc run --out report.json` writes and CI diffs against a golden —
+    // and its summary is what `vi-noc report report.json` prints.
+    let json = report.to_json();
+    assert_eq!(json, report.to_json());
+    print!("{}", report_summary(&json)?);
 
     // The paper's headline property, as asserted by the old hand-chained
     // example: the gated island drains cleanly and the surviving islands'
@@ -29,12 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(shutdown.outcome.drained_cleanly);
     assert!(shutdown.outcome.survivors_after >= shutdown.outcome.survivors_before);
     println!("shutdown left surviving traffic undisturbed");
-
-    // The report (chosen design point, realized metrics, SimStats, sweep
-    // frontier) serializes byte-deterministically — this is what
-    // `vi-noc run --out report.json` writes and CI diffs against a golden.
-    let json = report.to_json();
-    assert_eq!(json, report.to_json());
     println!("report: {} bytes of deterministic JSON", json.len());
     Ok(())
 }

@@ -6,7 +6,7 @@
 //! vi-noc run      SCENARIO.json [--out report.json] [--frontier-out FILE]
 //! vi-noc report   REPORT.json
 //! vi-noc sweep    run|refine|merge|info ...
-//! vi-noc fleet    serve|work|run ...
+//! vi-noc fleet    serve|work ...
 //! ```
 //!
 //! A scenario's `dyn_sweep` member simulates every frontier point at every
@@ -14,6 +14,7 @@
 //! table in the report. The implementation lives in [`vi_noc_api::cli`];
 //! see `scenarios/` for committed example experiments.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -21,8 +22,10 @@ fn main() -> ExitCode {
     match vi_noc_api::cli::vi_noc_cli(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("vi-noc: {e}");
-            eprintln!("{}", vi_noc_api::cli::usage(&args));
+            // Best effort: a closed stderr must not turn exit 2 into a
+            // panic.
+            let usage = vi_noc_api::cli::usage(&args);
+            let _ = writeln!(std::io::stderr(), "vi-noc: {e}\n{usage}");
             ExitCode::from(2)
         }
     }
