@@ -21,12 +21,14 @@
 //!
 //! Artifacts written to stdout fail the command (exit 2) when the write
 //! fails, a closed pipe included; progress lines on stderr are best effort
-//! and never change the exit code.
+//! and never change the exit code. Only a malformed command line
+//! ([`CliError::Usage`]) is followed by the usage text.
 
 use crate::error::Error;
 use crate::fleet::{job_payload, ScenarioJobResolver};
 use crate::report::report_summary;
 use crate::scenario::Scenario;
+use std::fmt;
 use std::io::Write as _;
 use std::time::Instant;
 use vi_noc_fleet::FleetConfig;
@@ -74,19 +76,61 @@ pub fn usage(args: &[String]) -> &'static str {
     }
 }
 
+/// A failed `vi-noc` command: the binary prints its message, followed by
+/// the usage text for a [`CliError::Usage`] only.
+#[derive(Debug, PartialEq)]
+pub enum CliError {
+    /// A malformed command line: an unknown command or option, a flag with
+    /// no value or an unparsable one, a missing required argument, or an
+    /// invalid flag combination.
+    Usage(String),
+    /// A well-formed command that failed.
+    Failed(String),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (CliError::Usage(msg) | CliError::Failed(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
+
+impl From<Error> for CliError {
+    fn from(e: Error) -> Self {
+        CliError::Failed(e.to_string())
+    }
+}
+
+fn usage_error(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+/// The value after flag `name`.
+fn flag_value(it: &mut std::slice::Iter<String>, name: &str) -> Result<String, CliError> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| usage_error(format!("{name} needs a value")))
+}
+
 /// Entry point of the `vi-noc` binary.
 ///
 /// # Errors
 ///
-/// A printable message; the binary appends the usage text.
-pub fn vi_noc_cli(args: &[String]) -> Result<(), String> {
+/// A printable message, and whether the command line was malformed.
+pub fn vi_noc_cli(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("sweep") => sweep_cli(&args[1..]),
         Some("fleet") => fleet_cli(&args[1..]),
-        Some(other) => Err(format!("unknown command '{other}'")),
-        None => Err("missing command".to_string()),
+        Some(other) => Err(usage_error(format!("unknown command '{other}'"))),
+        None => Err(usage_error("missing command")),
     }
 }
 
@@ -144,27 +188,27 @@ fn write_atomic(path: &str, text: &str) -> Result<(), String> {
 
 // --- run -----------------------------------------------------------------
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let mut scenario_path: Option<String> = None;
     let mut out: Option<String> = None;
     let mut frontier_out: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
-            "--frontier-out" => {
-                frontier_out = Some(it.next().ok_or("--frontier-out needs a value")?.clone())
-            }
+            "--out" => out = Some(flag_value(&mut it, arg)?),
+            "--frontier-out" => frontier_out = Some(flag_value(&mut it, arg)?),
             path if !path.starts_with('-') && scenario_path.is_none() => {
                 scenario_path = Some(path.to_string())
             }
-            other => return Err(format!("unknown option '{other}'")),
+            other => return Err(usage_error(format!("unknown option '{other}'"))),
         }
     }
-    let path = scenario_path.ok_or("a scenario file is required")?;
+    let path = scenario_path.ok_or_else(|| usage_error("a scenario file is required"))?;
     let scenario = Scenario::from_json(&read_file(&path)?)?;
     if frontier_out.is_some() && scenario.sweep.is_none() {
-        return Err("--frontier-out requires the scenario to declare a sweep grid".to_string());
+        return Err(CliError::Failed(
+            "--frontier-out requires the scenario to declare a sweep grid".into(),
+        ));
     }
     note!("vi-noc: running scenario '{}' from {path}", scenario.name);
     let start = Instant::now();
@@ -185,25 +229,25 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
 // --- report --------------------------------------------------------------
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
+fn cmd_report(args: &[String]) -> Result<(), CliError> {
     let path = match args {
         [path] => path,
-        _ => return Err("report takes exactly one REPORT.json argument".to_string()),
+        _ => return Err(usage_error("report takes exactly one REPORT.json argument")),
     };
-    write_out(None, &report_summary(&read_file(path)?)?)
+    Ok(write_out(None, &report_summary(&read_file(path)?)?)?)
 }
 
 // --- sweep ---------------------------------------------------------------
 
 /// Entry point of the `sweep` subcommand.
-fn sweep_cli(args: &[String]) -> Result<(), String> {
+fn sweep_cli(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("run") => sweep_run(&args[1..]),
         Some("refine") => sweep_refine(&args[1..]),
         Some("merge") => sweep_merge(&args[1..]),
         Some("info") => sweep_info(&args[1..]),
-        Some(other) => Err(format!("unknown command '{other}'")),
-        None => Err("missing command".to_string()),
+        Some(other) => Err(usage_error(format!("unknown command '{other}'"))),
+        None => Err(usage_error("missing command")),
     }
 }
 
@@ -224,7 +268,7 @@ struct SweepOpts {
 
 /// Parses the `sweep` flags; `refine` also takes (and requires)
 /// `--frontier-in`.
-fn parse_sweep_opts(args: &[String], refine: bool) -> Result<SweepOpts, String> {
+fn parse_sweep_opts(args: &[String], refine: bool) -> Result<SweepOpts, CliError> {
     let mut scenario_path: Option<String> = None;
     let mut frontier_in: Option<String> = None;
     let mut shard = Shard::full();
@@ -235,41 +279,42 @@ fn parse_sweep_opts(args: &[String], refine: bool) -> Result<SweepOpts, String> 
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--scenario" => scenario_path = Some(value("--scenario")?.clone()),
-            "--frontier-in" if refine => frontier_in = Some(value("--frontier-in")?.clone()),
-            "--shard" => shard = Shard::parse(value("--shard")?)?,
+            "--scenario" => scenario_path = Some(flag_value(&mut it, arg)?),
+            "--frontier-in" if refine => frontier_in = Some(flag_value(&mut it, arg)?),
+            "--shard" => shard = Shard::parse(&flag_value(&mut it, arg)?).map_err(usage_error)?,
             "--frontier" => frontier = true,
             "--resume" => resume = true,
             "--checkpoint-every" => {
                 checkpoint_every = Some(
-                    value("--checkpoint-every")?
+                    flag_value(&mut it, arg)?
                         .parse()
-                        .map_err(|_| "bad --checkpoint-every value")?,
+                        .map_err(|_| usage_error("bad --checkpoint-every value"))?,
                 )
             }
-            "--out" => out = Some(value("--out")?.clone()),
-            other => return Err(format!("unknown option '{other}'")),
+            "--out" => out = Some(flag_value(&mut it, arg)?),
+            other => return Err(usage_error(format!("unknown option '{other}'"))),
         }
     }
 
     if refine && frontier_in.is_none() {
-        return Err("--frontier-in COARSE.json is required".to_string());
+        return Err(usage_error("--frontier-in COARSE.json is required"));
     }
     if frontier && shard != Shard::full() {
-        return Err("--frontier requires the unsharded run (--shard 0/1)".to_string());
+        return Err(usage_error(
+            "--frontier requires the unsharded run (--shard 0/1)",
+        ));
     }
     if resume && out.as_deref().is_none_or(|o| o == "-") {
-        return Err("--resume needs --out FILE (the checkpoint to resume from)".to_string());
+        return Err(usage_error(
+            "--resume needs --out FILE (the checkpoint to resume from)",
+        ));
     }
     if checkpoint_every == Some(0) {
-        return Err("--checkpoint-every must be at least 1".to_string());
+        return Err(usage_error("--checkpoint-every must be at least 1"));
     }
     if checkpoint_every.is_some() && out.as_deref().is_none_or(|o| o == "-") {
-        return Err("--checkpoint-every needs --out FILE".to_string());
+        return Err(usage_error("--checkpoint-every needs --out FILE"));
     }
     let scenario = sweep_scenario(scenario_path)?;
     let spec = scenario.resolve_spec()?;
@@ -287,16 +332,13 @@ fn parse_sweep_opts(args: &[String], refine: bool) -> Result<SweepOpts, String> 
     })
 }
 
-/// Loads the scenario behind `--scenario` and checks it declares a sweep
-/// grid, the one thing `sweep` and `fleet` run.
-fn sweep_scenario(path: Option<String>) -> Result<Scenario, String> {
-    let path = path.ok_or("--scenario FILE is required")?;
+/// Loads the scenario behind the required `--scenario` and checks it
+/// declares a sweep grid, the one thing `sweep` and `fleet` run.
+fn sweep_scenario(path: Option<String>) -> Result<Scenario, CliError> {
+    let path = path.ok_or_else(|| usage_error("--scenario FILE is required"))?;
     let scenario = Scenario::from_json(&read_file(&path)?)?;
     if scenario.sweep.is_none() {
-        return Err(format!(
-            "scenario '{}' declares no sweep grid",
-            scenario.name
-        ));
+        return Err(format!("scenario '{}' declares no sweep grid", scenario.name).into());
     }
     Ok(scenario)
 }
@@ -311,22 +353,19 @@ fn coarse_grid(opts: &SweepOpts) -> SweepGrid {
     SweepGrid::build(&opts.spec, &opts.vi, &opts.scenario.synthesis, grid_cfg)
 }
 
-fn sweep_run(args: &[String]) -> Result<(), String> {
+fn sweep_run(args: &[String]) -> Result<(), CliError> {
     let opts = parse_sweep_opts(args, false)?;
-    drive_sweep(&opts, &coarse_grid(&opts))
+    Ok(drive_sweep(&opts, &coarse_grid(&opts))?)
 }
 
 /// Sweeps the scenario's refinement grid, windowed around the survivors of
 /// the `--frontier-in` coarse frontier exactly as [`Scenario::run`] windows
 /// it, with the same sharding, resume and emission flags as `sweep run`.
-fn sweep_refine(args: &[String]) -> Result<(), String> {
+fn sweep_refine(args: &[String]) -> Result<(), CliError> {
     let opts = parse_sweep_opts(args, true)?;
     let scenario = &opts.scenario;
     let Some(plan) = &scenario.refine else {
-        return Err(format!(
-            "scenario '{}' declares no refine stage",
-            scenario.name
-        ));
+        return Err(format!("scenario '{}' declares no refine stage", scenario.name).into());
     };
     let path = opts.frontier_in.as_deref().expect("required by refine");
     let grid = scenario
@@ -336,7 +375,7 @@ fn sweep_refine(args: &[String]) -> Result<(), String> {
         "sweep refine: {} window(s) around the survivors of {path}",
         grid.windows().len()
     );
-    drive_sweep(&opts, &grid)
+    Ok(drive_sweep(&opts, &grid)?)
 }
 
 /// The shared shard driver of `sweep run` and `sweep refine`: resume,
@@ -429,18 +468,18 @@ fn drive_sweep(opts: &SweepOpts, grid: &SweepGrid) -> Result<(), String> {
     write_out(opts.out.as_deref(), &text)
 }
 
-fn sweep_merge(args: &[String]) -> Result<(), String> {
+fn sweep_merge(args: &[String]) -> Result<(), CliError> {
     let mut files = Vec::new();
     let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
+            "--out" => out = Some(flag_value(&mut it, arg)?),
             path => files.push(path.to_string()),
         }
     }
     if files.is_empty() {
-        return Err("merge needs at least one checkpoint file".to_string());
+        return Err(usage_error("merge needs at least one checkpoint file"));
     }
     let contents: Vec<String> = files
         .iter()
@@ -452,10 +491,10 @@ fn sweep_merge(args: &[String]) -> Result<(), String> {
         files.len(),
         merged.len()
     );
-    write_out(out.as_deref(), &merged)
+    Ok(write_out(out.as_deref(), &merged)?)
 }
 
-fn sweep_info(args: &[String]) -> Result<(), String> {
+fn sweep_info(args: &[String]) -> Result<(), CliError> {
     let opts = parse_sweep_opts(args, false)?;
     let grid = coarse_grid(&opts);
     let grid_cfg = grid.config();
@@ -471,7 +510,7 @@ fn sweep_info(args: &[String]) -> Result<(), String> {
         ("chain length:", grid.chain_len().to_string()),
     ];
     let info: String = rows.iter().map(|(k, v)| format!("{k:<17}{v}\n")).collect();
-    write_out(None, &info)
+    Ok(write_out(None, &info)?)
 }
 
 // --- fleet ---------------------------------------------------------------
@@ -479,16 +518,16 @@ fn sweep_info(args: &[String]) -> Result<(), String> {
 /// Entry point of the `fleet` subcommand: a scenario's sweep grid run by a
 /// coordinator (`serve`) and worker processes (`work`) over TCP, folding the
 /// frontier byte-identically to `sweep run --scenario FILE --frontier`.
-fn fleet_cli(args: &[String]) -> Result<(), String> {
+fn fleet_cli(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("serve") => fleet_serve(&args[1..]),
         Some("work") => fleet_work(&args[1..]),
-        Some(other) => Err(format!("unknown command '{other}'")),
-        None => Err("missing command".to_string()),
+        Some(other) => Err(usage_error(format!("unknown command '{other}'"))),
+        None => Err(usage_error("missing command")),
     }
 }
 
-fn fleet_serve(args: &[String]) -> Result<(), String> {
+fn fleet_serve(args: &[String]) -> Result<(), CliError> {
     let mut scenario_path: Option<String> = None;
     let mut listen = "127.0.0.1:0".to_string();
     let mut addr_file: Option<String> = None;
@@ -496,27 +535,24 @@ fn fleet_serve(args: &[String]) -> Result<(), String> {
     let mut cfg = FleetConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--scenario" => scenario_path = Some(value("--scenario")?.clone()),
-            "--listen" => listen = value("--listen")?.clone(),
-            "--addr-file" => addr_file = Some(value("--addr-file")?.clone()),
-            "--out" => out = Some(value("--out")?.clone()),
+            "--scenario" => scenario_path = Some(flag_value(&mut it, arg)?),
+            "--listen" => listen = flag_value(&mut it, arg)?,
+            "--addr-file" => addr_file = Some(flag_value(&mut it, arg)?),
+            "--out" => out = Some(flag_value(&mut it, arg)?),
             "--verbose" => cfg.verbose = true,
             "--lease-chunk" | "--lease-timeout-ms" | "--checkpoint-every" => {
-                let n: u64 = value(arg)?
+                let n: u64 = flag_value(&mut it, arg)?
                     .parse()
-                    .map_err(|_| format!("bad {arg} value"))?;
+                    .map_err(|_| usage_error(format!("bad {arg} value")))?;
                 match arg.as_str() {
                     "--lease-timeout-ms" => cfg.lease_timeout = std::time::Duration::from_millis(n),
-                    _ if n == 0 => return Err(format!("{arg} must be at least 1")),
+                    _ if n == 0 => return Err(usage_error(format!("{arg} must be at least 1"))),
                     "--lease-chunk" => cfg.lease_chunk = n,
                     _ => cfg.checkpoint_every = n,
                 }
             }
-            other => return Err(format!("unknown option '{other}'")),
+            other => return Err(usage_error(format!("unknown option '{other}'"))),
         }
     }
     let scenario = sweep_scenario(scenario_path)?;
@@ -538,29 +574,26 @@ fn fleet_serve(args: &[String]) -> Result<(), String> {
     handle.shutdown();
     let frontier = result?;
     note!("fleet serve: frontier folded in {:.2?}", start.elapsed());
-    write_out(out.as_deref(), &frontier)
+    Ok(write_out(out.as_deref(), &frontier)?)
 }
 
-fn fleet_work(args: &[String]) -> Result<(), String> {
+fn fleet_work(args: &[String]) -> Result<(), CliError> {
     let mut connect: Option<String> = None;
     let mut opts = vi_noc_fleet::WorkerOpts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--connect" => connect = Some(value("--connect")?.clone()),
+            "--connect" => connect = Some(flag_value(&mut it, arg)?),
             "--throttle-ms" => {
-                let ms: u64 = value("--throttle-ms")?
+                let ms: u64 = flag_value(&mut it, arg)?
                     .parse()
-                    .map_err(|_| "bad --throttle-ms value")?;
+                    .map_err(|_| usage_error("bad --throttle-ms value"))?;
                 opts.throttle = std::time::Duration::from_millis(ms);
             }
-            other => return Err(format!("unknown option '{other}'")),
+            other => return Err(usage_error(format!("unknown option '{other}'"))),
         }
     }
-    let connect = connect.ok_or("--connect HOST:PORT is required")?;
+    let connect = connect.ok_or_else(|| usage_error("--connect HOST:PORT is required"))?;
     let addr = std::net::ToSocketAddrs::to_socket_addrs(connect.as_str())
         .map_err(|e| format!("resolving {connect}: {e}"))?
         .next()
@@ -576,13 +609,6 @@ fn fleet_work(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-// Lets the String-error CLI functions apply `?` directly to API results.
-impl From<Error> for String {
-    fn from(e: Error) -> String {
-        e.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,12 +616,17 @@ mod tests {
     #[test]
     fn unknown_commands_are_reported() {
         let err = vi_noc_cli(&["explode".to_string()]).unwrap_err();
-        assert!(err.contains("explode"));
-        assert!(sweep_cli(&[]).is_err());
+        assert_eq!(err, usage_error("unknown command 'explode'"));
+        assert_eq!(sweep_cli(&[]), Err(usage_error("missing command")));
         // A loopback fleet is `sweep run` with protocol overhead: a fleet
         // is `serve` plus `work` processes.
         let err = vi_noc_cli(&args(&["fleet", "run", "--workers", "2"])).unwrap_err();
-        assert_eq!(err, "unknown command 'run'");
+        assert_eq!(err, usage_error("unknown command 'run'"));
+    }
+
+    /// `err` is a malformed command line whose message holds `needle`.
+    fn is_usage(err: &CliError, needle: &str) -> bool {
+        matches!(err, CliError::Usage(msg) if msg.contains(needle))
     }
 
     /// The committed scenario `scenarios/{name}.json`.
@@ -615,20 +646,21 @@ mod tests {
         };
         // --frontier with a real shard is rejected.
         let err = parse(&["--shard", "1/3", "--frontier"]).unwrap_err();
-        assert!(err.contains("--frontier"), "{err}");
+        assert!(is_usage(&err, "--frontier"), "{err:?}");
         // --resume and --checkpoint-every need the --out file.
         let err = parse(&["--resume"]).unwrap_err();
-        assert!(err.contains("--resume"), "{err}");
+        assert!(is_usage(&err, "--resume"), "{err:?}");
         let err = parse(&["--checkpoint-every", "2"]).unwrap_err();
-        assert!(err.contains("--checkpoint-every needs --out"), "{err}");
+        assert!(is_usage(&err, "--checkpoint-every needs --out"), "{err:?}");
         // The scenario is mandatory, must declare a sweep grid, and is the
         // only way to name one: the grid flags are gone, and `--frontier-in`
         // belongs to `refine`.
         let err = parse_sweep_opts(&args(&["--shard", "0/2"]), false).unwrap_err();
-        assert!(err.contains("--scenario FILE is required"), "{err}");
+        assert!(is_usage(&err, "--scenario FILE is required"), "{err:?}");
         let err = parse_sweep_opts(&args(&["--scenario", &scenario("d26_saturated")]), false)
             .unwrap_err();
-        assert_eq!(err, "scenario 'd26 saturated' declares no sweep grid");
+        let no_grid = "scenario 'd26 saturated' declares no sweep grid";
+        assert_eq!(err, CliError::Failed(no_grid.into()));
         for deleted in [
             "--spec",
             "--islands",
@@ -638,7 +670,7 @@ mod tests {
             "--frontier-in",
         ] {
             let err = parse(&[deleted, "1"]).unwrap_err();
-            assert_eq!(err, format!("unknown option '{deleted}'"));
+            assert_eq!(err, usage_error(format!("unknown option '{deleted}'")));
         }
         let opts = parse(&["--shard", "0/2"]).unwrap();
         assert_eq!(opts.shard, Shard::new(0, 2).unwrap());
@@ -650,25 +682,26 @@ mod tests {
         let dynamic = scenario("d26_dynamic_grid");
         // The coarse frontier is mandatory.
         let err = sweep_refine(&args(&["--scenario", &dynamic])).unwrap_err();
-        assert!(err.contains("--frontier-in"), "{err}");
+        assert!(is_usage(&err, "--frontier-in"), "{err:?}");
         // The radii are the scenario's `refine` member's.
         for deleted in ["--boost-radius", "--base-radius", "--scale-window"] {
             let err = sweep_refine(&args(&["--frontier-in", "f.json", deleted, "1"])).unwrap_err();
-            assert_eq!(err, format!("unknown option '{deleted}'"));
+            assert_eq!(err, usage_error(format!("unknown option '{deleted}'")));
         }
         // A scenario without a `refine` member has no fine grid.
         let fine = scenario("d26_overclocked_fine");
         let err =
             sweep_refine(&args(&["--frontier-in", "f.json", "--scenario", &fine])).unwrap_err();
-        assert_eq!(
-            err,
-            "scenario 'd26 overclocked fine grid' declares no refine stage"
-        );
+        let no_refine = "scenario 'd26 overclocked fine grid' declares no refine stage";
+        assert_eq!(err, CliError::Failed(no_refine.into()));
         // A missing frontier file fails with the path in the message.
         let missing = "/nonexistent/f.json";
         let err =
             sweep_refine(&args(&["--frontier-in", missing, "--scenario", &dynamic])).unwrap_err();
-        assert!(err.contains(missing), "{err}");
+        assert!(
+            matches!(&err, CliError::Failed(m) if m.contains(missing)),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -686,10 +719,8 @@ mod tests {
         let path = path.display().to_string();
         let err = cmd_run(&args(&[&path, "--frontier-out", "/nonexistent/f.json"])).unwrap_err();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(
-            err,
-            "--frontier-out requires the scenario to declare a sweep grid"
-        );
+        let msg = "--frontier-out requires the scenario to declare a sweep grid";
+        assert_eq!(err, CliError::Failed(msg.into()));
     }
 
     #[test]
@@ -710,6 +741,6 @@ mod tests {
         .unwrap();
         let err = cmd_report(&[path.display().to_string()]).unwrap_err();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(err, "report: missing 'point'");
+        assert_eq!(err, CliError::Failed("report: missing 'point'".into()));
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! Quantities have one spelling each, in their storage units (`clock_hz`,
 //! `bandwidth_bytes_per_s`, `dyn_power_w`), so values round-trip
-//! bit-exactly.
+//! bit-exactly. Each config object is one member table ([`Table`]), which
+//! the unknown-member check, the reads and the writes all walk.
 
 use crate::error::Error;
 use crate::scenario::{
@@ -26,7 +27,7 @@ use vi_noc_floorplan::FloorplanConfig;
 use vi_noc_models::{Area, Bandwidth, Frequency, Power, Technology};
 use vi_noc_sim::TrafficKind;
 use vi_noc_soc::{CoreId, CoreKind, CoreSpec, SocSpec, TrafficFlow};
-use vi_noc_sweep::{GridConfig, RefineParams};
+use vi_noc_sweep::GridConfig;
 
 /// `format` tag of scenario files.
 pub const SCENARIO_FORMAT: &str = "vi-noc-scenario-v1";
@@ -93,6 +94,16 @@ fn bool_of(v: &Value, ctx: &str) -> Result<bool, Error> {
     }
 }
 
+fn numbers_of(v: &Value, ctx: &str) -> Result<Vec<f64>, Error> {
+    let arr = v
+        .as_arr()
+        .ok_or_else(|| Error::scenario(ctx, "expected an array"))?;
+    arr.iter()
+        .enumerate()
+        .map(|(i, x)| f64_of(x, &format!("{ctx}[{i}]")))
+        .collect()
+}
+
 /// Applies `read` to member `key` if present (config overrides on top of
 /// defaults).
 fn override_field<T>(
@@ -127,9 +138,9 @@ fn non_negative(x: f64, ctx: &str) -> Result<f64, Error> {
     }
 }
 
-/// A reader for an unsigned integer in `lo..=hi`.
-fn usize_in(lo: usize, hi: usize) -> impl Fn(&Value, &str) -> Result<usize, Error> {
-    move |v, ctx| match usize_of(v, ctx)? {
+/// An unsigned integer in `lo..=hi`.
+fn usize_in(v: &Value, ctx: &str, lo: usize, hi: usize) -> Result<usize, Error> {
+    match usize_of(v, ctx)? {
         x if x < lo => Err(Error::scenario(
             ctx,
             format!("must be at least {lo}, got {x}"),
@@ -316,233 +327,11 @@ fn write_partition(out: &mut String, p: &PartitionPlan) {
     o.end();
 }
 
-// --- Technology ----------------------------------------------------------
-
-const TECH_KEYS: [&str; 11] = [
-    "node_nm",
-    "vdd_v",
-    "wire_cap_ff_per_mm",
-    "wire_delay_ps_per_mm",
-    "link_setup_margin_ns",
-    "switch_delay_base_ns",
-    "switch_delay_per_port_ns",
-    "activity_factor",
-    "leak_density_mw_per_mm2",
-    "gating_residual",
-    "level_shift_energy_pj_per_bit",
-];
+// --- Member tables -------------------------------------------------------
 
 /// Largest accepted technology parameter: with every power field at this
 /// bound a report's derived powers stay finite (JSON has no `inf`).
 const TECH_MAX: f64 = 1e6;
-
-/// Range-checks technology parameter `key`: the two fractions lie in
-/// [0, 1], `node_nm` and `vdd_v` in (0, [`TECH_MAX`]], every other field
-/// in [0, [`TECH_MAX`]].
-fn tech_number(key: &str, x: f64, ctx: &str) -> Result<f64, Error> {
-    let (x, max) = match key {
-        "activity_factor" | "gating_residual" => (non_negative(x, ctx)?, 1.0),
-        "node_nm" | "vdd_v" => (positive(x, ctx)?, TECH_MAX),
-        _ => (non_negative(x, ctx)?, TECH_MAX),
-    };
-    if x <= max {
-        Ok(x)
-    } else {
-        Err(Error::scenario(
-            ctx,
-            format!("must be at most {max}, got {x}"),
-        ))
-    }
-}
-
-fn technology_from_value(v: &Value, ctx: &str) -> Result<Technology, Error> {
-    match v {
-        Value::Str(name) => match name.as_str() {
-            "cmos_65nm" => Ok(Technology::cmos_65nm()),
-            "cmos_90nm" => Ok(Technology::cmos_90nm()),
-            other => Err(Error::scenario(
-                ctx,
-                format!("unknown technology '{other}' (cmos_65nm | cmos_90nm | inline object)"),
-            )),
-        },
-        _ => {
-            let members = as_obj(v, ctx)?;
-            check_keys(members, &TECH_KEYS, ctx)?;
-            let mut t = Technology::cmos_65nm();
-            let fields = [
-                &mut t.node_nm,
-                &mut t.vdd_v,
-                &mut t.wire_cap_ff_per_mm,
-                &mut t.wire_delay_ps_per_mm,
-                &mut t.link_setup_margin_ns,
-                &mut t.switch_delay_base_ns,
-                &mut t.switch_delay_per_port_ns,
-                &mut t.activity_factor,
-                &mut t.leak_density_mw_per_mm2,
-                &mut t.gating_residual,
-                &mut t.level_shift_energy_pj_per_bit,
-            ];
-            for (key, slot) in TECH_KEYS.into_iter().zip(fields) {
-                override_field(members, key, ctx, slot, |v, fctx| {
-                    tech_number(key, f64_of(v, fctx)?, fctx)
-                })?;
-            }
-            Ok(t)
-        }
-    }
-}
-
-fn write_technology(out: &mut String, t: &Technology) {
-    if *t == Technology::cmos_65nm() {
-        json::string(out, "cmos_65nm");
-    } else if *t == Technology::cmos_90nm() {
-        json::string(out, "cmos_90nm");
-    } else {
-        Obj::new(out)
-            .num("node_nm", t.node_nm)
-            .num("vdd_v", t.vdd_v)
-            .num("wire_cap_ff_per_mm", t.wire_cap_ff_per_mm)
-            .num("wire_delay_ps_per_mm", t.wire_delay_ps_per_mm)
-            .num("link_setup_margin_ns", t.link_setup_margin_ns)
-            .num("switch_delay_base_ns", t.switch_delay_base_ns)
-            .num("switch_delay_per_port_ns", t.switch_delay_per_port_ns)
-            .num("activity_factor", t.activity_factor)
-            .num("leak_density_mw_per_mm2", t.leak_density_mw_per_mm2)
-            .num("gating_residual", t.gating_residual)
-            .num(
-                "level_shift_energy_pj_per_bit",
-                t.level_shift_energy_pj_per_bit,
-            )
-            .end();
-    }
-}
-
-// --- Stage configs -------------------------------------------------------
-
-fn synthesis_from_value(v: &Value, ctx: &str) -> Result<SynthesisConfig, Error> {
-    let m = as_obj(v, ctx)?;
-    check_keys(
-        m,
-        &[
-            "alpha",
-            "link_width_bits",
-            "allow_intermediate_vi",
-            "max_intermediate_switches",
-            "switch_delay_cycles",
-            "link_delay_cycles",
-            "cost_power_weight",
-            "cost_latency_weight",
-            "cost_port_scarcity",
-            "est_intra_link_mm",
-            "est_inter_link_mm",
-            "est_mid_link_mm",
-            "min_frequency_hz",
-            "technology",
-            "seed",
-        ],
-        ctx,
-    )?;
-    let mut c = SynthesisConfig::default();
-    override_field(m, "alpha", ctx, &mut c.alpha, f64_of)?;
-    override_field(
-        m,
-        "link_width_bits",
-        ctx,
-        &mut c.link_width_bits,
-        usize_in(1, usize::MAX),
-    )?;
-    override_field(
-        m,
-        "allow_intermediate_vi",
-        ctx,
-        &mut c.allow_intermediate_vi,
-        bool_of,
-    )?;
-    override_field(
-        m,
-        "max_intermediate_switches",
-        ctx,
-        &mut c.max_intermediate_switches,
-        usize_in(0, MAX_INTERMEDIATE),
-    )?;
-    override_field(
-        m,
-        "switch_delay_cycles",
-        ctx,
-        &mut c.switch_delay_cycles,
-        u32_of,
-    )?;
-    override_field(
-        m,
-        "link_delay_cycles",
-        ctx,
-        &mut c.link_delay_cycles,
-        u32_of,
-    )?;
-    override_field(
-        m,
-        "cost_power_weight",
-        ctx,
-        &mut c.cost_power_weight,
-        f64_of,
-    )?;
-    override_field(
-        m,
-        "cost_latency_weight",
-        ctx,
-        &mut c.cost_latency_weight,
-        f64_of,
-    )?;
-    override_field(
-        m,
-        "cost_port_scarcity",
-        ctx,
-        &mut c.cost_port_scarcity,
-        f64_of,
-    )?;
-    override_field(
-        m,
-        "est_intra_link_mm",
-        ctx,
-        &mut c.est_intra_link_mm,
-        f64_of,
-    )?;
-    override_field(
-        m,
-        "est_inter_link_mm",
-        ctx,
-        &mut c.est_inter_link_mm,
-        f64_of,
-    )?;
-    override_field(m, "est_mid_link_mm", ctx, &mut c.est_mid_link_mm, f64_of)?;
-    if let Some(v) = get(m, "min_frequency_hz") {
-        c.min_frequency = Frequency::from_hz(f64_of(v, &format!("{ctx}.min_frequency_hz"))?);
-    }
-    if let Some(v) = get(m, "technology") {
-        c.technology = technology_from_value(v, &format!("{ctx}.technology"))?;
-    }
-    override_field(m, "seed", ctx, &mut c.seed, u64_of)?;
-    Ok(c)
-}
-
-fn write_synthesis(out: &mut String, c: &SynthesisConfig) {
-    let mut o = Obj::new(out);
-    o.num("alpha", c.alpha)
-        .num("link_width_bits", c.link_width_bits)
-        .bool("allow_intermediate_vi", c.allow_intermediate_vi)
-        .num("max_intermediate_switches", c.max_intermediate_switches)
-        .num("switch_delay_cycles", c.switch_delay_cycles)
-        .num("link_delay_cycles", c.link_delay_cycles)
-        .num("cost_power_weight", c.cost_power_weight)
-        .num("cost_latency_weight", c.cost_latency_weight)
-        .num("cost_port_scarcity", c.cost_port_scarcity)
-        .num("est_intra_link_mm", c.est_intra_link_mm)
-        .num("est_inter_link_mm", c.est_inter_link_mm)
-        .num("est_mid_link_mm", c.est_mid_link_mm)
-        .num("min_frequency_hz", c.min_frequency.hz());
-    write_technology(o.key("technology"), &c.technology);
-    o.num("seed", c.seed).end();
-}
 
 /// Most annealing restarts a scenario may ask for. The floorplanner holds
 /// every restart index in memory at once, so an unbounded count could
@@ -556,219 +345,298 @@ const MAX_RESTARTS: usize = 64;
 /// scenario uses 4 or less.
 const MAX_INTERMEDIATE: usize = 64;
 
-fn floorplan_from_value(v: &Value, ctx: &str) -> Result<FloorplanConfig, Error> {
-    let m = as_obj(v, ctx)?;
-    check_keys(
-        m,
-        &[
-            "seed",
-            "iterations",
-            "initial_temp",
-            "cooling",
-            "lambda_wire",
-            "lambda_island",
-            "lambda_aspect",
-            "restarts",
-        ],
-        ctx,
-    )?;
-    let mut c = FloorplanConfig::default();
-    override_field(m, "seed", ctx, &mut c.seed, u64_of)?;
-    override_field(m, "iterations", ctx, &mut c.iterations, usize_of)?;
-    override_field(m, "initial_temp", ctx, &mut c.initial_temp, f64_of)?;
-    override_field(m, "cooling", ctx, &mut c.cooling, f64_of)?;
-    override_field(m, "lambda_wire", ctx, &mut c.lambda_wire, f64_of)?;
-    override_field(m, "lambda_island", ctx, &mut c.lambda_island, f64_of)?;
-    override_field(m, "lambda_aspect", ctx, &mut c.lambda_aspect, f64_of)?;
-    override_field(
-        m,
-        "restarts",
-        ctx,
-        &mut c.restarts,
-        usize_in(0, MAX_RESTARTS),
-    )?;
-    Ok(c)
+/// The field one member of a table-driven object fills, by kind: the kind
+/// says how the member is read, bound included, and how it is written.
+enum Slot<'a> {
+    /// Any number.
+    Num(&'a mut f64),
+    /// A number in `[0, max]`.
+    NonNeg(&'a mut f64, f64),
+    /// A number in `(0, max]`.
+    Pos(&'a mut f64, f64),
+    /// A sim load factor, in `(0, MAX_LOAD]`.
+    Load(&'a mut f64),
+    /// A clock in hertz.
+    Hz(&'a mut Frequency),
+    /// An unsigned integer in `lo..=hi`.
+    Int(&'a mut usize, usize, usize),
+    U32(&'a mut u32),
+    U64(&'a mut u64),
+    Bool(&'a mut bool),
+    /// A traffic kind by name.
+    Traffic(&'a mut TrafficKind),
+    /// `"auto"` or an island index.
+    Island(&'a mut IslandChoice),
+    /// A non-empty list of finite frequency factors `>= 1.0`.
+    Scales(&'a mut Vec<f64>),
+    /// A named technology or an inline [`TECHNOLOGY`] object.
+    Technology(&'a mut Technology),
+    /// A [`SWEEP`] object, and the one required member (`refine.grid`).
+    Grid(&'a mut GridConfig),
 }
 
-fn write_floorplan(out: &mut String, c: &FloorplanConfig) {
-    Obj::new(out)
-        .num("seed", c.seed)
-        .num("iterations", c.iterations)
-        .num("initial_temp", c.initial_temp)
-        .num("cooling", c.cooling)
-        .num("lambda_wire", c.lambda_wire)
-        .num("lambda_island", c.lambda_island)
-        .num("lambda_aspect", c.lambda_aspect)
-        .num("restarts", c.restarts)
-        .end();
-}
+/// The members of a table-driven scenario object, in emission order: each
+/// member's name and the slot of `T` it fills. Reading, the unknown-member
+/// check and writing all walk this one list.
+type Table<T> = [(&'static str, fn(&mut T) -> Slot<'_>)];
 
-fn sim_from_value(v: &Value, ctx: &str) -> Result<SimPlan, Error> {
-    let m = as_obj(v, ctx)?;
-    check_keys(
-        m,
-        &[
-            "packet_bytes",
-            "queue_capacity",
-            "traffic",
-            "seed",
-            "load_factor",
-            "horizon_ns",
-        ],
-        ctx,
-    )?;
-    let mut plan = SimPlan::default();
-    let c = &mut plan.config;
-    override_field(
-        m,
-        "packet_bytes",
-        ctx,
-        &mut c.packet_bytes,
-        usize_in(1, MAX_PACKET_BYTES),
-    )?;
-    override_field(
-        m,
-        "queue_capacity",
-        ctx,
-        &mut c.queue_capacity,
-        usize_in(1, usize::MAX),
-    )?;
-    if let Some(v) = get(m, "traffic") {
-        let tctx = format!("{ctx}.traffic");
-        c.traffic = str_of(v, &tctx)?
-            .parse::<TrafficKind>()
-            .map_err(|e| Error::scenario(&tctx, e))?;
+const SYNTHESIS: &Table<SynthesisConfig> = &[
+    ("alpha", |c| Slot::Num(&mut c.alpha)),
+    ("link_width_bits", |c| {
+        Slot::Int(&mut c.link_width_bits, 1, usize::MAX)
+    }),
+    ("allow_intermediate_vi", |c| {
+        Slot::Bool(&mut c.allow_intermediate_vi)
+    }),
+    ("max_intermediate_switches", |c| {
+        Slot::Int(&mut c.max_intermediate_switches, 0, MAX_INTERMEDIATE)
+    }),
+    ("switch_delay_cycles", |c| {
+        Slot::U32(&mut c.switch_delay_cycles)
+    }),
+    ("link_delay_cycles", |c| Slot::U32(&mut c.link_delay_cycles)),
+    ("cost_power_weight", |c| Slot::Num(&mut c.cost_power_weight)),
+    ("cost_latency_weight", |c| {
+        Slot::Num(&mut c.cost_latency_weight)
+    }),
+    ("cost_port_scarcity", |c| {
+        Slot::Num(&mut c.cost_port_scarcity)
+    }),
+    ("est_intra_link_mm", |c| Slot::Num(&mut c.est_intra_link_mm)),
+    ("est_inter_link_mm", |c| Slot::Num(&mut c.est_inter_link_mm)),
+    ("est_mid_link_mm", |c| Slot::Num(&mut c.est_mid_link_mm)),
+    ("min_frequency_hz", |c| Slot::Hz(&mut c.min_frequency)),
+    ("technology", |c| Slot::Technology(&mut c.technology)),
+    ("seed", |c| Slot::U64(&mut c.seed)),
+];
+
+/// An inline technology: the two fractions lie in [0, 1], `node_nm` and
+/// `vdd_v` in (0, [`TECH_MAX`]], every other field in [0, [`TECH_MAX`]].
+const TECHNOLOGY: &Table<Technology> = &[
+    ("node_nm", |t| Slot::Pos(&mut t.node_nm, TECH_MAX)),
+    ("vdd_v", |t| Slot::Pos(&mut t.vdd_v, TECH_MAX)),
+    ("wire_cap_ff_per_mm", |t| {
+        Slot::NonNeg(&mut t.wire_cap_ff_per_mm, TECH_MAX)
+    }),
+    ("wire_delay_ps_per_mm", |t| {
+        Slot::NonNeg(&mut t.wire_delay_ps_per_mm, TECH_MAX)
+    }),
+    ("link_setup_margin_ns", |t| {
+        Slot::NonNeg(&mut t.link_setup_margin_ns, TECH_MAX)
+    }),
+    ("switch_delay_base_ns", |t| {
+        Slot::NonNeg(&mut t.switch_delay_base_ns, TECH_MAX)
+    }),
+    ("switch_delay_per_port_ns", |t| {
+        Slot::NonNeg(&mut t.switch_delay_per_port_ns, TECH_MAX)
+    }),
+    ("activity_factor", |t| {
+        Slot::NonNeg(&mut t.activity_factor, 1.0)
+    }),
+    ("leak_density_mw_per_mm2", |t| {
+        Slot::NonNeg(&mut t.leak_density_mw_per_mm2, TECH_MAX)
+    }),
+    ("gating_residual", |t| {
+        Slot::NonNeg(&mut t.gating_residual, 1.0)
+    }),
+    ("level_shift_energy_pj_per_bit", |t| {
+        Slot::NonNeg(&mut t.level_shift_energy_pj_per_bit, TECH_MAX)
+    }),
+];
+
+const FLOORPLAN: &Table<FloorplanConfig> = &[
+    ("seed", |c| Slot::U64(&mut c.seed)),
+    ("iterations", |c| {
+        Slot::Int(&mut c.iterations, 0, usize::MAX)
+    }),
+    ("initial_temp", |c| Slot::Num(&mut c.initial_temp)),
+    ("cooling", |c| Slot::Num(&mut c.cooling)),
+    ("lambda_wire", |c| Slot::Num(&mut c.lambda_wire)),
+    ("lambda_island", |c| Slot::Num(&mut c.lambda_island)),
+    ("lambda_aspect", |c| Slot::Num(&mut c.lambda_aspect)),
+    ("restarts", |c| Slot::Int(&mut c.restarts, 0, MAX_RESTARTS)),
+];
+
+const SIM: &Table<SimPlan> = &[
+    ("packet_bytes", |p| {
+        Slot::Int(&mut p.config.packet_bytes, 1, MAX_PACKET_BYTES)
+    }),
+    ("queue_capacity", |p| {
+        Slot::Int(&mut p.config.queue_capacity, 1, usize::MAX)
+    }),
+    ("traffic", |p| Slot::Traffic(&mut p.config.traffic)),
+    ("seed", |p| Slot::U64(&mut p.config.seed)),
+    ("load_factor", |p| Slot::Load(&mut p.config.load_factor)),
+    ("horizon_ns", |p| Slot::U64(&mut p.horizon_ns)),
+];
+
+const SHUTDOWN: &Table<ShutdownPlan> = &[
+    ("island", |p| Slot::Island(&mut p.island)),
+    ("stop_at_ns", |p| Slot::U64(&mut p.stop_at_ns)),
+    ("drain_ns", |p| Slot::U64(&mut p.drain_ns)),
+    ("post_gate_ns", |p| Slot::U64(&mut p.post_gate_ns)),
+];
+
+const SWEEP: &Table<GridConfig> = &[
+    ("max_boost", |c| Slot::Int(&mut c.max_boost, 0, usize::MAX)),
+    ("freq_scales", |c| Slot::Scales(&mut c.freq_scales)),
+    ("max_intermediate", |c| {
+        Slot::Int(&mut c.max_intermediate, 0, MAX_INTERMEDIATE)
+    }),
+];
+
+/// A negative `scale_window` would silently refine nothing.
+const REFINE: &Table<RefinePlan> = &[
+    ("grid", |p| Slot::Grid(&mut p.grid)),
+    ("boost_radius", |p| {
+        Slot::Int(&mut p.params.boost_radius, 0, usize::MAX)
+    }),
+    ("base_radius", |p| {
+        Slot::Int(&mut p.params.base_radius, 0, usize::MAX)
+    }),
+    ("scale_window", |p| {
+        Slot::NonNeg(&mut p.params.scale_window, f64::INFINITY)
+    }),
+];
+
+/// `x` if it is at most `max`.
+fn at_most(x: f64, max: f64, ctx: &str) -> Result<f64, Error> {
+    if x <= max {
+        Ok(x)
+    } else {
+        Err(Error::scenario(
+            ctx,
+            format!("must be at most {max}, got {x}"),
+        ))
     }
-    override_field(m, "seed", ctx, &mut c.seed, u64_of)?;
-    override_field(m, "load_factor", ctx, &mut c.load_factor, |v, lctx| {
-        load_factor(f64_of(v, lctx)?, lctx)
-    })?;
-    override_field(m, "horizon_ns", ctx, &mut plan.horizon_ns, u64_of)?;
-    Ok(plan)
 }
 
-fn write_sim(out: &mut String, plan: &SimPlan) {
-    let c = &plan.config;
-    Obj::new(out)
-        .num("packet_bytes", c.packet_bytes)
-        .num("queue_capacity", c.queue_capacity)
-        .str("traffic", &c.traffic.to_string())
-        .num("seed", c.seed)
-        .num("load_factor", c.load_factor)
-        .num("horizon_ns", plan.horizon_ns)
-        .end();
-}
-
-fn shutdown_from_value(v: &Value, ctx: &str) -> Result<ShutdownPlan, Error> {
-    let m = as_obj(v, ctx)?;
-    check_keys(
-        m,
-        &["island", "stop_at_ns", "drain_ns", "post_gate_ns"],
-        ctx,
-    )?;
-    let mut plan = ShutdownPlan::default();
-    if let Some(v) = get(m, "island") {
-        let ictx = format!("{ctx}.island");
-        plan.island = match v {
-            Value::Str(s) if s == "auto" => IslandChoice::Auto,
-            Value::Num(_) => IslandChoice::Index(usize_of(v, &ictx)?),
-            _ => {
-                return Err(Error::scenario(
-                    ictx,
-                    "expected \"auto\" or an island index",
-                ))
+impl Slot<'_> {
+    /// Fills the slot from member value `v` at path `ctx`.
+    fn read(self, v: &Value, ctx: &str) -> Result<(), Error> {
+        match self {
+            Slot::Num(x) => *x = f64_of(v, ctx)?,
+            Slot::NonNeg(x, max) => *x = at_most(non_negative(f64_of(v, ctx)?, ctx)?, max, ctx)?,
+            Slot::Pos(x, max) => *x = at_most(positive(f64_of(v, ctx)?, ctx)?, max, ctx)?,
+            Slot::Load(x) => *x = load_factor(f64_of(v, ctx)?, ctx)?,
+            Slot::Hz(f) => *f = Frequency::from_hz(f64_of(v, ctx)?),
+            Slot::Int(x, lo, hi) => *x = usize_in(v, ctx, lo, hi)?,
+            Slot::U32(x) => *x = u32_of(v, ctx)?,
+            Slot::U64(x) => *x = u64_of(v, ctx)?,
+            Slot::Bool(b) => *b = bool_of(v, ctx)?,
+            Slot::Traffic(t) => {
+                *t = str_of(v, ctx)?
+                    .parse()
+                    .map_err(|e| Error::scenario(ctx, e))?
             }
-        };
-    }
-    override_field(m, "stop_at_ns", ctx, &mut plan.stop_at_ns, u64_of)?;
-    override_field(m, "drain_ns", ctx, &mut plan.drain_ns, u64_of)?;
-    override_field(m, "post_gate_ns", ctx, &mut plan.post_gate_ns, u64_of)?;
-    Ok(plan)
-}
-
-fn write_shutdown(out: &mut String, plan: &ShutdownPlan) {
-    let mut o = Obj::new(out);
-    match plan.island {
-        IslandChoice::Auto => o.str("island", "auto"),
-        IslandChoice::Index(j) => o.num("island", j),
-    };
-    o.num("stop_at_ns", plan.stop_at_ns)
-        .num("drain_ns", plan.drain_ns)
-        .num("post_gate_ns", plan.post_gate_ns)
-        .end();
-}
-
-fn sweep_from_value(v: &Value, ctx: &str) -> Result<GridConfig, Error> {
-    let m = as_obj(v, ctx)?;
-    check_keys(m, &["max_boost", "freq_scales", "max_intermediate"], ctx)?;
-    let mut c = GridConfig::default();
-    override_field(m, "max_boost", ctx, &mut c.max_boost, usize_of)?;
-    if let Some(v) = get(m, "freq_scales") {
-        let sctx = format!("{ctx}.freq_scales");
-        let arr = v
-            .as_arr()
-            .ok_or_else(|| Error::scenario(&sctx, "expected an array"))?;
-        let scales: Vec<f64> = arr
-            .iter()
-            .enumerate()
-            .map(|(i, s)| f64_of(s, &format!("{sctx}[{i}]")))
-            .collect::<Result<_, _>>()?;
-        // Validated here so a bad scenario fails with a path instead of
-        // panicking later in `FrequencyPlan::scaled`.
-        if scales.is_empty() || scales.iter().any(|&s| !s.is_finite() || s < 1.0) {
-            return Err(Error::scenario(
-                sctx,
-                "must be a non-empty list of finite factors >= 1.0",
-            ));
+            Slot::Island(island) => {
+                *island = match v {
+                    Value::Str(s) if s == "auto" => IslandChoice::Auto,
+                    Value::Num(_) => IslandChoice::Index(usize_of(v, ctx)?),
+                    _ => return Err(Error::scenario(ctx, "expected \"auto\" or an island index")),
+                }
+            }
+            Slot::Scales(scales) => {
+                *scales = numbers_of(v, ctx)?;
+                // Checked here so a bad scenario fails with a path instead
+                // of panicking later in `FrequencyPlan::scaled`.
+                if scales.is_empty() || scales.iter().any(|&s| !s.is_finite() || s < 1.0) {
+                    return Err(Error::scenario(
+                        ctx,
+                        "must be a non-empty list of finite factors >= 1.0",
+                    ));
+                }
+            }
+            Slot::Technology(t) => *t = technology_from_value(v, ctx)?,
+            Slot::Grid(grid) => *grid = read_object(SWEEP, v, ctx)?,
         }
-        c.freq_scales = scales;
+        Ok(())
     }
-    override_field(
-        m,
-        "max_intermediate",
-        ctx,
-        &mut c.max_intermediate,
-        usize_in(0, MAX_INTERMEDIATE),
-    )?;
-    Ok(c)
-}
 
-fn write_sweep(out: &mut String, c: &GridConfig) {
-    let mut o = Obj::new(out);
-    o.num("max_boost", c.max_boost);
-    json::array(o.key("freq_scales"), &c.freq_scales, |out, &x| {
-        json::num(out, x)
-    });
-    o.num("max_intermediate", c.max_intermediate).end();
-}
-
-fn refine_from_value(v: &Value, ctx: &str) -> Result<RefinePlan, Error> {
-    let m = as_obj(v, ctx)?;
-    check_keys(
-        m,
-        &["grid", "boost_radius", "base_radius", "scale_window"],
-        ctx,
-    )?;
-    let grid = sweep_from_value(req(m, "grid", ctx)?, &format!("{ctx}.grid"))?;
-    let mut params = RefineParams::default();
-    override_field(m, "boost_radius", ctx, &mut params.boost_radius, usize_of)?;
-    override_field(m, "base_radius", ctx, &mut params.base_radius, usize_of)?;
-    if let Some(v) = get(m, "scale_window") {
-        let wctx = format!("{ctx}.scale_window");
-        let w = f64_of(v, &wctx)?;
-        // Negative windows would silently refine nothing.
-        params.scale_window = non_negative(w, &wctx)?;
+    /// Writes the slot's value to `out`.
+    fn write(self, out: &mut String) {
+        match self {
+            Slot::Num(x) | Slot::NonNeg(x, _) | Slot::Pos(x, _) | Slot::Load(x) => {
+                json::num(out, *x)
+            }
+            Slot::Hz(f) => json::num(out, f.hz()),
+            Slot::Int(x, ..) => json::num(out, *x),
+            Slot::U32(x) => json::num(out, *x),
+            Slot::U64(x) => json::num(out, *x),
+            Slot::Bool(b) => json::raw(out, if *b { "true" } else { "false" }),
+            Slot::Traffic(t) => json::string(out, &t.to_string()),
+            Slot::Island(IslandChoice::Auto) => json::string(out, "auto"),
+            Slot::Island(IslandChoice::Index(j)) => json::num(out, *j),
+            Slot::Scales(scales) => json::array(out, scales.iter(), |out, &x| json::num(out, x)),
+            Slot::Technology(t) => write_technology(out, t),
+            Slot::Grid(grid) => write_object(out, SWEEP, grid),
+        }
     }
-    Ok(RefinePlan { grid, params })
 }
 
-fn write_refine(out: &mut String, plan: &RefinePlan) {
+/// Reads a table-driven object: each member present overrides its field of
+/// `T::default()`, in table order.
+fn read_object<T: Default>(table: &Table<T>, v: &Value, ctx: &str) -> Result<T, Error> {
+    let members = as_obj(v, ctx)?;
+    let names: Vec<&str> = table.iter().map(|&(name, _)| name).collect();
+    check_keys(members, &names, ctx)?;
+    let mut t = T::default();
+    for &(name, slot) in table {
+        match (get(members, name), slot(&mut t)) {
+            (Some(v), slot) => slot.read(v, &format!("{ctx}.{name}"))?,
+            (None, Slot::Grid(_)) => {
+                return Err(Error::scenario(ctx, format!("missing member '{name}'")))
+            }
+            (None, _) => {}
+        }
+    }
+    Ok(t)
+}
+
+/// Reads the table-driven member `key` of the scenario, if present.
+fn read_member<T: Default>(
+    members: &Members,
+    key: &str,
+    table: &Table<T>,
+) -> Result<Option<T>, Error> {
+    get(members, key)
+        .map(|v| read_object(table, v, &format!("scenario.{key}")))
+        .transpose()
+}
+
+/// Writes a table-driven object, every member in table order. The slots
+/// borrow mutably, so the walk runs over a copy.
+fn write_object<T: Clone>(out: &mut String, table: &Table<T>, t: &T) {
+    let mut t = t.clone();
     let mut o = Obj::new(out);
-    write_sweep(o.key("grid"), &plan.grid);
-    o.num("boost_radius", plan.params.boost_radius)
-        .num("base_radius", plan.params.base_radius)
-        .num("scale_window", plan.params.scale_window)
-        .end();
+    for &(name, slot) in table {
+        slot(&mut t).write(o.key(name));
+    }
+    o.end();
+}
+
+fn technology_from_value(v: &Value, ctx: &str) -> Result<Technology, Error> {
+    match v {
+        Value::Str(name) => match name.as_str() {
+            "cmos_65nm" => Ok(Technology::cmos_65nm()),
+            "cmos_90nm" => Ok(Technology::cmos_90nm()),
+            other => Err(Error::scenario(
+                ctx,
+                format!("unknown technology '{other}' (cmos_65nm | cmos_90nm | inline object)"),
+            )),
+        },
+        _ => read_object(TECHNOLOGY, v, ctx),
+    }
+}
+
+fn write_technology(out: &mut String, t: &Technology) {
+    if *t == Technology::cmos_65nm() {
+        json::string(out, "cmos_65nm");
+    } else if *t == Technology::cmos_90nm() {
+        json::string(out, "cmos_90nm");
+    } else {
+        write_object(out, TECHNOLOGY, t);
+    }
 }
 
 /// Rejects an axis value that repeats an earlier one: it would simulate
@@ -791,14 +659,7 @@ fn dyn_sweep_from_value(v: &Value, ctx: &str) -> Result<DynSweepPlan, Error> {
         ctx,
     )?;
     let lctx = format!("{ctx}.loads");
-    let arr = req(m, "loads", ctx)?
-        .as_arr()
-        .ok_or_else(|| Error::scenario(&lctx, "expected an array"))?;
-    let loads: Vec<f64> = arr
-        .iter()
-        .enumerate()
-        .map(|(i, x)| f64_of(x, &format!("{lctx}[{i}]")))
-        .collect::<Result<_, _>>()?;
+    let loads = numbers_of(req(m, "loads", ctx)?, &lctx)?;
     // Validated here so a bad scenario fails with a path instead of a
     // late axes error inside the engine.
     if loads.is_empty() || loads.iter().any(|&l| !(l > 0.0 && l <= MAX_LOAD)) {
@@ -846,7 +707,7 @@ fn dyn_sweep_from_value(v: &Value, ctx: &str) -> Result<DynSweepPlan, Error> {
                 let sctx = format!("{sctx}[{i}]");
                 match s {
                     Value::Null => Ok(None),
-                    _ => shutdown_from_value(s, &sctx).map(Some),
+                    _ => read_object(SHUTDOWN, s, &sctx).map(Some),
                 }
             })
             .collect::<Result<_, _>>()?;
@@ -884,7 +745,7 @@ fn write_dyn_sweep(out: &mut String, plan: &DynSweepPlan) {
     });
     json::array(o.key("schedules"), &plan.schedules, |out, s| match s {
         None => out.push_str("null"),
-        Some(sd) => write_shutdown(out, sd),
+        Some(sd) => write_object(out, SHUTDOWN, sd),
     });
     o.num("horizon_ns", plan.horizon_ns)
         .str("mode", &plan.mode.to_string())
@@ -927,23 +788,11 @@ pub(crate) fn scenario_from_json(text: &str) -> Result<Scenario, Error> {
     let name = str_of(req(members, "name", ctx)?, "scenario.name")?.to_string();
     let spec = spec_from_value(req(members, "spec", ctx)?, "scenario.spec")?;
     let partition = partition_from_value(req(members, "partition", ctx)?, "scenario.partition")?;
-    let synthesis = match get(members, "synthesis") {
-        Some(v) => synthesis_from_value(v, "scenario.synthesis")?,
-        None => SynthesisConfig::default(),
-    };
-    let floorplan = match get(members, "floorplan") {
-        Some(v) => floorplan_from_value(v, "scenario.floorplan")?,
-        None => FloorplanConfig::default(),
-    };
-    let sim = get(members, "sim")
-        .map(|v| sim_from_value(v, "scenario.sim"))
-        .transpose()?;
-    let shutdown = get(members, "shutdown")
-        .map(|v| shutdown_from_value(v, "scenario.shutdown"))
-        .transpose()?;
-    let sweep = get(members, "sweep")
-        .map(|v| sweep_from_value(v, "scenario.sweep"))
-        .transpose()?;
+    let synthesis = read_member(members, "synthesis", SYNTHESIS)?.unwrap_or_default();
+    let floorplan = read_member(members, "floorplan", FLOORPLAN)?.unwrap_or_default();
+    let sim = read_member(members, "sim", SIM)?;
+    let shutdown = read_member(members, "shutdown", SHUTDOWN)?;
+    let sweep = read_member(members, "sweep", SWEEP)?;
     let mut sweep_prune = false;
     override_field(
         members,
@@ -952,9 +801,7 @@ pub(crate) fn scenario_from_json(text: &str) -> Result<Scenario, Error> {
         &mut sweep_prune,
         bool_of,
     )?;
-    let refine = get(members, "refine")
-        .map(|v| refine_from_value(v, "scenario.refine"))
-        .transpose()?;
+    let refine = read_member(members, "refine", REFINE)?;
     if refine.is_some() && sweep.is_none() {
         return Err(Error::scenario(
             "scenario.refine",
@@ -992,16 +839,16 @@ pub(crate) fn scenario_to_json(s: &Scenario) -> String {
     o.str("format", SCENARIO_FORMAT).str("name", &s.name);
     write_spec(o.key("spec"), &s.spec);
     write_partition(o.key("partition"), &s.partition);
-    write_synthesis(o.key("synthesis"), &s.synthesis);
-    write_floorplan(o.key("floorplan"), &s.floorplan);
+    write_object(o.key("synthesis"), SYNTHESIS, &s.synthesis);
+    write_object(o.key("floorplan"), FLOORPLAN, &s.floorplan);
     if let Some(sim) = &s.sim {
-        write_sim(o.key("sim"), sim);
+        write_object(o.key("sim"), SIM, sim);
     }
     if let Some(sd) = &s.shutdown {
-        write_shutdown(o.key("shutdown"), sd);
+        write_object(o.key("shutdown"), SHUTDOWN, sd);
     }
     if let Some(grid) = &s.sweep {
-        write_sweep(o.key("sweep"), grid);
+        write_object(o.key("sweep"), SWEEP, grid);
     }
     // Emitted only when set, so pre-refinement scenario files keep their
     // exact bytes.
@@ -1009,7 +856,7 @@ pub(crate) fn scenario_to_json(s: &Scenario) -> String {
         o.bool("sweep_prune", true);
     }
     if let Some(plan) = &s.refine {
-        write_refine(o.key("refine"), plan);
+        write_object(o.key("refine"), REFINE, plan);
     }
     if let Some(plan) = &s.dyn_sweep {
         write_dyn_sweep(o.key("dyn_sweep"), plan);
@@ -1081,6 +928,171 @@ mod tests {
         let back = Scenario::from_json(&json).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.to_json(), json, "emission is a fixed point");
+    }
+
+    /// Asserts that every member of `table` is off its default in `t`.
+    fn assert_every_member_set<T: Clone + Default>(table: &Table<T>, t: &T) {
+        for &(name, slot) in table {
+            let (mut default, mut set) = (String::new(), String::new());
+            slot(&mut T::default()).write(&mut default);
+            slot(&mut t.clone()).write(&mut set);
+            assert_ne!(default, set, "'{name}' is at its default");
+        }
+    }
+
+    #[test]
+    fn every_table_member_round_trips_at_its_bound() {
+        let technology = Technology {
+            node_nm: 45.0,
+            vdd_v: 0.9,
+            wire_cap_ff_per_mm: 250.0,
+            wire_delay_ps_per_mm: 120.0,
+            link_setup_margin_ns: 0.125,
+            switch_delay_base_ns: 0.375,
+            switch_delay_per_port_ns: 0.0625,
+            activity_factor: 1.0,
+            leak_density_mw_per_mm2: 0.5,
+            gating_residual: 1.0,
+            level_shift_energy_pj_per_bit: 0.5,
+        };
+        let synthesis = SynthesisConfig {
+            alpha: 0.75,
+            link_width_bits: 1,
+            allow_intermediate_vi: false,
+            max_intermediate_switches: MAX_INTERMEDIATE,
+            switch_delay_cycles: 2,
+            link_delay_cycles: 3,
+            cost_power_weight: 1.5,
+            cost_latency_weight: 0.25,
+            cost_port_scarcity: 7.5,
+            est_intra_link_mm: 1.25,
+            est_inter_link_mm: 2.5,
+            est_mid_link_mm: 2.0,
+            min_frequency: Frequency::from_hz(7.5e7),
+            technology: technology.clone(),
+            seed: 42,
+        };
+        let floorplan = FloorplanConfig {
+            seed: 7,
+            iterations: 1_234,
+            initial_temp: 2.5,
+            cooling: 0.875,
+            lambda_wire: 0.5,
+            lambda_island: 3.0,
+            lambda_aspect: 0.75,
+            restarts: MAX_RESTARTS,
+        };
+        let mut sim = SimPlan {
+            horizon_ns: 1_234,
+            ..SimPlan::default()
+        };
+        sim.config.packet_bytes = MAX_PACKET_BYTES;
+        sim.config.queue_capacity = 3;
+        sim.config.traffic = TrafficKind::Poisson;
+        sim.config.seed = 9;
+        sim.config.load_factor = MAX_LOAD;
+        let shutdown = ShutdownPlan {
+            island: IslandChoice::Index(2),
+            stop_at_ns: 1_000,
+            drain_ns: 2_000,
+            post_gate_ns: 3_000,
+        };
+        let grid = |max_boost, freq_scales| GridConfig {
+            max_boost,
+            freq_scales,
+            max_intermediate: MAX_INTERMEDIATE,
+        };
+        let refine = RefinePlan {
+            grid: grid(1, vec![1.0, 1.05, 1.1]),
+            params: vi_noc_sweep::RefineParams {
+                boost_radius: 2,
+                base_radius: 3,
+                scale_window: 0.5,
+            },
+        };
+        assert_every_member_set(SYNTHESIS, &synthesis);
+        assert_every_member_set(TECHNOLOGY, &technology);
+        assert_every_member_set(FLOORPLAN, &floorplan);
+        assert_every_member_set(SIM, &sim);
+        assert_every_member_set(SHUTDOWN, &shutdown);
+        assert_every_member_set(SWEEP, &grid(2, vec![1.0, 1.25]));
+        assert_every_member_set(REFINE, &refine);
+
+        let mut s = Scenario::new(
+            "every member",
+            SpecSource::Benchmark("d26".into()),
+            PartitionPlan::Logical { islands: 6 },
+        );
+        s.synthesis = synthesis;
+        s.floorplan = floorplan;
+        s.sim = Some(sim);
+        s.shutdown = Some(shutdown);
+        s.sweep = Some(grid(2, vec![1.0, 1.25]));
+        s.refine = Some(refine);
+        let json = s.to_json();
+        let back = Scenario::from_json(&json).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.to_json(), json, "emission is a fixed point");
+    }
+
+    #[test]
+    fn each_object_lists_its_members_in_emission_order() {
+        let doc = |object: &str| {
+            format!(
+                r#"{{"name":"x","spec":{{"benchmark":"d12"}},"partition":{{"kind":"logical","islands":4}},"sweep":{{}},{object}}}"#
+            )
+        };
+        for (object, want) in [
+            (
+                r#""synthesis":{"bogus":1}"#,
+                "scenario scenario.synthesis: unknown member 'bogus' (allowed: alpha, \
+                 link_width_bits, allow_intermediate_vi, max_intermediate_switches, \
+                 switch_delay_cycles, link_delay_cycles, cost_power_weight, cost_latency_weight, \
+                 cost_port_scarcity, est_intra_link_mm, est_inter_link_mm, est_mid_link_mm, \
+                 min_frequency_hz, technology, seed)",
+            ),
+            (
+                r#""synthesis":{"technology":{"bogus":1}}"#,
+                "scenario scenario.synthesis.technology: unknown member 'bogus' (allowed: \
+                 node_nm, vdd_v, wire_cap_ff_per_mm, wire_delay_ps_per_mm, link_setup_margin_ns, \
+                 switch_delay_base_ns, switch_delay_per_port_ns, activity_factor, \
+                 leak_density_mw_per_mm2, gating_residual, level_shift_energy_pj_per_bit)",
+            ),
+            (
+                r#""floorplan":{"bogus":1}"#,
+                "scenario scenario.floorplan: unknown member 'bogus' (allowed: seed, iterations, \
+                 initial_temp, cooling, lambda_wire, lambda_island, lambda_aspect, restarts)",
+            ),
+            (
+                r#""sim":{"bogus":1}"#,
+                "scenario scenario.sim: unknown member 'bogus' (allowed: packet_bytes, \
+                 queue_capacity, traffic, seed, load_factor, horizon_ns)",
+            ),
+            (
+                r#""shutdown":{"bogus":1}"#,
+                "scenario scenario.shutdown: unknown member 'bogus' (allowed: island, \
+                 stop_at_ns, drain_ns, post_gate_ns)",
+            ),
+            (
+                r#""refine":{"grid":{"bogus":1}}"#,
+                "scenario scenario.refine.grid: unknown member 'bogus' (allowed: max_boost, \
+                 freq_scales, max_intermediate)",
+            ),
+            (
+                r#""refine":{"grid":{},"bogus":1}"#,
+                "scenario scenario.refine: unknown member 'bogus' (allowed: grid, boost_radius, \
+                 base_radius, scale_window)",
+            ),
+        ] {
+            let err = Scenario::from_json(&doc(object)).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
+        // `refine.grid` is the one required member.
+        let err = Scenario::from_json(&doc(r#""refine":{}"#)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "scenario scenario.refine: missing member 'grid'"
+        );
     }
 
     #[test]

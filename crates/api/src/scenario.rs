@@ -137,7 +137,7 @@ impl ShutdownPlan {
 /// grid is swept only inside them. The report's frontier becomes the
 /// refined emission, whose descriptor records the windows; `vi-noc sweep
 /// refine --scenario FILE` sweeps the same windows, shard by shard.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RefinePlan {
     /// The fine grid to restrict to windows around the coarse survivors.
     pub grid: GridConfig,

@@ -5,9 +5,14 @@
 //! frontier bytes the `sweep` CLI emits for the same grid.
 
 use vi_noc_api::Scenario;
-use vi_noc_core::{realize_on_floorplan, synthesize, SynthesisConfig};
+use vi_noc_core::{
+    compute_metrics, realize_on_floorplan, scenario_power, standard_scenarios, synthesize,
+    SynthesisConfig,
+};
 use vi_noc_floorplan::FloorplanConfig;
-use vi_noc_sim::{run_shutdown_scenario, ShutdownScenario, SimConfig, Simulator, TrafficKind};
+use vi_noc_sim::{
+    measured_power, run_shutdown_scenario, ShutdownScenario, SimConfig, Simulator, TrafficKind,
+};
 use vi_noc_soc::{benchmarks, partition};
 use vi_noc_sweep::{frontier_json, run_shard, GridConfig, GridDescriptor, Shard, SweepGrid};
 
@@ -114,4 +119,46 @@ fn the_simulator_takes_its_link_width_from_the_synthesized_topology() {
     assert_eq!(sim.flits_per_packet(), 8);
     let stats = sim.run_for_ns(50_000);
     assert_eq!(report.sim.expect("a sim stage").stats, stats);
+}
+
+#[test]
+fn every_price_is_taken_at_the_topology_s_width() {
+    // d26's 64-bit min-power network priced under the default (32-bit)
+    // config and under its own: each pricing path reads the width from the
+    // topology, so the two agree. Before, each read the config's width and
+    // the default config priced this network at 153.399 mW analytic and
+    // 129.650 mW measured instead of 186.407 and 162.658.
+    let soc = benchmarks::d26_mobile();
+    let vi = partition::logical_partition(&soc, 6).unwrap();
+    let wide = SynthesisConfig {
+        link_width_bits: 64,
+        ..SynthesisConfig::default()
+    };
+    let narrow = SynthesisConfig::default();
+    let space = synthesize(&soc, &vi, &wide).unwrap();
+    let point = space.min_power_point().unwrap();
+    let topo = &point.topology;
+    assert_eq!(topo.link_width_bits(), 64);
+
+    assert_eq!(compute_metrics(&soc, topo, &narrow), point.metrics);
+    assert_eq!(compute_metrics(&soc, topo, &wide), point.metrics);
+    let fp = FloorplanConfig {
+        iterations: 2_000,
+        ..FloorplanConfig::default()
+    };
+    let realized = realize_on_floorplan(&soc, &vi, point, &fp, &narrow);
+    let realized_wide = realize_on_floorplan(&soc, &vi, point, &fp, &wide);
+    assert_eq!(realized.metrics, realized_wide.metrics);
+    assert_eq!(realized.infeasible_links, realized_wide.infeasible_links);
+    for sc in standard_scenarios(&soc) {
+        let at = |cfg| scenario_power(&soc, &vi, topo, cfg, &sc);
+        assert_eq!(at(&narrow), at(&wide), "{}", sc.name);
+    }
+    let sim_cfg = SimConfig::default();
+    let stats = Simulator::new(&soc, topo, &sim_cfg).run_for_ns(20_000);
+    let bytes = sim_cfg.packet_bytes as f64;
+    assert_eq!(
+        measured_power(&soc, topo, &narrow, &stats, bytes),
+        measured_power(&soc, topo, &wide, &stats, bytes)
+    );
 }

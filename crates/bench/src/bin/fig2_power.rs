@@ -4,7 +4,8 @@
 //! Power is the paper's metric — switches + links + synchronizers (§5) —
 //! taken from the minimum-power feasible design point of each sweep
 //! configuration. Compare shapes, not absolute mW (our component models are
-//! calibrated stand-ins for ×pipesLite; see DESIGN.md §4).
+//! calibrated stand-ins for ×pipesLite; see ARCHITECTURE.md's
+//! `vi-noc-models` row).
 
 use vi_noc_bench::{
     comparison_table, island_sweep, Strategy, PAPER_FIG2_COMM_MW, PAPER_FIG2_LOGICAL_MW,

@@ -79,7 +79,7 @@ pub use export::{
 };
 pub use features::{flow_fingerprint, fnv1a64, island_signature};
 pub use flows::{inter_switch_flows, InterSwitchFlow};
-pub use metrics::{compute_metrics, DesignMetrics, PowerBreakdown};
+pub use metrics::{compute_metrics, traffic_power, DesignMetrics, PowerBreakdown};
 pub use pareto::{ParetoFold, ParetoKey};
 pub use power_gating::{scenario_power, standard_scenarios, ScenarioReport, UsageScenario};
 pub use realize::{realize_on_floorplan, RealizedDesign};

@@ -5,11 +5,9 @@
 //! "even 25% or more reduction in overall system power" (§5, citing [6]).
 
 use crate::config::SynthesisConfig;
+use crate::metrics::{ni_demands, price, route_loads};
 use crate::topology::Topology;
-use vi_noc_models::{
-    gated_island_leakage, island_leakage, Area, Bandwidth, BisyncFifoModel, LinkModel, NiModel,
-    Power, SwitchModel,
-};
+use vi_noc_models::{gated_island_leakage, island_leakage, Bandwidth, Power};
 use vi_noc_soc::{CoreKind, SocSpec, ViAssignment};
 
 /// A use case: which cores are actively working.
@@ -98,7 +96,9 @@ pub fn standard_scenarios(spec: &SocSpec) -> Vec<UsageScenario> {
 /// An island is gated iff it may be shut down and none of its cores are
 /// active. Gated islands keep only the sleep-transistor residual leakage;
 /// their NoC elements burn nothing. Live NoC elements pay idle power plus
-/// datapath power for the flows whose two endpoints are both active.
+/// datapath power for the flows whose two endpoints are both active, at
+/// the topology's width, clocks and wire lengths; `cfg` supplies only the
+/// technology.
 pub fn scenario_power(
     spec: &SocSpec,
     vi: &ViAssignment,
@@ -129,91 +129,27 @@ pub fn scenario_power(
         .map(|(_, c)| c.dyn_power)
         .sum();
 
-    // Live flows: both endpoints active.
-    let live = |fid: vi_noc_soc::FlowId| {
-        let f = spec.flow(fid);
-        scenario.active[f.src.index()] && scenario.active[f.dst.index()]
-    };
-
-    // NoC dynamic power of live elements.
+    // NoC dynamic power of the powered parts: each flow whose two cores
+    // are active loads its route, and an active core's NI its full demand.
     let tech = &cfg.technology;
-    let link_model = LinkModel::new(tech, cfg.link_width_bits);
-    let ni_model = NiModel::new(tech, cfg.link_width_bits);
-    let fifo_model = BisyncFifoModel::new(tech, cfg.link_width_bits);
-    let mut noc_dynamic = Power::ZERO;
-
-    // Per-switch live loads.
-    let mut switch_load = vec![Bandwidth::ZERO; topo.switches().len()];
-    let mut link_load = vec![Bandwidth::ZERO; topo.links().len()];
-    for route in topo.routes() {
-        if !live(route.flow) {
-            continue;
-        }
-        let bw = spec.flow(route.flow).bandwidth;
-        for &s in &route.switches {
-            switch_load[s.index()] += bw;
-        }
-        for pair in route.switches.windows(2) {
-            if let Some(l) = topo.find_link(pair[0], pair[1]) {
-                link_load[l.index()] += bw;
-            }
-        }
-    }
-    for s in topo.switch_ids() {
-        let isl = topo.switch(s).island_ext;
-        if !island_on[isl] {
-            continue;
-        }
-        let (inp, outp) = topo.switch_ports(s);
-        let model = SwitchModel::new(tech, inp.max(1), outp.max(1), cfg.link_width_bits);
-        noc_dynamic += model.idle_power(topo.island_frequency(isl))
-            + model.traffic_power(switch_load[s.index()]);
-    }
-    for (i, l) in topo.links().iter().enumerate() {
-        let from_on = island_on[topo.switch(l.from).island_ext];
-        let to_on = island_on[topo.switch(l.to).island_ext];
-        if !(from_on && to_on) {
-            continue;
-        }
-        noc_dynamic += link_model.traffic_power(l.length_mm, link_load[i]);
-        if l.crosses_domain() {
-            let fu = topo.island_frequency(topo.switch(l.from).island_ext);
-            let fv = topo.island_frequency(topo.switch(l.to).island_ext);
-            noc_dynamic += fifo_model.power(fu, fv, link_load[i]);
-        }
-    }
-    for id in spec.core_ids() {
-        let isl = vi.island_of(id);
-        if !island_on[isl] {
-            continue;
-        }
-        let (inb, outb) = spec.core_io_bandwidth(id);
-        let scale = if scenario.active[id.index()] {
-            1.0
-        } else {
-            0.0
-        };
-        let bw = Bandwidth::from_bytes_per_s((inb.bytes_per_s() + outb.bytes_per_s()) * scale);
-        noc_dynamic += ni_model.power(topo.island_frequency(isl), bw);
-    }
+    let active = &scenario.active;
+    let live = |on: bool, bw: Bandwidth| if on { bw } else { Bandwidth::ZERO };
+    let flow_bw: Vec<Bandwidth> = spec
+        .flows()
+        .iter()
+        .map(|f| live(active[f.src.index()] && active[f.dst.index()], f.bandwidth))
+        .collect();
+    let mut loads = route_loads(spec, topo, &flow_bw);
+    loads.nis = (ni_demands(spec).into_iter().zip(active))
+        .map(|(bw, &on)| live(on, bw))
+        .collect();
+    let prices = price(topo, tech, &loads, Some(&island_on), false);
+    let noc_dynamic = prices.power.total();
 
     // Leakage: per-island core area + the island's share of NoC area.
-    let mut island_area = vec![Area::ZERO; n_isl + 1];
+    let mut island_area = prices.island_area;
     for id in spec.core_ids() {
         island_area[vi.island_of(id)] += spec.core(id).area;
-    }
-    for s in topo.switch_ids() {
-        let (inp, outp) = topo.switch_ports(s);
-        let model = SwitchModel::new(tech, inp.max(1), outp.max(1), cfg.link_width_bits);
-        island_area[topo.switch(s).island_ext] += model.area();
-    }
-    for id in spec.core_ids() {
-        island_area[vi.island_of(id)] += ni_model.area();
-    }
-    for l in topo.links() {
-        if l.crosses_domain() {
-            island_area[topo.switch(l.from).island_ext] += fifo_model.area();
-        }
     }
 
     let mut leakage = Power::ZERO;
@@ -307,6 +243,91 @@ mod tests {
                     vi.can_shutdown(j),
                     "{}: gated always-on island {j}",
                     sc.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn standard_scenario_reports_are_pinned() {
+        // Every field of T2's six reports on d26's 6-island min-power
+        // point, as the per-scenario pricing loops computed them before
+        // the price list replaced them: core dynamic, leakage, NoC dynamic
+        // and ungated total, in watts. The sums run in another order now,
+        // so the powers may move by a few ulps.
+        let want: [(&str, &[usize], [f64; 4]); 6] = [
+            (
+                "standby",
+                &[1, 2, 3, 4, 5],
+                [
+                    0.06,
+                    0.02591994999999998,
+                    0.039429750000000006,
+                    0.22072329999999998,
+                ],
+            ),
+            (
+                "audio_playback",
+                &[2, 3],
+                [
+                    0.11000000000000001,
+                    0.08389406199999998,
+                    0.07930238996,
+                    0.31059593995999996,
+                ],
+            ),
+            (
+                "video_playback",
+                &[2, 5],
+                [
+                    0.197,
+                    0.08745095799999997,
+                    0.08648543879999998,
+                    0.40477898879999996,
+                ],
+            ),
+            (
+                "camera_capture",
+                &[2, 5],
+                [
+                    0.223,
+                    0.08745095799999997,
+                    0.08728291359999996,
+                    0.4315764635999999,
+                ],
+            ),
+            (
+                "voice_call",
+                &[3],
+                [
+                    0.31600000000000006,
+                    0.10044138999999996,
+                    0.10027649680000003,
+                    0.5375700468000001,
+                ],
+            ),
+            (
+                "full_load",
+                &[],
+                [
+                    0.8130000000000002,
+                    0.12129354999999996,
+                    0.16608145595999996,
+                    1.1003750059600002,
+                ],
+            ),
+        ];
+        let (soc, vi, topo, cfg) = design();
+        let scenarios = standard_scenarios(&soc);
+        assert_eq!(scenarios.len(), want.len());
+        for (sc, (name, off, watts)) in scenarios.iter().zip(want) {
+            let r = scenario_power(&soc, &vi, &topo, &cfg, sc);
+            assert_eq!((r.name.as_str(), r.islands_off.as_slice()), (name, off));
+            let got = [r.core_dynamic, r.leakage, r.noc_dynamic, r.total_ungated];
+            for (got, want) in got.iter().zip(watts) {
+                assert!(
+                    (got.watts() - want).abs() <= 1e-12 * want,
+                    "{name}: {got:?} vs {want}"
                 );
             }
         }

@@ -18,7 +18,7 @@ pub struct RealizedDesign {
     pub placement: Placement,
     /// Switch positions (indexed by switch id), mm.
     pub switch_positions: Vec<(f64, f64)>,
-    /// The topology with realized link lengths.
+    /// The topology with realized link and NI wire lengths.
     pub topology: Topology,
     /// Metrics recomputed with Manhattan wire lengths.
     pub metrics: DesignMetrics,
@@ -28,8 +28,9 @@ pub struct RealizedDesign {
 }
 
 /// Places the cores with the island-cohesive annealing floorplanner, drops
-/// switches at traffic-weighted centroids, measures every wire, and
-/// recomputes the design metrics with real lengths.
+/// switches at traffic-weighted centroids, records every measured wire (NI
+/// wires included) on the topology, and recomputes the design metrics with
+/// real lengths. `cfg` supplies only the technology.
 pub fn realize_on_floorplan(
     spec: &SocSpec,
     vi: &ViAssignment,
@@ -105,7 +106,7 @@ pub fn realize_on_floorplan(
     }
 
     // --- Wire lengths. -------------------------------------------------------
-    let link_model = LinkModel::new(&cfg.technology, cfg.link_width_bits);
+    let link_model = LinkModel::new(&cfg.technology, topology.link_width_bits());
     let mut infeasible_links = Vec::new();
     let link_ids: Vec<LinkId> = topology.link_ids().collect();
     for lid in link_ids {
@@ -123,15 +124,12 @@ pub fn realize_on_floorplan(
         }
         topology.set_link_length(lid, len);
     }
-    let ni_lengths: Vec<f64> = spec
-        .core_ids()
-        .map(|c| {
-            let s = topology.switch_of_core(c);
-            manhattan(placement.center(c.index()), switch_positions[s.index()])
-        })
-        .collect();
+    for c in spec.core_ids() {
+        let s = switch_positions[topology.switch_of_core(c).index()];
+        topology.set_ni_length(c, manhattan(placement.center(c.index()), s));
+    }
 
-    let metrics = compute_metrics(spec, &topology, cfg, Some(&ni_lengths));
+    let metrics = compute_metrics(spec, &topology, cfg);
     RealizedDesign {
         placement,
         switch_positions,
@@ -196,6 +194,24 @@ mod tests {
         let (_, r) = realized();
         assert!(r.metrics.power.links.mw() > 0.0);
         assert!(r.metrics.noc_dynamic_power().mw() > 0.0);
+    }
+
+    #[test]
+    fn the_realized_topology_carries_its_measured_ni_wires() {
+        // Synthesis prices each NI wire at the 0.8 mm estimate; the
+        // floorplan records the measured lengths on the topology, so its
+        // metrics are the topology's own.
+        let soc = benchmarks::d26_mobile();
+        let vi = partition::logical_partition(&soc, 6).unwrap();
+        let cfg = SynthesisConfig::default();
+        let space = synthesize(&soc, &vi, &cfg).unwrap();
+        let point = space.min_power_point().unwrap();
+        assert!(soc
+            .core_ids()
+            .all(|c| point.topology.ni_length_mm(c) == 0.8));
+        let r = realize_on_floorplan(&soc, &vi, point, &quick_fp(), &cfg);
+        assert_eq!(compute_metrics(&soc, &r.topology, &cfg), r.metrics);
+        assert!(soc.core_ids().any(|c| r.topology.ni_length_mm(c) != 0.8));
     }
 
     #[test]

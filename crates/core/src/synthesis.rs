@@ -194,7 +194,7 @@ fn candidate_outcome(
             if topology.intermediate_switch_count() != candidate.requested_intermediate {
                 return CandidateOutcome::Duplicate;
             }
-            let metrics = compute_metrics(spec, &topology, cfg, None);
+            let metrics = compute_metrics(spec, &topology, cfg);
             CandidateOutcome::Feasible(Box::new(DesignPoint {
                 sweep_index: candidate.sweep_index,
                 requested_intermediate: candidate.requested_intermediate,

@@ -1,9 +1,14 @@
 //! Synthesized NoC topology: switches, links, routes.
 
+use crate::config::SynthesisConfig;
+use crate::paths::route_latency;
 use std::collections::HashMap;
 use std::fmt;
 use vi_noc_models::{Bandwidth, Frequency};
 use vi_noc_soc::{CoreId, FlowId, SocSpec};
+
+/// Estimated NI↔switch wire length before floorplanning, mm.
+const EST_NI_LINK_MM: f64 = 0.8;
 
 /// Identifier of a switch within a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -208,7 +213,8 @@ impl TopologyBuilder {
 
     /// Routes `flow` over `switches`, accumulating its bandwidth onto each
     /// traversed link and deriving the crossing count and zero-load latency
-    /// the same way the synthesis allocator does.
+    /// the way the synthesis allocator does, at the default 1-cycle switch
+    /// and link delays.
     ///
     /// # Panics
     ///
@@ -244,9 +250,7 @@ impl TopologyBuilder {
                 crossings += 1;
             }
         }
-        // NI in + per-switch traversal + links + converter dwells + NI out,
-        // matching `paths.rs`'s zero-load accounting.
-        let latency_cycles = 2 * switches.len() as u32 + (switches.len() as u32 - 1) + crossings;
+        let latency_cycles = route_latency(switches.len(), crossings, &SynthesisConfig::default());
         self.topo.set_route(Route {
             flow,
             switches,
@@ -284,6 +288,7 @@ pub struct Topology {
     routes: Vec<Option<Route>>,
     island_freq: Vec<Frequency>,
     link_width_bits: usize,
+    ni_length_mm: Vec<f64>,
 }
 
 impl Topology {
@@ -307,6 +312,7 @@ impl Topology {
             routes: vec![None; spec.flow_count()],
             island_freq,
             link_width_bits,
+            ni_length_mm: vec![EST_NI_LINK_MM; spec.core_count()],
         }
     }
 
@@ -341,6 +347,10 @@ impl Topology {
 
     pub(crate) fn set_link_length(&mut self, link: LinkId, mm: f64) {
         self.links[link.0].length_mm = mm;
+    }
+
+    pub(crate) fn set_ni_length(&mut self, core: CoreId, mm: f64) {
+        self.ni_length_mm[core.index()] = mm;
     }
 
     /// Number of real voltage islands (the intermediate island, if any, has
@@ -395,6 +405,13 @@ impl Topology {
         self.link_index.get(&(from, to)).copied()
     }
 
+    /// Length of the wire between a core's NI and its switch, mm: an
+    /// estimate until floorplanning measures it, like
+    /// [`TopoLink::length_mm`].
+    pub fn ni_length_mm(&self, core: CoreId) -> f64 {
+        self.ni_length_mm[core.index()]
+    }
+
     /// The switch a core's NI attaches to.
     pub fn switch_of_core(&self, core: CoreId) -> SwitchId {
         let s = self.switch_of_core[core.index()];
@@ -427,19 +444,6 @@ impl Topology {
         let inputs = cores + self.links.iter().filter(|l| l.to == id).count();
         let outputs = cores + self.links.iter().filter(|l| l.from == id).count();
         (inputs, outputs)
-    }
-
-    /// Total bandwidth traversing each switch (indexed by switch id),
-    /// derived from the allocated routes.
-    pub fn switch_loads(&self, spec: &SocSpec) -> Vec<Bandwidth> {
-        let mut loads = vec![Bandwidth::ZERO; self.switches.len()];
-        for route in self.routes() {
-            let bw = spec.flow(route.flow).bandwidth;
-            for &s in &route.switches {
-                loads[s.0] += bw;
-            }
-        }
-        loads
     }
 
     /// Removes intermediate switches that ended up with no links, renumbering
@@ -564,22 +568,25 @@ mod tests {
     }
 
     #[test]
-    fn routes_drive_switch_loads() {
+    fn builder_routes_read_the_allocator_s_zero_load_latency() {
+        // NI links + switches + inter-switch links + 4-cycle converter
+        // dwells: 3 cycles through one switch, 9 through two across an
+        // island boundary, as synthesized routes of those shapes read.
         let spec = tiny_spec();
-        let mut t = Topology::new(&spec, 1, freqs(1), 32);
-        let s0 = t.add_switch(Switch {
-            name: "a".into(),
-            island_ext: 0,
-            cores: vec![CoreId::from_index(0), CoreId::from_index(1)],
-        });
-        t.set_route(Route {
-            flow: FlowId::from_index(0),
-            switches: vec![s0],
-            latency_cycles: 3,
-            crossings: 0,
-        });
-        let loads = t.switch_loads(&spec);
-        assert!((loads[0].mbps() - 100.0).abs() < 1e-9);
+        let (a, b) = (CoreId::from_index(0), CoreId::from_index(1));
+        let flow = FlowId::from_index(0);
+        let mut one = TopologyBuilder::new(&spec, 1, freqs(1), 32);
+        let s = one.add_switch("sw", 0, vec![a, b]);
+        one.set_route(&spec, flow, vec![s]);
+        assert_eq!(one.build().route(flow).unwrap().latency_cycles, 3);
+
+        let mut two = TopologyBuilder::new(&spec, 2, freqs(2), 32);
+        let s0 = two.add_switch("sw0", 0, vec![a]);
+        let s1 = two.add_switch("sw1", 1, vec![b]);
+        two.open_link(s0, s1, Bandwidth::from_mbps(400.0));
+        two.set_route(&spec, flow, vec![s0, s1]);
+        let route = two.build().route(flow).unwrap().clone();
+        assert_eq!((route.crossings, route.latency_cycles), (1, 9));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   power-gating an island.
 //!
 //! Every figure of the reproduction depends only on those shapes, not on
-//! absolute femtojoules (see `DESIGN.md` §4 for the substitution argument).
+//! absolute femtojoules.
 //!
 //! # Example
 //!

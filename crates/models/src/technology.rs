@@ -6,7 +6,8 @@
 /// The default constructor [`Technology::cmos_65nm`] matches the paper's
 /// 65 nm evaluation node; the constants are calibrated so that component
 /// powers/areas land in the ranges the paper reports (NoC dynamic power of a
-/// 26-core SoC in the tens of mW, sub-mm² NoC area). See `DESIGN.md` §4.
+/// 26-core SoC in the tens of mW, sub-mm² NoC area); ARCHITECTURE.md's
+/// `vi-noc-models` row describes the substitution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     /// Feature size in nanometres (informational).

@@ -60,4 +60,4 @@ pub use network::SimNetwork;
 pub use shutdown::{run_shutdown_scenario, ShutdownOutcome, ShutdownScenario};
 pub use stats::{FlowStats, SimStats};
 pub use traffic::TrafficKind;
-pub use zeroload::{zero_load_cycles, zero_load_latency_ps};
+pub use zeroload::zero_load_latency_ps;

@@ -1,4 +1,6 @@
-//! Analytic zero-load latency (the paper's Figure-3 metric).
+//! Analytic zero-load latency in picoseconds. The paper's Figure-3 metric,
+//! the same latency in cycles, is each route's
+//! [`vi_noc_core::Route::latency_cycles`].
 //!
 //! The measured counterpart — one probe flow active, every other flow
 //! deactivated — is the sparsest workload the simulator runs, and the one
@@ -9,16 +11,6 @@
 use crate::network::SimNetwork;
 use vi_noc_core::Topology;
 use vi_noc_soc::{FlowId, SocSpec};
-
-/// Zero-load latency of `flow` in cycles, as the paper counts it: one cycle
-/// per link (NI links included), one per switch, plus the 4-cycle converter
-/// dwell per island crossing.
-///
-/// This mirrors the synthesis-side latency model and is exposed here so the
-/// simulator crate can cross-check measured latencies against it.
-pub fn zero_load_cycles(topo: &Topology, flow: FlowId) -> Option<u32> {
-    topo.route(flow).map(|r| r.latency_cycles)
-}
 
 /// Zero-load latency of `flow` in picoseconds, accounting for each hop's
 /// own clock domain (slow islands tick slowly, so their "cycles" are long).
@@ -48,7 +40,7 @@ mod tests {
         let space = synthesize(&soc, &vi, &SynthesisConfig::default()).unwrap();
         let topo = &space.min_power_point().unwrap().topology;
         for fid in soc.flow_ids() {
-            let c = zero_load_cycles(topo, fid).unwrap();
+            let c = topo.route(fid).unwrap().latency_cycles;
             assert!(c >= 3, "flow {fid} latency {c} below the 1-switch minimum");
         }
     }

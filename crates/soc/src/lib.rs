@@ -2,9 +2,9 @@
 //!
 //! The paper evaluates on a proprietary 26-core mobile/multimedia SoC plus
 //! "a variety of SoC benchmarks". None of those inputs are public, so this
-//! crate reconstructs them (see `DESIGN.md` §4): each benchmark is a
-//! [`SocSpec`] — a set of [`CoreSpec`]s and point-to-point [`TrafficFlow`]s
-//! with bandwidth and latency constraints — whose traffic *structure*
+//! crate reconstructs them: each benchmark is a [`SocSpec`] — a set of
+//! [`CoreSpec`]s and point-to-point [`TrafficFlow`]s with bandwidth and
+//! latency constraints — whose traffic *structure*
 //! (hot CPU↔cache/memory flows, moderate media pipelines, light peripheral
 //! traffic) matches the published descriptions.
 //!

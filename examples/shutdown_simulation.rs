@@ -6,7 +6,7 @@
 //! cargo run --release --example shutdown_simulation
 //! ```
 
-use vi_noc::sim::{run_shutdown_scenario, zero_load_cycles, ShutdownScenario, SimConfig};
+use vi_noc::sim::{run_shutdown_scenario, ShutdownScenario, SimConfig};
 use vi_noc::soc::{benchmarks, partition};
 use vi_noc::synth::{synthesize, SynthesisConfig};
 
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:>10} -> {:<10} {} cycles (constraint {})",
             soc.core(f.src).name,
             soc.core(f.dst).name,
-            zero_load_cycles(&point.topology, fid).unwrap(),
+            point.topology.route(fid).unwrap().latency_cycles,
             f.max_latency_cycles
         );
     }

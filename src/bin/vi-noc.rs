@@ -16,16 +16,20 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+use vi_noc_api::cli::{usage, vi_noc_cli, CliError};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match vi_noc_api::cli::vi_noc_cli(&args) {
+    match vi_noc_cli(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            // Best effort: a closed stderr must not turn exit 2 into a
-            // panic.
-            let usage = vi_noc_api::cli::usage(&args);
-            let _ = writeln!(std::io::stderr(), "vi-noc: {e}\n{usage}");
+            // The usage text follows only a malformed command line. Best
+            // effort: a closed stderr must not turn exit 2 into a panic.
+            let mut stderr = std::io::stderr();
+            let _ = writeln!(stderr, "vi-noc: {e}");
+            if let CliError::Usage(_) = e {
+                let _ = writeln!(stderr, "{}", usage(&args));
+            }
             ExitCode::from(2)
         }
     }

@@ -1,8 +1,9 @@
 //! The `vi-noc` binary's output contract. An artifact written to stdout
 //! fails the command when the write fails, a closed pipe included (exit 2,
 //! not a panic's 101); diagnostic lines on stderr are best effort and never
-//! change the exit code. `vi-noc run` prints the summary of the report it
-//! writes, and `vi-noc report` prints the same summary of that file.
+//! change the exit code. Only a malformed command line is followed by the
+//! usage text. `vi-noc run` prints the summary of the report it writes, and
+//! `vi-noc report` prints the same summary of that file.
 
 #![cfg(unix)]
 
@@ -88,4 +89,73 @@ fn run_prints_the_summary_that_report_prints_of_its_file() {
     assert!(summary.starts_with("scenario 'd26 baseline': d26_mobile @ 6 islands\n"));
     let stderr = String::from_utf8(run.stderr).unwrap();
     assert!(stderr.ends_with(&summary), "{stderr}\n---\n{summary}");
+}
+
+/// Runs `vi-noc args`, its stdout closed (`closed_stdout`) or discarded,
+/// and returns its exit code and stderr.
+fn exit_code_and_stderr(args: &[&str], closed_stdout: bool) -> (i32, String) {
+    let out = if closed_stdout {
+        Stdio::piped()
+    } else {
+        Stdio::null()
+    };
+    let mut child = Command::new(VI_NOC)
+        .args(args)
+        .stdout(out)
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let output = child.wait_with_output().unwrap();
+    let code = output.status.code().expect("exited, not killed");
+    (code, String::from_utf8(output.stderr).unwrap())
+}
+
+#[test]
+fn only_a_malformed_command_line_prints_the_usage() {
+    let infeasible = scratch("infeasible.json");
+    std::fs::write(
+        &infeasible,
+        r#"{"name":"infeasible","spec":{"benchmark":"d26"},
+        "partition":{"kind":"logical","islands":6},"synthesis":{"min_frequency_hz":1e15}}"#,
+    )
+    .unwrap();
+    let infeasible = infeasible.to_str().unwrap().to_string();
+    let out = scratch("merged.json");
+    let missing = scratch("missing.json");
+    let runtime: [(&[&str], bool, &str); 4] = [
+        (&["run", &scenario("d26_saturated")], true, "writing stdout"),
+        (
+            &[
+                "sweep",
+                "merge",
+                &scenario("d26_baseline"),
+                "--out",
+                out.to_str().unwrap(),
+            ],
+            false,
+            "is not 'vi-noc-sweep-shard-v1'",
+        ),
+        (&["run", missing.to_str().unwrap()], false, "reading "),
+        (&["run", &infeasible], false, "synthesis failed"),
+    ];
+    for (args, closed_stdout, message) in runtime {
+        let (code, stderr) = exit_code_and_stderr(args, closed_stdout);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&infeasible);
+    assert!(!out.exists());
+
+    let malformed: [&[&str]; 3] = [
+        &["bogus"],
+        &["run", "--bogus"],
+        &["sweep", "run", "--shard", "x"],
+    ];
+    for args in malformed {
+        let (code, stderr) = exit_code_and_stderr(args, false);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains("\nusage:\n"), "{args:?}: {stderr}");
+    }
 }
