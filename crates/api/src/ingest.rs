@@ -329,8 +329,9 @@ fn write_partition(out: &mut String, p: &PartitionPlan) {
 
 // --- Member tables -------------------------------------------------------
 
-/// Largest accepted technology parameter: with every power field at this
-/// bound a report's derived powers stay finite (JSON has no `inf`).
+/// Largest accepted technology parameter and cost-model member: with every
+/// power field at this bound a report's derived powers stay finite (JSON
+/// has no `inf`).
 const TECH_MAX: f64 = 1e6;
 
 /// Most annealing restarts a scenario may ask for. The floorplanner holds
@@ -395,16 +396,26 @@ const SYNTHESIS: &Table<SynthesisConfig> = &[
         Slot::U32(&mut c.switch_delay_cycles)
     }),
     ("link_delay_cycles", |c| Slot::U32(&mut c.link_delay_cycles)),
-    ("cost_power_weight", |c| Slot::Num(&mut c.cost_power_weight)),
+    // The path search's edge weights are priced from these six members,
+    // and it needs them non-negative.
+    ("cost_power_weight", |c| {
+        Slot::NonNeg(&mut c.cost_power_weight, TECH_MAX)
+    }),
     ("cost_latency_weight", |c| {
-        Slot::Num(&mut c.cost_latency_weight)
+        Slot::NonNeg(&mut c.cost_latency_weight, TECH_MAX)
     }),
     ("cost_port_scarcity", |c| {
-        Slot::Num(&mut c.cost_port_scarcity)
+        Slot::NonNeg(&mut c.cost_port_scarcity, TECH_MAX)
     }),
-    ("est_intra_link_mm", |c| Slot::Num(&mut c.est_intra_link_mm)),
-    ("est_inter_link_mm", |c| Slot::Num(&mut c.est_inter_link_mm)),
-    ("est_mid_link_mm", |c| Slot::Num(&mut c.est_mid_link_mm)),
+    ("est_intra_link_mm", |c| {
+        Slot::NonNeg(&mut c.est_intra_link_mm, TECH_MAX)
+    }),
+    ("est_inter_link_mm", |c| {
+        Slot::NonNeg(&mut c.est_inter_link_mm, TECH_MAX)
+    }),
+    ("est_mid_link_mm", |c| {
+        Slot::NonNeg(&mut c.est_mid_link_mm, TECH_MAX)
+    }),
     ("min_frequency_hz", |c| Slot::Hz(&mut c.min_frequency)),
     ("technology", |c| Slot::Technology(&mut c.technology)),
     ("seed", |c| Slot::U64(&mut c.seed)),
@@ -962,12 +973,12 @@ mod tests {
             max_intermediate_switches: MAX_INTERMEDIATE,
             switch_delay_cycles: 2,
             link_delay_cycles: 3,
-            cost_power_weight: 1.5,
-            cost_latency_weight: 0.25,
-            cost_port_scarcity: 7.5,
-            est_intra_link_mm: 1.25,
-            est_inter_link_mm: 2.5,
-            est_mid_link_mm: 2.0,
+            cost_power_weight: TECH_MAX,
+            cost_latency_weight: 0.0,
+            cost_port_scarcity: TECH_MAX,
+            est_intra_link_mm: TECH_MAX,
+            est_inter_link_mm: 0.0,
+            est_mid_link_mm: TECH_MAX,
             min_frequency: Frequency::from_hz(7.5e7),
             technology: technology.clone(),
             seed: 42,
@@ -1374,6 +1385,58 @@ mod tests {
             let s = Scenario::from_json(&with_restarts(r)).unwrap();
             assert_eq!(s.floorplan.restarts, want);
         }
+    }
+
+    /// Asserts that synthesis member `member` is rejected below 0 and above
+    /// [`TECH_MAX`] with a path-contexted error, and accepted at 0. The
+    /// path search relaxes edges priced from the six cost-model members; a
+    /// negative one would give it negative edge weights.
+    fn assert_cost_member_bounded(member: &str) {
+        let text = |x: &str| {
+            format!(
+                r#"{{"name":"c","spec":{{"benchmark":"d26"}},
+                "partition":{{"kind":"logical","islands":6}},
+                "synthesis":{{"{member}":{x}}}}}"#
+            )
+        };
+        for (x, want) in [("-1", "must be >= 0, got -1"), ("1e7", "must be at most")] {
+            let msg = Scenario::from_json(&text(x)).unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!("scenario.synthesis.{member}")) && msg.contains(want),
+                "{member} = {x}: {msg}"
+            );
+        }
+        Scenario::from_json(&text("0")).unwrap();
+    }
+
+    #[test]
+    fn negative_cost_power_weight_fails_at_ingestion() {
+        assert_cost_member_bounded("cost_power_weight");
+    }
+
+    #[test]
+    fn negative_cost_latency_weight_fails_at_ingestion() {
+        assert_cost_member_bounded("cost_latency_weight");
+    }
+
+    #[test]
+    fn negative_cost_port_scarcity_fails_at_ingestion() {
+        assert_cost_member_bounded("cost_port_scarcity");
+    }
+
+    #[test]
+    fn negative_est_intra_link_mm_fails_at_ingestion() {
+        assert_cost_member_bounded("est_intra_link_mm");
+    }
+
+    #[test]
+    fn negative_est_inter_link_mm_fails_at_ingestion() {
+        assert_cost_member_bounded("est_inter_link_mm");
+    }
+
+    #[test]
+    fn negative_est_mid_link_mm_fails_at_ingestion() {
+        assert_cost_member_bounded("est_mid_link_mm");
     }
 
     #[test]

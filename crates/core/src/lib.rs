@@ -51,8 +51,11 @@
 
 mod assign;
 mod baseline;
+#[cfg(test)]
+mod bellman_ford;
 mod config;
 mod design_space;
+mod dijkstra;
 mod error;
 mod export;
 mod features;

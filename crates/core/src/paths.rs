@@ -1,97 +1,165 @@
 //! Min-cost path allocation with shutdown-legal link opening
 //! (Algorithm 1, steps 14–17).
 //!
-//! Flows are routed in decreasing bandwidth order. For each flow a Dijkstra
-//! search runs over the *candidate* switch graph; the edge filter enforces
-//! the paper's shutdown rule — a flow from island `a` to island `b` may only
-//! touch switches of `a`, `b` or the always-on intermediate island, moving
-//! monotonically `a → (mid →)* b` — and the edge cost implements the paper's
-//! "linear combination of the power consumption increase in opening a new
-//! link or reusing an existing link and the latency constraint of the flow".
+//! Flows are routed in decreasing bandwidth order. For each flow a
+//! [`dijkstra`] search runs over the implicit *candidate* switch graph —
+//! every ordered pair of switches is a potential link, with edge id
+//! `u·(n−1) + v − [v > u]` — restricted to the paper's shutdown rule: a
+//! flow from island `a` to island `b` may only touch switches of `a`, `b`
+//! or the always-on intermediate island, moving monotonically
+//! `a → (mid →)* b`. The edge cost implements the paper's "linear
+//! combination of the power consumption increase in opening a new link or
+//! reusing an existing link and the latency constraint of the flow".
+//!
+//! # The island-blocked search
+//!
+//! Switches are numbered island by island, intermediate switches last, so
+//! the legal targets of a switch are at most three contiguous [`Block`]s:
+//! the own island for an intra-island flow; for a flow from `a` to `b`,
+//! `a`, `b` and mid when leaving `a`, `b` and mid when leaving mid, and `b`
+//! when leaving `b`. A candidate edge's length, capacity, crossing and link
+//! kind depend only on its island pair, so each block's reuse cost,
+//! opening power and latency term are priced once per flow, with the float
+//! operations of the per-edge formula in the same order; only the
+//! port-scarcity term and the admissibility checks read per-switch state.
+//! Settled targets are skipped: with non-negative weights a settled switch
+//! can never improve, and ingestion bounds every cost weight and wire
+//! estimate at `>= 0`. Ties resolve by [`dijkstra`]'s rule: the heap pops
+//! the smaller cost first, then the smaller switch, and relaxation is
+//! strict.
+//!
+//! An attempt tracks open links, loads and ports in flat arrays
+//! ([`AllocScratch`]) and numbers links in opening order. Only a complete
+//! allocation becomes a [`Topology`]: [`build_topology`] replays the
+//! committed paths in flow order, which opens the links in the same order
+//! and so gives them the same ids. A failing attempt builds nothing.
 //!
 //! # Incremental evaluation
 //!
 //! One sweep index `i` spawns `max_intermediate_switches + 1` candidates
 //! `(i, k)` that share everything except the number of active intermediate
-//! switches. The expensive shared prefix — the O(S²) candidate edge set, the
-//! power models, the bandwidth-ordered flow list, the per-island idle-power
-//! deltas — is computed once per sweep index in an [`AllocContext`] (built
-//! with the *maximum* intermediate count; smaller candidates simply never
-//! admit edges touching the extra switches, which provably cannot change any
-//! search result). On top of that, [`allocate_paths_warm`] warm-starts
-//! candidate `(i, k+1)` from `(i, k)`'s recorded allocation: while the two
-//! runs' committed states are identical, flows whose legal edge set cannot
-//! contain the new intermediate switches (intra-island flows) replay their
-//! recorded path without searching, and every other flow re-runs exactly the
-//! search a cold start would run — so the produced topology is bit-identical
-//! to a cold start by construction.
+//! switches. The shared prefix — the candidate pair table, the
+//! bandwidth-ordered flow list and every flow's priced blocks — is
+//! computed once per sweep index in an [`AllocContext`] (built with the
+//! *maximum* intermediate count; a smaller candidate's mid block simply
+//! ends at its own count). On top of that, [`allocate_paths_warm`]
+//! warm-starts candidate `(i, k+1)` from `(i, k)`'s recorded allocation.
+//! While the two runs' committed states are identical, a flow replays its
+//! recorded path without searching when the search provably returns it:
 //!
-//! The port-reserve retry (see [`AllocState::reserve`]) is warm-started the
-//! same way, from the *previous candidate's retry* record, with one extra
-//! condition: consecutive retries run at different reserves (`k` and
-//! `k + 1`), and the reserve enters the port-admissibility check of every
-//! non-mid edge — including intra-island ones. A recorded intra-island path
-//! is therefore only replayed when every switch of the flow's island
-//! answers both admissibility questions (room for one more output port?
-//! one more input port?) identically at the two reserves, given the — still
-//! identical — committed state ([`reserve_invariant`]). The edge costs never
-//! read the reserve, so equal admissibility means an identical search
-//! result, and the replay stays exact.
+//! * an intra-island flow, whose blocks cannot reach an intermediate
+//!   switch;
+//! * an inter-island flow whose recorded path pass 1 accepted at distance
+//!   `D`, when the run is at the recorded port reserve, has more
+//!   intermediate switches than the recorded run, and `W_in + W_out > D`.
+//!   `W_in` and `W_out` are the cheapest pass-1 costs of opening an edge
+//!   into and out of a *fresh* intermediate switch (one the recorded run
+//!   did not have), both with the port-scarcity term of switches with no
+//!   port used. A fresh switch has no links, so every path through it pays
+//!   both; rounding is monotone and weights are non-negative, so every
+//!   switch reached through one sits above `D`; and fresh switches have the
+//!   highest ids, so the destination pops before any tied one. The search
+//!   therefore settles the same switches, with the same distances and
+//!   predecessors, up to the destination. The rule is taken only when all
+//!   of the flow's weights are non-negative (a Rust caller's negative
+//!   config falls back to searching), and debug builds re-run the search
+//!   for every such replay and assert the path and `D`.
+//!
+//! Every other flow re-runs exactly the search a cold start would run, so
+//! the produced topology is bit-identical to a cold start by construction.
+//!
+//! The port-reserve retry (see [`AllocScratch::reserve_invariant`]) is
+//! warm-started the same way, from the *previous candidate's retry* record.
+//! Consecutive retries run at different reserves (`k` and `k + 1`), and
+//! the reserve enters the port-admissibility check of every non-mid edge —
+//! including intra-island ones. A recorded intra-island path is therefore
+//! only replayed when every switch of the flow's island answers both
+//! admissibility questions (room for one more output port? one more input
+//! port?) identically at the two reserves, given the — still identical —
+//! committed state. The edge costs never read the reserve, so equal
+//! admissibility means an identical search result, and the replay stays
+//! exact. The fresh-intermediate rule needs equal reserves, so retries
+//! never take it.
 
 use crate::assign::SwitchAssignment;
 use crate::config::{FrequencyPlan, SynthesisConfig};
+use crate::dijkstra::{dijkstra, SearchScratch};
 use crate::flows::{inter_switch_flows, InterSwitchFlow};
-use crate::topology::{LinkKind, Route, Switch, SwitchId, TopoLink, Topology};
-use vi_noc_graph::{dijkstra, DiGraph, EdgeId, NodeId, SearchScratch};
+use crate::topology::{LinkId, LinkKind, Route, Switch, SwitchId, TopoLink, Topology};
+use std::cmp::Ordering;
+use std::ops::Range;
 use vi_noc_models::{Bandwidth, BisyncFifoModel, Frequency, LinkModel, Power, SwitchModel};
 use vi_noc_soc::{SocSpec, ViAssignment};
 
-/// Candidate (potential) link between two switches.
-#[derive(Debug, Clone)]
-struct Cand {
-    from: SwitchId,
-    to: SwitchId,
-    from_isl: usize,
-    to_isl: usize,
-    crossing: bool,
+/// The candidate link between two extended islands: every edge from a
+/// switch of the one to a switch of the other shares it.
+#[derive(Debug, Clone, Copy)]
+struct PairLink {
+    kind: LinkKind,
     length_mm: f64,
     capacity: Bandwidth,
 }
 
+/// One legal target block of a flow's search: the edges from a switch of
+/// extended island `from` into the switches of island `to`, priced for the
+/// flow.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    from: usize,
+    to: usize,
+    /// The edges touch the intermediate island, so they may use reserved
+    /// ports.
+    touches_mid: bool,
+    /// Load above which an edge is full: the capacity plus a `1e-9`
+    /// relative slack, so a flow that exactly fills the link is not
+    /// rejected by floating-point noise.
+    limit: f64,
+    /// An unopened edge has room for the flow.
+    fresh_fits: bool,
+    /// Pass-1 weight of an open edge.
+    reuse: f64,
+    /// Power of opening an edge, mW, before the port-scarcity term.
+    open_mw: f64,
+    /// Pass-1 latency term, `cost_latency_weight · hop · urgency`.
+    lat_term: f64,
+    /// Hop latency, the pass-2 weight.
+    hop: f64,
+}
+
 /// Everything shared by every candidate `(i, k)` of one sweep index `i`:
-/// the candidate switch graph (built once with `k_mid_max` intermediate
-/// switches), the instantiated power models, the bandwidth-ordered flow
-/// list, and the precomputed per-island port-growth idle-power deltas that
-/// the hot search loop previously recomputed per edge relaxation.
+/// the real-island switches, the candidate pair table, the
+/// bandwidth-ordered flow list and every flow's priced search blocks.
 pub(crate) struct AllocContext {
-    cand_graph: DiGraph<SwitchId, Cand>,
     /// Topology skeleton holding the real-island switches (no intermediate
-    /// switches, links or routes); cloned per candidate.
+    /// switches, links or routes); cloned per complete allocation.
     base_topo: Topology,
     flows: Vec<InterSwitchFlow>,
-    island_freq: Vec<Frequency>,
-    link_model: LinkModel,
-    fifo_model: BisyncFifoModel,
-    nominal_switch: SwitchModel,
-    /// Idle-power delta of growing the nominal 4×4 switch by one port, per
-    /// extended island (i.e. at that island's frequency). Indexed by
-    /// `island_ext`; the last entry is the intermediate island.
-    port_growth: Vec<Power>,
-    /// Number of real-island switches (intermediate switch `k` is graph
-    /// node / switch id `n_real + k`).
+    /// Each flow's blocks in `blocks`, aligned with `flows` (empty for a
+    /// same-switch flow), ordered by `from` and then by first target.
+    flow_blocks: Vec<Range<usize>>,
+    blocks: Vec<Block>,
+    /// Each flow's `W_in + W_out` for the fresh-intermediate replay (see
+    /// the module docs); NaN where the rule may not be taken.
+    fresh_bound: Vec<f64>,
+    /// The candidate link of every ordered extended-island pair, row-major.
+    pairs: Vec<PairLink>,
+    /// Number of real-island switches (intermediate switch `k` is switch
+    /// `n_real + k`).
     n_real: usize,
-    /// Intermediate switches the candidate graph was built with.
+    /// Intermediate switches the context was built with.
     k_mid_max: usize,
     /// Extended island index of the intermediate island.
     mid: usize,
-    min_lat_global: f64,
-    /// Per-switch size budget, including all `k_mid_max` mid switches.
+    /// Real island `j`'s switches are `island_start[j]..island_start[j + 1]`;
+    /// `island_start[mid] == n_real`.
+    island_start: Vec<usize>,
+    /// Extended island of every switch, all `k_mid_max` mid switches
+    /// included.
+    island_of: Vec<usize>,
+    /// Per-switch size budget.
     max_size: Vec<usize>,
     /// Initial per-switch port usage (attached cores; both directions).
     core_ports: Vec<usize>,
-    /// Switch indices of each real island (mid switches excluded), for the
-    /// reserve-invariance replay check of intra-island flows.
-    switches_of_island: Vec<Vec<usize>>,
 }
 
 impl AllocContext {
@@ -115,7 +183,9 @@ impl AllocContext {
 
         let mut base_topo =
             Topology::new(spec, n_islands, island_freq.clone(), cfg.link_width_bits);
+        let mut island_start = Vec::with_capacity(n_islands + 1);
         for (j, groups) in assignment.groups.iter().enumerate() {
+            island_start.push(base_topo.switches().len());
             for (g, cores) in groups.iter().enumerate() {
                 base_topo.add_switch(Switch {
                     name: format!("sw{j}.{g}"),
@@ -125,178 +195,421 @@ impl AllocContext {
             }
         }
         let n_real = base_topo.switches().len();
-        let n_switches = n_real + k_mid_max;
-
-        // Extended island of each graph node (mid switches come last).
-        let island_of = |s: usize| -> usize {
-            if s < n_real {
-                base_topo.switch(SwitchId(s)).island_ext
-            } else {
-                mid
-            }
-        };
+        island_start.push(n_real);
+        debug_assert_eq!(island_start.len(), n_islands + 1);
 
         // Pre-check: core counts alone must fit the switch size budgets
         // (intermediate switches carry no cores and can never fail this).
-        for s in 0..n_real {
-            let cores = base_topo.switch(SwitchId(s)).cores.len();
-            let max = plan.max_switch_size_ext(island_of(s));
-            if cores > max {
+        for sw in base_topo.switches() {
+            let max = plan.max_switch_size_ext(sw.island_ext);
+            if sw.cores.len() > max {
                 return Err(format!(
-                    "switch {} holds {cores} cores but max size is {max}",
-                    base_topo.switch(SwitchId(s)).name,
+                    "switch {} holds {} cores but max size is {max}",
+                    sw.name,
+                    sw.cores.len(),
                 ));
             }
         }
+        let real = base_topo.switches().iter();
+        let island_of: Vec<usize> = real
+            .clone()
+            .map(|sw| sw.island_ext)
+            .chain(std::iter::repeat_n(mid, k_mid_max))
+            .collect();
+        let core_ports: Vec<usize> = real
+            .map(|sw| sw.cores.len())
+            .chain(std::iter::repeat_n(0, k_mid_max))
+            .collect();
 
-        // --- Candidate graph over switches. ------------------------------
-        // Node i of the candidate graph is switch i; edges are all potential
-        // links permitted by the architecture (per-flow legality is filtered
-        // during the search). Built once per sweep index with the largest
-        // intermediate count; candidates with fewer active mid switches
-        // filter the extra nodes out in the admissibility check.
         let link_model = LinkModel::new(&cfg.technology, cfg.link_width_bits);
-        let fifo_model = BisyncFifoModel::new(&cfg.technology, cfg.link_width_bits);
-        let nominal_switch = SwitchModel::new(&cfg.technology, 4, 4, cfg.link_width_bits);
-
-        let mut cand_graph: DiGraph<SwitchId, Cand> =
-            DiGraph::with_capacity(n_switches, n_switches * n_switches.saturating_sub(1));
-        for s in 0..n_switches {
-            cand_graph.add_node(SwitchId(s));
-        }
-        for u in 0..n_switches {
-            for v in 0..n_switches {
-                if u == v {
-                    continue;
-                }
-                let iu = island_of(u);
-                let iv = island_of(v);
-                let crossing = iu != iv;
-                let length_mm = if !crossing {
-                    cfg.est_intra_link_mm
+        let pairs: Vec<PairLink> = (0..=mid)
+            .flat_map(|iu| (0..=mid).map(move |iv| (iu, iv)))
+            .map(|(iu, iv)| {
+                let (kind, length_mm) = if iu == iv {
+                    (LinkKind::Intra, cfg.est_intra_link_mm)
                 } else if iu == mid || iv == mid {
-                    cfg.est_mid_link_mm
+                    (LinkKind::Intermediate, cfg.est_mid_link_mm)
                 } else {
-                    cfg.est_inter_link_mm
+                    (LinkKind::InterDirect, cfg.est_inter_link_mm)
                 };
                 let f = Frequency::from_hz(island_freq[iu].hz().min(island_freq[iv].hz()));
-                let capacity = link_model.capacity(f);
-                cand_graph.add_edge(
-                    NodeId::from_index(u),
-                    NodeId::from_index(v),
-                    Cand {
-                        from: SwitchId(u),
-                        to: SwitchId(v),
-                        from_isl: iu,
-                        to_isl: iv,
-                        crossing,
-                        length_mm,
-                        capacity,
-                    },
-                );
-            }
-        }
+                PairLink {
+                    kind,
+                    length_mm,
+                    capacity: link_model.capacity(f),
+                }
+            })
+            .collect();
 
-        // The per-port idle-power delta the link-opening cost charges used
-        // to instantiate two `SwitchModel`s per edge relaxation; precompute
-        // it per island as nominal-grown-by-one-port minus nominal.
+        let max_size: Vec<usize> = island_of
+            .iter()
+            .map(|&j| plan.max_switch_size_ext(j))
+            .collect();
+        let flows = inter_switch_flows(spec, &base_topo);
+
+        let mut ctx = AllocContext {
+            base_topo,
+            flow_blocks: Vec::with_capacity(flows.len()),
+            blocks: Vec::new(),
+            fresh_bound: Vec::with_capacity(flows.len()),
+            flows,
+            pairs,
+            n_real,
+            k_mid_max,
+            mid,
+            island_start,
+            island_of,
+            max_size,
+            core_ports,
+        };
+        ctx.price_blocks(spec, plan, &island_freq, &link_model, cfg);
+        Ok(ctx)
+    }
+
+    /// Prices every flow's legal blocks and its fresh-intermediate bound.
+    fn price_blocks(
+        &mut self,
+        spec: &SocSpec,
+        plan: &FrequencyPlan,
+        island_freq: &[Frequency],
+        link_model: &LinkModel,
+        cfg: &SynthesisConfig,
+    ) {
+        let mid = self.mid;
+        let fifo_model = BisyncFifoModel::new(&cfg.technology, cfg.link_width_bits);
+        let nominal_switch = SwitchModel::new(&cfg.technology, 4, 4, cfg.link_width_bits);
+        // The idle-power delta of growing the nominal 4×4 switch by one
+        // port, per extended island: opening a link adds one output port at
+        // its source and one input at its destination.
         let grown = SwitchModel::new(&cfg.technology, 4, 5, cfg.link_width_bits);
         let port_growth: Vec<Power> = island_freq
             .iter()
             .map(|&f| grown.idle_power(f) - nominal_switch.idle_power(f))
             .collect();
-
-        let max_size: Vec<usize> = (0..n_switches)
-            .map(|s| plan.max_switch_size_ext(island_of(s)))
-            .collect();
-        let core_ports: Vec<usize> = (0..n_switches)
-            .map(|s| {
-                if s < n_real {
-                    base_topo.switch(SwitchId(s)).cores.len()
-                } else {
-                    0
-                }
-            })
-            .collect();
-
+        // Port-scarcity summand of a switch of island `j` with no port used.
+        let idle_scarcity =
+            |j: usize| f64::powi(2.0, -(plan.max_switch_size_ext(j).max(1) as i32 - 1));
         let min_lat_global = spec.min_latency_cycles().max(1) as f64;
-        let flows = inter_switch_flows(spec, &base_topo);
 
-        let mut switches_of_island: Vec<Vec<usize>> = vec![Vec::new(); n_islands];
-        for s in 0..n_real {
-            switches_of_island[island_of(s)].push(s);
+        for isf in &self.flows {
+            let start = self.blocks.len();
+            let (a, b) = (isf.src_island, isf.dst_island);
+            let legal: &[(usize, usize)] = if isf.src_switch == isf.dst_switch {
+                &[]
+            } else if a == b {
+                &[(a, a)]
+            } else {
+                &[
+                    (a, a.min(b)),
+                    (a, a.max(b)),
+                    (a, mid),
+                    (mid, b),
+                    (mid, mid),
+                    (b, b),
+                ]
+            };
+            let bw = isf.bandwidth;
+            let urgency = min_lat_global / isf.max_latency_cycles.max(1) as f64;
+            for &(from, to) in legal {
+                let pair = self.pairs[from * (mid + 1) + to];
+                let crossing = from != to;
+                // Marginal traffic power on this hop: wire + downstream
+                // switch datapath + converter, all for this flow's
+                // bandwidth.
+                let mut p =
+                    link_model.traffic_power(pair.length_mm, bw) + nominal_switch.traffic_power(bw);
+                if crossing {
+                    p += fifo_model.power(Frequency::ZERO, Frequency::ZERO, bw);
+                }
+                let reuse_mw = p.mw();
+                // Opening a new link pays its standing (idle/clock) power
+                // too: the converter's and two ports' worth of switch.
+                if crossing {
+                    p += fifo_model.power(island_freq[from], island_freq[to], Bandwidth::ZERO);
+                }
+                p += port_growth[from];
+                p += port_growth[to];
+                let hop = (cfg.link_delay_cycles + cfg.switch_delay_cycles) as f64
+                    + if crossing {
+                        BisyncFifoModel::CROSSING_LATENCY_CYCLES as f64
+                    } else {
+                        0.0
+                    };
+                let lat_term = cfg.cost_latency_weight * hop * urgency;
+                let limit = pair.capacity.bytes_per_s() * (1.0 + 1e-9);
+                self.blocks.push(Block {
+                    from,
+                    to,
+                    touches_mid: from == mid || to == mid,
+                    limit,
+                    fresh_fits: (Bandwidth::ZERO + bw).bytes_per_s().partial_cmp(&limit)
+                        != Some(Ordering::Greater),
+                    // A reused link pays no scarcity term.
+                    reuse: cfg.cost_power_weight * (reuse_mw + 0.0) + lat_term,
+                    open_mw: p.mw(),
+                    lat_term,
+                    hop,
+                });
+            }
+            let blocks = &self.blocks[start..];
+            let non_negative = cfg.cost_power_weight >= 0.0
+                && cfg.cost_port_scarcity >= 0.0
+                && blocks
+                    .iter()
+                    .all(|b| b.reuse >= 0.0 && b.open_mw >= 0.0 && b.lat_term >= 0.0);
+            let bound = if a != b && non_negative {
+                // The cheapest pass-1 cost of opening an edge of the block
+                // `from -> to`, at the scarcity of two switches with no
+                // port used.
+                let open_at_least = |from: usize, to: usize| {
+                    let blk = blocks.iter().find(|b| (b.from, b.to) == (from, to));
+                    let blk = blk.expect("inter-island flows have every mid block");
+                    let scarcity =
+                        cfg.cost_port_scarcity * (idle_scarcity(from) + idle_scarcity(to));
+                    cfg.cost_power_weight * (blk.open_mw + scarcity) + blk.lat_term
+                };
+                let mid_mid = open_at_least(mid, mid);
+                open_at_least(a, mid).min(mid_mid) + open_at_least(mid, b).min(mid_mid)
+            } else {
+                f64::NAN
+            };
+            self.flow_blocks.push(start..self.blocks.len());
+            self.fresh_bound.push(bound);
         }
+    }
 
-        Ok(AllocContext {
-            cand_graph,
-            base_topo,
-            flows,
-            island_freq,
-            link_model,
-            fifo_model,
-            nominal_switch,
-            port_growth,
-            n_real,
-            k_mid_max,
-            mid,
-            min_lat_global,
-            max_size,
-            core_ports,
-            switches_of_island,
-        })
+    /// The switches of real island `j`.
+    fn island_switches(&self, j: usize) -> Range<usize> {
+        self.island_start[j]..self.island_start[j + 1]
+    }
+
+    /// The endpoints of candidate edge `e`.
+    fn endpoints(&self, e: usize) -> (usize, usize) {
+        let n1 = self.island_of.len() - 1;
+        let (u, r) = (e / n1, e % n1);
+        (u, r + usize::from(r >= u))
+    }
+
+    /// The candidate link of edge `u -> v`.
+    fn pair_of(&self, u: usize, v: usize) -> PairLink {
+        self.pairs[self.island_of[u] * (self.mid + 1) + self.island_of[v]]
+    }
+
+    /// Zero-load latency of a path given as candidate edges.
+    fn path_latency(&self, path: &[usize], cfg: &SynthesisConfig) -> u32 {
+        let crossings = path
+            .iter()
+            .filter(|&&e| {
+                let (u, v) = self.endpoints(e);
+                self.island_of[u] != self.island_of[v]
+            })
+            .count() as u32;
+        route_latency(path.len() + 1, crossings, cfg)
     }
 }
 
-/// Mutable allocation state shared by the cost/filter closures.
-struct AllocState {
-    /// Open link id per candidate edge index (parallel to the cand graph).
-    open: Vec<Option<crate::topology::LinkId>>,
-    /// Load per candidate edge (mirrors the topology's link loads).
+/// Marks an unopened candidate edge in [`AllocScratch::open`].
+const CLOSED: usize = usize::MAX;
+
+/// The two passes of a flow's search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// The paper's cost: power increase plus urgency-weighted latency.
+    Cost,
+    /// Pure hop latency, when the cost-optimal path is too slow or absent.
+    Latency,
+}
+
+/// The buffers of one chain's allocation attempts, reused across them: the
+/// committed state of the current attempt and the search arenas.
+#[derive(Debug, Default)]
+pub(crate) struct AllocScratch {
+    /// Link id of every open candidate edge, [`CLOSED`] otherwise. Ids
+    /// count in opening order, the order [`Topology`] numbers links.
+    open: Vec<usize>,
+    /// Load per candidate edge (the topology's link loads).
     load: Vec<Bandwidth>,
     in_ports: Vec<usize>,
     out_ports: Vec<usize>,
-    max_size: Vec<usize>,
-    /// Ports per switch held back for links to/from the intermediate
-    /// island. Greedy bandwidth-ordered allocation can otherwise exhaust a
-    /// hub switch with direct links, stranding later flows whose only legal
-    /// route is indirect (they would need a mid link into the same switch).
-    /// Zero on the first attempt; the synthesis driver retries failed design
-    /// points with `reserve = k_mid`.
-    reserve: usize,
+    /// Links opened so far.
+    links: usize,
+    /// The search arenas; after a search, its shortest-path tree.
+    tree: SearchScratch,
+    /// The current flow's path, as candidate edges.
+    path: Vec<usize>,
 }
 
-impl AllocState {
-    /// Can this candidate edge accept `bw` more bandwidth (opening it if
-    /// necessary without blowing a switch size budget)?
-    fn admits(&self, e: usize, cand: &Cand, bw: Bandwidth, mid: usize) -> bool {
-        // Tiny relative slack so a flow that exactly fills the link is not
-        // rejected by floating-point noise.
-        if (self.load[e] + bw).bytes_per_s() > cand.capacity.bytes_per_s() * (1.0 + 1e-9) {
-            return false;
-        }
-        if self.open[e].is_some() {
-            return true;
-        }
-        let u = cand.from.index();
-        let v = cand.to.index();
-        // Links touching the intermediate island may use reserved ports.
-        let is_mid_link = cand.from_isl == mid || cand.to_isl == mid;
-        let reserve = if is_mid_link { 0 } else { self.reserve };
-        let u_size = self.in_ports[u].max(self.out_ports[u] + 1);
-        let v_size = (self.in_ports[v] + 1).max(self.out_ports[v]);
-        u_size + reserve <= self.max_size[u] && v_size + reserve <= self.max_size[v]
+impl AllocScratch {
+    /// Resets the committed state for a new attempt.
+    fn reset(&mut self, ctx: &AllocContext) {
+        let n = ctx.island_of.len();
+        let edges = n * n.saturating_sub(1);
+        self.open.clear();
+        self.open.resize(edges, CLOSED);
+        self.load.clear();
+        self.load.resize(edges, Bandwidth::ZERO);
+        self.in_ports.clone_from(&ctx.core_ports);
+        self.out_ports.clone_from(&ctx.core_ports);
+        self.links = 0;
     }
-}
 
-/// One flow's committed path, recorded for warm-starting the next
-/// intermediate-count candidate of the same sweep index.
-#[derive(Debug, Clone, PartialEq)]
-enum FlowPath {
-    /// Source and destination share a switch; no search ever runs.
-    OwnSwitch,
-    /// Path as candidate-graph edge ids (stable across the sweep index
-    /// because the graph is shared).
-    Edges(Vec<EdgeId>),
+    /// `true` when every switch in `switches` answers the two
+    /// port-admissibility questions of the search — room to grow by one
+    /// output port, room to grow by one input port — identically at port
+    /// reserves `r_a` and `r_b`, given the current state. Under that
+    /// condition an intra-island search's admissible edge set (and the
+    /// costs never read the reserve) is the same at both reserves, so its
+    /// result is too.
+    fn reserve_invariant(
+        &self,
+        max_size: &[usize],
+        mut switches: Range<usize>,
+        r_a: usize,
+        r_b: usize,
+    ) -> bool {
+        switches.all(|u| {
+            let grow_out = self.in_ports[u].max(self.out_ports[u] + 1);
+            let grow_in = (self.in_ports[u] + 1).max(self.out_ports[u]);
+            let max = max_size[u];
+            (grow_out + r_a <= max) == (grow_out + r_b <= max)
+                && (grow_in + r_a <= max) == (grow_in + r_b <= max)
+        })
+    }
+
+    /// One pass of flow `t`'s search with `k_mid` active intermediate
+    /// switches, from its source switch until its destination settles.
+    /// Leaves the path in [`AllocScratch::path`] and returns the
+    /// destination's distance, or `None` when no admissible path exists.
+    fn search(
+        &mut self,
+        ctx: &AllocContext,
+        t: usize,
+        k_mid: usize,
+        reserve: usize,
+        cfg: &SynthesisConfig,
+        pass: Pass,
+    ) -> Option<f64> {
+        let isf = &ctx.flows[t];
+        let blocks = &ctx.blocks[ctx.flow_blocks[t].clone()];
+        let (src, dst) = (isf.src_switch.index(), isf.dst_switch.index());
+        let n1 = ctx.island_of.len() - 1;
+        let n_active = ctx.n_real + k_mid;
+        let (open, load) = (&self.open, &self.load);
+        let (in_ports, out_ports) = (&self.in_ports, &self.out_ports);
+        let found = dijkstra(&mut self.tree, n_active, src, dst, |u, out| {
+            let iu = ctx.island_of[u];
+            let grow_out = in_ports[u].max(out_ports[u] + 1);
+            // Port scarcity: consuming one of the endpoints' last free
+            // ports is exponentially discouraged so hub switches keep
+            // ports for later flows (which may have no alternative).
+            let rem_out = ctx.max_size[u].saturating_sub(out_ports[u]).max(1);
+            let scarce_out = f64::powi(2.0, -(rem_out as i32 - 1));
+            for b in blocks.iter().filter(|b| b.from == iu) {
+                // Links touching the intermediate island may use reserved
+                // ports.
+                let r = if b.touches_mid { 0 } else { reserve };
+                let can_open = b.fresh_fits && grow_out + r <= ctx.max_size[u];
+                let targets = if b.to == ctx.mid {
+                    ctx.n_real..n_active
+                } else {
+                    ctx.island_switches(b.to)
+                };
+                for v in targets {
+                    if v == u || out.settled(v) {
+                        continue;
+                    }
+                    let e = u * n1 + v - usize::from(v > u);
+                    let w = if open[e] != CLOSED {
+                        if (load[e] + isf.bandwidth).bytes_per_s() > b.limit {
+                            continue;
+                        }
+                        match pass {
+                            Pass::Cost => b.reuse,
+                            Pass::Latency => b.hop,
+                        }
+                    } else {
+                        let grow_in = (in_ports[v] + 1).max(out_ports[v]);
+                        if !can_open || grow_in + r > ctx.max_size[v] {
+                            continue;
+                        }
+                        match pass {
+                            Pass::Cost => {
+                                let rem_in = ctx.max_size[v].saturating_sub(in_ports[v]).max(1);
+                                let scarcity = cfg.cost_port_scarcity
+                                    * (scarce_out + f64::powi(2.0, -(rem_in as i32 - 1)));
+                                cfg.cost_power_weight * (b.open_mw + scarcity) + b.lat_term
+                            }
+                            Pass::Latency => b.hop,
+                        }
+                    };
+                    out.relax(v, w);
+                }
+            }
+        });
+
+        self.path.clear();
+        let dist = found?;
+        let mut v = dst;
+        while let Some(u) = self.tree.predecessor(v) {
+            self.path.push(u * n1 + v - usize::from(v > u));
+            v = u;
+        }
+        self.path.reverse();
+        Some(dist)
+    }
+
+    /// Finds flow `t`'s path: first min-cost, then (if the latency
+    /// constraint is violated) min-latency as a fallback. Leaves it in
+    /// [`AllocScratch::path`] and returns its pass-1 distance when pass 1
+    /// chose it.
+    fn find_path(
+        &mut self,
+        ctx: &AllocContext,
+        t: usize,
+        k_mid: usize,
+        reserve: usize,
+        cfg: &SynthesisConfig,
+    ) -> Result<Option<f64>, String> {
+        let isf = &ctx.flows[t];
+        if let Some(d) = self.search(ctx, t, k_mid, reserve, cfg, Pass::Cost) {
+            if ctx.path_latency(&self.path, cfg) <= isf.max_latency_cycles {
+                return Ok(Some(d));
+            }
+        }
+        if self
+            .search(ctx, t, k_mid, reserve, cfg, Pass::Latency)
+            .is_none()
+        {
+            return Err(format!(
+                "flow {}: no shutdown-legal path with available capacity/ports",
+                isf.flow
+            ));
+        }
+        let latency = ctx.path_latency(&self.path, cfg);
+        if latency <= isf.max_latency_cycles {
+            Ok(None)
+        } else {
+            Err(format!(
+                "flow {} min latency {latency} exceeds constraint {}",
+                isf.flow, isf.max_latency_cycles
+            ))
+        }
+    }
+
+    /// Commits [`AllocScratch::path`] for a flow of bandwidth `bw`,
+    /// opening its unopened edges.
+    fn commit(&mut self, ctx: &AllocContext, bw: Bandwidth) {
+        for &e in &self.path {
+            if self.open[e] == CLOSED {
+                let (u, v) = ctx.endpoints(e);
+                self.open[e] = self.links;
+                self.links += 1;
+                self.out_ports[u] += 1;
+                self.in_ports[v] += 1;
+            }
+            self.load[e] += bw;
+        }
+    }
 }
 
 /// Committed paths of one allocation attempt, aligned with
@@ -304,11 +617,53 @@ enum FlowPath {
 /// attempt failed partway — the prefix is still a valid warm-start seed.
 #[derive(Debug, Default)]
 pub(crate) struct AllocRecord {
-    paths: Vec<FlowPath>,
+    /// Every committed flow's path as candidate edges (stable across the
+    /// sweep index because the context is shared), concatenated in flow
+    /// order; a same-switch flow's path is empty.
+    edges: Vec<usize>,
+    /// End of each committed flow's path in `edges`.
+    ends: Vec<usize>,
+    /// Each committed flow's pass-1 distance, when pass 1 chose its path.
+    pass1: Vec<Option<f64>>,
     /// Port reserve the recorded attempt ran at. Replaying a recorded path
     /// under a *different* reserve additionally requires
-    /// [`reserve_invariant`] to hold for the flow's island.
+    /// [`AllocScratch::reserve_invariant`] to hold for the flow's island.
     reserve: usize,
+    /// Intermediate switches the recorded attempt had.
+    k_mid: usize,
+    /// Flows the fresh-intermediate rule replayed.
+    #[cfg(test)]
+    fresh_replays: usize,
+}
+
+impl AllocRecord {
+    /// Empties the record for an attempt at `reserve` with `k_mid`
+    /// intermediate switches.
+    fn start(&mut self, reserve: usize, k_mid: usize) {
+        self.edges.clear();
+        self.ends.clear();
+        self.pass1.clear();
+        self.reserve = reserve;
+        self.k_mid = k_mid;
+        #[cfg(test)]
+        {
+            self.fresh_replays = 0;
+        }
+    }
+
+    fn push(&mut self, path: &[usize], pass1: Option<f64>) {
+        self.edges.extend_from_slice(path);
+        self.ends.push(self.edges.len());
+        self.pass1.push(pass1);
+    }
+
+    /// Flow `t`'s committed path and pass-1 distance, if the attempt got
+    /// that far.
+    fn path(&self, t: usize) -> Option<(&[usize], Option<f64>)> {
+        let end = *self.ends.get(t)?;
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        Some((&self.edges[start..end], self.pass1[t]))
+    }
 }
 
 /// Both attempts' records of one candidate evaluation — the warm-start seed
@@ -322,22 +677,6 @@ pub(crate) struct CandidateRecord {
     /// The port-reserve retry; present only when the reserve-0 attempt
     /// failed and the retry ran (its failed prefix is kept too).
     retry: Option<AllocRecord>,
-}
-
-/// `true` when every switch in `switches` answers the two
-/// port-admissibility questions of [`AllocState::admits`] — room to grow by
-/// one output port, room to grow by one input port — identically at port
-/// reserves `r_a` and `r_b`, given the current state. Under that condition
-/// an intra-island search's admissible edge set (and the costs never read
-/// the reserve) is the same at both reserves, so its result is too.
-fn reserve_invariant(state: &AllocState, switches: &[usize], r_a: usize, r_b: usize) -> bool {
-    switches.iter().all(|&u| {
-        let grow_out = state.in_ports[u].max(state.out_ports[u] + 1);
-        let grow_in = (state.in_ports[u] + 1).max(state.out_ports[u]);
-        let max = state.max_size[u];
-        (grow_out + r_a <= max) == (grow_out + r_b <= max)
-            && (grow_in + r_a <= max) == (grow_in + r_b <= max)
-    })
 }
 
 /// A successful allocation plus how it was obtained.
@@ -363,10 +702,10 @@ impl Allocation {
     ///
     /// An unused intermediate switch is an *interchangeable twin* of the
     /// extra switch the next candidate `(i, k+1)` would add: identical
-    /// island, frequency, ports, loads and edge costs, with a lower node
+    /// island, frequency, ports, loads and edge costs, with a lower switch
     /// id. A Dijkstra relaxation through the new switch can therefore
     /// never strictly improve a distance the twin does not already
-    /// provide, and the tie-breaking (smaller node id settles first,
+    /// provide, and the tie-breaking (smaller switch settles first,
     /// strict-`<` relaxation) always keeps the twin's paths — so every
     /// higher-count candidate of the sweep index reproduces this exact
     /// topology and is a [`crate::CandidateOutcome::Duplicate`] without
@@ -401,28 +740,29 @@ pub(crate) fn allocate_paths(
     cfg: &SynthesisConfig,
 ) -> Result<Topology, String> {
     let ctx = AllocContext::build(spec, vi, plan, assignment, k_mid, cfg)?;
-    let mut scratch = SearchScratch::new();
-    allocate_paths_warm(&ctx, k_mid, cfg, &mut scratch, None, None).map(|a| a.topology)
+    let mut scratch = AllocScratch::default();
+    let mut record = CandidateRecord::default();
+    allocate_paths_warm(&ctx, k_mid, cfg, &mut scratch, None, &mut record).map(|a| a.topology)
 }
 
 /// Allocates paths for the candidate with `k_mid` active intermediate
 /// switches, optionally warm-started from the previous candidate's
-/// [`CandidateRecord`] and recording this candidate's attempts into
+/// [`CandidateRecord`], and records this candidate's attempts into
 /// `record`.
 ///
 /// The result is bit-identical to a cold start: warm-starting only skips
 /// searches whose outcome is provably unchanged (see the module docs). On
 /// reserve-0 infeasibility the port-reserve retry runs, itself warm-started
 /// from the previous candidate's retry record when one exists — the
-/// differing reserves are handled by the [`reserve_invariant`] replay
-/// guard.
+/// differing reserves are handled by the
+/// [`AllocScratch::reserve_invariant`] replay guard.
 pub(crate) fn allocate_paths_warm(
     ctx: &AllocContext,
     k_mid: usize,
     cfg: &SynthesisConfig,
-    scratch: &mut SearchScratch,
+    scratch: &mut AllocScratch,
     prev: Option<&CandidateRecord>,
-    mut record: Option<&mut CandidateRecord>,
+    record: &mut CandidateRecord,
 ) -> Result<Allocation, String> {
     assert!(
         k_mid <= ctx.k_mid_max,
@@ -437,81 +777,66 @@ pub(crate) fn allocate_paths_warm(
         cfg,
         scratch,
         prev.map(|p| &p.main),
-        record.as_deref_mut().map(|r| &mut r.main),
+        &mut record.main,
     );
     match main {
-        Ok(topology) => {
-            if let Some(r) = record {
-                r.retry = None;
-            }
+        Ok(()) => {
+            record.retry = None;
             Ok(Allocation {
-                topology,
+                topology: build_topology(ctx, k_mid, cfg, scratch, &record.main),
                 via_retry: false,
             })
         }
         // Greedy direct-link opening may have stranded later flows on a
         // port-exhausted hub switch; retry holding ports back for
-        // intermediate-island links (see `AllocState::reserve`).
+        // intermediate-island links (see `try_allocate`).
         Err(first) if k_mid > 0 => {
             let prev_retry = prev.and_then(|p| p.retry.as_ref());
-            let retry_rec = record.map(|r| r.retry.insert(AllocRecord::default()));
-            try_allocate(ctx, k_mid, k_mid, cfg, scratch, prev_retry, retry_rec)
-                .map(|topology| Allocation {
-                    topology,
+            let retry = record.retry.get_or_insert_with(AllocRecord::default);
+            match try_allocate(ctx, k_mid, k_mid, cfg, scratch, prev_retry, retry) {
+                Ok(()) => Ok(Allocation {
+                    topology: build_topology(ctx, k_mid, cfg, scratch, retry),
                     via_retry: true,
-                })
-                .map_err(|_| first)
+                }),
+                Err(_) => Err(first),
+            }
         }
         Err(e) => {
-            if let Some(r) = record {
-                r.retry = None;
-            }
+            record.retry = None;
             Err(e)
         }
     }
 }
 
-/// One allocation attempt at a fixed port reserve.
+/// One allocation attempt at a fixed port reserve, recorded into `record`;
+/// a successful attempt leaves its committed state in `s` for
+/// [`build_topology`].
+///
+/// `reserve` is the number of ports per switch held back for links to or
+/// from the intermediate island. Greedy bandwidth-ordered allocation can
+/// otherwise exhaust a hub switch with direct links, stranding later flows
+/// whose only legal route is indirect (they would need a mid link into the
+/// same switch). It is zero on the first attempt; the port-reserve retry
+/// runs at `reserve = k_mid`.
 fn try_allocate(
     ctx: &AllocContext,
     k_mid: usize,
     reserve: usize,
     cfg: &SynthesisConfig,
-    scratch: &mut SearchScratch,
+    s: &mut AllocScratch,
     prev: Option<&AllocRecord>,
-    mut record: Option<&mut AllocRecord>,
-) -> Result<Topology, String> {
-    let mut topo = ctx.base_topo.clone();
-    for k in 0..k_mid {
-        topo.add_switch(Switch {
-            name: format!("mid.{k}"),
-            island_ext: ctx.mid,
-            cores: Vec::new(),
-        });
-    }
-
-    let mut state = AllocState {
-        open: vec![None; ctx.cand_graph.edge_count()],
-        load: vec![Bandwidth::ZERO; ctx.cand_graph.edge_count()],
-        in_ports: ctx.core_ports.clone(),
-        out_ports: ctx.core_ports.clone(),
-        max_size: ctx.max_size.clone(),
-        reserve,
-    };
-    if let Some(r) = record.as_deref_mut() {
-        r.paths.clear();
-        r.reserve = reserve;
-    }
+    record: &mut AllocRecord,
+) -> Result<(), String> {
+    s.reset(ctx);
+    record.start(reserve, k_mid);
 
     // Warm-start bookkeeping: while `diverged` is false, every flow
     // committed so far committed exactly the path the recorded run did, so
-    // the two runs' states are identical and recorded intra-island paths
-    // can be replayed without searching. When the recorded run used a
-    // different port reserve (consecutive retries), replay additionally
-    // needs the per-island reserve-invariance guard below.
+    // the two runs' states are identical and recorded paths can be
+    // replayed under the rules of the module docs.
     let prev_reserve = prev.map_or(reserve, |r| r.reserve);
+    let fresh_switches = prev.is_some_and(|r| r.reserve == reserve && r.k_mid < k_mid);
     let mut diverged = prev.is_none();
-    let mut path_buf: Vec<EdgeId> = Vec::new();
 
     for (t, isf) in ctx.flows.iter().enumerate() {
         if isf.src_switch == isf.dst_switch {
@@ -522,22 +847,14 @@ fn try_allocate(
                     isf.flow, isf.max_latency_cycles
                 ));
             }
-            topo.set_route(Route {
-                flow: isf.flow,
-                switches: vec![isf.src_switch],
-                latency_cycles: latency,
-                crossings: 0,
-            });
-            if let Some(r) = record.as_deref_mut() {
-                r.paths.push(FlowPath::OwnSwitch);
-            }
+            record.push(&[], None);
             continue;
         }
 
-        let prev_path = if diverged {
+        let recorded = if diverged {
             None
         } else {
-            let p = prev.and_then(|r| r.paths.get(t));
+            let p = prev.and_then(|r| r.path(t));
             if p.is_none() {
                 // The recorded run ended here (it failed at this flow);
                 // beyond this point its state is unknown.
@@ -546,238 +863,118 @@ fn try_allocate(
             p
         };
 
-        let replayable = matches!(prev_path, Some(FlowPath::Edges(_)))
-            && isf.src_island == isf.dst_island
-            && (prev_reserve == reserve
-                || reserve_invariant(
-                    &state,
-                    &ctx.switches_of_island[isf.src_island],
-                    prev_reserve,
-                    reserve,
-                ));
-        if replayable {
-            // Intra-island searches admit only edges inside the source
-            // island, which the intermediate-count change cannot touch —
-            // and any reserve difference is screened off by the invariance
-            // guard above. With identical state the search would return
-            // the recorded path verbatim, so skip it.
-            let Some(FlowPath::Edges(edges)) = prev_path else {
-                unreachable!()
-            };
-            path_buf.clear();
-            path_buf.extend_from_slice(edges);
-        } else {
-            find_path(ctx, &state, isf, k_mid, cfg, scratch, &mut path_buf)?;
-            if let Some(FlowPath::Edges(edges)) = prev_path {
-                if path_buf != *edges {
+        let replay = match recorded {
+            // Intra-island searches stay inside the source island, which
+            // the intermediate-count change cannot touch, and any reserve
+            // difference is screened off by the invariance guard.
+            Some(_) if isf.src_island == isf.dst_island => {
+                prev_reserve == reserve
+                    || s.reserve_invariant(
+                        &ctx.max_size,
+                        ctx.island_switches(isf.src_island),
+                        prev_reserve,
+                        reserve,
+                    )
+            }
+            // No fresh intermediate switch can undercut the recorded
+            // pass-1 distance.
+            Some((_, Some(d))) => fresh_switches && ctx.fresh_bound[t] > d,
+            _ => false,
+        };
+        let pass1 = match recorded {
+            Some((path, pass1)) if replay => {
+                if cfg!(debug_assertions) && isf.src_island != isf.dst_island {
+                    let searched = s.find_path(ctx, t, k_mid, reserve, cfg);
+                    assert!(
+                        searched.is_ok_and(|d| d.map(f64::to_bits) == pass1.map(f64::to_bits))
+                            && s.path == path,
+                        "flow {}: the fresh-intermediate replay differs from its search",
+                        isf.flow
+                    );
+                }
+                #[cfg(test)]
+                {
+                    record.fresh_replays += usize::from(isf.src_island != isf.dst_island);
+                }
+                s.path.clear();
+                s.path.extend_from_slice(path);
+                pass1
+            }
+            _ => {
+                let pass1 = s.find_path(ctx, t, k_mid, reserve, cfg)?;
+                if recorded.is_some_and(|(path, _)| s.path != path) {
                     diverged = true;
                 }
-            } else {
-                debug_assert!(
-                    prev_path.is_none(),
-                    "same-switch classification is state-independent"
-                );
+                pass1
             }
-        }
+        };
+        debug_assert!(ctx.path_latency(&s.path, cfg) <= isf.max_latency_cycles);
+        s.commit(ctx, isf.bandwidth);
+        record.push(&s.path, pass1);
+    }
+    Ok(())
+}
 
-        // Commit the path.
+/// Builds the topology of a complete attempt: replays `record`'s paths in
+/// flow order — the attempt's `open_link`/`add_load`/`set_route` sequence,
+/// so every link gets the id the attempt gave it — then prunes unused
+/// intermediate switches.
+fn build_topology(
+    ctx: &AllocContext,
+    k_mid: usize,
+    cfg: &SynthesisConfig,
+    s: &AllocScratch,
+    record: &AllocRecord,
+) -> Topology {
+    let mut topo = ctx.base_topo.clone();
+    for k in 0..k_mid {
+        topo.add_switch(Switch {
+            name: format!("mid.{k}"),
+            island_ext: ctx.mid,
+            cores: Vec::new(),
+        });
+    }
+    for (t, isf) in ctx.flows.iter().enumerate() {
+        let (path, _) = record.path(t).expect("a complete record holds every flow");
         let mut switches = vec![isf.src_switch];
         let mut crossings = 0u32;
-        for &e in &path_buf {
-            let cand = ctx.cand_graph.edge(e);
-            if cand.crossing {
+        for &e in path {
+            let (u, v) = ctx.endpoints(e);
+            let pair = ctx.pair_of(u, v);
+            if pair.kind != LinkKind::Intra {
                 crossings += 1;
             }
-            let ei = e.index();
-            if state.open[ei].is_none() {
-                let kind = if !cand.crossing {
-                    LinkKind::Intra
-                } else if cand.from_isl == ctx.mid || cand.to_isl == ctx.mid {
-                    LinkKind::Intermediate
-                } else {
-                    LinkKind::InterDirect
-                };
-                let lid = topo.open_link(TopoLink {
-                    from: cand.from,
-                    to: cand.to,
-                    capacity: cand.capacity,
+            let link = s.open[e];
+            if link == topo.links().len() {
+                topo.open_link(TopoLink {
+                    from: SwitchId(u),
+                    to: SwitchId(v),
+                    capacity: pair.capacity,
                     load: Bandwidth::ZERO,
-                    kind,
-                    length_mm: cand.length_mm,
+                    kind: pair.kind,
+                    length_mm: pair.length_mm,
                 });
-                state.open[ei] = Some(lid);
-                state.out_ports[cand.from.index()] += 1;
-                state.in_ports[cand.to.index()] += 1;
             }
-            let lid = state.open[ei].expect("just opened");
-            topo.add_load(lid, isf.bandwidth);
-            state.load[ei] += isf.bandwidth;
-            switches.push(cand.to);
-        }
-        let latency = route_latency(switches.len(), crossings, cfg);
-        if latency > isf.max_latency_cycles {
-            return Err(format!(
-                "flow {} routed latency {latency} exceeds constraint {}",
-                isf.flow, isf.max_latency_cycles
-            ));
+            topo.add_load(LinkId(link), isf.bandwidth);
+            switches.push(SwitchId(v));
         }
         topo.set_route(Route {
             flow: isf.flow,
+            latency_cycles: route_latency(switches.len(), crossings, cfg),
             switches,
-            latency_cycles: latency,
             crossings,
         });
-        if let Some(r) = record.as_deref_mut() {
-            r.paths.push(FlowPath::Edges(path_buf.clone()));
-        }
     }
-
+    debug_assert_eq!(topo.links().len(), s.links);
     topo.prune_unused_intermediate();
-    Ok(topo)
-}
-
-/// Finds the path for one flow: first min-cost, then (if the latency
-/// constraint is violated) min-latency as a fallback. Writes the edge
-/// sequence into `out`.
-fn find_path(
-    ctx: &AllocContext,
-    state: &AllocState,
-    isf: &InterSwitchFlow,
-    k_mid: usize,
-    cfg: &SynthesisConfig,
-    scratch: &mut SearchScratch,
-    out: &mut Vec<EdgeId>,
-) -> Result<(), String> {
-    let src = NodeId::from_index(isf.src_switch.index());
-    let dst = NodeId::from_index(isf.dst_switch.index());
-    let bw = isf.bandwidth;
-    let (src_isl, dst_isl) = (isf.src_island, isf.dst_island);
-    let mid = ctx.mid;
-    let n_active = ctx.n_real + k_mid;
-
-    let admit = |e: EdgeId, cand: &Cand| -> bool {
-        // Intermediate switches beyond this candidate's count exist in the
-        // shared graph but are inactive. The search only ever relaxes edges
-        // out of reachable (hence active) nodes, so screening the target is
-        // enough to keep it inside the active subgraph.
-        if cand.to.index() >= n_active {
-            return false;
-        }
-        let legal = if src_isl == dst_isl {
-            // Intra-island flows never leave their island.
-            cand.from_isl == src_isl && cand.to_isl == src_isl
-        } else {
-            let (a, b) = (cand.from_isl, cand.to_isl);
-            (a == b && (a == src_isl || a == dst_isl))
-                || (a == src_isl && b == dst_isl)
-                || (a == src_isl && b == mid)
-                || (a == mid && b == dst_isl)
-                || (a == mid && b == mid)
-        };
-        legal && state.admits(e.index(), cand, bw, mid)
-    };
-
-    let urgency = ctx.min_lat_global / isf.max_latency_cycles.max(1) as f64;
-    let power_cost = |e: EdgeId, cand: &Cand| -> f64 {
-        // Marginal traffic power on this hop: wire + downstream switch
-        // datapath + converter, all for this flow's bandwidth.
-        let mut p =
-            ctx.link_model.traffic_power(cand.length_mm, bw) + ctx.nominal_switch.traffic_power(bw);
-        if cand.crossing {
-            p += ctx.fifo_model.power(Frequency::ZERO, Frequency::ZERO, bw);
-        }
-        // Opening a new link pays its standing (idle/clock) power too.
-        let mut scarcity = 0.0;
-        if state.open[e.index()].is_none() {
-            let fu = ctx.island_freq[cand.from_isl];
-            let fv = ctx.island_freq[cand.to_isl];
-            if cand.crossing {
-                p += ctx.fifo_model.power(fu, fv, Bandwidth::ZERO);
-            }
-            // One extra output port at `from`, one extra input at `to`:
-            // approximate with the nominal switch's per-port idle delta,
-            // precomputed per island in the context.
-            p += ctx.port_growth[cand.from_isl];
-            p += ctx.port_growth[cand.to_isl];
-            // Port scarcity: consuming one of the endpoints' last free
-            // ports is exponentially discouraged so hub switches keep
-            // ports for later flows (which may have no alternative).
-            let u = cand.from.index();
-            let v = cand.to.index();
-            let rem_out = state.max_size[u].saturating_sub(state.out_ports[u]).max(1);
-            let rem_in = state.max_size[v].saturating_sub(state.in_ports[v]).max(1);
-            scarcity = cfg.cost_port_scarcity
-                * (f64::powi(2.0, -(rem_out as i32 - 1)) + f64::powi(2.0, -(rem_in as i32 - 1)));
-        }
-        p.mw() + scarcity
-    };
-    let hop_latency = |cand: &Cand| -> f64 {
-        (cfg.link_delay_cycles + cfg.switch_delay_cycles) as f64
-            + if cand.crossing {
-                BisyncFifoModel::CROSSING_LATENCY_CYCLES as f64
-            } else {
-                0.0
-            }
-    };
-
-    // Pass 1: paper cost = linear combination of power increase and latency.
-    dijkstra(
-        &ctx.cand_graph,
-        src,
-        Some(dst),
-        |e, cand| {
-            cfg.cost_power_weight * power_cost(e, cand)
-                + cfg.cost_latency_weight * hop_latency(cand) * urgency
-        },
-        admit,
-        scratch,
-    );
-    if scratch.path_edges_into(dst, out) {
-        let crossings = out
-            .iter()
-            .filter(|&&e| ctx.cand_graph.edge(e).crossing)
-            .count() as u32;
-        let latency = route_latency(out.len() + 1, crossings, cfg);
-        if latency <= isf.max_latency_cycles {
-            return Ok(());
-        }
-    }
-
-    // Pass 2: pure latency (the cost-optimal path was too slow or absent).
-    dijkstra(
-        &ctx.cand_graph,
-        src,
-        Some(dst),
-        |_, cand| hop_latency(cand),
-        admit,
-        scratch,
-    );
-    if scratch.path_edges_into(dst, out) {
-        let crossings = out
-            .iter()
-            .filter(|&&e| ctx.cand_graph.edge(e).crossing)
-            .count() as u32;
-        let latency = route_latency(out.len() + 1, crossings, cfg);
-        if latency <= isf.max_latency_cycles {
-            Ok(())
-        } else {
-            Err(format!(
-                "flow {} min latency {latency} exceeds constraint {}",
-                isf.flow, isf.max_latency_cycles
-            ))
-        }
-    } else {
-        Err(format!(
-            "flow {}: no shutdown-legal path with available capacity/ports",
-            isf.flow
-        ))
-    }
+    topo
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assign::{island_switch_assignment, switch_counts_for_sweep};
+    use crate::bellman_ford::bellman_ford;
     use crate::vcg::build_vcg;
     use vi_noc_soc::{benchmarks, partition};
 
@@ -952,13 +1149,14 @@ mod tests {
         let counts = switch_counts_for_sweep(&vcgs, &plan, 1);
         let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
 
-        let mut scratch = SearchScratch::new();
+        let mut scratch = AllocScratch::default();
         for k_mid in 0..=3usize {
             let exact = AllocContext::build(&soc, &vi, &plan, &asg, k_mid, &cfg).unwrap();
             let oversized = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
-            let a = allocate_paths_warm(&exact, k_mid, &cfg, &mut scratch, None, None)
+            let mut record = CandidateRecord::default();
+            let a = allocate_paths_warm(&exact, k_mid, &cfg, &mut scratch, None, &mut record)
                 .map(|a| a.topology);
-            let b = allocate_paths_warm(&oversized, k_mid, &cfg, &mut scratch, None, None)
+            let b = allocate_paths_warm(&oversized, k_mid, &cfg, &mut scratch, None, &mut record)
                 .map(|a| a.topology);
             match (a, b) {
                 (Ok(ta), Ok(tb)) => assert_eq!(ta, tb, "k_mid={k_mid}"),
@@ -973,21 +1171,19 @@ mod tests {
     /// neither inequality flips between them.
     #[test]
     fn reserve_invariance_guard() {
-        let state = AllocState {
-            open: Vec::new(),
-            load: Vec::new(),
+        let state = AllocScratch {
             in_ports: vec![2, 2],
             out_ports: vec![2, 6],
-            max_size: vec![8, 8],
-            reserve: 0,
+            ..AllocScratch::default()
         };
+        let max_size = [8, 8];
         // Switch 0 grows to 3 ports either way: 3+1 and 3+2 both fit in 8.
-        assert!(reserve_invariant(&state, &[0], 1, 2));
+        assert!(state.reserve_invariant(&max_size, 0..1, 1, 2));
         // Switch 1's output growth needs 7 ports: 7+1 fits, 7+2 does not.
-        assert!(!reserve_invariant(&state, &[1], 1, 2));
-        assert!(!reserve_invariant(&state, &[0, 1], 1, 2));
+        assert!(!state.reserve_invariant(&max_size, 1..2, 1, 2));
+        assert!(!state.reserve_invariant(&max_size, 0..2, 1, 2));
         // Equal reserves are trivially invariant even on the tight switch.
-        assert!(reserve_invariant(&state, &[0, 1], 2, 2));
+        assert!(state.reserve_invariant(&max_size, 0..2, 2, 2));
     }
 
     /// The port-reserve retry must actually fire somewhere in the d26
@@ -1015,7 +1211,7 @@ mod tests {
                 let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
                 let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
                 let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
-                let mut scratch = SearchScratch::new();
+                let mut scratch = AllocScratch::default();
                 let mut prev: Option<CandidateRecord> = None;
                 for k_mid in 0..=4usize {
                     let mut rec = CandidateRecord::default();
@@ -1025,9 +1221,16 @@ mod tests {
                         &cfg,
                         &mut scratch,
                         prev.as_ref(),
-                        Some(&mut rec),
+                        &mut rec,
                     );
-                    let cold = allocate_paths_warm(&ctx, k_mid, &cfg, &mut scratch, None, None);
+                    let cold = allocate_paths_warm(
+                        &ctx,
+                        k_mid,
+                        &cfg,
+                        &mut scratch,
+                        None,
+                        &mut CandidateRecord::default(),
+                    );
                     let label = format!("islands={k_islands} sweep={sweep} k={k_mid}");
                     match (&warm, &cold) {
                         (Ok(aw), Ok(ac)) => {
@@ -1074,7 +1277,7 @@ mod tests {
                 let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
                 let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
                 let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
-                let mut scratch = SearchScratch::new();
+                let mut scratch = AllocScratch::default();
                 let mut prev: Option<CandidateRecord> = None;
                 for k_mid in 0..=4usize {
                     let mut rec = CandidateRecord::default();
@@ -1084,11 +1287,18 @@ mod tests {
                         &cfg,
                         &mut scratch,
                         prev.as_ref(),
-                        Some(&mut rec),
+                        &mut rec,
                     )
                     .map(|a| a.topology);
-                    let cold = allocate_paths_warm(&ctx, k_mid, &cfg, &mut scratch, None, None)
-                        .map(|a| a.topology);
+                    let cold = allocate_paths_warm(
+                        &ctx,
+                        k_mid,
+                        &cfg,
+                        &mut scratch,
+                        None,
+                        &mut CandidateRecord::default(),
+                    )
+                    .map(|a| a.topology);
                     match (&warm, &cold) {
                         (Ok(tw), Ok(tc)) => {
                             assert_eq!(tw, tc, "islands={k_islands} sweep={sweep} k={k_mid}")
@@ -1104,5 +1314,284 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The fresh-intermediate replay must actually fire on the d26 chains
+    /// (every replay is re-searched and compared in debug builds, so this
+    /// also exercises that check), and the warm chain must still match the
+    /// cold evaluation of every candidate.
+    #[test]
+    fn fresh_intermediate_replay_fires_on_d26() {
+        let soc = benchmarks::d26_mobile();
+        let vi = partition::logical_partition(&soc, 6).unwrap();
+        let cfg = SynthesisConfig::default();
+        let plan = FrequencyPlan::compute(&soc, &vi, &cfg);
+        let vcgs: Vec<_> = (0..6).map(|j| build_vcg(&soc, &vi, j, &cfg)).collect();
+        let mut replays = 0;
+        for sweep in 1..=3usize {
+            let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
+            let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
+            let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
+            let mut scratch = AllocScratch::default();
+            let mut prev: Option<CandidateRecord> = None;
+            for k_mid in 0..=4usize {
+                let mut rec = CandidateRecord::default();
+                let warm =
+                    allocate_paths_warm(&ctx, k_mid, &cfg, &mut scratch, prev.as_ref(), &mut rec)
+                        .map(|a| a.topology);
+                let cold = allocate_paths(&soc, &vi, &plan, &asg, k_mid, &cfg);
+                assert_eq!(warm, cold, "sweep={sweep} k={k_mid}");
+                replays += rec.main.fresh_replays;
+                prev = Some(rec);
+            }
+        }
+        assert!(replays > 0, "the fresh-intermediate replay never fired");
+    }
+
+    /// A negative cost weight from a Rust caller (ingestion rejects one in
+    /// a scenario) turns the fresh-intermediate replay off and still
+    /// allocates: settled switches are never re-pointed, so no predecessor
+    /// cycle can form.
+    #[test]
+    fn negative_weights_fall_back_to_searching() {
+        let soc = benchmarks::d26_mobile();
+        let vi = partition::logical_partition(&soc, 6).unwrap();
+        let cfg = SynthesisConfig {
+            cost_power_weight: -1.0,
+            ..SynthesisConfig::default()
+        };
+        let plan = FrequencyPlan::compute(&soc, &vi, &cfg);
+        let vcgs: Vec<_> = (0..6).map(|j| build_vcg(&soc, &vi, j, &cfg)).collect();
+        let counts = switch_counts_for_sweep(&vcgs, &plan, 1);
+        let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
+        let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
+        assert!(ctx.fresh_bound.iter().all(|b| b.is_nan()));
+        let mut scratch = AllocScratch::default();
+        let mut prev: Option<CandidateRecord> = None;
+        for k_mid in 0..=4usize {
+            let mut rec = CandidateRecord::default();
+            let _ = allocate_paths_warm(&ctx, k_mid, &cfg, &mut scratch, prev.as_ref(), &mut rec);
+            assert_eq!(rec.main.fresh_replays, 0);
+            prev = Some(rec);
+        }
+    }
+
+    /// The allocator's search over the explicit candidate edge list, as
+    /// the allocator ran it before the blocked search: the shutdown rule as
+    /// an edge filter, every weight priced per edge from the models, every
+    /// admitted out-edge relaxed (settled targets included). Returns the destination's distance and path, and
+    /// the Bellman–Ford distance over the same admitted edges.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_search(
+        ctx: &AllocContext,
+        s: &AllocScratch,
+        spec: &SocSpec,
+        plan: &FrequencyPlan,
+        cfg: &SynthesisConfig,
+        t: usize,
+        k_mid: usize,
+        reserve: usize,
+        pass: Pass,
+    ) -> (Option<(f64, Vec<usize>)>, f64) {
+        let isf = &ctx.flows[t];
+        let (a, b, mid) = (isf.src_island, isf.dst_island, ctx.mid);
+        let n = ctx.island_of.len();
+        let n_active = ctx.n_real + k_mid;
+        let freq = |j: usize| {
+            if j == mid {
+                plan.intermediate_frequency()
+            } else {
+                plan.frequency(j)
+            }
+        };
+        let link_model = LinkModel::new(&cfg.technology, cfg.link_width_bits);
+        let fifo_model = BisyncFifoModel::new(&cfg.technology, cfg.link_width_bits);
+        let nominal = SwitchModel::new(&cfg.technology, 4, 4, cfg.link_width_bits);
+        let grown = SwitchModel::new(&cfg.technology, 4, 5, cfg.link_width_bits);
+        let urgency =
+            spec.min_latency_cycles().max(1) as f64 / isf.max_latency_cycles.max(1) as f64;
+        let bw = isf.bandwidth;
+
+        // (from, to, weight) of every admitted edge, by edge id.
+        let mut edges: Vec<Option<(usize, usize, f64)>> = Vec::new();
+        for u in 0..n {
+            for v in (0..n).filter(|&v| v != u) {
+                let e = edges.len();
+                assert_eq!(e, u * (n - 1) + v - usize::from(v > u));
+                let (iu, iv) = (ctx.island_of[u], ctx.island_of[v]);
+                let legal = if a == b {
+                    iu == a && iv == a
+                } else {
+                    (iu == iv && (iu == a || iu == b))
+                        || (iu == a && (iv == b || iv == mid))
+                        || (iu == mid && (iv == b || iv == mid))
+                };
+                let crossing = iu != iv;
+                let length = if !crossing {
+                    cfg.est_intra_link_mm
+                } else if iu == mid || iv == mid {
+                    cfg.est_mid_link_mm
+                } else {
+                    cfg.est_inter_link_mm
+                };
+                let capacity =
+                    link_model.capacity(Frequency::from_hz(freq(iu).hz().min(freq(iv).hz())));
+                let open = s.open[e] != CLOSED;
+                let r = if iu == mid || iv == mid { 0 } else { reserve };
+                let admitted = v < n_active
+                    && legal
+                    && (s.load[e] + bw).bytes_per_s() <= capacity.bytes_per_s() * (1.0 + 1e-9)
+                    && (open
+                        || (s.in_ports[u].max(s.out_ports[u] + 1) + r <= ctx.max_size[u]
+                            && (s.in_ports[v] + 1).max(s.out_ports[v]) + r <= ctx.max_size[v]));
+                let hop = (cfg.link_delay_cycles + cfg.switch_delay_cycles) as f64
+                    + if crossing {
+                        BisyncFifoModel::CROSSING_LATENCY_CYCLES as f64
+                    } else {
+                        0.0
+                    };
+                let mut p = link_model.traffic_power(length, bw) + nominal.traffic_power(bw);
+                if crossing {
+                    p += fifo_model.power(Frequency::ZERO, Frequency::ZERO, bw);
+                }
+                let mut scarcity = 0.0;
+                if !open {
+                    if crossing {
+                        p += fifo_model.power(freq(iu), freq(iv), Bandwidth::ZERO);
+                    }
+                    p += grown.idle_power(freq(iu)) - nominal.idle_power(freq(iu));
+                    p += grown.idle_power(freq(iv)) - nominal.idle_power(freq(iv));
+                    let rem_out = ctx.max_size[u].saturating_sub(s.out_ports[u]).max(1);
+                    let rem_in = ctx.max_size[v].saturating_sub(s.in_ports[v]).max(1);
+                    scarcity = cfg.cost_port_scarcity
+                        * (f64::powi(2.0, -(rem_out as i32 - 1))
+                            + f64::powi(2.0, -(rem_in as i32 - 1)));
+                }
+                let w = match pass {
+                    Pass::Cost => {
+                        cfg.cost_power_weight * (p.mw() + scarcity)
+                            + cfg.cost_latency_weight * hop * urgency
+                    }
+                    Pass::Latency => hop,
+                };
+                edges.push(admitted.then_some((u, v, w)));
+            }
+        }
+
+        let (src, dst) = (isf.src_switch.index(), isf.dst_switch.index());
+        let mut tree = SearchScratch::default();
+        let found = dijkstra(&mut tree, n, src, dst, |u, out| {
+            for &(_, v, w) in edges[u * (n - 1)..(u + 1) * (n - 1)].iter().flatten() {
+                out.relax(v, w);
+            }
+        })
+        .map(|d| {
+            let mut path = Vec::new();
+            let mut v = dst;
+            while let Some(u) = tree.predecessor(v) {
+                path.push(u * (n - 1) + v - usize::from(v > u));
+                v = u;
+            }
+            path.reverse();
+            (d, path)
+        });
+        let admitted: Vec<_> = edges.iter().flatten().copied().collect();
+        let bf = bellman_ford(n, src, &admitted).expect("non-negative weights");
+        (found, bf[dst])
+    }
+
+    /// The island-blocked search returns, bit for bit, the distance and
+    /// path of the generic Dijkstra it replaces, the distance is optimal
+    /// (Bellman–Ford agrees), the path walks admitted shutdown-legal edges
+    /// from source to destination, and a fresh scratch with the same
+    /// committed state gives the same answer as the reused one. Covers both
+    /// passes, reserves 0 and `k`, growing committed states and
+    /// unreachable destinations.
+    #[test]
+    fn blocked_search_matches_bellman_ford() {
+        let d26 = benchmarks::d26_mobile();
+        let d36 = benchmarks::d36_tablet();
+        let cases = [
+            (&d26, partition::logical_partition(&d26, 6).unwrap(), 1),
+            (&d26, partition::logical_partition(&d26, 6).unwrap(), 2),
+            (
+                &d36,
+                partition::communication_partition(&d36, 7, 1).unwrap(),
+                1,
+            ),
+        ];
+        let cfg = SynthesisConfig::default();
+        let (mut searched, mut unreachable) = (0, 0);
+        for (soc, vi, sweep) in cases {
+            let plan = FrequencyPlan::compute(soc, &vi, &cfg);
+            let vcgs: Vec<_> = (0..vi.island_count())
+                .map(|j| build_vcg(soc, &vi, j, &cfg))
+                .collect();
+            let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
+            let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
+            let ctx = AllocContext::build(soc, &vi, &plan, &asg, 3, &cfg).unwrap();
+            for k_mid in [0, 3] {
+                let mut s = AllocScratch::default();
+                s.reset(&ctx);
+                for (t, isf) in ctx.flows.iter().enumerate() {
+                    if isf.src_switch == isf.dst_switch {
+                        continue;
+                    }
+                    for (pass, reserve) in
+                        [(Pass::Cost, 0), (Pass::Latency, 0), (Pass::Cost, k_mid)]
+                    {
+                        let label = format!(
+                            "{} sweep {sweep} k={k_mid} flow {t} {pass:?} r={reserve}",
+                            soc.name()
+                        );
+                        let got = s.search(&ctx, t, k_mid, reserve, &cfg, pass);
+                        let (want, bf) =
+                            reference_search(&ctx, &s, soc, &plan, &cfg, t, k_mid, reserve, pass);
+                        match (&got, &want) {
+                            (Some(d), Some((wd, wpath))) => {
+                                assert_eq!(d.to_bits(), wd.to_bits(), "{label}");
+                                assert_eq!(&s.path, wpath, "{label}");
+                                assert!(
+                                    (d - bf).abs() <= 1e-9 * bf.max(1.0),
+                                    "{label}: {d} vs {bf}"
+                                );
+                                let mut at = isf.src_switch.index();
+                                for &e in &s.path {
+                                    let (u, v) = ctx.endpoints(e);
+                                    assert_eq!(u, at, "{label}: the path is not a walk");
+                                    at = v;
+                                }
+                                assert_eq!(at, isf.dst_switch.index(), "{label}");
+                                searched += 1;
+                            }
+                            (None, None) => {
+                                assert!(bf.is_infinite(), "{label}");
+                                unreachable += 1;
+                            }
+                            _ => panic!("{label}: {got:?} vs {want:?}"),
+                        }
+                        let mut fresh = AllocScratch {
+                            open: s.open.clone(),
+                            load: s.load.clone(),
+                            in_ports: s.in_ports.clone(),
+                            out_ports: s.out_ports.clone(),
+                            ..AllocScratch::default()
+                        };
+                        let again = fresh.search(&ctx, t, k_mid, reserve, &cfg, pass);
+                        assert_eq!(again.map(f64::to_bits), got.map(f64::to_bits), "{label}");
+                        assert_eq!(fresh.path, s.path, "{label}");
+                    }
+                    // Commit as an attempt would, growing the state.
+                    match s.find_path(&ctx, t, k_mid, 0, &cfg) {
+                        Ok(_) => s.commit(&ctx, isf.bandwidth),
+                        Err(_) => break,
+                    }
+                }
+            }
+        }
+        assert!(
+            searched > 0 && unreachable > 0,
+            "{searched} found, {unreachable} unreachable"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The motivation of the whole paper: once the NoC supports it, shutting
 //! down the islands that a use case leaves idle removes their leakage —
-//! "even 25% or more reduction in overall system power" (§5, citing [6]).
+//! "even 25% or more reduction in overall system power" (§5, citing \[6\]).
 
 use crate::config::SynthesisConfig;
 use crate::metrics::{ni_demands, price, route_loads};

@@ -17,11 +17,11 @@
 //! The fan-out unit is a chain, not a single candidate, because all
 //! intermediate-count candidates of one sweep index share their expensive
 //! prefix: the chain evaluator builds one [`crate::paths`] allocation
-//! context (candidate switch graph, power models, ordered flow list) per
-//! sweep index and warm-starts candidate `(i, k+1)` from `(i, k)`'s
-//! recorded allocation. Warm-starting is an exact optimization — it only
-//! skips work whose result is provably unchanged — so every candidate's
-//! outcome is bit-identical to the pure cold evaluation of
+//! context (candidate link table, ordered flow list, priced search
+//! blocks) per sweep index and warm-starts candidate `(i, k+1)` from
+//! `(i, k)`'s recorded allocation. Warm-starting is an exact optimization
+//! — it only skips work whose result is provably unchanged — so every
+//! candidate's outcome is bit-identical to the pure cold evaluation of
 //! [`evaluate_candidate`], and the fan-out visits candidates in the same
 //! order at any width (the parallel map is order-preserving), producing
 //! byte-identical design spaces on one thread or many.
@@ -31,11 +31,12 @@ use crate::config::{FrequencyPlan, SynthesisConfig};
 use crate::design_space::{DesignPoint, DesignSpace};
 use crate::error::SynthesisError;
 use crate::metrics::compute_metrics;
-use crate::paths::{allocate_paths, allocate_paths_warm, AllocContext, CandidateRecord};
+use crate::paths::{
+    allocate_paths, allocate_paths_warm, AllocContext, AllocScratch, CandidateRecord,
+};
 use crate::topology::Topology;
 use crate::vcg::{build_vcg, Vcg};
 use rayon::prelude::*;
-use vi_noc_graph::SearchScratch;
 use vi_noc_soc::{SocSpec, ViAssignment};
 
 /// One candidate design of the sweep: a per-island switch-count vector plus
@@ -397,8 +398,9 @@ pub fn evaluate_candidate_chain_with_certificate(
             return (outcomes, SlackCertificate::invalid(islands));
         }
     };
-    let mut scratch = SearchScratch::new();
+    let mut scratch = AllocScratch::default();
     let mut prev: Option<CandidateRecord> = None;
+    let mut record = CandidateRecord::default();
     let mut outcomes = Vec::with_capacity(chain.len());
     let mut saturated = false;
     for candidate in chain {
@@ -411,14 +413,13 @@ pub fn evaluate_candidate_chain_with_certificate(
             outcomes.push(CandidateOutcome::Duplicate);
             continue;
         }
-        let mut record = CandidateRecord::default();
         let result = allocate_paths_warm(
             &ctx,
             candidate.requested_intermediate,
             cfg,
             &mut scratch,
             prev.as_ref(),
-            Some(&mut record),
+            &mut record,
         );
         match &result {
             Ok(alloc) => {
@@ -437,7 +438,9 @@ pub fn evaluate_candidate_chain_with_certificate(
             spec,
             cfg,
         ));
-        prev = Some(record);
+        // The record becomes the next seed; the old seed's buffers take
+        // the next candidate's record.
+        record = prev.replace(record).unwrap_or_default();
     }
     (outcomes, cert)
 }

@@ -3,18 +3,17 @@
 //! This crate provides the graph data structures and algorithms that the
 //! NoC topology-synthesis flow of Seiculescu et al. (DAC 2009) relies on:
 //!
-//! * [`DiGraph`] — a directed multigraph with typed node/edge payloads, used
-//!   for core communication graphs and switch-level connectivity graphs.
 //! * [`SymGraph`] — an undirected weighted graph with vertex weights, the
 //!   input representation for min-cut partitioning.
-//! * [`dijkstra`] — shortest paths with caller-supplied edge costs and edge
-//!   filters in reusable [`SearchScratch`] arenas (used by the min-cost
-//!   path-allocation step); [`bellman_ford`] is its test oracle.
 //! * [`partition_kway`] — k-way min-cut partitioning (multilevel recursive
 //!   bisection with Fiduccia–Mattheyses-style refinement, plus a greedy
 //!   agglomerative scheme for small graphs), the workhorse behind step 11 of
 //!   the paper's Algorithm 1 ("perform k min-cut partitions of VCG").
 //! * [`stoer_wagner`] — global min-cut, used as a test oracle.
+//!
+//! The min-cost path search of steps 14–17 is not here: it searches an
+//! implicit switch graph island block by island block, so it lives with
+//! the allocator in `vi-noc-core`.
 //!
 //! All randomized routines take explicit seeds and are fully deterministic.
 //!
@@ -37,22 +36,14 @@
 
 #![warn(missing_docs)]
 
-mod bellman_ford;
 mod bisect;
 mod coarsen;
-mod digraph;
-mod dijkstra;
 mod fm;
-mod ids;
 mod kway;
 mod mincut;
 mod partition;
 mod sym;
 
-pub use bellman_ford::bellman_ford;
-pub use digraph::DiGraph;
-pub use dijkstra::{dijkstra, SearchScratch};
-pub use ids::{EdgeId, NodeId};
 pub use kway::{partition_kway, PartitionConfig};
 pub use mincut::stoer_wagner;
 pub use partition::Partition;

@@ -1,6 +1,6 @@
 //! Leakage and power-gating arithmetic.
 //!
-//! The motivation of the paper: leakage can be 40 %+ of total SoC power [6],
+//! The motivation of the paper: leakage can be 40 %+ of total SoC power \[6\],
 //! and gating idle voltage islands recovers most of it — *if* the NoC
 //! topology permits the shutdown. These helpers compute island leakage and
 //! the residual after gating, used by the `tab2_leakage` experiment.

@@ -159,3 +159,24 @@ fn only_a_malformed_command_line_prints_the_usage() {
         assert!(stderr.contains("\nusage:\n"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn a_negative_cost_weight_exits_2_at_ingestion() {
+    // The path search prices its edges from the cost-model members, so a
+    // negative one is rejected before any stage runs, with its JSON path.
+    let negative = scratch("negative_weight.json");
+    std::fs::write(
+        &negative,
+        r#"{"name":"negative","spec":{"benchmark":"d26"},
+        "partition":{"kind":"logical","islands":6},"synthesis":{"cost_power_weight":-1}}"#,
+    )
+    .unwrap();
+    let (code, stderr) = exit_code_and_stderr(&["run", negative.to_str().unwrap()], false);
+    let _ = std::fs::remove_file(&negative);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("scenario.synthesis.cost_power_weight: must be >= 0, got -1"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
