@@ -346,6 +346,12 @@ const MAX_RESTARTS: usize = 64;
 /// scenario uses 4 or less.
 const MAX_INTERMEDIATE: usize = 64;
 
+/// Largest per-hop delay a scenario may give, in cycles
+/// (`synthesis.switch_delay_cycles` and `synthesis.link_delay_cycles`).
+/// Route latencies add them up per hop in `u32` cycles, saturating rather
+/// than wrapping; every committed scenario uses the default, 1.
+const MAX_DELAY_CYCLES: u32 = 1 << 16;
+
 /// The field one member of a table-driven object fills, by kind: the kind
 /// says how the member is read, bound included, and how it is written.
 enum Slot<'a> {
@@ -361,7 +367,8 @@ enum Slot<'a> {
     Hz(&'a mut Frequency),
     /// An unsigned integer in `lo..=hi`.
     Int(&'a mut usize, usize, usize),
-    U32(&'a mut u32),
+    /// An unsigned integer in `0..=hi`.
+    U32(&'a mut u32, u32),
     U64(&'a mut u64),
     Bool(&'a mut bool),
     /// A traffic kind by name.
@@ -393,9 +400,11 @@ const SYNTHESIS: &Table<SynthesisConfig> = &[
         Slot::Int(&mut c.max_intermediate_switches, 0, MAX_INTERMEDIATE)
     }),
     ("switch_delay_cycles", |c| {
-        Slot::U32(&mut c.switch_delay_cycles)
+        Slot::U32(&mut c.switch_delay_cycles, MAX_DELAY_CYCLES)
     }),
-    ("link_delay_cycles", |c| Slot::U32(&mut c.link_delay_cycles)),
+    ("link_delay_cycles", |c| {
+        Slot::U32(&mut c.link_delay_cycles, MAX_DELAY_CYCLES)
+    }),
     // The path search's edge weights are priced from these six members,
     // and it needs them non-negative.
     ("cost_power_weight", |c| {
@@ -532,7 +541,7 @@ impl Slot<'_> {
             Slot::Load(x) => *x = load_factor(f64_of(v, ctx)?, ctx)?,
             Slot::Hz(f) => *f = Frequency::from_hz(f64_of(v, ctx)?),
             Slot::Int(x, lo, hi) => *x = usize_in(v, ctx, lo, hi)?,
-            Slot::U32(x) => *x = u32_of(v, ctx)?,
+            Slot::U32(x, hi) => *x = usize_in(v, ctx, 0, hi as usize)? as u32,
             Slot::U64(x) => *x = u64_of(v, ctx)?,
             Slot::Bool(b) => *b = bool_of(v, ctx)?,
             Slot::Traffic(t) => {
@@ -572,7 +581,7 @@ impl Slot<'_> {
             }
             Slot::Hz(f) => json::num(out, f.hz()),
             Slot::Int(x, ..) => json::num(out, *x),
-            Slot::U32(x) => json::num(out, *x),
+            Slot::U32(x, _) => json::num(out, *x),
             Slot::U64(x) => json::num(out, *x),
             Slot::Bool(b) => json::raw(out, if *b { "true" } else { "false" }),
             Slot::Traffic(t) => json::string(out, &t.to_string()),
@@ -971,7 +980,7 @@ mod tests {
             link_width_bits: 1,
             allow_intermediate_vi: false,
             max_intermediate_switches: MAX_INTERMEDIATE,
-            switch_delay_cycles: 2,
+            switch_delay_cycles: MAX_DELAY_CYCLES,
             link_delay_cycles: 3,
             cost_power_weight: TECH_MAX,
             cost_latency_weight: 0.0,
@@ -1437,6 +1446,31 @@ mod tests {
     #[test]
     fn negative_est_mid_link_mm_fails_at_ingestion() {
         assert_cost_member_bounded("est_mid_link_mm");
+    }
+
+    /// Both per-hop delays are bounded by [`MAX_DELAY_CYCLES`] with a
+    /// path-contexted error. Before, `switch_delay_cycles: 4294967295`
+    /// passed, and route latencies wrapped (a release run reported 4.72
+    /// cycles) or overflowed (a debug run panicked).
+    #[test]
+    fn a_delay_member_above_its_bound_fails_at_ingestion() {
+        for member in ["switch_delay_cycles", "link_delay_cycles"] {
+            let text = |x: &str| {
+                format!(
+                    r#"{{"name":"d","spec":{{"benchmark":"d26"}},
+                    "partition":{{"kind":"logical","islands":6}},
+                    "synthesis":{{"{member}":{x}}}}}"#
+                )
+            };
+            for x in ["4294967295", "65537", "4294967296"] {
+                let msg = Scenario::from_json(&text(x)).unwrap_err().to_string();
+                let want = format!("scenario.synthesis.{member}: must be at most 65536, got {x}");
+                assert!(msg.contains(&want), "{member} = {x}: {msg}");
+            }
+            for x in ["0", "65536"] {
+                Scenario::from_json(&text(x)).unwrap();
+            }
+        }
     }
 
     #[test]

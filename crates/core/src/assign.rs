@@ -79,22 +79,32 @@ pub fn island_switch_assignment(
     let groups = vcgs
         .iter()
         .zip(counts)
-        .map(|(vcg, &k)| {
-            let pcfg = PartitionConfig {
-                seed: cfg.seed ^ (vcg.island as u64).wrapping_mul(0x9E37),
-                max_part_weight: Some(plan.max_switch_size(vcg.island) as f64),
-                ..PartitionConfig::default()
-            };
-            let partition = partition_kway(&vcg.graph, k, &pcfg);
-            partition
-                .parts()
-                .into_iter()
-                .filter(|p| !p.is_empty())
-                .map(|part| part.into_iter().map(|v| vcg.cores[v]).collect())
-                .collect()
-        })
+        .map(|(vcg, &k)| island_partition(vcg, plan, k, cfg))
         .collect();
     SwitchAssignment { groups }
+}
+
+/// One island's min-cut partition into `k` switches: the cores behind each
+/// non-empty part. A pure function of the VCG, the island's switch size
+/// budget, the seed and `k` clamped to `1..=|V_j|` (as the partitioner
+/// clamps it), which is what lets [`crate::PlanTable`] memoize it.
+pub(crate) fn island_partition(
+    vcg: &Vcg,
+    plan: &FrequencyPlan,
+    k: usize,
+    cfg: &SynthesisConfig,
+) -> Vec<Vec<CoreId>> {
+    let pcfg = PartitionConfig {
+        seed: cfg.seed ^ (vcg.island as u64).wrapping_mul(0x9E37),
+        max_part_weight: Some(plan.max_switch_size(vcg.island) as f64),
+        ..PartitionConfig::default()
+    };
+    partition_kway(&vcg.graph, k, &pcfg)
+        .parts()
+        .into_iter()
+        .filter(|p| !p.is_empty())
+        .map(|part| part.into_iter().map(|v| vcg.cores[v]).collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -29,30 +29,40 @@ pub struct InterSwitchFlow {
 ///
 /// Ties are broken by flow id for determinism.
 pub fn inter_switch_flows(spec: &SocSpec, topo: &Topology) -> Vec<InterSwitchFlow> {
-    let mut flows: Vec<InterSwitchFlow> = spec
-        .flow_ids()
-        .map(|fid| {
-            let f = spec.flow(fid);
-            let src_switch = topo.switch_of_core(f.src);
-            let dst_switch = topo.switch_of_core(f.dst);
-            InterSwitchFlow {
-                flow: fid,
-                src_switch,
-                dst_switch,
-                src_island: topo.switch(src_switch).island_ext,
-                dst_island: topo.switch(dst_switch).island_ext,
-                bandwidth: f.bandwidth,
-                max_latency_cycles: f.max_latency_cycles,
-            }
-        })
-        .collect();
-    flows.sort_by(|a, b| {
-        b.bandwidth
-            .partial_cmp(&a.bandwidth)
+    bandwidth_order(spec)
+        .into_iter()
+        .map(|fid| lift_flow(spec, topo, fid))
+        .collect()
+}
+
+/// The SoC flows in allocation order: decreasing bandwidth, ties by flow
+/// id. The order depends on the spec alone, not on any switch assignment.
+pub(crate) fn bandwidth_order(spec: &SocSpec) -> Vec<FlowId> {
+    let mut order: Vec<FlowId> = spec.flow_ids().collect();
+    order.sort_by(|&a, &b| {
+        let (fa, fb) = (spec.flow(a), spec.flow(b));
+        fb.bandwidth
+            .partial_cmp(&fa.bandwidth)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.flow.cmp(&b.flow))
+            .then(a.cmp(&b))
     });
-    flows
+    order
+}
+
+/// Flow `fid` on the switches of `topo`.
+pub(crate) fn lift_flow(spec: &SocSpec, topo: &Topology, fid: FlowId) -> InterSwitchFlow {
+    let f = spec.flow(fid);
+    let src_switch = topo.switch_of_core(f.src);
+    let dst_switch = topo.switch_of_core(f.dst);
+    InterSwitchFlow {
+        flow: fid,
+        src_switch,
+        dst_switch,
+        src_island: topo.switch(src_switch).island_ext,
+        dst_island: topo.switch(dst_switch).island_ext,
+        bandwidth: f.bandwidth,
+        max_latency_cycles: f.max_latency_cycles,
+    }
 }
 
 #[cfg(test)]

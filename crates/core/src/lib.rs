@@ -87,8 +87,8 @@ pub use pareto::{ParetoFold, ParetoKey};
 pub use power_gating::{scenario_power, standard_scenarios, ScenarioReport, UsageScenario};
 pub use realize::{realize_on_floorplan, RealizedDesign};
 pub use synthesis::{
-    evaluate_candidate, evaluate_candidate_chain, evaluate_candidate_chain_with_certificate,
-    synthesize, CandidateOutcome, SlackCertificate, SweepCandidate, SweepPlan,
+    evaluate_candidate, evaluate_candidate_chain, synthesize, CandidateOutcome, PlanTable,
+    SlackCertificate, SweepCandidate, SweepPlan,
 };
 pub use topology::{
     LinkId, LinkKind, Route, Switch, SwitchId, TopoLink, Topology, TopologyBuilder,

@@ -29,18 +29,31 @@
 //! strict.
 //!
 //! An attempt tracks open links, loads and ports in flat arrays
-//! ([`AllocScratch`]) and numbers links in opening order. Only a complete
-//! allocation becomes a [`Topology`]: [`build_topology`] replays the
-//! committed paths in flow order, which opens the links in the same order
-//! and so gives them the same ids. A failing attempt builds nothing.
+//! ([`AllocScratch`]) and numbers links in opening order. A successful
+//! attempt answers from those arrays what the chain evaluator asks before
+//! it keeps a candidate: how many intermediate switches it uses (the
+//! Duplicate test, [`Allocation`]) and each switch's ports and each link's
+//! load (the slack certificate). Only a feasible candidate becomes a
+//! [`Topology`]: [`build_topology`] replays the committed paths in flow
+//! order, which opens the links in the same order and so gives them the
+//! same ids.
+//!
+//! # What is shared, and by whom
+//!
+//! A block's prices depend on the flow, the frequency plan and the config,
+//! never on the switch assignment. So the island-pair link table, the
+//! bandwidth-ordered flow list and every flow's priced blocks and
+//! fresh-intermediate bound are a [`FlowPricing`], computed once per
+//! frequency plan and shared by every chain of it (through its
+//! [`crate::PlanTable`]). An [`AllocContext`] adds what one chain's switch
+//! assignment decides: the switch numbering, the real-island switches,
+//! their size budgets and core ports.
 //!
 //! # Incremental evaluation
 //!
 //! One sweep index `i` spawns `max_intermediate_switches + 1` candidates
 //! `(i, k)` that share everything except the number of active intermediate
-//! switches. The shared prefix — the candidate pair table, the
-//! bandwidth-ordered flow list and every flow's priced blocks — is
-//! computed once per sweep index in an [`AllocContext`] (built with the
+//! switches, so one [`AllocContext`] serves them all (built with the
 //! *maximum* intermediate count; a smaller candidate's mid block simply
 //! ends at its own count). On top of that, [`allocate_paths_warm`]
 //! warm-starts candidate `(i, k+1)` from `(i, k)`'s recorded allocation.
@@ -81,15 +94,14 @@
 //! exact. The fresh-intermediate rule needs equal reserves, so retries
 //! never take it.
 
-use crate::assign::SwitchAssignment;
 use crate::config::{FrequencyPlan, SynthesisConfig};
 use crate::dijkstra::{dijkstra, SearchScratch};
-use crate::flows::{inter_switch_flows, InterSwitchFlow};
+use crate::flows::{bandwidth_order, lift_flow, InterSwitchFlow};
 use crate::topology::{LinkId, LinkKind, Route, Switch, SwitchId, TopoLink, Topology};
 use std::cmp::Ordering;
 use std::ops::Range;
 use vi_noc_models::{Bandwidth, BisyncFifoModel, Frequency, LinkModel, Power, SwitchModel};
-use vi_noc_soc::{SocSpec, ViAssignment};
+use vi_noc_soc::{CoreId, FlowId, SocSpec, ViAssignment};
 
 /// The candidate link between two extended islands: every edge from a
 /// switch of the one to a switch of the other shares it.
@@ -126,16 +138,23 @@ struct Block {
     hop: f64,
 }
 
-/// Everything shared by every candidate `(i, k)` of one sweep index `i`:
-/// the real-island switches, the candidate pair table, the
-/// bandwidth-ordered flow list and every flow's priced search blocks.
-pub(crate) struct AllocContext {
-    /// Topology skeleton holding the real-island switches (no intermediate
-    /// switches, links or routes); cloned per complete allocation.
-    base_topo: Topology,
-    flows: Vec<InterSwitchFlow>,
-    /// Each flow's blocks in `blocks`, aligned with `flows` (empty for a
-    /// same-switch flow), ordered by `from` and then by first target.
+/// What the allocator prices from the frequency plan alone, shared by
+/// every chain of the plan (one per [`crate::PlanTable`]): the candidate
+/// link of every extended-island pair, the bandwidth-ordered flow list and
+/// every flow's priced search blocks and fresh-intermediate bound.
+///
+/// A block depends on the flow's islands, bandwidth and latency bound, the
+/// plan's clocks and the config, never on the switch assignment, so every
+/// flow is priced as if its endpoints sat on different switches: an
+/// intra-island flow gets its own island's block, an inter-island flow its
+/// six. A chain whose assignment puts both endpoints on one switch never
+/// searches that flow.
+#[derive(Debug, Clone)]
+pub(crate) struct FlowPricing {
+    /// The SoC flows in allocation order.
+    order: Vec<FlowId>,
+    /// Each flow's blocks in `blocks`, aligned with `order`, ordered by
+    /// `from` and then by first target.
     flow_blocks: Vec<Range<usize>>,
     blocks: Vec<Block>,
     /// Each flow's `W_in + W_out` for the fresh-intermediate replay (see
@@ -143,6 +162,175 @@ pub(crate) struct AllocContext {
     fresh_bound: Vec<f64>,
     /// The candidate link of every ordered extended-island pair, row-major.
     pairs: Vec<PairLink>,
+}
+
+impl FlowPricing {
+    /// Prices every flow of `spec` under `plan`.
+    pub(crate) fn new(
+        spec: &SocSpec,
+        vi: &ViAssignment,
+        plan: &FrequencyPlan,
+        cfg: &SynthesisConfig,
+    ) -> Self {
+        let mid = plan.island_count();
+        let island_freq = extended_frequencies(plan);
+        let link_model = LinkModel::new(&cfg.technology, cfg.link_width_bits);
+        let pairs: Vec<PairLink> = (0..=mid)
+            .flat_map(|iu| (0..=mid).map(move |iv| (iu, iv)))
+            .map(|(iu, iv)| {
+                let (kind, length_mm) = if iu == iv {
+                    (LinkKind::Intra, cfg.est_intra_link_mm)
+                } else if iu == mid || iv == mid {
+                    (LinkKind::Intermediate, cfg.est_mid_link_mm)
+                } else {
+                    (LinkKind::InterDirect, cfg.est_inter_link_mm)
+                };
+                let f = Frequency::from_hz(island_freq[iu].hz().min(island_freq[iv].hz()));
+                PairLink {
+                    kind,
+                    length_mm,
+                    capacity: link_model.capacity(f),
+                }
+            })
+            .collect();
+
+        let fifo_model = BisyncFifoModel::new(&cfg.technology, cfg.link_width_bits);
+        let nominal_switch = SwitchModel::new(&cfg.technology, 4, 4, cfg.link_width_bits);
+        // The idle-power delta of growing the nominal 4×4 switch by one
+        // port, per extended island: opening a link adds one output port at
+        // its source and one input at its destination.
+        let grown = SwitchModel::new(&cfg.technology, 4, 5, cfg.link_width_bits);
+        let port_growth: Vec<Power> = island_freq
+            .iter()
+            .map(|&f| grown.idle_power(f) - nominal_switch.idle_power(f))
+            .collect();
+        // Port-scarcity summand of a switch of island `j` with no port used.
+        let idle_scarcity =
+            |j: usize| f64::powi(2.0, -(plan.max_switch_size_ext(j).max(1) as i32 - 1));
+        let min_lat_global = spec.min_latency_cycles().max(1) as f64;
+        let hop_cycles = cfg
+            .link_delay_cycles
+            .saturating_add(cfg.switch_delay_cycles) as f64;
+
+        let order = bandwidth_order(spec);
+        let mut flow_blocks = Vec::with_capacity(order.len());
+        let mut blocks = Vec::new();
+        let mut fresh_bound = Vec::with_capacity(order.len());
+        for &fid in &order {
+            let f = spec.flow(fid);
+            let start = blocks.len();
+            let (a, b) = (vi.island_of(f.src), vi.island_of(f.dst));
+            let legal: &[(usize, usize)] = if a == b {
+                &[(a, a)]
+            } else {
+                &[
+                    (a, a.min(b)),
+                    (a, a.max(b)),
+                    (a, mid),
+                    (mid, b),
+                    (mid, mid),
+                    (b, b),
+                ]
+            };
+            let bw = f.bandwidth;
+            let urgency = min_lat_global / f.max_latency_cycles.max(1) as f64;
+            for &(from, to) in legal {
+                let pair = pairs[from * (mid + 1) + to];
+                let crossing = from != to;
+                // Marginal traffic power on this hop: wire + downstream
+                // switch datapath + converter, all for this flow's
+                // bandwidth.
+                let mut p =
+                    link_model.traffic_power(pair.length_mm, bw) + nominal_switch.traffic_power(bw);
+                if crossing {
+                    p += fifo_model.power(Frequency::ZERO, Frequency::ZERO, bw);
+                }
+                let reuse_mw = p.mw();
+                // Opening a new link pays its standing (idle/clock) power
+                // too: the converter's and two ports' worth of switch.
+                if crossing {
+                    p += fifo_model.power(island_freq[from], island_freq[to], Bandwidth::ZERO);
+                }
+                p += port_growth[from];
+                p += port_growth[to];
+                let hop = hop_cycles
+                    + if crossing {
+                        BisyncFifoModel::CROSSING_LATENCY_CYCLES as f64
+                    } else {
+                        0.0
+                    };
+                let lat_term = cfg.cost_latency_weight * hop * urgency;
+                let limit = pair.capacity.bytes_per_s() * (1.0 + 1e-9);
+                blocks.push(Block {
+                    from,
+                    to,
+                    touches_mid: from == mid || to == mid,
+                    limit,
+                    fresh_fits: (Bandwidth::ZERO + bw).bytes_per_s().partial_cmp(&limit)
+                        != Some(Ordering::Greater),
+                    // A reused link pays no scarcity term.
+                    reuse: cfg.cost_power_weight * (reuse_mw + 0.0) + lat_term,
+                    open_mw: p.mw(),
+                    lat_term,
+                    hop,
+                });
+            }
+            let flow_blocks_of = &blocks[start..];
+            let non_negative = cfg.cost_power_weight >= 0.0
+                && cfg.cost_port_scarcity >= 0.0
+                && flow_blocks_of
+                    .iter()
+                    .all(|b| b.reuse >= 0.0 && b.open_mw >= 0.0 && b.lat_term >= 0.0);
+            let bound = if a != b && non_negative {
+                // The cheapest pass-1 cost of opening an edge of the block
+                // `from -> to`, at the scarcity of two switches with no
+                // port used.
+                let open_at_least = |from: usize, to: usize| {
+                    let blk = flow_blocks_of.iter().find(|b| (b.from, b.to) == (from, to));
+                    let blk = blk.expect("inter-island flows have every mid block");
+                    let scarcity =
+                        cfg.cost_port_scarcity * (idle_scarcity(from) + idle_scarcity(to));
+                    cfg.cost_power_weight * (blk.open_mw + scarcity) + blk.lat_term
+                };
+                let mid_mid = open_at_least(mid, mid);
+                open_at_least(a, mid).min(mid_mid) + open_at_least(mid, b).min(mid_mid)
+            } else {
+                f64::NAN
+            };
+            flow_blocks.push(start..blocks.len());
+            fresh_bound.push(bound);
+        }
+        FlowPricing {
+            order,
+            flow_blocks,
+            blocks,
+            fresh_bound,
+            pairs,
+        }
+    }
+}
+
+/// The clock of every extended island: the real islands', then the
+/// intermediate island's.
+fn extended_frequencies(plan: &FrequencyPlan) -> Vec<Frequency> {
+    let mut freq: Vec<Frequency> = (0..plan.island_count())
+        .map(|j| plan.frequency(j))
+        .collect();
+    freq.push(plan.intermediate_frequency());
+    freq
+}
+
+/// What the switch assignment of one chain decides, on top of its plan's
+/// [`FlowPricing`]: the switch numbering (and so each flow's switches), the
+/// real-island switches, the per-switch size budgets and core ports.
+/// Shared by every candidate `(i, k)` of the chain.
+pub(crate) struct AllocContext<'p> {
+    pricing: &'p FlowPricing,
+    /// Topology skeleton holding the real-island switches (no intermediate
+    /// switches, links or routes); cloned per built topology.
+    base_topo: Topology,
+    /// The pricing's flows on this assignment's switches, in its order.
+    flows: Vec<InterSwitchFlow>,
     /// Number of real-island switches (intermediate switch `k` is switch
     /// `n_real + k`).
     n_real: usize,
@@ -162,31 +350,33 @@ pub(crate) struct AllocContext {
     core_ports: Vec<usize>,
 }
 
-impl AllocContext {
-    /// Builds the shared context for one sweep index.
+impl<'p> AllocContext<'p> {
+    /// Builds the context of one chain: `groups[j]` holds the cores behind
+    /// each switch of real island `j`, and `pricing` must be `plan`'s.
     ///
     /// Fails with the same human-readable reason a cold allocation would if
     /// a switch's attached cores alone exceed its size budget.
     pub(crate) fn build(
         spec: &SocSpec,
-        vi: &ViAssignment,
+        pricing: &'p FlowPricing,
         plan: &FrequencyPlan,
-        assignment: &SwitchAssignment,
+        groups: &[&[Vec<CoreId>]],
         k_mid_max: usize,
         cfg: &SynthesisConfig,
     ) -> Result<Self, String> {
-        let n_islands = vi.island_count();
+        let n_islands = groups.len();
         let mid = n_islands;
 
-        let mut island_freq: Vec<Frequency> = (0..n_islands).map(|j| plan.frequency(j)).collect();
-        island_freq.push(plan.intermediate_frequency());
-
-        let mut base_topo =
-            Topology::new(spec, n_islands, island_freq.clone(), cfg.link_width_bits);
+        let mut base_topo = Topology::new(
+            spec,
+            n_islands,
+            extended_frequencies(plan),
+            cfg.link_width_bits,
+        );
         let mut island_start = Vec::with_capacity(n_islands + 1);
-        for (j, groups) in assignment.groups.iter().enumerate() {
+        for (j, island) in groups.iter().enumerate() {
             island_start.push(base_topo.switches().len());
-            for (g, cores) in groups.iter().enumerate() {
+            for (g, cores) in island.iter().enumerate() {
                 base_topo.add_switch(Switch {
                     name: format!("sw{j}.{g}"),
                     island_ext: j,
@@ -196,7 +386,6 @@ impl AllocContext {
         }
         let n_real = base_topo.switches().len();
         island_start.push(n_real);
-        debug_assert_eq!(island_start.len(), n_islands + 1);
 
         // Pre-check: core counts alone must fit the switch size budgets
         // (intermediate switches carry no cores and can never fail this).
@@ -220,40 +409,27 @@ impl AllocContext {
             .map(|sw| sw.cores.len())
             .chain(std::iter::repeat_n(0, k_mid_max))
             .collect();
-
-        let link_model = LinkModel::new(&cfg.technology, cfg.link_width_bits);
-        let pairs: Vec<PairLink> = (0..=mid)
-            .flat_map(|iu| (0..=mid).map(move |iv| (iu, iv)))
-            .map(|(iu, iv)| {
-                let (kind, length_mm) = if iu == iv {
-                    (LinkKind::Intra, cfg.est_intra_link_mm)
-                } else if iu == mid || iv == mid {
-                    (LinkKind::Intermediate, cfg.est_mid_link_mm)
-                } else {
-                    (LinkKind::InterDirect, cfg.est_inter_link_mm)
-                };
-                let f = Frequency::from_hz(island_freq[iu].hz().min(island_freq[iv].hz()));
-                PairLink {
-                    kind,
-                    length_mm,
-                    capacity: link_model.capacity(f),
-                }
-            })
-            .collect();
-
         let max_size: Vec<usize> = island_of
             .iter()
             .map(|&j| plan.max_switch_size_ext(j))
             .collect();
-        let flows = inter_switch_flows(spec, &base_topo);
+        let flows: Vec<InterSwitchFlow> = pricing
+            .order
+            .iter()
+            .map(|&fid| lift_flow(spec, &base_topo, fid))
+            .collect();
+        // The pricing took each flow's islands from the partition the
+        // assignment refines.
+        debug_assert!(flows.iter().zip(&pricing.flow_blocks).all(|(isf, r)| {
+            let blocks = &pricing.blocks[r.clone()];
+            blocks.first().map(|b| b.from) == Some(isf.src_island)
+                && blocks.last().map(|b| b.to) == Some(isf.dst_island)
+        }));
 
-        let mut ctx = AllocContext {
+        Ok(AllocContext {
+            pricing,
             base_topo,
-            flow_blocks: Vec::with_capacity(flows.len()),
-            blocks: Vec::new(),
-            fresh_bound: Vec::with_capacity(flows.len()),
             flows,
-            pairs,
             n_real,
             k_mid_max,
             mid,
@@ -261,121 +437,7 @@ impl AllocContext {
             island_of,
             max_size,
             core_ports,
-        };
-        ctx.price_blocks(spec, plan, &island_freq, &link_model, cfg);
-        Ok(ctx)
-    }
-
-    /// Prices every flow's legal blocks and its fresh-intermediate bound.
-    fn price_blocks(
-        &mut self,
-        spec: &SocSpec,
-        plan: &FrequencyPlan,
-        island_freq: &[Frequency],
-        link_model: &LinkModel,
-        cfg: &SynthesisConfig,
-    ) {
-        let mid = self.mid;
-        let fifo_model = BisyncFifoModel::new(&cfg.technology, cfg.link_width_bits);
-        let nominal_switch = SwitchModel::new(&cfg.technology, 4, 4, cfg.link_width_bits);
-        // The idle-power delta of growing the nominal 4×4 switch by one
-        // port, per extended island: opening a link adds one output port at
-        // its source and one input at its destination.
-        let grown = SwitchModel::new(&cfg.technology, 4, 5, cfg.link_width_bits);
-        let port_growth: Vec<Power> = island_freq
-            .iter()
-            .map(|&f| grown.idle_power(f) - nominal_switch.idle_power(f))
-            .collect();
-        // Port-scarcity summand of a switch of island `j` with no port used.
-        let idle_scarcity =
-            |j: usize| f64::powi(2.0, -(plan.max_switch_size_ext(j).max(1) as i32 - 1));
-        let min_lat_global = spec.min_latency_cycles().max(1) as f64;
-
-        for isf in &self.flows {
-            let start = self.blocks.len();
-            let (a, b) = (isf.src_island, isf.dst_island);
-            let legal: &[(usize, usize)] = if isf.src_switch == isf.dst_switch {
-                &[]
-            } else if a == b {
-                &[(a, a)]
-            } else {
-                &[
-                    (a, a.min(b)),
-                    (a, a.max(b)),
-                    (a, mid),
-                    (mid, b),
-                    (mid, mid),
-                    (b, b),
-                ]
-            };
-            let bw = isf.bandwidth;
-            let urgency = min_lat_global / isf.max_latency_cycles.max(1) as f64;
-            for &(from, to) in legal {
-                let pair = self.pairs[from * (mid + 1) + to];
-                let crossing = from != to;
-                // Marginal traffic power on this hop: wire + downstream
-                // switch datapath + converter, all for this flow's
-                // bandwidth.
-                let mut p =
-                    link_model.traffic_power(pair.length_mm, bw) + nominal_switch.traffic_power(bw);
-                if crossing {
-                    p += fifo_model.power(Frequency::ZERO, Frequency::ZERO, bw);
-                }
-                let reuse_mw = p.mw();
-                // Opening a new link pays its standing (idle/clock) power
-                // too: the converter's and two ports' worth of switch.
-                if crossing {
-                    p += fifo_model.power(island_freq[from], island_freq[to], Bandwidth::ZERO);
-                }
-                p += port_growth[from];
-                p += port_growth[to];
-                let hop = (cfg.link_delay_cycles + cfg.switch_delay_cycles) as f64
-                    + if crossing {
-                        BisyncFifoModel::CROSSING_LATENCY_CYCLES as f64
-                    } else {
-                        0.0
-                    };
-                let lat_term = cfg.cost_latency_weight * hop * urgency;
-                let limit = pair.capacity.bytes_per_s() * (1.0 + 1e-9);
-                self.blocks.push(Block {
-                    from,
-                    to,
-                    touches_mid: from == mid || to == mid,
-                    limit,
-                    fresh_fits: (Bandwidth::ZERO + bw).bytes_per_s().partial_cmp(&limit)
-                        != Some(Ordering::Greater),
-                    // A reused link pays no scarcity term.
-                    reuse: cfg.cost_power_weight * (reuse_mw + 0.0) + lat_term,
-                    open_mw: p.mw(),
-                    lat_term,
-                    hop,
-                });
-            }
-            let blocks = &self.blocks[start..];
-            let non_negative = cfg.cost_power_weight >= 0.0
-                && cfg.cost_port_scarcity >= 0.0
-                && blocks
-                    .iter()
-                    .all(|b| b.reuse >= 0.0 && b.open_mw >= 0.0 && b.lat_term >= 0.0);
-            let bound = if a != b && non_negative {
-                // The cheapest pass-1 cost of opening an edge of the block
-                // `from -> to`, at the scarcity of two switches with no
-                // port used.
-                let open_at_least = |from: usize, to: usize| {
-                    let blk = blocks.iter().find(|b| (b.from, b.to) == (from, to));
-                    let blk = blk.expect("inter-island flows have every mid block");
-                    let scarcity =
-                        cfg.cost_port_scarcity * (idle_scarcity(from) + idle_scarcity(to));
-                    cfg.cost_power_weight * (blk.open_mw + scarcity) + blk.lat_term
-                };
-                let mid_mid = open_at_least(mid, mid);
-                open_at_least(a, mid).min(mid_mid) + open_at_least(mid, b).min(mid_mid)
-            } else {
-                f64::NAN
-            };
-            self.flow_blocks.push(start..self.blocks.len());
-            self.fresh_bound.push(bound);
-        }
+        })
     }
 
     /// The switches of real island `j`.
@@ -392,7 +454,7 @@ impl AllocContext {
 
     /// The candidate link of edge `u -> v`.
     fn pair_of(&self, u: usize, v: usize) -> PairLink {
-        self.pairs[self.island_of[u] * (self.mid + 1) + self.island_of[v]]
+        self.pricing.pairs[self.island_of[u] * (self.mid + 1) + self.island_of[v]]
     }
 
     /// Zero-load latency of a path given as candidate edges.
@@ -490,7 +552,7 @@ impl AllocScratch {
         pass: Pass,
     ) -> Option<f64> {
         let isf = &ctx.flows[t];
-        let blocks = &ctx.blocks[ctx.flow_blocks[t].clone()];
+        let blocks = &ctx.pricing.blocks[ctx.pricing.flow_blocks[t].clone()];
         let (src, dst) = (isf.src_switch.index(), isf.dst_switch.index());
         let n1 = ctx.island_of.len() - 1;
         let n_active = ctx.n_real + k_mid;
@@ -610,6 +672,32 @@ impl AllocScratch {
             self.load[e] += bw;
         }
     }
+
+    /// The island and `(inputs, outputs)` port usage — attached cores plus
+    /// incident links, [`Topology::switch_ports`] — of every real-island
+    /// switch in the current state.
+    pub(crate) fn real_switch_ports<'a>(
+        &'a self,
+        ctx: &'a AllocContext,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        (0..ctx.n_real).map(|u| (ctx.island_of[u], self.in_ports[u], self.out_ports[u]))
+    }
+
+    /// The endpoint islands, load and capacity of every open link in the
+    /// current state (loads summed in flow order, as the built topology
+    /// sums them).
+    pub(crate) fn open_links<'a>(
+        &'a self,
+        ctx: &'a AllocContext,
+    ) -> impl Iterator<Item = (usize, usize, Bandwidth, Bandwidth)> + 'a {
+        (0..self.open.len())
+            .filter(|&e| self.open[e] != CLOSED)
+            .map(|e| {
+                let (u, v) = ctx.endpoints(e);
+                let capacity = ctx.pair_of(u, v).capacity;
+                (ctx.island_of[u], ctx.island_of[v], self.load[e], capacity)
+            })
+    }
 }
 
 /// Committed paths of one allocation attempt, aligned with
@@ -679,21 +767,22 @@ pub(crate) struct CandidateRecord {
     retry: Option<AllocRecord>,
 }
 
-/// A successful allocation plus how it was obtained.
-///
-/// Beyond the Duplicate short-circuit, the chain evaluator also distills a
-/// [`crate::SlackCertificate`] from each allocation: `via_retry` poisons
-/// the certificate outright (retry admissibility is count-dependent, so
-/// nothing about port slack is provable), and the topology's routes and
-/// port counts supply the per-island slack conditions.
+/// How a successful allocation was obtained, read from the attempt's flat
+/// state: the chain evaluator decides Duplicates and distills its
+/// [`crate::SlackCertificate`] from it, and builds a [`Topology`]
+/// ([`build_topology`]) only for a candidate that is feasible.
+#[derive(Debug)]
 pub(crate) struct Allocation {
-    pub(crate) topology: Topology,
     /// `true` when the reserve-0 attempt failed and the port-reserve retry
-    /// produced the topology. The sweep driver's Duplicate short-circuit
-    /// (see [`Allocation::has_spare_intermediate`]) must not fire then,
-    /// because the retry's admissibility depends on the requested
-    /// intermediate count.
+    /// succeeded. The sweep driver's Duplicate short-circuit (see
+    /// [`Allocation::has_spare_intermediate`]) must not fire then, because
+    /// the retry's admissibility depends on the requested intermediate
+    /// count, and the retry poisons the certificate outright.
     pub(crate) via_retry: bool,
+    /// Intermediate switches with at least one link: the
+    /// [`Topology::intermediate_switch_count`] of the built topology, which
+    /// prunes the others.
+    pub(crate) intermediate_used: usize,
 }
 
 impl Allocation {
@@ -711,44 +800,26 @@ impl Allocation {
     /// topology and is a [`crate::CandidateOutcome::Duplicate`] without
     /// running.
     pub(crate) fn has_spare_intermediate(&self, requested: usize) -> bool {
-        !self.via_retry && self.topology.intermediate_switch_count() < requested
+        !self.via_retry && self.intermediate_used < requested
     }
 }
 
-/// Zero-load latency of a route given its switch count and crossings.
+/// Zero-load latency of a route given its switch count and crossings,
+/// saturating at `u32::MAX`.
 pub(crate) fn route_latency(switches: usize, crossings: u32, cfg: &SynthesisConfig) -> u32 {
-    let links = switches as u32 + 1; // NI->s1, inter-switch links, sm->NI
-    switches as u32 * cfg.switch_delay_cycles
-        + links * cfg.link_delay_cycles
-        + crossings * BisyncFifoModel::CROSSING_LATENCY_CYCLES
-}
-
-/// Allocates paths for all flows, opening links as needed.
-///
-/// Returns the finished topology (unused intermediate switches pruned), or a
-/// human-readable reason why the design point is infeasible.
-///
-/// Cold-start convenience wrapper over [`AllocContext::build`] +
-/// [`allocate_paths_warm`]; the sweep driver builds the context once per
-/// sweep index and warm-starts consecutive candidates instead.
-pub(crate) fn allocate_paths(
-    spec: &SocSpec,
-    vi: &ViAssignment,
-    plan: &FrequencyPlan,
-    assignment: &SwitchAssignment,
-    k_mid: usize,
-    cfg: &SynthesisConfig,
-) -> Result<Topology, String> {
-    let ctx = AllocContext::build(spec, vi, plan, assignment, k_mid, cfg)?;
-    let mut scratch = AllocScratch::default();
-    let mut record = CandidateRecord::default();
-    allocate_paths_warm(&ctx, k_mid, cfg, &mut scratch, None, &mut record).map(|a| a.topology)
+    let switches = u32::try_from(switches).unwrap_or(u32::MAX);
+    let links = switches.saturating_add(1); // NI->s1, inter-switch links, sm->NI
+    switches
+        .saturating_mul(cfg.switch_delay_cycles)
+        .saturating_add(links.saturating_mul(cfg.link_delay_cycles))
+        .saturating_add(crossings.saturating_mul(BisyncFifoModel::CROSSING_LATENCY_CYCLES))
 }
 
 /// Allocates paths for the candidate with `k_mid` active intermediate
 /// switches, optionally warm-started from the previous candidate's
 /// [`CandidateRecord`], and records this candidate's attempts into
-/// `record`.
+/// `record`. On success the successful attempt's state stays in `scratch`
+/// and its paths in `record`, for [`build_topology`].
 ///
 /// The result is bit-identical to a cold start: warm-starting only skips
 /// searches whose outcome is provably unchanged (see the module docs). On
@@ -779,13 +850,10 @@ pub(crate) fn allocate_paths_warm(
         prev.map(|p| &p.main),
         &mut record.main,
     );
-    match main {
+    let via_retry = match main {
         Ok(()) => {
             record.retry = None;
-            Ok(Allocation {
-                topology: build_topology(ctx, k_mid, cfg, scratch, &record.main),
-                via_retry: false,
-            })
+            false
         }
         // Greedy direct-link opening may have stranded later flows on a
         // port-exhausted hub switch; retry holding ports back for
@@ -793,19 +861,22 @@ pub(crate) fn allocate_paths_warm(
         Err(first) if k_mid > 0 => {
             let prev_retry = prev.and_then(|p| p.retry.as_ref());
             let retry = record.retry.get_or_insert_with(AllocRecord::default);
-            match try_allocate(ctx, k_mid, k_mid, cfg, scratch, prev_retry, retry) {
-                Ok(()) => Ok(Allocation {
-                    topology: build_topology(ctx, k_mid, cfg, scratch, retry),
-                    via_retry: true,
-                }),
-                Err(_) => Err(first),
-            }
+            try_allocate(ctx, k_mid, k_mid, cfg, scratch, prev_retry, retry).map_err(|_| first)?;
+            true
         }
         Err(e) => {
             record.retry = None;
-            Err(e)
+            return Err(e);
         }
-    }
+    };
+    let mid_switches = ctx.n_real..ctx.n_real + k_mid;
+    let intermediate_used = mid_switches
+        .filter(|&v| scratch.in_ports[v] + scratch.out_ports[v] > 0)
+        .count();
+    Ok(Allocation {
+        via_retry,
+        intermediate_used,
+    })
 }
 
 /// One allocation attempt at a fixed port reserve, recorded into `record`;
@@ -878,7 +949,7 @@ fn try_allocate(
             }
             // No fresh intermediate switch can undercut the recorded
             // pass-1 distance.
-            Some((_, Some(d))) => fresh_switches && ctx.fresh_bound[t] > d,
+            Some((_, Some(d))) => fresh_switches && ctx.pricing.fresh_bound[t] > d,
             _ => false,
         };
         let pass1 = match recorded {
@@ -915,17 +986,22 @@ fn try_allocate(
     Ok(())
 }
 
-/// Builds the topology of a complete attempt: replays `record`'s paths in
-/// flow order — the attempt's `open_link`/`add_load`/`set_route` sequence,
-/// so every link gets the id the attempt gave it — then prunes unused
-/// intermediate switches.
-fn build_topology(
+/// Builds the topology of the allocation [`allocate_paths_warm`] just
+/// returned: replays the successful attempt's recorded paths in flow order
+/// — its `open_link`/`add_load`/`set_route` sequence, so every link gets
+/// the id the attempt gave it — then prunes unused intermediate switches.
+pub(crate) fn build_topology(
     ctx: &AllocContext,
     k_mid: usize,
     cfg: &SynthesisConfig,
     s: &AllocScratch,
-    record: &AllocRecord,
+    record: &CandidateRecord,
 ) -> Topology {
+    #[cfg(test)]
+    TOPOLOGIES_BUILT.with(|n| n.set(n.get() + 1));
+    // The retry record is kept only when the retry ran, and an allocation
+    // that needed the retry succeeded through it.
+    let record = record.retry.as_ref().unwrap_or(&record.main);
     let mut topo = ctx.base_topo.clone();
     for k in 0..k_mid {
         topo.add_switch(Switch {
@@ -971,12 +1047,64 @@ fn build_topology(
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Topologies [`build_topology`] built on this thread.
+    pub(crate) static TOPOLOGIES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::{island_switch_assignment, switch_counts_for_sweep};
+    use crate::assign::{island_switch_assignment, switch_counts_for_sweep, SwitchAssignment};
     use crate::bellman_ford::bellman_ford;
     use crate::vcg::build_vcg;
     use vi_noc_soc::{benchmarks, partition};
+
+    /// The context of `asg`'s chain over `pricing`.
+    fn context<'p>(
+        spec: &SocSpec,
+        pricing: &'p FlowPricing,
+        plan: &FrequencyPlan,
+        asg: &SwitchAssignment,
+        k_mid_max: usize,
+        cfg: &SynthesisConfig,
+    ) -> Result<AllocContext<'p>, String> {
+        let groups: Vec<&[Vec<CoreId>]> = asg.groups.iter().map(Vec::as_slice).collect();
+        AllocContext::build(spec, pricing, plan, &groups, k_mid_max, cfg)
+    }
+
+    /// [`allocate_paths_warm`] with the topology of a successful
+    /// allocation built, Duplicates included, and whether the retry made
+    /// it.
+    fn allocate(
+        ctx: &AllocContext,
+        k_mid: usize,
+        cfg: &SynthesisConfig,
+        scratch: &mut AllocScratch,
+        prev: Option<&CandidateRecord>,
+        record: &mut CandidateRecord,
+    ) -> Result<(bool, Topology), String> {
+        let alloc = allocate_paths_warm(ctx, k_mid, cfg, scratch, prev, record)?;
+        let topo = build_topology(ctx, k_mid, cfg, scratch, record);
+        assert_eq!(alloc.intermediate_used, topo.intermediate_switch_count());
+        Ok((alloc.via_retry, topo))
+    }
+
+    /// One candidate allocated cold, with its topology built.
+    fn allocate_paths(
+        spec: &SocSpec,
+        vi: &ViAssignment,
+        plan: &FrequencyPlan,
+        asg: &SwitchAssignment,
+        k_mid: usize,
+        cfg: &SynthesisConfig,
+    ) -> Result<Topology, String> {
+        let pricing = FlowPricing::new(spec, vi, plan, cfg);
+        let ctx = context(spec, &pricing, plan, asg, k_mid, cfg)?;
+        let mut scratch = AllocScratch::default();
+        let mut record = CandidateRecord::default();
+        allocate(&ctx, k_mid, cfg, &mut scratch, None, &mut record).map(|(_, t)| t)
+    }
 
     fn alloc_d26(k_islands: usize, sweep: usize, k_mid: usize) -> Result<Topology, String> {
         let soc = benchmarks::d26_mobile();
@@ -1149,15 +1277,14 @@ mod tests {
         let counts = switch_counts_for_sweep(&vcgs, &plan, 1);
         let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
 
+        let pricing = FlowPricing::new(&soc, &vi, &plan, &cfg);
         let mut scratch = AllocScratch::default();
         for k_mid in 0..=3usize {
-            let exact = AllocContext::build(&soc, &vi, &plan, &asg, k_mid, &cfg).unwrap();
-            let oversized = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
+            let exact = context(&soc, &pricing, &plan, &asg, k_mid, &cfg).unwrap();
+            let oversized = context(&soc, &pricing, &plan, &asg, 4, &cfg).unwrap();
             let mut record = CandidateRecord::default();
-            let a = allocate_paths_warm(&exact, k_mid, &cfg, &mut scratch, None, &mut record)
-                .map(|a| a.topology);
-            let b = allocate_paths_warm(&oversized, k_mid, &cfg, &mut scratch, None, &mut record)
-                .map(|a| a.topology);
+            let a = allocate(&exact, k_mid, &cfg, &mut scratch, None, &mut record);
+            let b = allocate(&oversized, k_mid, &cfg, &mut scratch, None, &mut record);
             match (a, b) {
                 (Ok(ta), Ok(tb)) => assert_eq!(ta, tb, "k_mid={k_mid}"),
                 (Err(ea), Err(eb)) => assert_eq!(ea, eb, "k_mid={k_mid}"),
@@ -1204,26 +1331,20 @@ mod tests {
         for k_islands in [6usize, 7] {
             let vi = partition::communication_partition(&soc, k_islands, 1).unwrap();
             let plan = FrequencyPlan::compute(&soc, &vi, &cfg);
+            let pricing = FlowPricing::new(&soc, &vi, &plan, &cfg);
             let vcgs: Vec<_> = (0..k_islands)
                 .map(|j| build_vcg(&soc, &vi, j, &cfg))
                 .collect();
             for sweep in 1..=2usize {
                 let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
                 let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
-                let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
+                let ctx = context(&soc, &pricing, &plan, &asg, 4, &cfg).unwrap();
                 let mut scratch = AllocScratch::default();
                 let mut prev: Option<CandidateRecord> = None;
                 for k_mid in 0..=4usize {
                     let mut rec = CandidateRecord::default();
-                    let warm = allocate_paths_warm(
-                        &ctx,
-                        k_mid,
-                        &cfg,
-                        &mut scratch,
-                        prev.as_ref(),
-                        &mut rec,
-                    );
-                    let cold = allocate_paths_warm(
+                    let warm = allocate(&ctx, k_mid, &cfg, &mut scratch, prev.as_ref(), &mut rec);
+                    let cold = allocate(
                         &ctx,
                         k_mid,
                         &cfg,
@@ -1234,9 +1355,9 @@ mod tests {
                     let label = format!("islands={k_islands} sweep={sweep} k={k_mid}");
                     match (&warm, &cold) {
                         (Ok(aw), Ok(ac)) => {
-                            assert_eq!(aw.via_retry, ac.via_retry, "{label}");
-                            assert_eq!(aw.topology, ac.topology, "{label}");
-                            if aw.via_retry {
+                            assert_eq!(aw.0, ac.0, "{label}");
+                            assert_eq!(aw.1, ac.1, "{label}");
+                            if aw.0 {
                                 retries += 1;
                                 if prev.as_ref().is_some_and(|p| p.retry.is_some()) {
                                     warm_seeded_retries += 1;
@@ -1270,27 +1391,21 @@ mod tests {
             let vi = partition::logical_partition(&soc, k_islands).unwrap();
             let cfg = SynthesisConfig::default();
             let plan = FrequencyPlan::compute(&soc, &vi, &cfg);
+            let pricing = FlowPricing::new(&soc, &vi, &plan, &cfg);
             let vcgs: Vec<_> = (0..k_islands)
                 .map(|j| build_vcg(&soc, &vi, j, &cfg))
                 .collect();
             for sweep in 1..=3usize {
                 let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
                 let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
-                let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
+                let ctx = context(&soc, &pricing, &plan, &asg, 4, &cfg).unwrap();
                 let mut scratch = AllocScratch::default();
                 let mut prev: Option<CandidateRecord> = None;
                 for k_mid in 0..=4usize {
                     let mut rec = CandidateRecord::default();
-                    let warm = allocate_paths_warm(
-                        &ctx,
-                        k_mid,
-                        &cfg,
-                        &mut scratch,
-                        prev.as_ref(),
-                        &mut rec,
-                    )
-                    .map(|a| a.topology);
-                    let cold = allocate_paths_warm(
+                    let warm = allocate(&ctx, k_mid, &cfg, &mut scratch, prev.as_ref(), &mut rec)
+                        .map(|(_, t)| t);
+                    let cold = allocate(
                         &ctx,
                         k_mid,
                         &cfg,
@@ -1298,7 +1413,7 @@ mod tests {
                         None,
                         &mut CandidateRecord::default(),
                     )
-                    .map(|a| a.topology);
+                    .map(|(_, t)| t);
                     match (&warm, &cold) {
                         (Ok(tw), Ok(tc)) => {
                             assert_eq!(tw, tc, "islands={k_islands} sweep={sweep} k={k_mid}")
@@ -1327,18 +1442,18 @@ mod tests {
         let cfg = SynthesisConfig::default();
         let plan = FrequencyPlan::compute(&soc, &vi, &cfg);
         let vcgs: Vec<_> = (0..6).map(|j| build_vcg(&soc, &vi, j, &cfg)).collect();
+        let pricing = FlowPricing::new(&soc, &vi, &plan, &cfg);
         let mut replays = 0;
         for sweep in 1..=3usize {
             let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
             let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
-            let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
+            let ctx = context(&soc, &pricing, &plan, &asg, 4, &cfg).unwrap();
             let mut scratch = AllocScratch::default();
             let mut prev: Option<CandidateRecord> = None;
             for k_mid in 0..=4usize {
                 let mut rec = CandidateRecord::default();
-                let warm =
-                    allocate_paths_warm(&ctx, k_mid, &cfg, &mut scratch, prev.as_ref(), &mut rec)
-                        .map(|a| a.topology);
+                let warm = allocate(&ctx, k_mid, &cfg, &mut scratch, prev.as_ref(), &mut rec)
+                    .map(|(_, t)| t);
                 let cold = allocate_paths(&soc, &vi, &plan, &asg, k_mid, &cfg);
                 assert_eq!(warm, cold, "sweep={sweep} k={k_mid}");
                 replays += rec.main.fresh_replays;
@@ -1364,8 +1479,9 @@ mod tests {
         let vcgs: Vec<_> = (0..6).map(|j| build_vcg(&soc, &vi, j, &cfg)).collect();
         let counts = switch_counts_for_sweep(&vcgs, &plan, 1);
         let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
-        let ctx = AllocContext::build(&soc, &vi, &plan, &asg, 4, &cfg).unwrap();
-        assert!(ctx.fresh_bound.iter().all(|b| b.is_nan()));
+        let pricing = FlowPricing::new(&soc, &vi, &plan, &cfg);
+        assert!(pricing.fresh_bound.iter().all(|b| b.is_nan()));
+        let ctx = context(&soc, &pricing, &plan, &asg, 4, &cfg).unwrap();
         let mut scratch = AllocScratch::default();
         let mut prev: Option<CandidateRecord> = None;
         for k_mid in 0..=4usize {
@@ -1374,6 +1490,173 @@ mod tests {
             assert_eq!(rec.main.fresh_replays, 0);
             prev = Some(rec);
         }
+    }
+
+    /// The per-chain pricing the shared [`FlowPricing`] replaced, kept as
+    /// its oracle: every flow of `ctx` priced on its switches (a same-switch
+    /// flow gets no blocks), as each chain's context once priced them.
+    /// Returns each flow's blocks and fresh-intermediate bound.
+    fn per_chain_pricing(
+        ctx: &AllocContext,
+        spec: &SocSpec,
+        plan: &FrequencyPlan,
+        cfg: &SynthesisConfig,
+    ) -> Vec<(Vec<Block>, f64)> {
+        let mid = ctx.mid;
+        let island_freq = extended_frequencies(plan);
+        let link_model = LinkModel::new(&cfg.technology, cfg.link_width_bits);
+        let fifo_model = BisyncFifoModel::new(&cfg.technology, cfg.link_width_bits);
+        let nominal_switch = SwitchModel::new(&cfg.technology, 4, 4, cfg.link_width_bits);
+        let grown = SwitchModel::new(&cfg.technology, 4, 5, cfg.link_width_bits);
+        let port_growth: Vec<Power> = island_freq
+            .iter()
+            .map(|&f| grown.idle_power(f) - nominal_switch.idle_power(f))
+            .collect();
+        let idle_scarcity =
+            |j: usize| f64::powi(2.0, -(plan.max_switch_size_ext(j).max(1) as i32 - 1));
+        let min_lat_global = spec.min_latency_cycles().max(1) as f64;
+
+        let mut priced = Vec::new();
+        for isf in &ctx.flows {
+            let (a, b) = (isf.src_island, isf.dst_island);
+            let legal: &[(usize, usize)] = if isf.src_switch == isf.dst_switch {
+                &[]
+            } else if a == b {
+                &[(a, a)]
+            } else {
+                &[
+                    (a, a.min(b)),
+                    (a, a.max(b)),
+                    (a, mid),
+                    (mid, b),
+                    (mid, mid),
+                    (b, b),
+                ]
+            };
+            let bw = isf.bandwidth;
+            let urgency = min_lat_global / isf.max_latency_cycles.max(1) as f64;
+            let mut blocks = Vec::new();
+            for &(from, to) in legal {
+                let pair = ctx.pricing.pairs[from * (mid + 1) + to];
+                let crossing = from != to;
+                let mut p =
+                    link_model.traffic_power(pair.length_mm, bw) + nominal_switch.traffic_power(bw);
+                if crossing {
+                    p += fifo_model.power(Frequency::ZERO, Frequency::ZERO, bw);
+                }
+                let reuse_mw = p.mw();
+                if crossing {
+                    p += fifo_model.power(island_freq[from], island_freq[to], Bandwidth::ZERO);
+                }
+                p += port_growth[from];
+                p += port_growth[to];
+                let hop = (cfg.link_delay_cycles + cfg.switch_delay_cycles) as f64
+                    + if crossing {
+                        BisyncFifoModel::CROSSING_LATENCY_CYCLES as f64
+                    } else {
+                        0.0
+                    };
+                let lat_term = cfg.cost_latency_weight * hop * urgency;
+                let limit = pair.capacity.bytes_per_s() * (1.0 + 1e-9);
+                blocks.push(Block {
+                    from,
+                    to,
+                    touches_mid: from == mid || to == mid,
+                    limit,
+                    fresh_fits: (Bandwidth::ZERO + bw).bytes_per_s().partial_cmp(&limit)
+                        != Some(Ordering::Greater),
+                    reuse: cfg.cost_power_weight * (reuse_mw + 0.0) + lat_term,
+                    open_mw: p.mw(),
+                    lat_term,
+                    hop,
+                });
+            }
+            let non_negative = cfg.cost_power_weight >= 0.0
+                && cfg.cost_port_scarcity >= 0.0
+                && blocks
+                    .iter()
+                    .all(|b| b.reuse >= 0.0 && b.open_mw >= 0.0 && b.lat_term >= 0.0);
+            let bound = if a != b && non_negative {
+                let open_at_least = |from: usize, to: usize| {
+                    let blk = blocks
+                        .iter()
+                        .find(|b| (b.from, b.to) == (from, to))
+                        .unwrap();
+                    let scarcity =
+                        cfg.cost_port_scarcity * (idle_scarcity(from) + idle_scarcity(to));
+                    cfg.cost_power_weight * (blk.open_mw + scarcity) + blk.lat_term
+                };
+                let mid_mid = open_at_least(mid, mid);
+                open_at_least(a, mid).min(mid_mid) + open_at_least(mid, b).min(mid_mid)
+            } else {
+                f64::NAN
+            };
+            priced.push((blocks, bound));
+        }
+        priced
+    }
+
+    /// A block's fields, floats as bits.
+    fn block_bits(b: &Block) -> (usize, usize, bool, bool, [u64; 5]) {
+        let floats = [b.limit, b.reuse, b.open_mw, b.lat_term, b.hop].map(f64::to_bits);
+        (b.from, b.to, b.touches_mid, b.fresh_fits, floats)
+    }
+
+    /// For every flow a chain searches, on grids whose two scales give an
+    /// island different switch size budgets (d26's fleet grid, d12's
+    /// dynamic grid) and under a second cost model, the priced blocks and
+    /// fresh-intermediate bound shared through the plan's table equal the
+    /// per-chain pricing bit for bit.
+    #[test]
+    fn shared_pricing_equals_the_per_chain_pricing() {
+        let d26 = benchmarks::d26_mobile();
+        let d12 = benchmarks::d12_auto();
+        let tuned = SynthesisConfig {
+            cost_latency_weight: 3.5,
+            cost_port_scarcity: 0.25,
+            est_inter_link_mm: 4.0,
+            ..SynthesisConfig::default()
+        };
+        let cases = [
+            (&d26, 6, [1.0, 1.12], SynthesisConfig::default()),
+            (&d12, 4, [1.0, 1.1], SynthesisConfig::default()),
+            (&d26, 6, [1.0, 1.12], tuned),
+        ];
+        let mut searched = 0;
+        for (spec, islands, scales, cfg) in cases {
+            let vi = partition::logical_partition(spec, islands).unwrap();
+            let grid = crate::synthesis::test_grid(spec, &vi, &cfg, &scales, 1);
+            let budgets = |g: usize| -> Vec<usize> {
+                let plan = grid[g].0.plan();
+                (0..islands).map(|j| plan.max_switch_size(j)).collect()
+            };
+            assert_ne!(budgets(0), budgets(1), "{}", spec.name());
+            for (table, chains) in &grid {
+                let (plan, pricing) = (table.plan(), table.pricing(spec, &vi, &cfg));
+                for counts in chains {
+                    let groups: Vec<&[Vec<CoreId>]> = counts
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &c)| table.partition(j, c, &cfg))
+                        .collect();
+                    let Ok(ctx) = AllocContext::build(spec, pricing, plan, &groups, 4, &cfg) else {
+                        continue;
+                    };
+                    let oracle = per_chain_pricing(&ctx, spec, plan, &cfg);
+                    for (t, (isf, (blocks, bound))) in ctx.flows.iter().zip(&oracle).enumerate() {
+                        if isf.src_switch == isf.dst_switch {
+                            continue;
+                        }
+                        let shared = &pricing.blocks[pricing.flow_blocks[t].clone()];
+                        let bits = |b: &[Block]| b.iter().map(block_bits).collect::<Vec<_>>();
+                        assert_eq!(bits(shared), bits(blocks), "{} flow {t}", spec.name());
+                        assert_eq!(pricing.fresh_bound[t].to_bits(), bound.to_bits());
+                        searched += 1;
+                    }
+                }
+            }
+        }
+        assert!(searched > 10_000, "{searched}");
     }
 
     /// The allocator's search over the explicit candidate edge list, as
@@ -1529,7 +1812,8 @@ mod tests {
                 .collect();
             let counts = switch_counts_for_sweep(&vcgs, &plan, sweep);
             let asg = island_switch_assignment(&vcgs, &plan, &counts, &cfg);
-            let ctx = AllocContext::build(soc, &vi, &plan, &asg, 3, &cfg).unwrap();
+            let pricing = FlowPricing::new(soc, &vi, &plan, &cfg);
+            let ctx = context(soc, &pricing, &plan, &asg, 3, &cfg).unwrap();
             for k_mid in [0, 3] {
                 let mut s = AllocScratch::default();
                 s.reset(&ctx);

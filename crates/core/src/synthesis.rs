@@ -14,30 +14,38 @@
 //!    *chains*, as wide as `rayon::current_num_threads()`, folded into the
 //!    [`DesignSpace`].
 //!
-//! The fan-out unit is a chain, not a single candidate, because all
-//! intermediate-count candidates of one sweep index share their expensive
-//! prefix: the chain evaluator builds one [`crate::paths`] allocation
-//! context (candidate link table, ordered flow list, priced search
-//! blocks) per sweep index and warm-starts candidate `(i, k+1)` from
-//! `(i, k)`'s recorded allocation. Warm-starting is an exact optimization
-//! — it only skips work whose result is provably unchanged — so every
-//! candidate's outcome is bit-identical to the pure cold evaluation of
-//! [`evaluate_candidate`], and the fan-out visits candidates in the same
+//! Work is shared at two levels, and both are exact: each shared part is a
+//! pure function computed once.
+//!
+//! * Per frequency plan, a [`PlanTable`] holds the allocator's priced flows
+//!   (the ordered flow list, every flow's priced search blocks, the
+//!   island-pair link table) and every island's min-cut partition per
+//!   switch count, each filled on first use. Every chain of the plan reads
+//!   them; the `vi-noc-sweep` grids keep one table per frequency scale.
+//! * Per chain — the fan-out unit — all intermediate-count candidates of
+//!   one sweep index share a switch assignment, so the chain evaluator
+//!   builds one [`crate::paths`] allocation context and warm-starts
+//!   candidate `(i, k+1)` from `(i, k)`'s recorded allocation. A topology
+//!   is built only for a feasible candidate.
+//!
+//! Warm-starting only skips work whose result is provably unchanged, so
+//! every candidate's outcome is bit-identical to the pure cold evaluation
+//! of [`evaluate_candidate`], and the fan-out visits candidates in the same
 //! order at any width (the parallel map is order-preserving), producing
 //! byte-identical design spaces on one thread or many.
 
-use crate::assign::{base_schedule, island_switch_assignment, SwitchAssignment};
+use crate::assign::{base_schedule, island_partition};
 use crate::config::{FrequencyPlan, SynthesisConfig};
 use crate::design_space::{DesignPoint, DesignSpace};
 use crate::error::SynthesisError;
 use crate::metrics::compute_metrics;
 use crate::paths::{
-    allocate_paths, allocate_paths_warm, AllocContext, AllocScratch, CandidateRecord,
+    allocate_paths_warm, build_topology, AllocContext, AllocScratch, CandidateRecord, FlowPricing,
 };
-use crate::topology::Topology;
 use crate::vcg::{build_vcg, Vcg};
 use rayon::prelude::*;
-use vi_noc_soc::{SocSpec, ViAssignment};
+use std::sync::{Arc, OnceLock};
+use vi_noc_soc::{CoreId, SocSpec, ViAssignment};
 
 /// One candidate design of the sweep: a per-island switch-count vector plus
 /// a requested intermediate-island switch count.
@@ -51,17 +59,150 @@ pub struct SweepCandidate {
     pub requested_intermediate: usize,
 }
 
-/// Stage 1 of the pipeline: everything the per-candidate stage needs,
-/// computed once — the frequency plan (Algorithm 1 step 1), the per-island
-/// VCGs, the min-cut switch assignment of every sweep index (steps 4–11;
-/// shared by all intermediate-count candidates of that index), and the
-/// full list of candidates (steps 12–14 unrolled).
+/// Everything the chains of one frequency plan share, each part computed
+/// at most once, on first use:
+///
+/// * the path allocator's prices: the bandwidth-ordered flow list,
+///   every flow's priced search blocks and fresh-intermediate bound, and
+///   the island-pair link table;
+/// * every island's min-cut partition into each switch count (Algorithm 1,
+///   step 11), one slot per `(island, count)`.
+///
+/// A [`SweepPlan`] owns one, and so does each frequency scale of a
+/// `vi-noc-sweep` grid, so every chain of the plan — and every later use of
+/// the same grid — reuses them. Both parts are pure functions of the plan,
+/// the VCGs and the spec, partition and config they were built from, so
+/// sharing them changes no outcome. Building the table computes nothing:
+/// a caller that never evaluates a chain pays for no part.
+///
+/// The `spec`, `vi` and `cfg` passed to [`evaluate_candidate_chain`] with
+/// a table must be the ones its plan and VCGs were built from.
+#[derive(Debug, Clone)]
+pub struct PlanTable {
+    plan: FrequencyPlan,
+    vcgs: Arc<[Vcg]>,
+    pricing: OnceLock<FlowPricing>,
+    /// `partitions[j][c - 1]`: island `j`'s partition into `c` switches,
+    /// for `c` in `1..=|V_j|` (the partitioner clamps any count into that
+    /// range).
+    partitions: Vec<Vec<OnceLock<Vec<Vec<CoreId>>>>>,
+}
+
+impl PlanTable {
+    /// An empty table for the chains of `plan` over the islands of `vcgs`.
+    pub fn new(plan: FrequencyPlan, vcgs: Arc<[Vcg]>) -> Self {
+        let partitions = vcgs
+            .iter()
+            .map(|vcg| (0..vcg.len().max(1)).map(|_| OnceLock::new()).collect())
+            .collect();
+        PlanTable {
+            plan,
+            vcgs,
+            pricing: OnceLock::new(),
+            partitions,
+        }
+    }
+
+    /// The frequency plan.
+    pub fn plan(&self) -> &FrequencyPlan {
+        &self.plan
+    }
+
+    /// Island `j`'s min-cut partition into `count` switches: the cores
+    /// behind each switch, as [`crate::island_switch_assignment`] groups
+    /// them.
+    pub(crate) fn partition(
+        &self,
+        j: usize,
+        count: usize,
+        cfg: &SynthesisConfig,
+    ) -> &[Vec<CoreId>] {
+        let slots = &self.partitions[j];
+        let slot = &slots[count.clamp(1, slots.len()) - 1];
+        slot.get_or_init(|| {
+            #[cfg(test)]
+            TABLE_FILLS.with(|n| n.set((n.get().0 + 1, n.get().1)));
+            island_partition(&self.vcgs[j], &self.plan, count, cfg)
+        })
+    }
+
+    /// The allocator's prices under this plan.
+    pub(crate) fn pricing(
+        &self,
+        spec: &SocSpec,
+        vi: &ViAssignment,
+        cfg: &SynthesisConfig,
+    ) -> &FlowPricing {
+        self.pricing.get_or_init(|| {
+            #[cfg(test)]
+            TABLE_FILLS.with(|n| n.set((n.get().0, n.get().1 + 1)));
+            FlowPricing::new(spec, vi, &self.plan, cfg)
+        })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Island partitions and flow pricings the [`PlanTable`]s computed on
+    /// this thread.
+    pub(crate) static TABLE_FILLS: std::cell::Cell<(usize, usize)> =
+        const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Per frequency scale of a test grid: its table and its chains' count
+/// vectors.
+#[cfg(test)]
+pub(crate) type TestGrid = Vec<(PlanTable, Vec<Vec<usize>>)>;
+
+/// The chains of a `vi-noc-sweep` grid with the given scales and boost
+/// bound, for tests: per scale, its [`PlanTable`] and every distinct
+/// in-cap count vector (base schedule plus per-island boosts up to
+/// `max_boost`), in the grid's chain order.
+#[cfg(test)]
+pub(crate) fn test_grid(
+    spec: &SocSpec,
+    vi: &ViAssignment,
+    cfg: &SynthesisConfig,
+    scales: &[f64],
+    max_boost: usize,
+) -> TestGrid {
+    let vcgs: Arc<[Vcg]> = (0..vi.island_count())
+        .map(|j| build_vcg(spec, vi, j, cfg))
+        .collect();
+    let base_plan = FrequencyPlan::compute(spec, vi, cfg);
+    let mut grid = Vec::new();
+    for &scale in scales {
+        let plan = base_plan.scaled(scale, cfg);
+        let mut chains: Vec<Vec<usize>> = Vec::new();
+        for base in base_schedule(&vcgs, &plan) {
+            let mut boosts = vec![0; base.len()];
+            loop {
+                let counts: Vec<usize> = base.iter().zip(&boosts).map(|(b, x)| b + x).collect();
+                let in_cap = counts.iter().zip(vcgs.iter()).all(|(&c, v)| c <= v.len());
+                if in_cap && !chains.contains(&counts) {
+                    chains.push(counts);
+                }
+                // The next boost code, island 0 the least significant digit.
+                let Some(j) = boosts.iter().position(|&b| b < max_boost) else {
+                    break;
+                };
+                boosts[..j].fill(0);
+                boosts[j] += 1;
+            }
+        }
+        grid.push((PlanTable::new(plan, Arc::clone(&vcgs)), chains));
+    }
+    grid
+}
+
+/// Stage 1 of the pipeline: everything the per-candidate stage needs — the
+/// frequency plan (Algorithm 1 step 1) and the per-island VCGs, in a
+/// [`PlanTable`] that also holds the min-cut switch assignments (steps
+/// 4–11) once a chain asks for them — and the full list of candidates
+/// (steps 12–14 unrolled).
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    plan: FrequencyPlan,
-    /// One [`SwitchAssignment`] per sweep index, at position
-    /// `sweep_index - 1` (sweep indices are consecutive from 1).
-    assignments: Vec<SwitchAssignment>,
+    table: PlanTable,
     candidates: Vec<SweepCandidate>,
 }
 
@@ -84,9 +225,8 @@ impl SweepPlan {
             vec![0]
         };
 
-        let count_vectors = base_schedule(&vcgs, &plan);
         let mut candidates = Vec::new();
-        for (i, counts) in count_vectors.iter().enumerate() {
+        for (i, counts) in base_schedule(&vcgs, &plan).iter().enumerate() {
             for &k_mid in &mid_range {
                 candidates.push(SweepCandidate {
                     sweep_index: i + 1,
@@ -95,34 +235,15 @@ impl SweepPlan {
                 });
             }
         }
-
-        // The min-cut partition of each sweep index is shared by all of
-        // its intermediate-count candidates, so it is computed here once
-        // per index, in parallel (each assignment is a pure function of
-        // its count vector).
-        let assignments = count_vectors
-            .par_iter()
-            .map(|counts| island_switch_assignment(&vcgs, &plan, counts, cfg))
-            .collect();
-
         SweepPlan {
-            plan,
-            assignments,
+            table: PlanTable::new(plan, vcgs.into()),
             candidates,
         }
     }
 
-    /// The core→switch grouping of sweep index `sweep_index`.
-    ///
-    /// # Panics
-    ///
-    /// If `sweep_index` is not one of the plan's (1-based, consecutive)
-    /// sweep indices.
-    pub fn assignment(&self, sweep_index: usize) -> &SwitchAssignment {
-        sweep_index
-            .checked_sub(1)
-            .and_then(|i| self.assignments.get(i))
-            .expect("sweep_index must be 1-based and within the plan")
+    /// The table every chain of the sweep shares.
+    pub fn table(&self) -> &PlanTable {
+        &self.table
     }
 
     /// The enumerated candidates, in exploration order.
@@ -157,13 +278,15 @@ pub enum CandidateOutcome {
 }
 
 /// Stage 2 of the pipeline: evaluates one candidate, independently of all
-/// others — takes the candidate's min-cut switch assignment from the plan
-/// (step 11), allocates min-cost shutdown-legal paths for every flow in
-/// decreasing bandwidth order (steps 14–17), and computes the design
-/// metrics.
+/// others — takes the candidate's min-cut switch assignment from the
+/// plan's table (step 11), allocates min-cost shutdown-legal paths for
+/// every flow in decreasing bandwidth order (steps 14–17), and computes the
+/// design metrics.
 ///
-/// The function is pure: it touches no shared mutable state, so candidates
-/// can be evaluated in any order or concurrently with identical results.
+/// The function is pure: the table's parts are pure functions filled at
+/// most once, so candidates can be evaluated in any order or concurrently
+/// with identical results. It is the cold reference for the chain
+/// evaluator's warm start: a chain of this one candidate.
 pub fn evaluate_candidate(
     spec: &SocSpec,
     vi: &ViAssignment,
@@ -171,41 +294,9 @@ pub fn evaluate_candidate(
     candidate: &SweepCandidate,
     cfg: &SynthesisConfig,
 ) -> CandidateOutcome {
-    let assignment = sweep.assignment(candidate.sweep_index);
-    let result = allocate_paths(
-        spec,
-        vi,
-        &sweep.plan,
-        assignment,
-        candidate.requested_intermediate,
-        cfg,
-    );
-    candidate_outcome(result, candidate, spec, cfg)
-}
-
-/// Folds an allocation result into a [`CandidateOutcome`].
-fn candidate_outcome(
-    result: Result<Topology, String>,
-    candidate: &SweepCandidate,
-    spec: &SocSpec,
-    cfg: &SynthesisConfig,
-) -> CandidateOutcome {
-    match result {
-        Ok(topology) => {
-            if topology.intermediate_switch_count() != candidate.requested_intermediate {
-                return CandidateOutcome::Duplicate;
-            }
-            let metrics = compute_metrics(spec, &topology, cfg);
-            CandidateOutcome::Feasible(Box::new(DesignPoint {
-                sweep_index: candidate.sweep_index,
-                requested_intermediate: candidate.requested_intermediate,
-                switch_counts: candidate.switch_counts.clone(),
-                topology,
-                metrics,
-            }))
-        }
-        Err(reason) => CandidateOutcome::Infeasible(reason),
-    }
+    let chain = std::slice::from_ref(candidate);
+    let (mut outcomes, _) = evaluate_candidate_chain(spec, vi, &sweep.table, chain, cfg);
+    outcomes.pop().expect("one outcome per candidate")
 }
 
 /// A per-island port-slack certificate distilled from one evaluated chain,
@@ -297,8 +388,47 @@ impl SlackCertificate {
     /// adds a parallel link, so extra capacity there is not provably slack.
     const LINK_STRESS_UTILIZATION: f64 = 0.5;
 
-    /// Folds one successful allocation's topology into the certificate.
-    fn observe(&mut self, vi: &ViAssignment, plan: &FrequencyPlan, topo: &Topology) {
+    /// Folds one successful allocation into the certificate, reading the
+    /// attempt's flat state: the ports of every real-island switch and the
+    /// load of every open link, which the built topology would only copy.
+    fn observe(&mut self, ctx: &AllocContext, s: &AllocScratch, plan: &FrequencyPlan) {
+        if !self.valid {
+            return;
+        }
+        for (j, inp, outp) in s.real_switch_ports(ctx) {
+            if inp.max(outp) >= plan.max_switch_size_ext(j) {
+                // The allocator consumed island j's whole port budget
+                // somewhere — late flows may have been detoured around this
+                // switch, and the partitioner's part-weight cap was binding
+                // — so more switches in j are not provably useless.
+                self.island_slack[j] = false;
+            }
+        }
+        let mid = self.island_slack.len();
+        for (from, to, load, capacity) in s.open_links(ctx) {
+            if load.bytes_per_s() <= Self::LINK_STRESS_UTILIZATION * capacity.bytes_per_s() {
+                continue;
+            }
+            for j in [from, to] {
+                if j < mid {
+                    self.island_slack[j] = false;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl SlackCertificate {
+    /// [`SlackCertificate::observe`] as it read a built topology before
+    /// the flat state sufficed: the oracle the flat reading is checked
+    /// against.
+    fn observe_topology(
+        &mut self,
+        vi: &ViAssignment,
+        plan: &FrequencyPlan,
+        topo: &crate::topology::Topology,
+    ) {
         if !self.valid {
             return;
         }
@@ -310,10 +440,6 @@ impl SlackCertificate {
             }
             let (inp, outp) = topo.switch_ports(s);
             if inp.max(outp) >= plan.max_switch_size_ext(j) {
-                // The allocator consumed island j's whole port budget
-                // somewhere — late flows may have been detoured around this
-                // switch, and the partitioner's part-weight cap was binding
-                // — so more switches in j are not provably useless.
                 self.island_slack[j] = false;
             }
         }
@@ -333,44 +459,30 @@ impl SlackCertificate {
 
 /// Evaluates one chain of intermediate-count candidates that share a switch
 /// assignment, building the allocation context once and warm-starting each
-/// candidate from its predecessor's recorded allocation.
+/// candidate from its predecessor's recorded allocation, and returns the
+/// outcomes with the chain's [`SlackCertificate`].
 ///
 /// This is the streaming-consumption entry point of the pipeline: callers
 /// that enumerate their own candidate grids (the `vi-noc-sweep` crate's
 /// sharded sweep) feed one chain at a time — with an arbitrary switch-count
-/// vector and possibly a scaled [`FrequencyPlan`] — and fold the returned
-/// outcomes without ever materializing a [`DesignSpace`].
+/// vector and the [`PlanTable`] of its (possibly scaled)
+/// [`FrequencyPlan`] — and fold the returned outcomes without ever
+/// materializing a [`DesignSpace`]. The table supplies the chain's min-cut
+/// partitions and the plan's priced flows, computing each on first use.
 ///
 /// Outcome-equivalent to evaluating every candidate cold and independently
 /// (asserted by the warm-start equivalence tests); the sharing only removes
-/// redundant work, never changes a result.
+/// redundant work, never changes a result. A topology is built only for a
+/// feasible candidate: the Duplicate test and the certificate read the
+/// allocation's flat state.
 ///
 /// Chain contract: every candidate must carry the same `sweep_index` and
-/// `switch_counts` (matching `assignment`), with `requested_intermediate`
-/// strictly ascending — the order the warm start and the Duplicate
-/// short-circuit are proven for.
+/// `switch_counts`, with `requested_intermediate` strictly ascending — the
+/// order the warm start and the Duplicate short-circuit are proven for.
 pub fn evaluate_candidate_chain(
     spec: &SocSpec,
     vi: &ViAssignment,
-    plan: &FrequencyPlan,
-    assignment: &SwitchAssignment,
-    chain: &[SweepCandidate],
-    cfg: &SynthesisConfig,
-) -> Vec<CandidateOutcome> {
-    evaluate_candidate_chain_with_certificate(spec, vi, plan, assignment, chain, cfg).0
-}
-
-/// [`evaluate_candidate_chain`] plus the chain's [`SlackCertificate`].
-///
-/// The outcomes are bit-identical to the plain evaluator's — the
-/// certificate is a read-only distillation of the allocations the chain
-/// produced anyway, so surfacing it costs one pass over each topology and
-/// changes nothing about the results.
-pub fn evaluate_candidate_chain_with_certificate(
-    spec: &SocSpec,
-    vi: &ViAssignment,
-    plan: &FrequencyPlan,
-    assignment: &SwitchAssignment,
+    table: &PlanTable,
     chain: &[SweepCandidate],
     cfg: &SynthesisConfig,
 ) -> (Vec<CandidateOutcome>, SlackCertificate) {
@@ -381,12 +493,23 @@ pub fn evaluate_candidate_chain_with_certificate(
     }));
     let islands = vi.island_count();
     let mut cert = SlackCertificate::fresh(islands);
+    let Some(first) = chain.first() else {
+        return (Vec::new(), cert);
+    };
+    let plan = table.plan();
+    let groups: Vec<&[Vec<CoreId>]> = first
+        .switch_counts
+        .iter()
+        .enumerate()
+        .map(|(j, &count)| table.partition(j, count, cfg))
+        .collect();
     let k_max = chain
         .iter()
         .map(|c| c.requested_intermediate)
         .max()
         .unwrap_or(0);
-    let ctx = match AllocContext::build(spec, vi, plan, assignment, k_max, cfg) {
+    let pricing = table.pricing(spec, vi, cfg);
+    let ctx = match AllocContext::build(spec, pricing, plan, &groups, k_max, cfg) {
         Ok(ctx) => ctx,
         // The context pre-check (core counts vs switch size budgets) fails
         // identically for every candidate of the index.
@@ -413,31 +536,39 @@ pub fn evaluate_candidate_chain_with_certificate(
             outcomes.push(CandidateOutcome::Duplicate);
             continue;
         }
-        let result = allocate_paths_warm(
-            &ctx,
-            candidate.requested_intermediate,
-            cfg,
-            &mut scratch,
-            prev.as_ref(),
-            &mut record,
-        );
-        match &result {
-            Ok(alloc) => {
-                saturated = alloc.has_spare_intermediate(candidate.requested_intermediate);
-                if alloc.via_retry {
-                    cert = SlackCertificate::invalid(islands);
-                } else {
-                    cert.observe(vi, plan, &alloc.topology);
+        let k = candidate.requested_intermediate;
+        let outcome =
+            match allocate_paths_warm(&ctx, k, cfg, &mut scratch, prev.as_ref(), &mut record) {
+                Ok(alloc) => {
+                    saturated = alloc.has_spare_intermediate(k);
+                    if alloc.via_retry {
+                        cert = SlackCertificate::invalid(islands);
+                    } else {
+                        cert.observe(&ctx, &scratch, plan);
+                    }
+                    // The allocator used fewer intermediate switches than
+                    // requested: the run that requested that many builds the
+                    // same topology.
+                    if alloc.intermediate_used != k {
+                        CandidateOutcome::Duplicate
+                    } else {
+                        let topology = build_topology(&ctx, k, cfg, &scratch, &record);
+                        let metrics = compute_metrics(spec, &topology, cfg);
+                        CandidateOutcome::Feasible(Box::new(DesignPoint {
+                            sweep_index: candidate.sweep_index,
+                            requested_intermediate: k,
+                            switch_counts: candidate.switch_counts.clone(),
+                            topology,
+                            metrics,
+                        }))
+                    }
                 }
-            }
-            Err(_) => cert = SlackCertificate::invalid(islands),
-        }
-        outcomes.push(candidate_outcome(
-            result.map(|a| a.topology),
-            candidate,
-            spec,
-            cfg,
-        ));
+                Err(reason) => {
+                    cert = SlackCertificate::invalid(islands);
+                    CandidateOutcome::Infeasible(reason)
+                }
+            };
+        outcomes.push(outcome);
         // The record becomes the next seed; the old seed's buffers take
         // the next candidate's record.
         record = prev.replace(record).unwrap_or_default();
@@ -480,8 +611,8 @@ pub fn synthesize(
     let sweep = SweepPlan::build(spec, vi, cfg);
     // Fan out over per-sweep-index chains: candidates within a chain share
     // their allocation context and warm-start one another (see
-    // `evaluate_chain`), so they must run on the same worker; distinct
-    // sweep indices are independent.
+    // `evaluate_candidate_chain`), so they must run on the same worker;
+    // distinct sweep indices are independent.
     let candidates = sweep.candidates();
     let mut chains: Vec<&[SweepCandidate]> = Vec::new();
     let mut start = 0;
@@ -493,10 +624,7 @@ pub fn synthesize(
     }
     let outcomes: Vec<CandidateOutcome> = chains
         .par_iter()
-        .map(|chain| {
-            let assignment = sweep.assignment(chain[0].sweep_index);
-            evaluate_candidate_chain(spec, vi, &sweep.plan, assignment, chain, cfg)
-        })
+        .map(|chain| evaluate_candidate_chain(spec, vi, &sweep.table, chain, cfg).0)
         .collect::<Vec<_>>()
         .into_iter()
         .flatten()
@@ -529,7 +657,197 @@ pub fn synthesize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::island_switch_assignment;
+    use crate::paths::TOPOLOGIES_BUILT;
     use vi_noc_soc::{benchmarks, partition};
+
+    /// The candidates `0..=k_max` of a chain with `counts`.
+    fn chain_of(counts: &[usize], k_max: usize) -> Vec<SweepCandidate> {
+        (0..=k_max)
+            .map(|k| SweepCandidate {
+                sweep_index: 1,
+                switch_counts: counts.to_vec(),
+                requested_intermediate: k,
+            })
+            .collect()
+    }
+
+    /// The fleet grid's two scales give island 0 different switch size
+    /// budgets, so their tables partition it differently.
+    fn fine_grid() -> (SocSpec, ViAssignment, TestGrid) {
+        let soc = benchmarks::d26_mobile();
+        let vi = partition::logical_partition(&soc, 6).unwrap();
+        let grid = test_grid(&soc, &vi, &SynthesisConfig::default(), &[1.0, 1.12], 1);
+        let (a, b) = (grid[0].0.plan(), grid[1].0.plan());
+        assert_ne!(a.max_switch_size(0), b.max_switch_size(0));
+        (soc, vi, grid)
+    }
+
+    /// Every partition a table holds — counts clamped into `1..=|V_j|`
+    /// included — is the one a fresh `island_switch_assignment` computes.
+    #[test]
+    fn table_partitions_equal_fresh_assignments() {
+        let (_, _, grid) = fine_grid();
+        let cfg = SynthesisConfig::default();
+        let d12 = benchmarks::d12_auto();
+        let vi12 = partition::logical_partition(&d12, 4).unwrap();
+        let grid12 = test_grid(&d12, &vi12, &cfg, &[1.0, 1.1], 1);
+        let mut checked = 0;
+        for (table, chains) in grid.iter().chain(&grid12) {
+            let caps: Vec<usize> = table.vcgs.iter().map(Vcg::len).collect();
+            let extremes = [vec![0; caps.len()], caps.iter().map(|c| c + 3).collect()];
+            for counts in chains.iter().chain(&extremes) {
+                let fresh = island_switch_assignment(&table.vcgs, table.plan(), counts, &cfg);
+                for (j, &count) in counts.iter().enumerate() {
+                    assert_eq!(
+                        table.partition(j, count, &cfg),
+                        fresh.groups[j],
+                        "{counts:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 1_000, "{checked}");
+    }
+
+    /// Over every chain of the `prune_exact.rs` grids, the certificate read
+    /// from the allocations' flat state equals the one read from their
+    /// built topologies, and is the one the chain evaluator returns.
+    #[test]
+    fn the_flat_certificate_equals_the_topology_certificate() {
+        let (d26, d36, d16) = (
+            benchmarks::d26_mobile(),
+            benchmarks::d36_tablet(),
+            benchmarks::d16_settop(),
+        );
+        let cases = [
+            (
+                &d26,
+                partition::logical_partition(&d26, 6).unwrap(),
+                &[1.0, 1.12][..],
+                4,
+            ),
+            (
+                &d36,
+                partition::logical_partition(&d36, 6).unwrap(),
+                &[1.0][..],
+                3,
+            ),
+            (
+                &d16,
+                partition::communication_partition(&d16, 4, 1).unwrap(),
+                &[1.0][..],
+                3,
+            ),
+        ];
+        let cfg = SynthesisConfig::default();
+        let (mut observed, mut certified) = (0, 0);
+        for (spec, vi, scales, k_max) in cases {
+            let islands = vi.island_count();
+            for (table, chains) in test_grid(spec, &vi, &cfg, scales, 1) {
+                let plan = table.plan();
+                for counts in &chains {
+                    let (_, cert) =
+                        evaluate_candidate_chain(spec, &vi, &table, &chain_of(counts, k_max), &cfg);
+                    let groups: Vec<&[Vec<CoreId>]> = counts
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &c)| table.partition(j, c, &cfg))
+                        .collect();
+                    let pricing = table.pricing(spec, &vi, &cfg);
+                    let Ok(ctx) = AllocContext::build(spec, pricing, plan, &groups, k_max, &cfg)
+                    else {
+                        assert_eq!(cert, SlackCertificate::invalid(islands));
+                        continue;
+                    };
+                    // The chain's allocations, as the evaluator runs them.
+                    let (mut flat, mut by_topology) = (
+                        SlackCertificate::fresh(islands),
+                        SlackCertificate::fresh(islands),
+                    );
+                    let mut scratch = AllocScratch::default();
+                    let (mut prev, mut record) = (None, CandidateRecord::default());
+                    for k in 0..=k_max {
+                        let alloc = allocate_paths_warm(
+                            &ctx,
+                            k,
+                            &cfg,
+                            &mut scratch,
+                            prev.as_ref(),
+                            &mut record,
+                        );
+                        match alloc {
+                            Ok(a) if !a.via_retry => {
+                                flat.observe(&ctx, &scratch, plan);
+                                let topo = build_topology(&ctx, k, &cfg, &scratch, &record);
+                                by_topology.observe_topology(&vi, plan, &topo);
+                                observed += 1;
+                                if a.has_spare_intermediate(k) {
+                                    break;
+                                }
+                            }
+                            _ => {
+                                flat = SlackCertificate::invalid(islands);
+                                by_topology = SlackCertificate::invalid(islands);
+                            }
+                        }
+                        record = prev.replace(record).unwrap_or_default();
+                    }
+                    assert_eq!(flat, by_topology, "{} {counts:?}", spec.name());
+                    assert_eq!(cert, flat, "{} {counts:?}", spec.name());
+                    certified += usize::from((0..islands).any(|j| cert.island_certified(j)));
+                }
+            }
+        }
+        assert!(observed >= 400 && certified > 0, "{observed} {certified}");
+    }
+
+    /// With the shared tables, one pass over the fleet grid
+    /// (`d26_overclocked_fine`: 216 active chains, 120 feasible, 480
+    /// duplicates, 480 infeasible) builds a topology only for the 120
+    /// feasible candidates (not also for the 120 duplicates its `k = 1`
+    /// attempts produce), partitions each `(scale, island, count)` once
+    /// (52, not 216 × 6) and prices each scale's flows once (2, not 216).
+    #[test]
+    fn the_fine_grid_builds_each_shared_part_once() {
+        let (soc, vi, grid) = fine_grid();
+        let cfg = SynthesisConfig::default();
+        TOPOLOGIES_BUILT.with(|n| n.set(0));
+        TABLE_FILLS.with(|n| n.set((0, 0)));
+        let mut counts = [0usize; 4];
+        for (table, chains) in &grid {
+            for c in chains {
+                counts[0] += 1;
+                for outcome in evaluate_candidate_chain(&soc, &vi, table, &chain_of(c, 4), &cfg).0 {
+                    counts[match outcome {
+                        CandidateOutcome::Feasible(_) => 1,
+                        CandidateOutcome::Duplicate => 2,
+                        CandidateOutcome::Infeasible(_) => 3,
+                    }] += 1;
+                }
+            }
+        }
+        assert_eq!(counts, [216, 120, 480, 480]);
+        assert_eq!(TOPOLOGIES_BUILT.with(|n| n.get()), 120);
+        let mut distinct: Vec<(usize, usize, usize)> = Vec::new();
+        for (table, _) in &grid {
+            for (j, slots) in table.partitions.iter().enumerate() {
+                for (c, slot) in slots.iter().enumerate() {
+                    let key = (j, table.plan().max_switch_size(j), c + 1);
+                    if slot.get().is_some() && !distinct.contains(&key) {
+                        distinct.push(key);
+                    }
+                }
+            }
+        }
+        // One partition per filled `(scale, island, count)` slot: 52. They
+        // have 37 distinct inputs; the other 15 repeat an island whose size
+        // budget is the same at both scales, which a per-plan table does
+        // not share.
+        assert_eq!(TABLE_FILLS.with(|n| n.get()), (52, 2));
+        assert_eq!(distinct.len(), 37);
+    }
 
     #[test]
     fn d26_synthesizes_across_the_paper_sweep() {

@@ -20,8 +20,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use vi_noc_core::{
-    design_point_json, evaluate_candidate_chain, fnv1a64, CandidateOutcome, FrequencyPlan,
-    SweepPlan, SynthesisConfig,
+    design_point_json, evaluate_candidate_chain, fnv1a64, CandidateOutcome, SweepPlan,
+    SynthesisConfig,
 };
 use vi_noc_soc::{
     benchmarks, generate_synthetic, partition, SocSpec, SyntheticConfig, ViAssignment,
@@ -30,14 +30,12 @@ use vi_noc_soc::{
 /// FNV-1a over every chain outcome of the sweep, in candidate order.
 fn digest(spec: &SocSpec, vi: &ViAssignment, cfg: &SynthesisConfig) -> u64 {
     let sweep = SweepPlan::build(spec, vi, cfg);
-    let plan = FrequencyPlan::compute(spec, vi, cfg);
     let mut text = String::new();
     for chain in sweep
         .candidates()
         .chunk_by(|a, b| a.sweep_index == b.sweep_index)
     {
-        let assignment = sweep.assignment(chain[0].sweep_index);
-        for outcome in evaluate_candidate_chain(spec, vi, &plan, assignment, chain, cfg) {
+        for outcome in evaluate_candidate_chain(spec, vi, sweep.table(), chain, cfg).0 {
             match outcome {
                 CandidateOutcome::Feasible(point) => {
                     text.push('F');

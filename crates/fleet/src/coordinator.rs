@@ -23,7 +23,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream}
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vi_noc_core::json;
 
 struct Shared {
@@ -43,8 +43,13 @@ struct Shared {
 pub struct FleetHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: thread::JoinHandle<()>,
+    /// The accept loop; it returns the connection threads still running.
+    accept: thread::JoinHandle<Vec<thread::JoinHandle<()>>>,
 }
+
+/// How long shutdown lets a connection thread block writing what it owes
+/// to a peer that does not read.
+const SHUTDOWN_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 impl FleetHandle {
     /// The address the coordinator listens on (resolved, so binding to
@@ -82,6 +87,13 @@ impl FleetHandle {
     /// Stops the coordinator: parked requests answer `shutdown`, parked
     /// submissions fail, the accept loop ends, and every open connection
     /// is closed for reading, so its thread ends once it has answered.
+    ///
+    /// Returns only after every connection thread has written what it owes
+    /// — the `ack` of a delta it folded, the `shutdown` answer of a parked
+    /// `request` — and has exited. A job's last fold wakes its submitter
+    /// before the connection writes that delta's `ack`; a caller that
+    /// exits right after shutting down must not cut the ack off, or the
+    /// worker sees its coordinator hang up in the middle of a lease.
     pub fn shutdown(self) {
         {
             let _book = self.shared.book.lock().unwrap();
@@ -97,12 +109,19 @@ impl FleetHandle {
                 SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
             });
         }
-        if TcpStream::connect(wake).is_ok() {
-            let _ = self.accept.join();
-        }
-        // The read side only: a woken `request` still writes `shutdown`.
+        let connections = match TcpStream::connect(wake) {
+            Ok(_) => self.accept.join().unwrap_or_default(),
+            Err(_) => Vec::new(),
+        };
+        // The read side only: a woken `request` still writes `shutdown`,
+        // and a folded delta its `ack`. A peer that stopped reading cannot
+        // hold a write up for longer than the timeout.
         for stream in self.shared.conns.lock().unwrap().values() {
+            let _ = stream.set_write_timeout(Some(SHUTDOWN_WRITE_TIMEOUT));
             let _ = stream.shutdown(Shutdown::Read);
+        }
+        for connection in connections {
+            let _ = connection.join();
         }
     }
 }
@@ -161,6 +180,7 @@ pub fn start_coordinator(
     });
     let accept_shared = Arc::clone(&shared);
     let accept = thread::spawn(move || {
+        let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
         for (id, stream) in (0u64..).zip(listener.incoming()) {
             let Ok(stream) = stream else { break };
             let Ok(clone) = stream.try_clone() else {
@@ -175,11 +195,13 @@ pub fn start_coordinator(
             conns.insert(id, clone);
             drop(conns);
             let conn_shared = Arc::clone(&accept_shared);
-            thread::spawn(move || {
+            connections.retain(|c| !c.is_finished());
+            connections.push(thread::spawn(move || {
                 handle_connection(stream, &conn_shared);
                 conn_shared.conns.lock().unwrap().remove(&id);
-            });
+            }));
         }
+        connections
     });
     Ok(FleetHandle {
         addr,

@@ -574,3 +574,79 @@ fn a_v3_coordinator_refuses_the_deleted_submit_role() {
         assert_eq!(stats.abandoned, 0, "no lease churn in a healthy fleet");
     }
 }
+
+/// A job's last fold wakes its submitter before the connection writes that
+/// delta's `ack`, and `vi-noc fleet serve` exits as soon as `shutdown`
+/// returns. So `shutdown` must return only once the ack is written and the
+/// connection thread has exited: here the ack is readable, and the
+/// connection closed, without waiting. Before, a worker cut off from its
+/// last ack saw `coordinator hung up` mid-lease and exited 2.
+#[test]
+fn shutdown_returns_after_the_final_ack_is_written() {
+    let whole = FleetConfig {
+        lease_chunk: 1 << 20,
+        checkpoint_every: 1 << 20,
+        ..FleetConfig::default()
+    };
+    let want = reference("d12:boost0");
+    for _ in 0..5 {
+        let handle =
+            start_coordinator("127.0.0.1:0", Arc::new(BenchResolver), whole.clone()).unwrap();
+        let mut peer = RawPeer::connect(handle.addr());
+        let lease = thread::scope(|s| {
+            let submit = s.spawn(|| handle.submit("d12:boost0"));
+            // One lease of the whole grid, evaluated as one delta, which
+            // finishes the job; its ack is left unread.
+            let lease = peer.take_lease();
+            let job = BenchResolver.resolve(&lease.job).unwrap();
+            let range = ChainRange::new(lease.start, lease.end).unwrap();
+            let mut emit = |d: vi_noc_sweep::RangeDelta| -> Result<(), String> {
+                peer.send(&Message::Delta(Delta {
+                    lease_id: lease.lease_id,
+                    grid_fp: lease.grid_fp.clone(),
+                    from: d.from,
+                    taken: d.taken,
+                    stats: d.stats,
+                    entries: d
+                        .entries
+                        .iter()
+                        .map(|(_, e)| vi_noc_core::json::parse(e).unwrap())
+                        .collect(),
+                }));
+                Ok(())
+            };
+            let ids = range.chain_ids();
+            run_deltas(
+                &job.spec,
+                &job.vi,
+                &job.grid,
+                &job.cfg,
+                ids,
+                lease.from,
+                lease.checkpoint_every,
+                job.prune,
+                &mut emit,
+            )
+            .unwrap();
+            assert_eq!(submit.join().unwrap().unwrap(), want);
+            lease
+        });
+        handle.shutdown();
+
+        peer.writer.set_nonblocking(true).unwrap();
+        let mut line = String::new();
+        let read = peer.reader.read_line(&mut line);
+        assert!(
+            matches!(read, Ok(n) if n > 0),
+            "the final ack was not written before shutdown returned: {read:?}"
+        );
+        assert_eq!(
+            parse_message(line.trim_end()).unwrap(),
+            Message::Ack {
+                lease_id: lease.lease_id,
+                done: lease.end - lease.start,
+            }
+        );
+        peer.expect_closed();
+    }
+}

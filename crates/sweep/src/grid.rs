@@ -22,11 +22,22 @@
 //! materialized, so grids of 10⁴–10⁵ candidates (and far beyond) cost a few
 //! frequency plans and base count vectors up front.
 //!
+//! Each frequency scale owns a [`PlanTable`]: the plan's priced flows and
+//! every island's min-cut partition per switch count, each computed the
+//! first time a chain of the scale needs it. Every chain, slack-oracle
+//! reference chain and regenerated point of the grid shares them, for as
+//! long as the grid lives (a fleet worker keeps a resolved job's grid
+//! across leases). A grid that only describes itself — a coordinator
+//! resolving a job for its descriptor — computes none of it.
+//!
 //! Every candidate owns a stable global **ordinal**
 //! (`chain_id * (max_intermediate + 1) + k`) used as the Pareto tiebreak, so
 //! any sharding of the chains folds to the identical frontier.
 
-use vi_noc_core::{base_schedule, build_vcg, FrequencyPlan, SweepCandidate, SynthesisConfig, Vcg};
+use std::sync::Arc;
+use vi_noc_core::{
+    base_schedule, build_vcg, FrequencyPlan, PlanTable, SweepCandidate, SynthesisConfig, Vcg,
+};
 use vi_noc_soc::{SocSpec, ViAssignment};
 
 /// The grid's axis configuration.
@@ -95,7 +106,8 @@ impl RefineWindow {
 #[derive(Debug, Clone)]
 struct ScaleAxis {
     scale: f64,
-    plan: FrequencyPlan,
+    /// The scaled plan and what its chains share.
+    table: PlanTable,
     /// Deduplicated base count vectors, indexed by `base_sweep_index - 1`.
     base: Vec<Vec<usize>>,
 }
@@ -103,7 +115,7 @@ struct ScaleAxis {
 /// A lazily enumerable design-space grid for one `(spec, vi)` pair.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
-    vcgs: Vec<Vcg>,
+    vcgs: Arc<[Vcg]>,
     /// One switch per core is the hard ceiling of island `j`'s count.
     caps: Vec<usize>,
     scales: Vec<ScaleAxis>,
@@ -140,9 +152,9 @@ pub struct ChainSpec {
 }
 
 impl SweepGrid {
-    /// Builds the grid skeleton: VCGs, one frequency plan per scale, and
-    /// each scale's deduplicated base count schedule. Cost is independent of
-    /// the number of grid candidates.
+    /// Builds the grid skeleton: VCGs, one frequency plan (and empty
+    /// [`PlanTable`]) per scale, and each scale's deduplicated base count
+    /// schedule. Cost is independent of the number of grid candidates.
     ///
     /// # Panics
     ///
@@ -159,7 +171,7 @@ impl SweepGrid {
             !grid.freq_scales.is_empty(),
             "grid needs at least one frequency scale"
         );
-        let vcgs: Vec<Vcg> = (0..vi.island_count())
+        let vcgs: Arc<[Vcg]> = (0..vi.island_count())
             .map(|j| build_vcg(spec, vi, j, cfg))
             .collect();
         let caps: Vec<usize> = vcgs.iter().map(Vcg::len).collect();
@@ -171,7 +183,11 @@ impl SweepGrid {
             .map(|&scale| {
                 let plan = base_plan.scaled(scale, cfg);
                 let base = base_schedule(&vcgs, &plan);
-                ScaleAxis { scale, plan, base }
+                ScaleAxis {
+                    scale,
+                    table: PlanTable::new(plan, Arc::clone(&vcgs)),
+                    base,
+                }
             })
             .collect();
 
@@ -254,7 +270,13 @@ impl SweepGrid {
 
     /// The frequency plan of scale slice `scale_index`.
     pub fn plan(&self, scale_index: usize) -> &FrequencyPlan {
-        &self.scales[scale_index].plan
+        self.table(scale_index).plan()
+    }
+
+    /// What every chain of scale slice `scale_index` shares: its plan, its
+    /// priced flows and its islands' min-cut partitions.
+    pub(crate) fn table(&self, scale_index: usize) -> &PlanTable {
+        &self.scales[scale_index].table
     }
 
     /// Total number of chain ids (active and inactive).

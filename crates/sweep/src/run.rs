@@ -8,8 +8,8 @@ use crate::shard::Shard;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use vi_noc_core::{
-    evaluate_candidate_chain, evaluate_candidate_chain_with_certificate, island_switch_assignment,
-    CandidateOutcome, DesignPoint, ParetoFold, ParetoKey, SlackCertificate, SynthesisConfig,
+    evaluate_candidate_chain, CandidateOutcome, DesignPoint, ParetoFold, ParetoKey,
+    SlackCertificate, SynthesisConfig,
 };
 use vi_noc_soc::{SocSpec, ViAssignment};
 
@@ -87,7 +87,7 @@ impl SweepStats {
 ///
 /// For each `(scale_index, base_sweep_index)` block the oracle evaluates
 /// the *reference* chain (the boost-free counts) once through
-/// [`evaluate_candidate_chain_with_certificate`] and caches the resulting
+/// [`evaluate_candidate_chain`] and caches the resulting
 /// [`SlackCertificate`]. A chain is skipped iff the certificate certifies
 /// every island it boosts **and** the reference's canonical chain id is
 /// active in the grid at hand (on windowed grids the dominating reference
@@ -128,20 +128,10 @@ impl SlackOracle<'_> {
             .cache
             .entry((chain.scale_index, chain.base_sweep_index))
             .or_insert_with(|| {
-                let plan = grid.plan(chain.scale_index);
-                let counts = grid.base_counts(chain.scale_index, chain.base_sweep_index);
-                let assignment = island_switch_assignment(grid.vcgs(), plan, counts, cfg);
+                let table = grid.table(chain.scale_index);
                 let candidates =
                     grid.reference_candidates(chain.scale_index, chain.base_sweep_index);
-                evaluate_candidate_chain_with_certificate(
-                    spec,
-                    vi,
-                    plan,
-                    &assignment,
-                    &candidates,
-                    cfg,
-                )
-                .1
+                evaluate_candidate_chain(spec, vi, table, &candidates, cfg).1
             });
         cert.certifies_skip(&chain.boosts)
     }
@@ -157,10 +147,9 @@ fn evaluate_chain(
     chain: &ChainSpec,
     cfg: &SynthesisConfig,
 ) -> (SweepStats, ParetoFold<FrontierPoint>) {
-    let plan = grid.plan(chain.scale_index);
-    let assignment = island_switch_assignment(grid.vcgs(), plan, &chain.counts, cfg);
     let candidates = grid.candidates_of(chain);
-    let outcomes = evaluate_candidate_chain(spec, vi, plan, &assignment, &candidates, cfg);
+    let table = grid.table(chain.scale_index);
+    let (outcomes, _) = evaluate_candidate_chain(spec, vi, table, &candidates, cfg);
 
     let mut stats = SweepStats {
         chains: 1,
@@ -221,10 +210,9 @@ pub fn regenerate_point(
         ));
     }
     let k = (ordinal - chain_id * grid.chain_len()) as usize;
-    let plan = grid.plan(chain.scale_index);
-    let assignment = island_switch_assignment(grid.vcgs(), plan, &chain.counts, cfg);
     let candidates = grid.candidates_of(&chain);
-    let mut outcomes = evaluate_candidate_chain(spec, vi, plan, &assignment, &candidates, cfg);
+    let table = grid.table(chain.scale_index);
+    let (mut outcomes, _) = evaluate_candidate_chain(spec, vi, table, &candidates, cfg);
     if k >= outcomes.len() {
         return Err(format!(
             "ordinal {ordinal} indexes candidate {k} of a {}-candidate chain",

@@ -18,10 +18,7 @@
 //! windows exclude most of the fine grid outright.
 
 use proptest::prelude::*;
-use vi_noc_core::{
-    evaluate_candidate_chain, evaluate_candidate_chain_with_certificate, island_switch_assignment,
-    CandidateOutcome, SynthesisConfig,
-};
+use vi_noc_core::{evaluate_candidate_chain, CandidateOutcome, PlanTable, SynthesisConfig};
 use vi_noc_soc::{benchmarks, partition, SocSpec, ViAssignment};
 use vi_noc_sweep::{
     frontier_json, merge_checkpoints, run_shard, run_shard_pruned, shard_checkpoint_json,
@@ -111,20 +108,16 @@ fn check_skipped_chains_dominated(
         if chain.boosts.iter().all(|&b| b == 0) {
             continue;
         }
-        let plan = grid.plan(chain.scale_index);
-        let counts = grid.base_counts(chain.scale_index, chain.base_sweep_index);
+        // A fresh table: nothing computed for the pruned run is reused.
+        let table = PlanTable::new(grid.plan(chain.scale_index).clone(), grid.vcgs().into());
         let reference = grid.reference_candidates(chain.scale_index, chain.base_sweep_index);
-        let assignment = island_switch_assignment(grid.vcgs(), plan, counts, cfg);
-        let cert =
-            evaluate_candidate_chain_with_certificate(spec, vi, plan, &assignment, &reference, cfg)
-                .1;
+        let cert = evaluate_candidate_chain(spec, vi, &table, &reference, cfg).1;
         if !cert.certifies_skip(&chain.boosts) {
             continue;
         }
         skipped += 1;
-        let assignment = island_switch_assignment(grid.vcgs(), plan, &chain.counts, cfg);
         let candidates = grid.candidates_of(&chain);
-        let outcomes = evaluate_candidate_chain(spec, vi, plan, &assignment, &candidates, cfg);
+        let outcomes = evaluate_candidate_chain(spec, vi, &table, &candidates, cfg).0;
         for (k, outcome) in outcomes.into_iter().enumerate() {
             if let CandidateOutcome::Feasible(point) = outcome {
                 let key = point.pareto_key(grid.ordinal(chain_id, k));

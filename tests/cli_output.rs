@@ -180,3 +180,27 @@ fn a_negative_cost_weight_exits_2_at_ingestion() {
     );
     assert!(!stderr.contains("usage:"), "{stderr}");
 }
+
+#[test]
+fn a_delay_member_above_its_bound_exits_2_at_ingestion() {
+    // Route latencies add the per-hop delays in u32 cycles: a release run
+    // once wrapped `switch_delay_cycles: 4294967295` into a 4.72-cycle
+    // average latency and exited 0, and a debug run panicked.
+    let huge = scratch("huge_delay.json");
+    std::fs::write(
+        &huge,
+        r#"{"name":"huge delay","spec":{"benchmark":"d26"},
+        "partition":{"kind":"logical","islands":6},"synthesis":{"switch_delay_cycles":4294967295}}"#,
+    )
+    .unwrap();
+    let (code, stderr) = exit_code_and_stderr(&["run", huge.to_str().unwrap()], false);
+    let _ = std::fs::remove_file(&huge);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains(
+            "scenario.synthesis.switch_delay_cycles: must be at most 65536, got 4294967295"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
